@@ -19,6 +19,8 @@ from .linalg import (
     Space,
     Vector,
     basis_vector,
+    block_diagonal,
+    direct_sum_space,
     mat_apply,
     scalar,
     solve_exact,
@@ -267,6 +269,58 @@ class RelPoissonAlgebra:
         return self.space.dim
 
 
+def block_sum(
+    left: RelPoissonAlgebra,
+    right: RelPoissonAlgebra,
+    mu1,
+    rho1,
+    mu2,
+    rho2,
+) -> RelPoissonAlgebra:
+    """The quadruple on A1 + A2 (A1 basis first) built from two algebras
+    acting on each other:
+
+        (x+a).(y+b) = x.y + mu2(a)y + mu2(b)x + a.b + mu1(x)b + mu1(y)a
+        [x+a, y+b]  = [x,y] + rho2(a)y - rho2(b)x + [a,b] + rho1(x)b - rho1(y)a
+        D(x+a)      = D1(x) + D2(a)
+
+    The actions of A1 on A2 (mu1 through the dot, rho1 through the bracket)
+    hold one A2-matrix per A1 basis element; those of A2 on A1 (mu2, rho2)
+    one A1-matrix per A2 basis element.  Unit extensions, semi-direct products
+    and matched-pair doubles are all of this form.  Built structurally,
+    with no validity assumption on the actions.
+    """
+    n1, n2 = left.dim, right.dim
+    total = direct_sum_space(left.space, right.space)
+    zero1, zero2 = (ZERO,) * n1, (ZERO,) * n2
+    dot_table = [[None] * (n1 + n2) for _ in range(n1 + n2)]
+    br_table = [[None] * (n1 + n2) for _ in range(n1 + n2)]
+    for i in range(n1):
+        for j in range(n1):
+            dot_table[i][j] = left.dot.product(i, j) + zero2
+            br_table[i][j] = left.bracket.product(i, j) + zero2
+    for a in range(n2):
+        for b in range(n2):
+            dot_table[n1 + a][n1 + b] = zero1 + right.dot.product(a, b)
+            br_table[n1 + a][n1 + b] = zero1 + right.bracket.product(a, b)
+    for i in range(n1):
+        for b in range(n2):
+            mu2b_i = tuple(mu2[b][r][i] for r in range(n1))
+            mu1i_b = tuple(mu1[i][r][b] for r in range(n2))
+            rho2b_i = tuple(rho2[b][r][i] for r in range(n1))
+            rho1i_b = tuple(rho1[i][r][b] for r in range(n2))
+            dot_table[i][n1 + b] = dot_table[n1 + b][i] = mu2b_i + mu1i_b
+            br_table[i][n1 + b] = tuple(-x for x in rho2b_i) + rho1i_b
+            br_table[n1 + b][i] = rho2b_i + tuple(-x for x in rho1i_b)
+    derivation = block_diagonal(left.derivation.entries, right.derivation.entries)
+    return RelPoissonAlgebra(
+        total,
+        BilinearOp(total, dot_table),
+        BilinearOp(total, br_table),
+        LinearMap(total, total, derivation),
+    )
+
+
 # ---------------------------------------------------------------------------
 # checkers
 
@@ -482,6 +536,7 @@ __all__ = [
     "combine_reports",
     "BilinearOp",
     "RelPoissonAlgebra",
+    "block_sum",
     "check_comm_assoc",
     "check_lie",
     "check_derivation",

@@ -27,6 +27,7 @@ from .linalg import (
     Matrix,
     Space,
     Vector,
+    basis_vector,
     mat_add,
     mat_apply,
     mat_is_zero,
@@ -430,7 +431,7 @@ def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -
         rhs = mat_sub(_slot1(der.entries, bcom.columns[k]), _slot2(q.entries, bcom.columns[k]))
         coll.check("comult-intertwine-bracket", (k,), _flatten2(mat_sub(lhs, rhs)))
     for k in range(n):
-        target = dcom.of(mat_apply(pq, _basis(n, k)))
+        target = dcom.of(mat_apply(pq, basis_vector(n, k)))
         acc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -465,12 +466,6 @@ def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -
             defect = mat_add(defect, dcom.of(dot.apply_basis_right(der.column(i), j)))
             coll.check("mixed-bracket-dot", (i, j), _flatten2(defect))
     return coll.report()
-
-
-def _basis(n: int, i: int):
-    from .linalg import basis_vector
-
-    return basis_vector(n, i)
 
 
 # ---------------------------------------------------------------------------

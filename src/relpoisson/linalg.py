@@ -110,12 +110,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     )
 
 
-def vec_scale(c: Fraction, u: Vector) -> Vector:
-    if not c:
-        return zero_vector(len(u))
-    return tuple(c * a for a in u)
-
-
 def vec_is_zero(u) -> bool:
     return all(not a for a in u)
 
@@ -130,6 +124,12 @@ def zero_matrix(rows: int, cols: int) -> Matrix:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
+    """The square matrix diag(a, b) of two square blocks."""
+    pad_a, pad_b = (ZERO,) * len(b), (ZERO,) * len(a)
+    return tuple(tuple(r) + pad_a for r in a) + tuple(pad_b + tuple(r) for r in b)
 
 
 def mat_from_rows(rows) -> Matrix:
@@ -148,10 +148,6 @@ def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in r) for r in a)
 
 
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in r) for r in a)
-
-
 def mat_transpose(a: Matrix) -> Matrix:
     if not a:
         return ()
@@ -160,8 +156,8 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """a (r x m) times b (m x c), skipping zero entries of a."""
-    if a and b:
-        assert len(a[0]) == len(b), "matrix shape mismatch"
+    if a and len(a[0]) != len(b):
+        raise ValueError("matrix shape mismatch")
     cols = len(b[0]) if b else 0
     out = []
     for row in a:
@@ -231,7 +227,8 @@ def determinant(a: Matrix) -> Fraction:
     n = len(a)
     if n == 0:
         return ONE
-    assert all(len(r) == n for r in a), "determinant of a non-square matrix"
+    if any(len(r) != n for r in a):
+        raise ValueError("determinant of a non-square matrix")
     m = [list(r) for r in a]
     det = ONE
     for col in range(n):
@@ -458,11 +455,6 @@ def tensor_as_map(t: Tensor2) -> LinearMap:
     return LinearMap(t.left.dual, t.left, mat_transpose(t.coeffs))
 
 
-def tensors_equal(a, b) -> bool:
-    """Coefficientwise equality for nested tuples of scalars."""
-    return a == b
-
-
 __all__ = [
     "Scalar",
     "ZERO",
@@ -474,15 +466,14 @@ __all__ = [
     "basis_vector",
     "vec_add",
     "vec_sub",
-    "vec_scale",
     "vec_is_zero",
     "zero_matrix",
     "identity_matrix",
+    "block_diagonal",
     "mat_from_rows",
     "mat_add",
     "mat_sub",
     "mat_neg",
-    "mat_scale",
     "mat_transpose",
     "mat_mul",
     "mat_apply",
@@ -499,5 +490,4 @@ __all__ = [
     "swap_factors",
     "rotate_factors",
     "tensor_as_map",
-    "tensors_equal",
 ]

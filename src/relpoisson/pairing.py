@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
     AxiomReport,
-    BilinearOp,
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    block_sum,
     check_rel_poisson,
 )
 from .linalg import (
@@ -27,7 +27,6 @@ from .linalg import (
     Vector,
     combination_column,
     determinant,
-    direct_sum_space,
     mat_apply,
     mat_combination,
     mat_inverse,
@@ -331,64 +330,18 @@ def check_matched_pair(
     return coll.report()
 
 
-def ea_basis(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def combine_matched_pair(data: MatchedPairData) -> RelPoissonAlgebra:
-    """The double algebra on A1 + A2 built structurally from the actions:
-
-        (x+a).(y+b) = x.y + mu2(a)y + mu2(b)x + a.b + mu1(x)b + mu1(y)a
-        [x+a, y+b]  = [x,y] + rho2(a)y - rho2(b)x + [a,b] + rho1(x)b - rho1(y)a
-
-    with the block-diagonal derivation.
-    """
-    a1, a2 = data.left, data.right
-    n1, n2 = a1.dim, a2.dim
-    total = direct_sum_space(a1.space, a2.space)
-    size = n1 + n2
-    mu1, rho1 = data.dot_action_on_right, data.bracket_action_on_right
-    mu2, rho2 = data.dot_action_on_left, data.bracket_action_on_left
-
-    def pad1(v):
-        return tuple(v) + (ZERO,) * n2
-
-    def pad2(v):
-        return (ZERO,) * n1 + tuple(v)
-
-    def mixed(v1, v2):
-        return tuple(v1) + tuple(v2)
-
-    zero = (ZERO,) * size
-    dot_table = [[zero] * size for _ in range(size)]
-    br_table = [[zero] * size for _ in range(size)]
-    for i in range(n1):
-        for j in range(n1):
-            dot_table[i][j] = pad1(a1.dot.product(i, j))
-            br_table[i][j] = pad1(a1.bracket.product(i, j))
-    for a in range(n2):
-        for b in range(n2):
-            dot_table[n1 + a][n1 + b] = pad2(a2.dot.product(a, b))
-            br_table[n1 + a][n1 + b] = pad2(a2.bracket.product(a, b))
-    for i in range(n1):
-        for b in range(n2):
-            mu2b_i = tuple(mu2[b][r][i] for r in range(n1))
-            mu1i_b = tuple(mu1[i][r][b] for r in range(n2))
-            rho2b_i = tuple(rho2[b][r][i] for r in range(n1))
-            rho1i_b = tuple(rho1[i][r][b] for r in range(n2))
-            dot_table[i][n1 + b] = mixed(mu2b_i, mu1i_b)
-            dot_table[n1 + b][i] = mixed(mu2b_i, mu1i_b)
-            br_table[i][n1 + b] = mixed(tuple(-x for x in rho2b_i), rho1i_b)
-            br_table[n1 + b][i] = mixed(rho2b_i, tuple(-x for x in rho1i_b))
-    dot = BilinearOp(total, tuple(tuple(r) for r in dot_table))
-    bracket = BilinearOp(total, tuple(tuple(r) for r in br_table))
-    rows = []
-    for i in range(n1):
-        rows.append(tuple(a1.derivation.entries[i]) + (ZERO,) * n2)
-    for a in range(n2):
-        rows.append((ZERO,) * n1 + tuple(a2.derivation.entries[a]))
-    derivation = LinearMap(total, total, tuple(rows))
-    return RelPoissonAlgebra(total, dot, bracket, derivation)
+    """The double algebra on A1 + A2 built structurally from the actions
+    (:func:`relpoisson.algebra.block_sum`), with the block-diagonal
+    derivation."""
+    return block_sum(
+        data.left,
+        data.right,
+        data.dot_action_on_right,
+        data.bracket_action_on_right,
+        data.dot_action_on_left,
+        data.bracket_action_on_left,
+    )
 
 
 def bowtie(data: MatchedPairData) -> RelPoissonAlgebra:

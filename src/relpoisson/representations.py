@@ -24,6 +24,7 @@ from .algebra import (
     NoUnitError,
     PreconditionError,
     RelPoissonAlgebra,
+    block_sum,
     find_unit,
 )
 from .linalg import (
@@ -34,7 +35,6 @@ from .linalg import (
     Vector,
     basis_vector,
     determinant,
-    direct_sum_space,
     identity_matrix,
     mat_add,
     mat_apply,
@@ -46,6 +46,7 @@ from .linalg import (
     scalar,
     vec_add,
     vec_sub,
+    zero_matrix,
 )
 
 
@@ -295,43 +296,16 @@ def semidirect_structure(
         [x+u, y+v]   = [x,y] + rho(x)v - rho(y)u
         D(x+u)       = D(x) + alpha(u)
 
-    Built structurally, with no validity assumption on the actions.
+    Built structurally (:func:`relpoisson.algebra.block_sum`), with no
+    validity assumption on the actions: V is the zero-product algebra with
+    derivation alpha and does not act back on A.
     """
     n, m = alg.dim, module.dim
-    total = direct_sum_space(alg.space, module)
-    size = n + m
-
-    def pad_left(v):
-        return tuple(v) + (ZERO,) * m
-
-    def pad_right(v):
-        return (ZERO,) * n + tuple(v)
-
-    zero = (ZERO,) * size
-    dot_table = [[zero] * size for _ in range(size)]
-    br_table = [[zero] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            dot_table[i][j] = pad_left(alg.dot.product(i, j))
-            br_table[i][j] = pad_left(alg.bracket.product(i, j))
-    for i in range(n):
-        mui, rhoi = dot_action[i], bracket_action[i]
-        for b in range(m):
-            mu_col = tuple(mui[r][b] for r in range(m))
-            rho_col = tuple(rhoi[r][b] for r in range(m))
-            dot_table[i][n + b] = pad_right(mu_col)
-            dot_table[n + b][i] = pad_right(mu_col)
-            br_table[i][n + b] = pad_right(rho_col)
-            br_table[n + b][i] = pad_right(tuple(-x for x in rho_col))
-    dot = BilinearOp(total, tuple(tuple(r) for r in dot_table))
-    bracket = BilinearOp(total, tuple(tuple(r) for r in br_table))
-    der_rows = []
-    for i in range(n):
-        der_rows.append(tuple(alg.derivation.entries[i]) + (ZERO,) * m)
-    for a in range(m):
-        der_rows.append((ZERO,) * n + tuple(endo[a]))
-    derivation = LinearMap(total, total, tuple(der_rows))
-    return RelPoissonAlgebra(total, dot, bracket, derivation)
+    right = RelPoissonAlgebra(
+        module, BilinearOp.zero(module), BilinearOp.zero(module), LinearMap(module, module, endo)
+    )
+    back = (zero_matrix(n, n),) * m
+    return block_sum(alg, right, dot_action, bracket_action, back, back)
 
 
 def semidirect_product(alg: RelPoissonAlgebra, rep: RepData) -> RelPoissonAlgebra:

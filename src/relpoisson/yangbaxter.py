@@ -33,6 +33,7 @@ from .linalg import (
     Tensor2,
     Tensor3,
     basis_vector,
+    block_diagonal,
     mat_add,
     mat_apply,
     mat_mul,
@@ -563,14 +564,8 @@ def semidirect_codrv(
 ) -> LinearMap:
     """The map Q + alpha^T on A + V* accompanying
     :func:`o_operator_to_rmatrix`."""
-    n, m = rep.algebra.dim, rep.space.dim
-    alpha_t = mat_transpose(rep.der_action)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(codrv.entries[i]) + (ZERO,) * m)
-    for a in range(m):
-        rows.append((ZERO,) * n + tuple(alpha_t[a]))
-    return LinearMap(semidirect.space, semidirect.space, tuple(rows))
+    entries = block_diagonal(codrv.entries, mat_transpose(rep.der_action))
+    return LinearMap(semidirect.space, semidirect.space, entries)
 
 
 __all__ = [

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relpoisson import (
@@ -22,7 +22,7 @@ from relpoisson import (
     check_relative_leibniz,
     find_unit,
 )
-from relpoisson.algebra import ad_map
+from relpoisson.algebra import ad_map, block_sum
 
 from conftest import (
     heisenberg_poisson,
@@ -225,3 +225,85 @@ def test_jacobi_iff_unital_rel_poisson():
         assert check_jacobi_algebra(alg.dot, alg.bracket).ok == check_rel_poisson(
             RelPoissonAlgebra(alg.space, alg.dot, alg.bracket, ad_unit)
         ).ok
+
+
+# ---------------------------------------------------------------------------
+# the block-sum builder against its defining formulas
+
+small = st.integers(-2, 2).map(F)
+
+
+@st.composite
+def block_sum_inputs(draw):
+    """Two candidate algebras of dim 0-2 with arbitrary structure constants
+    (validity is not assumed), labels that may collide, and arbitrary
+    actions in both directions."""
+
+    def matrices(count, n):
+        return tuple(
+            tuple(tuple(draw(small) for _ in range(n)) for _ in range(n)) for _ in range(count)
+        )
+
+    def alg(n, labels):
+        sp = Space(labels)
+        dot, bracket = BilinearOp(sp, matrices(n, n)), BilinearOp(sp, matrices(n, n))
+        return RelPoissonAlgebra(sp, dot, bracket, LinearMap(sp, sp, matrices(1, n)[0]))
+
+    n1, n2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    pool = ("e", "e'", "x", "y")
+    left = alg(n1, tuple(draw(st.permutations(pool))[:n1]))
+    right = alg(n2, tuple(draw(st.permutations(pool))[:n2]))
+    return left, right, matrices(n1, n2), matrices(n1, n2), matrices(n2, n1), matrices(n2, n1)
+
+
+def _mul(op, u, v):
+    n = len(u)
+    return [
+        sum((u[i] * v[j] * op.table[i][j][k] for i in range(n) for j in range(n)), F(0))
+        for k in range(n)
+    ]
+
+
+def _act(mats, u, v):
+    """(sum_k u_k mats[k]) applied to v."""
+    m = len(v)
+    return [
+        sum((u[k] * mats[k][r][s] * v[s] for k in range(len(u)) for s in range(m)), F(0))
+        for r in range(m)
+    ]
+
+
+def _add(*vecs):
+    return [sum(xs, F(0)) for xs in zip(*vecs)]
+
+
+def _neg(v):
+    return [-x for x in v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=block_sum_inputs())
+def test_block_sum_matches_defining_formulas(inputs):
+    left, right, mu1, rho1, mu2, rho2 = inputs
+    total = block_sum(left, right, mu1, rho1, mu2, rho2)
+    n1, n2 = left.dim, right.dim
+    labels = total.space.labels
+    assert labels[:n1] == left.space.labels and len(set(labels)) == n1 + n2
+    for lab, orig in zip(labels[n1:], right.space.labels):
+        assert lab.startswith(orig) and set(lab[len(orig):]) <= {"'"}
+
+    def split(p):
+        e = [F(int(t == p)) for t in range(n1 + n2)]
+        return e[:n1], e[n1:]
+
+    for p in range(n1 + n2):
+        x, a = split(p)
+        assert total.derivation.column(p) == left.derivation(tuple(x)) + right.derivation(tuple(a))
+        for q in range(n1 + n2):
+            y, b = split(q)
+            dot = _add(_mul(left.dot, x, y), _act(mu2, a, y), _act(mu2, b, x))
+            dot += _add(_mul(right.dot, a, b), _act(mu1, x, b), _act(mu1, y, a))
+            assert list(total.dot.product(p, q)) == dot
+            br = _add(_mul(left.bracket, x, y), _act(rho2, a, y), _neg(_act(rho2, b, x)))
+            br += _add(_mul(right.bracket, a, b), _act(rho1, x, b), _neg(_act(rho1, y, a)))
+            assert list(total.bracket.product(p, q)) == br

@@ -1,5 +1,8 @@
 """Unit extension, representation extension, O-operator lift, pipeline."""
 
+import importlib
+import pkgutil
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +11,7 @@ from relpoisson import (
     LinearMap,
     PipelineError,
     PreconditionError,
+    RelPoissonAlgebra,
     RelPrePoissonAlgebra,
     adjoint_rep,
     check_jacobi_algebra,
@@ -70,6 +74,18 @@ def test_extend_jacobi_always_jacobi_with_adjoint_derivation(name, alg):
     unit = find_unit(extended.dot)
     assert unit is not None, name
     assert ad_map(extended.bracket, unit).entries == extended.derivation.entries, name
+
+
+def test_extend_jacobi_primes_a_taken_unit_label():
+    sp = Space(("e", "e'", "x"))
+    alg = RelPoissonAlgebra(
+        sp, BilinearOp.zero(sp), BilinearOp.zero(sp), linmap(sp, ((1, 0, 0), (0, 2, 0), (0, 0, 3)))
+    )
+    extended = extend_jacobi(alg)
+    assert extended.space.labels == ("e''", "e", "e'", "x")
+    unit = find_unit(extended.dot)
+    assert unit == basis_vector(4, 0)
+    assert ad_map(extended.bracket, unit).entries == extended.derivation.entries
 
 
 def test_extend_jacobi_rejects_invalid_input():
@@ -167,6 +183,47 @@ def test_pipeline_rejects_invalid_input():
     with pytest.raises(PipelineError) as err:
         frobenius_jacobi_pipeline(bad)
     assert err.value.stage == "pre-poisson"
+
+
+PIPELINE_CHECKER_CALLS = {
+    "check_rel_pre_poisson": 1,
+    "check_representation": 4,
+    "check_weak_o_operator": 2,
+    "check_rel_poisson": 5,
+    "check_jacobi_algebra": 1,
+    "check_jacobi_representation": 1,
+    "check_rpybe": 1,
+    "check_bialgebra": 1,
+    "check_matched_pair": 1,
+    "check_manin_triple": 1,
+    "check_invariant_form": 1,
+    "is_nondegenerate": 1,
+}
+
+
+def test_pipeline_verifies_each_fact_once(monkeypatch):
+    # check_rel_poisson runs in lift_o_operator, check_bialgebra, twice in
+    # check_matched_pair and in check_manin_triple; check_representation in
+    # lift_o_operator, o_operator_to_rmatrix and twice in check_matched_pair
+    import relpoisson
+
+    namespaces = [relpoisson] + [
+        importlib.import_module(f"relpoisson.{info.name}")
+        for info in pkgutil.iter_modules(relpoisson.__path__)
+    ]
+    calls = Counter()
+    for name in PIPELINE_CHECKER_CALLS:
+        original = getattr(relpoisson, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in namespaces:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    frobenius_jacobi_pipeline(worked_prepoisson())
+    assert dict(calls) == PIPELINE_CHECKER_CALLS
 
 
 def test_pipeline_unit_biconditional(worked_bialgebra, worked_double):

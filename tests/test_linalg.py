@@ -190,6 +190,14 @@ def test_determinant_and_inverse():
         mat_inverse(((F(0),),))
 
 
+def test_shape_mismatch_raises_value_error():
+    # a 1x1 times a 2x1 matrix, and a 1x2 determinant
+    with pytest.raises(ValueError):
+        mat_mul(((F(1),),), ((F(1),), (F(2),)))
+    with pytest.raises(ValueError):
+        determinant(((F(1), F(2)),))
+
+
 def test_solve_exact():
     a = ((F(1), F(2)), (F(0), F(1)), (F(1), F(3)))
     assert solve_exact(a, (F(5), F(2), F(7))) == (1, 2)
