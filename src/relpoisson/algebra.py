@@ -336,6 +336,13 @@ def _check_hits(coll: Collector, axiom: str, where, hits, n: int) -> None:
         coll.check(axiom, where, acc)
 
 
+def _sparse_columns(m: Matrix):
+    """Each column of a square matrix as its nonzero (row, value) entries."""
+    return tuple(
+        tuple((r, row[j]) for r, row in enumerate(m) if row[j]) for j in range(len(m))
+    )
+
+
 def check_comm_assoc(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """Commutativity x*y = y*x and associativity (x*y)*z = x*(y*z)."""
     n = m.space.dim

@@ -11,6 +11,7 @@ identical structures produce identical bytes.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .algebra import BilinearOp, RelPoissonAlgebra
@@ -114,13 +115,24 @@ _KEY_ORDER = (
 )
 
 
+_SCALAR = r"-?\d+(/\d+)?"  # matched with re.ASCII, so \d is [0-9]
+
+
 class DocumentError(ValueError):
     """Malformed structure document (parse-level, not an axiom failure)."""
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON booleans parse as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_scalar_string(text) -> Fraction:
+    """An integer or a fraction "p/q", optionally negative, in ASCII digits."""
     if not isinstance(text, str):
         raise DocumentError(f"scalar must be a string, got {text!r}")
+    if not re.fullmatch(_SCALAR, text, re.ASCII):
+        raise DocumentError(f"malformed scalar {text!r}: expected an integer or p/q")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -147,7 +159,7 @@ def _validate_entries(name, raw, arity, bound, extra_bound=None):
         idx = tuple(entry[:arity])
         for pos, i in enumerate(idx):
             limit = bound if extra_bound is None or pos > 0 else extra_bound
-            if not isinstance(i, int) or i < 0 or i >= limit:
+            if not _is_int(i) or i < 0 or i >= limit:
                 raise DocumentError(f"index out of range in {name!r}: {entry!r}")
         if idx in seen:
             raise DocumentError(f"duplicate entry in {name!r}: {list(idx)}")
@@ -159,7 +171,7 @@ def _validate_entries(name, raw, arity, bound, extra_bound=None):
 
 def _space_of(doc) -> Space:
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise DocumentError("dim must be a non-negative integer")
     basis = doc.get("basis")
     if basis is None:
@@ -284,7 +296,7 @@ def doc_to_representation(doc):
                 raise DocumentError(f"entry in {name!r} must be [x, i, j, scalar]")
             x, i, j = entry[:3]
             for val, bound in ((x, n), (i, m), (j, m)):
-                if not isinstance(val, int) or val < 0 or val >= bound:
+                if not _is_int(val) or val < 0 or val >= bound:
                     raise DocumentError(f"index out of range in {name!r}: {entry!r}")
             if (x, i, j) in seen:
                 raise DocumentError(f"duplicate entry in {name!r}: {entry[:3]}")
@@ -548,6 +560,8 @@ def parse_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
     validate_document(doc)
     return doc
 

@@ -209,19 +209,6 @@ def mat_combination(coeffs: Vector, mats) -> Matrix:
     return tuple(tuple(r) for r in acc)
 
 
-def combination_column(coeffs: Vector, mats, col: int, dim: int) -> Vector:
-    """Column ``col`` of sum_k coeffs[k] * mats[k], without building the sum."""
-    acc = [ZERO] * dim
-    for c, m in zip(coeffs, mats):
-        if not c:
-            continue
-        for i in range(dim):
-            x = m[i][col]
-            if x:
-                acc[i] += c * x
-    return tuple(acc)
-
-
 def determinant(a: Matrix) -> Fraction:
     """Exact determinant by fraction-free-ish Gaussian elimination."""
     n = len(a)
@@ -479,7 +466,6 @@ __all__ = [
     "mat_apply",
     "mat_is_zero",
     "mat_combination",
-    "combination_column",
     "determinant",
     "mat_inverse",
     "solve_exact",

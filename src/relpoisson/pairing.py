@@ -15,6 +15,8 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    _check_hits,
+    _sparse_columns,
     block_sum,
     check_rel_poisson,
 )
@@ -25,15 +27,11 @@ from .linalg import (
     Matrix,
     Space,
     Vector,
-    combination_column,
     determinant,
-    mat_apply,
-    mat_combination,
     mat_inverse,
     mat_mul,
     mat_transpose,
     scalar,
-    vec_add,
     vec_sub,
 )
 from .representations import RepData, check_representation
@@ -170,163 +168,115 @@ class MatchedPairData:
         )
 
 
+# The mixed condition families of a matched pair, each written once for an
+# acting factor L and an acted-on factor R and called once per side with the
+# same arguments (L, R, mu, rho, mu_back, rho_back).  mu and rho are L's
+# actions on R and mu_back, rho_back (mu', rho' in the formulas) are R's
+# actions on L, all as sparse column tables: mu[x][a] lists the nonzero
+# (row, value) entries of mu(x)a.  Defects live in R and are reported at
+# (x, a, b) for x in L and a, b in R, except cross-compatibility, which
+# sweeps and reports (a, x, b).
+
+
+def _dot_matched(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
+    """mu(x)(a.b) - (mu(x)a).b - mu(mu'(a)x)b."""
+    n = acted.dim
+    dot = acted.dot._sparse
+    for x, mux in enumerate(mu):
+        for a in range(n):
+            back_a = mu_back[a][x]
+            for b in range(n):
+                hits = [(s, c * v) for t, c in dot[a][b] for s, v in mux[t]]
+                hits += [(s, -c * v) for t, c in mux[a] for s, v in dot[t][b]]
+                hits += [(s, -c * v) for t, c in back_a for s, v in mu[t][b]]
+                _check_hits(coll, axiom, (x, a, b), hits, n)
+
+
+def _bracket_matched(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
+    """rho(x)[a,b] - [rho(x)a, b] - [a, rho(x)b] + rho(rho'(a)x)b
+    - rho(rho'(b)x)a."""
+    n = acted.dim
+    br = acted.bracket._sparse
+    for x, rhox in enumerate(rho):
+        for a in range(n):
+            for b in range(n):
+                hits = [(s, c * v) for t, c in br[a][b] for s, v in rhox[t]]
+                hits += [(s, -c * v) for t, c in rhox[a] for s, v in br[t][b]]
+                hits += [(s, -c * v) for t, c in rhox[b] for s, v in br[a][t]]
+                hits += [(s, c * v) for t, c in rho_back[a][x] for s, v in rho[t][b]]
+                hits += [(s, -c * v) for t, c in rho_back[b][x] for s, v in rho[t][a]]
+                _check_hits(coll, axiom, (x, a, b), hits, n)
+
+
+def _cross_leibniz(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
+    """rho(x)(a.b) + mu(rho'(b)x)a - a.rho(x)b + mu(rho'(a)x)b - b.rho(x)a
+    - mu(Px)(a.b), where P is the acting factor's derivation."""
+    n = acted.dim
+    dot = acted.dot._sparse
+    der = _sparse_columns(acting.derivation.entries)
+    for x, rhox in enumerate(rho):
+        for a in range(n):
+            for b in range(n):
+                ab = dot[a][b]
+                hits = [(s, c * v) for t, c in ab for s, v in rhox[t]]
+                hits += [(s, c * v) for t, c in rho_back[b][x] for s, v in mu[t][a]]
+                hits += [(s, -c * v) for t, c in rhox[b] for s, v in dot[a][t]]
+                hits += [(s, c * v) for t, c in rho_back[a][x] for s, v in mu[t][b]]
+                hits += [(s, -c * v) for t, c in rhox[a] for s, v in dot[b][t]]
+                for r, p in der[x]:
+                    hits += [(s, -p * c * v) for t, c in ab for s, v in mu[r][t]]
+                _check_hits(coll, axiom, (x, a, b), hits, n)
+
+
+def _cross_compatibility(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
+    """rho(mu'(a)x)b + [mu(x)a, b] - a.rho(x)b + mu(rho'(b)x)a - mu(x)[a,b]
+    + mu(x)(a.Pb), where P is the acted-on factor's derivation."""
+    n = acted.dim
+    dot, br = acted.dot._sparse, acted.bracket._sparse
+    der = _sparse_columns(acted.derivation.entries)
+    for a in range(n):
+        for x, mux in enumerate(mu):
+            rhox = rho[x]
+            for b in range(n):
+                hits = [(s, c * v) for t, c in mu_back[a][x] for s, v in rho[t][b]]
+                hits += [(s, c * v) for t, c in mux[a] for s, v in br[t][b]]
+                hits += [(s, -c * v) for t, c in rhox[b] for s, v in dot[a][t]]
+                hits += [(s, c * v) for t, c in rho_back[b][x] for s, v in mu[t][a]]
+                hits += [(s, -c * v) for t, c in br[a][b] for s, v in mux[t]]
+                for m, p in der[b]:
+                    hits += [(s, p * c * v) for t, c in dot[a][m] for s, v in mux[t]]
+                _check_hits(coll, axiom, (a, x, b), hits, n)
+
+
 def check_matched_pair(
     data: MatchedPairData, limit: int = DEFAULT_VIOLATION_LIMIT
 ) -> AxiomReport:
     """All condition families of a matched pair, including the validity of
     both factors (so the predicate is a genuine biconditional against the
-    bowtie being relative Poisson)."""
+    bowtie being relative Poisson).  A "-left" family has the left factor
+    acting, a "-right" family the right one."""
     a1, a2 = data.left, data.right
-    n1, n2 = a1.dim, a2.dim
-    mu1, rho1 = data.dot_action_on_right, data.bracket_action_on_right
-    mu2, rho2 = data.dot_action_on_left, data.bracket_action_on_left
+    on_right, on_left = data.as_rep_on_right(), data.as_rep_on_left()
     coll = Collector(limit)
     coll.merge(check_rel_poisson(a1, limit), "left-factor:")
     coll.merge(check_rel_poisson(a2, limit), "right-factor:")
-    coll.merge(check_representation(data.as_rep_on_right(), limit), "rep-on-right:")
-    coll.merge(check_representation(data.as_rep_on_left(), limit), "rep-on-left:")
-
-    def comb(mats, u, dim):
-        if not len(mats):
-            return tuple((ZERO,) * dim for _ in range(dim))
-        return mat_combination(u, mats)
-
-    p1cols = [a1.derivation.column(i) for i in range(n1)]
-    p2cols = [a2.derivation.column(a) for a in range(n2)]
-
-    # matched pair of commutative associative algebras
-    for x in range(n1):
-        m1x = mu1[x]
-        for a in range(n2):
-            m1x_a = tuple(m1x[r][a] for r in range(n2))
-            for b in range(n2):
-                lhs = mat_apply(m1x, a2.dot.product(a, b))
-                rhs = a2.dot.apply_basis_right(m1x_a, b)
-                m2a_x = tuple(mu2[a][r][x] for r in range(n1))
-                rhs = vec_add(rhs, combination_column(m2a_x, mu1, b, n2))
-                coll.check("dot-matched-left", (x, a, b), vec_sub(lhs, rhs))
-    for a in range(n2):
-        m2a = mu2[a]
-        for x in range(n1):
-            m2a_x = tuple(m2a[r][x] for r in range(n1))
-            for y in range(n1):
-                lhs = mat_apply(m2a, a1.dot.product(x, y))
-                rhs = a1.dot.apply_basis_right(m2a_x, y)
-                m1x_a = tuple(mu1[x][r][a] for r in range(n2))
-                rhs = vec_add(rhs, combination_column(m1x_a, mu2, y, n1))
-                coll.check("dot-matched-right", (a, x, y), vec_sub(lhs, rhs))
-
-    # matched pair of Lie algebras
-    for x in range(n1):
-        r1x = rho1[x]
-        for a in range(n2):
-            r1x_a = tuple(r1x[r][a] for r in range(n2))
-            for b in range(n2):
-                r1x_b = tuple(r1x[r][b] for r in range(n2))
-                defect = mat_apply(r1x, a2.bracket.product(a, b))
-                defect = vec_sub(defect, a2.bracket.apply_basis_right(r1x_a, b))
-                defect = vec_sub(defect, a2.bracket.apply_basis_left(a, r1x_b))
-                r2a_x = tuple(rho2[a][r][x] for r in range(n1))
-                r2b_x = tuple(rho2[b][r][x] for r in range(n1))
-                defect = vec_add(
-                    defect, combination_column(r2a_x, rho1, b, n2)
-                )
-                defect = vec_sub(
-                    defect, combination_column(r2b_x, rho1, a, n2)
-                )
-                coll.check("bracket-matched-left", (x, a, b), defect)
-    for a in range(n2):
-        r2a = rho2[a]
-        for x in range(n1):
-            r2a_x = tuple(r2a[r][x] for r in range(n1))
-            for y in range(n1):
-                r2a_y = tuple(r2a[r][y] for r in range(n1))
-                defect = mat_apply(r2a, a1.bracket.product(x, y))
-                defect = vec_sub(defect, a1.bracket.apply_basis_right(r2a_x, y))
-                defect = vec_sub(defect, a1.bracket.apply_basis_left(x, r2a_y))
-                r1x_a = tuple(rho1[x][r][a] for r in range(n2))
-                r1y_a = tuple(rho1[y][r][a] for r in range(n2))
-                defect = vec_add(
-                    defect, combination_column(r1x_a, rho2, y, n1)
-                )
-                defect = vec_sub(
-                    defect, combination_column(r1y_a, rho2, x, n1)
-                )
-                coll.check("bracket-matched-right", (a, x, y), defect)
-
-    # the four mixed cross conditions
-    for a in range(n2):
-        r2a, m2a = rho2[a], mu2[a]
-        p2a = p2cols[a]
-        for x in range(n1):
-            r2a_x = tuple(r2a[r][x] for r in range(n1))
-            for y in range(n1):
-                r2a_y = tuple(r2a[r][y] for r in range(n1))
-                xy = a1.dot.product(x, y)
-                r1y_a = tuple(rho1[y][r][a] for r in range(n2))
-                r1x_a = tuple(rho1[x][r][a] for r in range(n2))
-                defect = mat_apply(r2a, xy)
-                defect = vec_add(defect, combination_column(r1y_a, mu2, x, n1))
-                defect = vec_sub(defect, a1.dot.apply_basis_left(x, r2a_y))
-                defect = vec_add(defect, combination_column(r1x_a, mu2, y, n1))
-                defect = vec_sub(defect, a1.dot.apply_basis_left(y, r2a_x))
-                defect = vec_sub(defect, mat_apply(comb(mu2, p2a, n1), xy))
-                coll.check("cross-leibniz-right", (a, x, y), defect)
-    for x in range(n1):
-        r1x, m1x = rho1[x], mu1[x]
-        p1x = p1cols[x]
-        for a in range(n2):
-            r1x_a = tuple(r1x[r][a] for r in range(n2))
-            for b in range(n2):
-                r1x_b = tuple(r1x[r][b] for r in range(n2))
-                ab = a2.dot.product(a, b)
-                r2b_x = tuple(rho2[b][r][x] for r in range(n1))
-                r2a_x = tuple(rho2[a][r][x] for r in range(n1))
-                defect = mat_apply(r1x, ab)
-                defect = vec_add(defect, combination_column(r2b_x, mu1, a, n2))
-                defect = vec_sub(defect, a2.dot.apply_basis_left(a, r1x_b))
-                defect = vec_add(defect, combination_column(r2a_x, mu1, b, n2))
-                defect = vec_sub(defect, a2.dot.apply_basis_left(b, r1x_a))
-                defect = vec_sub(defect, mat_apply(comb(mu1, p1x, n2), ab))
-                coll.check("cross-leibniz-left", (x, a, b), defect)
-    for x in range(n1):
-        m1x = mu1[x]
-        for a in range(n2):
-            r2a = rho2[a]
-            m1x_a = tuple(m1x[r][a] for r in range(n2))
-            for y in range(n1):
-                r2a_y = tuple(r2a[r][y] for r in range(n1))
-                m2a_x = tuple(mu2[a][r][x] for r in range(n1))
-                defect = combination_column(m1x_a, rho2, y, n1)
-                defect = vec_add(defect, a1.bracket.apply_basis_right(m2a_x, y))
-                defect = vec_sub(defect, a1.dot.apply_basis_left(x, r2a_y))
-                r1y_a = tuple(rho1[y][r][a] for r in range(n2))
-                defect = vec_add(defect, combination_column(r1y_a, mu2, x, n1))
-                defect = vec_sub(defect, mat_apply(mu2[a], a1.bracket.product(x, y)))
-                defect = vec_add(
-                    defect,
-                    mat_apply(mu2[a], a1.dot.apply_basis_left(x, p1cols[y])),
-                )
-                coll.check("cross-compatibility-right", (x, a, y), defect)
-    for a in range(n2):
-        m2a = mu2[a]
-        for x in range(n1):
-            r1x = rho1[x]
-            m2a_x = tuple(m2a[r][x] for r in range(n1))
-            for b in range(n2):
-                r1x_b = tuple(r1x[r][b] for r in range(n2))
-                m1x_a = tuple(mu1[x][r][a] for r in range(n2))
-                defect = combination_column(m2a_x, rho1, b, n2)
-                defect = vec_add(defect, a2.bracket.apply_basis_right(m1x_a, b))
-                defect = vec_sub(defect, a2.dot.apply_basis_left(a, r1x_b))
-                r2b_x = tuple(rho2[b][r][x] for r in range(n1))
-                defect = vec_add(defect, combination_column(r2b_x, mu1, a, n2))
-                defect = vec_sub(defect, mat_apply(mu1[x], a2.bracket.product(a, b)))
-                defect = vec_add(
-                    defect,
-                    mat_apply(mu1[x], a2.dot.apply_basis_left(a, p2cols[b])),
-                )
-                coll.check("cross-compatibility-left", (a, x, b), defect)
+    coll.merge(check_representation(on_right, limit), "rep-on-right:")
+    coll.merge(check_representation(on_left, limit), "rep-on-left:")
+    mu1, rho1, mu2, rho2 = (
+        tuple(map(_sparse_columns, mats))
+        for rep in (on_right, on_left)
+        for mats in (rep.dot_action, rep.bracket_action)
+    )
+    left = (a1, a2, mu1, rho1, mu2, rho2)
+    right = (a2, a1, mu2, rho2, mu1, rho1)
+    _dot_matched(coll, "dot-matched-left", *left)
+    _dot_matched(coll, "dot-matched-right", *right)
+    _bracket_matched(coll, "bracket-matched-left", *left)
+    _bracket_matched(coll, "bracket-matched-right", *right)
+    _cross_leibniz(coll, "cross-leibniz-right", *right)
+    _cross_leibniz(coll, "cross-leibniz-left", *left)
+    _cross_compatibility(coll, "cross-compatibility-right", *right)
+    _cross_compatibility(coll, "cross-compatibility-left", *left)
     return coll.report()
 
 
@@ -383,46 +333,23 @@ def check_manin_triple(
             out[offset + t] = x
         return tuple(out)
 
+    sides = (("left", alg, 0), ("right", dual_alg, n))
     for i in range(n):
         for j in range(n):
-            coll.check(
-                "left-subalgebra-dot",
-                (i, j),
-                vec_sub(double.dot.product(i, j), embed(alg.dot.product(i, j), 0)),
-            )
-            coll.check(
-                "left-subalgebra-bracket",
-                (i, j),
-                vec_sub(double.bracket.product(i, j), embed(alg.bracket.product(i, j), 0)),
-            )
-            coll.check(
-                "right-subalgebra-dot",
-                (i, j),
-                vec_sub(
-                    double.dot.product(n + i, n + j), embed(dual_alg.dot.product(i, j), n)
-                ),
-            )
-            coll.check(
-                "right-subalgebra-bracket",
-                (i, j),
-                vec_sub(
-                    double.bracket.product(n + i, n + j),
-                    embed(dual_alg.bracket.product(i, j), n),
-                ),
-            )
+            for side, sub, off in sides:
+                for name, whole, part in (
+                    ("dot", double.dot, sub.dot),
+                    ("bracket", double.bracket, sub.bracket),
+                ):
+                    defect = vec_sub(
+                        whole.product(off + i, off + j), embed(part.product(i, j), off)
+                    )
+                    coll.check(f"{side}-subalgebra-{name}", (i, j), defect)
     for j in range(n):
-        coll.check(
-            "derivation-left-block",
-            (j,),
-            vec_sub(double.derivation.column(j), embed(alg.derivation.column(j), 0)),
-        )
-        coll.check(
-            "derivation-right-block",
-            (j,),
-            vec_sub(
-                double.derivation.column(n + j), embed(dual_alg.derivation.column(j), n)
-            ),
-        )
+        for side, sub, off in sides:
+            column = embed(sub.derivation.column(j), off)
+            defect = vec_sub(double.derivation.column(off + j), column)
+            coll.check(f"derivation-{side}-block", (j,), defect)
     coll.merge(check_rel_poisson(double, limit), "double:")
     form = canonical_pairing(double.space)
     coll.merge(check_invariant_form(double, form, limit), "pairing:")

@@ -28,7 +28,6 @@ from .algebra import (
     find_unit,
 )
 from .linalg import (
-    ZERO,
     LinearMap,
     Matrix,
     Space,
@@ -62,6 +61,32 @@ def _flatten(m: Matrix):
     return tuple(x for row in m for x in row)
 
 
+def _act(mats, u: Vector, dim: int) -> Matrix:
+    """The action sum_k u[k] mats[k] of a general element on a dim-dim module;
+    zero when the algebra is 0-dimensional."""
+    if not mats:
+        return zero_matrix(dim, dim)
+    return mat_combination(u, mats)
+
+
+def _action_defects(dot, bracket, mu, rho, cols, i, j, dim):
+    """The dot-action, bracket-action and compatibility defects at (i, j):
+
+        mu(x.y) - mu(x) mu(y)
+        rho([x,y]) - [rho(x), rho(y)]
+        rho(y) mu(x) - mu(x) rho(y) + mu([x,y]) - mu(x . c(y))
+
+    where c(y) = cols[j] is D(y) for a representation and [1, y] for a
+    unital one."""
+    dot_defect = mat_sub(_act(mu, dot.product(i, j), dim), mat_mul(mu[i], mu[j]))
+    commutator = mat_sub(mat_mul(rho[i], rho[j]), mat_mul(rho[j], rho[i]))
+    bracket_defect = mat_sub(_act(rho, bracket.product(i, j), dim), commutator)
+    compat = mat_sub(mat_mul(rho[j], mu[i]), mat_mul(mu[i], rho[j]))
+    compat = mat_add(compat, _act(mu, bracket.product(i, j), dim))
+    compat = mat_sub(compat, _act(mu, dot.apply_basis_left(i, cols[j]), dim))
+    return _flatten(dot_defect), _flatten(bracket_defect), _flatten(compat)
+
+
 @dataclass(frozen=True)
 class CompatibleStructure:
     """Actions (mu, rho, V) of both products, without the endomorphism."""
@@ -79,16 +104,10 @@ class CompatibleStructure:
         object.__setattr__(self, "bracket_action", _as_matrices(self.bracket_action, m))
 
     def dot_action_of(self, u: Vector) -> Matrix:
-        if not self.algebra.dim:
-            n = self.space.dim
-            return tuple((ZERO,) * n for _ in range(n))
-        return mat_combination(u, self.dot_action)
+        return _act(self.dot_action, u, self.space.dim)
 
     def bracket_action_of(self, u: Vector) -> Matrix:
-        if not self.algebra.dim:
-            n = self.space.dim
-            return tuple((ZERO,) * n for _ in range(n))
-        return mat_combination(u, self.bracket_action)
+        return _act(self.bracket_action, u, self.space.dim)
 
 
 @dataclass(frozen=True)
@@ -118,34 +137,16 @@ def check_compatible_structure(
     """Action axioms for both products plus their compatibility condition."""
     alg = cs.algebra
     n = alg.dim
-    mu, rho = cs.dot_action, cs.bracket_action
     coll = Collector(limit)
     dcols = [alg.derivation.column(j) for j in range(n)]
     for i in range(n):
-        mui = mu[i]
         for j in range(n):
-            coll.check(
-                "dot-action",
-                (i, j),
-                _flatten(
-                    mat_sub(cs.dot_action_of(alg.dot.product(i, j)), mat_mul(mui, mu[j]))
-                ),
+            dot_defect, bracket_defect, compat = _action_defects(
+                alg.dot, alg.bracket, cs.dot_action, cs.bracket_action, dcols, i, j, cs.space.dim
             )
-            commutator = mat_sub(mat_mul(rho[i], rho[j]), mat_mul(rho[j], rho[i]))
-            coll.check(
-                "bracket-action",
-                (i, j),
-                _flatten(
-                    mat_sub(cs.bracket_action_of(alg.bracket.product(i, j)), commutator)
-                ),
-            )
-            # rho(y) mu(x) - mu(x) rho(y) + mu([x,y]) - mu(x . D(y)) = 0
-            defect = mat_sub(mat_mul(rho[j], mui), mat_mul(mui, rho[j]))
-            defect = mat_add(defect, cs.dot_action_of(alg.bracket.product(i, j)))
-            defect = mat_sub(
-                defect, cs.dot_action_of(alg.dot.apply_basis_left(i, dcols[j]))
-            )
-            coll.check("compatibility", (i, j), _flatten(defect))
+            coll.check("dot-action", (i, j), dot_defect)
+            coll.check("bracket-action", (i, j), bracket_defect)
+            coll.check("compatibility", (i, j), compat)
     return coll.report()
 
 
@@ -362,38 +363,23 @@ def check_jacobi_representation(
     m = module.dim
     mu = _as_matrices(dot_action, m)
     rho = _as_matrices(bracket_action, m)
-
-    def act(mats, u):
-        if not n:
-            return tuple((ZERO,) * m for _ in range(m))
-        return mat_combination(u, mats)
-
     coll = Collector(limit)
-    coll.check("dot-action-unital", (), _flatten(mat_sub(act(mu, unit), identity_matrix(m))))
-    rho_unit = act(rho, unit)
+    coll.check("dot-action-unital", (), _flatten(mat_sub(_act(mu, unit, m), identity_matrix(m))))
+    rho_unit = _act(rho, unit, m)
     ad_unit_cols = [bracket.apply(unit, basis_vector(n, j)) for j in range(n)]
     for i in range(n):
         for j in range(n):
-            coll.check(
-                "dot-action",
-                (i, j),
-                _flatten(mat_sub(act(mu, dot.product(i, j)), mat_mul(mu[i], mu[j]))),
+            dot_defect, bracket_defect, compat = _action_defects(
+                dot, bracket, mu, rho, ad_unit_cols, i, j, m
             )
-            commutator = mat_sub(mat_mul(rho[i], rho[j]), mat_mul(rho[j], rho[i]))
-            coll.check(
-                "bracket-action",
-                (i, j),
-                _flatten(mat_sub(act(rho, bracket.product(i, j)), commutator)),
-            )
+            coll.check("dot-action", (i, j), dot_defect)
+            coll.check("bracket-action", (i, j), bracket_defect)
             xy = dot.product(i, j)
-            defect = mat_sub(act(rho, xy), mat_mul(mu[i], rho[j]))
+            defect = mat_sub(_act(rho, xy, m), mat_mul(mu[i], rho[j]))
             defect = mat_sub(defect, mat_mul(mu[j], rho[i]))
-            defect = mat_add(defect, mat_mul(act(mu, xy), rho_unit))
+            defect = mat_add(defect, mat_mul(_act(mu, xy, m), rho_unit))
             coll.check("unital-action-leibniz", (i, j), _flatten(defect))
-            defect = mat_sub(mat_mul(rho[j], mu[i]), mat_mul(mu[i], rho[j]))
-            defect = mat_add(defect, act(mu, bracket.product(i, j)))
-            defect = mat_sub(defect, act(mu, dot.apply_basis_left(i, ad_unit_cols[j])))
-            coll.check("unital-compatibility", (i, j), _flatten(defect))
+            coll.check("unital-compatibility", (i, j), compat)
     return coll.report()
 
 

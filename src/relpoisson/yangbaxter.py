@@ -137,10 +137,6 @@ def _t3_apply(t3, slot: int, m: Matrix):
     return out
 
 
-def _t3_is_zero(t3):
-    return all(not x for plane in t3 for row in plane for x in row)
-
-
 def _t3_flat(t3):
     return tuple(x for plane in t3 for row in plane for x in row)
 

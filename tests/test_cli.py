@@ -71,6 +71,10 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     bad_scalar = tmp_path / "scalar.json"
     bad_scalar.write_text('{"kind": "comm-assoc", "dim": 1, "basis": ["e1"], "product": [[0, 0, 0, "1/0"]]}')
     assert main(["check", str(bad_scalar)]) == 3
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check", str(deep)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_construct_chain(tmp_path, capsys):

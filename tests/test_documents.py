@@ -1,12 +1,14 @@
 """Structure document parsing, serialization, and canonical form."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from relpoisson.documents import (
     DocumentError,
     doc_to_rel_pre_poisson,
+    doc_to_representation,
     doc_to_rel_poisson,
     doc_to_single_op,
     format_scalar,
@@ -28,6 +30,47 @@ def test_scalar_strings():
         parse_scalar_string("x")
     with pytest.raises(DocumentError):
         parse_scalar_string(0.5)
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", " 1_0 ", "+2", "1e100000", "", "1/", "/2", "1\n"])
+def test_scalar_grammar_is_strict(text):
+    # the documented grammar -?digits(/digits)?, not Fraction's
+    with pytest.raises(DocumentError):
+        parse_scalar_string(text)
+
+
+def test_scalar_grammar_accepts_integers_and_fractions():
+    assert [parse_scalar_string(t) for t in ("0", "-0", "007", "-6/8")] == [0, 0, 7, F(-3, 4)]
+
+
+def _representation_doc(dot_action):
+    return {
+        "kind": "representation",
+        "dim": 1,
+        "algebra": {"kind": "rel-poisson", "dim": 1, "dot": [], "bracket": [], "derivation": []},
+        "dot_action": dot_action,
+        "bracket_action": [],
+        "der_action": [],
+    }
+
+
+def test_booleans_are_not_integers():
+    with pytest.raises(DocumentError):
+        doc_to_single_op(parse_document('{"kind": "comm-assoc", "dim": true, "product": []}'))
+    with pytest.raises(DocumentError):
+        doc_to_single_op(
+            parse_document('{"kind": "comm-assoc", "dim": 1, "product": [[false, 0, 0, "1"]]}')
+        )
+    valid = parse_document(json.dumps(_representation_doc([[0, 0, 0, "1"]])))
+    assert doc_to_representation(valid)[0].dot_action == (((1,),),)
+    for entry in ([False, 0, 0, "1"], [0, False, 0, "1"], [0, 0, False, "1"]):
+        with pytest.raises(DocumentError):
+            doc_to_representation(parse_document(json.dumps(_representation_doc([entry]))))
+
+
+def test_deep_nesting_is_a_document_error():
+    with pytest.raises(DocumentError):
+        parse_document("[" * 100_000 + "]" * 100_000)
 
 
 def test_zinbiel_fixture_round_trips():
