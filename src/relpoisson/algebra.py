@@ -21,7 +21,6 @@ from .linalg import (
     basis_vector,
     block_diagonal,
     direct_sum_space,
-    mat_apply,
     scalar,
     solve_exact,
     vec_add,
@@ -390,13 +389,15 @@ def check_derivation(
     if der.domain != m.space or der.codomain != m.space:
         raise ValueError("derivation is not an endomorphism of the algebra's space")
     n = m.space.dim
+    sp = m._sparse
+    cols = _sparse_columns(der.entries)
     coll = Collector(limit)
-    cols = [der.column(j) for j in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = mat_apply(der.entries, m.product(i, j))
-            rhs = vec_add(m.apply_basis_right(cols[i], j), m.apply_basis_left(i, cols[j]))
-            coll.check("derivation", (i, j), vec_sub(lhs, rhs))
+            hits = [(s, c * x) for t, c in sp[i][j] for s, x in cols[t]]
+            hits += [(s, -c * x) for t, c in cols[i] for s, x in sp[t][j]]
+            hits += [(s, -c * x) for t, c in cols[j] for s, x in sp[i][t]]
+            _check_hits(coll, "derivation", (i, j), hits, n)
     return coll.report()
 
 
@@ -434,11 +435,10 @@ def check_relative_leibniz(
     """[z, x.y] = [z,x].y + x.[z,y] + x.y.D(z) on basis triples (x, y, z)."""
     if dot.space != bracket.space:
         raise ValueError("dot and bracket live on different spaces")
-    n = dot.space.dim
+    if der.domain != dot.space or der.codomain != dot.space:
+        raise ValueError("derivation is not an endomorphism of the algebra's space")
     coll = Collector(limit)
-    dcols = [
-        tuple((m, v) for m, v in enumerate(der.column(z)) if v) for z in range(n)
-    ]
+    dcols = _sparse_columns(der.entries)
     _relative_leibniz_sweep("relative-leibniz", dot, bracket, dcols, coll)
     return coll.report()
 

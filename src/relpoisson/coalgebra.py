@@ -19,6 +19,8 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    _check_hits,
+    _sparse_columns,
     check_rel_poisson,
 )
 from .linalg import (
@@ -27,13 +29,9 @@ from .linalg import (
     Matrix,
     Space,
     Vector,
-    basis_vector,
     mat_add,
-    mat_apply,
     mat_is_zero,
-    mat_mul,
     mat_neg,
-    mat_sub,
     mat_transpose,
     scalar,
     zero_matrix,
@@ -129,22 +127,40 @@ class BialgebraData:
             raise ValueError("bialgebra components live on different spaces")
 
 
-def _flatten2(m):
-    return tuple(x for row in m for x in row)
+# Tensor-valued defects are swept as signed (index, value) hits at the flat
+# index i*n + j of a 2-tensor or (a*n + b)*n + c of a 3-tensor.  A
+# comultiplication is read through its entries, built once per check:
+# entries[k] lists the nonzero (i, j, value) coefficients of the image of e_k.
 
 
-def _flatten3(t):
-    return tuple(x for plane in t for row in plane for x in row)
+def _entries(comult: Comultiplication):
+    return tuple(
+        tuple((i, j, x) for i, row in enumerate(col) for j, x in enumerate(row) if x)
+        for col in comult.columns
+    )
 
 
-def _slot1(mapm, t2):
-    """(M (x) id) on a 2-tensor coefficient matrix."""
-    return mat_mul(mapm, t2)
+def _image(entries, coeffs, n: int, scale=1):
+    """Hits of scale * Delta(u) for u given by sparse (k, u_k) coefficients."""
+    return [(i * n + j, scale * c * x) for k, c in coeffs for i, j, x in entries[k]]
 
 
-def _slot2(mapm, t2):
-    """(id (x) M) on a 2-tensor coefficient matrix."""
-    return mat_mul(t2, mat_transpose(mapm))
+def _on_first(m, tensor, n: int, scale=1):
+    """Hits of scale * (M (x) id) t for M a sparse column table and t a
+    2-tensor's (i, j, value) entries."""
+    return [(p * n + j, scale * x * v) for i, j, x in tensor for p, v in m[i]]
+
+
+def _on_second(m, tensor, n: int, scale=1):
+    """Hits of scale * (id (x) M) t."""
+    return [(i * n + q, scale * x * v) for i, j, x in tensor for q, v in m[j]]
+
+
+def _swap_hits(tensor, n: int, scale=1):
+    """Hits of t + scale * tau(t), tau the exchange of the two factors."""
+    return [(i * n + j, x) for i, j, x in tensor] + [
+        (j * n + i, scale * x) for i, j, x in tensor
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -156,38 +172,15 @@ def check_cocomm_coassoc(
 ) -> AxiomReport:
     """Cocommutativity (tau after Delta = Delta) and coassociativity."""
     n = comult.space.dim
+    ent = _entries(comult)
     coll = Collector(limit)
     for k in range(n):
-        col = comult.columns[k]
-        coll.check("cocommutative", (k,), _flatten2(mat_sub(col, mat_transpose(col))))
+        _check_hits(coll, "cocommutative", (k,), _swap_hits(ent[k], n, -1), n * n)
     for k in range(n):
-        col = comult.columns[k]
-        left = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        right = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c = col[i][j]
-                if not c:
-                    continue
-                inner = comult.columns[j]
-                for p in range(n):
-                    for q in range(n):
-                        x = inner[p][q]
-                        if x:
-                            left[i][p][q] += c * x
-                inner = comult.columns[i]
-                for p in range(n):
-                    for q in range(n):
-                        x = inner[p][q]
-                        if x:
-                            right[p][q][j] += c * x
-        defect = tuple(
-            left[a][b][c] - right[a][b][c]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        )
-        coll.check("coassociative", (k,), defect)
+        # (id (x) Delta) Delta - (Delta (x) id) Delta
+        hits = [((i * n + p) * n + q, c * x) for i, j, c in ent[k] for p, q, x in ent[j]]
+        hits += [((p * n + q) * n + j, -c * x) for i, j, c in ent[k] for p, q, x in ent[i]]
+        _check_hits(coll, "coassociative", (k,), hits, n**3)
     return coll.report()
 
 
@@ -197,33 +190,20 @@ def check_lie_coalgebra(
     """Anticocommutativity (tau after delta = -delta) and the co-Jacobi
     identity (id + rotation + rotation^2)(id (x) delta) delta = 0."""
     n = comult.space.dim
+    ent = _entries(comult)
     coll = Collector(limit)
     for k in range(n):
-        col = comult.columns[k]
-        coll.check(
-            "anticocommutative", (k,), _flatten2(mat_add(col, mat_transpose(col)))
-        )
+        _check_hits(coll, "anticocommutative", (k,), _swap_hits(ent[k], n), n * n)
     for k in range(n):
-        col = comult.columns[k]
-        cup = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c = col[i][j]
-                if not c:
-                    continue
-                inner = comult.columns[j]
-                for p in range(n):
-                    for q in range(n):
-                        x = inner[p][q]
-                        if x:
-                            cup[i][p][q] += c * x
-        defect = tuple(
-            cup[a][b][c] + cup[c][a][b] + cup[b][c][a]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        )
-        coll.check("co-jacobi", (k,), defect)
+        # a term w at (i, p, q) of (id (x) delta) delta is summed at (i, p, q),
+        # (p, q, i) and (q, i, p)
+        cup = [(i, p, q, c * x) for i, j, c in ent[k] for p, q, x in ent[j]]
+        hits = [
+            (f, w)
+            for i, p, q, w in cup
+            for f in ((i * n + p) * n + q, (p * n + q) * n + i, (q * n + i) * n + p)
+        ]
+        _check_hits(coll, "co-jacobi", (k,), hits, n**3)
     return coll.report()
 
 
@@ -240,83 +220,32 @@ def check_rel_poisson_coalgebra(
     if dot_comult.space != bracket_comult.space:
         raise ValueError("comultiplications live on different spaces")
     n = dot_comult.space.dim
-    q = codrv.entries
+    if codrv.domain.dim != n or codrv.codomain.dim != n:
+        raise ValueError("coderivation does not match the comultiplications")
+    q = _sparse_columns(codrv.entries)
+    dots, brs = _entries(dot_comult), _entries(bracket_comult)
     coll = Collector(limit)
     coll.merge(check_cocomm_coassoc(dot_comult, limit), "dot:")
     coll.merge(check_lie_coalgebra(bracket_comult, limit), "bracket:")
-
-    def coder_defect(comult, k):
-        lhs = comult.of(codrv.column(k))
-        col = comult.columns[k]
-        rhs = mat_add(_slot1(q, col), _slot2(q, col))
-        return mat_sub(lhs, rhs)
-
     for k in range(n):
-        coll.check("coderivation-dot", (k,), _flatten2(coder_defect(dot_comult, k)))
-        coll.check(
-            "coderivation-bracket", (k,), _flatten2(coder_defect(bracket_comult, k))
-        )
-
-    dcols = dot_comult.columns
-    bcols = bracket_comult.columns
+        for axiom, ent in (("coderivation-dot", dots), ("coderivation-bracket", brs)):
+            # Delta(Q e_k) - (Q (x) id) Delta(e_k) - (id (x) Q) Delta(e_k)
+            hits = _image(ent, q[k], n) + _on_first(q, ent[k], n, -1)
+            hits += _on_second(q, ent[k], n, -1)
+            _check_hits(coll, axiom, (k,), hits, n * n)
     for k in range(n):
-        acc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        # (id (x) Delta) delta
-        col = bcols[k]
-        for i in range(n):
-            for j in range(n):
-                c = col[i][j]
-                if not c:
-                    continue
-                inner = dcols[j]
-                for p in range(n):
-                    for q2 in range(n):
-                        x = inner[p][q2]
-                        if x:
-                            acc[i][p][q2] += c * x
-        # - (delta (x) id) Delta
-        col = dcols[k]
-        for i in range(n):
-            for j in range(n):
-                c = col[i][j]
-                if not c:
-                    continue
-                inner = bcols[i]
-                for p in range(n):
-                    for q2 in range(n):
-                        x = inner[p][q2]
-                        if x:
-                            acc[p][q2][j] -= c * x
-        # - (tau (x) id)(id (x) delta) Delta
-        for i in range(n):
-            for j in range(n):
-                c = col[i][j]
-                if not c:
-                    continue
-                inner = bcols[j]
-                for p in range(n):
-                    for q2 in range(n):
-                        x = inner[p][q2]
-                        if x:
-                            acc[p][i][q2] -= c * x
-        # - (Q (x) id (x) id)(Delta (x) id) Delta
-        for i in range(n):
-            for j in range(n):
-                c = col[i][j]
-                if not c:
-                    continue
-                inner = dcols[i]
-                for p in range(n):
-                    for q2 in range(n):
-                        x = inner[p][q2]
-                        if not x:
-                            continue
-                        cx = c * x
-                        for m in range(n):
-                            y = q[m][p]
-                            if y:
-                                acc[m][q2][j] -= cx * y
-        coll.check("co-leibniz", (k,), _flatten3(acc))
+        # (id (x) Delta) delta - (delta (x) id) Delta
+        # - (tau (x) id)(id (x) delta) Delta - (Q (x) id (x) id)(Delta (x) id) Delta
+        hits = [((i * n + p) * n + r, c * x) for i, j, c in brs[k] for p, r, x in dots[j]]
+        hits += [((p * n + r) * n + j, -c * x) for i, j, c in dots[k] for p, r, x in brs[i]]
+        hits += [((p * n + i) * n + r, -c * x) for i, j, c in dots[k] for p, r, x in brs[j]]
+        hits += [
+            ((m * n + r) * n + j, -c * x * y)
+            for i, j, c in dots[k]
+            for p, r, x in dots[i]
+            for m, y in q[p]
+        ]
+        _check_hits(coll, "co-leibniz", (k,), hits, n**3)
     return coll.report()
 
 
@@ -385,86 +314,79 @@ def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -
     """
     alg = data.algebra
     n = alg.dim
-    dot, bracket, der = alg.dot, alg.bracket, alg.derivation
-    dcom, bcom = data.dot_comult, data.bracket_comult
+    dot, br = alg.dot._sparse, alg.bracket._sparse
+    dcom, bcom = _entries(data.dot_comult), _entries(data.bracket_comult)
     q = data.dual_derivation
+    der = _sparse_columns(alg.derivation.entries)
+    qcols = _sparse_columns(q.entries)
+    pq = _sparse_columns(mat_add(alg.derivation.entries, q.entries))
     coll = Collector(limit)
     coll.merge(check_rel_poisson(alg, limit), "algebra:")
     coll.merge(
-        check_rel_poisson_coalgebra(dcom, bcom, q, limit), "coalgebra:"
+        check_rel_poisson_coalgebra(data.dot_comult, data.bracket_comult, q, limit),
+        "coalgebra:",
     )
-
-    dot_left = [dot.left_matrix(i) for i in range(n)]
-    ad = [bracket.left_matrix(i) for i in range(n)]
+    # the left multiplication L_i and ad_i have dot[i] and br[i] as sparse
+    # column tables
 
     # cocycle condition for the dot comultiplication
     for i in range(n):
         for j in range(n):
-            lhs = dcom.of(dot.product(i, j))
-            rhs = mat_add(_slot1(dot_left[i], dcom.columns[j]), _slot2(dot_left[j], dcom.columns[i]))
-            coll.check("dot-cocycle", (i, j), _flatten2(mat_sub(lhs, rhs)))
+            hits = _image(dcom, dot[i][j], n) + _on_first(dot[i], dcom[j], n, -1)
+            hits += _on_second(dot[j], dcom[i], n, -1)
+            _check_hits(coll, "dot-cocycle", (i, j), hits, n * n)
 
     # cocycle condition for the bracket comultiplication
     for i in range(n):
         for j in range(n):
-            lhs = bcom.of(bracket.product(i, j))
-            rhs = mat_add(_slot1(ad[i], bcom.columns[j]), _slot2(ad[i], bcom.columns[j]))
-            rhs = mat_sub(rhs, mat_add(_slot1(ad[j], bcom.columns[i]), _slot2(ad[j], bcom.columns[i])))
-            coll.check("bracket-cocycle", (i, j), _flatten2(mat_sub(lhs, rhs)))
+            hits = _image(bcom, br[i][j], n)
+            hits += _on_first(br[i], bcom[j], n, -1) + _on_second(br[i], bcom[j], n, -1)
+            hits += _on_first(br[j], bcom[i], n) + _on_second(br[j], bcom[i], n)
+            _check_hits(coll, "bracket-cocycle", (i, j), hits, n * n)
 
     # the coderivation dually represents the algebra (both packages)
     coll.merge(check_dually_represents(alg, q, limit), "dual:")
-    pq = mat_add(der.entries, q.entries)
     for x in range(n):
         for y in range(n):
-            xy = dot.product(x, y)
+            xy = dot[x][y]
             for z in range(n):
-                triple = dot.apply_basis_right(xy, z)
-                coll.check("dual-triple-product", (x, y, z), mat_apply(pq, triple))
+                # (D + Q)((x.y).z)
+                hits = [(r, c * v * w) for t, c in xy for s, v in dot[t][z] for r, w in pq[s]]
+                _check_hits(coll, "dual-triple-product", (x, y, z), hits, n)
 
     # the derivation's transpose dually represents the dual algebra
     for k in range(n):
-        lhs = dcom.of(der.column(k))
-        rhs = mat_sub(_slot1(der.entries, dcom.columns[k]), _slot2(q.entries, dcom.columns[k]))
-        coll.check("comult-intertwine-dot", (k,), _flatten2(mat_sub(lhs, rhs)))
-        lhs = bcom.of(der.column(k))
-        rhs = mat_sub(_slot1(der.entries, bcom.columns[k]), _slot2(q.entries, bcom.columns[k]))
-        coll.check("comult-intertwine-bracket", (k,), _flatten2(mat_sub(lhs, rhs)))
+        for axiom, ent in (("comult-intertwine-dot", dcom), ("comult-intertwine-bracket", bcom)):
+            # Delta(D e_k) - (D (x) id) Delta(e_k) + (id (x) Q) Delta(e_k)
+            hits = _image(ent, der[k], n) + _on_first(der, ent[k], n, -1)
+            hits += _on_second(qcols, ent[k], n)
+            _check_hits(coll, axiom, (k,), hits, n * n)
     for k in range(n):
-        target = dcom.of(mat_apply(pq, basis_vector(n, k)))
-        acc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c = target[i][j]
-                if not c:
-                    continue
-                inner = dcom.columns[i]
-                for p in range(n):
-                    for q2 in range(n):
-                        x = inner[p][q2]
-                        if x:
-                            acc[p][q2][j] += c * x
-        coll.check("comult-triple-product", (k,), _flatten3(acc))
+        # (Delta (x) id) Delta((D + Q) e_k)
+        hits = [
+            ((p * n + r) * n + j, c * x * y)
+            for t, c in pq[k]
+            for i, j, x in dcom[t]
+            for p, r, y in dcom[i]
+        ]
+        _check_hits(coll, "comult-triple-product", (k,), hits, n**3)
 
     # the two mixed compatibility conditions
     for i in range(n):
         for j in range(n):
-            xy = dot.product(i, j)
-            defect = bcom.of(xy)
-            defect = mat_sub(defect, _slot2(ad[j], dcom.columns[i]))
-            defect = mat_sub(defect, _slot1(dot_left[i], bcom.columns[j]))
-            defect = mat_sub(defect, _slot2(ad[i], dcom.columns[j]))
-            defect = mat_sub(defect, _slot1(dot_left[j], bcom.columns[i]))
-            defect = mat_sub(defect, _slot2(q.entries, dcom.of(xy)))
-            coll.check("mixed-dot-bracket", (i, j), _flatten2(defect))
+            xy = dot[i][j]
+            hits = _image(bcom, xy, n) + _on_second(br[j], dcom[i], n, -1)
+            hits += _on_first(dot[i], bcom[j], n, -1) + _on_second(br[i], dcom[j], n, -1)
+            hits += _on_first(dot[j], bcom[i], n, -1)
+            image = [(a, b, c * x) for t, c in xy for a, b, x in dcom[t]]
+            hits += _on_second(qcols, image, n, -1)
+            _check_hits(coll, "mixed-dot-bracket", (i, j), hits, n * n)
 
-            defect = dcom.of(bracket.product(i, j))
-            defect = mat_sub(defect, _slot1(dot_left[j], bcom.columns[i]))
-            defect = mat_sub(defect, _slot2(ad[i], dcom.columns[j]))
-            defect = mat_add(defect, _slot2(dot_left[j], bcom.columns[i]))
-            defect = mat_sub(defect, _slot1(ad[i], dcom.columns[j]))
-            defect = mat_add(defect, dcom.of(dot.apply_basis_right(der.column(i), j)))
-            coll.check("mixed-bracket-dot", (i, j), _flatten2(defect))
+            dx_y = [(s, c * v) for t, c in der[i] for s, v in dot[t][j]]
+            hits = _image(dcom, br[i][j], n) + _on_first(dot[j], bcom[i], n, -1)
+            hits += _on_second(br[i], dcom[j], n, -1) + _on_second(dot[j], bcom[i], n)
+            hits += _on_first(br[i], dcom[j], n, -1) + _image(dcom, dx_y, n)
+            _check_hits(coll, "mixed-bracket-dot", (i, j), hits, n * n)
     return coll.report()
 
 

@@ -132,10 +132,6 @@ def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(r) + pad_a for r in a) + tuple(pad_b + tuple(r) for r in b)
 
 
-def mat_from_rows(rows) -> Matrix:
-    return tuple(tuple(r) for r in rows)
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vec_add(ra, rb) for ra, rb in zip(a, b))
 
@@ -457,7 +453,6 @@ __all__ = [
     "zero_matrix",
     "identity_matrix",
     "block_diagonal",
-    "mat_from_rows",
     "mat_add",
     "mat_sub",
     "mat_neg",

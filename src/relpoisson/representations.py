@@ -24,27 +24,23 @@ from .algebra import (
     NoUnitError,
     PreconditionError,
     RelPoissonAlgebra,
+    _check_hits,
+    _sparse_columns,
     block_sum,
     find_unit,
 )
 from .linalg import (
+    ONE,
     LinearMap,
     Matrix,
     Space,
     Vector,
-    basis_vector,
     determinant,
-    identity_matrix,
-    mat_add,
-    mat_apply,
     mat_combination,
     mat_mul,
     mat_neg,
-    mat_sub,
     mat_transpose,
     scalar,
-    vec_add,
-    vec_sub,
     zero_matrix,
 )
 
@@ -57,10 +53,6 @@ def _as_matrices(mats, dim: int):
     return out
 
 
-def _flatten(m: Matrix):
-    return tuple(x for row in m for x in row)
-
-
 def _act(mats, u: Vector, dim: int) -> Matrix:
     """The action sum_k u[k] mats[k] of a general element on a dim-dim module;
     zero when the algebra is 0-dimensional."""
@@ -69,22 +61,64 @@ def _act(mats, u: Vector, dim: int) -> Matrix:
     return mat_combination(u, mats)
 
 
-def _action_defects(dot, bracket, mu, rho, cols, i, j, dim):
-    """The dot-action, bracket-action and compatibility defects at (i, j):
+# Matrix-valued defects are swept as signed (index, value) hits at the flat
+# index r*m + c of a module of dim m.  An action is read as a pair of tables
+# built once per check: the sparse columns of each matrix, and each matrix's
+# nonzero entries at their flat indices.
+
+
+def _tables(mats, m: int):
+    cols = tuple(map(_sparse_columns, mats))
+    return cols, tuple(
+        tuple((r * m + c, x) for c, col in enumerate(a) for r, x in col) for a in cols
+    )
+
+
+def _times(a, b, m: int, scale=1):
+    """Hits of scale * A B, for A and B given as sparse column tables."""
+    return [
+        (r * m + c, scale * x * y) for c, col in enumerate(b) for t, y in col for r, x in a[t]
+    ]
+
+
+def _commutator(a, b, m: int):
+    """Hits of A B - B A."""
+    return _times(a, b, m) + _times(b, a, m, -1)
+
+
+def _combo(flats, coeffs, scale=1):
+    """Hits of scale * sum_k c_k M_k over sparse (k, c_k) coefficients."""
+    return [(f, scale * c * x) for k, c in coeffs for f, x in flats[k]]
+
+
+def _action_defects(dot, bracket, mu, rho, cols, i, j, m):
+    """Hits of the dot-action, bracket-action and compatibility defects at
+    (i, j):
 
         mu(x.y) - mu(x) mu(y)
         rho([x,y]) - [rho(x), rho(y)]
         rho(y) mu(x) - mu(x) rho(y) + mu([x,y]) - mu(x . c(y))
 
     where c(y) = cols[j] is D(y) for a representation and [1, y] for a
-    unital one."""
-    dot_defect = mat_sub(_act(mu, dot.product(i, j), dim), mat_mul(mu[i], mu[j]))
-    commutator = mat_sub(mat_mul(rho[i], rho[j]), mat_mul(rho[j], rho[i]))
-    bracket_defect = mat_sub(_act(rho, bracket.product(i, j), dim), commutator)
-    compat = mat_sub(mat_mul(rho[j], mu[i]), mat_mul(mu[i], rho[j]))
-    compat = mat_add(compat, _act(mu, bracket.product(i, j), dim))
-    compat = mat_sub(compat, _act(mu, dot.apply_basis_left(i, cols[j]), dim))
-    return _flatten(dot_defect), _flatten(bracket_defect), _flatten(compat)
+    unital one; mu and rho are :func:`_tables`."""
+    (mu_c, mu_f), (rho_c, rho_f) = mu, rho
+    xy, br = dot._sparse[i][j], bracket._sparse[i][j]
+    x_cy = [(s, c * v) for t, c in cols[j] for s, v in dot._sparse[i][t]]
+    dot_hits = _combo(mu_f, xy) + _times(mu_c[i], mu_c[j], m, -1)
+    bracket_hits = _combo(rho_f, br) + _commutator(rho_c[j], rho_c[i], m)
+    compat = _commutator(rho_c[j], mu_c[i], m) + _combo(mu_f, br) + _combo(mu_f, x_cy, -1)
+    return dot_hits, bracket_hits, compat
+
+
+def _leibniz(mu, rho, xy, i, j, right, m):
+    """Hits of rho(x.y) - mu(x) rho(y) - mu(y) rho(x) + mu(x.y) R, where R
+    is a sparse column table."""
+    (mu_c, _), (rho_c, rho_f) = mu, rho
+    hits = _combo(rho_f, xy) + _times(mu_c[i], rho_c[j], m, -1)
+    hits += _times(mu_c[j], rho_c[i], m, -1)
+    for t, c in xy:
+        hits += _times(mu_c[t], right, m, c)
+    return hits
 
 
 @dataclass(frozen=True)
@@ -136,17 +170,18 @@ def check_compatible_structure(
 ) -> AxiomReport:
     """Action axioms for both products plus their compatibility condition."""
     alg = cs.algebra
-    n = alg.dim
+    n, m = alg.dim, cs.space.dim
     coll = Collector(limit)
-    dcols = [alg.derivation.column(j) for j in range(n)]
+    mu, rho = _tables(cs.dot_action, m), _tables(cs.bracket_action, m)
+    dcols = _sparse_columns(alg.derivation.entries)
     for i in range(n):
         for j in range(n):
-            dot_defect, bracket_defect, compat = _action_defects(
-                alg.dot, alg.bracket, cs.dot_action, cs.bracket_action, dcols, i, j, cs.space.dim
+            dot_hits, bracket_hits, compat = _action_defects(
+                alg.dot, alg.bracket, mu, rho, dcols, i, j, m
             )
-            coll.check("dot-action", (i, j), dot_defect)
-            coll.check("bracket-action", (i, j), bracket_defect)
-            coll.check("compatibility", (i, j), compat)
+            _check_hits(coll, "dot-action", (i, j), dot_hits, m * m)
+            _check_hits(coll, "bracket-action", (i, j), bracket_hits, m * m)
+            _check_hits(coll, "compatibility", (i, j), compat, m * m)
     return coll.report()
 
 
@@ -155,23 +190,20 @@ def check_representation(rep: RepData, limit: int = DEFAULT_VIOLATION_LIMIT) -> 
     coll = Collector(limit)
     coll.merge(check_compatible_structure(rep, limit))
     alg = rep.algebra
-    n = alg.dim
-    mu, rho, alpha = rep.dot_action, rep.bracket_action, rep.der_action
-    dcols = [alg.derivation.column(j) for j in range(n)]
+    n, m = alg.dim, rep.space.dim
+    mu, rho = _tables(rep.dot_action, m), _tables(rep.bracket_action, m)
+    alpha = _sparse_columns(rep.der_action)
+    dcols = _sparse_columns(alg.derivation.entries)
     for i in range(n):
-        defect = mat_sub(mat_mul(alpha, mu[i]), rep.dot_action_of(dcols[i]))
-        defect = mat_sub(defect, mat_mul(mu[i], alpha))
-        coll.check("endo-dot", (i,), _flatten(defect))
-        defect = mat_sub(mat_mul(alpha, rho[i]), rep.bracket_action_of(dcols[i]))
-        defect = mat_sub(defect, mat_mul(rho[i], alpha))
-        coll.check("endo-bracket", (i,), _flatten(defect))
+        for axiom, (act_c, act_f) in (("endo-dot", mu), ("endo-bracket", rho)):
+            # alpha act(x) - act(D x) - act(x) alpha
+            hits = _commutator(alpha, act_c[i], m) + _combo(act_f, dcols[i], -1)
+            _check_hits(coll, axiom, (i,), hits, m * m)
+    dot = alg.dot._sparse
     for i in range(n):
         for j in range(n):
-            xy = alg.dot.product(i, j)
-            defect = mat_sub(rep.bracket_action_of(xy), mat_mul(mu[i], rho[j]))
-            defect = mat_sub(defect, mat_mul(mu[j], rho[i]))
-            defect = mat_add(defect, mat_mul(rep.dot_action_of(xy), alpha))
-            coll.check("action-leibniz", (i, j), _flatten(defect))
+            hits = _leibniz(mu, rho, dot[i][j], i, j, alpha, m)
+            _check_hits(coll, "action-leibniz", (i, j), hits, m * m)
     return coll.report()
 
 
@@ -217,24 +249,28 @@ def check_dual_rep_conditions(
     """
     beta_m = beta.entries if isinstance(beta, LinearMap) else beta
     alg = cs.algebra
-    n = alg.dim
-    mu, rho = cs.dot_action, cs.bracket_action
-    dcols = [alg.derivation.column(j) for j in range(n)]
+    n, m = alg.dim, cs.space.dim
+    if len(beta_m) != m or any(len(row) != m for row in beta_m):
+        raise ValueError("beta is not an endomorphism of the module")
+    mu, rho = _tables(cs.dot_action, m), _tables(cs.bracket_action, m)
+    (mu_c, _), (rho_c, rho_f) = mu, rho
+    beta_c = _sparse_columns(beta_m)
+    dcols = _sparse_columns(alg.derivation.entries)
     coll = Collector(limit)
     for i in range(n):
-        defect = mat_sub(mat_mul(mu[i], beta_m), cs.dot_action_of(dcols[i]))
-        defect = mat_sub(defect, mat_mul(beta_m, mu[i]))
-        coll.check("dual-rep-dot", (i,), _flatten(defect))
-        defect = mat_sub(mat_mul(rho[i], beta_m), cs.bracket_action_of(dcols[i]))
-        defect = mat_sub(defect, mat_mul(beta_m, rho[i]))
-        coll.check("dual-rep-bracket", (i,), _flatten(defect))
+        for axiom, (act_c, act_f) in (("dual-rep-dot", mu), ("dual-rep-bracket", rho)):
+            # act(x) beta - act(D x) - beta act(x)
+            hits = _commutator(act_c[i], beta_c, m) + _combo(act_f, dcols[i], -1)
+            _check_hits(coll, axiom, (i,), hits, m * m)
+    dot = alg.dot._sparse
     for i in range(n):
         for j in range(n):
-            xy = alg.dot.product(i, j)
-            defect = mat_sub(mat_mul(rho[j], mu[i]), cs.bracket_action_of(xy))
-            defect = mat_add(defect, mat_mul(rho[i], mu[j]))
-            defect = mat_add(defect, mat_mul(beta_m, cs.dot_action_of(xy)))
-            coll.check("dual-rep-leibniz", (i, j), _flatten(defect))
+            xy = dot[i][j]
+            hits = _times(rho_c[j], mu_c[i], m) + _combo(rho_f, xy, -1)
+            hits += _times(rho_c[i], mu_c[j], m)
+            for t, c in xy:
+                hits += _times(beta_c, mu_c[t], m, c)
+            _check_hits(coll, "dual-rep-leibniz", (i, j), hits, m * m)
     return coll.report()
 
 
@@ -250,33 +286,28 @@ def check_dually_represents(
     if candidate.domain != alg.space or candidate.codomain != alg.space:
         raise ValueError("candidate is not an endomorphism of the algebra's space")
     n = alg.dim
-    dot, bracket, der = alg.dot, alg.bracket, alg.derivation
-    qm = candidate.entries
-    qcols = [candidate.column(j) for j in range(n)]
-    dcols = [der.column(j) for j in range(n)]
+    dot, br = alg.dot._sparse, alg.bracket._sparse
+    qcols = _sparse_columns(candidate.entries)
+    dcols = _sparse_columns(alg.derivation.entries)
     coll = Collector(limit)
     for x in range(n):
         for y in range(n):
-            defect = vec_sub(
-                dot.apply_basis_left(x, qcols[y]), dot.apply_basis_right(dcols[x], y)
-            )
-            defect = vec_sub(defect, mat_apply(qm, dot.product(x, y)))
-            coll.check("dual-adjoint-dot", (x, y), defect)
-            defect = vec_sub(
-                bracket.apply_basis_left(x, qcols[y]),
-                bracket.apply_basis_right(dcols[x], y),
-            )
-            defect = vec_sub(defect, mat_apply(qm, bracket.product(x, y)))
-            coll.check("dual-adjoint-bracket", (x, y), defect)
+            for axiom, op in (("dual-adjoint-dot", dot), ("dual-adjoint-bracket", br)):
+                hits = [(s, c * v) for t, c in qcols[y] for s, v in op[x][t]]
+                hits += [(s, -c * v) for t, c in dcols[x] for s, v in op[t][y]]
+                hits += [(s, -c * v) for t, c in op[x][y] for s, v in qcols[t]]
+                _check_hits(coll, axiom, (x, y), hits, n)
     for x in range(n):
         for y in range(n):
-            xy = dot.product(x, y)
+            xy = dot[x][y]
             for z in range(n):
-                acc = bracket.apply_basis_left(x, dot.product(y, z))
-                acc = vec_add(acc, bracket.apply_basis_left(y, dot.product(z, x)))
-                acc = vec_add(acc, bracket.apply_basis_left(z, xy))
-                acc = vec_add(acc, mat_apply(qm, dot.apply_basis_right(xy, z)))
-                coll.check("dual-adjoint-cyclic", (x, y, z), acc)
+                hits = [(s, c * v) for t, c in dot[y][z] for s, v in br[x][t]]
+                hits += [(s, c * v) for t, c in dot[z][x] for s, v in br[y][t]]
+                hits += [(s, c * v) for t, c in xy for s, v in br[z][t]]
+                hits += [
+                    (r, c * v * w) for t, c in xy for s, v in dot[t][z] for r, w in qcols[s]
+                ]
+                _check_hits(coll, "dual-adjoint-cyclic", (x, y, z), hits, n)
     return coll.report()
 
 
@@ -356,30 +387,30 @@ def check_jacobi_representation(
 
     Raises :class:`NoUnitError` when dot has no unit.
     """
+    n, m = dot.space.dim, module.dim
+    if len(dot_action) != n or len(bracket_action) != n:
+        raise ValueError("need one action matrix per algebra basis element")
     unit = find_unit(dot)
     if unit is None:
         raise NoUnitError("multiplication has no two-sided unit")
-    n = dot.space.dim
-    m = module.dim
-    mu = _as_matrices(dot_action, m)
-    rho = _as_matrices(bracket_action, m)
+    mu_m, rho_m = _as_matrices(dot_action, m), _as_matrices(bracket_action, m)
+    mu, rho = _tables(mu_m, m), _tables(rho_m, m)
+    rho_unit = _sparse_columns(_act(rho_m, unit, m))
+    ad_unit = _sparse_columns(bracket.left_matrix_of(unit))
     coll = Collector(limit)
-    coll.check("dot-action-unital", (), _flatten(mat_sub(_act(mu, unit, m), identity_matrix(m))))
-    rho_unit = _act(rho, unit, m)
-    ad_unit_cols = [bracket.apply(unit, basis_vector(n, j)) for j in range(n)]
+    unit_sp = [(k, u) for k, u in enumerate(unit) if u]
+    hits = _combo(mu[1], unit_sp) + [(r * m + r, -ONE) for r in range(m)]
+    _check_hits(coll, "dot-action-unital", (), hits, m * m)
     for i in range(n):
         for j in range(n):
-            dot_defect, bracket_defect, compat = _action_defects(
-                dot, bracket, mu, rho, ad_unit_cols, i, j, m
+            dot_hits, bracket_hits, compat = _action_defects(
+                dot, bracket, mu, rho, ad_unit, i, j, m
             )
-            coll.check("dot-action", (i, j), dot_defect)
-            coll.check("bracket-action", (i, j), bracket_defect)
-            xy = dot.product(i, j)
-            defect = mat_sub(_act(rho, xy, m), mat_mul(mu[i], rho[j]))
-            defect = mat_sub(defect, mat_mul(mu[j], rho[i]))
-            defect = mat_add(defect, mat_mul(_act(mu, xy, m), rho_unit))
-            coll.check("unital-action-leibniz", (i, j), _flatten(defect))
-            coll.check("unital-compatibility", (i, j), compat)
+            _check_hits(coll, "dot-action", (i, j), dot_hits, m * m)
+            _check_hits(coll, "bracket-action", (i, j), bracket_hits, m * m)
+            hits = _leibniz(mu, rho, dot._sparse[i][j], i, j, rho_unit, m)
+            _check_hits(coll, "unital-action-leibniz", (i, j), hits, m * m)
+            _check_hits(coll, "unital-compatibility", (i, j), compat, m * m)
     return coll.report()
 
 

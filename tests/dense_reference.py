@@ -1,0 +1,625 @@
+"""Reference oracle: the dense checkers as written before they moved to
+sparse tables, with their own copies of the private dense helpers they
+used.  Every function keeps its library name; calls between them stay
+inside this module, so e.g. ``check_bialgebra`` here runs the dense
+``check_rel_poisson``, ``check_rel_poisson_coalgebra`` and
+``check_dually_represents``.  Tests compare the library's reports against
+these; delete this module together with the differential tests once the
+sparse code has been trusted long enough.
+"""
+
+from __future__ import annotations
+
+from relpoisson.algebra import (
+    DEFAULT_VIOLATION_LIMIT,
+    AxiomReport,
+    BilinearOp,
+    Collector,
+    NoUnitError,
+    RelPoissonAlgebra,
+    check_comm_assoc,
+    check_lie,
+    check_relative_leibniz,
+    find_unit,
+)
+from relpoisson.coalgebra import BialgebraData, Comultiplication
+from relpoisson.linalg import (
+    ONE,
+    ZERO,
+    LinearMap,
+    Matrix,
+    Space,
+    Vector,
+    basis_vector,
+    identity_matrix,
+    mat_add,
+    mat_apply,
+    mat_combination,
+    mat_mul,
+    mat_sub,
+    mat_transpose,
+    vec_add,
+    vec_sub,
+    zero_matrix,
+)
+from relpoisson.pairing import BilinearForm, canonical_pairing, is_nondegenerate
+from relpoisson.representations import CompatibleStructure, RepData, _as_matrices
+
+
+def check_derivation(
+    m: BilinearOp, der: LinearMap, limit: int = DEFAULT_VIOLATION_LIMIT
+) -> AxiomReport:
+    """Leibniz rule  D(x*y) = D(x)*y + x*D(y)  on basis pairs."""
+    if der.domain != m.space or der.codomain != m.space:
+        raise ValueError("derivation is not an endomorphism of the algebra's space")
+    n = m.space.dim
+    coll = Collector(limit)
+    cols = [der.column(j) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = mat_apply(der.entries, m.product(i, j))
+            rhs = vec_add(m.apply_basis_right(cols[i], j), m.apply_basis_left(i, cols[j]))
+            coll.check("derivation", (i, j), vec_sub(lhs, rhs))
+    return coll.report()
+
+
+def check_rel_poisson(
+    alg: RelPoissonAlgebra, limit: int = DEFAULT_VIOLATION_LIMIT
+) -> AxiomReport:
+    """Full relative Poisson axiom sweep for a candidate quadruple."""
+    coll = Collector(limit)
+    coll.merge(check_comm_assoc(alg.dot, limit), "dot:")
+    coll.merge(check_lie(alg.bracket, limit), "bracket:")
+    coll.merge(check_derivation(alg.dot, alg.derivation, limit), "dot:")
+    coll.merge(check_derivation(alg.bracket, alg.derivation, limit), "bracket:")
+    coll.merge(check_relative_leibniz(alg.dot, alg.bracket, alg.derivation, limit))
+    return coll.report()
+
+
+def check_invariant_form(
+    alg: RelPoissonAlgebra, form: BilinearForm, limit: int = DEFAULT_VIOLATION_LIMIT
+) -> AxiomReport:
+    """Invariance for both products:  B(x.y, z) = B(x, y.z)  and
+    B([x,y], z) = B(x, [y,z])  on all basis triples."""
+    if form.space != alg.space:
+        raise ValueError("form and algebra live on different spaces")
+    n = alg.dim
+    g = form.gram
+    coll = Collector(limit)
+
+    def pair_basis(u: Vector, k: int):
+        return sum((c * g[i][k] for i, c in enumerate(u) if c and g[i][k]), ZERO)
+
+    def basis_pair(i: int, v: Vector):
+        return sum((c * g[i][k] for k, c in enumerate(v) if c and g[i][k]), ZERO)
+
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                lhs = pair_basis(alg.dot.product(x, y), z)
+                rhs = basis_pair(x, alg.dot.product(y, z))
+                coll.check("dot-invariance", (x, y, z), (lhs - rhs,))
+                lhs = pair_basis(alg.bracket.product(x, y), z)
+                rhs = basis_pair(x, alg.bracket.product(y, z))
+                coll.check("bracket-invariance", (x, y, z), (lhs - rhs,))
+    return coll.report()
+
+
+def check_manin_triple(
+    alg: RelPoissonAlgebra,
+    dual_alg: RelPoissonAlgebra,
+    double: RelPoissonAlgebra,
+    limit: int = DEFAULT_VIOLATION_LIMIT,
+) -> AxiomReport:
+    """Manin-triple axioms for (double; A, A*):
+
+    the double is relative Poisson, both factors sit inside it as
+    subalgebras carrying exactly their own structure (including the
+    block-diagonal derivation), and the canonical pairing form is
+    invariant and nondegenerate.
+    """
+    n = alg.dim
+    if dual_alg.dim != n or double.dim != 2 * n:
+        raise ValueError("Manin triple dimension mismatch")
+    coll = Collector(limit)
+
+    def embed(vec, offset):
+        out = [ZERO] * (2 * n)
+        for t, x in enumerate(vec):
+            out[offset + t] = x
+        return tuple(out)
+
+    sides = (("left", alg, 0), ("right", dual_alg, n))
+    for i in range(n):
+        for j in range(n):
+            for side, sub, off in sides:
+                for name, whole, part in (
+                    ("dot", double.dot, sub.dot),
+                    ("bracket", double.bracket, sub.bracket),
+                ):
+                    defect = vec_sub(
+                        whole.product(off + i, off + j), embed(part.product(i, j), off)
+                    )
+                    coll.check(f"{side}-subalgebra-{name}", (i, j), defect)
+    for j in range(n):
+        for side, sub, off in sides:
+            column = embed(sub.derivation.column(j), off)
+            defect = vec_sub(double.derivation.column(off + j), column)
+            coll.check(f"derivation-{side}-block", (j,), defect)
+    coll.merge(check_rel_poisson(double, limit), "double:")
+    form = canonical_pairing(double.space)
+    coll.merge(check_invariant_form(double, form, limit), "pairing:")
+    if not is_nondegenerate(form):
+        coll.check("pairing-nondegenerate", (), (ONE,))
+    return coll.report()
+
+
+def _flatten(m: Matrix):
+    return tuple(x for row in m for x in row)
+
+
+def _act(mats, u: Vector, dim: int) -> Matrix:
+    """The action sum_k u[k] mats[k] of a general element on a dim-dim module;
+    zero when the algebra is 0-dimensional."""
+    if not mats:
+        return zero_matrix(dim, dim)
+    return mat_combination(u, mats)
+
+
+def _action_defects(dot, bracket, mu, rho, cols, i, j, dim):
+    """The dot-action, bracket-action and compatibility defects at (i, j):
+
+        mu(x.y) - mu(x) mu(y)
+        rho([x,y]) - [rho(x), rho(y)]
+        rho(y) mu(x) - mu(x) rho(y) + mu([x,y]) - mu(x . c(y))
+
+    where c(y) = cols[j] is D(y) for a representation and [1, y] for a
+    unital one."""
+    dot_defect = mat_sub(_act(mu, dot.product(i, j), dim), mat_mul(mu[i], mu[j]))
+    commutator = mat_sub(mat_mul(rho[i], rho[j]), mat_mul(rho[j], rho[i]))
+    bracket_defect = mat_sub(_act(rho, bracket.product(i, j), dim), commutator)
+    compat = mat_sub(mat_mul(rho[j], mu[i]), mat_mul(mu[i], rho[j]))
+    compat = mat_add(compat, _act(mu, bracket.product(i, j), dim))
+    compat = mat_sub(compat, _act(mu, dot.apply_basis_left(i, cols[j]), dim))
+    return _flatten(dot_defect), _flatten(bracket_defect), _flatten(compat)
+
+
+def check_compatible_structure(
+    cs: CompatibleStructure, limit: int = DEFAULT_VIOLATION_LIMIT
+) -> AxiomReport:
+    """Action axioms for both products plus their compatibility condition."""
+    alg = cs.algebra
+    n = alg.dim
+    coll = Collector(limit)
+    dcols = [alg.derivation.column(j) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            dot_defect, bracket_defect, compat = _action_defects(
+                alg.dot, alg.bracket, cs.dot_action, cs.bracket_action, dcols, i, j, cs.space.dim
+            )
+            coll.check("dot-action", (i, j), dot_defect)
+            coll.check("bracket-action", (i, j), bracket_defect)
+            coll.check("compatibility", (i, j), compat)
+    return coll.report()
+
+
+def check_representation(rep: RepData, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
+    """All five condition families of a representation."""
+    coll = Collector(limit)
+    coll.merge(check_compatible_structure(rep, limit))
+    alg = rep.algebra
+    n = alg.dim
+    mu, rho, alpha = rep.dot_action, rep.bracket_action, rep.der_action
+    dcols = [alg.derivation.column(j) for j in range(n)]
+    for i in range(n):
+        defect = mat_sub(mat_mul(alpha, mu[i]), rep.dot_action_of(dcols[i]))
+        defect = mat_sub(defect, mat_mul(mu[i], alpha))
+        coll.check("endo-dot", (i,), _flatten(defect))
+        defect = mat_sub(mat_mul(alpha, rho[i]), rep.bracket_action_of(dcols[i]))
+        defect = mat_sub(defect, mat_mul(rho[i], alpha))
+        coll.check("endo-bracket", (i,), _flatten(defect))
+    for i in range(n):
+        for j in range(n):
+            xy = alg.dot.product(i, j)
+            defect = mat_sub(rep.bracket_action_of(xy), mat_mul(mu[i], rho[j]))
+            defect = mat_sub(defect, mat_mul(mu[j], rho[i]))
+            defect = mat_add(defect, mat_mul(rep.dot_action_of(xy), alpha))
+            coll.check("action-leibniz", (i, j), _flatten(defect))
+    return coll.report()
+
+
+def check_dual_rep_conditions(
+    cs: CompatibleStructure,
+    beta: Matrix | LinearMap,
+    limit: int = DEFAULT_VIOLATION_LIMIT,
+) -> AxiomReport:
+    """The conditions under which beta dually represents the algebra on
+    (mu, rho, V), i.e. (-mu*, rho*, beta*, V*) is a representation:
+
+        mu(x) beta - mu(D x) - beta mu(x) = 0
+        rho(x) beta - rho(D x) - beta rho(x) = 0
+        -rho(x.y) + rho(y) mu(x) + rho(x) mu(y) + beta mu(x.y) = 0
+    """
+    beta_m = beta.entries if isinstance(beta, LinearMap) else beta
+    alg = cs.algebra
+    n = alg.dim
+    mu, rho = cs.dot_action, cs.bracket_action
+    dcols = [alg.derivation.column(j) for j in range(n)]
+    coll = Collector(limit)
+    for i in range(n):
+        defect = mat_sub(mat_mul(mu[i], beta_m), cs.dot_action_of(dcols[i]))
+        defect = mat_sub(defect, mat_mul(beta_m, mu[i]))
+        coll.check("dual-rep-dot", (i,), _flatten(defect))
+        defect = mat_sub(mat_mul(rho[i], beta_m), cs.bracket_action_of(dcols[i]))
+        defect = mat_sub(defect, mat_mul(beta_m, rho[i]))
+        coll.check("dual-rep-bracket", (i,), _flatten(defect))
+    for i in range(n):
+        for j in range(n):
+            xy = alg.dot.product(i, j)
+            defect = mat_sub(mat_mul(rho[j], mu[i]), cs.bracket_action_of(xy))
+            defect = mat_add(defect, mat_mul(rho[i], mu[j]))
+            defect = mat_add(defect, mat_mul(beta_m, cs.dot_action_of(xy)))
+            coll.check("dual-rep-leibniz", (i, j), _flatten(defect))
+    return coll.report()
+
+
+def check_dually_represents(
+    alg: RelPoissonAlgebra, candidate: LinearMap, limit: int = DEFAULT_VIOLATION_LIMIT
+) -> AxiomReport:
+    """Whether a map Q dually represents the algebra (adjoint-case test):
+
+        x.Q(y) - D(x).y - Q(x.y) = 0
+        [x, Q(y)] - [D(x), y] - Q([x, y]) = 0
+        [x, y.z] + [y, z.x] + [z, x.y] + Q(x.y.z) = 0
+    """
+    if candidate.domain != alg.space or candidate.codomain != alg.space:
+        raise ValueError("candidate is not an endomorphism of the algebra's space")
+    n = alg.dim
+    dot, bracket, der = alg.dot, alg.bracket, alg.derivation
+    qm = candidate.entries
+    qcols = [candidate.column(j) for j in range(n)]
+    dcols = [der.column(j) for j in range(n)]
+    coll = Collector(limit)
+    for x in range(n):
+        for y in range(n):
+            defect = vec_sub(
+                dot.apply_basis_left(x, qcols[y]), dot.apply_basis_right(dcols[x], y)
+            )
+            defect = vec_sub(defect, mat_apply(qm, dot.product(x, y)))
+            coll.check("dual-adjoint-dot", (x, y), defect)
+            defect = vec_sub(
+                bracket.apply_basis_left(x, qcols[y]),
+                bracket.apply_basis_right(dcols[x], y),
+            )
+            defect = vec_sub(defect, mat_apply(qm, bracket.product(x, y)))
+            coll.check("dual-adjoint-bracket", (x, y), defect)
+    for x in range(n):
+        for y in range(n):
+            xy = dot.product(x, y)
+            for z in range(n):
+                acc = bracket.apply_basis_left(x, dot.product(y, z))
+                acc = vec_add(acc, bracket.apply_basis_left(y, dot.product(z, x)))
+                acc = vec_add(acc, bracket.apply_basis_left(z, xy))
+                acc = vec_add(acc, mat_apply(qm, dot.apply_basis_right(xy, z)))
+                coll.check("dual-adjoint-cyclic", (x, y, z), acc)
+    return coll.report()
+
+
+def check_jacobi_representation(
+    dot: BilinearOp,
+    bracket: BilinearOp,
+    dot_action,
+    bracket_action,
+    module: Space,
+    limit: int = DEFAULT_VIOLATION_LIMIT,
+) -> AxiomReport:
+    """Representation axioms for a unital (Jacobi-type) pair of products:
+    a unital action of the dot, a Lie action of the bracket, and the two
+    mixed conditions tying them together through the unit's adjoint map.
+
+    Raises :class:`NoUnitError` when dot has no unit.
+    """
+    unit = find_unit(dot)
+    if unit is None:
+        raise NoUnitError("multiplication has no two-sided unit")
+    n = dot.space.dim
+    m = module.dim
+    mu = _as_matrices(dot_action, m)
+    rho = _as_matrices(bracket_action, m)
+    coll = Collector(limit)
+    coll.check("dot-action-unital", (), _flatten(mat_sub(_act(mu, unit, m), identity_matrix(m))))
+    rho_unit = _act(rho, unit, m)
+    ad_unit_cols = [bracket.apply(unit, basis_vector(n, j)) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            dot_defect, bracket_defect, compat = _action_defects(
+                dot, bracket, mu, rho, ad_unit_cols, i, j, m
+            )
+            coll.check("dot-action", (i, j), dot_defect)
+            coll.check("bracket-action", (i, j), bracket_defect)
+            xy = dot.product(i, j)
+            defect = mat_sub(_act(rho, xy, m), mat_mul(mu[i], rho[j]))
+            defect = mat_sub(defect, mat_mul(mu[j], rho[i]))
+            defect = mat_add(defect, mat_mul(_act(mu, xy, m), rho_unit))
+            coll.check("unital-action-leibniz", (i, j), _flatten(defect))
+            coll.check("unital-compatibility", (i, j), compat)
+    return coll.report()
+
+
+def _flatten2(m):
+    return tuple(x for row in m for x in row)
+
+
+def _flatten3(t):
+    return tuple(x for plane in t for row in plane for x in row)
+
+
+def _slot1(mapm, t2):
+    """(M (x) id) on a 2-tensor coefficient matrix."""
+    return mat_mul(mapm, t2)
+
+
+def _slot2(mapm, t2):
+    """(id (x) M) on a 2-tensor coefficient matrix."""
+    return mat_mul(t2, mat_transpose(mapm))
+
+
+def check_cocomm_coassoc(
+    comult: Comultiplication, limit: int = DEFAULT_VIOLATION_LIMIT
+) -> AxiomReport:
+    """Cocommutativity (tau after Delta = Delta) and coassociativity."""
+    n = comult.space.dim
+    coll = Collector(limit)
+    for k in range(n):
+        col = comult.columns[k]
+        coll.check("cocommutative", (k,), _flatten2(mat_sub(col, mat_transpose(col))))
+    for k in range(n):
+        col = comult.columns[k]
+        left = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        right = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                c = col[i][j]
+                if not c:
+                    continue
+                inner = comult.columns[j]
+                for p in range(n):
+                    for q in range(n):
+                        x = inner[p][q]
+                        if x:
+                            left[i][p][q] += c * x
+                inner = comult.columns[i]
+                for p in range(n):
+                    for q in range(n):
+                        x = inner[p][q]
+                        if x:
+                            right[p][q][j] += c * x
+        defect = tuple(
+            left[a][b][c] - right[a][b][c]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        )
+        coll.check("coassociative", (k,), defect)
+    return coll.report()
+
+
+def check_lie_coalgebra(
+    comult: Comultiplication, limit: int = DEFAULT_VIOLATION_LIMIT
+) -> AxiomReport:
+    """Anticocommutativity (tau after delta = -delta) and the co-Jacobi
+    identity (id + rotation + rotation^2)(id (x) delta) delta = 0."""
+    n = comult.space.dim
+    coll = Collector(limit)
+    for k in range(n):
+        col = comult.columns[k]
+        coll.check(
+            "anticocommutative", (k,), _flatten2(mat_add(col, mat_transpose(col)))
+        )
+    for k in range(n):
+        col = comult.columns[k]
+        cup = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                c = col[i][j]
+                if not c:
+                    continue
+                inner = comult.columns[j]
+                for p in range(n):
+                    for q in range(n):
+                        x = inner[p][q]
+                        if x:
+                            cup[i][p][q] += c * x
+        defect = tuple(
+            cup[a][b][c] + cup[c][a][b] + cup[b][c][a]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        )
+        coll.check("co-jacobi", (k,), defect)
+    return coll.report()
+
+
+def check_rel_poisson_coalgebra(
+    dot_comult: Comultiplication,
+    bracket_comult: Comultiplication,
+    codrv: LinearMap,
+    limit: int = DEFAULT_VIOLATION_LIMIT,
+) -> AxiomReport:
+    """Full relative Poisson coalgebra package: cocommutative coassociative
+    part, Lie coalgebra part, the two coderivation conditions, and the
+    co-Leibniz condition.  Equivalent to the dual-space quadruple being a
+    relative Poisson algebra."""
+    if dot_comult.space != bracket_comult.space:
+        raise ValueError("comultiplications live on different spaces")
+    n = dot_comult.space.dim
+    q = codrv.entries
+    coll = Collector(limit)
+    coll.merge(check_cocomm_coassoc(dot_comult, limit), "dot:")
+    coll.merge(check_lie_coalgebra(bracket_comult, limit), "bracket:")
+
+    def coder_defect(comult, k):
+        lhs = comult.of(codrv.column(k))
+        col = comult.columns[k]
+        rhs = mat_add(_slot1(q, col), _slot2(q, col))
+        return mat_sub(lhs, rhs)
+
+    for k in range(n):
+        coll.check("coderivation-dot", (k,), _flatten2(coder_defect(dot_comult, k)))
+        coll.check(
+            "coderivation-bracket", (k,), _flatten2(coder_defect(bracket_comult, k))
+        )
+
+    dcols = dot_comult.columns
+    bcols = bracket_comult.columns
+    for k in range(n):
+        acc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        # (id (x) Delta) delta
+        col = bcols[k]
+        for i in range(n):
+            for j in range(n):
+                c = col[i][j]
+                if not c:
+                    continue
+                inner = dcols[j]
+                for p in range(n):
+                    for q2 in range(n):
+                        x = inner[p][q2]
+                        if x:
+                            acc[i][p][q2] += c * x
+        # - (delta (x) id) Delta
+        col = dcols[k]
+        for i in range(n):
+            for j in range(n):
+                c = col[i][j]
+                if not c:
+                    continue
+                inner = bcols[i]
+                for p in range(n):
+                    for q2 in range(n):
+                        x = inner[p][q2]
+                        if x:
+                            acc[p][q2][j] -= c * x
+        # - (tau (x) id)(id (x) delta) Delta
+        for i in range(n):
+            for j in range(n):
+                c = col[i][j]
+                if not c:
+                    continue
+                inner = bcols[j]
+                for p in range(n):
+                    for q2 in range(n):
+                        x = inner[p][q2]
+                        if x:
+                            acc[p][i][q2] -= c * x
+        # - (Q (x) id (x) id)(Delta (x) id) Delta
+        for i in range(n):
+            for j in range(n):
+                c = col[i][j]
+                if not c:
+                    continue
+                inner = dcols[i]
+                for p in range(n):
+                    for q2 in range(n):
+                        x = inner[p][q2]
+                        if not x:
+                            continue
+                        cx = c * x
+                        for m in range(n):
+                            y = q[m][p]
+                            if y:
+                                acc[m][q2][j] -= cx * y
+        coll.check("co-leibniz", (k,), _flatten3(acc))
+    return coll.report()
+
+
+def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
+    """All seven condition groups of a relative Poisson bialgebra.
+
+    The dual-representation group is evaluated through both equivalent
+    packages (the pointwise form and the triple-product form), so a
+    divergence would surface both defects.
+    """
+    alg = data.algebra
+    n = alg.dim
+    dot, bracket, der = alg.dot, alg.bracket, alg.derivation
+    dcom, bcom = data.dot_comult, data.bracket_comult
+    q = data.dual_derivation
+    coll = Collector(limit)
+    coll.merge(check_rel_poisson(alg, limit), "algebra:")
+    coll.merge(
+        check_rel_poisson_coalgebra(dcom, bcom, q, limit), "coalgebra:"
+    )
+
+    dot_left = [dot.left_matrix(i) for i in range(n)]
+    ad = [bracket.left_matrix(i) for i in range(n)]
+
+    # cocycle condition for the dot comultiplication
+    for i in range(n):
+        for j in range(n):
+            lhs = dcom.of(dot.product(i, j))
+            rhs = mat_add(_slot1(dot_left[i], dcom.columns[j]), _slot2(dot_left[j], dcom.columns[i]))
+            coll.check("dot-cocycle", (i, j), _flatten2(mat_sub(lhs, rhs)))
+
+    # cocycle condition for the bracket comultiplication
+    for i in range(n):
+        for j in range(n):
+            lhs = bcom.of(bracket.product(i, j))
+            rhs = mat_add(_slot1(ad[i], bcom.columns[j]), _slot2(ad[i], bcom.columns[j]))
+            rhs = mat_sub(rhs, mat_add(_slot1(ad[j], bcom.columns[i]), _slot2(ad[j], bcom.columns[i])))
+            coll.check("bracket-cocycle", (i, j), _flatten2(mat_sub(lhs, rhs)))
+
+    # the coderivation dually represents the algebra (both packages)
+    coll.merge(check_dually_represents(alg, q, limit), "dual:")
+    pq = mat_add(der.entries, q.entries)
+    for x in range(n):
+        for y in range(n):
+            xy = dot.product(x, y)
+            for z in range(n):
+                triple = dot.apply_basis_right(xy, z)
+                coll.check("dual-triple-product", (x, y, z), mat_apply(pq, triple))
+
+    # the derivation's transpose dually represents the dual algebra
+    for k in range(n):
+        lhs = dcom.of(der.column(k))
+        rhs = mat_sub(_slot1(der.entries, dcom.columns[k]), _slot2(q.entries, dcom.columns[k]))
+        coll.check("comult-intertwine-dot", (k,), _flatten2(mat_sub(lhs, rhs)))
+        lhs = bcom.of(der.column(k))
+        rhs = mat_sub(_slot1(der.entries, bcom.columns[k]), _slot2(q.entries, bcom.columns[k]))
+        coll.check("comult-intertwine-bracket", (k,), _flatten2(mat_sub(lhs, rhs)))
+    for k in range(n):
+        target = dcom.of(mat_apply(pq, basis_vector(n, k)))
+        acc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                c = target[i][j]
+                if not c:
+                    continue
+                inner = dcom.columns[i]
+                for p in range(n):
+                    for q2 in range(n):
+                        x = inner[p][q2]
+                        if x:
+                            acc[p][q2][j] += c * x
+        coll.check("comult-triple-product", (k,), _flatten3(acc))
+
+    # the two mixed compatibility conditions
+    for i in range(n):
+        for j in range(n):
+            xy = dot.product(i, j)
+            defect = bcom.of(xy)
+            defect = mat_sub(defect, _slot2(ad[j], dcom.columns[i]))
+            defect = mat_sub(defect, _slot1(dot_left[i], bcom.columns[j]))
+            defect = mat_sub(defect, _slot2(ad[i], dcom.columns[j]))
+            defect = mat_sub(defect, _slot1(dot_left[j], bcom.columns[i]))
+            defect = mat_sub(defect, _slot2(q.entries, dcom.of(xy)))
+            coll.check("mixed-dot-bracket", (i, j), _flatten2(defect))
+
+            defect = dcom.of(bracket.product(i, j))
+            defect = mat_sub(defect, _slot1(dot_left[j], bcom.columns[i]))
+            defect = mat_sub(defect, _slot2(ad[i], dcom.columns[j]))
+            defect = mat_add(defect, _slot2(dot_left[j], bcom.columns[i]))
+            defect = mat_sub(defect, _slot1(ad[i], dcom.columns[j]))
+            defect = mat_add(defect, dcom.of(dot.apply_basis_right(der.column(i), j)))
+            coll.check("mixed-bracket-dot", (i, j), _flatten2(defect))
+    return coll.report()

@@ -103,6 +103,16 @@ def test_relative_leibniz_trivial_dot_any_bracket():
     assert check_relative_leibniz(BilinearOp.zero(sp), bracket, der).ok
 
 
+def test_relative_leibniz_rejects_derivation_on_another_space():
+    # a 2-dim derivation on a 3-dim algebra, as check_derivation rejects it
+    sp = Space.of_dim(3)
+    der = LinearMap.zero(Space.of_dim(2))
+    with pytest.raises(ValueError, match="endomorphism"):
+        check_relative_leibniz(BilinearOp.zero(sp), BilinearOp.zero(sp), der)
+    with pytest.raises(ValueError, match="endomorphism"):
+        check_derivation(BilinearOp.zero(sp), der)
+
+
 @pytest.mark.parametrize("name,alg", rel_poisson_corpus())
 def test_corpus_is_verified(name, alg):
     assert check_rel_poisson(alg).ok, name

@@ -73,6 +73,11 @@ def test_rel_poisson_coalgebra_zero_case():
     assert check_rel_poisson_coalgebra(
         Comultiplication.zero(sp), Comultiplication.zero(sp), any_map
     ).ok
+    # a coderivation of another dimension is rejected
+    for dim in (0, 2):
+        small = LinearMap.zero(Space.of_dim(dim))
+        with pytest.raises(ValueError):
+            check_rel_poisson_coalgebra(Comultiplication.zero(sp), Comultiplication.zero(sp), small)
 
 
 def test_rel_poisson_coalgebra_rejects_shifted_coderivation(worked_bialgebra):

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relpoisson import LinearMap, Space, Tensor2, Tensor3, dual_map, rotate_factors, swap_factors, tensor_as_map
@@ -202,3 +202,67 @@ def test_solve_exact():
     a = ((F(1), F(2)), (F(0), F(1)), (F(1), F(3)))
     assert solve_exact(a, (F(5), F(2), F(7))) == (1, 2)
     assert solve_exact(a, (F(5), F(2), F(8))) is None
+
+
+# ---------------------------------------------------------------------------
+# cross-checks against sympy's exact matrices (skipped when sympy is absent)
+
+# many zeros, so singular matrices and inconsistent systems are common
+sparse_scalars = st.sampled_from((F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)))
+
+
+@st.composite
+def systems(draw, square=False):
+    rows = draw(st.integers(0 if square else 1, 4))
+    cols = rows if square else draw(st.integers(1, 4))
+    a = tuple(tuple(draw(sparse_scalars) for _ in range(cols)) for _ in range(rows))
+    return a, tuple(draw(sparse_scalars) for _ in range(rows))
+
+
+def _sympy_matrix(sympy, a, cols):
+    entries = [sympy.Rational(x.numerator, x.denominator) for row in a for x in row]
+    return sympy.Matrix(len(a), cols, entries)
+
+
+def _fraction(r):
+    return F(int(r.p), int(r.q))
+
+
+@settings(deadline=None)
+@given(system=systems(square=True))
+def test_determinant_and_inverse_match_sympy(system):
+    sympy = pytest.importorskip("sympy")
+    a, _ = system
+    m = _sympy_matrix(sympy, a, len(a))
+    det = m.det()
+    assert determinant(a) == _fraction(det)
+    if det == 0:
+        with pytest.raises(ValueError):
+            mat_inverse(a)
+    else:
+        inv = m.inv()
+        assert mat_inverse(a) == tuple(
+            tuple(_fraction(inv[i, j]) for j in range(len(a))) for i in range(len(a))
+        )
+
+
+@settings(deadline=None)
+@given(system=systems())
+def test_solve_exact_matches_sympy(system):
+    sympy = pytest.importorskip("sympy")
+    a, b = system
+    m = _sympy_matrix(sympy, a, len(a[0]))
+    rhs = _sympy_matrix(sympy, tuple((x,) for x in b), 1)
+    try:
+        m.gauss_jordan_solve(rhs)
+        consistent = True
+    except ValueError:
+        consistent = False
+    x = solve_exact(a, b)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert m * _sympy_matrix(sympy, tuple((c,) for c in x), 1) == rhs
+        if m.rank() == len(a[0]):
+            # full column rank: the solution is unique
+            solution = m.solve_least_squares(rhs)
+            assert x == tuple(_fraction(solution[i, 0]) for i in range(len(x)))

@@ -37,6 +37,7 @@ from conftest import (
     heisenberg_poisson,
     neg_map,
     rel_poisson_corpus,
+    unital1,
     unital2,
     worked_subadjacent,
     zero_algebra,
@@ -135,6 +136,9 @@ def test_dual_rep_positive_endo_fails_where_expected():
     assert "dual-rep-leibniz" in report.axioms_failed()
     two_alpha = mat_add(rep.der_action, rep.der_action)
     assert mat_mul(rep.dot_action_of(alg.dot.product(0, 0)), two_alpha) != zero_matrix(2, 2)
+    # beta must be an endomorphism of the module
+    with pytest.raises(ValueError, match="endomorphism"):
+        check_dual_rep_conditions(rep, identity_matrix(3))
 
 
 def test_equivalent_conditions_families():
@@ -302,6 +306,16 @@ def test_jacobi_representation(worked_bialgebra):
         alg = worked_subadjacent()
         r2 = adjoint_rep(alg)
         check_jacobi_representation(alg.dot, alg.bracket, r2.dot_action, r2.bracket_action, r2.space)
+
+
+def test_jacobi_representation_needs_one_action_per_basis_element():
+    # no action matrices at all for the 1-dim unital algebra
+    alg = unital1()
+    with pytest.raises(ValueError, match="one action matrix"):
+        check_jacobi_representation(alg.dot, alg.bracket, (), (), Space.of_dim(1, "v"))
+    mats = ((F(1),),)
+    with pytest.raises(ValueError, match="one action matrix"):
+        check_jacobi_representation(alg.dot, alg.bracket, mats, mats * 2, Space.of_dim(1, "v"))
 
 
 def test_jacobi_rep_matches_unital_rel_poisson_rep(worked_bialgebra):
