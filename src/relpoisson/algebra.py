@@ -335,10 +335,12 @@ def _check_hits(coll: Collector, axiom: str, where, hits, n: int) -> None:
         coll.check(axiom, where, acc)
 
 
-def _sparse_columns(m: Matrix):
-    """Each column of a square matrix as its nonzero (row, value) entries."""
+def _sparse_columns(m: Matrix, width: int | None = None):
+    """Each column of a matrix as its nonzero (row, value) entries; the
+    width of a matrix that is not square must be given."""
     return tuple(
-        tuple((r, row[j]) for r, row in enumerate(m) if row[j]) for j in range(len(m))
+        tuple((r, row[j]) for r, row in enumerate(m) if row[j])
+        for j in range(len(m) if width is None else width)
     )
 
 

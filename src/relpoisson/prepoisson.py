@@ -13,6 +13,8 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    _check_hits,
+    _sparse_columns,
     check_derivation,
     combine_reports,
 )
@@ -45,38 +47,45 @@ class RelPrePoissonAlgebra:
         return self.space.dim
 
 
+# The checkers sweep basis triples as signed (index, value) hits, the idiom
+# of relpoisson.algebra; products are read through their sparse views.
+
+
+def _left(sp, x, coeffs, scale=1):
+    """Hits of scale * e_x * u for u given by sparse (t, u_t) coefficients."""
+    return [(s, scale * c * p) for t, c in coeffs for s, p in sp[x][t]]
+
+
+def _right(sp, coeffs, z, scale=1):
+    """Hits of scale * u * e_z."""
+    return [(s, scale * c * p) for t, c in coeffs for s, p in sp[t][z]]
+
+
 def check_zinbiel(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """x*(y*z) = (y*x)*z + (x*y)*z on basis triples."""
     n = m.space.dim
+    sp = m._sparse
     coll = Collector(limit)
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                lhs = m.apply_basis_left(x, m.product(y, z))
-                rhs = vec_add(
-                    m.apply_basis_right(m.product(y, x), z),
-                    m.apply_basis_right(m.product(x, y), z),
-                )
-                coll.check("zinbiel", (x, y, z), vec_sub(lhs, rhs))
+                hits = _left(sp, x, sp[y][z]) + _right(sp, sp[y][x], z, -1)
+                hits += _right(sp, sp[x][y], z, -1)
+                _check_hits(coll, "zinbiel", (x, y, z), hits, n)
     return coll.report()
 
 
 def check_prelie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """(x o y) o z - x o (y o z) is symmetric in x and y on basis triples."""
     n = m.space.dim
+    sp = m._sparse
     coll = Collector(limit)
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                lhs = vec_sub(
-                    m.apply_basis_right(m.product(x, y), z),
-                    m.apply_basis_left(x, m.product(y, z)),
-                )
-                rhs = vec_sub(
-                    m.apply_basis_right(m.product(y, x), z),
-                    m.apply_basis_left(y, m.product(x, z)),
-                )
-                coll.check("pre-lie", (x, y, z), vec_sub(lhs, rhs))
+                hits = _right(sp, sp[x][y], z) + _left(sp, x, sp[y][z], -1)
+                hits += _right(sp, sp[y][x], z, -1) + _left(sp, y, sp[x][z])
+                _check_hits(coll, "pre-lie", (x, y, z), hits, n)
     return coll.report()
 
 
@@ -91,28 +100,22 @@ def check_rel_pre_poisson(
     coll.merge(check_prelie(circ, limit))
     coll.merge(check_derivation(star, der, limit), "star:")
     coll.merge(check_derivation(circ, der, limit), "circ:")
-    dcols = [der.column(z) for z in range(n)]
+    ssp, csp = star._sparse, circ._sparse
+    dcols = _sparse_columns(der.entries)
     for x in range(n):
         for y in range(n):
-            sym = vec_add(star.product(x, y), star.product(y, x))
+            sym = ssp[x][y] + ssp[y][x]
+            mixed = _left(ssp, x, dcols[y]) + _right(ssp, dcols[y], x)
             for z in range(n):
+                x_yz = _left(ssp, x, csp[y][z], -1)
                 # (x*y + y*x) o z - x*(y o z) - y*(x o z) + (x*y + y*x)*D(z)
-                defect = circ.apply_basis_right(sym, z)
-                defect = vec_sub(defect, star.apply_basis_left(x, circ.product(y, z)))
-                defect = vec_sub(defect, star.apply_basis_left(y, circ.product(x, z)))
-                defect = vec_add(defect, star.apply(sym, dcols[z]))
-                coll.check("mixed-dot-side", (x, y, z), defect)
+                hits = _right(csp, sym, z) + x_yz + _left(ssp, y, csp[x][z], -1)
+                hits += [h for u, d in dcols[z] for h in _right(ssp, sym, u, d)]
+                _check_hits(coll, "mixed-dot-side", (x, y, z), hits, n)
                 # y o (x*z) - x*(y o z) + (x o y - y o x)*z - (x*D(y) + D(y)*x)*z
-                defect = circ.apply_basis_left(y, star.product(x, z))
-                defect = vec_sub(defect, star.apply_basis_left(x, circ.product(y, z)))
-                anti = vec_sub(circ.product(x, y), circ.product(y, x))
-                defect = vec_add(defect, star.apply_basis_right(anti, z))
-                mixed = vec_add(
-                    star.apply_basis_left(x, dcols[y]),
-                    star.apply_basis_right(dcols[y], x),
-                )
-                defect = vec_sub(defect, star.apply_basis_right(mixed, z))
-                coll.check("mixed-bracket-side", (x, y, z), defect)
+                hits = _left(csp, y, ssp[x][z]) + x_yz + _right(ssp, csp[x][y], z)
+                hits += _right(ssp, csp[y][x], z, -1) + _right(ssp, mixed, z, -1)
+                _check_hits(coll, "mixed-bracket-side", (x, y, z), hits, n)
     return coll.report()
 
 

@@ -387,6 +387,8 @@ def check_jacobi_representation(
 
     Raises :class:`NoUnitError` when dot has no unit.
     """
+    if dot.space != bracket.space:
+        raise ValueError("dot and bracket live on different spaces")
     n, m = dot.space.dim, module.dim
     if len(dot_action) != n or len(bracket_action) != n:
         raise ValueError("need one action matrix per algebra basis element")

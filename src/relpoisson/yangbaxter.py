@@ -2,15 +2,19 @@
 relative Poisson YBE, coboundary comultiplications, the full coboundary
 condition sweep, and O-operators.
 
-The three contraction patterns
+Tensors are swept as sparse terms: lists of (index tuple, value) pairs of a
+2- or 3-tensor, where repeated indices add up.  A linear map acts on one
+slot through its sparse column table (:func:`_on_slot`); the columns of
+L(x) and ad(x) are the rows ``dot._sparse[x]`` and ``bracket._sparse[x]``
+of the products' sparse views.  The three contraction patterns
 
     r12 * r13 = sum a_i * a_j (x) b_i (x) b_j
     r12 * r23 = sum a_i (x) b_i * a_j (x) b_j
     r13 * r23 = sum a_i (x) a_j (x) b_i * b_j
 
-are implemented once, as index formulas over Tensor2 coefficients, and
-every higher check reuses them; they are the most sign-sensitive spot in
-the whole package.
+are written once, in :func:`_pairings`; they are the most sign-sensitive
+spot in the whole package.  A defect is reported only when its terms do
+not cancel, as the dense vector flattened to i*n + j or (a*n + b)*n + c.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    _check_hits,
+    _sparse_columns,
 )
 from .coalgebra import Comultiplication
 from .linalg import (
@@ -32,20 +38,17 @@ from .linalg import (
     Matrix,
     Tensor2,
     Tensor3,
-    basis_vector,
     block_diagonal,
-    mat_add,
-    mat_apply,
     mat_mul,
     mat_neg,
-    mat_sub,
     mat_transpose,
-    vec_add,
-    vec_sub,
 )
 from .representations import (
     CompatibleStructure,
     RepData,
+    _combo,
+    _tables,
+    _times,
     check_dual_rep_conditions,
     check_dually_represents,
     check_representation,
@@ -57,112 +60,87 @@ def is_antisymmetric(r: Tensor2) -> bool:
     return r.coeffs == mat_neg(mat_transpose(r.coeffs))
 
 
-def _contract(rc, sc, op: BilinearOp, pattern: str):
-    """One of the three pairing contractions on coefficient matrices."""
-    n = op.space.dim
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            x = rc[u][v]
-            if not x:
-                continue
-            for w in range(n):
-                for z in range(n):
-                    y = sc[w][z]
-                    if not y:
-                        continue
-                    c = x * y
-                    if pattern == "12.13":
-                        prod = op.product(u, w)
-                        for k in range(n):
-                            p = prod[k]
-                            if p:
-                                out[k][v][z] += c * p
-                    elif pattern == "12.23":
-                        prod = op.product(v, w)
-                        for k in range(n):
-                            p = prod[k]
-                            if p:
-                                out[u][k][z] += c * p
-                    else:  # "13.23"
-                        prod = op.product(v, z)
-                        for k in range(n):
-                            p = prod[k]
-                            if p:
-                                out[u][w][k] += c * p
-    return out
+def _terms(r: Tensor2):
+    """The nonzero coefficients of a 2-tensor as ((i, j), value) terms."""
+    return [((i, j), x) for i, row in enumerate(r.coeffs) for j, x in enumerate(row) if x]
 
 
-def _t3_add(a, b, sign=1):
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            ra, rb = a[i][j], b[i][j]
-            for k in range(n):
-                if rb[k]:
-                    ra[k] += sign * rb[k]
-    return a
+def _on_slot(cols, terms, slot: int, scale=1):
+    """Terms of scale * M applied to one slot of a tensor, for M given by
+    its sparse column table: ``cols[j]`` lists the nonzero (i, M[i][j])."""
+    return [
+        (idx[:slot] + (p,) + idx[slot + 1 :], scale * x * v)
+        for idx, x in terms
+        for p, v in cols[idx[slot]]
+    ]
 
 
-def _t3_zero(n):
-    return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+def _mult_on_slot(sp, coeffs, terms, slot: int, scale=1):
+    """Terms of scale * L(u) applied to one slot, L the left multiplication
+    of a product with sparse view sp and u given by sparse (t, u_t)."""
+    return [h for t, c in coeffs for h in _on_slot(sp[t], terms, slot, scale * c)]
 
 
-def _t3_apply(t3, slot: int, m: Matrix):
-    """Apply a matrix to one tensor slot of a rank-3 coefficient array."""
-    n = len(t3)
-    out = _t3_zero(n)
-    for i in range(n):
-        for j in range(n):
-            row = t3[i][j]
-            for k in range(n):
-                c = row[k]
-                if not c:
-                    continue
-                if slot == 0:
-                    for p in range(n):
-                        x = m[p][i]
-                        if x:
-                            out[p][j][k] += c * x
-                elif slot == 1:
-                    for p in range(n):
-                        x = m[p][j]
-                        if x:
-                            out[i][p][k] += c * x
-                else:
-                    for p in range(n):
-                        x = m[p][k]
-                        if x:
-                            out[i][j][p] += c * x
-    return out
+def _pairings(r: Tensor2, op: BilinearOp):
+    """The terms of r12.r13, r12.r23 and r13.r23 through a product."""
+    sp = op._sparse
+    pairs = [(u, v, w, z, x * y) for (u, v), x in _terms(r) for (w, z), y in _terms(r)]
+    return (
+        [((k, v, z), c * p) for u, v, w, z, c in pairs for k, p in sp[u][w]],
+        [((u, k, z), c * p) for u, v, w, z, c in pairs for k, p in sp[v][w]],
+        [((u, w, k), c * p) for u, v, w, z, c in pairs for k, p in sp[v][z]],
+    )
 
 
-def _t3_flat(t3):
-    return tuple(x for plane in t3 for row in plane for x in row)
+def _aybe_terms(r: Tensor2, dot: BilinearOp):
+    t12_13, t12_23, t13_23 = _pairings(r, dot)
+    return t12_13 + [(idx, -v) for idx, v in t12_23] + t13_23
+
+
+def _cybe_terms(r: Tensor2, bracket: BilinearOp):
+    t12_13, t12_23, t13_23 = _pairings(r, bracket)
+    return t12_13 + t12_23 + t13_23
+
+
+def _check(coll: Collector, axiom: str, where, terms, n: int) -> None:
+    """Report the dense sum of tensor terms, flattened, unless it is zero."""
+    hits = []
+    for idx, v in terms:
+        flat = 0
+        for i in idx:
+            flat = flat * n + i
+        hits.append((flat, v))
+    if hits:
+        _check_hits(coll, axiom, where, hits, n ** len(terms[0][0]))
+
+
+def _require_on(alg: RelPoissonAlgebra, r: Tensor2, codrv: LinearMap | None = None):
+    if r.left != alg.space or r.right != alg.space:
+        raise ValueError("tensor does not live on the algebra's space")
+    if codrv is not None and (codrv.domain != alg.space or codrv.codomain != alg.space):
+        raise ValueError("dual map is not an endomorphism of the algebra's space")
 
 
 def aybe_tensor(r: Tensor2, dot: BilinearOp) -> Tensor3:
     """A(r) = r12.r13 - r12.r23 + r13.r23."""
     if r.left != dot.space or r.right != dot.space:
         raise ValueError("tensor and multiplication live on different spaces")
-    rc = r.coeffs
-    acc = _contract(rc, rc, dot, "12.13")
-    acc = _t3_add(acc, _contract(rc, rc, dot, "12.23"), -1)
-    acc = _t3_add(acc, _contract(rc, rc, dot, "13.23"), 1)
-    sp = dot.space
-    return Tensor3((sp, sp, sp), tuple(tuple(tuple(row) for row in plane) for plane in acc))
+    return _tensor3(_aybe_terms(r, dot), dot.space)
 
 
 def cybe_tensor(r: Tensor2, bracket: BilinearOp) -> Tensor3:
     """C(r) = [r12, r13] + [r12, r23] + [r13, r23]."""
     if r.left != bracket.space or r.right != bracket.space:
         raise ValueError("tensor and bracket live on different spaces")
-    rc = r.coeffs
-    acc = _contract(rc, rc, bracket, "12.13")
-    acc = _t3_add(acc, _contract(rc, rc, bracket, "12.23"), 1)
-    acc = _t3_add(acc, _contract(rc, rc, bracket, "13.23"), 1)
-    sp = bracket.space
-    return Tensor3((sp, sp, sp), tuple(tuple(tuple(row) for row in plane) for plane in acc))
+    return _tensor3(_cybe_terms(r, bracket), bracket.space)
+
+
+def _tensor3(terms, sp) -> Tensor3:
+    n = sp.dim
+    coeffs = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (a, b, c), v in terms:
+        coeffs[a][b][c] += v
+    return Tensor3((sp, sp, sp), coeffs)
 
 
 def check_rpybe(
@@ -174,21 +152,15 @@ def check_rpybe(
     """Solution test for the relative Poisson YBE associated to a map Q:
     A(r) = 0, C(r) = 0, (P (x) id - id (x) Q) r = 0 and
     (Q (x) id - id (x) P) r = 0."""
+    _require_on(alg, r, codrv)
+    n = alg.dim
+    p, q = _sparse_columns(alg.derivation.entries), _sparse_columns(codrv.entries)
+    ent = _terms(r)
     coll = Collector(limit)
-    coll.check("aybe", (), _t3_flat(aybe_tensor(r, alg.dot).coeffs))
-    coll.check("cybe", (), _t3_flat(cybe_tensor(r, alg.bracket).coeffs))
-    p, q = alg.derivation.entries, codrv.entries
-    rc = r.coeffs
-    coll.check(
-        "intertwine-derivation",
-        (),
-        tuple(x for row in mat_sub(mat_mul(p, rc), mat_mul(rc, mat_transpose(q))) for x in row),
-    )
-    coll.check(
-        "intertwine-coderivation",
-        (),
-        tuple(x for row in mat_sub(mat_mul(q, rc), mat_mul(rc, mat_transpose(p))) for x in row),
-    )
+    _check(coll, "aybe", (), _aybe_terms(r, alg.dot), n)
+    _check(coll, "cybe", (), _cybe_terms(r, alg.bracket), n)
+    _check(coll, "intertwine-derivation", (), _on_slot(p, ent, 0) + _on_slot(q, ent, 1, -1), n)
+    _check(coll, "intertwine-coderivation", (), _on_slot(q, ent, 0) + _on_slot(p, ent, 1, -1), n)
     return coll.report()
 
 
@@ -204,37 +176,29 @@ def check_rpybe_via_maps(
         [r(a*), r(b*)] = r(ad*(r a*) b* - ad*(r b*) a*)
         r(a*).r(b*)    = -r(L*(r a*) b* + L*(r b*) a*)
         P r            = r Q*
-    """
+
+    At (a, b, s) the left-hand sides are r13.r23 and each r(op*(r a*) b*)
+    is -r12.r23 with its first two slots read as (a, b)."""
+    _require_on(alg, r, codrv)
     if not is_antisymmetric(r):
         raise PreconditionError("tensor is not antisymmetric")
     n = alg.dim
-    rm = mat_transpose(r.coeffs)  # the map A* -> A
-    dot, bracket = alg.dot, alg.bracket
     coll = Collector(limit)
-    rcols = [tuple(rm[t][a] for t in range(n)) for a in range(n)]
-    # ad*(u) e_b* reads off minus the b-th row of ad(u); same for L*(u)
-    ad_rows = [bracket.left_matrix_of(ra) for ra in rcols]
-    dot_rows = [dot.left_matrix_of(ra) for ra in rcols]
-    for a in range(n):
-        ra = rcols[a]
-        for b in range(n):
-            rb = rcols[b]
-            lhs = bracket.apply(ra, rb)
-            arg = vec_sub(
-                tuple(-ad_rows[a][b][t] for t in range(n)),
-                tuple(-ad_rows[b][a][t] for t in range(n)),
-            )
-            coll.check("operator-cybe", (a, b), vec_sub(lhs, mat_apply(rm, arg)))
-            lhs = dot.apply(ra, rb)
-            arg = vec_add(
-                tuple(-dot_rows[a][b][t] for t in range(n)),
-                tuple(-dot_rows[b][a][t] for t in range(n)),
-            )
-            coll.check("operator-aybe", (a, b), vec_add(lhs, mat_apply(rm, arg)))
-    defect = mat_sub(
-        mat_mul(alg.derivation.entries, rm), mat_mul(rm, mat_transpose(codrv.entries))
-    )
-    coll.check("operator-intertwine", (), tuple(x for row in defect for x in row))
+    families = []
+    for axiom, op, sign in (("operator-cybe", alg.bracket, 1), ("operator-aybe", alg.dot, -1)):
+        _t12_13, t12_23, t13_23 = _pairings(r, op)
+        terms = t13_23 + [(idx, sign * v) for idx, v in t12_23]
+        terms += [((b, a, s), -v) for (a, b, s), v in t12_23]
+        by_pair = {}
+        for (a, b, s), v in terms:
+            by_pair.setdefault((a, b), []).append((s, v))
+        families.append((axiom, by_pair))
+    for where in sorted(set().union(*(by_pair for _, by_pair in families))):
+        for axiom, by_pair in families:
+            _check_hits(coll, axiom, where, by_pair.get(where), n)
+    p, q = _sparse_columns(alg.derivation.entries), _sparse_columns(codrv.entries)
+    rm = [((j, i), x) for (i, j), x in _terms(r)]  # the map A* -> A
+    _check(coll, "operator-intertwine", (), _on_slot(p, rm, 0) + _on_slot(q, rm, 1, -1), n)
     return coll.report()
 
 
@@ -246,20 +210,18 @@ def coboundary_comults(
         Delta(x) = (id (x) L(x) - L(x) (x) id) r
         delta(x) = (ad(x) (x) id + id (x) ad(x)) r
     """
-    n = alg.dim
-    rc = r.coeffs
-    dot_cols = []
-    br_cols = []
-    for k in range(n):
-        lx = alg.dot.left_matrix(k)
-        adx = alg.bracket.left_matrix(k)
-        dcol = mat_sub(mat_mul(rc, mat_transpose(lx)), mat_mul(lx, rc))
-        bcol = mat_add(mat_mul(adx, rc), mat_mul(rc, mat_transpose(adx)))
-        dot_cols.append(dcol)
-        br_cols.append(bcol)
+    _require_on(alg, r)
+    ent = _terms(r)
+    dot_entries, br_entries = [], []
+    for k in range(alg.dim):
+        lx, adx = alg.dot._sparse[k], alg.bracket._sparse[k]
+        delta = _on_slot(lx, ent, 1) + _on_slot(lx, ent, 0, -1)
+        dot_entries += [(i, j, k, v) for (i, j), v in delta]
+        delta = _on_slot(adx, ent, 0) + _on_slot(adx, ent, 1)
+        br_entries += [(i, j, k, v) for (i, j), v in delta]
     return (
-        Comultiplication(alg.space, tuple(dot_cols)),
-        Comultiplication(alg.space, tuple(br_cols)),
+        Comultiplication.from_entries(alg.space, dot_entries),
+        Comultiplication.from_entries(alg.space, br_entries),
     )
 
 
@@ -273,6 +235,7 @@ def check_coboundary_conditions(
     comultiplications of a general (not necessarily antisymmetric) r make
     the algebra a coboundary bialgebra.  Requires that the given map
     dually represents the algebra."""
+    _require_on(alg, r, codrv)
     pre = check_dually_represents(alg, codrv)
     if not pre.ok:
         raise PreconditionError(
@@ -281,137 +244,46 @@ def check_coboundary_conditions(
             pre,
         )
     n = alg.dim
-    dot, bracket = alg.dot, alg.bracket
-    p, q = alg.derivation.entries, codrv.entries
-    rc = r.coeffs
-    sym = mat_add(rc, mat_transpose(rc))  # r + tau(r)
-    a_tensor = aybe_tensor(r, dot).coeffs
-    c_tensor = cybe_tensor(r, bracket).coeffs
-    s_pq = mat_sub(mat_mul(rc, mat_transpose(p)), mat_mul(q, rc))  # (id(x)P - Q(x)id) r
-    s_qp = mat_sub(mat_mul(rc, mat_transpose(q)), mat_mul(p, rc))  # (id(x)Q - P(x)id) r
-    w_qp = mat_neg(s_pq)  # (Q(x)id - id(x)P) r
+    dot, br = alg.dot._sparse, alg.bracket._sparse
+    p, q = _sparse_columns(alg.derivation.entries), _sparse_columns(codrv.entries)
+    ent = _terms(r)
+    sym = ent + [((j, i), x) for (i, j), x in ent]  # r + tau(r)
+    a3, c3 = _aybe_terms(r, alg.dot), _cybe_terms(r, alg.bracket)
+    s_pq = _on_slot(p, ent, 1) + _on_slot(q, ent, 0, -1)  # (id(x)P - Q(x)id) r
+    s_qp = _on_slot(q, ent, 1) + _on_slot(p, ent, 0, -1)  # (id(x)Q - P(x)id) r
+    qa3 = _on_slot(q, a3, 0)  # (Q (x) id (x) id) A
     coll = Collector(limit)
-    a3 = a_tensor
-    c3 = c_tensor
     for x in range(n):
-        lx = dot.left_matrix(x)
-        adx = bracket.left_matrix(x)
-        lx_t = mat_transpose(lx)
-        adx_t = mat_transpose(adx)
-        coll.check(
-            "aybe-symmetric-part",
-            (x,),
-            tuple(
-                v
-                for row in mat_sub(mat_mul(sym, lx_t), mat_mul(lx, sym))
-                for v in row
-            ),
+        lx, adx = dot[x], br[x]
+        # mixed co-Leibniz, with S_x = (L(x) (x) id - id (x) L(x))(r + tau(r)):
+        #   (ad(x) (x) id (x) id) A + (id (x) id (x) L(x)) ((Q (x) id (x) id) A + C)
+        #   - (id (x) L(x) (x) id) C + sum r_uv (id (x) e_u (x) L(x.v)) s_pq
+        #   + sum r_uv [(ad(u) (x) id) S_x - (id (x) L(x.u)) s_pq] (x) e_v
+        co_leibniz = _on_slot(adx, a3, 0) + _on_slot(lx, qa3 + c3, 2) + _on_slot(lx, c3, 1, -1)
+        sym_x = _on_slot(lx, sym, 0) + _on_slot(lx, sym, 1, -1)
+        for (u, v), c in ent:
+            terms = _mult_on_slot(dot, dot[x][v], s_pq, 1)
+            co_leibniz += [((i, u, t), c * w) for (i, t), w in terms]
+            terms = _on_slot(br[u], sym_x, 0) + _mult_on_slot(dot, dot[x][u], s_pq, 1, -1)
+            co_leibniz += [((i, j, v), c * w) for (i, j), w in terms]
+        families = (
+            ("aybe-symmetric-part", _on_slot(lx, sym, 1) + _on_slot(lx, sym, 0, -1)),
+            ("aybe-cocycle", _on_slot(lx, a3, 2) + _on_slot(lx, a3, 0, -1)),
+            ("cybe-symmetric-part", _on_slot(adx, sym, 0) + _on_slot(adx, sym, 1)),
+            ("cybe-cocycle", _on_slot(adx, c3, 0) + _on_slot(adx, c3, 1) + _on_slot(adx, c3, 2)),
+            # the seven mixed conditions
+            ("mixed-coderivation-dot", _on_slot(lx, s_pq, 1) + _on_slot(lx, s_qp, 0)),
+            ("mixed-coderivation-bracket", _on_slot(adx, s_pq, 1) + _on_slot(adx, s_qp, 0, -1)),
+            ("mixed-co-leibniz", co_leibniz),
+            ("mixed-comult-intertwine-dot", _on_slot(lx, s_qp, 1) + _on_slot(lx, s_qp, 0, -1)),
+            ("mixed-comult-intertwine-bracket", _on_slot(adx, s_qp, 0) + _on_slot(adx, s_qp, 1)),
+            ("mixed-triple-product", _mult_on_slot(dot, p[x] + q[x], a3, 2)),  # L((P+Q) x)
         )
-        coll.check(
-            "aybe-cocycle",
-            (x,),
-            _t3_flat(_t3_add(_t3_apply(a3, 2, lx), _t3_apply(a3, 0, lx), -1)),
-        )
-        coll.check(
-            "cybe-symmetric-part",
-            (x,),
-            tuple(
-                v
-                for row in mat_add(mat_mul(adx, sym), mat_mul(sym, adx_t))
-                for v in row
-            ),
-        )
-        acc = _t3_apply(c3, 0, adx)
-        acc = _t3_add(acc, _t3_apply(c3, 1, adx))
-        acc = _t3_add(acc, _t3_apply(c3, 2, adx))
-        coll.check("cybe-cocycle", (x,), _t3_flat(acc))
-
-        # the seven mixed conditions
-        coll.check(
-            "mixed-coderivation-dot",
-            (x,),
-            tuple(
-                v
-                for row in mat_add(mat_mul(s_pq, lx_t), mat_mul(lx, s_qp))
-                for v in row
-            ),
-        )
-        coll.check(
-            "mixed-coderivation-bracket",
-            (x,),
-            tuple(
-                v
-                for row in mat_sub(mat_mul(s_pq, adx_t), mat_mul(adx, s_qp))
-                for v in row
-            ),
-        )
-        acc = _t3_apply(a3, 0, adx)
-        acc = _t3_add(acc, _t3_apply(_t3_apply(a3, 0, q), 2, lx))
-        acc = _t3_add(acc, _t3_apply(c3, 2, lx))
-        acc = _t3_add(acc, _t3_apply(c3, 1, lx), -1)
-        sym_x = mat_sub(mat_mul(lx, sym), mat_mul(sym, lx_t))  # (L(x)(x)id - id(x)L(x)) sym
-        for u in range(n):
-            for v in range(n):
-                c = rc[u][v]
-                if not c:
-                    continue
-                adu = bracket.left_matrix(u)
-                contrib = mat_mul(adu, sym_x)
-                for i in range(n):
-                    for j in range(n):
-                        w = contrib[i][j]
-                        if w:
-                            acc[i][j][v] += c * w
-                lxu = dot.left_matrix_of(dot.product(x, u))
-                contrib = mat_mul(w_qp, mat_transpose(lxu))  # (id (x) L(x.a_j)) on w_qp
-                for i in range(n):
-                    for j in range(n):
-                        w = contrib[i][j]
-                        if w:
-                            acc[i][j][v] += c * w
-                lxv = dot.left_matrix_of(dot.product(x, v))
-                for i in range(n):
-                    for j in range(n):
-                        w = s_pq[i][j]
-                        if not w:
-                            continue
-                        cw = c * w
-                        for t in range(n):
-                            y = lxv[t][j]
-                            if y:
-                                acc[i][u][t] += cw * y
-        coll.check("mixed-co-leibniz", (x,), _t3_flat(acc))
-        coll.check(
-            "mixed-comult-intertwine-dot",
-            (x,),
-            tuple(
-                v
-                for row in mat_sub(mat_mul(s_qp, lx_t), mat_mul(lx, s_qp))
-                for v in row
-            ),
-        )
-        coll.check(
-            "mixed-comult-intertwine-bracket",
-            (x,),
-            tuple(
-                v
-                for row in mat_add(mat_mul(adx, s_qp), mat_mul(s_qp, adx_t))
-                for v in row
-            ),
-        )
-        pq_x = mat_apply(mat_add(p, q), basis_vector(n, x))
-        l_pq_x = dot.left_matrix_of(pq_x)
-        coll.check(
-            "mixed-triple-product", (x,), _t3_flat(_t3_apply(a3, 2, l_pq_x))
-        )
+        for axiom, terms in families:
+            _check(coll, axiom, (x,), terms, n)
     for x in range(n):
         for y in range(n):
-            l_xy = dot.left_matrix_of(dot.product(x, y))
-            coll.check(
-                "mixed-unit-compat",
-                (x, y),
-                tuple(v for row in mat_mul(l_xy, s_qp) for v in row),
-            )
+            _check(coll, "mixed-unit-compat", (x, y), _mult_on_slot(dot, dot[x][y], s_qp, 0), n)
     return coll.report()
 
 
@@ -442,32 +314,38 @@ def check_weak_o_operator(
     """
     if operator.codomain != alg.space or operator.domain != cs.space:
         raise ValueError("operator does not map the module into the algebra")
-    m = cs.space.dim
-    tm = operator.entries
+    n, m = alg.dim, cs.space.dim
+    if len(endo) != m or any(len(row) != m for row in endo):
+        raise ValueError("endo is not an endomorphism of the module")
+    tcols = _sparse_columns(operator.entries, m)
+    mu = tuple(map(_sparse_columns, cs.dot_action))
+    rho = tuple(map(_sparse_columns, cs.bracket_action))
+
+    def product(sp, a, b):
+        """Hits of T(e_a) T(e_b) through a product with sparse view sp."""
+        return [(k, c * d * p) for t, c in tcols[a] for s, d in tcols[b] for k, p in sp[t][s]]
+
+    def pulled(act, a, b, scale):
+        """Hits of scale * T(act(T e_a) e_b)."""
+        return [
+            (k, scale * c * y * z) for t, c in tcols[a] for s, y in act[t][b] for k, z in tcols[s]
+        ]
+
     coll = Collector(limit)
-    tcols = [operator.column(a) for a in range(m)]
     for a in range(m):
-        ta = tcols[a]
-        mu_ta = cs.dot_action_of(ta)
-        rho_ta = cs.bracket_action_of(ta)
         for b in range(m):
-            tb = tcols[b]
-            mu_tb = cs.dot_action_of(tb)
-            rho_tb = cs.bracket_action_of(tb)
-            arg = vec_add(
-                tuple(mu_ta[t][b] for t in range(m)),
-                tuple(mu_tb[t][a] for t in range(m)),
-            )
-            defect = vec_sub(alg.dot.apply(ta, tb), mat_apply(tm, arg))
-            coll.check("operator-dot", (a, b), defect)
-            arg = vec_sub(
-                tuple(rho_ta[t][b] for t in range(m)),
-                tuple(rho_tb[t][a] for t in range(m)),
-            )
-            defect = vec_sub(alg.bracket.apply(ta, tb), mat_apply(tm, arg))
-            coll.check("operator-bracket", (a, b), defect)
-    defect = mat_sub(mat_mul(alg.derivation.entries, tm), mat_mul(tm, endo))
-    coll.check("operator-intertwine", (), tuple(x for row in defect for x in row))
+            hits = product(alg.dot._sparse, a, b) + pulled(mu, a, b, -1) + pulled(mu, b, a, -1)
+            _check_hits(coll, "operator-dot", (a, b), hits, n)
+            hits = product(alg.bracket._sparse, a, b) + pulled(rho, a, b, -1)
+            hits += pulled(rho, b, a, 1)
+            _check_hits(coll, "operator-bracket", (a, b), hits, n)
+    # D T - T endo, flattened to i*m + j
+    dcols, ecols = _sparse_columns(alg.derivation.entries), _sparse_columns(endo)
+    hits = [(i * m + j, x * y) for j, col in enumerate(tcols) for t, x in col for i, y in dcols[t]]
+    hits += [
+        (i * m + j, -x * y) for j, col in enumerate(ecols) for t, x in col for i, y in tcols[t]
+    ]
+    _check_hits(coll, "operator-intertwine", (), hits, n * m)
     return coll.report()
 
 
@@ -486,20 +364,20 @@ def check_semidirect_dual_conditions(
         rho(Q x) - rho(x) alpha - beta rho(x) = 0.
     """
     alg = rep.algebra
-    n = alg.dim
+    n, m = alg.dim, rep.space.dim
     coll = Collector(limit)
     coll.merge(check_representation(rep, limit), "rep:")
     coll.merge(check_dual_rep_conditions(rep, beta, limit), "beta:")
     coll.merge(check_dually_represents(alg, codrv, limit), "codrv:")
-    alpha = rep.der_action
+    mu, rho = _tables(rep.dot_action, m), _tables(rep.bracket_action, m)
+    alpha, beta_c = _sparse_columns(rep.der_action), _sparse_columns(beta)
+    qcols = _sparse_columns(codrv.entries)
     for x in range(n):
-        qx = codrv.column(x)
-        defect = mat_sub(rep.dot_action_of(qx), mat_mul(rep.dot_action[x], alpha))
-        defect = mat_sub(defect, mat_mul(beta, rep.dot_action[x]))
-        coll.check("mixed-action-dot", (x,), tuple(v for row in defect for v in row))
-        defect = mat_sub(rep.bracket_action_of(qx), mat_mul(rep.bracket_action[x], alpha))
-        defect = mat_sub(defect, mat_mul(beta, rep.bracket_action[x]))
-        coll.check("mixed-action-bracket", (x,), tuple(v for row in defect for v in row))
+        for axiom, (act_c, act_f) in (("mixed-action-dot", mu), ("mixed-action-bracket", rho)):
+            # act(Q x) - act(x) alpha - beta act(x)
+            hits = _combo(act_f, qcols[x]) + _times(act_c[x], alpha, m, -1)
+            hits += _times(beta_c, act_c[x], m, -1)
+            _check_hits(coll, axiom, (x,), hits, m * m)
     return coll.report()
 
 

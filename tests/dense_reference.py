@@ -3,8 +3,9 @@ sparse tables, with their own copies of the private dense helpers they
 used.  Every function keeps its library name; calls between them stay
 inside this module, so e.g. ``check_bialgebra`` here runs the dense
 ``check_rel_poisson``, ``check_rel_poisson_coalgebra`` and
-``check_dually_represents``.  Tests compare the library's reports against
-these; delete this module together with the differential tests once the
+``check_dually_represents``, and ``check_coboundary_conditions`` runs the
+dense ``aybe_tensor``, ``cybe_tensor`` and ``_t3_apply``.  Tests compare
+the library's reports against these; delete this module together with the differential tests once the
 sparse code has been trusted long enough.
 """
 
@@ -16,6 +17,7 @@ from relpoisson.algebra import (
     BilinearOp,
     Collector,
     NoUnitError,
+    PreconditionError,
     RelPoissonAlgebra,
     check_comm_assoc,
     check_lie,
@@ -29,6 +31,8 @@ from relpoisson.linalg import (
     LinearMap,
     Matrix,
     Space,
+    Tensor2,
+    Tensor3,
     Vector,
     basis_vector,
     identity_matrix,
@@ -36,6 +40,7 @@ from relpoisson.linalg import (
     mat_apply,
     mat_combination,
     mat_mul,
+    mat_neg,
     mat_sub,
     mat_transpose,
     vec_add,
@@ -44,6 +49,7 @@ from relpoisson.linalg import (
 )
 from relpoisson.pairing import BilinearForm, canonical_pairing, is_nondegenerate
 from relpoisson.representations import CompatibleStructure, RepData, _as_matrices
+from relpoisson.yangbaxter import is_antisymmetric
 
 
 def check_derivation(
@@ -622,4 +628,517 @@ def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -
             defect = mat_sub(defect, _slot1(ad[i], dcom.columns[j]))
             defect = mat_add(defect, dcom.of(dot.apply_basis_right(der.column(i), j)))
             coll.check("mixed-bracket-dot", (i, j), _flatten2(defect))
+    return coll.report()
+
+
+# ---------------------------------------------------------------------------
+# Yang-Baxter and O-operator checkers, with their dense 3-tensor helpers
+
+
+def _contract(rc, sc, op: BilinearOp, pattern: str):
+    """One of the three pairing contractions on coefficient matrices."""
+    n = op.space.dim
+    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            x = rc[u][v]
+            if not x:
+                continue
+            for w in range(n):
+                for z in range(n):
+                    y = sc[w][z]
+                    if not y:
+                        continue
+                    c = x * y
+                    if pattern == "12.13":
+                        prod = op.product(u, w)
+                        for k in range(n):
+                            p = prod[k]
+                            if p:
+                                out[k][v][z] += c * p
+                    elif pattern == "12.23":
+                        prod = op.product(v, w)
+                        for k in range(n):
+                            p = prod[k]
+                            if p:
+                                out[u][k][z] += c * p
+                    else:  # "13.23"
+                        prod = op.product(v, z)
+                        for k in range(n):
+                            p = prod[k]
+                            if p:
+                                out[u][w][k] += c * p
+    return out
+
+
+def _t3_add(a, b, sign=1):
+    n = len(a)
+    for i in range(n):
+        for j in range(n):
+            ra, rb = a[i][j], b[i][j]
+            for k in range(n):
+                if rb[k]:
+                    ra[k] += sign * rb[k]
+    return a
+
+
+def _t3_zero(n):
+    return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+
+
+def _t3_apply(t3, slot: int, m: Matrix):
+    """Apply a matrix to one tensor slot of a rank-3 coefficient array."""
+    n = len(t3)
+    out = _t3_zero(n)
+    for i in range(n):
+        for j in range(n):
+            row = t3[i][j]
+            for k in range(n):
+                c = row[k]
+                if not c:
+                    continue
+                if slot == 0:
+                    for p in range(n):
+                        x = m[p][i]
+                        if x:
+                            out[p][j][k] += c * x
+                elif slot == 1:
+                    for p in range(n):
+                        x = m[p][j]
+                        if x:
+                            out[i][p][k] += c * x
+                else:
+                    for p in range(n):
+                        x = m[p][k]
+                        if x:
+                            out[i][j][p] += c * x
+    return out
+
+
+def _t3_flat(t3):
+    return tuple(x for plane in t3 for row in plane for x in row)
+
+
+def aybe_tensor(r: Tensor2, dot: BilinearOp) -> Tensor3:
+    """A(r) = r12.r13 - r12.r23 + r13.r23."""
+    if r.left != dot.space or r.right != dot.space:
+        raise ValueError("tensor and multiplication live on different spaces")
+    rc = r.coeffs
+    acc = _contract(rc, rc, dot, "12.13")
+    acc = _t3_add(acc, _contract(rc, rc, dot, "12.23"), -1)
+    acc = _t3_add(acc, _contract(rc, rc, dot, "13.23"), 1)
+    sp = dot.space
+    return Tensor3((sp, sp, sp), tuple(tuple(tuple(row) for row in plane) for plane in acc))
+
+
+def cybe_tensor(r: Tensor2, bracket: BilinearOp) -> Tensor3:
+    """C(r) = [r12, r13] + [r12, r23] + [r13, r23]."""
+    if r.left != bracket.space or r.right != bracket.space:
+        raise ValueError("tensor and bracket live on different spaces")
+    rc = r.coeffs
+    acc = _contract(rc, rc, bracket, "12.13")
+    acc = _t3_add(acc, _contract(rc, rc, bracket, "12.23"), 1)
+    acc = _t3_add(acc, _contract(rc, rc, bracket, "13.23"), 1)
+    sp = bracket.space
+    return Tensor3((sp, sp, sp), tuple(tuple(tuple(row) for row in plane) for plane in acc))
+
+
+def check_rpybe(
+    alg: RelPoissonAlgebra,
+    codrv: LinearMap,
+    r: Tensor2,
+    limit: int = DEFAULT_VIOLATION_LIMIT,
+) -> AxiomReport:
+    """Solution test for the relative Poisson YBE associated to a map Q:
+    A(r) = 0, C(r) = 0, (P (x) id - id (x) Q) r = 0 and
+    (Q (x) id - id (x) P) r = 0."""
+    coll = Collector(limit)
+    coll.check("aybe", (), _t3_flat(aybe_tensor(r, alg.dot).coeffs))
+    coll.check("cybe", (), _t3_flat(cybe_tensor(r, alg.bracket).coeffs))
+    p, q = alg.derivation.entries, codrv.entries
+    rc = r.coeffs
+    coll.check(
+        "intertwine-derivation",
+        (),
+        tuple(x for row in mat_sub(mat_mul(p, rc), mat_mul(rc, mat_transpose(q))) for x in row),
+    )
+    coll.check(
+        "intertwine-coderivation",
+        (),
+        tuple(x for row in mat_sub(mat_mul(q, rc), mat_mul(rc, mat_transpose(p))) for x in row),
+    )
+    return coll.report()
+
+
+def check_rpybe_via_maps(
+    alg: RelPoissonAlgebra,
+    codrv: LinearMap,
+    r: Tensor2,
+    limit: int = DEFAULT_VIOLATION_LIMIT,
+) -> AxiomReport:
+    """Operator form of the RPYBE test for antisymmetric r, through the
+    induced map A* -> A:
+
+        [r(a*), r(b*)] = r(ad*(r a*) b* - ad*(r b*) a*)
+        r(a*).r(b*)    = -r(L*(r a*) b* + L*(r b*) a*)
+        P r            = r Q*
+    """
+    if not is_antisymmetric(r):
+        raise PreconditionError("tensor is not antisymmetric")
+    n = alg.dim
+    rm = mat_transpose(r.coeffs)  # the map A* -> A
+    dot, bracket = alg.dot, alg.bracket
+    coll = Collector(limit)
+    rcols = [tuple(rm[t][a] for t in range(n)) for a in range(n)]
+    # ad*(u) e_b* reads off minus the b-th row of ad(u); same for L*(u)
+    ad_rows = [bracket.left_matrix_of(ra) for ra in rcols]
+    dot_rows = [dot.left_matrix_of(ra) for ra in rcols]
+    for a in range(n):
+        ra = rcols[a]
+        for b in range(n):
+            rb = rcols[b]
+            lhs = bracket.apply(ra, rb)
+            arg = vec_sub(
+                tuple(-ad_rows[a][b][t] for t in range(n)),
+                tuple(-ad_rows[b][a][t] for t in range(n)),
+            )
+            coll.check("operator-cybe", (a, b), vec_sub(lhs, mat_apply(rm, arg)))
+            lhs = dot.apply(ra, rb)
+            arg = vec_add(
+                tuple(-dot_rows[a][b][t] for t in range(n)),
+                tuple(-dot_rows[b][a][t] for t in range(n)),
+            )
+            coll.check("operator-aybe", (a, b), vec_add(lhs, mat_apply(rm, arg)))
+    defect = mat_sub(
+        mat_mul(alg.derivation.entries, rm), mat_mul(rm, mat_transpose(codrv.entries))
+    )
+    coll.check("operator-intertwine", (), tuple(x for row in defect for x in row))
+    return coll.report()
+
+
+def coboundary_comults(
+    alg: RelPoissonAlgebra, r: Tensor2
+) -> tuple[Comultiplication, Comultiplication]:
+    """The coboundary comultiplications of an element r:
+
+        Delta(x) = (id (x) L(x) - L(x) (x) id) r
+        delta(x) = (ad(x) (x) id + id (x) ad(x)) r
+    """
+    n = alg.dim
+    rc = r.coeffs
+    dot_cols = []
+    br_cols = []
+    for k in range(n):
+        lx = alg.dot.left_matrix(k)
+        adx = alg.bracket.left_matrix(k)
+        dcol = mat_sub(mat_mul(rc, mat_transpose(lx)), mat_mul(lx, rc))
+        bcol = mat_add(mat_mul(adx, rc), mat_mul(rc, mat_transpose(adx)))
+        dot_cols.append(dcol)
+        br_cols.append(bcol)
+    return (
+        Comultiplication(alg.space, tuple(dot_cols)),
+        Comultiplication(alg.space, tuple(br_cols)),
+    )
+
+
+def check_coboundary_conditions(
+    alg: RelPoissonAlgebra,
+    codrv: LinearMap,
+    r: Tensor2,
+    limit: int = DEFAULT_VIOLATION_LIMIT,
+) -> AxiomReport:
+    """The eleven condition families under which the coboundary
+    comultiplications of a general (not necessarily antisymmetric) r make
+    the algebra a coboundary bialgebra.  Requires that the given map
+    dually represents the algebra."""
+    pre = check_dually_represents(alg, codrv)
+    if not pre.ok:
+        raise PreconditionError(
+            f"map does not dually represent the algebra: "
+            f"{', '.join(pre.axioms_failed())}",
+            pre,
+        )
+    n = alg.dim
+    dot, bracket = alg.dot, alg.bracket
+    p, q = alg.derivation.entries, codrv.entries
+    rc = r.coeffs
+    sym = mat_add(rc, mat_transpose(rc))  # r + tau(r)
+    a_tensor = aybe_tensor(r, dot).coeffs
+    c_tensor = cybe_tensor(r, bracket).coeffs
+    s_pq = mat_sub(mat_mul(rc, mat_transpose(p)), mat_mul(q, rc))  # (id(x)P - Q(x)id) r
+    s_qp = mat_sub(mat_mul(rc, mat_transpose(q)), mat_mul(p, rc))  # (id(x)Q - P(x)id) r
+    w_qp = mat_neg(s_pq)  # (Q(x)id - id(x)P) r
+    coll = Collector(limit)
+    a3 = a_tensor
+    c3 = c_tensor
+    for x in range(n):
+        lx = dot.left_matrix(x)
+        adx = bracket.left_matrix(x)
+        lx_t = mat_transpose(lx)
+        adx_t = mat_transpose(adx)
+        coll.check(
+            "aybe-symmetric-part",
+            (x,),
+            tuple(
+                v
+                for row in mat_sub(mat_mul(sym, lx_t), mat_mul(lx, sym))
+                for v in row
+            ),
+        )
+        coll.check(
+            "aybe-cocycle",
+            (x,),
+            _t3_flat(_t3_add(_t3_apply(a3, 2, lx), _t3_apply(a3, 0, lx), -1)),
+        )
+        coll.check(
+            "cybe-symmetric-part",
+            (x,),
+            tuple(
+                v
+                for row in mat_add(mat_mul(adx, sym), mat_mul(sym, adx_t))
+                for v in row
+            ),
+        )
+        acc = _t3_apply(c3, 0, adx)
+        acc = _t3_add(acc, _t3_apply(c3, 1, adx))
+        acc = _t3_add(acc, _t3_apply(c3, 2, adx))
+        coll.check("cybe-cocycle", (x,), _t3_flat(acc))
+
+        # the seven mixed conditions
+        coll.check(
+            "mixed-coderivation-dot",
+            (x,),
+            tuple(
+                v
+                for row in mat_add(mat_mul(s_pq, lx_t), mat_mul(lx, s_qp))
+                for v in row
+            ),
+        )
+        coll.check(
+            "mixed-coderivation-bracket",
+            (x,),
+            tuple(
+                v
+                for row in mat_sub(mat_mul(s_pq, adx_t), mat_mul(adx, s_qp))
+                for v in row
+            ),
+        )
+        acc = _t3_apply(a3, 0, adx)
+        acc = _t3_add(acc, _t3_apply(_t3_apply(a3, 0, q), 2, lx))
+        acc = _t3_add(acc, _t3_apply(c3, 2, lx))
+        acc = _t3_add(acc, _t3_apply(c3, 1, lx), -1)
+        sym_x = mat_sub(mat_mul(lx, sym), mat_mul(sym, lx_t))  # (L(x)(x)id - id(x)L(x)) sym
+        for u in range(n):
+            for v in range(n):
+                c = rc[u][v]
+                if not c:
+                    continue
+                adu = bracket.left_matrix(u)
+                contrib = mat_mul(adu, sym_x)
+                for i in range(n):
+                    for j in range(n):
+                        w = contrib[i][j]
+                        if w:
+                            acc[i][j][v] += c * w
+                lxu = dot.left_matrix_of(dot.product(x, u))
+                contrib = mat_mul(w_qp, mat_transpose(lxu))  # (id (x) L(x.a_j)) on w_qp
+                for i in range(n):
+                    for j in range(n):
+                        w = contrib[i][j]
+                        if w:
+                            acc[i][j][v] += c * w
+                lxv = dot.left_matrix_of(dot.product(x, v))
+                for i in range(n):
+                    for j in range(n):
+                        w = s_pq[i][j]
+                        if not w:
+                            continue
+                        cw = c * w
+                        for t in range(n):
+                            y = lxv[t][j]
+                            if y:
+                                acc[i][u][t] += cw * y
+        coll.check("mixed-co-leibniz", (x,), _t3_flat(acc))
+        coll.check(
+            "mixed-comult-intertwine-dot",
+            (x,),
+            tuple(
+                v
+                for row in mat_sub(mat_mul(s_qp, lx_t), mat_mul(lx, s_qp))
+                for v in row
+            ),
+        )
+        coll.check(
+            "mixed-comult-intertwine-bracket",
+            (x,),
+            tuple(
+                v
+                for row in mat_add(mat_mul(adx, s_qp), mat_mul(s_qp, adx_t))
+                for v in row
+            ),
+        )
+        pq_x = mat_apply(mat_add(p, q), basis_vector(n, x))
+        l_pq_x = dot.left_matrix_of(pq_x)
+        coll.check(
+            "mixed-triple-product", (x,), _t3_flat(_t3_apply(a3, 2, l_pq_x))
+        )
+    for x in range(n):
+        for y in range(n):
+            l_xy = dot.left_matrix_of(dot.product(x, y))
+            coll.check(
+                "mixed-unit-compat",
+                (x, y),
+                tuple(v for row in mat_mul(l_xy, s_qp) for v in row),
+            )
+    return coll.report()
+
+
+def check_weak_o_operator(
+    alg: RelPoissonAlgebra,
+    cs: CompatibleStructure,
+    endo: Matrix,
+    operator: LinearMap,
+    limit: int = DEFAULT_VIOLATION_LIMIT,
+) -> AxiomReport:
+    """Weak O-operator conditions for T: V -> A:
+
+        T(u).T(v)  = T(mu(T u) v + mu(T v) u)
+        [T u, T v] = T(rho(T u) v - rho(T v) u)
+        D T        = T alpha
+    """
+    if operator.codomain != alg.space or operator.domain != cs.space:
+        raise ValueError("operator does not map the module into the algebra")
+    m = cs.space.dim
+    tm = operator.entries
+    coll = Collector(limit)
+    tcols = [operator.column(a) for a in range(m)]
+    for a in range(m):
+        ta = tcols[a]
+        mu_ta = cs.dot_action_of(ta)
+        rho_ta = cs.bracket_action_of(ta)
+        for b in range(m):
+            tb = tcols[b]
+            mu_tb = cs.dot_action_of(tb)
+            rho_tb = cs.bracket_action_of(tb)
+            arg = vec_add(
+                tuple(mu_ta[t][b] for t in range(m)),
+                tuple(mu_tb[t][a] for t in range(m)),
+            )
+            defect = vec_sub(alg.dot.apply(ta, tb), mat_apply(tm, arg))
+            coll.check("operator-dot", (a, b), defect)
+            arg = vec_sub(
+                tuple(rho_ta[t][b] for t in range(m)),
+                tuple(rho_tb[t][a] for t in range(m)),
+            )
+            defect = vec_sub(alg.bracket.apply(ta, tb), mat_apply(tm, arg))
+            coll.check("operator-bracket", (a, b), defect)
+    defect = mat_sub(mat_mul(alg.derivation.entries, tm), mat_mul(tm, endo))
+    coll.check("operator-intertwine", (), tuple(x for row in defect for x in row))
+    return coll.report()
+
+
+def check_semidirect_dual_conditions(
+    rep: RepData,
+    beta: Matrix,
+    codrv: LinearMap,
+    limit: int = DEFAULT_VIOLATION_LIMIT,
+) -> AxiomReport:
+    """The four-part condition package under which the semi-direct products
+    on A + V and A + V* are dually represented: rep validity, beta dually
+    representing on (mu, rho, V), Q dually representing the algebra, and
+    the two mixed action conditions
+
+        mu(Q x) - mu(x) alpha - beta mu(x) = 0
+        rho(Q x) - rho(x) alpha - beta rho(x) = 0.
+    """
+    alg = rep.algebra
+    n = alg.dim
+    coll = Collector(limit)
+    coll.merge(check_representation(rep, limit), "rep:")
+    coll.merge(check_dual_rep_conditions(rep, beta, limit), "beta:")
+    coll.merge(check_dually_represents(alg, codrv, limit), "codrv:")
+    alpha = rep.der_action
+    for x in range(n):
+        qx = codrv.column(x)
+        defect = mat_sub(rep.dot_action_of(qx), mat_mul(rep.dot_action[x], alpha))
+        defect = mat_sub(defect, mat_mul(beta, rep.dot_action[x]))
+        coll.check("mixed-action-dot", (x,), tuple(v for row in defect for v in row))
+        defect = mat_sub(rep.bracket_action_of(qx), mat_mul(rep.bracket_action[x], alpha))
+        defect = mat_sub(defect, mat_mul(beta, rep.bracket_action[x]))
+        coll.check("mixed-action-bracket", (x,), tuple(v for row in defect for v in row))
+    return coll.report()
+
+
+# ---------------------------------------------------------------------------
+# pre-Poisson checkers
+
+
+def check_zinbiel(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
+    """x*(y*z) = (y*x)*z + (x*y)*z on basis triples."""
+    n = m.space.dim
+    coll = Collector(limit)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                lhs = m.apply_basis_left(x, m.product(y, z))
+                rhs = vec_add(
+                    m.apply_basis_right(m.product(y, x), z),
+                    m.apply_basis_right(m.product(x, y), z),
+                )
+                coll.check("zinbiel", (x, y, z), vec_sub(lhs, rhs))
+    return coll.report()
+
+
+def check_prelie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
+    """(x o y) o z - x o (y o z) is symmetric in x and y on basis triples."""
+    n = m.space.dim
+    coll = Collector(limit)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                lhs = vec_sub(
+                    m.apply_basis_right(m.product(x, y), z),
+                    m.apply_basis_left(x, m.product(y, z)),
+                )
+                rhs = vec_sub(
+                    m.apply_basis_right(m.product(y, x), z),
+                    m.apply_basis_left(y, m.product(x, z)),
+                )
+                coll.check("pre-lie", (x, y, z), vec_sub(lhs, rhs))
+    return coll.report()
+
+
+def check_rel_pre_poisson(
+    pp: RelPrePoissonAlgebra, limit: int = DEFAULT_VIOLATION_LIMIT
+) -> AxiomReport:
+    """Zinbiel + pre-Lie + derivation of both + the two mixed conditions."""
+    star, circ, der = pp.star, pp.circ, pp.derivation
+    n = pp.dim
+    coll = Collector(limit)
+    coll.merge(check_zinbiel(star, limit))
+    coll.merge(check_prelie(circ, limit))
+    coll.merge(check_derivation(star, der, limit), "star:")
+    coll.merge(check_derivation(circ, der, limit), "circ:")
+    dcols = [der.column(z) for z in range(n)]
+    for x in range(n):
+        for y in range(n):
+            sym = vec_add(star.product(x, y), star.product(y, x))
+            for z in range(n):
+                # (x*y + y*x) o z - x*(y o z) - y*(x o z) + (x*y + y*x)*D(z)
+                defect = circ.apply_basis_right(sym, z)
+                defect = vec_sub(defect, star.apply_basis_left(x, circ.product(y, z)))
+                defect = vec_sub(defect, star.apply_basis_left(y, circ.product(x, z)))
+                defect = vec_add(defect, star.apply(sym, dcols[z]))
+                coll.check("mixed-dot-side", (x, y, z), defect)
+                # y o (x*z) - x*(y o z) + (x o y - y o x)*z - (x*D(y) + D(y)*x)*z
+                defect = circ.apply_basis_left(y, star.product(x, z))
+                defect = vec_sub(defect, star.apply_basis_left(x, circ.product(y, z)))
+                anti = vec_sub(circ.product(x, y), circ.product(y, x))
+                defect = vec_add(defect, star.apply_basis_right(anti, z))
+                mixed = vec_add(
+                    star.apply_basis_left(x, dcols[y]),
+                    star.apply_basis_right(dcols[y], x),
+                )
+                defect = vec_sub(defect, star.apply_basis_right(mixed, z))
+                coll.check("mixed-bracket-side", (x, y, z), defect)
     return coll.report()

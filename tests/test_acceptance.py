@@ -332,7 +332,8 @@ def test_criterion_2_equivalence_suite(worked_bialgebra):
 # criterion 3: coboundary conditions agree with the bialgebra checker
 
 
-def test_criterion_3_coboundary_equivalence(worked_bialgebra):
+def coboundary_corpus(worked_bialgebra):
+    """The (algebra, dual map, r) cases of criterion 3."""
     cases = []
     for alg in (
         worked_subadjacent(),
@@ -358,7 +359,11 @@ def test_criterion_3_coboundary_equivalence(worked_bialgebra):
     entries = [(i, i + 3, 1) for i in range(1, 4)] + [(i + 3, i, -1) for i in range(1, 4)]
     cases.append((j, worked_bialgebra.dual_derivation, tensor(j.space, entries)))
     cases.append((j, worked_bialgebra.dual_derivation, tensor(j.space, entries[:-1])))
+    return cases
 
+
+def test_criterion_3_coboundary_equivalence(worked_bialgebra):
+    cases = coboundary_corpus(worked_bialgebra)
     outcomes = set()
     for alg, codrv, r in cases:
         sweep = check_coboundary_conditions(alg, codrv, r)

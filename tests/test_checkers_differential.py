@@ -18,16 +18,26 @@ from relpoisson import (
     LinearMap,
     MatchedPairData,
     RelPoissonAlgebra,
+    RelPrePoissonAlgebra,
     RepData,
     Space,
+    Tensor2,
     adjoint_rep,
+    circ_from_derivation,
     combine_matched_pair,
     dual_rel_poisson_algebra,
+    dual_rep,
     induced_matched_pair,
+    lift_o_operator,
+    o_operator_to_rmatrix,
+    subadjacent,
+    tensor_as_map,
 )
 from relpoisson.linalg import mat_neg
 
 import dense_reference as ref
+from conftest import neg_map, rel_poisson_corpus, tensor, worked_prepoisson
+from test_acceptance import coboundary_corpus
 
 LIMITS = (16, 10**6)
 
@@ -50,9 +60,23 @@ def assert_same(name, *args):
 
 
 @st.composite
+def rmatrices(draw, space):
+    """A random small-integer 2-tensor on a space, antisymmetric half the
+    time."""
+    n = space.dim
+    entry = st.sampled_from(draw(st.sampled_from(POOLS)))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
+    return Tensor2(space, space, rows)
+
+
+@st.composite
 def cases(draw):
     """Random small-integer structures: an algebra of dim n, a module of dim
-    m, actions, comultiplications, maps and a Gram matrix."""
+    m, actions, comultiplications, maps, a Gram matrix, a 2-tensor, an
+    operator from the module into the algebra, and the algebra's two
+    products read as a star/circ pair."""
 
     def mats(count, rows, cols=None):
         entry = st.sampled_from(draw(st.sampled_from(POOLS)))
@@ -98,6 +122,9 @@ def cases(draw):
         "dual": dual,
         "double": double,
         "bialgebra": bialgebra,
+        "r": draw(rmatrices(sp)),
+        "operator": LinearMap(rep.space, sp, mats(1, n, m)[0]),
+        "prepoisson": RelPrePoissonAlgebra(sp, a.dot, a.bracket, a.derivation),
     }
 
 
@@ -147,8 +174,8 @@ def test_coalgebra_checkers_match_reference(case):
 
 
 def _bump(value):
-    """Add 1 at a fixed position of a matrix, a tuple of matrices or a
-    comultiplication."""
+    """Add 1 at a fixed position, (2, 3) clamped to the shape, of a matrix,
+    a tuple of matrices or a comultiplication."""
     if isinstance(value, Comultiplication):
         return Comultiplication(value.space, _bump(value.columns))
     if isinstance(value, LinearMap):
@@ -156,7 +183,7 @@ def _bump(value):
     if isinstance(value[0][0], tuple):
         return (value[0], _bump(value[1])) + tuple(value[2:])
     rows = [list(r) for r in value]
-    rows[2][3] += F(1)
+    rows[min(2, len(rows) - 1)][min(3, len(rows[0]) - 1)] += F(1)
     return tuple(map(tuple, rows))
 
 
@@ -227,3 +254,165 @@ def test_manin_triple_matches_reference_on_worked(worked_bialgebra, field):
     assert_same("check_manin_triple", alg, dual, double)
     assert_same("check_invariant_form", double, rp.canonical_pairing(double.space))
     assert rp.check_manin_triple(alg, dual, double).ok == (field is None)
+
+
+# ---------------------------------------------------------------------------
+# Yang-Baxter, O-operator and pre-Poisson checkers
+
+
+def assert_same_yangbaxter(alg, codrv, r):
+    """Every Yang-Baxter checker and construction on one (algebra, dual map,
+    tensor) agrees with the dense reference."""
+    assert_same("check_rpybe", alg, codrv, r)
+    assert_same("check_rpybe_via_maps", alg, codrv, r)
+    assert_same("check_coboundary_conditions", alg, codrv, r)
+    assert rp.aybe_tensor(r, alg.dot) == ref.aybe_tensor(r, alg.dot)
+    assert rp.cybe_tensor(r, alg.bracket) == ref.cybe_tensor(r, alg.bracket)
+    assert rp.coboundary_comults(alg, r) == ref.coboundary_comults(alg, r)
+
+
+def assert_same_o_operator(rep, operator, beta, codrv):
+    assert_same("check_weak_o_operator", rep.algebra, rep, rep.der_action, operator)
+    assert_same("check_semidirect_dual_conditions", rep, beta, codrv)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=cases())
+def test_yangbaxter_checkers_match_reference(case):
+    assert_same_yangbaxter(case["alg"], case["endo"], case["r"])
+    assert_same_o_operator(case["rep"], case["operator"], case["beta"], case["endo"])
+
+
+CORPUS = [alg for _name, alg in rel_poisson_corpus()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_yangbaxter_checkers_match_reference_on_corpus(data):
+    # verified algebras with the negated derivation as the dual map, so that
+    # the coboundary sweep gets past its precondition
+    alg = data.draw(st.sampled_from(CORPUS))
+    assert_same_yangbaxter(alg, neg_map(alg.derivation), data.draw(rmatrices(alg.space)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=cases())
+def test_prepoisson_checkers_match_reference(case):
+    pp = case["prepoisson"]
+    assert_same("check_zinbiel", pp.star)
+    assert_same("check_prelie", pp.circ)
+    assert_same("check_rel_pre_poisson", pp)
+
+
+def test_yangbaxter_checkers_match_reference_on_criterion_3(worked_bialgebra):
+    for alg, codrv, r in coboundary_corpus(worked_bialgebra):
+        assert_same_yangbaxter(alg, codrv, r)
+
+
+YBE_BUMPS = (
+    None,
+    "r",
+    "r-antisymmetric",
+    "codrv",
+    "derivation",
+    "dot_action",
+    "bracket_action",
+    "der_action",
+)
+
+
+@pytest.mark.parametrize("field", YBE_BUMPS)
+def test_yangbaxter_checkers_match_reference_on_worked(worked_bialgebra, field):
+    # the pipeline's solution r = sum e_i (x) e_i* - e_i* (x) e_i, and r as
+    # an O-operator of the coadjoint representation
+    alg, codrv = worked_bialgebra.algebra, worked_bialgebra.dual_derivation
+    half = [(i, i + 3, 1) for i in range(1, 4)]
+    r = tensor(alg.space, half + [(j, i, -v) for i, j, v in half])
+    if field == "r":
+        r = tensor(alg.space, half + [(j, i, -v) for i, j, v in half] + [(2, 3, 1)])
+    elif field == "r-antisymmetric":
+        r = tensor(alg.space, half + [(j, i, -v) for i, j, v in half] + [(2, 3, 1), (3, 2, -1)])
+    elif field == "codrv":
+        codrv = _bump(codrv)
+    elif field == "derivation":
+        alg = _with_derivation(alg, _bump(alg.derivation))
+    coadjoint = dual_rep(adjoint_rep(alg), codrv)
+    if field in ("dot_action", "bracket_action", "der_action"):
+        coadjoint = replace(coadjoint, **{field: _bump(getattr(coadjoint, field))})
+    assert_same_yangbaxter(alg, codrv, r)
+    assert_same_o_operator(coadjoint, tensor_as_map(r), mat_neg(codrv.entries), codrv)
+    # bumping a coadjoint action leaves the algebra, codrv and r as they were
+    assert rp.check_rpybe(alg, codrv, r).ok == (field in REP_BUMPS)
+
+
+def _pipeline_o_operator(pp):
+    """The pipeline's lifted identity O-operator on the unit extension of
+    the sub-adjacent algebra, with its beta and dual map."""
+    _alg, rep = subadjacent(pp)
+    lift = lift_o_operator(rep, LinearMap.identity(rep.space))
+    ext = lift.rep
+    return ext, lift.operator, mat_neg(ext.der_action), ext.algebra.derivation.neg()
+
+
+O_BUMPS = (None, "dot_action", "bracket_action", "der_action", "operator", "beta", "codrv")
+
+
+@pytest.mark.parametrize("field", O_BUMPS)
+def test_o_operator_checkers_match_reference_on_worked(field):
+    rep, operator, beta, codrv = _pipeline_o_operator(worked_prepoisson())
+    if field in REP_BUMPS[1:]:
+        rep = replace(rep, **{field: _bump(getattr(rep, field))})
+    elif field == "operator":
+        operator = _bump(operator)
+    elif field == "beta":
+        beta = _bump(beta)
+    elif field == "codrv":
+        codrv = _bump(codrv)
+    assert_same_o_operator(rep, operator, beta, codrv)
+    report = rp.check_weak_o_operator(rep.algebra, rep, rep.der_action, operator)
+    dual = rp.check_semidirect_dual_conditions(rep, beta, codrv)
+    assert (report.ok and dual.ok) == (field is None)
+
+
+def padded_prepoisson(n):
+    """The worked Zinbiel algebra e1*e1 = e1*e2 = e3, D(e1) = e1+e2,
+    D(e2) = 2e2, D(e3) = 3e3, padded to dim n by basis vectors that
+    multiply to zero and on which D is diagonal."""
+    sp = Space.of_dim(n)
+    star = BilinearOp.from_entries(sp, [(0, 0, 2, 1), (0, 1, 2, 1)])
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = rows[1][0] = 1
+    rows[1][1], rows[2][2] = 2, 3
+    for k in range(3, n):
+        rows[k][k] = k - 2
+    der = LinearMap(sp, sp, rows)
+    return RelPrePoissonAlgebra(sp, star, circ_from_derivation(star, der), der)
+
+
+def test_checkers_match_reference_on_pipeline_semidirect():
+    # the dim-13 semi-direct algebra the pipeline builds from padded dim 6
+    pp = padded_prepoisson(6)
+    rep, operator, beta, codrv = _pipeline_o_operator(pp)
+    semidirect, r = o_operator_to_rmatrix(rep, beta, codrv, operator)
+    assert semidirect.dim == 13
+    assert_same("check_rel_pre_poisson", pp)
+    assert_same_o_operator(rep, operator, beta, codrv)
+    assert_same_yangbaxter(semidirect, semidirect.derivation.neg(), r)
+    assert rp.check_coboundary_conditions(semidirect, semidirect.derivation.neg(), r).ok
+
+
+PP_BUMPS = (None, "star", "circ", "derivation")
+
+
+@pytest.mark.parametrize("field", PP_BUMPS)
+def test_prepoisson_checkers_match_reference_on_worked(field):
+    pp = worked_prepoisson()
+    if field in ("star", "circ"):
+        op = getattr(pp, field)
+        pp = replace(pp, **{field: BilinearOp(op.space, _bump(op.table))})
+    elif field == "derivation":
+        pp = replace(pp, derivation=_bump(pp.derivation))
+    assert_same("check_zinbiel", pp.star)
+    assert_same("check_prelie", pp.circ)
+    assert_same("check_rel_pre_poisson", pp)
+    assert rp.check_rel_pre_poisson(pp).ok == (field is None)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from relpoisson import (
+    BilinearOp,
     LinearMap,
     NoUnitError,
     PreconditionError,
@@ -316,6 +317,16 @@ def test_jacobi_representation_needs_one_action_per_basis_element():
     mats = ((F(1),),)
     with pytest.raises(ValueError, match="one action matrix"):
         check_jacobi_representation(alg.dot, alg.bracket, mats, mats * 2, Space.of_dim(1, "v"))
+
+
+def test_jacobi_representation_needs_one_space():
+    # a 1-dim unital dot with a 2-dim zero bracket: only a sub-block of the
+    # bracket would be read
+    alg = unital1()
+    bracket = BilinearOp.zero(Space.of_dim(2))
+    mats = ((F(1),),)
+    with pytest.raises(ValueError, match="different spaces"):
+        check_jacobi_representation(alg.dot, bracket, mats, mats, Space.of_dim(1, "v"))
 
 
 def test_jacobi_rep_matches_unital_rel_poisson_rep(worked_bialgebra):

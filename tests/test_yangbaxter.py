@@ -10,7 +10,9 @@ from relpoisson import (
     BialgebraData,
     LinearMap,
     PreconditionError,
+    Space,
     Tensor2,
+    adjoint_rep,
     aybe_tensor,
     check_bialgebra,
     check_coboundary_conditions,
@@ -31,6 +33,7 @@ from conftest import (
     heisenberg_poisson,
     neg_map,
     tensor,
+    truncated2,
     unital1,
     unital2,
     worked_prepoisson,
@@ -256,6 +259,49 @@ def test_weak_o_operator_cases():
     )
     report = check_weak_o_operator(alg, doubled_rho, rep.der_action, ident)
     assert not report.ok and "operator-bracket" in report.axioms_failed()
+
+
+def test_weak_o_operator_rejects_mis_sized_endo():
+    # the endomorphism must be square of the module's dimension; a 2x1 one
+    # used to be zipped against D T and read in one column only
+    alg = truncated2()
+    rep = adjoint_rep(alg)
+    ident = LinearMap.identity(alg.space)
+    for endo in (((1,), (1,)), ((1, 0), (1,)), ((1, 0, 0),) * 3, ()):
+        with pytest.raises(ValueError, match="endo"):
+            check_weak_o_operator(alg, rep, endo, ident)
+
+
+def mis_sized_inputs():
+    """The worked 3-dim algebra with a good (codrv, r) pair, then pairs where
+    r or codrv lives on a smaller, a larger or a relabelled space."""
+    alg = worked_subadjacent()
+    codrv, r = neg_map(alg.derivation), tensor(alg.space, [(0, 1, 1), (1, 0, -1)])
+    bad = []
+    for sp in (Space.of_dim(2), Space.of_dim(4), Space.of_dim(3, "f")):
+        bad += [(codrv, Tensor2.zero(sp, sp)), (LinearMap.zero(sp), r)]
+    bad.append((codrv, Tensor2.zero(alg.space, Space.of_dim(3, "f"))))
+    return alg, (codrv, r), bad
+
+
+@pytest.mark.parametrize(
+    "checker", [check_rpybe, check_rpybe_via_maps, check_coboundary_conditions]
+)
+def test_tensor_checkers_reject_mis_sized_input(checker):
+    alg, good, bad = mis_sized_inputs()
+    checker(alg, *good)
+    for codrv, r in bad:
+        with pytest.raises(ValueError, match="space") as exc:
+            checker(alg, codrv, r)
+        assert type(exc.value) is ValueError
+
+
+def test_coboundary_comults_reject_mis_sized_tensor():
+    alg, (_codrv, r), bad = mis_sized_inputs()
+    coboundary_comults(alg, r)
+    for _codrv, r in bad[::2] + bad[-1:]:
+        with pytest.raises(ValueError, match="space"):
+            coboundary_comults(alg, r)
 
 
 def test_o_operator_to_rmatrix_worked_case():
