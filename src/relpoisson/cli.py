@@ -45,9 +45,10 @@ from .documents import (
     rel_pre_poisson_doc,
     rmatrix_doc,
     serialize_document,
+    validate_document,
 )
 from .jacobi import PipelineError, extend_jacobi, frobenius_jacobi_pipeline
-from .linalg import LinearMap, mat_neg
+from .linalg import mat_neg
 from .pairing import bowtie, check_invariant_form, is_nondegenerate
 from .prepoisson import check_prelie, check_rel_pre_poisson, check_zinbiel, circ_from_derivation, subadjacent
 from .representations import semidirect_product
@@ -94,16 +95,18 @@ def _print_report(report: AxiomReport, as_json: bool):
         print("  ... further violations suppressed")
 
 
+_SINGLE_OP_CHECKERS = {
+    "comm-assoc": check_comm_assoc,
+    "lie": check_lie,
+    "zinbiel": check_zinbiel,
+    "pre-lie": check_prelie,
+}
+
+
 def _check_dispatch(doc, kind: str) -> AxiomReport:
-    if kind in ("comm-assoc", "lie", "zinbiel", "pre-lie"):
+    if kind in _SINGLE_OP_CHECKERS:
         op, der = doc_to_single_op(doc)
-        checker = {
-            "comm-assoc": check_comm_assoc,
-            "lie": check_lie,
-            "zinbiel": check_zinbiel,
-            "pre-lie": check_prelie,
-        }[kind]
-        report = checker(op)
+        report = _SINGLE_OP_CHECKERS[kind](op)
         if der is not None:
             report = combine_reports(report, check_derivation(op, der))
         return report
@@ -165,14 +168,10 @@ def _single_violation(axiom: str) -> AxiomReport:
 
 def cmd_check(args) -> int:
     doc = _read_document(args.file)
-    kind = args.as_kind or doc["kind"]
     if args.as_kind:
-        doc = dict(doc)
-        doc["kind"] = args.as_kind
-        from .documents import validate_document
-
+        doc = dict(doc, kind=args.as_kind)
         validate_document(doc)
-    report = _check_dispatch(doc, kind)
+    report = _check_dispatch(doc, doc["kind"])
     _print_report(report, args.json)
     return OK if report.ok else AXIOM_FAILURE
 
@@ -199,6 +198,22 @@ _RECIPE_KINDS = {
 }
 
 
+def _derived_op(doc):
+    """The product of a single-operation document and its derivation."""
+    op, der = doc_to_single_op(doc)
+    if der is None:
+        raise DocumentError("document carries no derivation")
+    return op, der
+
+
+def _zinbiel_pre_poisson(doc):
+    """The relative pre-Poisson algebra of a Zinbiel algebra with derivation."""
+    from .prepoisson import RelPrePoissonAlgebra
+
+    op, der = _derived_op(doc)
+    return RelPrePoissonAlgebra(op.space, op, circ_from_derivation(op, der), der)
+
+
 def cmd_construct(args) -> int:
     doc = _read_document(args.file)
     recipe = args.recipe
@@ -207,34 +222,16 @@ def cmd_construct(args) -> int:
         expected = " or ".join(_RECIPE_KINDS[recipe])
         raise DocumentError(f"recipe {recipe} expects a {expected} document, got {kind}")
     if recipe == "bracket-from-derivation":
-        op, der = doc_to_single_op(doc)
-        if der is None:
-            raise DocumentError("document carries no derivation")
+        op, der = _derived_op(doc)
         from .algebra import RelPoissonAlgebra, bracket_from_derivation
 
         bracket = bracket_from_derivation(op, der)
         alg = RelPoissonAlgebra(op.space, op, bracket, der)
         out = rel_poisson_doc(alg)
     elif recipe == "circ-from-derivation":
-        op, der = doc_to_single_op(doc)
-        if der is None:
-            raise DocumentError("document carries no derivation")
-        from .prepoisson import RelPrePoissonAlgebra
-
-        circ = circ_from_derivation(op, der)
-        out = rel_pre_poisson_doc(RelPrePoissonAlgebra(op.space, op, circ, der))
+        out = rel_pre_poisson_doc(_zinbiel_pre_poisson(doc))
     elif recipe == "subadjacent":
-        if kind == "zinbiel":
-            op, der = doc_to_single_op(doc)
-            if der is None:
-                raise DocumentError("document carries no derivation")
-            from .prepoisson import RelPrePoissonAlgebra
-
-            pp = RelPrePoissonAlgebra(
-                op.space, op, circ_from_derivation(op, der), der
-            )
-        else:
-            pp = doc_to_rel_pre_poisson(doc)
+        pp = _zinbiel_pre_poisson(doc) if kind == "zinbiel" else doc_to_rel_pre_poisson(doc)
         alg, _rep = subadjacent(pp)
         out = rel_poisson_doc(alg)
     elif recipe == "semidirect":
@@ -256,24 +253,13 @@ def cmd_construct(args) -> int:
         if "operator" not in extras:
             raise DocumentError("o-operator-rmatrix needs an operator field")
         beta = extras.get("beta", mat_neg(rep.der_action))
-        codrv = extras.get(
-            "dual_derivation",
-            LinearMap(
-                rep.algebra.space,
-                rep.algebra.space,
-                mat_neg(rep.algebra.derivation.entries),
-            ),
-        )
+        codrv = extras.get("dual_derivation", rep.algebra.derivation.neg())
         semidirect, tensor = o_operator_to_rmatrix(
             rep, beta, codrv, extras["operator"]
         )
         out = rmatrix_doc(semidirect, tensor, semidirect_codrv(rep, codrv, semidirect))
-    elif recipe == "bowtie":
-        data = doc_to_bialgebra(doc)
-        pair = bialgebra_to_matched_pair(data)
-        out = rel_poisson_doc(bowtie(pair))
-    else:
-        raise DocumentError(f"unknown recipe: {recipe!r}")
+    else:  # bowtie
+        out = rel_poisson_doc(bowtie(bialgebra_to_matched_pair(doc_to_bialgebra(doc))))
     _write_output(out, args.output)
     return OK
 
@@ -332,22 +318,16 @@ def cmd_report(args) -> int:
         if isinstance(value, list) and value and isinstance(value[0], list)
     }
     info["nonzero_entries"] = counts
-    unit = None
+    op = None
     if kind in ("comm-assoc", "zinbiel", "pre-lie"):
-        op, _ = doc_to_single_op(doc)
-        unit = find_unit(op)
-    elif kind in ("rel-poisson", "bialgebra"):
-        alg = (
-            doc_to_rel_poisson(doc)[0]
-            if kind == "rel-poisson"
-            else doc_to_bialgebra(doc).algebra
-        )
-        unit = find_unit(alg.dot)
+        op = doc_to_single_op(doc)[0]
+    elif kind == "rel-poisson":
+        op = doc_to_rel_poisson(doc)[0].dot
+    elif kind == "bialgebra":
+        op = doc_to_bialgebra(doc).algebra.dot
+    unit = find_unit(op) if op is not None else None
     if unit is not None:
-        labels = doc.get("basis") or []
-        terms = [
-            f"{c}*{labels[i] if i < len(labels) else i}" for i, c in enumerate(unit) if c
-        ]
+        terms = [f"{c}*{op.space.labels[i]}" for i, c in enumerate(unit) if c]
         info["unit"] = " + ".join(terms) if terms else "0"
     report = _check_dispatch(doc, kind)
     info["ok"] = report.ok
@@ -376,20 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct", help="run a construction recipe")
-    p.add_argument(
-        "recipe",
-        choices=[
-            "bracket-from-derivation",
-            "circ-from-derivation",
-            "subadjacent",
-            "semidirect",
-            "dualize",
-            "extend-jacobi",
-            "coboundary",
-            "o-operator-rmatrix",
-            "bowtie",
-        ],
-    )
+    p.add_argument("recipe", choices=_RECIPE_KINDS)
     p.add_argument("file")
     p.add_argument("-o", "--output", help="write the result here instead of stdout")
     p.set_defaults(func=cmd_construct)

@@ -1,11 +1,12 @@
 """Text format for structures: line-oriented JSON documents with exact
 rational scalars serialized as "p/q" strings, never floating point.
 
-Every document carries a kind tag, a dimension, basis labels, and sparse
-entry lists (index tuples plus a scalar string); unspecified entries are
-zero.  The serializer is canonical: entries are sorted lexicographically
-by their indices, fractions are reduced, zero entries are dropped, and
-identical structures produce identical bytes.
+Every document carries a kind tag, the dimension and basis labels of its
+space (unless an embedded algebra gives it), and sparse entry lists (index
+tuples plus a scalar string); unspecified entries are zero.  The
+serializer is canonical: entries are sorted lexicographically by their
+indices, fractions are reduced, zero entries are dropped, and identical
+structures produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,104 +17,44 @@ from fractions import Fraction
 
 from .algebra import BilinearOp, RelPoissonAlgebra
 from .coalgebra import BialgebraData, Comultiplication
-from .linalg import LinearMap, Space, Tensor2, mat_neg
+from .linalg import ZERO, LinearMap, Space, Tensor2
 from .pairing import BilinearForm
 from .prepoisson import RelPrePoissonAlgebra
 from .representations import RepData
 
-KINDS = (
-    "comm-assoc",
-    "lie",
-    "rel-poisson",
-    "zinbiel",
-    "pre-lie",
-    "rel-pre-poisson",
-    "representation",
-    "comultiplication",
-    "bialgebra",
-    "rmatrix",
-    "bilinear-form",
-)
-
-_SINGLE_OP_KINDS = ("comm-assoc", "lie", "zinbiel", "pre-lie")
-
-# field name -> number of indices per entry, for each kind
-_FIELDS = {
-    "comm-assoc": {"product": 3, "derivation": 2},
-    "lie": {"product": 3, "derivation": 2},
-    "zinbiel": {"product": 3, "derivation": 2},
-    "pre-lie": {"product": 3, "derivation": 2},
-    "rel-poisson": {"dot": 3, "bracket": 3, "derivation": 2, "form": 2},
-    "rel-pre-poisson": {"star": 3, "circ": 3, "derivation": 2},
+# kind -> {field: shape}, in canonical key order.  A shape names the space
+# each index of an entry ranges over: V, the document's own space, from
+# `dim` and `basis`, or A, the space of its embedded rel-poisson `algebra`
+# (V when it embeds none).  The embedded algebra is a document, not a list
+# of entries, so its shape is empty.  A trailing "?" marks an optional
+# field.  A document whose fields all range over its embedded algebra has
+# no space of its own, so `dim` and `basis` are unknown fields there.
+_SINGLE_OP = {"product": "VVV", "derivation": "VV?"}
+_ALGEBRA = {"dot": "VVV", "bracket": "VVV", "derivation": "VV"}
+_COALGEBRA = {"dual_derivation": "VV", "dot_comult": "VVV", "bracket_comult": "VVV"}
+_SCHEMA = {
+    "comm-assoc": _SINGLE_OP,
+    "lie": _SINGLE_OP,
+    "rel-poisson": {**_ALGEBRA, "form": "VV?"},
+    "zinbiel": _SINGLE_OP,
+    "pre-lie": _SINGLE_OP,
+    "rel-pre-poisson": {"star": "VVV", "circ": "VVV", "derivation": "VV"},
     "representation": {
-        "dot_action": 3,
-        "bracket_action": 3,
-        "der_action": 2,
-        "operator": 2,
-        "beta": 2,
-        "dual_derivation": 2,
+        "algebra": "",
+        "dual_derivation": "AA?",
+        "dot_action": "AVV",
+        "bracket_action": "AVV",
+        "der_action": "VV",
+        "operator": "AV?",
+        "beta": "VV?",
     },
-    "comultiplication": {"dot_comult": 3, "bracket_comult": 3, "dual_derivation": 2},
-    "bialgebra": {
-        "dot": 3,
-        "bracket": 3,
-        "derivation": 2,
-        "dual_derivation": 2,
-        "dot_comult": 3,
-        "bracket_comult": 3,
-    },
-    "rmatrix": {"r": 2, "dual_derivation": 2},
-    "bilinear-form": {"gram": 2},
+    "comultiplication": _COALGEBRA,
+    "bialgebra": {**_ALGEBRA, **_COALGEBRA},
+    "rmatrix": {"algebra": "", "dual_derivation": "AA?", "r": "AA"},
+    "bilinear-form": {"algebra": "?", "gram": "AA"},
 }
-
-_REQUIRED = {
-    "comm-assoc": ("product",),
-    "lie": ("product",),
-    "zinbiel": ("product",),
-    "pre-lie": ("product",),
-    "rel-poisson": ("dot", "bracket", "derivation"),
-    "rel-pre-poisson": ("star", "circ", "derivation"),
-    "representation": ("dot_action", "bracket_action", "der_action"),
-    "comultiplication": ("dot_comult", "bracket_comult", "dual_derivation"),
-    "bialgebra": (
-        "dot",
-        "bracket",
-        "derivation",
-        "dual_derivation",
-        "dot_comult",
-        "bracket_comult",
-    ),
-    "rmatrix": ("r",),
-    "bilinear-form": ("gram",),
-}
-
-_NESTED_ALGEBRA = {"representation": True, "rmatrix": True, "bilinear-form": False}
-
-_KEY_ORDER = (
-    "kind",
-    "description",
-    "dim",
-    "basis",
-    "algebra",
-    "product",
-    "dot",
-    "bracket",
-    "star",
-    "circ",
-    "derivation",
-    "dual_derivation",
-    "dot_action",
-    "bracket_action",
-    "der_action",
-    "operator",
-    "beta",
-    "dot_comult",
-    "bracket_comult",
-    "r",
-    "gram",
-    "form",
-)
-
+KINDS = tuple(_SCHEMA)
+_HEADER = ("kind", "description", "dim", "basis")
 
 _SCALAR = r"-?\d+(/\d+)?"  # matched with re.ASCII, so \d is [0-9]
 
@@ -145,30 +86,6 @@ def format_scalar(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _validate_entries(name, raw, arity, bound, extra_bound=None):
-    """Validate a sparse entry list; returns [(indices..., Fraction)]."""
-    if not isinstance(raw, list):
-        raise DocumentError(f"field {name!r} must be a list of entries")
-    seen = set()
-    out = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != arity + 1:
-            raise DocumentError(
-                f"entry in {name!r} must be {arity} indices plus a scalar: {entry!r}"
-            )
-        idx = tuple(entry[:arity])
-        for pos, i in enumerate(idx):
-            limit = bound if extra_bound is None or pos > 0 else extra_bound
-            if not _is_int(i) or i < 0 or i >= limit:
-                raise DocumentError(f"index out of range in {name!r}: {entry!r}")
-        if idx in seen:
-            raise DocumentError(f"duplicate entry in {name!r}: {list(idx)}")
-        seen.add(idx)
-        value = parse_scalar_string(entry[arity])
-        out.append(idx + (value,))
-    return out
-
-
 def _space_of(doc) -> Space:
     dim = doc.get("dim")
     if not _is_int(dim) or dim < 0:
@@ -188,25 +105,20 @@ def _space_of(doc) -> Space:
         raise DocumentError(str(exc)) from None
 
 
-def _op_from(doc, name, space) -> BilinearOp:
-    entries = _validate_entries(name, doc.get(name, []), 3, space.dim)
-    return BilinearOp.from_entries(space, entries)
+def _has_own_space(kind, doc) -> bool:
+    """Whether `dim` and `basis` give the document a space V (see _SCHEMA)."""
+    return "algebra" not in doc or any("V" in shape for shape in _SCHEMA[kind].values())
 
 
-def _map_from(doc, name, space, codomain=None) -> LinearMap:
-    codomain = codomain or space
-    entries = _validate_entries(
-        name, doc.get(name, []), 2, space.dim, extra_bound=codomain.dim
-    )
-    rows = [[Fraction(0)] * space.dim for _ in range(codomain.dim)]
-    for i, j, value in entries:
-        rows[i][j] = value
-    return LinearMap(space, codomain, tuple(tuple(r) for r in rows))
-
-
-def _comult_from(doc, name, space) -> Comultiplication:
-    entries = _validate_entries(name, doc.get(name, []), 3, space.dim)
-    return Comultiplication.from_entries(space, entries)
+def _embedded(doc) -> dict:
+    """The embedded algebra document, validated."""
+    inner = doc.get("algebra")
+    if not isinstance(inner, dict):
+        raise DocumentError("missing embedded algebra object")
+    if inner.get("kind") != "rel-poisson":
+        raise DocumentError("embedded algebra must have kind rel-poisson")
+    validate_document(inner)
+    return inner
 
 
 def validate_document(doc) -> str:
@@ -216,15 +128,18 @@ def validate_document(doc) -> str:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise DocumentError(f"unknown kind: {kind!r}")
-    for name in _REQUIRED[kind]:
-        if name not in doc:
+    fields = _SCHEMA[kind]
+    for name, shape in fields.items():
+        if not shape.endswith("?") and name not in doc:
             raise DocumentError(f"kind {kind!r} requires field {name!r}")
-    known = set(_FIELDS[kind]) | {"kind", "description", "dim", "basis"}
-    if _NESTED_ALGEBRA.get(kind) is not None:
-        known.add("algebra")
+    header = _HEADER if _has_own_space(kind, doc) else _HEADER[:2]
     for key in doc:
-        if key not in known:
+        if key not in header and key not in fields:
             raise DocumentError(f"unknown field {key!r} for kind {kind!r}")
+    if not isinstance(doc.get("description", ""), str):
+        raise DocumentError("description must be a string")
+    if "algebra" in doc:
+        _embedded(doc)
     return kind
 
 
@@ -232,275 +147,221 @@ def validate_document(doc) -> str:
 # document -> domain objects
 
 
+class _Reader:
+    """A document read as one kind: its embedded algebra (or None), its
+    spaces V and A, and its fields, each index checked against its space."""
+
+    def __init__(self, doc, kind):
+        self.doc, self.shapes = doc, _SCHEMA[kind]
+        shape = self.shapes.get("algebra")
+        embeds = shape == "" or (shape == "?" and "algebra" in doc)
+        self.alg = doc_to_rel_poisson(_embedded(doc))[0] if embeds else None
+        own = _space_of(doc) if _has_own_space(kind, doc) else None
+        self.space = {"V": own, "A": self.alg.space if self.alg else own}
+
+    def bounds(self, name):
+        return [self.space[s].dim for s in self.shapes[name].rstrip("?")]
+
+    def entries(self, name):
+        """Validates the field's sparse entry list; returns
+        [(indices..., Fraction)]."""
+        raw = self.doc.get(name, [])
+        if not isinstance(raw, list):
+            raise DocumentError(f"field {name!r} must be a list of entries")
+        bounds = self.bounds(name)
+        arity = len(bounds)
+        seen = set()
+        out = []
+        for entry in raw:
+            if not isinstance(entry, list) or len(entry) != arity + 1:
+                raise DocumentError(
+                    f"entry in {name!r} must be {arity} indices plus a scalar: {entry!r}"
+                )
+            idx = tuple(entry[:arity])
+            for i, bound in zip(idx, bounds):
+                if not _is_int(i) or i < 0 or i >= bound:
+                    raise DocumentError(f"index out of range in {name!r}: {entry!r}")
+            if idx in seen:
+                raise DocumentError(f"duplicate entry in {name!r}: {list(idx)}")
+            seen.add(idx)
+            out.append(idx + (parse_scalar_string(entry[arity]),))
+        return out
+
+    def dense(self, name):
+        """The field as nested tuples, zero where it gives no entry."""
+        values = {e[:-1]: e[-1] for e in self.entries(name)}
+        bounds = self.bounds(name)
+
+        def block(prefix):
+            if len(prefix) == len(bounds):
+                return values.get(prefix, ZERO)
+            return tuple(block(prefix + (i,)) for i in range(bounds[len(prefix)]))
+
+        return block(())
+
+    def map(self, name) -> LinearMap:
+        """A field over two spaces, as the map from the second to the first."""
+        codomain, domain = (self.space[s] for s in self.shapes[name].rstrip("?"))
+        return LinearMap(domain, codomain, self.dense(name))
+
+    def op(self, name) -> BilinearOp:
+        return BilinearOp.from_entries(self.space["V"], self.entries(name))
+
+    def rel_poisson(self) -> RelPoissonAlgebra:
+        return RelPoissonAlgebra(
+            self.space["V"], self.op("dot"), self.op("bracket"), self.map("derivation")
+        )
+
+    def comult(self, name) -> Comultiplication:
+        return Comultiplication.from_entries(self.space["V"], self.entries(name))
+
+    def coalgebra(self):
+        """(dot_comult, bracket_comult, dual_derivation)."""
+        return self.comult("dot_comult"), self.comult("bracket_comult"), self.map("dual_derivation")
+
+
 def doc_to_single_op(doc):
     """For the single-operation kinds: (op, optional derivation)."""
-    space = _space_of(doc)
-    op = _op_from(doc, "product", space)
-    der = _map_from(doc, "derivation", space) if "derivation" in doc else None
-    return op, der
+    f = _Reader(doc, "comm-assoc")
+    return f.op("product"), f.map("derivation") if "derivation" in doc else None
 
 
 def doc_to_rel_poisson(doc):
-    space = _space_of(doc)
-    alg = RelPoissonAlgebra(
-        space,
-        _op_from(doc, "dot", space),
-        _op_from(doc, "bracket", space),
-        _map_from(doc, "derivation", space),
-    )
-    form = None
-    if "form" in doc:
-        entries = _validate_entries("form", doc["form"], 2, space.dim)
-        rows = [[Fraction(0)] * space.dim for _ in range(space.dim)]
-        for i, j, value in entries:
-            rows[i][j] = value
-        form = BilinearForm(space, tuple(tuple(r) for r in rows))
-    return alg, form
+    f = _Reader(doc, "rel-poisson")
+    alg = f.rel_poisson()
+    return alg, BilinearForm(alg.space, f.dense("form")) if "form" in doc else None
 
 
 def doc_to_rel_pre_poisson(doc) -> RelPrePoissonAlgebra:
-    space = _space_of(doc)
-    return RelPrePoissonAlgebra(
-        space,
-        _op_from(doc, "star", space),
-        _op_from(doc, "circ", space),
-        _map_from(doc, "derivation", space),
-    )
-
-
-def _nested_algebra(doc) -> RelPoissonAlgebra:
-    inner = doc.get("algebra")
-    if not isinstance(inner, dict):
-        raise DocumentError("missing embedded algebra object")
-    if inner.get("kind") != "rel-poisson":
-        raise DocumentError("embedded algebra must have kind rel-poisson")
-    validate_document(inner)
-    alg, _ = doc_to_rel_poisson(inner)
-    return alg
+    f = _Reader(doc, "rel-pre-poisson")
+    return RelPrePoissonAlgebra(f.space["V"], f.op("star"), f.op("circ"), f.map("derivation"))
 
 
 def doc_to_representation(doc):
     """Returns (RepData, extras) with optional operator/beta/dual_derivation."""
-    alg = _nested_algebra(doc)
-    space = _space_of(doc)
-    n, m = alg.dim, space.dim
-    mu = [[[Fraction(0)] * m for _ in range(m)] for _ in range(n)]
-    rho = [[[Fraction(0)] * m for _ in range(m)] for _ in range(n)]
-    for name, target in (("dot_action", mu), ("bracket_action", rho)):
-        entries = doc.get(name, [])
-        if not isinstance(entries, list):
-            raise DocumentError(f"field {name!r} must be a list of entries")
-        seen = set()
-        for entry in entries:
-            if not isinstance(entry, list) or len(entry) != 4:
-                raise DocumentError(f"entry in {name!r} must be [x, i, j, scalar]")
-            x, i, j = entry[:3]
-            for val, bound in ((x, n), (i, m), (j, m)):
-                if not _is_int(val) or val < 0 or val >= bound:
-                    raise DocumentError(f"index out of range in {name!r}: {entry!r}")
-            if (x, i, j) in seen:
-                raise DocumentError(f"duplicate entry in {name!r}: {entry[:3]}")
-            seen.add((x, i, j))
-            target[x][i][j] = parse_scalar_string(entry[3])
-    alpha_entries = _validate_entries("der_action", doc.get("der_action", []), 2, m)
-    alpha = [[Fraction(0)] * m for _ in range(m)]
-    for i, j, value in alpha_entries:
-        alpha[i][j] = value
+    f = _Reader(doc, "representation")
     rep = RepData(
-        algebra=alg,
-        space=space,
-        dot_action=tuple(tuple(tuple(r) for r in mat) for mat in mu),
-        bracket_action=tuple(tuple(tuple(r) for r in mat) for mat in rho),
-        der_action=tuple(tuple(r) for r in alpha),
+        algebra=f.alg,
+        space=f.space["V"],
+        dot_action=f.dense("dot_action"),
+        bracket_action=f.dense("bracket_action"),
+        der_action=f.dense("der_action"),
     )
-    extras = {}
-    if "operator" in doc:
-        extras["operator"] = _map_from(doc, "operator", space, codomain=alg.space)
+    extras = {name: f.map(name) for name in ("operator", "dual_derivation") if name in doc}
     if "beta" in doc:
-        extras["beta"] = _map_from(doc, "beta", space).entries
-    if "dual_derivation" in doc:
-        extras["dual_derivation"] = _map_from(doc, "dual_derivation", alg.space)
+        extras["beta"] = f.dense("beta")
     return rep, extras
 
 
 def doc_to_coalgebra(doc):
-    space = _space_of(doc)
-    return (
-        _comult_from(doc, "dot_comult", space),
-        _comult_from(doc, "bracket_comult", space),
-        _map_from(doc, "dual_derivation", space),
-    )
+    return _Reader(doc, "comultiplication").coalgebra()
 
 
 def doc_to_bialgebra(doc) -> BialgebraData:
-    space = _space_of(doc)
-    alg = RelPoissonAlgebra(
-        space,
-        _op_from(doc, "dot", space),
-        _op_from(doc, "bracket", space),
-        _map_from(doc, "derivation", space),
-    )
-    return BialgebraData(
-        algebra=alg,
-        dot_comult=_comult_from(doc, "dot_comult", space),
-        bracket_comult=_comult_from(doc, "bracket_comult", space),
-        dual_derivation=_map_from(doc, "dual_derivation", space),
-    )
+    f = _Reader(doc, "bialgebra")
+    return BialgebraData(f.rel_poisson(), *f.coalgebra())
 
 
 def doc_to_rmatrix(doc):
     """Returns (algebra, tensor, dual_derivation); the map defaults to the
     negated derivation when the field is absent."""
-    alg = _nested_algebra(doc)
-    entries = _validate_entries("r", doc.get("r", []), 2, alg.dim)
-    rows = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
-    for i, j, value in entries:
-        rows[i][j] = value
-    tensor = Tensor2(alg.space, alg.space, tuple(tuple(r) for r in rows))
-    if "dual_derivation" in doc:
-        codrv = _map_from(doc, "dual_derivation", alg.space)
-    else:
-        codrv = LinearMap(alg.space, alg.space, mat_neg(alg.derivation.entries))
-    return alg, tensor, codrv
+    f = _Reader(doc, "rmatrix")
+    tensor = Tensor2(f.space["A"], f.space["A"], f.dense("r"))
+    codrv = f.map("dual_derivation") if "dual_derivation" in doc else f.alg.derivation.neg()
+    return f.alg, tensor, codrv
 
 
 def doc_to_bilinear_form(doc):
-    alg = None
-    if "algebra" in doc:
-        alg = _nested_algebra(doc)
-        space = alg.space
-    else:
-        space = _space_of(doc)
-    entries = _validate_entries("gram", doc.get("gram", []), 2, space.dim)
-    rows = [[Fraction(0)] * space.dim for _ in range(space.dim)]
-    for i, j, value in entries:
-        rows[i][j] = value
-    return BilinearForm(space, tuple(tuple(r) for r in rows)), alg
+    f = _Reader(doc, "bilinear-form")
+    return BilinearForm(f.space["A"], f.dense("gram")), f.alg
 
 
 # ---------------------------------------------------------------------------
 # domain objects -> documents
 
 
-def _entries_of_op(op: BilinearOp):
-    return [
-        [i, j, k, format_scalar(v)] for i, j, k, v in op.nonzero_entries()
-    ]
+def _nonzero(table, prefix=()):
+    """(indices..., value) for each nonzero scalar of a nested table."""
+    for i, item in enumerate(table):
+        if isinstance(item, (tuple, list)):
+            yield from _nonzero(item, prefix + (i,))
+        elif item:
+            yield prefix + (i, item)
 
 
-def _entries_of_matrix(mat):
-    out = []
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            if x:
-                out.append([i, j, format_scalar(x)])
-    return out
+def _sparse_entries(value):
+    """Sparse entries [indices..., "p/q"] of a nested table, or of an
+    operation or comultiplication in its document index order."""
+    if hasattr(value, "nonzero_entries"):
+        terms = sorted(value.nonzero_entries())
+    else:
+        terms = _nonzero(value)
+    return [[*idx, format_scalar(x)] for *idx, x in terms]
 
 
-def _entries_of_comult(com: Comultiplication):
-    return [
-        [i, j, k, format_scalar(v)] for i, j, k, v in sorted(com.nonzero_entries())
-    ]
+def _document(kind, space, description, fields):
+    """A document of `kind` on `space` (None when its embedded algebra gives
+    it): the header, then each field given, in canonical key order."""
+    doc = {"kind": kind}
+    if description:
+        doc["description"] = description
+    if space is not None:
+        doc["dim"], doc["basis"] = space.dim, list(space.labels)
+    for name in _SCHEMA[kind]:
+        value = fields.get(name)
+        if value is not None:
+            doc[name] = value if name == "algebra" else _sparse_entries(value)
+    return doc
+
+
+def _algebra_fields(alg: RelPoissonAlgebra):
+    return dict(dot=alg.dot, bracket=alg.bracket, derivation=alg.derivation.entries)
+
+
+def _coalgebra_fields(dot_comult, bracket_comult, codrv: LinearMap):
+    return dict(dot_comult=dot_comult, bracket_comult=bracket_comult, dual_derivation=codrv.entries)
 
 
 def single_op_doc(kind: str, op: BilinearOp, der: LinearMap | None = None, description=None):
-    doc = {"kind": kind, "dim": op.space.dim, "basis": list(op.space.labels)}
-    if description:
-        doc["description"] = description
-    doc["product"] = _entries_of_op(op)
-    if der is not None:
-        doc["derivation"] = _entries_of_matrix(der.entries)
-    return doc
+    fields = dict(product=op, derivation=der and der.entries)
+    return _document(kind, op.space, description, fields)
 
 
 def rel_poisson_doc(alg: RelPoissonAlgebra, form: BilinearForm | None = None, description=None):
-    doc = {"kind": "rel-poisson", "dim": alg.dim, "basis": list(alg.space.labels)}
-    if description:
-        doc["description"] = description
-    doc["dot"] = _entries_of_op(alg.dot)
-    doc["bracket"] = _entries_of_op(alg.bracket)
-    doc["derivation"] = _entries_of_matrix(alg.derivation.entries)
-    if form is not None:
-        doc["form"] = _entries_of_matrix(form.gram)
-    return doc
+    fields = dict(_algebra_fields(alg), form=form and form.gram)
+    return _document("rel-poisson", alg.space, description, fields)
 
 
 def rel_pre_poisson_doc(pp: RelPrePoissonAlgebra, description=None):
-    doc = {"kind": "rel-pre-poisson", "dim": pp.dim, "basis": list(pp.space.labels)}
-    if description:
-        doc["description"] = description
-    doc["star"] = _entries_of_op(pp.star)
-    doc["circ"] = _entries_of_op(pp.circ)
-    doc["derivation"] = _entries_of_matrix(pp.derivation.entries)
-    return doc
+    fields = dict(star=pp.star, circ=pp.circ, derivation=pp.derivation.entries)
+    return _document("rel-pre-poisson", pp.space, description, fields)
 
 
 def representation_doc(rep: RepData, operator: LinearMap | None = None, description=None):
-    doc = {
-        "kind": "representation",
-        "dim": rep.space.dim,
-        "basis": list(rep.space.labels),
-        "algebra": rel_poisson_doc(rep.algebra),
-    }
-    if description:
-        doc["description"] = description
-    mu_entries = []
-    rho_entries = []
-    for x in range(rep.algebra.dim):
-        for i, row in enumerate(rep.dot_action[x]):
-            for j, v in enumerate(row):
-                if v:
-                    mu_entries.append([x, i, j, format_scalar(v)])
-        for i, row in enumerate(rep.bracket_action[x]):
-            for j, v in enumerate(row):
-                if v:
-                    rho_entries.append([x, i, j, format_scalar(v)])
-    doc["dot_action"] = mu_entries
-    doc["bracket_action"] = rho_entries
-    doc["der_action"] = _entries_of_matrix(rep.der_action)
-    if operator is not None:
-        doc["operator"] = _entries_of_matrix(operator.entries)
-    return doc
+    fields = dict(
+        algebra=rel_poisson_doc(rep.algebra),
+        dot_action=rep.dot_action,
+        bracket_action=rep.bracket_action,
+        der_action=rep.der_action,
+        operator=operator and operator.entries,
+    )
+    return _document("representation", rep.space, description, fields)
 
 
 def coalgebra_doc(dot_comult, bracket_comult, codrv, description=None):
-    doc = {
-        "kind": "comultiplication",
-        "dim": dot_comult.space.dim,
-        "basis": list(dot_comult.space.labels),
-    }
-    if description:
-        doc["description"] = description
-    doc["dot_comult"] = _entries_of_comult(dot_comult)
-    doc["bracket_comult"] = _entries_of_comult(bracket_comult)
-    doc["dual_derivation"] = _entries_of_matrix(codrv.entries)
-    return doc
+    fields = _coalgebra_fields(dot_comult, bracket_comult, codrv)
+    return _document("comultiplication", dot_comult.space, description, fields)
 
 
 def bialgebra_doc(data: BialgebraData, description=None):
-    alg = data.algebra
-    doc = {"kind": "bialgebra", "dim": alg.dim, "basis": list(alg.space.labels)}
-    if description:
-        doc["description"] = description
-    doc["dot"] = _entries_of_op(alg.dot)
-    doc["bracket"] = _entries_of_op(alg.bracket)
-    doc["derivation"] = _entries_of_matrix(alg.derivation.entries)
-    doc["dual_derivation"] = _entries_of_matrix(data.dual_derivation.entries)
-    doc["dot_comult"] = _entries_of_comult(data.dot_comult)
-    doc["bracket_comult"] = _entries_of_comult(data.bracket_comult)
-    return doc
+    fields = _coalgebra_fields(data.dot_comult, data.bracket_comult, data.dual_derivation)
+    fields.update(_algebra_fields(data.algebra))
+    return _document("bialgebra", data.algebra.space, description, fields)
 
 
 def rmatrix_doc(alg: RelPoissonAlgebra, tensor: Tensor2, codrv: LinearMap, description=None):
-    doc = {
-        "kind": "rmatrix",
-        "algebra": rel_poisson_doc(alg),
-        "r": _entries_of_matrix(tensor.coeffs),
-        "dual_derivation": _entries_of_matrix(codrv.entries),
-    }
-    if description:
-        doc["description"] = description
-    return doc
+    fields = dict(algebra=rel_poisson_doc(alg), r=tensor.coeffs, dual_derivation=codrv.entries)
+    return _document("rmatrix", None, description, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -511,23 +372,18 @@ def _canonical_value(value, indent):
     pad = " " * indent
     if isinstance(value, dict):
         return _canonical_object(value, indent)
-    if isinstance(value, list):
-        if value and all(isinstance(e, list) for e in value):
-            rows = ",\n".join(pad + " " + json.dumps(e) for e in sorted(value))
-            return "[\n" + rows + "\n" + pad + "]"
-        return json.dumps(value)
+    if isinstance(value, list) and value and all(isinstance(e, list) for e in value):
+        rows = ",\n".join(pad + " " + json.dumps(e) for e in sorted(value))
+        return "[\n" + rows + "\n" + pad + "]"
     return json.dumps(value)
 
 
 def _canonical_object(doc, indent=0):
     pad = " " * indent
-    keys = [k for k in _KEY_ORDER if k in doc]
+    kind = doc.get("kind")
+    keys = [k for k in (*_HEADER, *(_SCHEMA[kind] if kind in KINDS else ())) if k in doc]
     keys += [k for k in doc if k not in keys]
-    lines = []
-    for key in keys:
-        lines.append(
-            pad + " " + json.dumps(key) + ": " + _canonical_value(doc[key], indent + 1)
-        )
+    lines = [pad + " " + json.dumps(k) + ": " + _canonical_value(doc[k], indent + 1) for k in keys]
     return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
 
 
@@ -543,12 +399,8 @@ def _normalize(doc):
         if key == "algebra" and isinstance(value, dict):
             out[key] = _normalize(value)
         elif isinstance(value, list) and value and all(isinstance(e, list) for e in value):
-            canon = []
-            for entry in value:
-                scalar_value = parse_scalar_string(entry[-1])
-                if scalar_value:
-                    canon.append(list(entry[:-1]) + [format_scalar(scalar_value)])
-            out[key] = sorted(canon)
+            scalars = [(entry, parse_scalar_string(entry[-1])) for entry in value]
+            out[key] = sorted(list(entry[:-1]) + [format_scalar(x)] for entry, x in scalars if x)
         else:
             out[key] = value
     return out

@@ -263,15 +263,15 @@ def test_o_operator_rmatrix_with_explicit_maps(tmp_path):
         representation_doc,
         serialize_document,
     )
-    from relpoisson.documents import _entries_of_matrix
+    from relpoisson.documents import _sparse_entries
     from relpoisson.linalg import LinearMap, mat_neg
 
     pp = doc_to_rel_pre_poisson(parse_document((FIXTURES / "prepoisson_3d.json").read_text()))
     _alg, rep = subadjacent(pp)
     base = representation_doc(rep, operator=LinearMap.identity(rep.space))
     explicit = dict(base)
-    explicit["beta"] = _entries_of_matrix(mat_neg(rep.der_action))
-    explicit["dual_derivation"] = _entries_of_matrix(mat_neg(rep.algebra.derivation.entries))
+    explicit["beta"] = _sparse_entries(mat_neg(rep.der_action))
+    explicit["dual_derivation"] = _sparse_entries(mat_neg(rep.algebra.derivation.entries))
     out = {}
     for tag, doc in (("default", base), ("explicit", explicit)):
         source = tmp_path / f"{tag}.json"
@@ -280,3 +280,73 @@ def test_o_operator_rmatrix_with_explicit_maps(tmp_path):
         assert main(["construct", "o-operator-rmatrix", str(source), "-o", str(target)]) == 0
         out[tag] = target.read_bytes()
     assert out["default"] == out["explicit"]
+
+
+def _coalgebra_7d_doc():
+    from relpoisson.documents import coalgebra_doc, doc_to_bialgebra, parse_document
+
+    data = doc_to_bialgebra(parse_document((FIXTURES / "bialgebra_7d.json").read_text()))
+    return coalgebra_doc(data.dot_comult, data.bracket_comult, data.dual_derivation)
+
+
+def _bilinear_form_14d_doc():
+    golden = json.loads((FIXTURES / "golden_double_14d.json").read_text())
+    algebra = {key: value for key, value in golden.items() if key != "form"}
+    return {"kind": "bilinear-form", "algebra": algebra, "gram": golden["form"]}
+
+
+def test_check_comultiplication_document(tmp_path, capsys):
+    doc = _coalgebra_7d_doc()
+    good = tmp_path / "coalgebra.json"
+    good.write_text(json.dumps(doc))
+    assert main(["check", str(good)]) == 0
+    doc["dot_comult"].append([0, 1, 0, "1"])  # e1 -> e1 (x) e2 alone: not cocommutative
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad)]) == 1
+    assert "dot:cocommutative" in capsys.readouterr().out
+
+
+def test_check_bilinear_form_document(tmp_path, capsys):
+    doc = _bilinear_form_14d_doc()
+    good = tmp_path / "form.json"
+    good.write_text(json.dumps(doc))
+    assert main(["check", str(good)]) == 0
+    doc["gram"] = doc["gram"][1:]  # drops a pairing: degenerate and not invariant
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad)]) == 1
+    assert "form-nondegenerate" in capsys.readouterr().out
+
+
+def test_check_as_unknown_kind_is_a_parse_error(capsys):
+    assert main(["check", "--as", "frobnicator", str(FIXTURES / "zinbiel_3d.json")]) == 3
+    assert "unknown kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"dim": 99, "basis": "zzz"}, {"dim": "abc"}, {"description": {"text": "x"}}],
+)
+def test_check_rejects_fields_outside_the_grammar(tmp_path, capsys, extra):
+    sub = tmp_path / "subadjacent.json"
+    main(["construct", "subadjacent", str(FIXTURES / "prepoisson_3d.json"), "-o", str(sub)])
+    rdoc = tmp_path / "rmatrix.json"
+    rmatrix = {"kind": "rmatrix", "algebra": json.loads(sub.read_text()), "r": []}
+    rdoc.write_text(json.dumps({**rmatrix, **extra}))
+    assert main(["check", str(rdoc)]) == 3
+    algebra = {"kind": "rel-poisson", "dim": 1, "dot": [], "bracket": [], "derivation": []}
+    bilinear = {"kind": "bilinear-form", "algebra": algebra, "gram": [[0, 0, "1"]]}
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({**bilinear, **extra}))
+    assert main(["check", str(form)]) == 3
+    form.write_text(json.dumps(bilinear))
+    assert main(["check", str(form)]) == 0
+
+
+def test_report_unit_uses_default_basis_labels(tmp_path, capsys):
+    doc = tmp_path / "nobasis.json"
+    product = [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]  # e1 is the unit
+    doc.write_text(json.dumps({"kind": "comm-assoc", "dim": 2, "product": product}))
+    assert main(["report", str(doc)]) == 0
+    assert "unit: 1*e1\n" in capsys.readouterr().out

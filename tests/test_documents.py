@@ -1,12 +1,17 @@
 """Structure document parsing, serialization, and canonical form."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from relpoisson import BilinearForm, LinearMap, documents, subadjacent
 from relpoisson.documents import (
+    KINDS,
     DocumentError,
+    doc_to_bialgebra,
+    doc_to_bilinear_form,
     doc_to_rel_pre_poisson,
     doc_to_representation,
     doc_to_rel_poisson,
@@ -14,11 +19,12 @@ from relpoisson.documents import (
     format_scalar,
     parse_document,
     parse_scalar_string,
+    rel_poisson_doc,
     rel_pre_poisson_doc,
     serialize_document,
 )
 
-from conftest import FIXTURES, worked_prepoisson
+from conftest import FIXTURES, tensor, worked_prepoisson, zinbiel3
 
 
 def test_scalar_strings():
@@ -148,3 +154,118 @@ def test_basis_defaults_when_absent():
     doc = parse_document('{"kind": "comm-assoc", "dim": 2, "product": []}')
     op, _ = doc_to_single_op(doc)
     assert op.space.labels == ("e1", "e2")
+
+
+def _bilinear_form_doc(form, alg, description=None):
+    """No library writer exists for this kind; the reader's inverse."""
+    gram = [[i, j, x] for i, row in enumerate(form.gram) for j, x in enumerate(row) if x]
+    doc = {"kind": "bilinear-form", "gram": [[i, j, format_scalar(x)] for i, j, x in gram]}
+    if alg is None:
+        doc.update(dim=form.space.dim, basis=list(form.space.labels))
+    else:
+        doc["algebra"] = rel_poisson_doc(alg)
+    if description:
+        doc["description"] = description
+    return doc
+
+
+# kind -> (reader, writer fed a module, the kind, the reader's result and a
+# description)
+READ_WRITE = {
+    **{
+        kind: ("doc_to_single_op", lambda m, k, out, d: m.single_op_doc(k, *out, description=d))
+        for kind in ("comm-assoc", "lie", "zinbiel", "pre-lie")
+    },
+    "rel-poisson": ("doc_to_rel_poisson", lambda m, k, out, d: m.rel_poisson_doc(*out, d)),
+    "rel-pre-poisson": ("doc_to_rel_pre_poisson", lambda m, k, pp, d: m.rel_pre_poisson_doc(pp, d)),
+    "representation": (
+        "doc_to_representation",
+        lambda m, k, out, d: m.representation_doc(out[0], out[1].get("operator"), d),
+    ),
+    "comultiplication": ("doc_to_coalgebra", lambda m, k, out, d: m.coalgebra_doc(*out, d)),
+    "bialgebra": ("doc_to_bialgebra", lambda m, k, data, d: m.bialgebra_doc(data, d)),
+    "rmatrix": ("doc_to_rmatrix", lambda m, k, out, d: m.rmatrix_doc(*out, d)),
+    "bilinear-form": ("doc_to_bilinear_form", lambda m, k, out, d: _bilinear_form_doc(*out, d)),
+}
+
+
+def _worked_cases():
+    """(kind, a reader's result) for every kind, from the worked examples."""
+    pp = worked_prepoisson()
+    alg, rep = subadjacent(pp)
+    star, der = zinbiel3()
+    data = doc_to_bialgebra(parse_document((FIXTURES / "bialgebra_7d.json").read_text()))
+    golden_text = (FIXTURES / "golden_double_14d.json").read_text()
+    golden, form = doc_to_rel_poisson(parse_document(golden_text))
+    r = tensor(alg.space, [(0, 1, 1), (1, 0, -1), (2, 2, "1/2")])
+    return [
+        ("comm-assoc", (alg.dot, alg.derivation)),
+        ("lie", (alg.bracket, None)),
+        ("zinbiel", (star, der)),
+        ("pre-lie", (pp.circ, pp.derivation)),
+        ("rel-poisson", (golden, form)),
+        ("rel-pre-poisson", pp),
+        ("representation", (rep, {"operator": LinearMap.identity(rep.space)})),
+        ("comultiplication", (data.dot_comult, data.bracket_comult, data.dual_derivation)),
+        ("bialgebra", data),
+        ("rmatrix", (alg, r, alg.derivation.neg())),
+        ("bilinear-form", (form, golden)),
+        ("bilinear-form", (BilinearForm(pp.space, pp.derivation.entries), None)),
+    ]
+
+
+def test_worked_cases_cover_every_kind():
+    assert {kind for kind, _ in _worked_cases()} == set(KINDS) == set(READ_WRITE)
+
+
+@pytest.mark.parametrize("index", range(len(_worked_cases())))
+def test_every_kind_round_trips(index):
+    # writer, serialize, parse, reader, writer again: the same bytes
+    kind, worked = _worked_cases()[index]
+    reader, writer = READ_WRITE[kind]
+    text = serialize_document(writer(documents, kind, worked, "worked example"))
+    again = getattr(documents, reader)(parse_document(text))
+    assert serialize_document(writer(documents, kind, again, "worked example")) == text
+    assert json.loads(text)["description"] == "worked example"
+
+
+_ALGEBRA_1D = {"kind": "rel-poisson", "dim": 1, "dot": [], "bracket": [], "derivation": []}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a document whose space comes from its embedded algebra has no dim
+        # or basis of its own
+        {"kind": "rmatrix", "algebra": _ALGEBRA_1D, "r": [], "dim": 99, "basis": "zzz"},
+        {"kind": "rmatrix", "algebra": _ALGEBRA_1D, "r": [], "dim": "abc"},
+        {"kind": "bilinear-form", "algebra": _ALGEBRA_1D, "gram": [], "dim": 7},
+        {"kind": "comm-assoc", "dim": 1, "product": [], "description": {"text": "x"}},
+        # the embedded algebra is checked when the document is parsed
+        {"kind": "rmatrix", "algebra": dict(_ALGEBRA_1D, bogus=1), "r": []},
+        {"kind": "rmatrix", "algebra": {"kind": "comm-assoc", "dim": 1, "product": []}, "r": []},
+        {"kind": "rmatrix", "r": []},
+    ],
+)
+def test_fields_outside_the_grammar_are_rejected(doc):
+    with pytest.raises(DocumentError):
+        parse_document(json.dumps(doc))
+    with pytest.raises(DocumentError):
+        serialize_document(doc)
+
+
+def test_bilinear_form_reads_its_space_from_the_algebra_or_its_own():
+    embedded = {"kind": "bilinear-form", "algebra": _ALGEBRA_1D, "gram": [[0, 0, "2"]]}
+    form, alg = doc_to_bilinear_form(parse_document(json.dumps(embedded)))
+    assert form.space == alg.space and form.gram == ((2,),)
+    own = {"kind": "bilinear-form", "dim": 2, "basis": ["x", "y"], "gram": [[1, 0, "1"]]}
+    form, alg = doc_to_bilinear_form(parse_document(json.dumps(own)))
+    assert alg is None and form.space.labels == ("x", "y")
+    assert form.gram == ((0, 0), (1, 0))
+
+
+def test_readme_kinds_paragraph_names_exactly_the_kinds():
+    readme = (FIXTURES.parent / "README.md").read_text()
+    paragraph = readme[readme.index("\nKinds: ") :].split("\n\n")[0]
+    names = re.findall(r"`([^`]+)`", paragraph)
+    assert sorted(names) == sorted(KINDS)
