@@ -10,6 +10,8 @@ tuples that fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .linalg import (
     ONE,
@@ -22,11 +24,8 @@ from .linalg import (
     block_diagonal,
     direct_sum_space,
     scalar,
-    solve_exact,
-    vec_add,
     vec_is_zero,
     vec_sub,
-    zero_vector,
 )
 
 DEFAULT_VIOLATION_LIMIT = 16
@@ -147,21 +146,43 @@ class BilinearOp:
         object.__setattr__(self, "_sparse", sparse)
 
     @staticmethod
-    def zero(space: Space) -> BilinearOp:
+    def _from_cells(space: Space, cells) -> BilinearOp:
+        """Build from {(i, j): {k: exact value}} cells without a dense pass:
+        the sparse view is primary and the dense table shares one zero
+        vector among the empty products."""
         n = space.dim
-        z = zero_vector(n)
-        return BilinearOp(space, tuple(tuple(z for _ in range(n)) for _ in range(n)))
+        zero = (ZERO,) * n
+        sparse = [[()] * n for _ in range(n)]
+        table = [[zero] * n for _ in range(n)]
+        for (i, j), cell in cells.items():
+            terms = tuple(sorted((k, x) for k, x in cell.items() if x))
+            if terms:
+                vec = [ZERO] * n
+                for k, x in terms:
+                    vec[k] = x
+                sparse[i][j], table[i][j] = terms, tuple(vec)
+        op = object.__new__(BilinearOp)
+        object.__setattr__(op, "space", space)
+        object.__setattr__(op, "table", tuple(map(tuple, table)))
+        object.__setattr__(op, "_sparse", tuple(map(tuple, sparse)))
+        return op
+
+    @staticmethod
+    def zero(space: Space) -> BilinearOp:
+        return BilinearOp._from_cells(space, {})
 
     @staticmethod
     def from_entries(space: Space, entries) -> BilinearOp:
-        """Build from sparse (i, j, k, value) structure-constant entries."""
+        """Build from sparse (i, j, k, value) structure-constant entries;
+        repeated positions add up."""
         n = space.dim
-        tab = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        cells = {}
         for i, j, k, value in entries:
-            tab[i][j][k] += scalar(value)
-        return BilinearOp(
-            space, tuple(tuple(tuple(v) for v in row) for row in tab)
-        )
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                raise IndexError(f"structure constant index out of range: {(i, j, k)}")
+            cell = cells.setdefault((i, j), {})
+            cell[k] = cell.get(k, ZERO) + scalar(value)
+        return BilinearOp._from_cells(space, cells)
 
     def entry(self, i: int, j: int, k: int):
         return self.table[i][j][k]
@@ -207,38 +228,79 @@ class BilinearOp:
 
     def left_matrix(self, i: int) -> Matrix:
         """Matrix of left multiplication by e_i (columns are e_i * e_j)."""
-        n = self.space.dim
-        row = self.table[i]
-        return tuple(tuple(row[j][k] for j in range(n)) for k in range(n))
+        return self.left_matrix_of(basis_vector(self.space.dim, i))
 
     def left_matrix_of(self, u: Vector) -> Matrix:
         """Matrix of left multiplication by a general element u."""
         n = self.space.dim
         acc = [[ZERO] * n for _ in range(n)]
         for i, c in enumerate(u):
-            if not c:
-                continue
-            row = self.table[i]
-            for j in range(n):
-                prod = row[j]
-                for k in range(n):
-                    x = prod[k]
-                    if x:
+            if c:
+                for j, prod in enumerate(self._sparse[i]):
+                    for k, x in prod:
                         acc[k][j] += c * x
         return tuple(tuple(r) for r in acc)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(vec) for row in self.table for vec in row)
+        return not any(any(row) for row in self._sparse)
 
     def nonzero_entries(self):
         """Sorted (i, j, k, value) quadruples of nonzero structure constants."""
-        out = []
-        for i, row in enumerate(self.table):
-            for j, vec in enumerate(row):
-                for k, x in enumerate(vec):
-                    if x:
-                        out.append((i, j, k, x))
-        return out
+        return [
+            (i, j, k, x)
+            for i, row in enumerate(self._sparse)
+            for j, prod in enumerate(row)
+            for k, x in prod
+        ]
+
+    @cached_property
+    def _unit(self):
+        """The two-sided unit u, or None, by exact elimination over the
+        nonzero equations  u * e_j = e_j  and  e_j * u = e_j  (one per
+        side and output coordinate k); solved once per operation."""
+        n = self.space.dim
+        # the equations with right-hand side 1 come first, so that one
+        # reading 0 = 1 ends the search at once
+        eqs = {(side, j, j): {} for j in range(n) for side in ("left", "right")}
+        for i, row in enumerate(self._sparse):
+            for j, prod in enumerate(row):
+                for k, x in prod:
+                    eqs.setdefault(("left", j, k), {})[i] = x  # u_i in (u * e_j)_k
+                    eqs.setdefault(("right", i, k), {})[j] = x  # u_j in (e_i * u)_k
+        # Gauss-Jordan with the right-hand side as column n: each pivot row
+        # has coefficient 1 at its pivot column and no other pivot column
+        pivots = {}
+        for (_side, j, k), coeffs in eqs.items():
+            row = {**coeffs, n: ONE} if j == k else dict(coeffs)
+            for col in [c for c in row if c in pivots]:
+                _axpy(row, -row[col], pivots[col])
+            col = min(row, default=n)
+            if col == n:
+                if row:
+                    return None  # the equation reads 0 = 1
+                continue
+            p = row[col]
+            row = {c: v / p for c, v in row.items()}
+            for prow in pivots.values():
+                if col in prow:
+                    _axpy(prow, -prow[col], row)
+            pivots[col] = row
+        # a solution is a two-sided unit, hence unique, so every column is a
+        # pivot; free variables would be read as zero
+        unit = [ZERO] * n
+        for col, row in pivots.items():
+            unit[col] = row.get(n, ZERO)
+        return tuple(unit)
+
+
+def _axpy(row: dict, f, other: dict) -> None:
+    """row += f * other on sparse {column: value} rows, dropping zeros."""
+    for c, v in other.items():
+        x = row.get(c, ZERO) + f * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
 
 @dataclass(frozen=True)
@@ -291,31 +353,32 @@ def block_sum(
     """
     n1, n2 = left.dim, right.dim
     total = direct_sum_space(left.space, right.space)
-    zero1, zero2 = (ZERO,) * n1, (ZERO,) * n2
-    dot_table = [[None] * (n1 + n2) for _ in range(n1 + n2)]
-    br_table = [[None] * (n1 + n2) for _ in range(n1 + n2)]
+    dot, br = {}, {}
+    for off, alg in ((0, left), (n1, right)):
+        for cells, op in ((dot, alg.dot), (br, alg.bracket)):
+            for i, row in enumerate(op._sparse):
+                for j, prod in enumerate(row):
+                    if prod:
+                        cells[off + i, off + j] = {off + k: x for k, x in prod}
+    # the actions' columns: mu1[i] applied to b is column b of mu1[i], and
+    # mu2[b] applied to i is column i of mu2[b]
+    mu1, rho1, mu2, rho2 = (
+        [_sparse_columns(m) for m in mats] for mats in (mu1, rho1, mu2, rho2)
+    )
     for i in range(n1):
-        for j in range(n1):
-            dot_table[i][j] = left.dot.product(i, j) + zero2
-            br_table[i][j] = left.bracket.product(i, j) + zero2
-    for a in range(n2):
         for b in range(n2):
-            dot_table[n1 + a][n1 + b] = zero1 + right.dot.product(a, b)
-            br_table[n1 + a][n1 + b] = zero1 + right.bracket.product(a, b)
-    for i in range(n1):
-        for b in range(n2):
-            mu2b_i = tuple(mu2[b][r][i] for r in range(n1))
-            mu1i_b = tuple(mu1[i][r][b] for r in range(n2))
-            rho2b_i = tuple(rho2[b][r][i] for r in range(n1))
-            rho1i_b = tuple(rho1[i][r][b] for r in range(n2))
-            dot_table[i][n1 + b] = dot_table[n1 + b][i] = mu2b_i + mu1i_b
-            br_table[i][n1 + b] = tuple(-x for x in rho2b_i) + rho1i_b
-            br_table[n1 + b][i] = rho2b_i + tuple(-x for x in rho1i_b)
+            mu = {r: scalar(v) for r, v in mu2[b][i]}
+            mu.update((n1 + r, scalar(v)) for r, v in mu1[i][b])
+            dot[i, n1 + b] = dot[n1 + b, i] = mu
+            rho = {r: scalar(v) for r, v in rho2[b][i]}
+            rho.update((n1 + r, -scalar(v)) for r, v in rho1[i][b])
+            br[n1 + b, i] = rho
+            br[i, n1 + b] = {k: -v for k, v in rho.items()}
     derivation = block_diagonal(left.derivation.entries, right.derivation.entries)
     return RelPoissonAlgebra(
         total,
-        BilinearOp(total, dot_table),
-        BilinearOp(total, br_table),
+        BilinearOp._from_cells(total, dot),
+        BilinearOp._from_cells(total, br),
         LinearMap(total, total, derivation),
     )
 
@@ -325,14 +388,45 @@ def block_sum(
 
 
 def _check_hits(coll: Collector, axiom: str, where, hits, n: int) -> None:
-    """Fold sparse (index, value) contributions and report a nonzero sum."""
+    """Fold sparse (index, value) contributions and report a nonzero sum;
+    only the touched coordinates are tested, so the cost follows the hits,
+    not the length n of the defect vector."""
     if not hits:
         return
-    acc = [ZERO] * n
+    acc = {}
     for k, v in hits:
-        acc[k] += v
-    if any(acc):
-        coll.check(axiom, where, acc)
+        acc[k] = acc.get(k, ZERO) + v
+    if any(acc.values()):
+        defect = [ZERO] * n
+        for k, v in acc.items():
+            defect[k] = v
+        coll.check(axiom, where, defect)
+
+
+def _candidates(*chains):
+    """The sorted index triples at which some term of a sweep can be nonzero.
+
+    A term contracts a sparse table ``inner`` (``inner[p][q]`` lists its
+    nonzero (t, value) pairs) with a table ``outer`` at ``outer[t][r]``, so
+    it vanishes unless both are nonzero.  Each chain (inner, outer, order)
+    yields those (p, q, r), placed in the sweep's triple by ``order``: the
+    triple's m-th index is (p, q, r)[order[m]].  Only the truth of the outer
+    cells is read.  Sorting keeps the order of a sweep over all triples.
+    """
+    found = set()
+    for inner, outer, order in chains:
+        after = [[r for r, cell in enumerate(row) if cell] for row in outer]
+        place = itemgetter(*order)
+        for p, row in enumerate(inner):
+            for q, cell in enumerate(row):
+                for t, _ in cell:
+                    found.update(place((p, q, r)) for r in after[t])
+    return sorted(found)
+
+
+def _flip(table, width: int):
+    """A table indexed [q][p] from one indexed [p][q] with ``width`` columns."""
+    return tuple(tuple(row[q] for row in table) for q in range(width))
 
 
 def _sparse_columns(m: Matrix, width: int | None = None):
@@ -344,22 +438,24 @@ def _sparse_columns(m: Matrix, width: int | None = None):
     )
 
 
+def _nonzero_pairs(sp):
+    return [(i, j) for i, row in enumerate(sp) for j, prod in enumerate(row) if prod]
+
+
 def check_comm_assoc(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """Commutativity x*y = y*x and associativity (x*y)*z = x*(y*z)."""
     n = m.space.dim
     sp = m._sparse
     coll = Collector(limit)
-    for i in range(n):
-        for j in range(n):
-            coll.check("commutative", (i, j), vec_sub(m.product(i, j), m.product(j, i)))
-    for i in range(n):
-        spi = sp[i]
-        for j in range(n):
-            left = spi[j]
-            for k in range(n):
-                hits = [(s, c * x) for t, c in left for s, x in sp[t][k]]
-                hits += [(s, -c * x) for t, c in sp[j][k] for s, x in spi[t]]
-                _check_hits(coll, "associative", (i, j, k), hits, n)
+    pairs = {pair for i, j in _nonzero_pairs(sp) for pair in ((i, j), (j, i)) if i != j}
+    for i, j in sorted(pairs):
+        hits = list(sp[i][j]) + [(s, -x) for s, x in sp[j][i]]
+        _check_hits(coll, "commutative", (i, j), hits, n)
+    # (x*y)*z needs t in x*y with t*z nonzero; x*(y*z) needs t in y*z with x*t
+    for i, j, k in _candidates((sp, sp, (0, 1, 2)), (sp, _flip(sp, n), (2, 0, 1))):
+        hits = [(s, c * x) for t, c in sp[i][j] for s, x in sp[t][k]]
+        hits += [(s, -c * x) for t, c in sp[j][k] for s, x in sp[i][t]]
+        _check_hits(coll, "associative", (i, j, k), hits, n)
     return coll.report()
 
 
@@ -368,19 +464,18 @@ def check_lie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomRepor
     n = m.space.dim
     sp = m._sparse
     coll = Collector(limit)
-    for i in range(n):
-        coll.check("antisymmetric", (i, i), m.product(i, i))
-        for j in range(i + 1, n):
-            coll.check(
-                "antisymmetric", (i, j), vec_add(m.product(i, j), m.product(j, i))
-            )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                hits = [(s, c * x) for t, c in sp[j][k] for s, x in sp[i][t]]
-                hits += [(s, c * x) for t, c in sp[k][i] for s, x in sp[j][t]]
-                hits += [(s, c * x) for t, c in sp[i][j] for s, x in sp[k][t]]
-                _check_hits(coll, "jacobi", (i, j, k), hits, n)
+    for i, j in sorted({(min(pair), max(pair)) for pair in _nonzero_pairs(sp)}):
+        hits = list(sp[i][j]) + (list(sp[j][i]) if i != j else [])
+        _check_hits(coll, "antisymmetric", (i, j), hits, n)
+    # [x,[y,z]], [y,[z,x]] and [z,[x,y]]: an inner bracket holding t and [-, t]
+    flipped = _flip(sp, n)
+    for i, j, k in _candidates(
+        (sp, flipped, (2, 0, 1)), (sp, flipped, (1, 2, 0)), (sp, flipped, (0, 1, 2))
+    ):
+        hits = [(s, c * x) for t, c in sp[j][k] for s, x in sp[i][t]]
+        hits += [(s, c * x) for t, c in sp[k][i] for s, x in sp[j][t]]
+        hits += [(s, c * x) for t, c in sp[i][j] for s, x in sp[k][t]]
+        _check_hits(coll, "jacobi", (i, j, k), hits, n)
     return coll.report()
 
 
@@ -414,18 +509,23 @@ def _relative_leibniz_sweep(
     w(z) is given as sparse column (index, value) lists."""
     n = dot.space.dim
     dsp, bsp = dot._sparse, bracket._sparse
-    for x in range(n):
-        dspx = dsp[x]
-        for y in range(n):
-            xy = dsp[x][y]
-            for z in range(n):
-                hits = [(s, c * x_) for t, c in xy for s, x_ in bsp[z][t]]
-                hits += [(s, -c * x_) for t, c in bsp[z][x] for s, x_ in dsp[t][y]]
-                hits += [(s, -c * x_) for t, c in bsp[z][y] for s, x_ in dspx[t]]
-                for t, c in xy:
-                    for m_, w in weight_cols[z]:
-                        hits += [(s, -c * w * x_) for s, x_ in dsp[t][m_]]
-                _check_hits(coll, axiom, (x, y, z), hits, n)
+    # weighted[t][z]: t.w(z) is nonzero somewhere
+    weighted = [[any(dt[m] for m, _ in wz) for wz in weight_cols] for dt in dsp]
+    triples = _candidates(
+        (dsp, _flip(bsp, n), (0, 1, 2)),
+        (bsp, dsp, (1, 2, 0)),
+        (bsp, _flip(dsp, n), (2, 1, 0)),
+        (dsp, weighted, (0, 1, 2)),
+    )
+    for x, y, z in triples:
+        xy = dsp[x][y]
+        hits = [(s, c * x_) for t, c in xy for s, x_ in bsp[z][t]]
+        hits += [(s, -c * x_) for t, c in bsp[z][x] for s, x_ in dsp[t][y]]
+        hits += [(s, -c * x_) for t, c in bsp[z][y] for s, x_ in dsp[x][t]]
+        for t, c in xy:
+            for m_, w in weight_cols[z]:
+                hits += [(s, -c * w * x_) for s, x_ in dsp[t][m_]]
+        _check_hits(coll, axiom, (x, y, z), hits, n)
 
 
 def check_relative_leibniz(
@@ -486,19 +586,7 @@ def find_unit(dot: BilinearOp):
     Solves u * e_j = e_j and e_j * u = e_j for all j; a two-sided unit is
     automatically unique, so any consistent solution is the answer.
     """
-    n = dot.space.dim
-    if n == 0:
-        return ()
-    rows = []
-    rhs = []
-    for j in range(n):
-        for k in range(n):
-            rows.append(tuple(dot.entry(i, j, k) for i in range(n)))
-            rhs.append(ONE if j == k else ZERO)
-            rows.append(tuple(dot.entry(j, i, k) for i in range(n)))
-            rhs.append(ONE if j == k else ZERO)
-    sol = solve_exact(tuple(rows), tuple(rhs))
-    return sol
+    return dot._unit
 
 
 def check_jacobi_algebra(
@@ -514,18 +602,10 @@ def check_jacobi_algebra(
     unit = find_unit(dot)
     if unit is None:
         raise NoUnitError("multiplication has no two-sided unit")
-    n = dot.space.dim
     coll = Collector(limit)
     coll.merge(check_comm_assoc(dot, limit), "dot:")
     coll.merge(check_lie(bracket, limit), "bracket:")
-    ad_unit = [
-        tuple(
-            (m, v)
-            for m, v in enumerate(bracket.apply(unit, basis_vector(n, z)))
-            if v
-        )
-        for z in range(n)
-    ]
+    ad_unit = _sparse_columns(bracket.left_matrix_of(unit))
     _relative_leibniz_sweep("unital-leibniz", dot, bracket, ad_unit, coll)
     return coll.report()
 

@@ -41,6 +41,7 @@ from .documents import (
     doc_to_rmatrix,
     doc_to_single_op,
     parse_document,
+    parse_scalar_string,
     rel_poisson_doc,
     rel_pre_poisson_doc,
     rmatrix_doc,
@@ -313,7 +314,7 @@ def cmd_report(args) -> int:
     if "dim" in doc:
         info["dim"] = doc["dim"]
     counts = {
-        key: len(value)
+        key: sum(1 for entry in value if parse_scalar_string(entry[-1]))
         for key, value in doc.items()
         if isinstance(value, list) and value and isinstance(value[0], list)
     }

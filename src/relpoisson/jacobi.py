@@ -15,6 +15,7 @@ from .algebra import (
     PreconditionError,
     RelPoissonAlgebra,
     AxiomReport,
+    ad_map,
     block_sum,
     check_jacobi_algebra,
     check_rel_poisson,
@@ -158,8 +159,8 @@ def lift_o_operator(rep: RepData, operator: LinearMap) -> OOperator:
 def _relabel_algebra(alg: RelPoissonAlgebra, space: Space) -> RelPoissonAlgebra:
     return RelPoissonAlgebra(
         space,
-        BilinearOp(space, alg.dot.table),
-        BilinearOp(space, alg.bracket.table),
+        BilinearOp.from_entries(space, alg.dot.nonzero_entries()),
+        BilinearOp.from_entries(space, alg.bracket.nonzero_entries()),
         LinearMap(space, space, alg.derivation.entries),
     )
 
@@ -195,13 +196,12 @@ def frobenius_jacobi_pipeline(
     lift = verified("sub-adjacent", lift_o_operator, rep, LinearMap.identity(sub.space))
     extended = lift.rep.algebra
     stage("extend-jacobi", check_jacobi_algebra(extended.dot, extended.bracket))
+    # the sweep above solved for this unit; find_unit reads it back
     unit = find_unit(extended.dot)
     if unit is None:
         raise PipelineError("extend-jacobi", "extension has no unit")
-    # derivation of the extension must be ad(unit)
-    for j in range(extended.dim):
-        if extended.bracket.apply(unit, basis_vector(extended.dim, j)) != extended.derivation.column(j):
-            raise PipelineError("extend-jacobi", "derivation is not ad(unit)")
+    if ad_map(extended.bracket, unit) != extended.derivation:
+        raise PipelineError("extend-jacobi", "derivation is not ad(unit)")
     stage(
         "extend-representation",
         check_jacobi_representation(
@@ -251,9 +251,8 @@ def frobenius_jacobi_pipeline(
         raise PipelineError("double", "double is not unital with the expected unit")
     # with D = ad(unit) the relative Leibniz rule swept above is the unital
     # one, so the double is a Jacobi algebra
-    for j in range(double.dim):
-        if double.bracket.apply(double_unit, basis_vector(double.dim, j)) != double.derivation.column(j):
-            raise PipelineError("double", "derivation of the double is not ad(unit)")
+    if ad_map(double.bracket, double_unit) != double.derivation:
+        raise PipelineError("double", "derivation of the double is not ad(unit)")
     form = canonical_pairing(double.space)
     if not form.is_symmetric():
         raise PipelineError("double", "pairing form is not symmetric")

@@ -15,7 +15,9 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    _candidates,
     _check_hits,
+    _flip,
     _sparse_columns,
     block_sum,
     check_rel_poisson,
@@ -185,14 +187,15 @@ def _dot_matched(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
     """mu(x)(a.b) - (mu(x)a).b - mu(mu'(a)x)b."""
     n = acted.dim
     dot = acted.dot._sparse
-    for x, mux in enumerate(mu):
-        for a in range(n):
-            back_a = mu_back[a][x]
-            for b in range(n):
-                hits = [(s, c * v) for t, c in dot[a][b] for s, v in mux[t]]
-                hits += [(s, -c * v) for t, c in mux[a] for s, v in dot[t][b]]
-                hits += [(s, -c * v) for t, c in back_a for s, v in mu[t][b]]
-                _check_hits(coll, axiom, (x, a, b), hits, n)
+    triples = _candidates(
+        (dot, _flip(mu, n), (2, 0, 1)), (mu, dot, (0, 1, 2)), (mu_back, mu, (1, 0, 2))
+    )
+    for x, a, b in triples:
+        mux = mu[x]
+        hits = [(s, c * v) for t, c in dot[a][b] for s, v in mux[t]]
+        hits += [(s, -c * v) for t, c in mux[a] for s, v in dot[t][b]]
+        hits += [(s, -c * v) for t, c in mu_back[a][x] for s, v in mu[t][b]]
+        _check_hits(coll, axiom, (x, a, b), hits, n)
 
 
 def _bracket_matched(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
@@ -200,15 +203,21 @@ def _bracket_matched(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
     - rho(rho'(b)x)a."""
     n = acted.dim
     br = acted.bracket._sparse
-    for x, rhox in enumerate(rho):
-        for a in range(n):
-            for b in range(n):
-                hits = [(s, c * v) for t, c in br[a][b] for s, v in rhox[t]]
-                hits += [(s, -c * v) for t, c in rhox[a] for s, v in br[t][b]]
-                hits += [(s, -c * v) for t, c in rhox[b] for s, v in br[a][t]]
-                hits += [(s, c * v) for t, c in rho_back[a][x] for s, v in rho[t][b]]
-                hits += [(s, -c * v) for t, c in rho_back[b][x] for s, v in rho[t][a]]
-                _check_hits(coll, axiom, (x, a, b), hits, n)
+    triples = _candidates(
+        (br, _flip(rho, n), (2, 0, 1)),
+        (rho, br, (0, 1, 2)),
+        (rho, _flip(br, n), (0, 2, 1)),
+        (rho_back, rho, (1, 0, 2)),
+        (rho_back, rho, (1, 2, 0)),
+    )
+    for x, a, b in triples:
+        rhox = rho[x]
+        hits = [(s, c * v) for t, c in br[a][b] for s, v in rhox[t]]
+        hits += [(s, -c * v) for t, c in rhox[a] for s, v in br[t][b]]
+        hits += [(s, -c * v) for t, c in rhox[b] for s, v in br[a][t]]
+        hits += [(s, c * v) for t, c in rho_back[a][x] for s, v in rho[t][b]]
+        hits += [(s, -c * v) for t, c in rho_back[b][x] for s, v in rho[t][a]]
+        _check_hits(coll, axiom, (x, a, b), hits, n)
 
 
 def _cross_leibniz(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
@@ -217,18 +226,28 @@ def _cross_leibniz(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
     n = acted.dim
     dot = acted.dot._sparse
     der = _sparse_columns(acting.derivation.entries)
-    for x, rhox in enumerate(rho):
-        for a in range(n):
-            for b in range(n):
-                ab = dot[a][b]
-                hits = [(s, c * v) for t, c in ab for s, v in rhox[t]]
-                hits += [(s, c * v) for t, c in rho_back[b][x] for s, v in mu[t][a]]
-                hits += [(s, -c * v) for t, c in rhox[b] for s, v in dot[a][t]]
-                hits += [(s, c * v) for t, c in rho_back[a][x] for s, v in mu[t][b]]
-                hits += [(s, -c * v) for t, c in rhox[a] for s, v in dot[b][t]]
-                for r, p in der[x]:
-                    hits += [(s, -p * c * v) for t, c in ab for s, v in mu[r][t]]
-                _check_hits(coll, axiom, (x, a, b), hits, n)
+    dot_flip = _flip(dot, n)
+    # mu_der[t][x]: mu(Px) is nonzero on e_t
+    mu_der = [[any(mu[r][t] for r, _ in px) for px in der] for t in range(n)]
+    triples = _candidates(
+        (dot, _flip(rho, n), (2, 0, 1)),
+        (rho_back, mu, (1, 2, 0)),
+        (rho, dot_flip, (0, 2, 1)),
+        (rho_back, mu, (1, 0, 2)),
+        (rho, dot_flip, (0, 1, 2)),
+        (dot, mu_der, (2, 0, 1)),
+    )
+    for x, a, b in triples:
+        rhox = rho[x]
+        ab = dot[a][b]
+        hits = [(s, c * v) for t, c in ab for s, v in rhox[t]]
+        hits += [(s, c * v) for t, c in rho_back[b][x] for s, v in mu[t][a]]
+        hits += [(s, -c * v) for t, c in rhox[b] for s, v in dot[a][t]]
+        hits += [(s, c * v) for t, c in rho_back[a][x] for s, v in mu[t][b]]
+        hits += [(s, -c * v) for t, c in rhox[a] for s, v in dot[b][t]]
+        for r, p in der[x]:
+            hits += [(s, -p * c * v) for t, c in ab for s, v in mu[r][t]]
+        _check_hits(coll, axiom, (x, a, b), hits, n)
 
 
 def _cross_compatibility(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
@@ -237,18 +256,27 @@ def _cross_compatibility(coll, axiom, acting, acted, mu, rho, mu_back, rho_back)
     n = acted.dim
     dot, br = acted.dot._sparse, acted.bracket._sparse
     der = _sparse_columns(acted.derivation.entries)
-    for a in range(n):
-        for x, mux in enumerate(mu):
-            rhox = rho[x]
-            for b in range(n):
-                hits = [(s, c * v) for t, c in mu_back[a][x] for s, v in rho[t][b]]
-                hits += [(s, c * v) for t, c in mux[a] for s, v in br[t][b]]
-                hits += [(s, -c * v) for t, c in rhox[b] for s, v in dot[a][t]]
-                hits += [(s, c * v) for t, c in rho_back[b][x] for s, v in mu[t][a]]
-                hits += [(s, -c * v) for t, c in br[a][b] for s, v in mux[t]]
-                for m, p in der[b]:
-                    hits += [(s, p * c * v) for t, c in dot[a][m] for s, v in mux[t]]
-                _check_hits(coll, axiom, (a, x, b), hits, n)
+    mu_flip = _flip(mu, n)
+    # dot_der[a][b] holds the terms of a.Pb
+    dot_der = [[[tc for m, _ in pb for tc in dot_a[m]] for pb in der] for dot_a in dot]
+    triples = _candidates(
+        (mu_back, rho, (0, 1, 2)),
+        (mu, br, (1, 0, 2)),
+        (rho, _flip(dot, n), (2, 0, 1)),
+        (rho_back, mu, (2, 1, 0)),
+        (br, mu_flip, (0, 2, 1)),
+        (dot_der, mu_flip, (0, 2, 1)),
+    )
+    for a, x, b in triples:
+        mux, rhox = mu[x], rho[x]
+        hits = [(s, c * v) for t, c in mu_back[a][x] for s, v in rho[t][b]]
+        hits += [(s, c * v) for t, c in mux[a] for s, v in br[t][b]]
+        hits += [(s, -c * v) for t, c in rhox[b] for s, v in dot[a][t]]
+        hits += [(s, c * v) for t, c in rho_back[b][x] for s, v in mu[t][a]]
+        hits += [(s, -c * v) for t, c in br[a][b] for s, v in mux[t]]
+        for m, p in der[b]:
+            hits += [(s, p * c * v) for t, c in dot[a][m] for s, v in mux[t]]
+        _check_hits(coll, axiom, (a, x, b), hits, n)
 
 
 def check_matched_pair(

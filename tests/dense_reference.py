@@ -19,10 +19,6 @@ from relpoisson.algebra import (
     NoUnitError,
     PreconditionError,
     RelPoissonAlgebra,
-    check_comm_assoc,
-    check_lie,
-    check_relative_leibniz,
-    find_unit,
 )
 from relpoisson.coalgebra import BialgebraData, Comultiplication
 from relpoisson.linalg import (
@@ -35,6 +31,8 @@ from relpoisson.linalg import (
     Tensor3,
     Vector,
     basis_vector,
+    block_diagonal,
+    direct_sum_space,
     identity_matrix,
     mat_add,
     mat_apply,
@@ -43,6 +41,8 @@ from relpoisson.linalg import (
     mat_neg,
     mat_sub,
     mat_transpose,
+    scalar,
+    solve_exact,
     vec_add,
     vec_sub,
     zero_matrix,
@@ -50,6 +50,206 @@ from relpoisson.linalg import (
 from relpoisson.pairing import BilinearForm, canonical_pairing, is_nondegenerate
 from relpoisson.representations import CompatibleStructure, RepData, _as_matrices
 from relpoisson.yangbaxter import is_antisymmetric
+
+
+def _sparse_of(m: BilinearOp):
+    """Every product's nonzero (k, value) terms, read from the dense table."""
+    return tuple(
+        tuple(tuple((k, x) for k, x in enumerate(vec) if x) for vec in row)
+        for row in m.table
+    )
+
+
+def _check_hits(coll: Collector, axiom: str, where, hits, n: int) -> None:
+    """Fold sparse (index, value) contributions and report a nonzero sum."""
+    if not hits:
+        return
+    acc = [ZERO] * n
+    for k, v in hits:
+        acc[k] += v
+    if any(acc):
+        coll.check(axiom, where, acc)
+
+
+def _sparse_columns(m: Matrix):
+    return tuple(
+        tuple((r, row[j]) for r, row in enumerate(m) if row[j]) for j in range(len(m))
+    )
+
+
+def from_entries(space: Space, entries) -> BilinearOp:
+    """Build from sparse (i, j, k, value) structure-constant entries."""
+    n = space.dim
+    tab = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, value in entries:
+        tab[i][j][k] += scalar(value)
+    return BilinearOp(space, tuple(tuple(tuple(v) for v in row) for row in tab))
+
+
+def block_sum(
+    left: RelPoissonAlgebra,
+    right: RelPoissonAlgebra,
+    mu1,
+    rho1,
+    mu2,
+    rho2,
+) -> RelPoissonAlgebra:
+    """The quadruple on A1 + A2 (A1 basis first) from two algebras acting on
+    each other, through dense tables."""
+    n1, n2 = left.dim, right.dim
+    total = direct_sum_space(left.space, right.space)
+    zero1, zero2 = (ZERO,) * n1, (ZERO,) * n2
+    dot_table = [[None] * (n1 + n2) for _ in range(n1 + n2)]
+    br_table = [[None] * (n1 + n2) for _ in range(n1 + n2)]
+    for i in range(n1):
+        for j in range(n1):
+            dot_table[i][j] = left.dot.product(i, j) + zero2
+            br_table[i][j] = left.bracket.product(i, j) + zero2
+    for a in range(n2):
+        for b in range(n2):
+            dot_table[n1 + a][n1 + b] = zero1 + right.dot.product(a, b)
+            br_table[n1 + a][n1 + b] = zero1 + right.bracket.product(a, b)
+    for i in range(n1):
+        for b in range(n2):
+            mu2b_i = tuple(mu2[b][r][i] for r in range(n1))
+            mu1i_b = tuple(mu1[i][r][b] for r in range(n2))
+            rho2b_i = tuple(rho2[b][r][i] for r in range(n1))
+            rho1i_b = tuple(rho1[i][r][b] for r in range(n2))
+            dot_table[i][n1 + b] = dot_table[n1 + b][i] = mu2b_i + mu1i_b
+            br_table[i][n1 + b] = tuple(-x for x in rho2b_i) + rho1i_b
+            br_table[n1 + b][i] = rho2b_i + tuple(-x for x in rho1i_b)
+    derivation = block_diagonal(left.derivation.entries, right.derivation.entries)
+    return RelPoissonAlgebra(
+        total,
+        BilinearOp(total, dot_table),
+        BilinearOp(total, br_table),
+        LinearMap(total, total, derivation),
+    )
+
+
+def check_comm_assoc(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
+    """Commutativity x*y = y*x and associativity (x*y)*z = x*(y*z)."""
+    n = m.space.dim
+    sp = _sparse_of(m)
+    coll = Collector(limit)
+    for i in range(n):
+        for j in range(n):
+            coll.check("commutative", (i, j), vec_sub(m.product(i, j), m.product(j, i)))
+    for i in range(n):
+        spi = sp[i]
+        for j in range(n):
+            left = spi[j]
+            for k in range(n):
+                hits = [(s, c * x) for t, c in left for s, x in sp[t][k]]
+                hits += [(s, -c * x) for t, c in sp[j][k] for s, x in spi[t]]
+                _check_hits(coll, "associative", (i, j, k), hits, n)
+    return coll.report()
+
+
+def check_lie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
+    """Antisymmetry [x,x] = 0 and the Jacobi identity on basis triples."""
+    n = m.space.dim
+    sp = _sparse_of(m)
+    coll = Collector(limit)
+    for i in range(n):
+        coll.check("antisymmetric", (i, i), m.product(i, i))
+        for j in range(i + 1, n):
+            coll.check(
+                "antisymmetric", (i, j), vec_add(m.product(i, j), m.product(j, i))
+            )
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                hits = [(s, c * x) for t, c in sp[j][k] for s, x in sp[i][t]]
+                hits += [(s, c * x) for t, c in sp[k][i] for s, x in sp[j][t]]
+                hits += [(s, c * x) for t, c in sp[i][j] for s, x in sp[k][t]]
+                _check_hits(coll, "jacobi", (i, j, k), hits, n)
+    return coll.report()
+
+
+def _relative_leibniz_sweep(
+    axiom: str,
+    dot: BilinearOp,
+    bracket: BilinearOp,
+    weight_cols,
+    coll: Collector,
+) -> None:
+    """[z, x.y] - [z,x].y - x.[z,y] - x.y.w(z) = 0 on basis triples, where
+    w(z) is given as sparse column (index, value) lists."""
+    n = dot.space.dim
+    dsp, bsp = _sparse_of(dot), _sparse_of(bracket)
+    for x in range(n):
+        dspx = dsp[x]
+        for y in range(n):
+            xy = dsp[x][y]
+            for z in range(n):
+                hits = [(s, c * x_) for t, c in xy for s, x_ in bsp[z][t]]
+                hits += [(s, -c * x_) for t, c in bsp[z][x] for s, x_ in dsp[t][y]]
+                hits += [(s, -c * x_) for t, c in bsp[z][y] for s, x_ in dspx[t]]
+                for t, c in xy:
+                    for m_, w in weight_cols[z]:
+                        hits += [(s, -c * w * x_) for s, x_ in dsp[t][m_]]
+                _check_hits(coll, axiom, (x, y, z), hits, n)
+
+
+def check_relative_leibniz(
+    dot: BilinearOp,
+    bracket: BilinearOp,
+    der: LinearMap,
+    limit: int = DEFAULT_VIOLATION_LIMIT,
+) -> AxiomReport:
+    """[z, x.y] = [z,x].y + x.[z,y] + x.y.D(z) on basis triples (x, y, z)."""
+    if dot.space != bracket.space:
+        raise ValueError("dot and bracket live on different spaces")
+    if der.domain != dot.space or der.codomain != dot.space:
+        raise ValueError("derivation is not an endomorphism of the algebra's space")
+    coll = Collector(limit)
+    dcols = _sparse_columns(der.entries)
+    _relative_leibniz_sweep("relative-leibniz", dot, bracket, dcols, coll)
+    return coll.report()
+
+
+def find_unit(dot: BilinearOp):
+    """The unique two-sided unit of a multiplication, or None, from the dense
+    2N^2 x N system."""
+    n = dot.space.dim
+    if n == 0:
+        return ()
+    rows = []
+    rhs = []
+    for j in range(n):
+        for k in range(n):
+            rows.append(tuple(dot.entry(i, j, k) for i in range(n)))
+            rhs.append(ONE if j == k else ZERO)
+            rows.append(tuple(dot.entry(j, i, k) for i in range(n)))
+            rhs.append(ONE if j == k else ZERO)
+    return solve_exact(tuple(rows), tuple(rhs))
+
+
+def check_jacobi_algebra(
+    dot: BilinearOp, bracket: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT
+) -> AxiomReport:
+    """Jacobi algebra axioms: unital comm. assoc. + Lie + the unital
+    Leibniz rule [z, x.y] = [z,x].y + x.[z,y] + x.y.[1,z]."""
+    if dot.space != bracket.space:
+        raise ValueError("dot and bracket live on different spaces")
+    unit = find_unit(dot)
+    if unit is None:
+        raise NoUnitError("multiplication has no two-sided unit")
+    n = dot.space.dim
+    coll = Collector(limit)
+    coll.merge(check_comm_assoc(dot, limit), "dot:")
+    coll.merge(check_lie(bracket, limit), "bracket:")
+    ad_unit = [
+        tuple(
+            (m, v)
+            for m, v in enumerate(bracket.apply(unit, basis_vector(n, z)))
+            if v
+        )
+        for z in range(n)
+    ]
+    _relative_leibniz_sweep("unital-leibniz", dot, bracket, ad_unit, coll)
+    return coll.report()
 
 
 def check_derivation(

@@ -2,6 +2,7 @@
 reports (verdict, violation names, where tuples, defect vectors, order,
 truncation) must agree on valid and on invalid data."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -293,6 +294,36 @@ def test_yangbaxter_checkers_match_reference_on_corpus(data):
     # the coboundary sweep gets past its precondition
     alg = data.draw(st.sampled_from(CORPUS))
     assert_same_yangbaxter(alg, neg_map(alg.derivation), data.draw(rmatrices(alg.space)))
+
+
+def seeded_yangbaxter_cases(seed=3, per_algebra=6):
+    """Nonzero 2-tensors against the verified corpus algebras, with the
+    negated derivation as the dual map.  Entries come from pools with few or
+    no zeros, and two of every three tensors are made antisymmetric, so the
+    Yang-Baxter checkers see both solutions and failures."""
+    rng = random.Random(seed)
+    pools = ((0, 1, -1), (1, -1, 2, -2, F(1, 2)))
+    for alg in CORPUS:
+        n = alg.dim
+        for t in range(per_algebra):
+            rows = [[F(rng.choice(pools[t % 2])) for _ in range(n)] for _ in range(n)]
+            if t % 3 != 2:
+                rows = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
+            yield alg, neg_map(alg.derivation), Tensor2(alg.space, alg.space, rows)
+
+
+YBE_CHECKERS = ("check_rpybe", "check_rpybe_via_maps", "check_coboundary_conditions")
+
+
+def test_yangbaxter_checkers_pass_and_fail_on_seeded_tensors():
+    seen = {name: set() for name in YBE_CHECKERS}
+    for alg, codrv, r in seeded_yangbaxter_cases():
+        assert_same_yangbaxter(alg, codrv, r)
+        for name in YBE_CHECKERS:
+            outcome = _outcome(getattr(rp, name), (alg, codrv, r), 16)
+            seen[name].add(getattr(outcome, "ok", outcome))
+    for name, outcomes in seen.items():
+        assert {True, False} <= outcomes, name
 
 
 @settings(max_examples=120, deadline=None)

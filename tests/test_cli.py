@@ -350,3 +350,15 @@ def test_report_unit_uses_default_basis_labels(tmp_path, capsys):
     doc.write_text(json.dumps({"kind": "comm-assoc", "dim": 2, "product": product}))
     assert main(["report", str(doc)]) == 0
     assert "unit: 1*e1\n" in capsys.readouterr().out
+
+
+def test_report_counts_only_nonzero_entries(tmp_path, capsys):
+    doc = tmp_path / "zeros.json"
+    product = [[0, 0, 0, "0"]]
+    doc.write_text(json.dumps({"kind": "comm-assoc", "dim": 1, "product": product}))
+    assert main(["report", str(doc)]) == 0
+    assert "nonzero_entries: {'product': 0}\n" in capsys.readouterr().out
+    product = [[0, 0, 0, "1"], [0, 0, 1, "0"], [1, 1, 1, "-1/2"], [1, 0, 0, "0"]]
+    doc.write_text(json.dumps({"kind": "comm-assoc", "dim": 2, "product": product}))
+    main(["report", "--json", str(doc)])
+    assert json.loads(capsys.readouterr().out)["nonzero_entries"] == {"product": 2}
