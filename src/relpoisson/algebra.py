@@ -25,7 +25,6 @@ from .linalg import (
     direct_sum_space,
     scalar,
     vec_is_zero,
-    vec_sub,
 )
 
 DEFAULT_VIOLATION_LIMIT = 16
@@ -387,6 +386,39 @@ def block_sum(
 # checkers
 
 
+# Tensor-valued quantities are swept as sparse (index, value) hits: an entry
+# (i1, ..., ik) of a k-tensor over dim n sits at the flat index
+# ((i1*n + i2)*n + ...)*n + ik, so a vector is k = 1 and an m-by-m matrix is
+# k = 2 over m.  The slot of i_s has stride n**(k - s).  A linear map enters
+# as its sparse column table: cols[j] lists the (index, value) hits of its
+# image of e_j.
+
+
+def _apply(cols, coeffs, scale=1):
+    """Hits of scale * sum_t c_t cols[t], for sparse (t, c_t) coefficients."""
+    return [(f, scale * c * x) for t, c in coeffs for f, x in cols[t]]
+
+
+def _on_slot(cols, hits, n: int, stride: int, scale=1, width=None):
+    """Hits of scale * M applied to the slot of the given stride, for M a
+    column table into a space of dim ``width`` (n by default); with width
+    n*n the slot becomes two, as in (Delta (x) id) Delta."""
+    width = n if width is None else width
+    block = stride * n
+    return [
+        ((f // block * width + p) * stride + f % stride, scale * x * v)
+        for f, x in hits
+        for p, v in cols[f // stride % n]
+    ]
+
+
+def _swap(hits, n: int, stride: int, scale=1):
+    """Hits of scale * t with its slots of strides stride*n and stride
+    exchanged, e.g. tau(t) for a 2-tensor at stride 1."""
+    step = stride * (n - 1)
+    return [(f + (f // stride % n - f // (stride * n) % n) * step, scale * x) for f, x in hits]
+
+
 def _check_hits(coll: Collector, axiom: str, where, hits, n: int) -> None:
     """Fold sparse (index, value) contributions and report a nonzero sum;
     only the touched coordinates are tested, so the cost follows the hits,
@@ -558,6 +590,20 @@ def check_rel_poisson(
     return coll.report()
 
 
+def _derived_product(op: BilinearOp, der: LinearMap) -> BilinearOp:
+    """The product x.D(y) - D(x).y, built from its sparse entries."""
+    n = op.space.dim
+    sp, cols = op._sparse, _sparse_columns(der.entries)
+    flipped = _flip(sp, n)
+    entries = [
+        (i, j, k, v)
+        for i in range(n)
+        for j in range(n)
+        for k, v in _apply(sp[i], cols[j]) + _apply(flipped[j], cols[i], -1)
+    ]
+    return BilinearOp.from_entries(op.space, entries)
+
+
 def bracket_from_derivation(dot: BilinearOp, der: LinearMap) -> BilinearOp:
     """The bracket [x,y] = x.D(y) - D(x).y of a commutative associative
     algebra with derivation; the resulting quadruple is relative Poisson."""
@@ -568,16 +614,7 @@ def bracket_from_derivation(dot: BilinearOp, der: LinearMap) -> BilinearOp:
             f"{', '.join(pre.axioms_failed())}",
             pre,
         )
-    n = dot.space.dim
-    cols = [der.column(j) for j in range(n)]
-    table = tuple(
-        tuple(
-            vec_sub(dot.apply_basis_left(i, cols[j]), dot.apply_basis_right(cols[i], j))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return BilinearOp(dot.space, table)
+    return _derived_product(dot, der)
 
 
 def find_unit(dot: BilinearOp):

@@ -5,12 +5,14 @@ coefficient of e_i (x) e_j in the image of e_k, so that dualizing a
 comultiplication into a product on the dual space is a pure index
 transposition with no signs.  The dual comultiplications of an algebra's
 own products carry the explicit minus signs of the dualization rules; they
-are load-bearing and implemented literally.
+are load-bearing and implemented literally.  Tensor-valued defects are
+swept in the flat-index convention of :mod:`relpoisson.algebra`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
@@ -19,8 +21,12 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    _apply,
     _check_hits,
+    _flip,
+    _on_slot,
     _sparse_columns,
+    _swap,
     check_rel_poisson,
 )
 from .linalg import (
@@ -30,11 +36,9 @@ from .linalg import (
     Space,
     Vector,
     mat_add,
-    mat_is_zero,
     mat_neg,
     mat_transpose,
     scalar,
-    zero_matrix,
 )
 from .pairing import MatchedPairData
 from .representations import check_dually_represents
@@ -61,8 +65,7 @@ class Comultiplication:
 
     @staticmethod
     def zero(space: Space) -> Comultiplication:
-        n = space.dim
-        return Comultiplication(space, tuple(zero_matrix(n, n) for _ in range(n)))
+        return Comultiplication.from_entries(space, ())
 
     @staticmethod
     def from_entries(space: Space, entries) -> Comultiplication:
@@ -78,33 +81,29 @@ class Comultiplication:
     def coeff(self, i: int, j: int, k: int):
         return self.columns[k][i][j]
 
+    @cached_property
+    def _hits(self):
+        """Each image Delta(e_k) as the sparse hits of a 2-tensor."""
+        n = self.space.dim
+        return tuple(
+            tuple((i * n + j, x) for i, row in enumerate(col) for j, x in enumerate(row) if x)
+            for col in self.columns
+        )
+
     def of(self, u: Vector) -> Matrix:
         """Image of a general element as a 2-tensor coefficient matrix."""
         n = self.space.dim
         acc = [[ZERO] * n for _ in range(n)]
-        for k, c in enumerate(u):
-            if not c:
-                continue
-            col = self.columns[k]
-            for i in range(n):
-                row = col[i]
-                for j in range(n):
-                    x = row[j]
-                    if x:
-                        acc[i][j] += c * x
+        for f, x in _apply(self._hits, [(k, c) for k, c in enumerate(u) if c]):
+            acc[f // n][f % n] += x
         return tuple(tuple(r) for r in acc)
 
     def is_zero(self) -> bool:
-        return all(mat_is_zero(col) for col in self.columns)
+        return not any(self._hits)
 
     def nonzero_entries(self):
-        out = []
-        for k, col in enumerate(self.columns):
-            for i, row in enumerate(col):
-                for j, x in enumerate(row):
-                    if x:
-                        out.append((i, j, k, x))
-        return out
+        n = self.space.dim
+        return [(f // n, f % n, k, x) for k, hits in enumerate(self._hits) for f, x in hits]
 
 
 @dataclass(frozen=True)
@@ -127,42 +126,6 @@ class BialgebraData:
             raise ValueError("bialgebra components live on different spaces")
 
 
-# Tensor-valued defects are swept as signed (index, value) hits at the flat
-# index i*n + j of a 2-tensor or (a*n + b)*n + c of a 3-tensor.  A
-# comultiplication is read through its entries, built once per check:
-# entries[k] lists the nonzero (i, j, value) coefficients of the image of e_k.
-
-
-def _entries(comult: Comultiplication):
-    return tuple(
-        tuple((i, j, x) for i, row in enumerate(col) for j, x in enumerate(row) if x)
-        for col in comult.columns
-    )
-
-
-def _image(entries, coeffs, n: int, scale=1):
-    """Hits of scale * Delta(u) for u given by sparse (k, u_k) coefficients."""
-    return [(i * n + j, scale * c * x) for k, c in coeffs for i, j, x in entries[k]]
-
-
-def _on_first(m, tensor, n: int, scale=1):
-    """Hits of scale * (M (x) id) t for M a sparse column table and t a
-    2-tensor's (i, j, value) entries."""
-    return [(p * n + j, scale * x * v) for i, j, x in tensor for p, v in m[i]]
-
-
-def _on_second(m, tensor, n: int, scale=1):
-    """Hits of scale * (id (x) M) t."""
-    return [(i * n + q, scale * x * v) for i, j, x in tensor for q, v in m[j]]
-
-
-def _swap_hits(tensor, n: int, scale=1):
-    """Hits of t + scale * tau(t), tau the exchange of the two factors."""
-    return [(i * n + j, x) for i, j, x in tensor] + [
-        (j * n + i, scale * x) for i, j, x in tensor
-    ]
-
-
 # ---------------------------------------------------------------------------
 # coalgebra checkers
 
@@ -172,14 +135,15 @@ def check_cocomm_coassoc(
 ) -> AxiomReport:
     """Cocommutativity (tau after Delta = Delta) and coassociativity."""
     n = comult.space.dim
-    ent = _entries(comult)
+    ent = comult._hits
     coll = Collector(limit)
     for k in range(n):
-        _check_hits(coll, "cocommutative", (k,), _swap_hits(ent[k], n, -1), n * n)
+        hits = [*ent[k], *_swap(ent[k], n, 1, -1)]
+        _check_hits(coll, "cocommutative", (k,), hits, n * n)
     for k in range(n):
         # (id (x) Delta) Delta - (Delta (x) id) Delta
-        hits = [((i * n + p) * n + q, c * x) for i, j, c in ent[k] for p, q, x in ent[j]]
-        hits += [((p * n + q) * n + j, -c * x) for i, j, c in ent[k] for p, q, x in ent[i]]
+        hits = _on_slot(ent, ent[k], n, 1, width=n * n)
+        hits += _on_slot(ent, ent[k], n, n, -1, n * n)
         _check_hits(coll, "coassociative", (k,), hits, n**3)
     return coll.report()
 
@@ -189,20 +153,17 @@ def check_lie_coalgebra(
 ) -> AxiomReport:
     """Anticocommutativity (tau after delta = -delta) and the co-Jacobi
     identity (id + rotation + rotation^2)(id (x) delta) delta = 0."""
-    n = comult.space.dim
-    ent = _entries(comult)
+    n, n2 = comult.space.dim, comult.space.dim**2
+    ent = comult._hits
     coll = Collector(limit)
     for k in range(n):
-        _check_hits(coll, "anticocommutative", (k,), _swap_hits(ent[k], n), n * n)
+        hits = [*ent[k], *_swap(ent[k], n, 1)]
+        _check_hits(coll, "anticocommutative", (k,), hits, n2)
     for k in range(n):
-        # a term w at (i, p, q) of (id (x) delta) delta is summed at (i, p, q),
+        # a term at (i, p, q) of (id (x) delta) delta is summed at (i, p, q),
         # (p, q, i) and (q, i, p)
-        cup = [(i, p, q, c * x) for i, j, c in ent[k] for p, q, x in ent[j]]
-        hits = [
-            (f, w)
-            for i, p, q, w in cup
-            for f in ((i * n + p) * n + q, (p * n + q) * n + i, (q * n + i) * n + p)
-        ]
+        cup = _on_slot(ent, ent[k], n, 1, width=n2)
+        hits = [(g, w) for f, w in cup for g in (f, f % n2 * n + f // n2, f % n * n2 + f // n)]
         _check_hits(coll, "co-jacobi", (k,), hits, n**3)
     return coll.report()
 
@@ -222,29 +183,24 @@ def check_rel_poisson_coalgebra(
     n = dot_comult.space.dim
     if codrv.domain.dim != n or codrv.codomain.dim != n:
         raise ValueError("coderivation does not match the comultiplications")
+    n2 = n * n
     q = _sparse_columns(codrv.entries)
-    dots, brs = _entries(dot_comult), _entries(bracket_comult)
+    dots, brs = dot_comult._hits, bracket_comult._hits
     coll = Collector(limit)
     coll.merge(check_cocomm_coassoc(dot_comult, limit), "dot:")
     coll.merge(check_lie_coalgebra(bracket_comult, limit), "bracket:")
     for k in range(n):
         for axiom, ent in (("coderivation-dot", dots), ("coderivation-bracket", brs)):
             # Delta(Q e_k) - (Q (x) id) Delta(e_k) - (id (x) Q) Delta(e_k)
-            hits = _image(ent, q[k], n) + _on_first(q, ent[k], n, -1)
-            hits += _on_second(q, ent[k], n, -1)
-            _check_hits(coll, axiom, (k,), hits, n * n)
+            hits = _apply(ent, q[k]) + _on_slot(q, ent[k], n, n, -1)
+            hits += _on_slot(q, ent[k], n, 1, -1)
+            _check_hits(coll, axiom, (k,), hits, n2)
     for k in range(n):
         # (id (x) Delta) delta - (delta (x) id) Delta
         # - (tau (x) id)(id (x) delta) Delta - (Q (x) id (x) id)(Delta (x) id) Delta
-        hits = [((i * n + p) * n + r, c * x) for i, j, c in brs[k] for p, r, x in dots[j]]
-        hits += [((p * n + r) * n + j, -c * x) for i, j, c in dots[k] for p, r, x in brs[i]]
-        hits += [((p * n + i) * n + r, -c * x) for i, j, c in dots[k] for p, r, x in brs[j]]
-        hits += [
-            ((m * n + r) * n + j, -c * x * y)
-            for i, j, c in dots[k]
-            for p, r, x in dots[i]
-            for m, y in q[p]
-        ]
+        hits = _on_slot(dots, brs[k], n, 1, width=n2) + _on_slot(brs, dots[k], n, n, -1, n2)
+        hits += _swap(_on_slot(brs, dots[k], n, 1, width=n2), n, n, -1)
+        hits += _on_slot(q, _on_slot(dots, dots[k], n, n, width=n2), n, n2, -1)
         _check_hits(coll, "co-leibniz", (k,), hits, n**3)
     return coll.report()
 
@@ -256,38 +212,27 @@ def check_rel_poisson_coalgebra(
 def comult_to_dual_algebra(comult: Comultiplication) -> BilinearOp:
     """The product on the dual space with structure constants equal to the
     comultiplication coefficients: (e_i* e_j*) on e_k* is coeff(i, j, k)."""
-    n = comult.space.dim
-    table = tuple(
-        tuple(
-            tuple(comult.columns[k][i][j] for k in range(n)) for j in range(n)
-        )
-        for i in range(n)
-    )
-    return BilinearOp(comult.space.dual, table)
+    return BilinearOp.from_entries(comult.space.dual, comult.nonzero_entries())
+
+
+def _product_comult(op: BilinearOp, primal: Space, sign) -> Comultiplication:
+    """The comultiplication on ``primal`` with coefficients sign * op's."""
+    if op.space.dim != primal.dim:
+        raise ValueError("dimension mismatch")
+    entries = [(i, j, k, sign * x) for i, j, k, x in op.nonzero_entries()]
+    return Comultiplication.from_entries(primal, entries)
 
 
 def dual_algebra_to_comult(op: BilinearOp, primal: Space) -> Comultiplication:
     """Inverse transposition: a product on the dual space as a
     comultiplication on the given primal space."""
-    if op.space.dim != primal.dim:
-        raise ValueError("dimension mismatch")
-    n = primal.dim
-    cols = tuple(
-        tuple(tuple(op.entry(i, j, k) for j in range(n)) for i in range(n))
-        for k in range(n)
-    )
-    return Comultiplication(primal, cols)
+    return _product_comult(op, primal, 1)
 
 
 def negated_product_comult(op: BilinearOp, primal: Space) -> Comultiplication:
     """Comultiplication on the dual space induced by a product, with the
     dualization minus sign: <D(a*), x (x) y> = -<a*, x y>."""
-    n = primal.dim
-    cols = tuple(
-        tuple(tuple(-op.entry(i, j, k) for j in range(n)) for i in range(n))
-        for k in range(n)
-    )
-    return Comultiplication(primal, cols)
+    return _product_comult(op, primal, -1)
 
 
 def dual_rel_poisson_algebra(data: BialgebraData) -> RelPoissonAlgebra:
@@ -313,9 +258,10 @@ def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -
     divergence would surface both defects.
     """
     alg = data.algebra
-    n = alg.dim
+    n, n2 = alg.dim, alg.dim**2
     dot, br = alg.dot._sparse, alg.bracket._sparse
-    dcom, bcom = _entries(data.dot_comult), _entries(data.bracket_comult)
+    flipped = _flip(dot, n)
+    dcom, bcom = data.dot_comult._hits, data.bracket_comult._hits
     q = data.dual_derivation
     der = _sparse_columns(alg.derivation.entries)
     qcols = _sparse_columns(q.entries)
@@ -332,17 +278,17 @@ def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -
     # cocycle condition for the dot comultiplication
     for i in range(n):
         for j in range(n):
-            hits = _image(dcom, dot[i][j], n) + _on_first(dot[i], dcom[j], n, -1)
-            hits += _on_second(dot[j], dcom[i], n, -1)
-            _check_hits(coll, "dot-cocycle", (i, j), hits, n * n)
+            hits = _apply(dcom, dot[i][j]) + _on_slot(dot[i], dcom[j], n, n, -1)
+            hits += _on_slot(dot[j], dcom[i], n, 1, -1)
+            _check_hits(coll, "dot-cocycle", (i, j), hits, n2)
 
     # cocycle condition for the bracket comultiplication
     for i in range(n):
         for j in range(n):
-            hits = _image(bcom, br[i][j], n)
-            hits += _on_first(br[i], bcom[j], n, -1) + _on_second(br[i], bcom[j], n, -1)
-            hits += _on_first(br[j], bcom[i], n) + _on_second(br[j], bcom[i], n)
-            _check_hits(coll, "bracket-cocycle", (i, j), hits, n * n)
+            hits = _apply(bcom, br[i][j])
+            hits += _on_slot(br[i], bcom[j], n, n, -1) + _on_slot(br[i], bcom[j], n, 1, -1)
+            hits += _on_slot(br[j], bcom[i], n, n) + _on_slot(br[j], bcom[i], n, 1)
+            _check_hits(coll, "bracket-cocycle", (i, j), hits, n2)
 
     # the coderivation dually represents the algebra (both packages)
     coll.merge(check_dually_represents(alg, q, limit), "dual:")
@@ -351,42 +297,36 @@ def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -
             xy = dot[x][y]
             for z in range(n):
                 # (D + Q)((x.y).z)
-                hits = [(r, c * v * w) for t, c in xy for s, v in dot[t][z] for r, w in pq[s]]
+                hits = _apply(pq, _apply(flipped[z], xy))
                 _check_hits(coll, "dual-triple-product", (x, y, z), hits, n)
 
     # the derivation's transpose dually represents the dual algebra
     for k in range(n):
         for axiom, ent in (("comult-intertwine-dot", dcom), ("comult-intertwine-bracket", bcom)):
             # Delta(D e_k) - (D (x) id) Delta(e_k) + (id (x) Q) Delta(e_k)
-            hits = _image(ent, der[k], n) + _on_first(der, ent[k], n, -1)
-            hits += _on_second(qcols, ent[k], n)
-            _check_hits(coll, axiom, (k,), hits, n * n)
+            hits = _apply(ent, der[k]) + _on_slot(der, ent[k], n, n, -1)
+            hits += _on_slot(qcols, ent[k], n, 1)
+            _check_hits(coll, axiom, (k,), hits, n2)
     for k in range(n):
         # (Delta (x) id) Delta((D + Q) e_k)
-        hits = [
-            ((p * n + r) * n + j, c * x * y)
-            for t, c in pq[k]
-            for i, j, x in dcom[t]
-            for p, r, y in dcom[i]
-        ]
+        hits = _on_slot(dcom, _apply(dcom, pq[k]), n, n, width=n2)
         _check_hits(coll, "comult-triple-product", (k,), hits, n**3)
 
     # the two mixed compatibility conditions
     for i in range(n):
         for j in range(n):
             xy = dot[i][j]
-            hits = _image(bcom, xy, n) + _on_second(br[j], dcom[i], n, -1)
-            hits += _on_first(dot[i], bcom[j], n, -1) + _on_second(br[i], dcom[j], n, -1)
-            hits += _on_first(dot[j], bcom[i], n, -1)
-            image = [(a, b, c * x) for t, c in xy for a, b, x in dcom[t]]
-            hits += _on_second(qcols, image, n, -1)
-            _check_hits(coll, "mixed-dot-bracket", (i, j), hits, n * n)
+            hits = _apply(bcom, xy) + _on_slot(br[j], dcom[i], n, 1, -1)
+            hits += _on_slot(dot[i], bcom[j], n, n, -1) + _on_slot(br[i], dcom[j], n, 1, -1)
+            hits += _on_slot(dot[j], bcom[i], n, n, -1)
+            hits += _on_slot(qcols, _apply(dcom, xy), n, 1, -1)
+            _check_hits(coll, "mixed-dot-bracket", (i, j), hits, n2)
 
-            dx_y = [(s, c * v) for t, c in der[i] for s, v in dot[t][j]]
-            hits = _image(dcom, br[i][j], n) + _on_first(dot[j], bcom[i], n, -1)
-            hits += _on_second(br[i], dcom[j], n, -1) + _on_second(dot[j], bcom[i], n)
-            hits += _on_first(br[i], dcom[j], n, -1) + _image(dcom, dx_y, n)
-            _check_hits(coll, "mixed-bracket-dot", (i, j), hits, n * n)
+            hits = _apply(dcom, br[i][j]) + _on_slot(dot[j], bcom[i], n, n, -1)
+            hits += _on_slot(br[i], dcom[j], n, 1, -1) + _on_slot(dot[j], bcom[i], n, 1)
+            hits += _on_slot(br[i], dcom[j], n, n, -1)
+            hits += _apply(dcom, _apply(flipped[j], der[i]))  # Delta(D(x).y)
+            _check_hits(coll, "mixed-bracket-dot", (i, j), hits, n2)
     return coll.report()
 
 

@@ -394,15 +394,16 @@ def serialize_document(doc) -> str:
 
 
 def _normalize(doc):
-    out = {}
-    for key, value in doc.items():
-        if key == "algebra" and isinstance(value, dict):
-            out[key] = _normalize(value)
-        elif isinstance(value, list) and value and all(isinstance(e, list) for e in value):
-            scalars = [(entry, parse_scalar_string(entry[-1])) for entry in value]
-            out[key] = sorted(list(entry[:-1]) + [format_scalar(x)] for entry, x in scalars if x)
-        else:
-            out[key] = value
+    """A validated document with every entry field read, checked and
+    rewritten in canonical order."""
+    kind = doc["kind"]
+    reader, out = _Reader(doc, kind), dict(doc)
+    for name in _SCHEMA[kind]:
+        if name == "algebra" and name in doc:
+            out[name] = _normalize(doc[name])
+        elif name in doc:
+            entries = reader.entries(name)
+            out[name] = sorted([*idx, format_scalar(x)] for *idx, x in entries if x)
     return out
 
 

@@ -84,9 +84,8 @@ def _unit_extension(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
     while unit_label in alg.space.labels:
         unit_label += "'"
     line = Space((unit_label,))
-    unital = RelPoissonAlgebra(
-        line, BilinearOp(line, (((ONE,),),)), BilinearOp.zero(line), LinearMap.zero(line)
-    )
+    dot = BilinearOp.from_entries(line, [(0, 0, 0, ONE)])
+    unital = RelPoissonAlgebra(line, dot, BilinearOp.zero(line), LinearMap.zero(line))
     back = (zero_matrix(1, 1),) * alg.dim
     return block_sum(
         unital, alg, (identity_matrix(alg.dim),), (alg.derivation.entries,), back, back

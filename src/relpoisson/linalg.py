@@ -66,9 +66,6 @@ class Space:
     def dual(self) -> Space:
         return Space(tuple(lab + "*" for lab in self.labels))
 
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
     def __repr__(self):
         return f"Space({list(self.labels)!r})"
 
@@ -89,10 +86,6 @@ def direct_sum_space(left: Space, right: Space) -> Space:
 
 # ---------------------------------------------------------------------------
 # vectors
-
-
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
 
 
 def basis_vector(n: int, i: int) -> Vector:
@@ -329,12 +322,6 @@ class LinearMap:
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
-    def compose(self, other: LinearMap) -> LinearMap:
-        """self after other."""
-        if other.codomain != self.domain:
-            raise ValueError("composition domain mismatch")
-        return LinearMap(other.domain, self.codomain, mat_mul(self.entries, other.entries))
-
     def add(self, other: LinearMap) -> LinearMap:
         return LinearMap(self.domain, self.codomain, mat_add(self.entries, other.entries))
 
@@ -445,7 +432,6 @@ __all__ = [
     "scalar",
     "Space",
     "direct_sum_space",
-    "zero_vector",
     "basis_vector",
     "vec_add",
     "vec_sub",

@@ -13,12 +13,15 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    _apply,
     _check_hits,
+    _derived_product,
+    _flip,
     _sparse_columns,
     check_derivation,
     combine_reports,
 )
-from .linalg import LinearMap, Space, Tensor2, vec_add, vec_sub
+from .linalg import LinearMap, Space, Tensor2
 from .representations import RepData
 from .yangbaxter import o_operator_to_rmatrix
 
@@ -47,30 +50,17 @@ class RelPrePoissonAlgebra:
         return self.space.dim
 
 
-# The checkers sweep basis triples as signed (index, value) hits, the idiom
-# of relpoisson.algebra; products are read through their sparse views.
-
-
-def _left(sp, x, coeffs, scale=1):
-    """Hits of scale * e_x * u for u given by sparse (t, u_t) coefficients."""
-    return [(s, scale * c * p) for t, c in coeffs for s, p in sp[x][t]]
-
-
-def _right(sp, coeffs, z, scale=1):
-    """Hits of scale * u * e_z."""
-    return [(s, scale * c * p) for t, c in coeffs for s, p in sp[t][z]]
-
-
 def check_zinbiel(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """x*(y*z) = (y*x)*z + (x*y)*z on basis triples."""
     n = m.space.dim
     sp = m._sparse
+    flipped = _flip(sp, n)  # flipped[z][t] holds e_t * e_z
     coll = Collector(limit)
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                hits = _left(sp, x, sp[y][z]) + _right(sp, sp[y][x], z, -1)
-                hits += _right(sp, sp[x][y], z, -1)
+                hits = _apply(sp[x], sp[y][z]) + _apply(flipped[z], sp[y][x], -1)
+                hits += _apply(flipped[z], sp[x][y], -1)
                 _check_hits(coll, "zinbiel", (x, y, z), hits, n)
     return coll.report()
 
@@ -79,12 +69,13 @@ def check_prelie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomRe
     """(x o y) o z - x o (y o z) is symmetric in x and y on basis triples."""
     n = m.space.dim
     sp = m._sparse
+    flipped = _flip(sp, n)
     coll = Collector(limit)
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                hits = _right(sp, sp[x][y], z) + _left(sp, x, sp[y][z], -1)
-                hits += _right(sp, sp[y][x], z, -1) + _left(sp, y, sp[x][z])
+                hits = _apply(flipped[z], sp[x][y]) + _apply(sp[x], sp[y][z], -1)
+                hits += _apply(flipped[z], sp[y][x], -1) + _apply(sp[y], sp[x][z])
                 _check_hits(coll, "pre-lie", (x, y, z), hits, n)
     return coll.report()
 
@@ -101,20 +92,21 @@ def check_rel_pre_poisson(
     coll.merge(check_derivation(star, der, limit), "star:")
     coll.merge(check_derivation(circ, der, limit), "circ:")
     ssp, csp = star._sparse, circ._sparse
+    fssp, fcsp = _flip(ssp, n), _flip(csp, n)
     dcols = _sparse_columns(der.entries)
     for x in range(n):
         for y in range(n):
             sym = ssp[x][y] + ssp[y][x]
-            mixed = _left(ssp, x, dcols[y]) + _right(ssp, dcols[y], x)
+            mixed = _apply(ssp[x], dcols[y]) + _apply(fssp[x], dcols[y])
             for z in range(n):
-                x_yz = _left(ssp, x, csp[y][z], -1)
+                x_yz = _apply(ssp[x], csp[y][z], -1)
                 # (x*y + y*x) o z - x*(y o z) - y*(x o z) + (x*y + y*x)*D(z)
-                hits = _right(csp, sym, z) + x_yz + _left(ssp, y, csp[x][z], -1)
-                hits += [h for u, d in dcols[z] for h in _right(ssp, sym, u, d)]
+                hits = _apply(fcsp[z], sym) + x_yz + _apply(ssp[y], csp[x][z], -1)
+                hits += [h for u, d in dcols[z] for h in _apply(fssp[u], sym, d)]
                 _check_hits(coll, "mixed-dot-side", (x, y, z), hits, n)
                 # y o (x*z) - x*(y o z) + (x o y - y o x)*z - (x*D(y) + D(y)*x)*z
-                hits = _left(csp, y, ssp[x][z]) + x_yz + _right(ssp, csp[x][y], z)
-                hits += _right(ssp, csp[y][x], z, -1) + _right(ssp, mixed, z, -1)
+                hits = _apply(csp[y], ssp[x][z]) + x_yz + _apply(fssp[z], csp[x][y])
+                hits += _apply(fssp[z], csp[y][x], -1) + _apply(fssp[z], mixed, -1)
                 _check_hits(coll, "mixed-bracket-side", (x, y, z), hits, n)
     return coll.report()
 
@@ -129,16 +121,7 @@ def circ_from_derivation(star: BilinearOp, der: LinearMap) -> BilinearOp:
             f"{', '.join(pre.axioms_failed())}",
             pre,
         )
-    n = star.space.dim
-    cols = [der.column(j) for j in range(n)]
-    table = tuple(
-        tuple(
-            vec_sub(star.apply_basis_left(i, cols[j]), star.apply_basis_right(cols[i], j))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return BilinearOp(star.space, table)
+    return _derived_product(star, der)
 
 
 def subadjacent(pp: RelPrePoissonAlgebra) -> tuple[RelPoissonAlgebra, RepData]:
@@ -152,18 +135,11 @@ def subadjacent(pp: RelPrePoissonAlgebra) -> tuple[RelPoissonAlgebra, RepData]:
             report,
         )
     n = pp.dim
-    dot_table = tuple(
-        tuple(vec_add(pp.star.product(i, j), pp.star.product(j, i)) for j in range(n))
-        for i in range(n)
-    )
-    br_table = tuple(
-        tuple(vec_sub(pp.circ.product(i, j), pp.circ.product(j, i)) for j in range(n))
-        for i in range(n)
-    )
+    star, circ = pp.star.nonzero_entries(), pp.circ.nonzero_entries()
     alg = RelPoissonAlgebra(
         pp.space,
-        BilinearOp(pp.space, dot_table),
-        BilinearOp(pp.space, br_table),
+        BilinearOp.from_entries(pp.space, star + [(j, i, k, x) for i, j, k, x in star]),
+        BilinearOp.from_entries(pp.space, circ + [(j, i, k, -x) for i, j, k, x in circ]),
         pp.derivation,
     )
     rep = RepData(

@@ -10,6 +10,9 @@ combination.
 Dual-space conventions (fixed in :mod:`relpoisson.linalg`): for an action
 ``phi`` the dual action is ``phi*(x) = -phi(x)^T`` on V*, while the dual
 of a plain endomorphism ``beta: V -> V`` is the transpose ``beta^T``.
+
+Matrix-valued defects are swept in the flat-index convention of
+:mod:`relpoisson.algebra`, over a module of dim m.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from .algebra import (
     NoUnitError,
     PreconditionError,
     RelPoissonAlgebra,
+    _apply,
     _check_hits,
+    _flip,
+    _on_slot,
     _sparse_columns,
     block_sum,
     find_unit,
@@ -61,34 +67,13 @@ def _act(mats, u: Vector, dim: int) -> Matrix:
     return mat_combination(u, mats)
 
 
-# Matrix-valued defects are swept as signed (index, value) hits at the flat
-# index r*m + c of a module of dim m.  An action is read as a pair of tables
-# built once per check: the sparse columns of each matrix, and each matrix's
-# nonzero entries at their flat indices.
-
-
 def _tables(mats, m: int):
+    """Each matrix's sparse columns and its flat hits, as two tuples: a
+    product A B applies A's columns to the row slot of B's hits."""
     cols = tuple(map(_sparse_columns, mats))
     return cols, tuple(
         tuple((r * m + c, x) for c, col in enumerate(a) for r, x in col) for a in cols
     )
-
-
-def _times(a, b, m: int, scale=1):
-    """Hits of scale * A B, for A and B given as sparse column tables."""
-    return [
-        (r * m + c, scale * x * y) for c, col in enumerate(b) for t, y in col for r, x in a[t]
-    ]
-
-
-def _commutator(a, b, m: int):
-    """Hits of A B - B A."""
-    return _times(a, b, m) + _times(b, a, m, -1)
-
-
-def _combo(flats, coeffs, scale=1):
-    """Hits of scale * sum_k c_k M_k over sparse (k, c_k) coefficients."""
-    return [(f, scale * c * x) for k, c in coeffs for f, x in flats[k]]
 
 
 def _action_defects(dot, bracket, mu, rho, cols, i, j, m):
@@ -103,21 +88,23 @@ def _action_defects(dot, bracket, mu, rho, cols, i, j, m):
     unital one; mu and rho are :func:`_tables`."""
     (mu_c, mu_f), (rho_c, rho_f) = mu, rho
     xy, br = dot._sparse[i][j], bracket._sparse[i][j]
-    x_cy = [(s, c * v) for t, c in cols[j] for s, v in dot._sparse[i][t]]
-    dot_hits = _combo(mu_f, xy) + _times(mu_c[i], mu_c[j], m, -1)
-    bracket_hits = _combo(rho_f, br) + _commutator(rho_c[j], rho_c[i], m)
-    compat = _commutator(rho_c[j], mu_c[i], m) + _combo(mu_f, br) + _combo(mu_f, x_cy, -1)
+    x_cy = _apply(dot._sparse[i], cols[j])
+    dot_hits = _apply(mu_f, xy) + _on_slot(mu_c[i], mu_f[j], m, m, -1)
+    bracket_hits = _apply(rho_f, br) + _on_slot(rho_c[j], rho_f[i], m, m)
+    bracket_hits += _on_slot(rho_c[i], rho_f[j], m, m, -1)
+    compat = _on_slot(rho_c[j], mu_f[i], m, m) + _on_slot(mu_c[i], rho_f[j], m, m, -1)
+    compat += _apply(mu_f, br) + _apply(mu_f, x_cy, -1)
     return dot_hits, bracket_hits, compat
 
 
 def _leibniz(mu, rho, xy, i, j, right, m):
     """Hits of rho(x.y) - mu(x) rho(y) - mu(y) rho(x) + mu(x.y) R, where R
-    is a sparse column table."""
+    is given by its flat hits."""
     (mu_c, _), (rho_c, rho_f) = mu, rho
-    hits = _combo(rho_f, xy) + _times(mu_c[i], rho_c[j], m, -1)
-    hits += _times(mu_c[j], rho_c[i], m, -1)
+    hits = _apply(rho_f, xy) + _on_slot(mu_c[i], rho_f[j], m, m, -1)
+    hits += _on_slot(mu_c[j], rho_f[i], m, m, -1)
     for t, c in xy:
-        hits += _times(mu_c[t], right, m, c)
+        hits += _on_slot(mu_c[t], right, m, m, c)
     return hits
 
 
@@ -192,17 +179,18 @@ def check_representation(rep: RepData, limit: int = DEFAULT_VIOLATION_LIMIT) -> 
     alg = rep.algebra
     n, m = alg.dim, rep.space.dim
     mu, rho = _tables(rep.dot_action, m), _tables(rep.bracket_action, m)
-    alpha = _sparse_columns(rep.der_action)
+    (alpha_c,), (alpha_f,) = _tables((rep.der_action,), m)
     dcols = _sparse_columns(alg.derivation.entries)
     for i in range(n):
         for axiom, (act_c, act_f) in (("endo-dot", mu), ("endo-bracket", rho)):
             # alpha act(x) - act(D x) - act(x) alpha
-            hits = _commutator(alpha, act_c[i], m) + _combo(act_f, dcols[i], -1)
+            hits = _on_slot(alpha_c, act_f[i], m, m) + _on_slot(act_c[i], alpha_f, m, m, -1)
+            hits += _apply(act_f, dcols[i], -1)
             _check_hits(coll, axiom, (i,), hits, m * m)
     dot = alg.dot._sparse
     for i in range(n):
         for j in range(n):
-            hits = _leibniz(mu, rho, dot[i][j], i, j, alpha, m)
+            hits = _leibniz(mu, rho, dot[i][j], i, j, alpha_f, m)
             _check_hits(coll, "action-leibniz", (i, j), hits, m * m)
     return coll.report()
 
@@ -253,23 +241,24 @@ def check_dual_rep_conditions(
     if len(beta_m) != m or any(len(row) != m for row in beta_m):
         raise ValueError("beta is not an endomorphism of the module")
     mu, rho = _tables(cs.dot_action, m), _tables(cs.bracket_action, m)
-    (mu_c, _), (rho_c, rho_f) = mu, rho
-    beta_c = _sparse_columns(beta_m)
+    (_, mu_f), (rho_c, rho_f) = mu, rho
+    (beta_c,), (beta_f,) = _tables((beta_m,), m)
     dcols = _sparse_columns(alg.derivation.entries)
     coll = Collector(limit)
     for i in range(n):
         for axiom, (act_c, act_f) in (("dual-rep-dot", mu), ("dual-rep-bracket", rho)):
             # act(x) beta - act(D x) - beta act(x)
-            hits = _commutator(act_c[i], beta_c, m) + _combo(act_f, dcols[i], -1)
+            hits = _on_slot(act_c[i], beta_f, m, m) + _on_slot(beta_c, act_f[i], m, m, -1)
+            hits += _apply(act_f, dcols[i], -1)
             _check_hits(coll, axiom, (i,), hits, m * m)
     dot = alg.dot._sparse
     for i in range(n):
         for j in range(n):
             xy = dot[i][j]
-            hits = _times(rho_c[j], mu_c[i], m) + _combo(rho_f, xy, -1)
-            hits += _times(rho_c[i], mu_c[j], m)
+            hits = _on_slot(rho_c[j], mu_f[i], m, m) + _apply(rho_f, xy, -1)
+            hits += _on_slot(rho_c[i], mu_f[j], m, m)
             for t, c in xy:
-                hits += _times(beta_c, mu_c[t], m, c)
+                hits += _on_slot(beta_c, mu_f[t], m, m, c)
             _check_hits(coll, "dual-rep-leibniz", (i, j), hits, m * m)
     return coll.report()
 
@@ -287,26 +276,26 @@ def check_dually_represents(
         raise ValueError("candidate is not an endomorphism of the algebra's space")
     n = alg.dim
     dot, br = alg.dot._sparse, alg.bracket._sparse
+    fdot, fbr = _flip(dot, n), _flip(br, n)
     qcols = _sparse_columns(candidate.entries)
     dcols = _sparse_columns(alg.derivation.entries)
     coll = Collector(limit)
     for x in range(n):
         for y in range(n):
-            for axiom, op in (("dual-adjoint-dot", dot), ("dual-adjoint-bracket", br)):
-                hits = [(s, c * v) for t, c in qcols[y] for s, v in op[x][t]]
-                hits += [(s, -c * v) for t, c in dcols[x] for s, v in op[t][y]]
-                hits += [(s, -c * v) for t, c in op[x][y] for s, v in qcols[t]]
+            for axiom, op, flipped in (
+                ("dual-adjoint-dot", dot, fdot),
+                ("dual-adjoint-bracket", br, fbr),
+            ):
+                # x.Q(y) - D(x).y - Q(x.y), and the same through the bracket
+                hits = _apply(op[x], qcols[y]) + _apply(flipped[y], dcols[x], -1)
+                hits += _apply(qcols, op[x][y], -1)
                 _check_hits(coll, axiom, (x, y), hits, n)
     for x in range(n):
         for y in range(n):
             xy = dot[x][y]
             for z in range(n):
-                hits = [(s, c * v) for t, c in dot[y][z] for s, v in br[x][t]]
-                hits += [(s, c * v) for t, c in dot[z][x] for s, v in br[y][t]]
-                hits += [(s, c * v) for t, c in xy for s, v in br[z][t]]
-                hits += [
-                    (r, c * v * w) for t, c in xy for s, v in dot[t][z] for r, w in qcols[s]
-                ]
+                hits = _apply(br[x], dot[y][z]) + _apply(br[y], dot[z][x]) + _apply(br[z], xy)
+                hits += _apply(qcols, _apply(fdot[z], xy))
                 _check_hits(coll, "dual-adjoint-cyclic", (x, y, z), hits, n)
     return coll.report()
 
@@ -397,11 +386,11 @@ def check_jacobi_representation(
         raise NoUnitError("multiplication has no two-sided unit")
     mu_m, rho_m = _as_matrices(dot_action, m), _as_matrices(bracket_action, m)
     mu, rho = _tables(mu_m, m), _tables(rho_m, m)
-    rho_unit = _sparse_columns(_act(rho_m, unit, m))
+    (_,), (rho_unit,) = _tables((_act(rho_m, unit, m),), m)
     ad_unit = _sparse_columns(bracket.left_matrix_of(unit))
     coll = Collector(limit)
     unit_sp = [(k, u) for k, u in enumerate(unit) if u]
-    hits = _combo(mu[1], unit_sp) + [(r * m + r, -ONE) for r in range(m)]
+    hits = _apply(mu[1], unit_sp) + [(r * m + r, -ONE) for r in range(m)]
     _check_hits(coll, "dot-action-unital", (), hits, m * m)
     for i in range(n):
         for j in range(n):

@@ -2,19 +2,17 @@
 relative Poisson YBE, coboundary comultiplications, the full coboundary
 condition sweep, and O-operators.
 
-Tensors are swept as sparse terms: lists of (index tuple, value) pairs of a
-2- or 3-tensor, where repeated indices add up.  A linear map acts on one
-slot through its sparse column table (:func:`_on_slot`); the columns of
-L(x) and ad(x) are the rows ``dot._sparse[x]`` and ``bracket._sparse[x]``
-of the products' sparse views.  The three contraction patterns
+Tensors are swept as sparse hits in the flat-index convention of
+:mod:`relpoisson.algebra`; the columns of L(x) and ad(x) are the rows
+``dot._sparse[x]`` and ``bracket._sparse[x]`` of the products' sparse
+views.  The three contraction patterns
 
     r12 * r13 = sum a_i * a_j (x) b_i (x) b_j
     r12 * r23 = sum a_i (x) b_i * a_j (x) b_j
     r13 * r23 = sum a_i (x) a_j (x) b_i * b_j
 
 are written once, in :func:`_pairings`; they are the most sign-sensitive
-spot in the whole package.  A defect is reported only when its terms do
-not cancel, as the dense vector flattened to i*n + j or (a*n + b)*n + c.
+spot in the whole package.
 """
 
 from __future__ import annotations
@@ -28,8 +26,11 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    _apply,
     _check_hits,
+    _on_slot,
     _sparse_columns,
+    _swap,
 )
 from .coalgebra import Comultiplication
 from .linalg import (
@@ -46,9 +47,7 @@ from .linalg import (
 from .representations import (
     CompatibleStructure,
     RepData,
-    _combo,
     _tables,
-    _times,
     check_dual_rep_conditions,
     check_dually_represents,
     check_representation,
@@ -61,57 +60,31 @@ def is_antisymmetric(r: Tensor2) -> bool:
 
 
 def _terms(r: Tensor2):
-    """The nonzero coefficients of a 2-tensor as ((i, j), value) terms."""
-    return [((i, j), x) for i, row in enumerate(r.coeffs) for j, x in enumerate(row) if x]
-
-
-def _on_slot(cols, terms, slot: int, scale=1):
-    """Terms of scale * M applied to one slot of a tensor, for M given by
-    its sparse column table: ``cols[j]`` lists the nonzero (i, M[i][j])."""
-    return [
-        (idx[:slot] + (p,) + idx[slot + 1 :], scale * x * v)
-        for idx, x in terms
-        for p, v in cols[idx[slot]]
-    ]
-
-
-def _mult_on_slot(sp, coeffs, terms, slot: int, scale=1):
-    """Terms of scale * L(u) applied to one slot, L the left multiplication
-    of a product with sparse view sp and u given by sparse (t, u_t)."""
-    return [h for t, c in coeffs for h in _on_slot(sp[t], terms, slot, scale * c)]
+    """The nonzero coefficients of a 2-tensor as flat hits."""
+    n = len(r.coeffs)
+    return [(i * n + j, x) for i, row in enumerate(r.coeffs) for j, x in enumerate(row) if x]
 
 
 def _pairings(r: Tensor2, op: BilinearOp):
-    """The terms of r12.r13, r12.r23 and r13.r23 through a product."""
-    sp = op._sparse
-    pairs = [(u, v, w, z, x * y) for (u, v), x in _terms(r) for (w, z), y in _terms(r)]
+    """The hits of r12.r13, r12.r23 and r13.r23 through a product."""
+    n, sp = op.space.dim, op._sparse
+    ent = _terms(r)
+    pairs = [(*divmod(f, n), *divmod(g, n), x * y) for f, x in ent for g, y in ent]
     return (
-        [((k, v, z), c * p) for u, v, w, z, c in pairs for k, p in sp[u][w]],
-        [((u, k, z), c * p) for u, v, w, z, c in pairs for k, p in sp[v][w]],
-        [((u, w, k), c * p) for u, v, w, z, c in pairs for k, p in sp[v][z]],
+        [((k * n + v) * n + z, c * p) for u, v, w, z, c in pairs for k, p in sp[u][w]],
+        [((u * n + k) * n + z, c * p) for u, v, w, z, c in pairs for k, p in sp[v][w]],
+        [((u * n + w) * n + k, c * p) for u, v, w, z, c in pairs for k, p in sp[v][z]],
     )
 
 
 def _aybe_terms(r: Tensor2, dot: BilinearOp):
     t12_13, t12_23, t13_23 = _pairings(r, dot)
-    return t12_13 + [(idx, -v) for idx, v in t12_23] + t13_23
+    return t12_13 + [(f, -v) for f, v in t12_23] + t13_23
 
 
 def _cybe_terms(r: Tensor2, bracket: BilinearOp):
     t12_13, t12_23, t13_23 = _pairings(r, bracket)
     return t12_13 + t12_23 + t13_23
-
-
-def _check(coll: Collector, axiom: str, where, terms, n: int) -> None:
-    """Report the dense sum of tensor terms, flattened, unless it is zero."""
-    hits = []
-    for idx, v in terms:
-        flat = 0
-        for i in idx:
-            flat = flat * n + i
-        hits.append((flat, v))
-    if hits:
-        _check_hits(coll, axiom, where, hits, n ** len(terms[0][0]))
 
 
 def _require_on(alg: RelPoissonAlgebra, r: Tensor2, codrv: LinearMap | None = None):
@@ -135,11 +108,11 @@ def cybe_tensor(r: Tensor2, bracket: BilinearOp) -> Tensor3:
     return _tensor3(_cybe_terms(r, bracket), bracket.space)
 
 
-def _tensor3(terms, sp) -> Tensor3:
+def _tensor3(hits, sp) -> Tensor3:
     n = sp.dim
     coeffs = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (a, b, c), v in terms:
-        coeffs[a][b][c] += v
+    for f, v in hits:
+        coeffs[f // (n * n)][f // n % n][f % n] += v
     return Tensor3((sp, sp, sp), coeffs)
 
 
@@ -157,10 +130,12 @@ def check_rpybe(
     p, q = _sparse_columns(alg.derivation.entries), _sparse_columns(codrv.entries)
     ent = _terms(r)
     coll = Collector(limit)
-    _check(coll, "aybe", (), _aybe_terms(r, alg.dot), n)
-    _check(coll, "cybe", (), _cybe_terms(r, alg.bracket), n)
-    _check(coll, "intertwine-derivation", (), _on_slot(p, ent, 0) + _on_slot(q, ent, 1, -1), n)
-    _check(coll, "intertwine-coderivation", (), _on_slot(q, ent, 0) + _on_slot(p, ent, 1, -1), n)
+    _check_hits(coll, "aybe", (), _aybe_terms(r, alg.dot), n**3)
+    _check_hits(coll, "cybe", (), _cybe_terms(r, alg.bracket), n**3)
+    hits = _on_slot(p, ent, n, n) + _on_slot(q, ent, n, 1, -1)
+    _check_hits(coll, "intertwine-derivation", (), hits, n * n)
+    hits = _on_slot(q, ent, n, n) + _on_slot(p, ent, n, 1, -1)
+    _check_hits(coll, "intertwine-coderivation", (), hits, n * n)
     return coll.report()
 
 
@@ -187,18 +162,18 @@ def check_rpybe_via_maps(
     families = []
     for axiom, op, sign in (("operator-cybe", alg.bracket, 1), ("operator-aybe", alg.dot, -1)):
         _t12_13, t12_23, t13_23 = _pairings(r, op)
-        terms = t13_23 + [(idx, sign * v) for idx, v in t12_23]
-        terms += [((b, a, s), -v) for (a, b, s), v in t12_23]
+        hits = t13_23 + [(f, sign * v) for f, v in t12_23] + _swap(t12_23, n, n, -1)
         by_pair = {}
-        for (a, b, s), v in terms:
-            by_pair.setdefault((a, b), []).append((s, v))
+        for f, v in hits:
+            by_pair.setdefault(f // n, []).append((f % n, v))
         families.append((axiom, by_pair))
-    for where in sorted(set().union(*(by_pair for _, by_pair in families))):
+    for pair in sorted(set().union(*(by_pair for _, by_pair in families))):
         for axiom, by_pair in families:
-            _check_hits(coll, axiom, where, by_pair.get(where), n)
+            _check_hits(coll, axiom, divmod(pair, n), by_pair.get(pair), n)
     p, q = _sparse_columns(alg.derivation.entries), _sparse_columns(codrv.entries)
-    rm = [((j, i), x) for (i, j), x in _terms(r)]  # the map A* -> A
-    _check(coll, "operator-intertwine", (), _on_slot(p, rm, 0) + _on_slot(q, rm, 1, -1), n)
+    rm = _swap(_terms(r), n, 1)  # the map A* -> A
+    hits = _on_slot(p, rm, n, n) + _on_slot(q, rm, n, 1, -1)
+    _check_hits(coll, "operator-intertwine", (), hits, n * n)
     return coll.report()
 
 
@@ -211,14 +186,15 @@ def coboundary_comults(
         delta(x) = (ad(x) (x) id + id (x) ad(x)) r
     """
     _require_on(alg, r)
+    n = alg.dim
     ent = _terms(r)
     dot_entries, br_entries = [], []
-    for k in range(alg.dim):
+    for k in range(n):
         lx, adx = alg.dot._sparse[k], alg.bracket._sparse[k]
-        delta = _on_slot(lx, ent, 1) + _on_slot(lx, ent, 0, -1)
-        dot_entries += [(i, j, k, v) for (i, j), v in delta]
-        delta = _on_slot(adx, ent, 0) + _on_slot(adx, ent, 1)
-        br_entries += [(i, j, k, v) for (i, j), v in delta]
+        delta = _on_slot(lx, ent, n, 1) + _on_slot(lx, ent, n, n, -1)
+        dot_entries += [(f // n, f % n, k, v) for f, v in delta]
+        delta = _on_slot(adx, ent, n, n) + _on_slot(adx, ent, n, 1)
+        br_entries += [(f // n, f % n, k, v) for f, v in delta]
     return (
         Comultiplication.from_entries(alg.space, dot_entries),
         Comultiplication.from_entries(alg.space, br_entries),
@@ -243,15 +219,16 @@ def check_coboundary_conditions(
             f"{', '.join(pre.axioms_failed())}",
             pre,
         )
-    n = alg.dim
+    n, n2, n3 = alg.dim, alg.dim**2, alg.dim**3
     dot, br = alg.dot._sparse, alg.bracket._sparse
     p, q = _sparse_columns(alg.derivation.entries), _sparse_columns(codrv.entries)
     ent = _terms(r)
-    sym = ent + [((j, i), x) for (i, j), x in ent]  # r + tau(r)
+    sym = ent + _swap(ent, n, 1)  # r + tau(r)
     a3, c3 = _aybe_terms(r, alg.dot), _cybe_terms(r, alg.bracket)
-    s_pq = _on_slot(p, ent, 1) + _on_slot(q, ent, 0, -1)  # (id(x)P - Q(x)id) r
-    s_qp = _on_slot(q, ent, 1) + _on_slot(p, ent, 0, -1)  # (id(x)Q - P(x)id) r
-    qa3 = _on_slot(q, a3, 0)  # (Q (x) id (x) id) A
+    s_pq = _on_slot(p, ent, n, 1) + _on_slot(q, ent, n, n, -1)  # (id(x)P - Q(x)id) r
+    s_qp = _on_slot(q, ent, n, 1) + _on_slot(p, ent, n, n, -1)  # (id(x)Q - P(x)id) r
+    qa3 = _on_slot(q, a3, n, n2)  # (Q (x) id (x) id) A
+    # L(u) on a slot is the sum of u_t L(e_t) on it
     coll = Collector(limit)
     for x in range(n):
         lx, adx = dot[x], br[x]
@@ -259,31 +236,41 @@ def check_coboundary_conditions(
         #   (ad(x) (x) id (x) id) A + (id (x) id (x) L(x)) ((Q (x) id (x) id) A + C)
         #   - (id (x) L(x) (x) id) C + sum r_uv (id (x) e_u (x) L(x.v)) s_pq
         #   + sum r_uv [(ad(u) (x) id) S_x - (id (x) L(x.u)) s_pq] (x) e_v
-        co_leibniz = _on_slot(adx, a3, 0) + _on_slot(lx, qa3 + c3, 2) + _on_slot(lx, c3, 1, -1)
-        sym_x = _on_slot(lx, sym, 0) + _on_slot(lx, sym, 1, -1)
-        for (u, v), c in ent:
-            terms = _mult_on_slot(dot, dot[x][v], s_pq, 1)
-            co_leibniz += [((i, u, t), c * w) for (i, t), w in terms]
-            terms = _on_slot(br[u], sym_x, 0) + _mult_on_slot(dot, dot[x][u], s_pq, 1, -1)
-            co_leibniz += [((i, j, v), c * w) for (i, j), w in terms]
+        co_leibniz = _on_slot(adx, a3, n, n2) + _on_slot(lx, qa3 + c3, n, 1)
+        co_leibniz += _on_slot(lx, c3, n, n, -1)
+        sym_x = _on_slot(lx, sym, n, n) + _on_slot(lx, sym, n, 1, -1)
+        for f, c in ent:
+            u, v = divmod(f, n)
+            hits = [h for t, d in dot[x][v] for h in _on_slot(dot[t], s_pq, n, 1, d)]
+            co_leibniz += [((g // n * n + u) * n + g % n, c * w) for g, w in hits]
+            hits = _on_slot(br[u], sym_x, n, n)
+            hits += [h for t, d in dot[x][u] for h in _on_slot(dot[t], s_pq, n, 1, -d)]
+            co_leibniz += [(g * n + v, c * w) for g, w in hits]
+        cybe_cocycle = _on_slot(adx, c3, n, n2) + _on_slot(adx, c3, n, n) + _on_slot(adx, c3, n, 1)
+        coder_bracket = _on_slot(adx, s_pq, n, 1) + _on_slot(adx, s_qp, n, n, -1)
+        intertwine_dot = _on_slot(lx, s_qp, n, 1) + _on_slot(lx, s_qp, n, n, -1)
+        intertwine_bracket = _on_slot(adx, s_qp, n, n) + _on_slot(adx, s_qp, n, 1)
+        # L((P + Q) x) on the last slot of A
+        triple = [h for t, d in p[x] + q[x] for h in _on_slot(dot[t], a3, n, 1, d)]
         families = (
-            ("aybe-symmetric-part", _on_slot(lx, sym, 1) + _on_slot(lx, sym, 0, -1)),
-            ("aybe-cocycle", _on_slot(lx, a3, 2) + _on_slot(lx, a3, 0, -1)),
-            ("cybe-symmetric-part", _on_slot(adx, sym, 0) + _on_slot(adx, sym, 1)),
-            ("cybe-cocycle", _on_slot(adx, c3, 0) + _on_slot(adx, c3, 1) + _on_slot(adx, c3, 2)),
+            ("aybe-symmetric-part", n2, _on_slot(lx, sym, n, 1) + _on_slot(lx, sym, n, n, -1)),
+            ("aybe-cocycle", n3, _on_slot(lx, a3, n, 1) + _on_slot(lx, a3, n, n2, -1)),
+            ("cybe-symmetric-part", n2, _on_slot(adx, sym, n, n) + _on_slot(adx, sym, n, 1)),
+            ("cybe-cocycle", n3, cybe_cocycle),
             # the seven mixed conditions
-            ("mixed-coderivation-dot", _on_slot(lx, s_pq, 1) + _on_slot(lx, s_qp, 0)),
-            ("mixed-coderivation-bracket", _on_slot(adx, s_pq, 1) + _on_slot(adx, s_qp, 0, -1)),
-            ("mixed-co-leibniz", co_leibniz),
-            ("mixed-comult-intertwine-dot", _on_slot(lx, s_qp, 1) + _on_slot(lx, s_qp, 0, -1)),
-            ("mixed-comult-intertwine-bracket", _on_slot(adx, s_qp, 0) + _on_slot(adx, s_qp, 1)),
-            ("mixed-triple-product", _mult_on_slot(dot, p[x] + q[x], a3, 2)),  # L((P+Q) x)
+            ("mixed-coderivation-dot", n2, _on_slot(lx, s_pq, n, 1) + _on_slot(lx, s_qp, n, n)),
+            ("mixed-coderivation-bracket", n2, coder_bracket),
+            ("mixed-co-leibniz", n3, co_leibniz),
+            ("mixed-comult-intertwine-dot", n2, intertwine_dot),
+            ("mixed-comult-intertwine-bracket", n2, intertwine_bracket),
+            ("mixed-triple-product", n3, triple),
         )
-        for axiom, terms in families:
-            _check(coll, axiom, (x,), terms, n)
+        for axiom, size, hits in families:
+            _check_hits(coll, axiom, (x,), hits, size)
     for x in range(n):
         for y in range(n):
-            _check(coll, "mixed-unit-compat", (x, y), _mult_on_slot(dot, dot[x][y], s_qp, 0), n)
+            hits = [h for t, d in dot[x][y] for h in _on_slot(dot[t], s_qp, n, n, d)]
+            _check_hits(coll, "mixed-unit-compat", (x, y), hits, n2)
     return coll.report()
 
 
@@ -339,12 +326,11 @@ def check_weak_o_operator(
             hits = product(alg.bracket._sparse, a, b) + pulled(rho, a, b, -1)
             hits += pulled(rho, b, a, 1)
             _check_hits(coll, "operator-bracket", (a, b), hits, n)
-    # D T - T endo, flattened to i*m + j
-    dcols, ecols = _sparse_columns(alg.derivation.entries), _sparse_columns(endo)
-    hits = [(i * m + j, x * y) for j, col in enumerate(tcols) for t, x in col for i, y in dcols[t]]
-    hits += [
-        (i * m + j, -x * y) for j, col in enumerate(ecols) for t, x in col for i, y in tcols[t]
-    ]
+    # D T - T endo, on the flat hits of the n-by-m matrix T and of endo
+    t_hits = [(i * m + j, x) for j, col in enumerate(tcols) for i, x in col]
+    (_,), (endo_hits,) = _tables((endo,), m)
+    hits = _on_slot(_sparse_columns(alg.derivation.entries), t_hits, n, m)
+    hits += _on_slot(tcols, endo_hits, m, m, -1, n)
     _check_hits(coll, "operator-intertwine", (), hits, n * m)
     return coll.report()
 
@@ -370,13 +356,14 @@ def check_semidirect_dual_conditions(
     coll.merge(check_dual_rep_conditions(rep, beta, limit), "beta:")
     coll.merge(check_dually_represents(alg, codrv, limit), "codrv:")
     mu, rho = _tables(rep.dot_action, m), _tables(rep.bracket_action, m)
-    alpha, beta_c = _sparse_columns(rep.der_action), _sparse_columns(beta)
+    (_,), (alpha_f,) = _tables((rep.der_action,), m)
+    beta_c = _sparse_columns(beta)
     qcols = _sparse_columns(codrv.entries)
     for x in range(n):
         for axiom, (act_c, act_f) in (("mixed-action-dot", mu), ("mixed-action-bracket", rho)):
             # act(Q x) - act(x) alpha - beta act(x)
-            hits = _combo(act_f, qcols[x]) + _times(act_c[x], alpha, m, -1)
-            hits += _times(beta_c, act_c[x], m, -1)
+            hits = _apply(act_f, qcols[x]) + _on_slot(act_c[x], alpha_f, m, m, -1)
+            hits += _on_slot(beta_c, act_f[x], m, m, -1)
             _check_hits(coll, axiom, (x,), hits, m * m)
     return coll.report()
 

@@ -19,6 +19,7 @@ from relpoisson.algebra import (
     NoUnitError,
     PreconditionError,
     RelPoissonAlgebra,
+    combine_reports,
 )
 from relpoisson.coalgebra import BialgebraData, Comultiplication
 from relpoisson.linalg import (
@@ -48,6 +49,7 @@ from relpoisson.linalg import (
     zero_matrix,
 )
 from relpoisson.pairing import BilinearForm, canonical_pairing, is_nondegenerate
+from relpoisson.prepoisson import RelPrePoissonAlgebra
 from relpoisson.representations import CompatibleStructure, RepData, _as_matrices
 from relpoisson.yangbaxter import is_antisymmetric
 
@@ -1342,3 +1344,108 @@ def check_rel_pre_poisson(
                 defect = vec_sub(defect, star.apply_basis_right(mixed, z))
                 coll.check("mixed-bracket-side", (x, y, z), defect)
     return coll.report()
+
+
+# ---------------------------------------------------------------------------
+# the structure-constant builders as written before they moved to sparse
+# entries: each fills a dense table (or comultiplication) and coerces it
+# through the constructor
+
+
+def comult_to_dual_algebra(comult: Comultiplication) -> BilinearOp:
+    n = comult.space.dim
+    table = tuple(
+        tuple(
+            tuple(comult.columns[k][i][j] for k in range(n)) for j in range(n)
+        )
+        for i in range(n)
+    )
+    return BilinearOp(comult.space.dual, table)
+
+
+def dual_algebra_to_comult(op: BilinearOp, primal: Space) -> Comultiplication:
+    if op.space.dim != primal.dim:
+        raise ValueError("dimension mismatch")
+    n = primal.dim
+    cols = tuple(
+        tuple(tuple(op.entry(i, j, k) for j in range(n)) for i in range(n))
+        for k in range(n)
+    )
+    return Comultiplication(primal, cols)
+
+
+def negated_product_comult(op: BilinearOp, primal: Space) -> Comultiplication:
+    n = primal.dim
+    cols = tuple(
+        tuple(tuple(-op.entry(i, j, k) for j in range(n)) for i in range(n))
+        for k in range(n)
+    )
+    return Comultiplication(primal, cols)
+
+
+def _derived_table(op: BilinearOp, der: LinearMap) -> BilinearOp:
+    """x.D(y) - D(x).y, the table shared by the two builders below."""
+    n = op.space.dim
+    cols = [der.column(j) for j in range(n)]
+    table = tuple(
+        tuple(
+            vec_sub(op.apply_basis_left(i, cols[j]), op.apply_basis_right(cols[i], j))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return BilinearOp(op.space, table)
+
+
+def bracket_from_derivation(dot: BilinearOp, der: LinearMap) -> BilinearOp:
+    pre = combine_reports(check_comm_assoc(dot), check_derivation(dot, der))
+    if not pre.ok:
+        raise PreconditionError(
+            f"input is not a commutative associative algebra with derivation: "
+            f"{', '.join(pre.axioms_failed())}",
+            pre,
+        )
+    return _derived_table(dot, der)
+
+
+def circ_from_derivation(star: BilinearOp, der: LinearMap) -> BilinearOp:
+    pre = combine_reports(check_zinbiel(star), check_derivation(star, der))
+    if not pre.ok:
+        raise PreconditionError(
+            f"input is not a Zinbiel algebra with derivation: "
+            f"{', '.join(pre.axioms_failed())}",
+            pre,
+        )
+    return _derived_table(star, der)
+
+
+def subadjacent(pp: RelPrePoissonAlgebra) -> tuple[RelPoissonAlgebra, RepData]:
+    report = check_rel_pre_poisson(pp)
+    if not report.ok:
+        raise PreconditionError(
+            f"not a relative pre-Poisson algebra: {', '.join(report.axioms_failed())}",
+            report,
+        )
+    n = pp.dim
+    dot_table = tuple(
+        tuple(vec_add(pp.star.product(i, j), pp.star.product(j, i)) for j in range(n))
+        for i in range(n)
+    )
+    br_table = tuple(
+        tuple(vec_sub(pp.circ.product(i, j), pp.circ.product(j, i)) for j in range(n))
+        for i in range(n)
+    )
+    alg = RelPoissonAlgebra(
+        pp.space,
+        BilinearOp(pp.space, dot_table),
+        BilinearOp(pp.space, br_table),
+        pp.derivation,
+    )
+    rep = RepData(
+        algebra=alg,
+        space=pp.space,
+        dot_action=tuple(pp.star.left_matrix(i) for i in range(n)),
+        bracket_action=tuple(pp.circ.left_matrix(i) for i in range(n)),
+        der_action=pp.derivation.entries,
+    )
+    return alg, rep

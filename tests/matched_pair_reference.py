@@ -1,9 +1,10 @@
 """Reference oracle: ``check_matched_pair`` as written before the mixed
 condition families moved to sparse tables, with its own copy of the dense
-``combination_column`` helper; the factors are checked by the dense
-``check_rel_poisson`` of :mod:`dense_reference`.  Tests compare the
-library's reports against this one; delete it together with the
-differential test once the sparse code has been trusted long enough.
+``combination_column`` helper; the factors and the two representations
+are checked by the dense ``check_rel_poisson`` and ``check_representation``
+of :mod:`dense_reference`.  Tests compare the library's reports against
+this one; delete it together with the differential test once the sparse
+code has been trusted long enough.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 from relpoisson.algebra import DEFAULT_VIOLATION_LIMIT, AxiomReport, Collector
 from relpoisson.linalg import ZERO, mat_apply, mat_combination, vec_add, vec_sub
 from relpoisson.pairing import MatchedPairData
-from relpoisson.representations import check_representation
 
-from dense_reference import check_rel_poisson
+from dense_reference import check_rel_poisson, check_representation
 
 
 def combination_column(coeffs, mats, col: int, dim: int):

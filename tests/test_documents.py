@@ -112,6 +112,20 @@ def test_canonicalization_sorts_and_reduces():
     assert serialize_document(parsed) == text
 
 
+@pytest.mark.parametrize(
+    "product",
+    [
+        [[]],  # an entry with no scalar
+        [[0, 0, 0, "1"], ["a", 0, 0, "1"]],  # an index that is not an integer
+        [[0, 0, 5, "1"], [0, 0, 5, "2"]],  # out of range, and repeated
+    ],
+)
+def test_serializer_checks_every_entry(product):
+    doc = {"kind": "comm-assoc", "dim": 1, "product": product}
+    with pytest.raises(DocumentError):
+        serialize_document(doc)
+
+
 def test_empty_entry_list_is_zero_structure():
     doc = parse_document('{"kind": "comm-assoc", "dim": 2, "basis": ["a", "b"], "product": []}')
     op, der = doc_to_single_op(doc)

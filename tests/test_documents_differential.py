@@ -6,7 +6,9 @@ both reject, and both give the same canonical bytes.
 Left out by construction are the inputs the library now rejects and the
 reference accepted: `dim` or `basis` on a document whose space comes from
 its embedded algebra, a `description` that is not a string, and an
-embedded algebra without its required fields or with unknown ones.
+embedded algebra without its required fields or with unknown ones.  The
+serializer is compared with the reference only on documents that read;
+on the others it must reject as reading does.
 """
 
 import json
@@ -137,14 +139,17 @@ def test_reference_has_the_same_kinds():
 @given(data=st.data())
 def test_documents_match_reference(kind, data):
     doc = data.draw(documents(kind))
-    assert _outcome(lib.serialize_document, doc) == _outcome(ref.serialize_document, doc)
     text = json.dumps(doc)
     parsed = _outcome(lib.parse_document, text)
     assert parsed == _outcome(ref.parse_document, text)
+    reader, writer = READ_WRITE[kind]
+    read = _outcome(getattr(lib, reader), parsed) if isinstance(parsed, dict) else parsed
+    # the serializer reads every entry field, so it rejects what reading
+    # rejects; the reference serializer checked scalars only
+    serialized = _outcome(lib.serialize_document, doc)
+    assert serialized == (read if isinstance(read, type) else ref.serialize_document(doc))
     if not isinstance(parsed, dict):
         return
-    reader, writer = READ_WRITE[kind]
-    read = _outcome(getattr(lib, reader), parsed)
     assert read == _outcome(getattr(ref, reader), parsed)
     if isinstance(read, type):
         return

@@ -20,12 +20,19 @@ from relpoisson import (
     check_matched_pair,
     find_unit,
 )
-from relpoisson.algebra import block_sum
+from relpoisson.algebra import _derived_product, block_sum, bracket_from_derivation
+from relpoisson.coalgebra import (
+    comult_to_dual_algebra,
+    dual_algebra_to_comult,
+    negated_product_comult,
+)
+from relpoisson.prepoisson import circ_from_derivation, subadjacent
 from relpoisson.linalg import basis_vector, mat_apply, mat_inverse
 
 import dense_reference as ref
 from matched_pair_reference import reference_check_matched_pair
-from test_checkers_differential import LIMITS, POOLS, assert_same
+from conftest import prepoisson_from_zinbiel, rel_poisson_corpus, zinbiel2, zinbiel3
+from test_checkers_differential import LIMITS, POOLS, assert_same, cases
 
 
 def with_unit(op, unit=0):
@@ -237,3 +244,74 @@ def test_from_entries_matches_dense_builder(n, raw):
         assert op.left_matrix(i) == tuple(
             tuple(table[i][j][k] for j in range(n)) for k in range(n)
         )
+
+
+def _built(build, *args):
+    """A builder's result, or the type and message of its rejection."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_build(build, *args):
+    """The library builder and its dense reference give equal results, or
+    reject alike; every operation returned has a sparse view that matches
+    its table, and every comultiplication entries that match its columns."""
+    new, old = _built(build, *args), _built(getattr(ref, build.__name__), *args)
+    assert new == old, build.__name__
+    if isinstance(new, tuple) and isinstance(new[0], type):
+        return
+    if build is subadjacent:
+        assert new[0].dot.table == old[0].dot.table
+        assert new[0].bracket.table == old[0].bracket.table
+        built = (new[0].dot, new[0].bracket)
+    elif isinstance(new, BilinearOp):
+        assert new.table == old.table
+        built = (new,)
+    else:
+        assert new.columns == old.columns
+        entries = [
+            (i, j, k, x)
+            for k, col in enumerate(new.columns)
+            for i, row in enumerate(col)
+            for j, x in enumerate(row)
+            if x
+        ]
+        assert new.nonzero_entries() == entries
+        built = ()
+    for op in built:
+        assert op._sparse == ref._sparse_of(op)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=cases())
+def test_structure_constant_builders_match_dense_builders(case):
+    data = case["bialgebra"]
+    alg, space = data.algebra, data.algebra.space
+    for comult in (data.dot_comult, data.bracket_comult):
+        assert_same_build(comult_to_dual_algebra, comult)
+    for op in (alg.dot, alg.bracket, case["dual"].dot):
+        assert_same_build(dual_algebra_to_comult, op, space)
+        assert_same_build(negated_product_comult, op, space.dual)
+        new, old = _derived_product(op, alg.derivation), ref._derived_table(op, alg.derivation)
+        assert new == old and new._sparse == ref._sparse_of(old)
+    assert_same_build(bracket_from_derivation, alg.dot, alg.derivation)
+    assert_same_build(circ_from_derivation, alg.dot, alg.derivation)
+    assert_same_build(subadjacent, case["prepoisson"])
+
+
+def test_structure_constant_builders_match_dense_builders_on_worked(worked_bialgebra):
+    for _name, alg in rel_poisson_corpus():
+        assert_same_build(bracket_from_derivation, alg.dot, alg.derivation)
+    for star, der in (zinbiel2(), zinbiel3(), zinbiel3(1, 0), zinbiel3(2, -1, 3, 1)):
+        assert_same_build(circ_from_derivation, star, der)
+        assert_same_build(subadjacent, prepoisson_from_zinbiel(star, der))
+    data = worked_bialgebra
+    dual_alg = rp.dual_rel_poisson_algebra(data)
+    for comult in (data.dot_comult, data.bracket_comult):
+        assert_same_build(comult_to_dual_algebra, comult)
+    for op in (dual_alg.dot, dual_alg.bracket):
+        assert_same_build(dual_algebra_to_comult, op, data.algebra.space)
+    for op in (data.algebra.dot, data.algebra.bracket):
+        assert_same_build(negated_product_comult, op, dual_alg.space)
