@@ -23,6 +23,7 @@ from .linalg import (
     basis_vector,
     block_diagonal,
     direct_sum_space,
+    div,
     scalar,
     vec_is_zero,
 )
@@ -180,7 +181,7 @@ class BilinearOp:
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise IndexError(f"structure constant index out of range: {(i, j, k)}")
             cell = cells.setdefault((i, j), {})
-            cell[k] = cell.get(k, ZERO) + scalar(value)
+            cell[k] = scalar(cell.get(k, ZERO) + scalar(value))
         return BilinearOp._from_cells(space, cells)
 
     def entry(self, i: int, j: int, k: int):
@@ -279,7 +280,7 @@ class BilinearOp:
                     return None  # the equation reads 0 = 1
                 continue
             p = row[col]
-            row = {c: v / p for c, v in row.items()}
+            row = {c: div(v, p) for c, v in row.items()}
             for prow in pivots.values():
                 if col in prow:
                     _axpy(prow, -prow[col], row)
@@ -289,7 +290,7 @@ class BilinearOp:
         unit = [ZERO] * n
         for col, row in pivots.items():
             unit[col] = row.get(n, ZERO)
-        return tuple(unit)
+        return tuple(map(scalar, unit))
 
 
 def _axpy(row: dict, f, other: dict) -> None:

@@ -73,6 +73,8 @@ class Comultiplication:
         n = space.dim
         cols = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
         for i, j, k, value in entries:
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                raise IndexError(f"comultiplication index out of range: {(i, j, k)}")
             cols[k][i][j] += scalar(value)
         return Comultiplication(
             space, tuple(tuple(tuple(r) for r in col) for col in cols)

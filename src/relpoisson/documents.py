@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .algebra import BilinearOp, RelPoissonAlgebra
 from .coalgebra import BialgebraData, Comultiplication
-from .linalg import ZERO, LinearMap, Space, Tensor2
+from .linalg import ZERO, LinearMap, Scalar, Space, Tensor2, scalar
 from .pairing import BilinearForm
 from .prepoisson import RelPrePoissonAlgebra
 from .representations import RepData
@@ -68,19 +67,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def parse_scalar_string(text) -> Fraction:
-    """An integer or a fraction "p/q", optionally negative, in ASCII digits."""
+def parse_scalar_string(text) -> Scalar:
+    """An integer or a fraction "p/q", optionally negative, in ASCII digits,
+    as a scalar in normal form (an int when integral)."""
     if not isinstance(text, str):
         raise DocumentError(f"scalar must be a string, got {text!r}")
     if not re.fullmatch(_SCALAR, text, re.ASCII):
         raise DocumentError(f"malformed scalar {text!r}: expected an integer or p/q")
     try:
-        return Fraction(text)
+        return scalar(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"malformed scalar {text!r}: {exc}") from None
 
 
-def format_scalar(value: Fraction) -> str:
+def format_scalar(value: Scalar) -> str:
+    """The canonical string of a scalar: "n" when integral, else "p/q"."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -164,7 +165,7 @@ class _Reader:
 
     def entries(self, name):
         """Validates the field's sparse entry list; returns
-        [(indices..., Fraction)]."""
+        [(indices..., scalar)]."""
         raw = self.doc.get(name, [])
         if not isinstance(raw, list):
             raise DocumentError(f"field {name!r} must be a list of entries")

@@ -5,9 +5,12 @@ vector space identified by its ordered basis labels), :class:`LinearMap`
 (a matrix between two spaces), and coefficient tensors :class:`Tensor2` /
 :class:`Tensor3` for elements of two- and three-fold tensor products.
 
-Scalars are `fractions.Fraction`, which already guarantees the required
-normal form (lowest terms, positive denominator) and exact closed
-arithmetic.  Vectors and matrices are plain nested tuples of fractions;
+Scalars are exact rationals in one normal form: a Python ``int`` when the
+value is integral, and a ``fractions.Fraction`` (lowest terms, positive
+denominator) only when its denominator is not 1.  Mixed ``int`` /
+``Fraction`` arithmetic stays exact; the one way out of the rationals,
+``int / int``, is never written: every true division goes through
+:func:`div`.  Vectors and matrices are plain nested tuples of scalars;
 all values are immutable and safe to share.
 
 Conventions fixed here and relied on by every other module:
@@ -22,21 +25,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-Scalar = Fraction
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Scalar = int | Fraction
+ZERO = 0
+ONE = 1
 
-Vector = tuple  # tuple[Fraction, ...]
-Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
+Vector = tuple  # tuple[Scalar, ...]
+Matrix = tuple  # tuple[tuple[Scalar, ...], ...]
 
 
-def scalar(value) -> Fraction:
-    """Coerce an int, string ("p/q"), or Fraction to an exact scalar."""
-    if isinstance(value, Fraction):
+def scalar(value) -> Scalar:
+    """Coerce an int, string ("p/q") or Fraction to the normal form: a plain
+    int when the value is integral (a bool too), else a Fraction."""
+    if type(value) is int:
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"not an exact scalar: {value!r}")
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"not an exact scalar: {value!r}")
+    return value.numerator if value.denominator == 1 else value
+
+
+def div(a, b) -> Scalar:
+    """The exact quotient a / b in normal form; never a float."""
+    return scalar(Fraction(a) / b)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +104,7 @@ def basis_vector(n: int, i: int) -> Vector:
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    # zero operands dominate in practice; skip the Fraction arithmetic for them
+    # zero operands dominate in practice; skip the arithmetic for them
     return tuple((a + b if b else a) if a else b for a, b in zip(u, v))
 
 
@@ -198,7 +209,7 @@ def mat_combination(coeffs: Vector, mats) -> Matrix:
     return tuple(tuple(r) for r in acc)
 
 
-def determinant(a: Matrix) -> Fraction:
+def determinant(a: Matrix) -> Scalar:
     """Exact determinant by fraction-free-ish Gaussian elimination."""
     n = len(a)
     if n == 0:
@@ -220,10 +231,10 @@ def determinant(a: Matrix) -> Fraction:
             f = m[r][col]
             if not f:
                 continue
-            f /= p
+            f = div(f, p)
             for c in range(col, n):
                 m[r][c] -= f * m[col][c]
-    return det
+    return scalar(det)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -236,7 +247,7 @@ def mat_inverse(a: Matrix) -> Matrix:
             raise ValueError("matrix is singular")
         m[col], m[pivot] = m[pivot], m[col]
         p = m[col][col]
-        m[col] = [x / p for x in m[col]]
+        m[col] = [div(x, p) for x in m[col]]
         for r in range(n):
             if r == col:
                 continue
@@ -244,49 +255,7 @@ def mat_inverse(a: Matrix) -> Matrix:
             if not f:
                 continue
             m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def solve_exact(a: Matrix, b: Vector):
-    """Solve a x = b exactly (a may be rectangular / overdetermined).
-
-    Returns a particular solution with free variables set to zero, or
-    ``None`` when the system is inconsistent.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(r) + [bv] for r, bv in zip(a, b)]
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pr = next((r for r in range(row, rows) if m[r][col]), None)
-        if pr is None:
-            continue
-        m[row], m[pr] = m[pr], m[row]
-        p = m[row][col]
-        m[row] = [x / p for x in m[row]]
-        for r in range(rows):
-            if r == row:
-                continue
-            f = m[r][col]
-            if not f:
-                continue
-            m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == rows:
-            break
-    for r in range(row, rows):
-        if m[r][cols]:
-            return None
-    x = [ZERO] * cols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][cols]
-    # free variables are zero; verify in case of a rank-deficient system
-    check = mat_apply(a, tuple(x)) if rows else ()
-    if not vec_is_zero(vec_sub(check, b)):
-        return None
-    return tuple(x)
+    return tuple(tuple(map(scalar, row[n:])) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +399,7 @@ __all__ = [
     "ZERO",
     "ONE",
     "scalar",
+    "div",
     "Space",
     "direct_sum_space",
     "basis_vector",
@@ -449,7 +419,6 @@ __all__ = [
     "mat_combination",
     "determinant",
     "mat_inverse",
-    "solve_exact",
     "LinearMap",
     "dual_map",
     "Tensor2",

@@ -27,6 +27,11 @@ from relpoisson.linalg import mat_neg
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def is_normal(x) -> bool:
+    """A scalar in normal form: an int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is F and x.denominator != 1)
+
+
 def neg_map(m: LinearMap) -> LinearMap:
     return LinearMap(m.domain, m.codomain, mat_neg(m.entries))
 

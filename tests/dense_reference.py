@@ -34,6 +34,7 @@ from relpoisson.linalg import (
     basis_vector,
     block_diagonal,
     direct_sum_space,
+    div,
     identity_matrix,
     mat_add,
     mat_apply,
@@ -43,8 +44,8 @@ from relpoisson.linalg import (
     mat_sub,
     mat_transpose,
     scalar,
-    solve_exact,
     vec_add,
+    vec_is_zero,
     vec_sub,
     zero_matrix,
 )
@@ -209,6 +210,48 @@ def check_relative_leibniz(
     dcols = _sparse_columns(der.entries)
     _relative_leibniz_sweep("relative-leibniz", dot, bracket, dcols, coll)
     return coll.report()
+
+
+def solve_exact(a: Matrix, b: Vector):
+    """Solve a x = b exactly (a may be rectangular / overdetermined).
+
+    Returns a particular solution with free variables set to zero, or
+    ``None`` when the system is inconsistent.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(r) + [bv] for r, bv in zip(a, b)]
+    pivots = []
+    row = 0
+    for col in range(cols):
+        pr = next((r for r in range(row, rows) if m[r][col]), None)
+        if pr is None:
+            continue
+        m[row], m[pr] = m[pr], m[row]
+        p = m[row][col]
+        m[row] = [div(x, p) for x in m[row]]
+        for r in range(rows):
+            if r == row:
+                continue
+            f = m[r][col]
+            if not f:
+                continue
+            m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == rows:
+            break
+    for r in range(row, rows):
+        if m[r][cols]:
+            return None
+    x = [ZERO] * cols
+    for r, col in enumerate(pivots):
+        x[col] = m[r][cols]
+    # free variables are zero; verify in case of a rank-deficient system
+    check = mat_apply(a, tuple(x)) if rows else ()
+    if not vec_is_zero(vec_sub(check, b)):
+        return None
+    return tuple(x)
 
 
 def find_unit(dot: BilinearOp):

@@ -202,6 +202,17 @@ def test_pipeline_byte_identical_to_golden(tmp_path, capsys):
     assert out2.read_bytes() == out.read_bytes()
 
 
+def test_pipeline_byte_identical_to_fractional_golden(tmp_path):
+    # every other shipped fixture is integral; this one carries Fraction
+    # scalars through every stage, and its golden bytes were written by
+    # the Fraction-only scalar code
+    out = tmp_path / "double.json"
+    src = FIXTURES / "prepoisson_3d_fractional.json"
+    assert main(["pipeline", str(src), "-o", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "golden_double_14d_fractional.json").read_bytes()
+    assert "/" in out.read_text()
+
+
 def test_pipeline_zero_fixture(tmp_path):
     out = tmp_path / "six.json"
     assert main(["pipeline", str(FIXTURES / "prepoisson_zero_1d.json"), "-o", str(out)]) == 0

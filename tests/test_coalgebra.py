@@ -33,6 +33,17 @@ def comult(space, entries):
     return Comultiplication.from_entries(space, entries)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("slot", range(3))
+def test_from_entries_rejects_out_of_range_index(bad, slot):
+    # -1 must not wrap to the last basis element, and n must not reach a
+    # bare IndexError from the dense table
+    entry = [0, 1, 2, 1]
+    entry[slot] = bad
+    with pytest.raises(IndexError, match=rf"out of range: .*{bad}"):
+        comult(Space.of_dim(3), [tuple(entry)])
+
+
 def test_cocomm_coassoc_on_worked_comult(worked_bialgebra):
     assert check_cocomm_coassoc(worked_bialgebra.dot_comult).ok
     assert check_cocomm_coassoc(Comultiplication.zero(Space.of_dim(3))).ok

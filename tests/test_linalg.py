@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relpoisson import LinearMap, Space, Tensor2, Tensor3, dual_map, rotate_factors, swap_factors, tensor_as_map
+from relpoisson import BilinearOp, LinearMap, Space, Tensor2, Tensor3, dual_map, find_unit, rotate_factors, swap_factors, tensor_as_map
 from relpoisson.linalg import (
     determinant,
     mat_inverse,
     mat_mul,
     mat_transpose,
-    solve_exact,
 )
+
+from conftest import is_normal
+from dense_reference import solve_exact
 
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -266,3 +268,75 @@ def test_solve_exact_matches_sympy(system):
             # full column rank: the solution is unique
             solution = m.solve_least_squares(rhs)
             assert x == tuple(_fraction(solution[i, 0]) for i in range(len(x)))
+
+
+# int-typed input: the normal form keeps integral values as int, so the
+# eliminations must divide through linalg.div and still agree with sympy
+
+int_entries = st.sampled_from((0, 0, 1, -1, 2, 3, -2))
+
+
+@st.composite
+def int_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return tuple(tuple(draw(int_entries) for _ in range(n)) for _ in range(n))
+
+
+def test_int_matrix_with_fractional_inverse():
+    a = ((2, 1), (1, 3))
+    assert determinant(a) == 5 and type(determinant(a)) is int
+    assert mat_inverse(a) == ((F(3, 5), F(-1, 5)), (F(-1, 5), F(2, 5)))
+    assert mat_inverse(((2, 0), (0, 1))) == ((F(1, 2), 0), (0, 1))
+    assert type(mat_inverse(((2, 0), (0, 1)))[1][1]) is int
+
+
+@settings(deadline=None)
+@given(a=int_matrices())
+def test_int_determinant_and_inverse_match_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    m = _sympy_matrix(sympy, a, len(a))
+    det = determinant(a)
+    assert type(det) is int and det == _fraction(m.det())
+    if det:
+        inv = mat_inverse(a)
+        assert all(is_normal(x) for row in inv for x in row)
+        want = m.inv()
+        assert inv == tuple(
+            tuple(_fraction(want[i, j]) for j in range(len(a))) for i in range(len(a))
+        )
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 3), scale=st.sampled_from((1, 2, 3, -2)), unital=st.booleans(), data=st.data())
+def test_find_unit_on_int_constants_matches_sympy(n, scale, unital, data):
+    """Scaling the product of an algebra with unit e1 by c moves the unit to
+    e1 / c, which is not integral for |c| > 1; without the unit products
+    there is mostly no unit at all."""
+    sympy = pytest.importorskip("sympy")
+    other = st.integers(1 if unital else 0, n - 1)
+    entries = []
+    if n > 1 or not unital:
+        entries = data.draw(
+            st.lists(st.tuples(other, other, st.integers(0, n - 1), st.integers(-2, 2)), max_size=4)
+        )
+    if unital:
+        entries += [(0, j, j, 1) for j in range(n)] + [(j, 0, j, 1) for j in range(1, n)]
+    dot = BilinearOp.from_entries(Space.of_dim(n), [(i, j, k, scale * v) for i, j, k, v in entries])
+    rows, rhs = [], []
+    for j in range(n):
+        for k in range(n):
+            rows += [[dot.entry(i, j, k) for i in range(n)], [dot.entry(j, i, k) for i in range(n)]]
+            rhs += [int(j == k)] * 2
+    try:
+        solution, params = sympy.Matrix(rows).gauss_jordan_solve(sympy.Matrix(rhs))
+    except ValueError:
+        solution = None  # inconsistent: no unit
+    unit = find_unit(dot)
+    if solution is None:
+        assert unit is None
+        return
+    assert not params  # a two-sided unit is unique
+    assert unit == tuple(_fraction(solution[i, 0]) for i in range(n))
+    assert all(is_normal(x) for x in unit)
+    if unital:
+        assert unit == (F(1, scale),) + (0,) * (n - 1)

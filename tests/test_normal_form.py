@@ -1,0 +1,161 @@
+"""The scalar normal form: an int when the value is integral, a Fraction
+only when its denominator is not 1, and never a float."""
+
+import ast
+from dataclasses import replace
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from relpoisson import (
+    BilinearOp,
+    Comultiplication,
+    LinearMap,
+    RelPoissonAlgebra,
+    Space,
+    Tensor2,
+    check_bialgebra,
+    check_manin_triple,
+    check_matched_pair,
+    check_rel_poisson,
+    combine_matched_pair,
+    dual_rel_poisson_algebra,
+    frobenius_jacobi_pipeline,
+    induced_matched_pair,
+)
+from relpoisson.documents import doc_to_rel_pre_poisson, parse_document, parse_scalar_string
+from relpoisson.linalg import div, scalar
+
+from conftest import FIXTURES, is_normal, rel_poisson_corpus, trivial_bialgebra
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "relpoisson"
+
+
+def leaves(value):
+    """Every non-tuple leaf of a nested tuple."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+def test_scalar_normal_form():
+    assert type(scalar(F(3))) is int and scalar(F(6, 2)) == 3
+    assert type(scalar(True)) is int and scalar(True) == 1
+    assert type(scalar("4/2")) is int and scalar("-7") == -7
+    assert scalar("2/4") == F(1, 2) and type(scalar("2/4")) is F
+    assert scalar(5) == 5
+    for bad in (1.0, None, [1]):
+        with pytest.raises(TypeError):
+            scalar(bad)
+
+
+def test_div_is_exact_and_normal():
+    assert div(1, 2) == F(1, 2) and type(div(1, 2)) is F
+    assert div(4, 2) == 2 and type(div(4, 2)) is int
+    assert div(F(1, 2), F(1, 4)) == 2 and type(div(F(1, 2), F(1, 4))) is int
+    with pytest.raises(ZeroDivisionError):
+        div(1, 0)
+
+
+def test_parse_scalar_string_normal_form():
+    assert type(parse_scalar_string("6/3")) is int
+    assert type(parse_scalar_string("-12")) is int
+    assert parse_scalar_string("-2/6") == F(-1, 3)
+
+
+def test_true_division_only_inside_linalg_div():
+    """``int / int`` is a float, so the only ``/`` in the package is the
+    one in ``linalg.div``, which divides a Fraction."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "linalg.py":
+            (div_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "div"]
+            allowed = {id(node) for node in ast.walk(div_def)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                if id(node) not in allowed:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"true division outside linalg.div: {found}"
+
+
+def test_constructors_store_the_normal_form():
+    sp = Space.of_dim(2)
+    checks = [
+        LinearMap(sp, sp, ((F(3), F(1, 2)), (F(0), "4/2"))).entries,
+        Tensor2(sp, sp, ((F(-2), 0), (F(2, 3), F(9, 3)))).coeffs,
+        BilinearOp.from_entries(sp, [(0, 1, 0, F(3)), (1, 1, 1, F(1, 2)), (1, 1, 1, F(1, 2))]).table,
+        BilinearOp(sp, (((F(2), 0), (0, 0)), ((0, 0), (0, F(5, 5))))).table,
+        Comultiplication.from_entries(sp, [(0, 1, 0, F(3)), (1, 1, 1, F(1, 3)), (1, 1, 1, F(2, 3))]).columns,
+    ]
+    for stored in checks:
+        assert all(is_normal(x) for x in leaves(stored)), stored
+    # repeated positions summing to an integer are stored as an int
+    op = BilinearOp.from_entries(sp, [(1, 1, 1, F(1, 2)), (1, 1, 1, F(1, 2))])
+    assert type(op.entry(1, 1, 1)) is int and op.nonzero_entries() == [(1, 1, 1, 1)]
+
+
+def _pipeline_scalars(pp):
+    bialgebra, frob = frobenius_jacobi_pipeline(pp)
+    alg = frob.algebra
+    yield from leaves(alg.dot.table)
+    yield from leaves(alg.bracket.table)
+    # the sparse views of the products hold (index, value) pairs
+    yield from leaves(alg.dot._sparse)
+    yield from leaves(alg.bracket._sparse)
+    yield from leaves(alg.derivation.entries)
+    yield from leaves(frob.form.gram)
+    yield from leaves(frob.unit)
+    yield from leaves(bialgebra.dot_comult.columns)
+    yield from leaves(bialgebra.bracket_comult.columns)
+    yield from leaves(bialgebra.dual_derivation.entries)
+
+
+@pytest.mark.parametrize("fixture", ["prepoisson_3d.json", "prepoisson_3d_fractional.json"])
+def test_pipeline_output_double_is_in_normal_form(fixture):
+    pp = doc_to_rel_pre_poisson(parse_document((FIXTURES / fixture).read_text()))
+    scalars = list(_pipeline_scalars(pp))
+    assert all(is_normal(x) for x in scalars)
+    if "fractional" in fixture:
+        assert any(type(x) is F for x in scalars)
+    else:
+        assert all(type(x) is int for x in scalars)
+
+
+def _bumped(alg: RelPoissonAlgebra, field: str, k: int, delta) -> RelPoissonAlgebra:
+    """alg with delta added to the structure constant e_0 * e_1 -> e_k (or
+    e_0 * e_0 in dimension 1) of its dot or bracket."""
+    j = min(1, alg.dim - 1)
+    parts = {"dot": alg.dot, "bracket": alg.bracket}
+    parts[field] = BilinearOp.from_entries(
+        alg.space, parts[field].nonzero_entries() + [(0, j, k, delta)]
+    )
+    return RelPoissonAlgebra(alg.space, parts["dot"], parts["bracket"], alg.derivation)
+
+
+def test_failing_corpus_defects_hold_no_float():
+    """Integral and fractional single-constant edits of every corpus algebra
+    break its trivial bialgebra; every defect the checkers report is exact."""
+    reports = []
+    for _name, alg in rel_poisson_corpus():
+        for field in ("dot", "bracket"):
+            for delta in (1, F(-1, 2), F(2, 3)):
+                bad = _bumped(alg, field, alg.dim - 1, delta)
+                data = replace(trivial_bialgebra(alg), algebra=bad)
+                pair = induced_matched_pair(data)
+                reports += [
+                    check_rel_poisson(bad),
+                    check_bialgebra(data),
+                    check_matched_pair(pair),
+                    check_manin_triple(bad, dual_rel_poisson_algebra(data), combine_matched_pair(pair)),
+                ]
+    failing = [r for r in reports if not r.ok]
+    assert len(failing) > 50
+    defects = [x for r in failing for v in r.violations for x in v.defect]
+    assert defects and not any(isinstance(x, float) for x in defects)
+    assert all(isinstance(x, (int, F)) for x in defects)
+    assert any(type(x) is F for x in defects) and any(type(x) is int for x in defects)
