@@ -1,14 +1,16 @@
 """Algebra structures as structure constants, and decidable axiom checkers.
 
-A bilinear operation on a based space is a rank-3 structure-constant array
-``c[i][j][k]`` with  e_i * e_j = sum_k c[i][j][k] e_k.  Multilinearity makes
-verification on basis tuples complete, so every axiom checker enumerates
-basis tuples and reports exact defect vectors (lhs minus rhs) for the
-tuples that fail.
+A bilinear operation on a based space has structure constants ``c[i][j][k]``
+with  e_i * e_j = sum_k c[i][j][k] e_k, stored sparse: only the nonzero
+constants are kept, and the dense rank-3 array is a view derived on first
+read.  Multilinearity makes verification on basis tuples complete, so every
+axiom checker enumerates basis tuples and reports exact defect vectors (lhs
+minus rhs) for the tuples that fail.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -20,6 +22,7 @@ from .linalg import (
     Matrix,
     Space,
     Vector,
+    _columns,
     basis_vector,
     block_diagonal,
     direct_sum_space,
@@ -120,52 +123,60 @@ def combine_reports(*reports, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomRepo
 # bilinear operations
 
 
-@dataclass(frozen=True)
-class BilinearOp:
-    """A bilinear map on a based space, stored as e_i * e_j product vectors."""
+class _Stored:
+    """Base of the structures kept in one sparse stored form.  Each is a
+    frozen dataclass whose fields are its dense constructor's arguments:
+    ``__init__`` converts them to the stored attributes named in
+    ``_stored``, by which instances compare, and each field not stored is
+    a cached property, derived on first read."""
+
+    _stored = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self._stored
+        )
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self._stored))
+
+
+def _make(cls, **stored):
+    """An instance of a structure holding the given stored attributes."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(stored)
+    return obj
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class BilinearOp(_Stored):
+    """A bilinear map on a based space, stored sparse: ``_sparse[i][j]``
+    lists the nonzero (k, value) structure constants of e_i * e_j by
+    increasing k.  ``BilinearOp(space, table)`` takes the dense table, whose
+    ``table[i][j]`` is the coefficient vector of e_i * e_j."""
 
     space: Space
-    table: tuple  # table[i][j] = coefficient vector of e_i * e_j
+    table: tuple = cached_property(
+        lambda self: tuple(tuple(_dense(p, self.space.dim) for p in row) for row in self._sparse)
+    )
+    _stored = ("space", "_sparse")
 
-    def __post_init__(self):
-        n = self.space.dim
-        tab = tuple(
-            tuple(tuple(scalar(x) for x in vec) for vec in row) for row in self.table
-        )
-        object.__setattr__(self, "table", tab)
-        ok = len(tab) == n and all(
-            len(row) == n and all(len(vec) == n for vec in row) for row in tab
-        )
-        if not ok:
-            raise ValueError("structure constants do not match the space dimension")
-        # sparse view of each product vector; products are mostly zero
-        sparse = tuple(
-            tuple(tuple((k, x) for k, x in enumerate(vec) if x) for vec in row)
-            for row in tab
-        )
-        object.__setattr__(self, "_sparse", sparse)
+    def __init__(self, space: Space, table):
+        # _sparse[i] transposes table[i], whose rows are the products e_i * e_j
+        n, error = space.dim, "structure constants do not match the space dimension"
+        if len(table) != n:
+            raise ValueError(error)
+        sparse = tuple(_transpose(_columns(rows, n, n, error), n) for rows in table)
+        self.__dict__.update(space=space, _sparse=sparse)
 
     @staticmethod
     def _from_cells(space: Space, cells) -> BilinearOp:
-        """Build from {(i, j): {k: exact value}} cells without a dense pass:
-        the sparse view is primary and the dense table shares one zero
-        vector among the empty products."""
+        """Build from {(i, j): {k: exact value}} cells."""
         n = space.dim
-        zero = (ZERO,) * n
         sparse = [[()] * n for _ in range(n)]
-        table = [[zero] * n for _ in range(n)]
         for (i, j), cell in cells.items():
-            terms = tuple(sorted((k, x) for k, x in cell.items() if x))
-            if terms:
-                vec = [ZERO] * n
-                for k, x in terms:
-                    vec[k] = x
-                sparse[i][j], table[i][j] = terms, tuple(vec)
-        op = object.__new__(BilinearOp)
-        object.__setattr__(op, "space", space)
-        object.__setattr__(op, "table", tuple(map(tuple, table)))
-        object.__setattr__(op, "_sparse", tuple(map(tuple, sparse)))
-        return op
+            sparse[i][j] = tuple(sorted((k, x) for k, x in cell.items() if x))
+        return _make(BilinearOp, space=space, _sparse=tuple(map(tuple, sparse)))
 
     @staticmethod
     def zero(space: Space) -> BilinearOp:
@@ -347,10 +358,34 @@ def block_sum(
 
     The actions of A1 on A2 (mu1 through the dot, rho1 through the bracket)
     hold one A2-matrix per A1 basis element; those of A2 on A1 (mu2, rho2)
-    one A1-matrix per A2 basis element.  Unit extensions, semi-direct products
-    and matched-pair doubles are all of this form.  Built structurally,
-    with no validity assumption on the actions.
+    one A1-matrix per A2 basis element; a family of another length or size
+    raises ValueError.  Unit extensions, semi-direct products and
+    matched-pair doubles are all of this form.  Built structurally, with no
+    validity assumption on the actions.
     """
+    n1, n2 = left.dim, right.dim
+    actions = _families(n1, n2, mu1, rho1) + _families(n2, n1, mu2, rho2)
+    return _block_sum(left, right, *actions)
+
+
+def _families(count: int, dim: int, *families):
+    """Action families given dense, one dim-by-dim matrix per basis element
+    of a count-dimensional algebra, as one sparse column table each; every
+    family's length is checked before any matrix is read."""
+    if any(len(mats) != count for mats in families):
+        raise ValueError("need one action matrix per algebra basis element")
+    error = "action matrix does not match the module dimension"
+    return [tuple(_columns(m, dim, dim, error) for m in mats) for mats in families]
+
+
+def _matrices(family):
+    """The dense matrices of a family of square column tables."""
+    return tuple(_dense(_flat(cols), len(cols), len(cols)) for cols in family)
+
+
+def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
+    """:func:`block_sum` on actions given as sparse column tables: mu1[i][b]
+    lists the nonzero (row, value) entries of mu1(e_i) e_b."""
     n1, n2 = left.dim, right.dim
     total = direct_sum_space(left.space, right.space)
     dot, br = {}, {}
@@ -360,18 +395,15 @@ def block_sum(
                 for j, prod in enumerate(row):
                     if prod:
                         cells[off + i, off + j] = {off + k: x for k, x in prod}
-    # the actions' columns: mu1[i] applied to b is column b of mu1[i], and
-    # mu2[b] applied to i is column i of mu2[b]
-    mu1, rho1, mu2, rho2 = (
-        [_sparse_columns(m) for m in mats] for mats in (mu1, rho1, mu2, rho2)
-    )
+    # mu1[i] applied to b is column b of mu1[i], and mu2[b] applied to i is
+    # column i of mu2[b]
     for i in range(n1):
         for b in range(n2):
-            mu = {r: scalar(v) for r, v in mu2[b][i]}
-            mu.update((n1 + r, scalar(v)) for r, v in mu1[i][b])
+            mu = dict(mu2[b][i])
+            mu.update((n1 + r, v) for r, v in mu1[i][b])
             dot[i, n1 + b] = dot[n1 + b, i] = mu
-            rho = {r: scalar(v) for r, v in rho2[b][i]}
-            rho.update((n1 + r, -scalar(v)) for r, v in rho1[i][b])
+            rho = dict(rho2[b][i])
+            rho.update((n1 + r, -v) for r, v in rho1[i][b])
             br[n1 + b, i] = rho
             br[i, n1 + b] = {k: -v for k, v in rho.items()}
     derivation = block_diagonal(left.derivation.entries, right.derivation.entries)
@@ -392,7 +424,38 @@ def block_sum(
 # ((i1*n + i2)*n + ...)*n + ik, so a vector is k = 1 and an m-by-m matrix is
 # k = 2 over m.  The slot of i_s has stride n**(k - s).  A linear map enters
 # as its sparse column table: cols[j] lists the (index, value) hits of its
-# image of e_j.
+# image of e_j.  This is also how structures are stored: a product's
+# _sparse[i] is the column table of left multiplication by e_i, an action
+# family holds one column table per algebra basis element, and a
+# comultiplication holds the flat hits of each image.
+
+
+def _dense(hits, *shape):
+    """The nested tuple of the given shape holding the sum of the hits at
+    each flat index, zero elsewhere: the dense view of a sparse form."""
+    flat = [ZERO] * math.prod(shape)
+    for f, x in hits:
+        flat[f] += x
+    for level in range(len(shape) - 1, 0, -1):
+        size = shape[level]
+        flat = [tuple(flat[s * size : (s + 1) * size]) for s in range(math.prod(shape[:level]))]
+    return tuple(flat)
+
+
+def _flat(cols):
+    """The flat hits of the matrix with the given column table."""
+    width = len(cols)
+    return [(r * width + c, x) for c, col in enumerate(cols) for r, x in col]
+
+
+def _transpose(cols, height: int, scale=1):
+    """The column table of scale times the transpose of a matrix with
+    ``height`` rows, given by its column table."""
+    out = [[] for _ in range(height)]
+    for c, col in enumerate(cols):
+        for r, x in col:
+            out[r].append((c, scale * x))
+    return tuple(map(tuple, out))
 
 
 def _apply(cols, coeffs, scale=1):
@@ -462,15 +525,6 @@ def _flip(table, width: int):
     return tuple(tuple(row[q] for row in table) for q in range(width))
 
 
-def _sparse_columns(m: Matrix, width: int | None = None):
-    """Each column of a matrix as its nonzero (row, value) entries; the
-    width of a matrix that is not square must be given."""
-    return tuple(
-        tuple((r, row[j]) for r, row in enumerate(m) if row[j])
-        for j in range(len(m) if width is None else width)
-    )
-
-
 def _nonzero_pairs(sp):
     return [(i, j) for i, row in enumerate(sp) for j, prod in enumerate(row) if prod]
 
@@ -519,8 +573,7 @@ def check_derivation(
     if der.domain != m.space or der.codomain != m.space:
         raise ValueError("derivation is not an endomorphism of the algebra's space")
     n = m.space.dim
-    sp = m._sparse
-    cols = _sparse_columns(der.entries)
+    sp, cols = m._sparse, der._cols
     coll = Collector(limit)
     for i in range(n):
         for j in range(n):
@@ -573,8 +626,7 @@ def check_relative_leibniz(
     if der.domain != dot.space or der.codomain != dot.space:
         raise ValueError("derivation is not an endomorphism of the algebra's space")
     coll = Collector(limit)
-    dcols = _sparse_columns(der.entries)
-    _relative_leibniz_sweep("relative-leibniz", dot, bracket, dcols, coll)
+    _relative_leibniz_sweep("relative-leibniz", dot, bracket, der._cols, coll)
     return coll.report()
 
 
@@ -594,7 +646,7 @@ def check_rel_poisson(
 def _derived_product(op: BilinearOp, der: LinearMap) -> BilinearOp:
     """The product x.D(y) - D(x).y, built from its sparse entries."""
     n = op.space.dim
-    sp, cols = op._sparse, _sparse_columns(der.entries)
+    sp, cols = op._sparse, der._cols
     flipped = _flip(sp, n)
     entries = [
         (i, j, k, v)
@@ -643,7 +695,7 @@ def check_jacobi_algebra(
     coll = Collector(limit)
     coll.merge(check_comm_assoc(dot, limit), "dot:")
     coll.merge(check_lie(bracket, limit), "bracket:")
-    ad_unit = _sparse_columns(bracket.left_matrix_of(unit))
+    ad_unit = ad_map(bracket, unit)._cols
     _relative_leibniz_sweep("unital-leibniz", dot, bracket, ad_unit, coll)
     return coll.report()
 

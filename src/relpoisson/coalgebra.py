@@ -1,12 +1,14 @@
 """Comultiplications, relative Poisson coalgebras and bialgebras.
 
-A comultiplication is stored column-wise: ``columns[k][i][j]`` is the
-coefficient of e_i (x) e_j in the image of e_k, so that dualizing a
-comultiplication into a product on the dual space is a pure index
-transposition with no signs.  The dual comultiplications of an algebra's
-own products carry the explicit minus signs of the dualization rules; they
-are load-bearing and implemented literally.  Tensor-valued defects are
-swept in the flat-index convention of :mod:`relpoisson.algebra`.
+A comultiplication is stored sparse, as the flat hits of each image
+Delta(e_k): the coefficient of e_i (x) e_j sits at index i*n + j.  Its
+dense view ``columns[k][i][j]``, derived on first read, holds the same
+coefficient, so that dualizing a comultiplication into a product on the
+dual space is a pure index transposition with no signs.  The dual
+comultiplications of an algebra's own products carry the explicit minus
+signs of the dualization rules; they are load-bearing and implemented
+literally.  Tensor-valued defects are swept in the flat-index convention
+of :mod:`relpoisson.algebra`.
 """
 
 from __future__ import annotations
@@ -23,45 +25,40 @@ from .algebra import (
     RelPoissonAlgebra,
     _apply,
     _check_hits,
+    _dense,
+    _flat,
     _flip,
+    _make,
     _on_slot,
-    _sparse_columns,
+    _Stored,
     _swap,
+    _transpose,
     check_rel_poisson,
 )
-from .linalg import (
-    ZERO,
-    LinearMap,
-    Matrix,
-    Space,
-    Vector,
-    mat_add,
-    mat_neg,
-    mat_transpose,
-    scalar,
-)
+from .linalg import ZERO, LinearMap, Matrix, Space, Vector, _columns, dual_map, scalar
 from .pairing import MatchedPairData
 from .representations import check_dually_represents
 
 
-@dataclass(frozen=True)
-class Comultiplication:
-    """A linear map A -> A (x) A; ``columns[k]`` is the image of e_k."""
+@dataclass(frozen=True, init=False, eq=False)
+class Comultiplication(_Stored):
+    """A linear map A -> A (x) A, stored as ``_hits[k]``, the nonzero
+    (i * n + j, value) coefficients of e_i (x) e_j in the image of e_k by
+    increasing index.  ``Comultiplication(space, columns)`` takes the dense
+    coefficients ``columns[k][i][j]``."""
 
     space: Space
-    columns: tuple  # columns[k][i][j]
+    columns: tuple = cached_property(
+        lambda self: tuple(_dense(h, self.space.dim, self.space.dim) for h in self._hits)
+    )
+    _stored = ("space", "_hits")
 
-    def __post_init__(self):
-        n = self.space.dim
-        cols = tuple(
-            tuple(tuple(scalar(x) for x in row) for row in col) for col in self.columns
-        )
-        object.__setattr__(self, "columns", cols)
-        ok = len(cols) == n and all(
-            len(col) == n and all(len(row) == n for row in col) for col in cols
-        )
-        if not ok:
-            raise ValueError("comultiplication coefficients do not match the dimension")
+    def __init__(self, space: Space, columns):
+        n, error = space.dim, "comultiplication coefficients do not match the dimension"
+        if len(columns) != n:
+            raise ValueError(error)
+        hits = tuple(tuple(sorted(_flat(_columns(col, n, n, error)))) for col in columns)
+        self.__dict__.update(space=space, _hits=hits)
 
     @staticmethod
     def zero(space: Space) -> Comultiplication:
@@ -71,34 +68,22 @@ class Comultiplication:
     def from_entries(space: Space, entries) -> Comultiplication:
         """Build from sparse (i, j, k, value): e_k gains value * e_i (x) e_j."""
         n = space.dim
-        cols = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        cells = [{} for _ in range(n)]
         for i, j, k, value in entries:
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise IndexError(f"comultiplication index out of range: {(i, j, k)}")
-            cols[k][i][j] += scalar(value)
-        return Comultiplication(
-            space, tuple(tuple(tuple(r) for r in col) for col in cols)
-        )
+            cell, f = cells[k], i * n + j
+            cell[f] = scalar(cell.get(f, ZERO) + scalar(value))
+        hits = tuple(tuple(sorted((f, x) for f, x in cell.items() if x)) for cell in cells)
+        return _make(Comultiplication, space=space, _hits=hits)
 
     def coeff(self, i: int, j: int, k: int):
         return self.columns[k][i][j]
 
-    @cached_property
-    def _hits(self):
-        """Each image Delta(e_k) as the sparse hits of a 2-tensor."""
-        n = self.space.dim
-        return tuple(
-            tuple((i * n + j, x) for i, row in enumerate(col) for j, x in enumerate(row) if x)
-            for col in self.columns
-        )
-
     def of(self, u: Vector) -> Matrix:
         """Image of a general element as a 2-tensor coefficient matrix."""
         n = self.space.dim
-        acc = [[ZERO] * n for _ in range(n)]
-        for f, x in _apply(self._hits, [(k, c) for k, c in enumerate(u) if c]):
-            acc[f // n][f % n] += x
-        return tuple(tuple(r) for r in acc)
+        return _dense(_apply(self._hits, [(k, c) for k, c in enumerate(u) if c]), n, n)
 
     def is_zero(self) -> bool:
         return not any(self._hits)
@@ -186,7 +171,7 @@ def check_rel_poisson_coalgebra(
     if codrv.domain.dim != n or codrv.codomain.dim != n:
         raise ValueError("coderivation does not match the comultiplications")
     n2 = n * n
-    q = _sparse_columns(codrv.entries)
+    q = codrv._cols
     dots, brs = dot_comult._hits, bracket_comult._hits
     coll = Collector(limit)
     coll.merge(check_cocomm_coassoc(dot_comult, limit), "dot:")
@@ -244,8 +229,7 @@ def dual_rel_poisson_algebra(data: BialgebraData) -> RelPoissonAlgebra:
     dual_space = data.algebra.space.dual
     dot = comult_to_dual_algebra(data.dot_comult)
     bracket = comult_to_dual_algebra(data.bracket_comult)
-    der = LinearMap(dual_space, dual_space, mat_transpose(data.dual_derivation.entries))
-    return RelPoissonAlgebra(dual_space, dot, bracket, der)
+    return RelPoissonAlgebra(dual_space, dot, bracket, dual_map(data.dual_derivation))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +249,7 @@ def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -
     flipped = _flip(dot, n)
     dcom, bcom = data.dot_comult._hits, data.bracket_comult._hits
     q = data.dual_derivation
-    der = _sparse_columns(alg.derivation.entries)
-    qcols = _sparse_columns(q.entries)
-    pq = _sparse_columns(mat_add(alg.derivation.entries, q.entries))
+    der, qcols, pq = alg.derivation._cols, q._cols, alg.derivation.add(q)._cols
     coll = Collector(limit)
     coll.merge(check_rel_poisson(alg, limit), "algebra:")
     coll.merge(
@@ -353,9 +335,7 @@ def dualize_bialgebra(data: BialgebraData) -> BialgebraData:
         algebra=dual_alg,
         dot_comult=negated_product_comult(alg.dot, dual_space),
         bracket_comult=negated_product_comult(alg.bracket, dual_space),
-        dual_derivation=LinearMap(
-            dual_space, dual_space, mat_transpose(alg.derivation.entries)
-        ),
+        dual_derivation=dual_map(alg.derivation),
     )
 
 
@@ -365,19 +345,16 @@ def induced_matched_pair(data: BialgebraData) -> MatchedPairData:
     alg = data.algebra
     n = alg.dim
     dual_alg = dual_rel_poisson_algebra(data)
-    mu1 = tuple(mat_transpose(alg.dot.left_matrix(i)) for i in range(n))
-    rho1 = tuple(mat_neg(mat_transpose(alg.bracket.left_matrix(i))) for i in range(n))
-    mu2 = tuple(mat_transpose(dual_alg.dot.left_matrix(a)) for a in range(n))
-    rho2 = tuple(
-        mat_neg(mat_transpose(dual_alg.bracket.left_matrix(a))) for a in range(n)
-    )
-    return MatchedPairData(
+    # the column tables of L(x) and ad(x) are the rows of the sparse
+    # products, so each action is a transposed row, negated for ad*
+    return _make(
+        MatchedPairData,
         left=alg,
         right=dual_alg,
-        dot_action_on_right=mu1,
-        bracket_action_on_right=rho1,
-        dot_action_on_left=mu2,
-        bracket_action_on_left=rho2,
+        _mu1=tuple(_transpose(cols, n) for cols in alg.dot._sparse),
+        _rho1=tuple(_transpose(cols, n, -1) for cols in alg.bracket._sparse),
+        _mu2=tuple(_transpose(cols, n) for cols in dual_alg.dot._sparse),
+        _rho2=tuple(_transpose(cols, n, -1) for cols in dual_alg.bracket._sparse),
     )
 
 

@@ -15,8 +15,8 @@ from .algebra import (
     PreconditionError,
     RelPoissonAlgebra,
     AxiomReport,
+    _block_sum,
     ad_map,
-    block_sum,
     check_jacobi_algebra,
     check_rel_poisson,
     combine_reports,
@@ -28,18 +28,7 @@ from .coalgebra import (
     dual_rel_poisson_algebra,
     induced_matched_pair,
 )
-from .linalg import (
-    ONE,
-    ZERO,
-    LinearMap,
-    Space,
-    Tensor2,
-    basis_vector,
-    identity_matrix,
-    mat_is_zero,
-    mat_neg,
-    zero_matrix,
-)
+from .linalg import ONE, ZERO, LinearMap, Space, Tensor2, basis_vector, mat_is_zero
 from .pairing import (
     BilinearForm,
     canonical_pairing,
@@ -48,7 +37,7 @@ from .pairing import (
     combine_matched_pair,
 )
 from .prepoisson import RelPrePoissonAlgebra, subadjacent
-from .representations import RepData, check_jacobi_representation, check_representation
+from .representations import RepData, _rep, check_jacobi_representation, check_representation
 from .yangbaxter import (
     OOperator,
     check_rpybe,
@@ -86,20 +75,14 @@ def _unit_extension(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
     line = Space((unit_label,))
     dot = BilinearOp.from_entries(line, [(0, 0, 0, ONE)])
     unital = RelPoissonAlgebra(line, dot, BilinearOp.zero(line), LinearMap.zero(line))
-    back = (zero_matrix(1, 1),) * alg.dim
-    return block_sum(
-        unital, alg, (identity_matrix(alg.dim),), (alg.derivation.entries,), back, back
-    )
+    back = (((),),) * alg.dim
+    identity = LinearMap.identity(alg.space)._cols
+    return _block_sum(unital, alg, (identity,), (alg.derivation._cols,), back, back)
 
 
 def _extended_rep(rep: RepData, extended: RelPoissonAlgebra) -> RepData:
-    return RepData(
-        algebra=extended,
-        space=rep.space,
-        dot_action=(identity_matrix(rep.space.dim),) + rep.dot_action,
-        bracket_action=(rep.der_action,) + rep.bracket_action,
-        der_action=rep.der_action,
-    )
+    mu = (LinearMap.identity(rep.space)._cols,) + rep._mu
+    return _rep(extended, rep.space, mu, (rep._alpha,) + rep._rho, rep._alpha)
 
 
 def extend_jacobi(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
@@ -212,11 +195,12 @@ def frobenius_jacobi_pipeline(
         ),
     )
 
+    # beta = -alpha, for alpha = D the endomorphism of rep and of its lift
     semidirect, rmat = verified(
         "lift-o-operator",
         o_operator_to_rmatrix,
         lift.rep,
-        mat_neg(lift.rep.der_action),
+        pp.derivation.neg().entries,
         extended.derivation.neg(),
         lift.operator,
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 Scalar = int | Fraction
 ZERO = 0
@@ -187,6 +188,18 @@ def mat_apply(a: Matrix, v: Vector) -> Vector:
     return tuple(acc)
 
 
+def _columns(matrix, height: int, width: int, error: str = "matrix of the wrong shape"):
+    """The sparse column table of a height-by-width matrix: ``cols[j]``
+    lists the nonzero (row, value) entries of column j.  Every dense matrix
+    enters a sparse form here; a mis-shaped one raises ValueError(error)."""
+    rows = [tuple(map(scalar, row)) for row in matrix]
+    if len(rows) != height or any(len(row) != width for row in rows):
+        raise ValueError(error)
+    return tuple(
+        tuple((r, row[j]) for r, row in enumerate(rows) if row[j]) for j in range(width)
+    )
+
+
 def mat_is_zero(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
@@ -285,6 +298,11 @@ class LinearMap:
         codomain = codomain or domain
         return LinearMap(domain, codomain, zero_matrix(codomain.dim, domain.dim))
 
+    @cached_property
+    def _cols(self):
+        """The sparse column table of the matrix, built on first read."""
+        return _columns(self.entries, self.codomain.dim, self.domain.dim)
+
     def __call__(self, v: Vector) -> Vector:
         return mat_apply(self.entries, v)
 
@@ -323,6 +341,15 @@ class Tensor2:
         object.__setattr__(self, "coeffs", co)
         if len(co) != self.left.dim or any(len(r) != self.right.dim for r in co):
             raise ValueError("tensor coefficients do not match factor dimensions")
+
+    @cached_property
+    def _hits(self):
+        """The nonzero coefficients as flat hits (i * right.dim + j, value),
+        built on first read."""
+        n = self.right.dim
+        return tuple(
+            (i * n + j, x) for i, row in enumerate(self.coeffs) for j, x in enumerate(row) if x
+        )
 
     @staticmethod
     def zero(left: Space, right: Space) -> Tensor2:

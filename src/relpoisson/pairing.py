@@ -8,6 +8,7 @@ never entered by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
@@ -15,11 +16,15 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    _block_sum,
     _candidates,
     _check_hits,
+    _families,
     _flip,
-    _sparse_columns,
-    block_sum,
+    _make,
+    _matrices,
+    _Stored,
+    _transpose,
     check_rel_poisson,
 )
 from .linalg import (
@@ -29,13 +34,14 @@ from .linalg import (
     Matrix,
     Space,
     Vector,
+    _columns,
     determinant,
     mat_inverse,
     mat_mul,
     mat_transpose,
     scalar,
 )
-from .representations import RepData, check_representation
+from .representations import RepData, _rep, check_representation
 
 
 @dataclass(frozen=True)
@@ -97,9 +103,9 @@ def check_invariant_form(
     B([x,y], z) = B(x, [y,z])  on all basis triples."""
     if form.space != alg.space:
         raise ValueError("form and algebra live on different spaces")
-    g = form.gram
-    g_cols = _sparse_columns(g)
-    g_rows = _sparse_columns(mat_transpose(g))
+    g, n = form.gram, alg.dim
+    g_cols = _columns(g, n, n)
+    g_rows = _transpose(g_cols, n)
     prods = (
         ("dot-invariance", alg.dot._sparse),
         ("bracket-invariance", alg.bracket._sparse),
@@ -137,48 +143,54 @@ def adjoint_of(op: LinearMap, form: BilinearForm) -> LinearMap:
 # matched pairs
 
 
-@dataclass(frozen=True)
-class MatchedPairData:
+@dataclass(frozen=True, init=False, eq=False)
+class MatchedPairData(_Stored):
     """Two algebras acting on each other.
 
     ``dot_action_on_right[i]`` is the matrix on the right factor of the dot
     action of the i-th left basis element (mu_1), and symmetrically for the
-    other three action families.
+    other three action families.  The constructor takes these dense
+    families; each is stored as one sparse column table per acting basis
+    element (``_mu1``, ``_rho1``, ``_mu2``, ``_rho2``), and the dense
+    attributes are views derived on first read.
     """
 
     left: RelPoissonAlgebra
     right: RelPoissonAlgebra
-    dot_action_on_right: tuple
-    bracket_action_on_right: tuple
-    dot_action_on_left: tuple
-    bracket_action_on_left: tuple
+    dot_action_on_right: tuple = cached_property(lambda self: _matrices(self._mu1))
+    bracket_action_on_right: tuple = cached_property(lambda self: _matrices(self._rho1))
+    dot_action_on_left: tuple = cached_property(lambda self: _matrices(self._mu2))
+    bracket_action_on_left: tuple = cached_property(lambda self: _matrices(self._rho2))
+    _stored = ("left", "right", "_mu1", "_rho1", "_mu2", "_rho2")
+
+    def __init__(
+        self,
+        left: RelPoissonAlgebra,
+        right: RelPoissonAlgebra,
+        dot_action_on_right,
+        bracket_action_on_right,
+        dot_action_on_left,
+        bracket_action_on_left,
+    ):
+        n1, n2 = left.dim, right.dim
+        mu1, rho1 = _families(n1, n2, dot_action_on_right, bracket_action_on_right)
+        mu2, rho2 = _families(n2, n1, dot_action_on_left, bracket_action_on_left)
+        self.__dict__.update(left=left, right=right, _mu1=mu1, _rho1=rho1, _mu2=mu2, _rho2=rho2)
 
     def as_rep_on_right(self) -> RepData:
         """(mu_1, rho_1, P_2, A_2) as a candidate representation of the left."""
-        return RepData(
-            algebra=self.left,
-            space=self.right.space,
-            dot_action=self.dot_action_on_right,
-            bracket_action=self.bracket_action_on_right,
-            der_action=self.right.derivation.entries,
-        )
+        return _rep(self.left, self.right.space, self._mu1, self._rho1, self.right.derivation._cols)
 
     def as_rep_on_left(self) -> RepData:
-        return RepData(
-            algebra=self.right,
-            space=self.left.space,
-            dot_action=self.dot_action_on_left,
-            bracket_action=self.bracket_action_on_left,
-            der_action=self.left.derivation.entries,
-        )
+        return _rep(self.right, self.left.space, self._mu2, self._rho2, self.left.derivation._cols)
 
 
 # The mixed condition families of a matched pair, each written once for an
 # acting factor L and an acted-on factor R and called once per side with the
 # same arguments (L, R, mu, rho, mu_back, rho_back).  mu and rho are L's
 # actions on R and mu_back, rho_back (mu', rho' in the formulas) are R's
-# actions on L, all as sparse column tables: mu[x][a] lists the nonzero
-# (row, value) entries of mu(x)a.  Defects live in R and are reported at
+# actions on L, all as their stored sparse column tables: mu[x][a] lists the
+# nonzero (row, value) entries of mu(x)a.  Defects live in R and are reported at
 # (x, a, b) for x in L and a, b in R, except cross-compatibility, which
 # sweeps and reports (a, x, b).
 
@@ -225,7 +237,7 @@ def _cross_leibniz(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
     - mu(Px)(a.b), where P is the acting factor's derivation."""
     n = acted.dim
     dot = acted.dot._sparse
-    der = _sparse_columns(acting.derivation.entries)
+    der = acting.derivation._cols
     dot_flip = _flip(dot, n)
     # mu_der[t][x]: mu(Px) is nonzero on e_t
     mu_der = [[any(mu[r][t] for r, _ in px) for px in der] for t in range(n)]
@@ -255,7 +267,7 @@ def _cross_compatibility(coll, axiom, acting, acted, mu, rho, mu_back, rho_back)
     + mu(x)(a.Pb), where P is the acted-on factor's derivation."""
     n = acted.dim
     dot, br = acted.dot._sparse, acted.bracket._sparse
-    der = _sparse_columns(acted.derivation.entries)
+    der = acted.derivation._cols
     mu_flip = _flip(mu, n)
     # dot_der[a][b] holds the terms of a.Pb
     dot_der = [[[tc for m, _ in pb for tc in dot_a[m]] for pb in der] for dot_a in dot]
@@ -293,11 +305,7 @@ def check_matched_pair(
     coll.merge(check_rel_poisson(a2, limit), "right-factor:")
     coll.merge(check_representation(on_right, limit), "rep-on-right:")
     coll.merge(check_representation(on_left, limit), "rep-on-left:")
-    mu1, rho1, mu2, rho2 = (
-        tuple(map(_sparse_columns, mats))
-        for rep in (on_right, on_left)
-        for mats in (rep.dot_action, rep.bracket_action)
-    )
+    mu1, rho1, mu2, rho2 = data._mu1, data._rho1, data._mu2, data._rho2
     left = (a1, a2, mu1, rho1, mu2, rho2)
     right = (a2, a1, mu2, rho2, mu1, rho1)
     _dot_matched(coll, "dot-matched-left", *left)
@@ -315,14 +323,7 @@ def combine_matched_pair(data: MatchedPairData) -> RelPoissonAlgebra:
     """The double algebra on A1 + A2 built structurally from the actions
     (:func:`relpoisson.algebra.block_sum`), with the block-diagonal
     derivation."""
-    return block_sum(
-        data.left,
-        data.right,
-        data.dot_action_on_right,
-        data.bracket_action_on_right,
-        data.dot_action_on_left,
-        data.bracket_action_on_left,
-    )
+    return _block_sum(data.left, data.right, data._mu1, data._rho1, data._mu2, data._rho2)
 
 
 def bowtie(data: MatchedPairData) -> RelPoissonAlgebra:
@@ -368,8 +369,8 @@ def check_manin_triple(
                     hits = list(whole._sparse[off + i][off + j])
                     hits += [(off + t, -x) for t, x in part._sparse[i][j]]
                     _check_hits(coll, f"{side}-subalgebra-{name}", (i, j), hits, 2 * n)
-    whole_der = _sparse_columns(double.derivation.entries)
-    sub_ders = [_sparse_columns(sub.derivation.entries) for _, sub, _ in sides]
+    whole_der = double.derivation._cols
+    sub_ders = [sub.derivation._cols for _, sub, _ in sides]
     for j in range(n):
         for (side, _, off), sub_der in zip(sides, sub_ders):
             hits = list(whole_der[off + j]) + [(off + t, -x) for t, x in sub_der[j]]

@@ -17,12 +17,11 @@ from .algebra import (
     _check_hits,
     _derived_product,
     _flip,
-    _sparse_columns,
     check_derivation,
     combine_reports,
 )
 from .linalg import LinearMap, Space, Tensor2
-from .representations import RepData
+from .representations import RepData, _rep
 from .yangbaxter import o_operator_to_rmatrix
 
 
@@ -93,7 +92,7 @@ def check_rel_pre_poisson(
     coll.merge(check_derivation(circ, der, limit), "circ:")
     ssp, csp = star._sparse, circ._sparse
     fssp, fcsp = _flip(ssp, n), _flip(csp, n)
-    dcols = _sparse_columns(der.entries)
+    dcols = der._cols
     for x in range(n):
         for y in range(n):
             sym = ssp[x][y] + ssp[y][x]
@@ -134,7 +133,6 @@ def subadjacent(pp: RelPrePoissonAlgebra) -> tuple[RelPoissonAlgebra, RepData]:
             f"not a relative pre-Poisson algebra: {', '.join(report.axioms_failed())}",
             report,
         )
-    n = pp.dim
     star, circ = pp.star.nonzero_entries(), pp.circ.nonzero_entries()
     alg = RelPoissonAlgebra(
         pp.space,
@@ -142,14 +140,8 @@ def subadjacent(pp: RelPrePoissonAlgebra) -> tuple[RelPoissonAlgebra, RepData]:
         BilinearOp.from_entries(pp.space, circ + [(j, i, k, -x) for i, j, k, x in circ]),
         pp.derivation,
     )
-    rep = RepData(
-        algebra=alg,
-        space=pp.space,
-        dot_action=tuple(pp.star.left_matrix(i) for i in range(n)),
-        bracket_action=tuple(pp.circ.left_matrix(i) for i in range(n)),
-        der_action=pp.derivation.entries,
-    )
-    return alg, rep
+    # the column table of L(e_i) is the row _sparse[i] of the product
+    return alg, _rep(alg, pp.space, pp.star._sparse, pp.circ._sparse, pp.derivation._cols)
 
 
 def prepoisson_to_rmatrix(

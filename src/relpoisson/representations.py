@@ -3,21 +3,25 @@
 A representation is a quadruple (mu, rho, alpha, V): an action mu of the
 commutative product, an action rho of the bracket, and an endomorphism
 alpha of V, subject to five condition families checked on basis tuples.
-Actions are stored as one V-endomorphism matrix per basis element of the
-algebra; the action of a general element is the matching linear
-combination.
+Each action is stored as one sparse column table per basis element of the
+algebra (``_mu[x][j]`` lists the nonzero (row, value) entries of
+mu(e_x) e_j), and alpha as its column table.  The dense attributes, one
+V-endomorphism matrix per basis element, are views derived on first read;
+the action of a general element is the matching linear combination.
 
 Dual-space conventions (fixed in :mod:`relpoisson.linalg`): for an action
 ``phi`` the dual action is ``phi*(x) = -phi(x)^T`` on V*, while the dual
 of a plain endomorphism ``beta: V -> V`` is the transpose ``beta^T``.
 
 Matrix-valued defects are swept in the flat-index convention of
-:mod:`relpoisson.algebra`, over a module of dim m.
+:mod:`relpoisson.algebra`, over a module of dim m: a product A B applies
+A's column table to the row slot of B's flat hits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
@@ -28,52 +32,31 @@ from .algebra import (
     PreconditionError,
     RelPoissonAlgebra,
     _apply,
+    _block_sum,
     _check_hits,
+    _dense,
+    _families,
+    _flat,
     _flip,
+    _matrices,
+    _make,
     _on_slot,
-    _sparse_columns,
-    block_sum,
+    _Stored,
+    _transpose,
+    ad_map,
     find_unit,
 )
-from .linalg import (
-    ONE,
-    LinearMap,
-    Matrix,
-    Space,
-    Vector,
-    determinant,
-    mat_combination,
-    mat_mul,
-    mat_neg,
-    mat_transpose,
-    scalar,
-    zero_matrix,
-)
+from .linalg import ONE, LinearMap, Matrix, Space, Vector, _columns, determinant
 
 
-def _as_matrices(mats, dim: int):
-    out = tuple(tuple(tuple(scalar(x) for x in row) for row in m) for m in mats)
-    for m in out:
-        if len(m) != dim or any(len(r) != dim for r in m):
-            raise ValueError("action matrix does not match the module dimension")
-    return out
+def _with_flats(*families):
+    """Each action family as (column tables, flat hits of each matrix)."""
+    return [(fam, tuple(map(_flat, fam))) for fam in families]
 
 
-def _act(mats, u: Vector, dim: int) -> Matrix:
-    """The action sum_k u[k] mats[k] of a general element on a dim-dim module;
-    zero when the algebra is 0-dimensional."""
-    if not mats:
-        return zero_matrix(dim, dim)
-    return mat_combination(u, mats)
-
-
-def _tables(mats, m: int):
-    """Each matrix's sparse columns and its flat hits, as two tuples: a
-    product A B applies A's columns to the row slot of B's hits."""
-    cols = tuple(map(_sparse_columns, mats))
-    return cols, tuple(
-        tuple((r * m + c, x) for c, col in enumerate(a) for r, x in col) for a in cols
-    )
+def _action_of(family, u: Vector, m: int) -> Matrix:
+    """The dense matrix of sum_k u[k] family[k] on a module of dim m."""
+    return _dense([(f, c * x) for k, c in enumerate(u) if c for f, x in _flat(family[k])], m, m)
 
 
 def _action_defects(dot, bracket, mu, rho, cols, i, j, m):
@@ -85,7 +68,7 @@ def _action_defects(dot, bracket, mu, rho, cols, i, j, m):
         rho(y) mu(x) - mu(x) rho(y) + mu([x,y]) - mu(x . c(y))
 
     where c(y) = cols[j] is D(y) for a representation and [1, y] for a
-    unital one; mu and rho are :func:`_tables`."""
+    unital one; mu and rho are :func:`_with_flats` pairs."""
     (mu_c, mu_f), (rho_c, rho_f) = mu, rho
     xy, br = dot._sparse[i][j], bracket._sparse[i][j]
     x_cy = _apply(dot._sparse[i], cols[j])
@@ -108,44 +91,52 @@ def _leibniz(mu, rho, xy, i, j, right, m):
     return hits
 
 
-@dataclass(frozen=True)
-class CompatibleStructure:
-    """Actions (mu, rho, V) of both products, without the endomorphism."""
+@dataclass(frozen=True, init=False, eq=False)
+class CompatibleStructure(_Stored):
+    """Actions (mu, rho, V) of both products, without the endomorphism.
+    The constructor takes the dense families ``dot_action`` and
+    ``bracket_action``, one V-matrix per algebra basis element."""
 
     algebra: RelPoissonAlgebra
     space: Space
-    dot_action: tuple  # one V-matrix per algebra basis element
-    bracket_action: tuple
+    dot_action: tuple = cached_property(lambda self: _matrices(self._mu))
+    bracket_action: tuple = cached_property(lambda self: _matrices(self._rho))
+    _stored = ("algebra", "space", "_mu", "_rho")
 
-    def __post_init__(self):
-        n, m = self.algebra.dim, self.space.dim
-        if len(self.dot_action) != n or len(self.bracket_action) != n:
-            raise ValueError("need one action matrix per algebra basis element")
-        object.__setattr__(self, "dot_action", _as_matrices(self.dot_action, m))
-        object.__setattr__(self, "bracket_action", _as_matrices(self.bracket_action, m))
+    def __init__(self, algebra: RelPoissonAlgebra, space: Space, dot_action, bracket_action):
+        n, m = algebra.dim, space.dim
+        mu, rho = _families(n, m, dot_action, bracket_action)
+        self.__dict__.update(algebra=algebra, space=space, _mu=mu, _rho=rho)
 
     def dot_action_of(self, u: Vector) -> Matrix:
-        return _act(self.dot_action, u, self.space.dim)
+        return _action_of(self._mu, u, self.space.dim)
 
     def bracket_action_of(self, u: Vector) -> Matrix:
-        return _act(self.bracket_action, u, self.space.dim)
+        return _action_of(self._rho, u, self.space.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RepData(CompatibleStructure):
-    """A compatible structure together with the endomorphism alpha of V."""
+    """A compatible structure together with the endomorphism alpha of V,
+    given dense as ``der_action``."""
 
-    der_action: Matrix = ()
+    der_action: Matrix = cached_property(lambda self: _matrices((self._alpha,))[0])
+    _stored = CompatibleStructure._stored + ("_alpha",)
 
-    def __post_init__(self):
-        super().__post_init__()
-        acts = _as_matrices((self.der_action,), self.space.dim)
-        object.__setattr__(self, "der_action", acts[0])
+    def __init__(self, algebra, space, dot_action, bracket_action, der_action: Matrix = ()):
+        super().__init__(algebra, space, dot_action, bracket_action)
+        m = space.dim
+        error = "action matrix does not match the module dimension"
+        self.__dict__["_alpha"] = _columns(der_action, m, m, error)
 
     def compatible_structure(self) -> CompatibleStructure:
-        return CompatibleStructure(
-            self.algebra, self.space, self.dot_action, self.bracket_action
-        )
+        fields = dict(algebra=self.algebra, space=self.space, _mu=self._mu, _rho=self._rho)
+        return _make(CompatibleStructure, **fields)
+
+
+def _rep(algebra, space, mu, rho, alpha) -> RepData:
+    """A candidate representation holding the given stored column tables."""
+    return _make(RepData, algebra=algebra, space=space, _mu=mu, _rho=rho, _alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +150,8 @@ def check_compatible_structure(
     alg = cs.algebra
     n, m = alg.dim, cs.space.dim
     coll = Collector(limit)
-    mu, rho = _tables(cs.dot_action, m), _tables(cs.bracket_action, m)
-    dcols = _sparse_columns(alg.derivation.entries)
+    mu, rho = _with_flats(cs._mu, cs._rho)
+    dcols = alg.derivation._cols
     for i in range(n):
         for j in range(n):
             dot_hits, bracket_hits, compat = _action_defects(
@@ -178,9 +169,8 @@ def check_representation(rep: RepData, limit: int = DEFAULT_VIOLATION_LIMIT) -> 
     coll.merge(check_compatible_structure(rep, limit))
     alg = rep.algebra
     n, m = alg.dim, rep.space.dim
-    mu, rho = _tables(rep.dot_action, m), _tables(rep.bracket_action, m)
-    (alpha_c,), (alpha_f,) = _tables((rep.der_action,), m)
-    dcols = _sparse_columns(alg.derivation.entries)
+    mu, rho = _with_flats(rep._mu, rep._rho)
+    alpha_c, alpha_f, dcols = rep._alpha, _flat(rep._alpha), alg.derivation._cols
     for i in range(n):
         for axiom, (act_c, act_f) in (("endo-dot", mu), ("endo-bracket", rho)):
             # alpha act(x) - act(D x) - act(x) alpha
@@ -196,31 +186,27 @@ def check_representation(rep: RepData, limit: int = DEFAULT_VIOLATION_LIMIT) -> 
 
 
 def adjoint_rep(alg: RelPoissonAlgebra) -> RepData:
-    """The adjoint representation (left multiplications, ad, derivation)."""
-    n = alg.dim
-    return RepData(
-        algebra=alg,
-        space=alg.space,
-        dot_action=tuple(alg.dot.left_matrix(i) for i in range(n)),
-        bracket_action=tuple(alg.bracket.left_matrix(i) for i in range(n)),
-        der_action=alg.derivation.entries,
-    )
+    """The adjoint representation (left multiplications, ad, derivation);
+    the column table of L(e_i) is the row ``_sparse[i]`` of the product."""
+    return _rep(alg, alg.space, alg.dot._sparse, alg.bracket._sparse, alg.derivation._cols)
+
+
+def _beta_columns(beta: Matrix | LinearMap, m: int):
+    beta_m = beta.entries if isinstance(beta, LinearMap) else beta
+    return _columns(beta_m, m, m, "beta is not an endomorphism of the module")
 
 
 def dual_rep(cs: CompatibleStructure, beta: Matrix | LinearMap) -> RepData:
-    """The dual-space candidate (-mu*, rho*, beta*, V*).
+    """The dual-space candidate (-mu*, rho*, beta*, V*), built by
+    transposing the stored column tables.
 
     Validity is not assumed; run :func:`check_representation` on the result
     or test the defining conditions with :func:`check_dual_rep_conditions`.
     """
-    beta_m = beta.entries if isinstance(beta, LinearMap) else beta
-    return RepData(
-        algebra=cs.algebra,
-        space=cs.space.dual,
-        dot_action=tuple(mat_transpose(m) for m in cs.dot_action),
-        bracket_action=tuple(mat_neg(mat_transpose(m)) for m in cs.bracket_action),
-        der_action=mat_transpose(beta_m),
-    )
+    m = cs.space.dim
+    mu = tuple(_transpose(cols, m) for cols in cs._mu)
+    rho = tuple(_transpose(cols, m, -1) for cols in cs._rho)
+    return _rep(cs.algebra, cs.space.dual, mu, rho, _transpose(_beta_columns(beta, m), m))
 
 
 def check_dual_rep_conditions(
@@ -235,15 +221,12 @@ def check_dual_rep_conditions(
         rho(x) beta - rho(D x) - beta rho(x) = 0
         -rho(x.y) + rho(y) mu(x) + rho(x) mu(y) + beta mu(x.y) = 0
     """
-    beta_m = beta.entries if isinstance(beta, LinearMap) else beta
     alg = cs.algebra
     n, m = alg.dim, cs.space.dim
-    if len(beta_m) != m or any(len(row) != m for row in beta_m):
-        raise ValueError("beta is not an endomorphism of the module")
-    mu, rho = _tables(cs.dot_action, m), _tables(cs.bracket_action, m)
+    beta_c = _beta_columns(beta, m)
+    beta_f, dcols = _flat(beta_c), alg.derivation._cols
+    mu, rho = _with_flats(cs._mu, cs._rho)
     (_, mu_f), (rho_c, rho_f) = mu, rho
-    (beta_c,), (beta_f,) = _tables((beta_m,), m)
-    dcols = _sparse_columns(alg.derivation.entries)
     coll = Collector(limit)
     for i in range(n):
         for axiom, (act_c, act_f) in (("dual-rep-dot", mu), ("dual-rep-bracket", rho)):
@@ -277,8 +260,7 @@ def check_dually_represents(
     n = alg.dim
     dot, br = alg.dot._sparse, alg.bracket._sparse
     fdot, fbr = _flip(dot, n), _flip(br, n)
-    qcols = _sparse_columns(candidate.entries)
-    dcols = _sparse_columns(alg.derivation.entries)
+    qcols, dcols = candidate._cols, alg.derivation._cols
     coll = Collector(limit)
     for x in range(n):
         for y in range(n):
@@ -321,12 +303,16 @@ def semidirect_structure(
     validity assumption on the actions: V is the zero-product algebra with
     derivation alpha and does not act back on A.
     """
-    n, m = alg.dim, module.dim
-    right = RelPoissonAlgebra(
-        module, BilinearOp.zero(module), BilinearOp.zero(module), LinearMap(module, module, endo)
-    )
-    back = (zero_matrix(n, n),) * m
-    return block_sum(alg, right, dot_action, bracket_action, back, back)
+    return _semidirect(RepData(alg, module, dot_action, bracket_action, endo))
+
+
+def _semidirect(rep: RepData) -> RelPoissonAlgebra:
+    """:func:`semidirect_structure` on a candidate's stored actions."""
+    module = rep.space
+    zero = BilinearOp.zero(module)
+    right = RelPoissonAlgebra(module, zero, zero, LinearMap(module, module, rep.der_action))
+    back = (((),) * rep.algebra.dim,) * module.dim
+    return _block_sum(rep.algebra, right, rep._mu, rep._rho, back, back)
 
 
 def semidirect_product(alg: RelPoissonAlgebra, rep: RepData) -> RelPoissonAlgebra:
@@ -339,27 +325,26 @@ def semidirect_product(alg: RelPoissonAlgebra, rep: RepData) -> RelPoissonAlgebr
         raise PreconditionError(
             f"not a representation: {', '.join(report.axioms_failed())}", report
         )
-    return semidirect_structure(
-        alg, rep.space, rep.dot_action, rep.bracket_action, rep.der_action
-    )
+    return _semidirect(rep)
 
 
 def check_rep_equivalence(rep1: RepData, rep2: RepData, phi: LinearMap) -> bool:
     """True iff phi is invertible and intertwines mu, rho and alpha."""
+    if rep1.algebra.space != rep2.algebra.space:
+        raise ValueError("representations of algebras on different spaces")
     if phi.domain.dim != rep1.space.dim or phi.codomain.dim != rep2.space.dim:
         raise ValueError("phi does not map between the module spaces")
     if phi.domain.dim != phi.codomain.dim:
         return False
     if not determinant(phi.entries):
         return False
-    pm = phi.entries
-    n = rep1.algebra.dim
-    for i in range(n):
-        if mat_mul(pm, rep1.dot_action[i]) != mat_mul(rep2.dot_action[i], pm):
-            return False
-        if mat_mul(pm, rep1.bracket_action[i]) != mat_mul(rep2.bracket_action[i], pm):
-            return False
-    return mat_mul(pm, rep1.der_action) == mat_mul(rep2.der_action, pm)
+    m, pc, pf = phi.domain.dim, phi._cols, _flat(phi._cols)
+    pairs = [*zip(rep1._mu, rep2._mu), *zip(rep1._rho, rep2._rho), (rep1._alpha, rep2._alpha)]
+    # phi a - b phi, with phi applied to the row slot of a's flat hits
+    return not any(
+        any(_dense(_on_slot(pc, _flat(a), m, m) + _on_slot(b, pf, m, m, -1), m * m))
+        for a, b in pairs
+    )
 
 
 def check_jacobi_representation(
@@ -379,17 +364,14 @@ def check_jacobi_representation(
     if dot.space != bracket.space:
         raise ValueError("dot and bracket live on different spaces")
     n, m = dot.space.dim, module.dim
-    if len(dot_action) != n or len(bracket_action) != n:
-        raise ValueError("need one action matrix per algebra basis element")
+    mu, rho = _with_flats(*_families(n, m, dot_action, bracket_action))
     unit = find_unit(dot)
     if unit is None:
         raise NoUnitError("multiplication has no two-sided unit")
-    mu_m, rho_m = _as_matrices(dot_action, m), _as_matrices(bracket_action, m)
-    mu, rho = _tables(mu_m, m), _tables(rho_m, m)
-    (_,), (rho_unit,) = _tables((_act(rho_m, unit, m),), m)
-    ad_unit = _sparse_columns(bracket.left_matrix_of(unit))
-    coll = Collector(limit)
     unit_sp = [(k, u) for k, u in enumerate(unit) if u]
+    rho_unit = _apply(rho[1], unit_sp)
+    ad_unit = ad_map(bracket, unit)._cols
+    coll = Collector(limit)
     hits = _apply(mu[1], unit_sp) + [(r * m + r, -ONE) for r in range(m)]
     _check_hits(coll, "dot-action-unital", (), hits, m * m)
     for i in range(n):

@@ -4,8 +4,8 @@ condition sweep, and O-operators.
 
 Tensors are swept as sparse hits in the flat-index convention of
 :mod:`relpoisson.algebra`; the columns of L(x) and ad(x) are the rows
-``dot._sparse[x]`` and ``bracket._sparse[x]`` of the products' sparse
-views.  The three contraction patterns
+``dot._sparse[x]`` and ``bracket._sparse[x]`` of the products' stored
+forms.  The three contraction patterns
 
     r12 * r13 = sum a_i * a_j (x) b_i (x) b_j
     r12 * r23 = sum a_i (x) b_i * a_j (x) b_j
@@ -28,17 +28,18 @@ from .algebra import (
     RelPoissonAlgebra,
     _apply,
     _check_hits,
+    _dense,
+    _flat,
     _on_slot,
-    _sparse_columns,
     _swap,
 )
 from .coalgebra import Comultiplication
 from .linalg import (
-    ZERO,
     LinearMap,
     Matrix,
     Tensor2,
     Tensor3,
+    _columns,
     block_diagonal,
     mat_mul,
     mat_neg,
@@ -47,11 +48,13 @@ from .linalg import (
 from .representations import (
     CompatibleStructure,
     RepData,
-    _tables,
+    _beta_columns,
+    _semidirect,
+    _with_flats,
     check_dual_rep_conditions,
     check_dually_represents,
     check_representation,
-    semidirect_structure,
+    dual_rep,
 )
 
 
@@ -59,16 +62,10 @@ def is_antisymmetric(r: Tensor2) -> bool:
     return r.coeffs == mat_neg(mat_transpose(r.coeffs))
 
 
-def _terms(r: Tensor2):
-    """The nonzero coefficients of a 2-tensor as flat hits."""
-    n = len(r.coeffs)
-    return [(i * n + j, x) for i, row in enumerate(r.coeffs) for j, x in enumerate(row) if x]
-
-
 def _pairings(r: Tensor2, op: BilinearOp):
     """The hits of r12.r13, r12.r23 and r13.r23 through a product."""
     n, sp = op.space.dim, op._sparse
-    ent = _terms(r)
+    ent = r._hits
     pairs = [(*divmod(f, n), *divmod(g, n), x * y) for f, x in ent for g, y in ent]
     return (
         [((k * n + v) * n + z, c * p) for u, v, w, z, c in pairs for k, p in sp[u][w]],
@@ -109,11 +106,7 @@ def cybe_tensor(r: Tensor2, bracket: BilinearOp) -> Tensor3:
 
 
 def _tensor3(hits, sp) -> Tensor3:
-    n = sp.dim
-    coeffs = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for f, v in hits:
-        coeffs[f // (n * n)][f // n % n][f % n] += v
-    return Tensor3((sp, sp, sp), coeffs)
+    return Tensor3((sp, sp, sp), _dense(hits, sp.dim, sp.dim, sp.dim))
 
 
 def check_rpybe(
@@ -127,8 +120,7 @@ def check_rpybe(
     (Q (x) id - id (x) P) r = 0."""
     _require_on(alg, r, codrv)
     n = alg.dim
-    p, q = _sparse_columns(alg.derivation.entries), _sparse_columns(codrv.entries)
-    ent = _terms(r)
+    p, q, ent = alg.derivation._cols, codrv._cols, r._hits
     coll = Collector(limit)
     _check_hits(coll, "aybe", (), _aybe_terms(r, alg.dot), n**3)
     _check_hits(coll, "cybe", (), _cybe_terms(r, alg.bracket), n**3)
@@ -170,8 +162,8 @@ def check_rpybe_via_maps(
     for pair in sorted(set().union(*(by_pair for _, by_pair in families))):
         for axiom, by_pair in families:
             _check_hits(coll, axiom, divmod(pair, n), by_pair.get(pair), n)
-    p, q = _sparse_columns(alg.derivation.entries), _sparse_columns(codrv.entries)
-    rm = _swap(_terms(r), n, 1)  # the map A* -> A
+    p, q = alg.derivation._cols, codrv._cols
+    rm = _swap(r._hits, n, 1)  # the map A* -> A
     hits = _on_slot(p, rm, n, n) + _on_slot(q, rm, n, 1, -1)
     _check_hits(coll, "operator-intertwine", (), hits, n * n)
     return coll.report()
@@ -187,7 +179,7 @@ def coboundary_comults(
     """
     _require_on(alg, r)
     n = alg.dim
-    ent = _terms(r)
+    ent = r._hits
     dot_entries, br_entries = [], []
     for k in range(n):
         lx, adx = alg.dot._sparse[k], alg.bracket._sparse[k]
@@ -221,9 +213,8 @@ def check_coboundary_conditions(
         )
     n, n2, n3 = alg.dim, alg.dim**2, alg.dim**3
     dot, br = alg.dot._sparse, alg.bracket._sparse
-    p, q = _sparse_columns(alg.derivation.entries), _sparse_columns(codrv.entries)
-    ent = _terms(r)
-    sym = ent + _swap(ent, n, 1)  # r + tau(r)
+    p, q, ent = alg.derivation._cols, codrv._cols, r._hits
+    sym = [*ent, *_swap(ent, n, 1)]  # r + tau(r)
     a3, c3 = _aybe_terms(r, alg.dot), _cybe_terms(r, alg.bracket)
     s_pq = _on_slot(p, ent, n, 1) + _on_slot(q, ent, n, n, -1)  # (id(x)P - Q(x)id) r
     s_qp = _on_slot(q, ent, n, 1) + _on_slot(p, ent, n, n, -1)  # (id(x)Q - P(x)id) r
@@ -301,12 +292,11 @@ def check_weak_o_operator(
     """
     if operator.codomain != alg.space or operator.domain != cs.space:
         raise ValueError("operator does not map the module into the algebra")
+    if cs.algebra.space != alg.space:
+        raise ValueError("representation does not act for the given algebra")
     n, m = alg.dim, cs.space.dim
-    if len(endo) != m or any(len(row) != m for row in endo):
-        raise ValueError("endo is not an endomorphism of the module")
-    tcols = _sparse_columns(operator.entries, m)
-    mu = tuple(map(_sparse_columns, cs.dot_action))
-    rho = tuple(map(_sparse_columns, cs.bracket_action))
+    endo_hits = _flat(_columns(endo, m, m, "endo is not an endomorphism of the module"))
+    tcols, mu, rho = operator._cols, cs._mu, cs._rho
 
     def product(sp, a, b):
         """Hits of T(e_a) T(e_b) through a product with sparse view sp."""
@@ -327,9 +317,7 @@ def check_weak_o_operator(
             hits += pulled(rho, b, a, 1)
             _check_hits(coll, "operator-bracket", (a, b), hits, n)
     # D T - T endo, on the flat hits of the n-by-m matrix T and of endo
-    t_hits = [(i * m + j, x) for j, col in enumerate(tcols) for i, x in col]
-    (_,), (endo_hits,) = _tables((endo,), m)
-    hits = _on_slot(_sparse_columns(alg.derivation.entries), t_hits, n, m)
+    hits = _on_slot(alg.derivation._cols, _flat(tcols), n, m)
     hits += _on_slot(tcols, endo_hits, m, m, -1, n)
     _check_hits(coll, "operator-intertwine", (), hits, n * m)
     return coll.report()
@@ -355,10 +343,9 @@ def check_semidirect_dual_conditions(
     coll.merge(check_representation(rep, limit), "rep:")
     coll.merge(check_dual_rep_conditions(rep, beta, limit), "beta:")
     coll.merge(check_dually_represents(alg, codrv, limit), "codrv:")
-    mu, rho = _tables(rep.dot_action, m), _tables(rep.bracket_action, m)
-    (_,), (alpha_f,) = _tables((rep.der_action,), m)
-    beta_c = _sparse_columns(beta)
-    qcols = _sparse_columns(codrv.entries)
+    mu, rho = _with_flats(rep._mu, rep._rho)
+    alpha_f, qcols = _flat(rep._alpha), codrv._cols
+    beta_c = _beta_columns(beta, m)
     for x in range(n):
         for axiom, (act_c, act_f) in (("mixed-action-dot", mu), ("mixed-action-bracket", rho)):
             # act(Q x) - act(x) alpha - beta act(x)
@@ -401,23 +388,16 @@ def o_operator_to_rmatrix(
     if mat_mul(operator.entries, beta) != mat_mul(codrv.entries, operator.entries):
         raise PreconditionError("operator does not intertwine beta with the dual map")
     n, m = alg.dim, rep.space.dim
-    semidirect = semidirect_structure(
-        alg,
-        rep.space.dual,
-        tuple(mat_transpose(mat_) for mat_ in rep.dot_action),
-        tuple(mat_neg(mat_transpose(mat_)) for mat_ in rep.bracket_action),
-        mat_transpose(beta),
-    )
+    semidirect = _semidirect(dual_rep(rep, beta))
+    # T(v_i) (x) v_i* - v_i* (x) T(v_i), with v_i* at index n + i
     size = n + m
-    coeffs = [[ZERO] * size for _ in range(size)]
-    for i in range(m):
-        col = operator.column(i)
-        for t, x in enumerate(col):
-            if x:
-                coeffs[t][n + i] += x
-                coeffs[n + i][t] -= x
-    r = Tensor2(semidirect.space, semidirect.space, tuple(tuple(row) for row in coeffs))
-    return semidirect, r
+    hits = [
+        hit
+        for i, col in enumerate(operator._cols)
+        for t, x in col
+        for hit in ((t * size + n + i, x), ((n + i) * size + t, -x))
+    ]
+    return semidirect, Tensor2(semidirect.space, semidirect.space, _dense(hits, size, size))
 
 
 def semidirect_codrv(

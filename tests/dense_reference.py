@@ -51,7 +51,7 @@ from relpoisson.linalg import (
 )
 from relpoisson.pairing import BilinearForm, canonical_pairing, is_nondegenerate
 from relpoisson.prepoisson import RelPrePoissonAlgebra
-from relpoisson.representations import CompatibleStructure, RepData, _as_matrices
+from relpoisson.representations import CompatibleStructure, RepData
 from relpoisson.yangbaxter import is_antisymmetric
 
 
@@ -72,6 +72,14 @@ def _check_hits(coll: Collector, axiom: str, where, hits, n: int) -> None:
         acc[k] += v
     if any(acc):
         coll.check(axiom, where, acc)
+
+
+def _as_matrices(mats, dim: int):
+    out = tuple(tuple(tuple(scalar(x) for x in row) for row in m) for m in mats)
+    for m in out:
+        if len(m) != dim or any(len(r) != dim for r in m):
+            raise ValueError("action matrix does not match the module dimension")
+    return out
 
 
 def _sparse_columns(m: Matrix):

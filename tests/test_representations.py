@@ -293,6 +293,16 @@ def test_rep_equivalence():
     assert not check_rep_equivalence(rep, rep, zero)
 
 
+def test_rep_equivalence_rejects_representations_of_different_algebras():
+    # zero representations of a 2-dim and a 3-dim algebra on one module used
+    # to compare equal one way round and raise IndexError the other
+    module, zero = Space.of_dim(2, "v"), zero_matrix(2, 2)
+    rep2, rep3 = (RepData(zero_algebra(n), module, (zero,) * n, (zero,) * n, zero) for n in (2, 3))
+    for rep1, rep2_ in ((rep2, rep3), (rep3, rep2)):
+        with pytest.raises(ValueError, match="different spaces"):
+            check_rep_equivalence(rep1, rep2_, LinearMap.identity(module))
+
+
 def test_jacobi_representation(worked_bialgebra):
     j = worked_bialgebra.algebra
     rep = adjoint_rep(j)

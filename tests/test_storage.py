@@ -1,0 +1,245 @@
+"""One stored form per structure: products, comultiplications and action
+families keep only their sparse form, and every dense attribute is a view
+derived from it.  Rebuilding a structure from its dense view gives an equal
+structure with identical checker reports, and the pipeline runs without
+reading the cubic dense views."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relpoisson import (
+    BialgebraData,
+    BilinearOp,
+    CompatibleStructure,
+    Comultiplication,
+    LinearMap,
+    MatchedPairData,
+    RelPoissonAlgebra,
+    RepData,
+    Space,
+    adjoint_rep,
+    check_cocomm_coassoc,
+    check_comm_assoc,
+    check_dual_rep_conditions,
+    check_lie,
+    check_lie_coalgebra,
+    check_matched_pair,
+    check_rep_equivalence,
+    check_representation,
+    combine_matched_pair,
+    dual_rep,
+    induced_matched_pair,
+    semidirect_structure,
+)
+from relpoisson.algebra import block_sum
+from relpoisson.cli import main
+from relpoisson.linalg import identity_matrix, mat_inverse, mat_mul, zero_matrix
+
+from conftest import FIXTURES, zero_algebra
+
+VALUES = st.sampled_from((1, -1, 2, F(1, 2), F(-3, 2)))
+
+
+@st.composite
+def entries(draw, n, size=6):
+    if not n:
+        return []
+    index = st.integers(0, n - 1)
+    return draw(st.lists(st.tuples(index, index, index, VALUES), max_size=size))
+
+
+@st.composite
+def algebras(draw, n):
+    sp = Space.of_dim(n)
+    der = LinearMap(sp, sp, draw(matrices(n)))
+    dot, bracket = (BilinearOp.from_entries(sp, draw(entries(n))) for _ in range(2))
+    return RelPoissonAlgebra(sp, dot, bracket, der)
+
+
+@st.composite
+def matrices(draw, n):
+    cell = st.sampled_from((0, 0, 0, 1, -1, F(1, 2)))
+    return tuple(tuple(draw(cell) for _ in range(n)) for _ in range(n))
+
+
+@st.composite
+def bialgebras(draw):
+    n = draw(st.integers(0, 3))
+    alg = draw(algebras(n))
+    dot_comult, bracket_comult = (
+        Comultiplication.from_entries(alg.space, draw(entries(n))) for _ in range(2)
+    )
+    codrv = LinearMap(alg.space, alg.space, draw(matrices(n)))
+    return BialgebraData(alg, dot_comult, bracket_comult, codrv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=bialgebras(), beta_seed=st.data())
+def test_dense_round_trip_gives_equal_structures_and_reports(data, beta_seed):
+    alg, n = data.algebra, data.algebra.dim
+    for op in (alg.dot, alg.bracket):
+        rebuilt = BilinearOp(op.space, op.table)
+        assert rebuilt == op and hash(rebuilt) == hash(op)
+        assert check_comm_assoc(rebuilt) == check_comm_assoc(op)
+        assert check_lie(rebuilt) == check_lie(op)
+    for comult in (data.dot_comult, data.bracket_comult):
+        rebuilt = Comultiplication(comult.space, comult.columns)
+        assert rebuilt == comult and hash(rebuilt) == hash(comult)
+        assert check_cocomm_coassoc(rebuilt) == check_cocomm_coassoc(comult)
+        assert check_lie_coalgebra(rebuilt) == check_lie_coalgebra(comult)
+    # representations built sparse: the adjoint one and its dual along beta
+    beta = beta_seed.draw(matrices(n))
+    for rep in (adjoint_rep(alg), dual_rep(adjoint_rep(alg), beta)):
+        dense = (rep.dot_action, rep.bracket_action, rep.der_action)
+        rebuilt = RepData(rep.algebra, rep.space, *dense)
+        assert rebuilt == rep and hash(rebuilt) == hash(rep)
+        assert check_representation(rebuilt) == check_representation(rep)
+        assert check_dual_rep_conditions(rebuilt, beta) == check_dual_rep_conditions(rep, beta)
+        cs = rep.compatible_structure()
+        assert CompatibleStructure(cs.algebra, cs.space, cs.dot_action, cs.bracket_action) == cs
+    pair = induced_matched_pair(data)
+    rebuilt = MatchedPairData(
+        pair.left,
+        pair.right,
+        pair.dot_action_on_right,
+        pair.bracket_action_on_right,
+        pair.dot_action_on_left,
+        pair.bracket_action_on_left,
+    )
+    assert rebuilt == pair and hash(rebuilt) == hash(pair)
+    assert check_matched_pair(rebuilt) == check_matched_pair(pair)
+    assert combine_matched_pair(rebuilt) == combine_matched_pair(pair)
+
+
+def test_same_coefficients_compare_equal_whichever_path_built_them():
+    sp = Space.of_dim(2)
+    entries_ = [(0, 1, 1, F(1, 2)), (1, 0, 1, 1), (0, 1, 1, F(1, 2))]
+    table = (((0, 0), (0, 1)), ((0, 1), (0, 0)))
+    assert BilinearOp.from_entries(sp, entries_) == BilinearOp(sp, table)
+    assert BilinearOp.from_entries(sp, [(0, 0, 0, 1), (0, 0, 0, -1)]) == BilinearOp.zero(sp)
+    columns = (((0, 0), (0, 0)), ((0, 1), (2, 0)))
+    assert Comultiplication.from_entries(sp, [(0, 1, 1, 1), (1, 0, 1, 2)]) == Comultiplication(
+        sp, columns
+    )
+    alg = RelPoissonAlgebra(sp, BilinearOp(sp, table), BilinearOp.zero(sp), LinearMap.zero(sp))
+    dense = RepData(
+        alg,
+        sp,
+        tuple(alg.dot.left_matrix(i) for i in range(2)),
+        tuple(alg.bracket.left_matrix(i) for i in range(2)),
+        zero_matrix(2, 2),
+    )
+    assert adjoint_rep(alg) == dense and adjoint_rep(alg) != dense.compatible_structure()
+
+
+@settings(max_examples=40, deadline=None)
+@given(alg=algebras(2), data=st.data())
+def test_rep_equivalence_matches_its_dense_definition(alg, data):
+    rep = adjoint_rep(alg)
+    phi = data.draw(matrices(2))
+    phi_map = LinearMap(alg.space, alg.space, phi)
+    try:
+        inv = mat_inverse(phi)
+    except ValueError:
+        inv = None
+    if inv is not None:
+        # conjugating by an invertible phi gives an equivalent representation
+        conj = [
+            tuple(mat_mul(mat_mul(phi, m), inv) for m in fam)
+            for fam in (rep.dot_action, rep.bracket_action)
+        ]
+        other = RepData(alg, alg.space, *conj, mat_mul(mat_mul(phi, rep.der_action), inv))
+        assert check_rep_equivalence(rep, other, phi_map)
+    other = dual_rep(rep, data.draw(matrices(2)))
+    other = RepData(alg, alg.space, other.dot_action, other.bracket_action, other.der_action)
+    intertwines = all(
+        mat_mul(phi, a) == mat_mul(b, phi)
+        for a, b in zip(
+            rep.dot_action + rep.bracket_action + (rep.der_action,),
+            other.dot_action + other.bracket_action + (other.der_action,),
+        )
+    )
+    assert check_rep_equivalence(rep, other, phi_map) == (inv is not None and intertwines)
+
+
+# ---------------------------------------------------------------------------
+# mis-sized action families raise ValueError at the one dense-to-sparse
+# conversion, for every construction that takes them
+
+
+A2, A3 = zero_algebra(2), zero_algebra(3)
+I2, I3 = identity_matrix(2), identity_matrix(3)
+V3 = Space.of_dim(3, "v")
+
+MIS_SIZED_CONSTRUCTIONS = {
+    "block_sum-family-length": lambda: block_sum(A2, A3, (I3,), (I3, I3), (I2,) * 3, (I2,) * 3),
+    "block_sum-matrix-size": lambda: block_sum(A2, A3, (I3, I2), (I3, I3), (I2,) * 3, (I2,) * 3),
+    "block_sum-back-length": lambda: block_sum(A2, A3, (I3, I3), (I3, I3), (I2,) * 2, (I2,) * 3),
+    "semidirect-family-length": lambda: semidirect_structure(A2, V3, (I3,), (I3,), I3),
+    "semidirect-matrix-size": lambda: semidirect_structure(A2, V3, (I3, I3), (I3, I2), I3),
+    "semidirect-endo-size": lambda: semidirect_structure(A2, V3, (I3, I3), (I3, I3), I2),
+    "matched-pair-family-length": lambda: combine_matched_pair(
+        MatchedPairData(A2, A3, (I3,) * 2, (I3,) * 2, (I2,) * 3, (I2,) * 2)
+    ),
+    "matched-pair-matrix-size": lambda: combine_matched_pair(
+        MatchedPairData(A2, A3, (I3,) * 2, (I3,) * 2, (I2,) * 3, (I2, I2, I3))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIS_SIZED_CONSTRUCTIONS))
+def test_constructions_reject_mis_sized_action_families(name):
+    with pytest.raises(ValueError) as exc:
+        MIS_SIZED_CONSTRUCTIONS[name]()
+    assert "action matrix" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline on the stored forms
+
+
+CUBIC_VIEWS = (
+    (BilinearOp, "table"),
+    (BilinearOp, "product"),
+    (BilinearOp, "entry"),
+    (Comultiplication, "columns"),
+    (Comultiplication, "coeff"),
+    (MatchedPairData, "dot_action_on_right"),
+    (MatchedPairData, "bracket_action_on_right"),
+    (MatchedPairData, "dot_action_on_left"),
+    (MatchedPairData, "bracket_action_on_left"),
+)
+
+
+@pytest.mark.parametrize(
+    "source, golden",
+    [
+        ("prepoisson_3d.json", "golden_double_14d.json"),
+        ("prepoisson_3d_fractional.json", "golden_double_14d_fractional.json"),
+    ],
+)
+def test_pipeline_reads_no_cubic_dense_view(tmp_path, monkeypatch, capsys, source, golden):
+    def forbidden(self, *args):
+        raise AssertionError(f"dense view of {type(self).__name__} read")
+
+    for cls, name in CUBIC_VIEWS:
+        monkeypatch.setattr(cls, name, property(forbidden))
+    # check_jacobi_representation takes its action families dense, so the
+    # pipeline reads them once, on the extended representation only
+    reads = []
+    for name in ("dot_action", "bracket_action"):
+        view = CompatibleStructure.__dict__[name]
+
+        def recorded(self, _view=view, _name=name):
+            reads.append((_name, self.algebra.dim, self.space.dim))
+            return _view.func(self)
+
+        monkeypatch.setattr(CompatibleStructure, name, property(recorded))
+    out = tmp_path / "double.json"
+    assert main(["pipeline", str(FIXTURES / source), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (FIXTURES / golden).read_bytes()
+    assert reads == [("dot_action", 4, 3), ("bracket_action", 4, 3)]

@@ -10,6 +10,7 @@ from relpoisson import (
     BialgebraData,
     LinearMap,
     PreconditionError,
+    RepData,
     Space,
     Tensor2,
     adjoint_rep,
@@ -27,7 +28,7 @@ from relpoisson import (
     semidirect_codrv,
     subadjacent,
 )
-from relpoisson.linalg import mat_neg
+from relpoisson.linalg import mat_neg, zero_matrix
 
 from conftest import (
     heisenberg_poisson,
@@ -270,6 +271,17 @@ def test_weak_o_operator_rejects_mis_sized_endo():
     for endo in (((1,), (1,)), ((1, 0), (1,)), ((1, 0, 0),) * 3, ()):
         with pytest.raises(ValueError, match="endo"):
             check_weak_o_operator(alg, rep, endo, ident)
+
+
+def test_weak_o_operator_rejects_representation_of_another_algebra():
+    # with zero products, a 2-dim algebra's representation checked against a
+    # 3-dim algebra, and the reverse, used to sweep a sub-block and pass
+    module, endo = Space.of_dim(2, "v"), zero_matrix(2, 2)
+    for n_rep, n_alg in ((2, 3), (3, 2)):
+        rep = RepData(zero_algebra(n_rep), module, (endo,) * n_rep, (endo,) * n_rep, endo)
+        alg = zero_algebra(n_alg)
+        with pytest.raises(ValueError, match="does not act for the given algebra"):
+            check_weak_o_operator(alg, rep, endo, LinearMap.zero(module, alg.space))
 
 
 def mis_sized_inputs():
