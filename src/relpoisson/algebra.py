@@ -4,13 +4,16 @@ A bilinear operation on a based space has structure constants ``c[i][j][k]``
 with  e_i * e_j = sum_k c[i][j][k] e_k, stored sparse: only the nonzero
 constants are kept, and the dense rank-3 array is a view derived on first
 read.  Multilinearity makes verification on basis tuples complete, so every
-axiom checker enumerates basis tuples and reports exact defect vectors (lhs
-minus rhs) for the tuples that fail.
+axiom checker reports exact defect vectors (lhs minus rhs) for the basis
+tuples that fail.  Each axiom family is data, a signed sum of index
+contractions of stored tables, and one sparse sweep runs them all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -21,6 +24,7 @@ from .linalg import (
     LinearMap,
     Matrix,
     Space,
+    Tensor2,
     Vector,
     _columns,
     basis_vector,
@@ -419,15 +423,197 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 # checkers
 
 
-# Tensor-valued quantities are swept as sparse (index, value) hits: an entry
-# (i1, ..., ik) of a k-tensor over dim n sits at the flat index
-# ((i1*n + i2)*n + ...)*n + ik, so a vector is k = 1 and an m-by-m matrix is
-# k = 2 over m.  The slot of i_s has stride n**(k - s).  A linear map enters
-# as its sparse column table: cols[j] lists the (index, value) hits of its
-# image of e_j.  This is also how structures are stored: a product's
-# _sparse[i] is the column table of left multiplication by e_i, an action
-# family holds one column table per algebra basis element, and a
-# comultiplication holds the flat hits of each image.
+# An axiom family is data: (axiom, where, defect, terms).  ``where`` labels
+# the basis tuple a violation is reported at, ``defect`` the indices of its
+# defect vector, flattened row-major, and ``terms`` is a signed sum of
+# products of stored tables.  A factor "NAME:labels" labels the indices of
+# one table in storage order: a BilinearOp's _sparse as "ijk" (e_k in
+# e_i * e_j), a LinearMap's _cols as "ji" (row i of column j), an action
+# family as "xjr" (row r of column j of the matrix of e_x), a
+# Comultiplication's _hits as "kij" (e_i (x) e_j in the image of e_k), a
+# Tensor2's _hits as "ij" and a vector's hits as "k".  A label in neither
+# ``where`` nor ``defect`` is summed over, so associativity reads
+#
+#     ("associative", "ijk", "s", "M:ijt,M:tks - M:jkt,M:its")
+#
+# Only nonzero products are enumerated, so the terms themselves are the
+# tuples at which a family can fail.  The families of one sweep are
+# reported in sorted ``where`` order, in their own order inside one tuple;
+# a checker reporting its families one after another sweeps them apart.
+
+
+def _form(table):
+    """The stored form a sweep reads of a table, and the radix of its flat
+    tail (0 when its last label is a plain index)."""
+    if isinstance(table, BilinearOp):
+        return table._sparse, 0
+    if isinstance(table, LinearMap):
+        return table._cols, 0
+    if isinstance(table, Tensor2):
+        return table._hits, table.right.dim
+    if isinstance(table, _Stored):  # a Comultiplication
+        return table._hits, table.space.dim
+    return table, 0  # an action family, a column table or a vector's hits
+
+
+def _paths(form, depth: int, radix: int):
+    """Every stored entry of a table as an (indices, value) path."""
+    if depth == 2:
+        return [
+            ((i, j, k), x) for i, row in enumerate(form) for j, cell in enumerate(row) for k, x in cell
+        ]
+    if depth == 1 and radix:
+        return [((i, *divmod(f, radix)), x) for i, cell in enumerate(form) for f, x in cell]
+    if depth == 1:
+        return [((i, k), x) for i, cell in enumerate(form) for k, x in cell]
+    return [(divmod(f, radix), x) for f, x in form] if radix else [((k,), x) for k, x in form]
+
+
+def _picker(positions):
+    """A function reading the given positions of a tuple, as a tuple."""
+    if len(positions) == 1:
+        return lambda row, p=positions[0]: (row[p],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _rekey(paths, keys: tuple):
+    """(indices, value) paths indexed by the indices at positions ``keys``:
+    each key maps to (the other indices, value) pairs."""
+    rest = _picker([p for p in range(len(paths[0][0])) if p not in keys]) if paths else None
+    key, index = _picker(keys), {}
+    for indices, x in paths:
+        index.setdefault(key(indices), []).append((rest(indices), x))
+    return index
+
+
+def _plan(term: str, where: str, defect: str, flat: dict, depths: dict):
+    """The join plan of one term: its first factor, then one step per other
+    factor, and the positions of the reported labels in a path's indices;
+    records the nesting depth of each table read in ``depths``.
+
+    Factors are joined greedily.  Next comes a factor whose leading axes
+    are all bound, read in place at that cell, else the one with the most
+    bound labels, read through an index re-keyed on them."""
+    factors = [tuple(f.split(":")) for f in term.split(",")]
+    bound, steps = [], []
+
+    def cell(name, labels):
+        """Whether the bound labels are some leading axes of a nested table."""
+        k = sum(l in bound for l in labels)
+        return 0 < k <= len(labels) - 1 - flat[name] and set(labels[:k]) <= set(bound)
+
+    while factors:
+        ranked = [(cell(*f), len(set(bound) & set(f[1])), -pos) for pos, f in enumerate(factors)]
+        name, labels = factors.pop(ranked.index(max(ranked)))
+        depth = len(labels) - 1 - flat[name]
+        if len(set(labels)) != len(labels) or depths.setdefault(name, depth) != depth:
+            raise ValueError(f"factor {name}:{labels} repeats a label or changes arity")
+        if not bound:
+            first = name
+        elif cell(name, labels):
+            lead = [bound.index(l) for l in labels if l in bound]
+            steps.append(("cell", name, (lead, depth - len(lead))))
+        else:
+            keys = tuple(p for p, l in enumerate(labels) if l in bound)
+            steps.append(("index", name, (keys, _picker([bound.index(labels[p]) for p in keys]))))
+        bound += [l for l in labels if l not in bound]
+    if not set(where + defect) <= set(bound):
+        raise ValueError(f"term {term} leaves a reported label free")
+    return first, steps, _picker([bound.index(l) for l in where + defect])
+
+
+def _join(rows, step, forms: dict, index):
+    """Extend every (indices, product) path by the entries of one more
+    factor that agree with it."""
+    kind, name, arg = step
+    form, radix = forms[name]
+    if kind == "cell":
+        lead, levels = arg
+        if len(lead) == 2:
+            a, b = lead
+            return [(v + (f,), p * x) for v, p in rows for f, x in form[v[a]][v[b]]]
+        (a,) = lead
+        if levels:  # a product or an action family read at its first axis
+            return [
+                (v + (j, f), p * x) for v, p in rows for j, cell in enumerate(form[v[a]]) for f, x in cell
+            ]
+        if radix:
+            return [(v + divmod(f, radix), p * x) for v, p in rows for f, x in form[v[a]]]
+        return [(v + (f,), p * x) for v, p in rows for f, x in form[v[a]]]
+    keys, at = arg
+    found = index(name, keys)
+    return [(v + free, p * x) for v, p in rows for free, x in found.get(at(v), ())]
+
+
+@functools.cache
+def _compile(families: tuple, layout: tuple):
+    """The join plans of every term of the families for tables of the given
+    layout ((name, has a flat tail) pairs), and the nesting depth of each
+    table; planned once per process."""
+    flat, plans, depths = dict(layout), [], {}
+    for fam, (_axiom, where, defect, terms) in enumerate(families):
+        for sign, term in re.findall(r"(-?)\s*([\w:,]+)", terms.replace("+", "")):
+            plans.append((fam, sign == "-", *_plan(term, where, defect, flat, depths)))
+    return plans, depths
+
+
+def _contract(families: tuple, tables: dict):
+    """Every term of the families summed, as one {(*where, *defect): value}
+    dict per family, over the named tables."""
+    forms, layout, memos = {}, [], {}
+    for name, table in tables.items():
+        form, radix = forms[name] = _form(table)
+        layout.append((name, radix > 0))
+        # a stored structure never changes, so what is built from it is kept
+        memo = getattr(table, "__dict__", None)
+        memos[name] = {} if memo is None else memo.setdefault("_reads", {})
+    plans, depths = _compile(families, tuple(layout))
+
+    def index(name, keys=None):
+        """A table's entries as (indices, value) paths, or with ``keys`` its
+        index re-keyed on them, each built once per table."""
+        memo = memos[name]
+        found = memo.get(keys)
+        if found is None:
+            if keys is None:
+                form, radix = forms[name]
+                found = memo[keys] = _paths(form, depths[name], radix)
+            else:
+                found = memo[keys] = _rekey(index(name), keys)
+        return found
+
+    acc = [{} for _ in families]
+    for fam, negate, first, steps, project in plans:
+        rows = index(first)
+        for step in steps:
+            rows = _join(rows, step, forms, index)
+        out = acc[fam]
+        for values, p in rows:
+            key = project(values)
+            out[key] = out.get(key, ZERO) + (-p if negate else p)
+    return acc
+
+
+def _sweep(coll: Collector, families: tuple, dims, **tables) -> None:
+    """Sweep the families on the named tables and report each failing
+    instance to the collector, with its dense defect; ``dims`` maps each
+    defect label to its size, or is the one size of all of them."""
+    size = dims.__getitem__ if isinstance(dims, dict) else lambda _label: dims
+    cells = {}
+    for fam, ((_, where, defect, _), out) in enumerate(zip(families, _contract(families, tables))):
+        w = len(where)
+        for key, value in out.items():
+            if value:
+                f = 0
+                for i, label in zip(key[w:], defect):
+                    f = f * size(label) + i
+                cells.setdefault((key[:w], fam), {})[f] = value
+    for where, fam in sorted(cells):
+        axiom, _, defect, _ = families[fam]
+        vector = [ZERO] * math.prod(map(size, defect))
+        for f, value in cells[where, fam].items():
+            vector[f] = value
+        coll.check(axiom, where, vector)
 
 
 def _dense(hits, *shape):
@@ -458,91 +644,26 @@ def _transpose(cols, height: int, scale=1):
     return tuple(map(tuple, out))
 
 
-def _apply(cols, coeffs, scale=1):
-    """Hits of scale * sum_t c_t cols[t], for sparse (t, c_t) coefficients."""
-    return [(f, scale * c * x) for t, c in coeffs for f, x in cols[t]]
-
-
-def _on_slot(cols, hits, n: int, stride: int, scale=1, width=None):
-    """Hits of scale * M applied to the slot of the given stride, for M a
-    column table into a space of dim ``width`` (n by default); with width
-    n*n the slot becomes two, as in (Delta (x) id) Delta."""
-    width = n if width is None else width
-    block = stride * n
-    return [
-        ((f // block * width + p) * stride + f % stride, scale * x * v)
-        for f, x in hits
-        for p, v in cols[f // stride % n]
-    ]
-
-
-def _swap(hits, n: int, stride: int, scale=1):
-    """Hits of scale * t with its slots of strides stride*n and stride
-    exchanged, e.g. tau(t) for a 2-tensor at stride 1."""
-    step = stride * (n - 1)
-    return [(f + (f // stride % n - f // (stride * n) % n) * step, scale * x) for f, x in hits]
-
-
-def _check_hits(coll: Collector, axiom: str, where, hits, n: int) -> None:
-    """Fold sparse (index, value) contributions and report a nonzero sum;
-    only the touched coordinates are tested, so the cost follows the hits,
-    not the length n of the defect vector."""
-    if not hits:
-        return
-    acc = {}
-    for k, v in hits:
-        acc[k] = acc.get(k, ZERO) + v
-    if any(acc.values()):
-        defect = [ZERO] * n
-        for k, v in acc.items():
-            defect[k] = v
-        coll.check(axiom, where, defect)
-
-
-def _candidates(*chains):
-    """The sorted index triples at which some term of a sweep can be nonzero.
-
-    A term contracts a sparse table ``inner`` (``inner[p][q]`` lists its
-    nonzero (t, value) pairs) with a table ``outer`` at ``outer[t][r]``, so
-    it vanishes unless both are nonzero.  Each chain (inner, outer, order)
-    yields those (p, q, r), placed in the sweep's triple by ``order``: the
-    triple's m-th index is (p, q, r)[order[m]].  Only the truth of the outer
-    cells is read.  Sorting keeps the order of a sweep over all triples.
-    """
-    found = set()
-    for inner, outer, order in chains:
-        after = [[r for r, cell in enumerate(row) if cell] for row in outer]
-        place = itemgetter(*order)
-        for p, row in enumerate(inner):
-            for q, cell in enumerate(row):
-                for t, _ in cell:
-                    found.update(place((p, q, r)) for r in after[t])
-    return sorted(found)
-
-
-def _flip(table, width: int):
-    """A table indexed [q][p] from one indexed [p][q] with ``width`` columns."""
-    return tuple(tuple(row[q] for row in table) for q in range(width))
-
-
-def _nonzero_pairs(sp):
-    return [(i, j) for i, row in enumerate(sp) for j, prod in enumerate(row) if prod]
+# M is the product (the dot of a Leibniz rule), B the bracket, D the
+# derivation and W the weight w of the relative Leibniz rule
+_COMMUTATIVE = (("commutative", "ij", "s", "M:ijs - M:jis"),)
+_ASSOCIATIVE = (("associative", "ijk", "s", "M:ijt,M:tks - M:jkt,M:its"),)
+# [x,[y,z]] + [y,[z,x]] + [z,[x,y]]
+_JACOBI = (("jacobi", "ijk", "s", "B:jkt,B:its + B:kit,B:jts + B:ijt,B:kts"),)
+_DERIVATION = (("derivation", "ij", "s", "M:ijt,D:ts - D:it,M:tjs - D:jt,M:its"),)
+# [z, x.y] - [z,x].y - x.[z,y] - x.y.w(z)
+_LEIBNIZ = "M:xyt,B:zts - B:zxt,M:tys - B:zyt,M:xts - M:xyt,W:zu,M:tus"
+_RELATIVE_LEIBNIZ = (("relative-leibniz", "xyz", "s", _LEIBNIZ),)
+_UNITAL_LEIBNIZ = (("unital-leibniz", "xyz", "s", _LEIBNIZ),)
+# x.D(y) - D(x).y
+_DERIVED_PRODUCT = (("derived", "ij", "k", "D:jt,M:itk - D:it,M:tjk"),)
 
 
 def check_comm_assoc(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """Commutativity x*y = y*x and associativity (x*y)*z = x*(y*z)."""
-    n = m.space.dim
-    sp = m._sparse
     coll = Collector(limit)
-    pairs = {pair for i, j in _nonzero_pairs(sp) for pair in ((i, j), (j, i)) if i != j}
-    for i, j in sorted(pairs):
-        hits = list(sp[i][j]) + [(s, -x) for s, x in sp[j][i]]
-        _check_hits(coll, "commutative", (i, j), hits, n)
-    # (x*y)*z needs t in x*y with t*z nonzero; x*(y*z) needs t in y*z with x*t
-    for i, j, k in _candidates((sp, sp, (0, 1, 2)), (sp, _flip(sp, n), (2, 0, 1))):
-        hits = [(s, c * x) for t, c in sp[i][j] for s, x in sp[t][k]]
-        hits += [(s, -c * x) for t, c in sp[j][k] for s, x in sp[i][t]]
-        _check_hits(coll, "associative", (i, j, k), hits, n)
+    _sweep(coll, _COMMUTATIVE, m.space.dim, M=m)
+    _sweep(coll, _ASSOCIATIVE, m.space.dim, M=m)
     return coll.report()
 
 
@@ -551,18 +672,14 @@ def check_lie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomRepor
     n = m.space.dim
     sp = m._sparse
     coll = Collector(limit)
-    for i, j in sorted({(min(pair), max(pair)) for pair in _nonzero_pairs(sp)}):
-        hits = list(sp[i][j]) + (list(sp[j][i]) if i != j else [])
-        _check_hits(coll, "antisymmetric", (i, j), hits, n)
-    # [x,[y,z]], [y,[z,x]] and [z,[x,y]]: an inner bracket holding t and [-, t]
-    flipped = _flip(sp, n)
-    for i, j, k in _candidates(
-        (sp, flipped, (2, 0, 1)), (sp, flipped, (1, 2, 0)), (sp, flipped, (0, 1, 2))
-    ):
-        hits = [(s, c * x) for t, c in sp[j][k] for s, x in sp[i][t]]
-        hits += [(s, c * x) for t, c in sp[k][i] for s, x in sp[j][t]]
-        hits += [(s, c * x) for t, c in sp[i][j] for s, x in sp[k][t]]
-        _check_hits(coll, "jacobi", (i, j, k), hits, n)
+    # [x,y] + [y,x] is reported once per unordered pair, the diagonal once
+    pairs = {(min(i, j), max(i, j)) for i, row in enumerate(sp) for j, prod in enumerate(row) if prod}
+    for i, j in sorted(pairs):
+        defect = [ZERO] * n
+        for k, x in sp[i][j] + (sp[j][i] if i != j else ()):
+            defect[k] += x
+        coll.check("antisymmetric", (i, j), defect)
+    _sweep(coll, _JACOBI, n, B=m)
     return coll.report()
 
 
@@ -572,46 +689,9 @@ def check_derivation(
     """Leibniz rule  D(x*y) = D(x)*y + x*D(y)  on basis pairs."""
     if der.domain != m.space or der.codomain != m.space:
         raise ValueError("derivation is not an endomorphism of the algebra's space")
-    n = m.space.dim
-    sp, cols = m._sparse, der._cols
     coll = Collector(limit)
-    for i in range(n):
-        for j in range(n):
-            hits = [(s, c * x) for t, c in sp[i][j] for s, x in cols[t]]
-            hits += [(s, -c * x) for t, c in cols[i] for s, x in sp[t][j]]
-            hits += [(s, -c * x) for t, c in cols[j] for s, x in sp[i][t]]
-            _check_hits(coll, "derivation", (i, j), hits, n)
+    _sweep(coll, _DERIVATION, m.space.dim, M=m, D=der)
     return coll.report()
-
-
-def _relative_leibniz_sweep(
-    axiom: str,
-    dot: BilinearOp,
-    bracket: BilinearOp,
-    weight_cols,
-    coll: Collector,
-) -> None:
-    """[z, x.y] - [z,x].y - x.[z,y] - x.y.w(z) = 0 on basis triples, where
-    w(z) is given as sparse column (index, value) lists."""
-    n = dot.space.dim
-    dsp, bsp = dot._sparse, bracket._sparse
-    # weighted[t][z]: t.w(z) is nonzero somewhere
-    weighted = [[any(dt[m] for m, _ in wz) for wz in weight_cols] for dt in dsp]
-    triples = _candidates(
-        (dsp, _flip(bsp, n), (0, 1, 2)),
-        (bsp, dsp, (1, 2, 0)),
-        (bsp, _flip(dsp, n), (2, 1, 0)),
-        (dsp, weighted, (0, 1, 2)),
-    )
-    for x, y, z in triples:
-        xy = dsp[x][y]
-        hits = [(s, c * x_) for t, c in xy for s, x_ in bsp[z][t]]
-        hits += [(s, -c * x_) for t, c in bsp[z][x] for s, x_ in dsp[t][y]]
-        hits += [(s, -c * x_) for t, c in bsp[z][y] for s, x_ in dsp[x][t]]
-        for t, c in xy:
-            for m_, w in weight_cols[z]:
-                hits += [(s, -c * w * x_) for s, x_ in dsp[t][m_]]
-        _check_hits(coll, axiom, (x, y, z), hits, n)
 
 
 def check_relative_leibniz(
@@ -626,7 +706,7 @@ def check_relative_leibniz(
     if der.domain != dot.space or der.codomain != dot.space:
         raise ValueError("derivation is not an endomorphism of the algebra's space")
     coll = Collector(limit)
-    _relative_leibniz_sweep("relative-leibniz", dot, bracket, der._cols, coll)
+    _sweep(coll, _RELATIVE_LEIBNIZ, dot.space.dim, M=dot, B=bracket, W=der)
     return coll.report()
 
 
@@ -645,16 +725,8 @@ def check_rel_poisson(
 
 def _derived_product(op: BilinearOp, der: LinearMap) -> BilinearOp:
     """The product x.D(y) - D(x).y, built from its sparse entries."""
-    n = op.space.dim
-    sp, cols = op._sparse, der._cols
-    flipped = _flip(sp, n)
-    entries = [
-        (i, j, k, v)
-        for i in range(n)
-        for j in range(n)
-        for k, v in _apply(sp[i], cols[j]) + _apply(flipped[j], cols[i], -1)
-    ]
-    return BilinearOp.from_entries(op.space, entries)
+    (out,) = _contract(_DERIVED_PRODUCT, dict(M=op, D=der))
+    return BilinearOp.from_entries(op.space, [(*key, v) for key, v in out.items()])
 
 
 def bracket_from_derivation(dot: BilinearOp, der: LinearMap) -> BilinearOp:
@@ -695,8 +767,7 @@ def check_jacobi_algebra(
     coll = Collector(limit)
     coll.merge(check_comm_assoc(dot, limit), "dot:")
     coll.merge(check_lie(bracket, limit), "bracket:")
-    ad_unit = ad_map(bracket, unit)._cols
-    _relative_leibniz_sweep("unital-leibniz", dot, bracket, ad_unit, coll)
+    _sweep(coll, _UNITAL_LEIBNIZ, dot.space.dim, M=dot, B=bracket, W=ad_map(bracket, unit))
     return coll.report()
 
 

@@ -7,8 +7,9 @@ coefficient, so that dualizing a comultiplication into a product on the
 dual space is a pure index transposition with no signs.  The dual
 comultiplications of an algebra's own products carry the explicit minus
 signs of the dualization rules; they are load-bearing and implemented
-literally.  Tensor-valued defects are swept in the flat-index convention
-of :mod:`relpoisson.algebra`.
+literally.  Every condition family is a term spec swept by
+:func:`relpoisson.algebra._sweep`, which reads a comultiplication's stored
+hits as the labelled table "kij".
 """
 
 from __future__ import annotations
@@ -23,15 +24,11 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
-    _apply,
-    _check_hits,
     _dense,
     _flat,
-    _flip,
     _make,
-    _on_slot,
     _Stored,
-    _swap,
+    _sweep,
     _transpose,
     check_rel_poisson,
 )
@@ -83,7 +80,7 @@ class Comultiplication(_Stored):
     def of(self, u: Vector) -> Matrix:
         """Image of a general element as a 2-tensor coefficient matrix."""
         n = self.space.dim
-        return _dense(_apply(self._hits, [(k, c) for k, c in enumerate(u) if c]), n, n)
+        return _dense([(f, c * x) for k, c in enumerate(u) if c for f, x in self._hits[k]], n, n)
 
     def is_zero(self) -> bool:
         return not any(self._hits)
@@ -117,21 +114,33 @@ class BialgebraData:
 # coalgebra checkers
 
 
+# C is a comultiplication, CM and CB those of the dot and the bracket, Q the
+# coderivation; a defect "abc" is the coefficient of e_a (x) e_b (x) e_c
+_COCOMMUTATIVE = (("cocommutative", "k", "ab", "C:kab - C:kba"),)
+# (id (x) Delta) Delta - (Delta (x) id) Delta
+_COASSOCIATIVE = (("coassociative", "k", "abc", "C:kat,C:tbc - C:ktc,C:tab"),)
+_ANTICOCOMMUTATIVE = (("anticocommutative", "k", "ab", "C:kab + C:kba"),)
+# (id + rotation + rotation^2)(id (x) delta) delta
+_CO_JACOBI = (("co-jacobi", "k", "abc", "C:kat,C:tbc + C:kct,C:tab + C:kbt,C:tca"),)
+# Delta(Q e_k) - (Q (x) id) Delta(e_k) - (id (x) Q) Delta(e_k)
+_CODERIVATION = (
+    ("coderivation-dot", "k", "ab", "Q:kt,CM:tab - CM:ktb,Q:ta - CM:kat,Q:tb"),
+    ("coderivation-bracket", "k", "ab", "Q:kt,CB:tab - CB:ktb,Q:ta - CB:kat,Q:tb"),
+)
+# (id (x) Delta) delta - (delta (x) id) Delta
+# - (tau (x) id)(id (x) delta) Delta - (Q (x) id (x) id)(Delta (x) id) Delta
+_CO_LEIBNIZ = (
+    ("co-leibniz", "k", "abc", "CB:kat,CM:tbc - CM:ktc,CB:tab - CM:kbt,CB:tac - CM:ktc,CM:tub,Q:ua"),
+)
+
+
 def check_cocomm_coassoc(
     comult: Comultiplication, limit: int = DEFAULT_VIOLATION_LIMIT
 ) -> AxiomReport:
     """Cocommutativity (tau after Delta = Delta) and coassociativity."""
-    n = comult.space.dim
-    ent = comult._hits
     coll = Collector(limit)
-    for k in range(n):
-        hits = [*ent[k], *_swap(ent[k], n, 1, -1)]
-        _check_hits(coll, "cocommutative", (k,), hits, n * n)
-    for k in range(n):
-        # (id (x) Delta) Delta - (Delta (x) id) Delta
-        hits = _on_slot(ent, ent[k], n, 1, width=n * n)
-        hits += _on_slot(ent, ent[k], n, n, -1, n * n)
-        _check_hits(coll, "coassociative", (k,), hits, n**3)
+    _sweep(coll, _COCOMMUTATIVE, comult.space.dim, C=comult)
+    _sweep(coll, _COASSOCIATIVE, comult.space.dim, C=comult)
     return coll.report()
 
 
@@ -140,18 +149,9 @@ def check_lie_coalgebra(
 ) -> AxiomReport:
     """Anticocommutativity (tau after delta = -delta) and the co-Jacobi
     identity (id + rotation + rotation^2)(id (x) delta) delta = 0."""
-    n, n2 = comult.space.dim, comult.space.dim**2
-    ent = comult._hits
     coll = Collector(limit)
-    for k in range(n):
-        hits = [*ent[k], *_swap(ent[k], n, 1)]
-        _check_hits(coll, "anticocommutative", (k,), hits, n2)
-    for k in range(n):
-        # a term at (i, p, q) of (id (x) delta) delta is summed at (i, p, q),
-        # (p, q, i) and (q, i, p)
-        cup = _on_slot(ent, ent[k], n, 1, width=n2)
-        hits = [(g, w) for f, w in cup for g in (f, f % n2 * n + f // n2, f % n * n2 + f // n)]
-        _check_hits(coll, "co-jacobi", (k,), hits, n**3)
+    _sweep(coll, _ANTICOCOMMUTATIVE, comult.space.dim, C=comult)
+    _sweep(coll, _CO_JACOBI, comult.space.dim, C=comult)
     return coll.report()
 
 
@@ -170,25 +170,12 @@ def check_rel_poisson_coalgebra(
     n = dot_comult.space.dim
     if codrv.domain.dim != n or codrv.codomain.dim != n:
         raise ValueError("coderivation does not match the comultiplications")
-    n2 = n * n
-    q = codrv._cols
-    dots, brs = dot_comult._hits, bracket_comult._hits
+    tables = dict(CM=dot_comult, CB=bracket_comult, Q=codrv)
     coll = Collector(limit)
     coll.merge(check_cocomm_coassoc(dot_comult, limit), "dot:")
     coll.merge(check_lie_coalgebra(bracket_comult, limit), "bracket:")
-    for k in range(n):
-        for axiom, ent in (("coderivation-dot", dots), ("coderivation-bracket", brs)):
-            # Delta(Q e_k) - (Q (x) id) Delta(e_k) - (id (x) Q) Delta(e_k)
-            hits = _apply(ent, q[k]) + _on_slot(q, ent[k], n, n, -1)
-            hits += _on_slot(q, ent[k], n, 1, -1)
-            _check_hits(coll, axiom, (k,), hits, n2)
-    for k in range(n):
-        # (id (x) Delta) delta - (delta (x) id) Delta
-        # - (tau (x) id)(id (x) delta) Delta - (Q (x) id (x) id)(Delta (x) id) Delta
-        hits = _on_slot(dots, brs[k], n, 1, width=n2) + _on_slot(brs, dots[k], n, n, -1, n2)
-        hits += _swap(_on_slot(brs, dots[k], n, 1, width=n2), n, n, -1)
-        hits += _on_slot(q, _on_slot(dots, dots[k], n, n, width=n2), n, n2, -1)
-        _check_hits(coll, "co-leibniz", (k,), hits, n**3)
+    _sweep(coll, _CODERIVATION, n, **tables)
+    _sweep(coll, _CO_LEIBNIZ, n, **tables)
     return coll.report()
 
 
@@ -236,6 +223,31 @@ def dual_rel_poisson_algebra(data: BialgebraData) -> RelPoissonAlgebra:
 # bialgebra checker
 
 
+# M is the dot, B the bracket, D the derivation, Q the dual derivation and
+# CM, CB the comultiplications Delta of the dot and delta of the bracket
+_DOT_COCYCLE = (("dot-cocycle", "ij", "ab", "M:ijt,CM:tab - CM:jtb,M:ita - CM:iat,M:jtb"),)
+_BRACKET_COCYCLE = (
+    ("bracket-cocycle", "ij", "ab", "B:ijt,CB:tab - CB:jtb,B:ita - CB:jat,B:itb"
+     " + CB:itb,B:jta + CB:iat,B:jtb"),
+)
+# (D + Q)((x.y).z)
+_DUAL_TRIPLE = (("dual-triple-product", "xyz", "s", "M:xyt,M:tzu,D:us + M:xyt,M:tzu,Q:us"),)
+_COMULT_INTERTWINE = (
+    # Delta(D e_k) - (D (x) id) Delta(e_k) + (id (x) Q) Delta(e_k)
+    ("comult-intertwine-dot", "k", "ab", "D:kt,CM:tab - CM:ktb,D:ta + CM:kat,Q:tb"),
+    ("comult-intertwine-bracket", "k", "ab", "D:kt,CB:tab - CB:ktb,D:ta + CB:kat,Q:tb"),
+)
+# (Delta (x) id) Delta((D + Q) e_k)
+_COMULT_TRIPLE = (("comult-triple-product", "k", "abc", "D:kt,CM:tuc,CM:uab + Q:kt,CM:tuc,CM:uab"),)
+# the two mixed compatibility conditions
+_MIXED = (
+    ("mixed-dot-bracket", "ij", "ab", "M:ijt,CB:tab - CM:iat,B:jtb - CB:jtb,M:ita"
+     " - CM:jat,B:itb - CB:itb,M:jta - M:ijt,CM:tau,Q:ub"),
+    ("mixed-bracket-dot", "ij", "ab", "B:ijt,CM:tab - CB:itb,M:jta - CM:jat,B:itb"
+     " + CB:iat,M:jtb - CM:jtb,B:ita + D:iu,M:ujt,CM:tab"),
+)
+
+
 def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """All seven condition groups of a relative Poisson bialgebra.
 
@@ -244,73 +256,25 @@ def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -
     divergence would surface both defects.
     """
     alg = data.algebra
-    n, n2 = alg.dim, alg.dim**2
-    dot, br = alg.dot._sparse, alg.bracket._sparse
-    flipped = _flip(dot, n)
-    dcom, bcom = data.dot_comult._hits, data.bracket_comult._hits
-    q = data.dual_derivation
-    der, qcols, pq = alg.derivation._cols, q._cols, alg.derivation.add(q)._cols
+    q, n = data.dual_derivation, alg.dim
+    tables = dict(
+        M=alg.dot, B=alg.bracket, D=alg.derivation, Q=q, CM=data.dot_comult, CB=data.bracket_comult
+    )
     coll = Collector(limit)
     coll.merge(check_rel_poisson(alg, limit), "algebra:")
     coll.merge(
         check_rel_poisson_coalgebra(data.dot_comult, data.bracket_comult, q, limit),
         "coalgebra:",
     )
-    # the left multiplication L_i and ad_i have dot[i] and br[i] as sparse
-    # column tables
-
-    # cocycle condition for the dot comultiplication
-    for i in range(n):
-        for j in range(n):
-            hits = _apply(dcom, dot[i][j]) + _on_slot(dot[i], dcom[j], n, n, -1)
-            hits += _on_slot(dot[j], dcom[i], n, 1, -1)
-            _check_hits(coll, "dot-cocycle", (i, j), hits, n2)
-
-    # cocycle condition for the bracket comultiplication
-    for i in range(n):
-        for j in range(n):
-            hits = _apply(bcom, br[i][j])
-            hits += _on_slot(br[i], bcom[j], n, n, -1) + _on_slot(br[i], bcom[j], n, 1, -1)
-            hits += _on_slot(br[j], bcom[i], n, n) + _on_slot(br[j], bcom[i], n, 1)
-            _check_hits(coll, "bracket-cocycle", (i, j), hits, n2)
-
+    _sweep(coll, _DOT_COCYCLE, n, **tables)
+    _sweep(coll, _BRACKET_COCYCLE, n, **tables)
     # the coderivation dually represents the algebra (both packages)
     coll.merge(check_dually_represents(alg, q, limit), "dual:")
-    for x in range(n):
-        for y in range(n):
-            xy = dot[x][y]
-            for z in range(n):
-                # (D + Q)((x.y).z)
-                hits = _apply(pq, _apply(flipped[z], xy))
-                _check_hits(coll, "dual-triple-product", (x, y, z), hits, n)
-
+    _sweep(coll, _DUAL_TRIPLE, n, **tables)
     # the derivation's transpose dually represents the dual algebra
-    for k in range(n):
-        for axiom, ent in (("comult-intertwine-dot", dcom), ("comult-intertwine-bracket", bcom)):
-            # Delta(D e_k) - (D (x) id) Delta(e_k) + (id (x) Q) Delta(e_k)
-            hits = _apply(ent, der[k]) + _on_slot(der, ent[k], n, n, -1)
-            hits += _on_slot(qcols, ent[k], n, 1)
-            _check_hits(coll, axiom, (k,), hits, n2)
-    for k in range(n):
-        # (Delta (x) id) Delta((D + Q) e_k)
-        hits = _on_slot(dcom, _apply(dcom, pq[k]), n, n, width=n2)
-        _check_hits(coll, "comult-triple-product", (k,), hits, n**3)
-
-    # the two mixed compatibility conditions
-    for i in range(n):
-        for j in range(n):
-            xy = dot[i][j]
-            hits = _apply(bcom, xy) + _on_slot(br[j], dcom[i], n, 1, -1)
-            hits += _on_slot(dot[i], bcom[j], n, n, -1) + _on_slot(br[i], dcom[j], n, 1, -1)
-            hits += _on_slot(dot[j], bcom[i], n, n, -1)
-            hits += _on_slot(qcols, _apply(dcom, xy), n, 1, -1)
-            _check_hits(coll, "mixed-dot-bracket", (i, j), hits, n2)
-
-            hits = _apply(dcom, br[i][j]) + _on_slot(dot[j], bcom[i], n, n, -1)
-            hits += _on_slot(br[i], dcom[j], n, 1, -1) + _on_slot(dot[j], bcom[i], n, 1)
-            hits += _on_slot(br[i], dcom[j], n, n, -1)
-            hits += _apply(dcom, _apply(flipped[j], der[i]))  # Delta(D(x).y)
-            _check_hits(coll, "mixed-bracket-dot", (i, j), hits, n2)
+    _sweep(coll, _COMULT_INTERTWINE, n, **tables)
+    _sweep(coll, _COMULT_TRIPLE, n, **tables)
+    _sweep(coll, _MIXED, n, **tables)
     return coll.report()
 
 

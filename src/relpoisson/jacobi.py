@@ -37,7 +37,7 @@ from .pairing import (
     combine_matched_pair,
 )
 from .prepoisson import RelPrePoissonAlgebra, subadjacent
-from .representations import RepData, _rep, check_jacobi_representation, check_representation
+from .representations import RepData, _jacobi_representation, _rep, check_representation
 from .yangbaxter import (
     OOperator,
     check_rpybe,
@@ -184,16 +184,8 @@ def frobenius_jacobi_pipeline(
         raise PipelineError("extend-jacobi", "extension has no unit")
     if ad_map(extended.bracket, unit) != extended.derivation:
         raise PipelineError("extend-jacobi", "derivation is not ad(unit)")
-    stage(
-        "extend-representation",
-        check_jacobi_representation(
-            extended.dot,
-            extended.bracket,
-            lift.rep.dot_action,
-            lift.rep.bracket_action,
-            lift.rep.space,
-        ),
-    )
+    mu, rho, m = lift.rep._mu, lift.rep._rho, lift.rep.space.dim
+    stage("extend-representation", _jacobi_representation(extended.dot, extended.bracket, mu, rho, m))
 
     # beta = -alpha, for alpha = D the endomorphism of rep and of its lift
     semidirect, rmat = verified(

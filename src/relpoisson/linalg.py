@@ -310,6 +310,8 @@ class LinearMap:
         return tuple(row[j] for row in self.entries)
 
     def add(self, other: LinearMap) -> LinearMap:
+        if (self.domain, self.codomain) != (other.domain, other.codomain):
+            raise ValueError("linear maps between different spaces")
         return LinearMap(self.domain, self.codomain, mat_add(self.entries, other.entries))
 
     def neg(self) -> LinearMap:

@@ -17,14 +17,10 @@ from .algebra import (
     PreconditionError,
     RelPoissonAlgebra,
     _block_sum,
-    _candidates,
-    _check_hits,
     _families,
-    _flip,
-    _make,
     _matrices,
     _Stored,
-    _transpose,
+    _sweep,
     check_rel_poisson,
 )
 from .linalg import (
@@ -96,6 +92,14 @@ def is_nondegenerate(form: BilinearForm) -> bool:
     return bool(determinant(form.gram))
 
 
+# B(x.y, z) - B(x, y.z) through the dot M and the bracket B, with the Gram
+# matrix's column table G
+_INVARIANCE = (
+    ("dot-invariance", "xyz", "", "M:xyt,G:zt - G:tx,M:yzt"),
+    ("bracket-invariance", "xyz", "", "B:xyt,G:zt - G:tx,B:yzt"),
+)
+
+
 def check_invariant_form(
     alg: RelPoissonAlgebra, form: BilinearForm, limit: int = DEFAULT_VIOLATION_LIMIT
 ) -> AxiomReport:
@@ -103,29 +107,9 @@ def check_invariant_form(
     B([x,y], z) = B(x, [y,z])  on all basis triples."""
     if form.space != alg.space:
         raise ValueError("form and algebra live on different spaces")
-    g, n = form.gram, alg.dim
-    g_cols = _columns(g, n, n)
-    g_rows = _transpose(g_cols, n)
-    prods = (
-        ("dot-invariance", alg.dot._sparse),
-        ("bracket-invariance", alg.bracket._sparse),
-    )
-    # a triple can fail only where some term has a nonzero product and a
-    # nonzero Gram entry: B(x.y, z) needs g[t][z] for t in x.y, and B(x, y.z)
-    # needs g[x][t] for t in y.z
-    triples = set()
-    for _, sp in prods:
-        for i, row in enumerate(sp):
-            for j, prod in enumerate(row):
-                for t, _c in prod:
-                    triples.update((i, j, z) for z, _g in g_rows[t])
-                    triples.update((x, i, j) for x, _g in g_cols[t])
+    gram = _columns(form.gram, alg.dim, alg.dim)
     coll = Collector(limit)
-    for x, y, z in sorted(triples):
-        for axiom, sp in prods:
-            hits = [(0, c * g[t][z]) for t, c in sp[x][y] if g[t][z]]
-            hits += [(0, -g[x][t] * c) for t, c in sp[y][z] if g[x][t]]
-            _check_hits(coll, axiom, (x, y, z), hits, 1)
+    _sweep(coll, _INVARIANCE, alg.dim, M=alg.dot, B=alg.bracket, G=gram)
     return coll.report()
 
 
@@ -186,109 +170,28 @@ class MatchedPairData(_Stored):
 
 
 # The mixed condition families of a matched pair, each written once for an
-# acting factor L and an acted-on factor R and called once per side with the
-# same arguments (L, R, mu, rho, mu_back, rho_back).  mu and rho are L's
-# actions on R and mu_back, rho_back (mu', rho' in the formulas) are R's
-# actions on L, all as their stored sparse column tables: mu[x][a] lists the
-# nonzero (row, value) entries of mu(x)a.  Defects live in R and are reported at
-# (x, a, b) for x in L and a, b in R, except cross-compatibility, which
-# sweeps and reports (a, x, b).
-
-
-def _dot_matched(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
-    """mu(x)(a.b) - (mu(x)a).b - mu(mu'(a)x)b."""
-    n = acted.dim
-    dot = acted.dot._sparse
-    triples = _candidates(
-        (dot, _flip(mu, n), (2, 0, 1)), (mu, dot, (0, 1, 2)), (mu_back, mu, (1, 0, 2))
+# acting factor and an acted-on factor and swept once per side.  M, B and D
+# are the acted-on factor's dot, bracket and derivation and P the acting
+# factor's derivation; MU and RHO are the acting factor's actions and MUB
+# and RHOB (mu', rho' in the formulas) the acted-on factor's actions back.
+# Defects live in the acted-on factor and are reported at (x, a, b) for x
+# acting and a, b acted on, except cross-compatibility, at (a, x, b).
+_MATCHED = {
+    side: (
+        # mu(x)(a.b) - (mu(x)a).b - mu(mu'(a)x)b
+        ((f"dot-matched-{side}", "xab", "s", "M:abt,MU:xts - MU:xat,M:tbs - MUB:axt,MU:tbs"),),
+        # rho(x)[a,b] - [rho(x)a, b] - [a, rho(x)b] + rho(rho'(a)x)b - rho(rho'(b)x)a
+        ((f"bracket-matched-{side}", "xab", "s", "B:abt,RHO:xts - RHO:xat,B:tbs - RHO:xbt,B:ats"
+          " + RHOB:axt,RHO:tbs - RHOB:bxt,RHO:tas"),),
+        # rho(x)(a.b) + mu(rho'(b)x)a - a.rho(x)b + mu(rho'(a)x)b - b.rho(x)a - mu(Px)(a.b)
+        ((f"cross-leibniz-{side}", "xab", "s", "M:abt,RHO:xts + RHOB:bxt,MU:tas - RHO:xbt,M:ats"
+          " + RHOB:axt,MU:tbs - RHO:xat,M:bts - P:xr,M:abt,MU:rts"),),
+        # rho(mu'(a)x)b + [mu(x)a, b] - a.rho(x)b + mu(rho'(b)x)a - mu(x)[a,b] + mu(x)(a.Db)
+        ((f"cross-compatibility-{side}", "axb", "s", "MUB:axt,RHO:tbs + MU:xat,B:tbs"
+          " - RHO:xbt,M:ats + RHOB:bxt,MU:tas - B:abt,MU:xts + D:bm,M:amt,MU:xts"),),
     )
-    for x, a, b in triples:
-        mux = mu[x]
-        hits = [(s, c * v) for t, c in dot[a][b] for s, v in mux[t]]
-        hits += [(s, -c * v) for t, c in mux[a] for s, v in dot[t][b]]
-        hits += [(s, -c * v) for t, c in mu_back[a][x] for s, v in mu[t][b]]
-        _check_hits(coll, axiom, (x, a, b), hits, n)
-
-
-def _bracket_matched(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
-    """rho(x)[a,b] - [rho(x)a, b] - [a, rho(x)b] + rho(rho'(a)x)b
-    - rho(rho'(b)x)a."""
-    n = acted.dim
-    br = acted.bracket._sparse
-    triples = _candidates(
-        (br, _flip(rho, n), (2, 0, 1)),
-        (rho, br, (0, 1, 2)),
-        (rho, _flip(br, n), (0, 2, 1)),
-        (rho_back, rho, (1, 0, 2)),
-        (rho_back, rho, (1, 2, 0)),
-    )
-    for x, a, b in triples:
-        rhox = rho[x]
-        hits = [(s, c * v) for t, c in br[a][b] for s, v in rhox[t]]
-        hits += [(s, -c * v) for t, c in rhox[a] for s, v in br[t][b]]
-        hits += [(s, -c * v) for t, c in rhox[b] for s, v in br[a][t]]
-        hits += [(s, c * v) for t, c in rho_back[a][x] for s, v in rho[t][b]]
-        hits += [(s, -c * v) for t, c in rho_back[b][x] for s, v in rho[t][a]]
-        _check_hits(coll, axiom, (x, a, b), hits, n)
-
-
-def _cross_leibniz(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
-    """rho(x)(a.b) + mu(rho'(b)x)a - a.rho(x)b + mu(rho'(a)x)b - b.rho(x)a
-    - mu(Px)(a.b), where P is the acting factor's derivation."""
-    n = acted.dim
-    dot = acted.dot._sparse
-    der = acting.derivation._cols
-    dot_flip = _flip(dot, n)
-    # mu_der[t][x]: mu(Px) is nonzero on e_t
-    mu_der = [[any(mu[r][t] for r, _ in px) for px in der] for t in range(n)]
-    triples = _candidates(
-        (dot, _flip(rho, n), (2, 0, 1)),
-        (rho_back, mu, (1, 2, 0)),
-        (rho, dot_flip, (0, 2, 1)),
-        (rho_back, mu, (1, 0, 2)),
-        (rho, dot_flip, (0, 1, 2)),
-        (dot, mu_der, (2, 0, 1)),
-    )
-    for x, a, b in triples:
-        rhox = rho[x]
-        ab = dot[a][b]
-        hits = [(s, c * v) for t, c in ab for s, v in rhox[t]]
-        hits += [(s, c * v) for t, c in rho_back[b][x] for s, v in mu[t][a]]
-        hits += [(s, -c * v) for t, c in rhox[b] for s, v in dot[a][t]]
-        hits += [(s, c * v) for t, c in rho_back[a][x] for s, v in mu[t][b]]
-        hits += [(s, -c * v) for t, c in rhox[a] for s, v in dot[b][t]]
-        for r, p in der[x]:
-            hits += [(s, -p * c * v) for t, c in ab for s, v in mu[r][t]]
-        _check_hits(coll, axiom, (x, a, b), hits, n)
-
-
-def _cross_compatibility(coll, axiom, acting, acted, mu, rho, mu_back, rho_back):
-    """rho(mu'(a)x)b + [mu(x)a, b] - a.rho(x)b + mu(rho'(b)x)a - mu(x)[a,b]
-    + mu(x)(a.Pb), where P is the acted-on factor's derivation."""
-    n = acted.dim
-    dot, br = acted.dot._sparse, acted.bracket._sparse
-    der = acted.derivation._cols
-    mu_flip = _flip(mu, n)
-    # dot_der[a][b] holds the terms of a.Pb
-    dot_der = [[[tc for m, _ in pb for tc in dot_a[m]] for pb in der] for dot_a in dot]
-    triples = _candidates(
-        (mu_back, rho, (0, 1, 2)),
-        (mu, br, (1, 0, 2)),
-        (rho, _flip(dot, n), (2, 0, 1)),
-        (rho_back, mu, (2, 1, 0)),
-        (br, mu_flip, (0, 2, 1)),
-        (dot_der, mu_flip, (0, 2, 1)),
-    )
-    for a, x, b in triples:
-        mux, rhox = mu[x], rho[x]
-        hits = [(s, c * v) for t, c in mu_back[a][x] for s, v in rho[t][b]]
-        hits += [(s, c * v) for t, c in mux[a] for s, v in br[t][b]]
-        hits += [(s, -c * v) for t, c in rhox[b] for s, v in dot[a][t]]
-        hits += [(s, c * v) for t, c in rho_back[b][x] for s, v in mu[t][a]]
-        hits += [(s, -c * v) for t, c in br[a][b] for s, v in mux[t]]
-        for m, p in der[b]:
-            hits += [(s, p * c * v) for t, c in dot[a][m] for s, v in mux[t]]
-        _check_hits(coll, axiom, (a, x, b), hits, n)
+    for side in ("left", "right")
+}
 
 
 def check_matched_pair(
@@ -306,16 +209,20 @@ def check_matched_pair(
     coll.merge(check_representation(on_right, limit), "rep-on-right:")
     coll.merge(check_representation(on_left, limit), "rep-on-left:")
     mu1, rho1, mu2, rho2 = data._mu1, data._rho1, data._mu2, data._rho2
-    left = (a1, a2, mu1, rho1, mu2, rho2)
-    right = (a2, a1, mu2, rho2, mu1, rho1)
-    _dot_matched(coll, "dot-matched-left", *left)
-    _dot_matched(coll, "dot-matched-right", *right)
-    _bracket_matched(coll, "bracket-matched-left", *left)
-    _bracket_matched(coll, "bracket-matched-right", *right)
-    _cross_leibniz(coll, "cross-leibniz-right", *right)
-    _cross_leibniz(coll, "cross-leibniz-left", *left)
-    _cross_compatibility(coll, "cross-compatibility-right", *right)
-    _cross_compatibility(coll, "cross-compatibility-left", *left)
+    # the "-left" families have the left factor acting on the right one
+    acting = {
+        "left": (a2.dim, dict(M=a2.dot, B=a2.bracket, D=a2.derivation, P=a1.derivation,
+                              MU=mu1, RHO=rho1, MUB=mu2, RHOB=rho2)),
+        "right": (a1.dim, dict(M=a1.dot, B=a1.bracket, D=a1.derivation, P=a2.derivation,
+                               MU=mu2, RHO=rho2, MUB=mu1, RHOB=rho1)),
+    }
+    # dot- and bracket-matched report the left side first, the cross
+    # families the right side first
+    left_first, right_first = ("left", "right"), ("right", "left")
+    for family, sides in enumerate((left_first, left_first, right_first, right_first)):
+        for side in sides:
+            dim, tables = acting[side]
+            _sweep(coll, _MATCHED[side][family], dim, **tables)
     return coll.report()
 
 
@@ -359,6 +266,17 @@ def check_manin_triple(
         raise ValueError("Manin triple dimension mismatch")
     coll = Collector(limit)
     sides = (("left", alg, 0), ("right", dual_alg, n))
+
+    def check_block(axiom, where, whole, part, off):
+        # whole - part, with part's indices shifted by off
+        if whole or part:
+            defect = [ZERO] * (2 * n)
+            for k, x in whole:
+                defect[k] += x
+            for t, x in part:
+                defect[off + t] -= x
+            coll.check(axiom, where, defect)
+
     for i in range(n):
         for j in range(n):
             for side, sub, off in sides:
@@ -366,15 +284,13 @@ def check_manin_triple(
                     ("dot", double.dot, sub.dot),
                     ("bracket", double.bracket, sub.bracket),
                 ):
-                    hits = list(whole._sparse[off + i][off + j])
-                    hits += [(off + t, -x) for t, x in part._sparse[i][j]]
-                    _check_hits(coll, f"{side}-subalgebra-{name}", (i, j), hits, 2 * n)
+                    cell = whole._sparse[off + i][off + j]
+                    check_block(f"{side}-subalgebra-{name}", (i, j), cell, part._sparse[i][j], off)
     whole_der = double.derivation._cols
     sub_ders = [sub.derivation._cols for _, sub, _ in sides]
     for j in range(n):
         for (side, _, off), sub_der in zip(sides, sub_ders):
-            hits = list(whole_der[off + j]) + [(off + t, -x) for t, x in sub_der[j]]
-            _check_hits(coll, f"derivation-{side}-block", (j,), hits, 2 * n)
+            check_block(f"derivation-{side}-block", (j,), whole_der[off + j], sub_der[j], off)
     coll.merge(check_rel_poisson(double, limit), "double:")
     form = canonical_pairing(double.space)
     coll.merge(check_invariant_form(double, form, limit), "pairing:")

@@ -13,10 +13,8 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
-    _apply,
-    _check_hits,
     _derived_product,
-    _flip,
+    _sweep,
     check_derivation,
     combine_reports,
 )
@@ -49,33 +47,30 @@ class RelPrePoissonAlgebra:
         return self.space.dim
 
 
+# S is the star product, C the circ product and D the derivation
+_ZINBIEL = (("zinbiel", "xyz", "s", "S:yzt,S:xts - S:yxt,S:tzs - S:xyt,S:tzs"),)
+_PRELIE = (("pre-lie", "xyz", "s", "C:xyt,C:tzs - C:yzt,C:xts - C:yxt,C:tzs + C:xzt,C:yts"),)
+_MIXED = (
+    # (x*y + y*x) o z - x*(y o z) - y*(x o z) + (x*y + y*x)*D(z)
+    ("mixed-dot-side", "xyz", "s", "S:xyt,C:tzs + S:yxt,C:tzs - C:yzt,S:xts - C:xzt,S:yts"
+     " + S:xyt,D:zu,S:tus + S:yxt,D:zu,S:tus"),
+    # y o (x*z) - x*(y o z) + (x o y - y o x)*z - (x*D(y) + D(y)*x)*z
+    ("mixed-bracket-side", "xyz", "s", "S:xzt,C:yts - C:yzt,S:xts + C:xyt,S:tzs - C:yxt,S:tzs"
+     " - D:yu,S:xut,S:tzs - D:yu,S:uxt,S:tzs"),
+)
+
+
 def check_zinbiel(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """x*(y*z) = (y*x)*z + (x*y)*z on basis triples."""
-    n = m.space.dim
-    sp = m._sparse
-    flipped = _flip(sp, n)  # flipped[z][t] holds e_t * e_z
     coll = Collector(limit)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                hits = _apply(sp[x], sp[y][z]) + _apply(flipped[z], sp[y][x], -1)
-                hits += _apply(flipped[z], sp[x][y], -1)
-                _check_hits(coll, "zinbiel", (x, y, z), hits, n)
+    _sweep(coll, _ZINBIEL, m.space.dim, S=m)
     return coll.report()
 
 
 def check_prelie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """(x o y) o z - x o (y o z) is symmetric in x and y on basis triples."""
-    n = m.space.dim
-    sp = m._sparse
-    flipped = _flip(sp, n)
     coll = Collector(limit)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                hits = _apply(flipped[z], sp[x][y]) + _apply(sp[x], sp[y][z], -1)
-                hits += _apply(flipped[z], sp[y][x], -1) + _apply(sp[y], sp[x][z])
-                _check_hits(coll, "pre-lie", (x, y, z), hits, n)
+    _sweep(coll, _PRELIE, m.space.dim, C=m)
     return coll.report()
 
 
@@ -84,29 +79,12 @@ def check_rel_pre_poisson(
 ) -> AxiomReport:
     """Zinbiel + pre-Lie + derivation of both + the two mixed conditions."""
     star, circ, der = pp.star, pp.circ, pp.derivation
-    n = pp.dim
     coll = Collector(limit)
     coll.merge(check_zinbiel(star, limit))
     coll.merge(check_prelie(circ, limit))
     coll.merge(check_derivation(star, der, limit), "star:")
     coll.merge(check_derivation(circ, der, limit), "circ:")
-    ssp, csp = star._sparse, circ._sparse
-    fssp, fcsp = _flip(ssp, n), _flip(csp, n)
-    dcols = der._cols
-    for x in range(n):
-        for y in range(n):
-            sym = ssp[x][y] + ssp[y][x]
-            mixed = _apply(ssp[x], dcols[y]) + _apply(fssp[x], dcols[y])
-            for z in range(n):
-                x_yz = _apply(ssp[x], csp[y][z], -1)
-                # (x*y + y*x) o z - x*(y o z) - y*(x o z) + (x*y + y*x)*D(z)
-                hits = _apply(fcsp[z], sym) + x_yz + _apply(ssp[y], csp[x][z], -1)
-                hits += [h for u, d in dcols[z] for h in _apply(fssp[u], sym, d)]
-                _check_hits(coll, "mixed-dot-side", (x, y, z), hits, n)
-                # y o (x*z) - x*(y o z) + (x o y - y o x)*z - (x*D(y) + D(y)*x)*z
-                hits = _apply(csp[y], ssp[x][z]) + x_yz + _apply(fssp[z], csp[x][y])
-                hits += _apply(fssp[z], csp[y][x], -1) + _apply(fssp[z], mixed, -1)
-                _check_hits(coll, "mixed-bracket-side", (x, y, z), hits, n)
+    _sweep(coll, _MIXED, pp.dim, S=star, C=circ, D=der)
     return coll.report()
 
 

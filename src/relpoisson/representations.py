@@ -13,9 +13,10 @@ Dual-space conventions (fixed in :mod:`relpoisson.linalg`): for an action
 ``phi`` the dual action is ``phi*(x) = -phi(x)^T`` on V*, while the dual
 of a plain endomorphism ``beta: V -> V`` is the transpose ``beta^T``.
 
-Matrix-valued defects are swept in the flat-index convention of
-:mod:`relpoisson.algebra`, over a module of dim m: a product A B applies
-A's column table to the row slot of B's flat hits.
+Every condition family is a term spec swept by
+:func:`relpoisson.algebra._sweep`: an action family is the labelled table
+"xjr", and a matrix-valued defect "rc" is a module matrix, row r and
+column c, so a product A B reads "B:ct,A:tr".
 """
 
 from __future__ import annotations
@@ -31,17 +32,14 @@ from .algebra import (
     NoUnitError,
     PreconditionError,
     RelPoissonAlgebra,
-    _apply,
     _block_sum,
-    _check_hits,
     _dense,
     _families,
     _flat,
-    _flip,
     _matrices,
     _make,
-    _on_slot,
     _Stored,
+    _sweep,
     _transpose,
     ad_map,
     find_unit,
@@ -49,46 +47,9 @@ from .algebra import (
 from .linalg import ONE, LinearMap, Matrix, Space, Vector, _columns, determinant
 
 
-def _with_flats(*families):
-    """Each action family as (column tables, flat hits of each matrix)."""
-    return [(fam, tuple(map(_flat, fam))) for fam in families]
-
-
 def _action_of(family, u: Vector, m: int) -> Matrix:
     """The dense matrix of sum_k u[k] family[k] on a module of dim m."""
     return _dense([(f, c * x) for k, c in enumerate(u) if c for f, x in _flat(family[k])], m, m)
-
-
-def _action_defects(dot, bracket, mu, rho, cols, i, j, m):
-    """Hits of the dot-action, bracket-action and compatibility defects at
-    (i, j):
-
-        mu(x.y) - mu(x) mu(y)
-        rho([x,y]) - [rho(x), rho(y)]
-        rho(y) mu(x) - mu(x) rho(y) + mu([x,y]) - mu(x . c(y))
-
-    where c(y) = cols[j] is D(y) for a representation and [1, y] for a
-    unital one; mu and rho are :func:`_with_flats` pairs."""
-    (mu_c, mu_f), (rho_c, rho_f) = mu, rho
-    xy, br = dot._sparse[i][j], bracket._sparse[i][j]
-    x_cy = _apply(dot._sparse[i], cols[j])
-    dot_hits = _apply(mu_f, xy) + _on_slot(mu_c[i], mu_f[j], m, m, -1)
-    bracket_hits = _apply(rho_f, br) + _on_slot(rho_c[j], rho_f[i], m, m)
-    bracket_hits += _on_slot(rho_c[i], rho_f[j], m, m, -1)
-    compat = _on_slot(rho_c[j], mu_f[i], m, m) + _on_slot(mu_c[i], rho_f[j], m, m, -1)
-    compat += _apply(mu_f, br) + _apply(mu_f, x_cy, -1)
-    return dot_hits, bracket_hits, compat
-
-
-def _leibniz(mu, rho, xy, i, j, right, m):
-    """Hits of rho(x.y) - mu(x) rho(y) - mu(y) rho(x) + mu(x.y) R, where R
-    is given by its flat hits."""
-    (mu_c, _), (rho_c, rho_f) = mu, rho
-    hits = _apply(rho_f, xy) + _on_slot(mu_c[i], rho_f[j], m, m, -1)
-    hits += _on_slot(mu_c[j], rho_f[i], m, m, -1)
-    for t, c in xy:
-        hits += _on_slot(mu_c[t], right, m, m, c)
-    return hits
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -143,23 +104,53 @@ def _rep(algebra, space, mu, rho, alpha) -> RepData:
 # checkers
 
 
+# M is the dot, B the bracket and D the derivation of the algebra; MU and
+# RHO are the action families, AL the endomorphism alpha, BE a map beta and
+# I the identity of the module.  A defect "rc" is row r, column c of a
+# module matrix.
+_ACTIONS = (
+    # mu(x.y) - mu(x) mu(y)
+    ("dot-action", "ij", "rc", "M:ijt,MU:tcr - MU:jct,MU:itr"),
+    # rho([x,y]) - [rho(x), rho(y)]
+    ("bracket-action", "ij", "rc", "B:ijt,RHO:tcr + RHO:ict,RHO:jtr - RHO:jct,RHO:itr"),
+)
+# rho(y) mu(x) - mu(x) rho(y) + mu([x,y]) - mu(x . W(y)), W = D or ad(1)
+_COMPATIBILITY = "MU:ict,RHO:jtr - RHO:jct,MU:itr + B:ijt,MU:tcr - W:ju,M:iut,MU:tcr"
+_COMPATIBLE = _ACTIONS + (("compatibility", "ij", "rc", _COMPATIBILITY),)
+# alpha act(x) - act(D x) - act(x) alpha
+_ENDO = (
+    ("endo-dot", "i", "rc", "MU:ict,AL:tr - AL:ct,MU:itr - D:it,MU:tcr"),
+    ("endo-bracket", "i", "rc", "RHO:ict,AL:tr - AL:ct,RHO:itr - D:it,RHO:tcr"),
+)
+# rho(x.y) - mu(x) rho(y) - mu(y) rho(x) + mu(x.y) R, R = alpha or rho(1)
+_ACTION_LEIBNIZ = "M:ijt,RHO:tcr - RHO:jct,MU:itr - RHO:ict,MU:jtr"
+_REP_LEIBNIZ = (("action-leibniz", "ij", "rc", _ACTION_LEIBNIZ + " + M:ijt,AL:cu,MU:tur"),)
+# act(x) beta - act(D x) - beta act(x)
+_DUAL_REP = (
+    ("dual-rep-dot", "i", "rc", "BE:ct,MU:itr - MU:ict,BE:tr - D:it,MU:tcr"),
+    ("dual-rep-bracket", "i", "rc", "BE:ct,RHO:itr - RHO:ict,BE:tr - D:it,RHO:tcr"),
+)
+# -rho(x.y) + rho(y) mu(x) + rho(x) mu(y) + beta mu(x.y)
+_DUAL_REP_LEIBNIZ = (
+    ("dual-rep-leibniz", "ij", "rc", "MU:ict,RHO:jtr - M:ijt,RHO:tcr + MU:jct,RHO:itr"
+     " + M:ijt,MU:tcu,BE:ur"),
+)
+# mu(1) - id, with U the unit
+_UNITAL = (("dot-action-unital", "", "rc", "U:t,MU:tcr - I:cr"),)
+_JACOBI_ACTIONS = _ACTIONS + (
+    ("unital-action-leibniz", "ij", "rc", _ACTION_LEIBNIZ + " + M:ijt,U:v,RHO:vcq,MU:tqr"),
+    ("unital-compatibility", "ij", "rc", _COMPATIBILITY),
+)
+
+
 def check_compatible_structure(
     cs: CompatibleStructure, limit: int = DEFAULT_VIOLATION_LIMIT
 ) -> AxiomReport:
     """Action axioms for both products plus their compatibility condition."""
     alg = cs.algebra
-    n, m = alg.dim, cs.space.dim
     coll = Collector(limit)
-    mu, rho = _with_flats(cs._mu, cs._rho)
-    dcols = alg.derivation._cols
-    for i in range(n):
-        for j in range(n):
-            dot_hits, bracket_hits, compat = _action_defects(
-                alg.dot, alg.bracket, mu, rho, dcols, i, j, m
-            )
-            _check_hits(coll, "dot-action", (i, j), dot_hits, m * m)
-            _check_hits(coll, "bracket-action", (i, j), bracket_hits, m * m)
-            _check_hits(coll, "compatibility", (i, j), compat, m * m)
+    tables = dict(M=alg.dot, B=alg.bracket, W=alg.derivation, MU=cs._mu, RHO=cs._rho)
+    _sweep(coll, _COMPATIBLE, cs.space.dim, **tables)
     return coll.report()
 
 
@@ -168,20 +159,9 @@ def check_representation(rep: RepData, limit: int = DEFAULT_VIOLATION_LIMIT) -> 
     coll = Collector(limit)
     coll.merge(check_compatible_structure(rep, limit))
     alg = rep.algebra
-    n, m = alg.dim, rep.space.dim
-    mu, rho = _with_flats(rep._mu, rep._rho)
-    alpha_c, alpha_f, dcols = rep._alpha, _flat(rep._alpha), alg.derivation._cols
-    for i in range(n):
-        for axiom, (act_c, act_f) in (("endo-dot", mu), ("endo-bracket", rho)):
-            # alpha act(x) - act(D x) - act(x) alpha
-            hits = _on_slot(alpha_c, act_f[i], m, m) + _on_slot(act_c[i], alpha_f, m, m, -1)
-            hits += _apply(act_f, dcols[i], -1)
-            _check_hits(coll, axiom, (i,), hits, m * m)
-    dot = alg.dot._sparse
-    for i in range(n):
-        for j in range(n):
-            hits = _leibniz(mu, rho, dot[i][j], i, j, alpha_f, m)
-            _check_hits(coll, "action-leibniz", (i, j), hits, m * m)
+    tables = dict(M=alg.dot, D=alg.derivation, MU=rep._mu, RHO=rep._rho, AL=rep._alpha)
+    _sweep(coll, _ENDO, rep.space.dim, **tables)
+    _sweep(coll, _REP_LEIBNIZ, rep.space.dim, **tables)
     return coll.report()
 
 
@@ -222,28 +202,24 @@ def check_dual_rep_conditions(
         -rho(x.y) + rho(y) mu(x) + rho(x) mu(y) + beta mu(x.y) = 0
     """
     alg = cs.algebra
-    n, m = alg.dim, cs.space.dim
-    beta_c = _beta_columns(beta, m)
-    beta_f, dcols = _flat(beta_c), alg.derivation._cols
-    mu, rho = _with_flats(cs._mu, cs._rho)
-    (_, mu_f), (rho_c, rho_f) = mu, rho
+    m = cs.space.dim
+    beta = _beta_columns(beta, m)
+    tables = dict(M=alg.dot, D=alg.derivation, MU=cs._mu, RHO=cs._rho, BE=beta)
     coll = Collector(limit)
-    for i in range(n):
-        for axiom, (act_c, act_f) in (("dual-rep-dot", mu), ("dual-rep-bracket", rho)):
-            # act(x) beta - act(D x) - beta act(x)
-            hits = _on_slot(act_c[i], beta_f, m, m) + _on_slot(beta_c, act_f[i], m, m, -1)
-            hits += _apply(act_f, dcols[i], -1)
-            _check_hits(coll, axiom, (i,), hits, m * m)
-    dot = alg.dot._sparse
-    for i in range(n):
-        for j in range(n):
-            xy = dot[i][j]
-            hits = _on_slot(rho_c[j], mu_f[i], m, m) + _apply(rho_f, xy, -1)
-            hits += _on_slot(rho_c[i], mu_f[j], m, m)
-            for t, c in xy:
-                hits += _on_slot(beta_c, mu_f[t], m, m, c)
-            _check_hits(coll, "dual-rep-leibniz", (i, j), hits, m * m)
+    _sweep(coll, _DUAL_REP, m, **tables)
+    _sweep(coll, _DUAL_REP_LEIBNIZ, m, **tables)
     return coll.report()
+
+
+# M is the dot, B the bracket, D the derivation and Q the candidate
+_DUAL_ADJOINT = (
+    # x.Q(y) - D(x).y - Q(x.y), and the same through the bracket
+    ("dual-adjoint-dot", "xy", "s", "Q:yt,M:xts - D:xt,M:tys - M:xyt,Q:ts"),
+    ("dual-adjoint-bracket", "xy", "s", "Q:yt,B:xts - D:xt,B:tys - B:xyt,Q:ts"),
+)
+_DUAL_ADJOINT_CYCLIC = (
+    ("dual-adjoint-cyclic", "xyz", "s", "M:yzt,B:xts + M:zxt,B:yts + M:xyt,B:zts + M:xyt,M:tzu,Q:us"),
+)
 
 
 def check_dually_represents(
@@ -257,28 +233,10 @@ def check_dually_represents(
     """
     if candidate.domain != alg.space or candidate.codomain != alg.space:
         raise ValueError("candidate is not an endomorphism of the algebra's space")
-    n = alg.dim
-    dot, br = alg.dot._sparse, alg.bracket._sparse
-    fdot, fbr = _flip(dot, n), _flip(br, n)
-    qcols, dcols = candidate._cols, alg.derivation._cols
+    tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, Q=candidate)
     coll = Collector(limit)
-    for x in range(n):
-        for y in range(n):
-            for axiom, op, flipped in (
-                ("dual-adjoint-dot", dot, fdot),
-                ("dual-adjoint-bracket", br, fbr),
-            ):
-                # x.Q(y) - D(x).y - Q(x.y), and the same through the bracket
-                hits = _apply(op[x], qcols[y]) + _apply(flipped[y], dcols[x], -1)
-                hits += _apply(qcols, op[x][y], -1)
-                _check_hits(coll, axiom, (x, y), hits, n)
-    for x in range(n):
-        for y in range(n):
-            xy = dot[x][y]
-            for z in range(n):
-                hits = _apply(br[x], dot[y][z]) + _apply(br[y], dot[z][x]) + _apply(br[z], xy)
-                hits += _apply(qcols, _apply(fdot[z], xy))
-                _check_hits(coll, "dual-adjoint-cyclic", (x, y, z), hits, n)
+    _sweep(coll, _DUAL_ADJOINT, alg.dim, **tables)
+    _sweep(coll, _DUAL_ADJOINT_CYCLIC, alg.dim, **tables)
     return coll.report()
 
 
@@ -328,6 +286,14 @@ def semidirect_product(alg: RelPoissonAlgebra, rep: RepData) -> RelPoissonAlgebr
     return _semidirect(rep)
 
 
+# phi a - b phi for each pair (a, b) of matrices rep1 and rep2 assign alike
+_INTERTWINE = (
+    ("dot", "k", "rc", "MU:kct,P:tr - P:ct,NU:ktr"),
+    ("bracket", "k", "rc", "RHO:kct,P:tr - P:ct,SIGMA:ktr"),
+    ("endo", "", "rc", "AL:ct,P:tr - P:ct,BE:tr"),
+)
+
+
 def check_rep_equivalence(rep1: RepData, rep2: RepData, phi: LinearMap) -> bool:
     """True iff phi is invertible and intertwines mu, rho and alpha."""
     if rep1.algebra.space != rep2.algebra.space:
@@ -338,13 +304,10 @@ def check_rep_equivalence(rep1: RepData, rep2: RepData, phi: LinearMap) -> bool:
         return False
     if not determinant(phi.entries):
         return False
-    m, pc, pf = phi.domain.dim, phi._cols, _flat(phi._cols)
-    pairs = [*zip(rep1._mu, rep2._mu), *zip(rep1._rho, rep2._rho), (rep1._alpha, rep2._alpha)]
-    # phi a - b phi, with phi applied to the row slot of a's flat hits
-    return not any(
-        any(_dense(_on_slot(pc, _flat(a), m, m) + _on_slot(b, pf, m, m, -1), m * m))
-        for a, b in pairs
-    )
+    tables = dict(MU=rep1._mu, NU=rep2._mu, RHO=rep1._rho, SIGMA=rep2._rho, P=phi)
+    coll = Collector(0)
+    _sweep(coll, _INTERTWINE, phi.domain.dim, AL=rep1._alpha, BE=rep2._alpha, **tables)
+    return coll.ok
 
 
 def check_jacobi_representation(
@@ -363,27 +326,21 @@ def check_jacobi_representation(
     """
     if dot.space != bracket.space:
         raise ValueError("dot and bracket live on different spaces")
-    n, m = dot.space.dim, module.dim
-    mu, rho = _with_flats(*_families(n, m, dot_action, bracket_action))
+    mu, rho = _families(dot.space.dim, module.dim, dot_action, bracket_action)
+    return _jacobi_representation(dot, bracket, mu, rho, module.dim, limit)
+
+
+def _jacobi_representation(dot, bracket, mu, rho, m: int, limit: int = DEFAULT_VIOLATION_LIMIT):
+    """:func:`check_jacobi_representation` on stored action families."""
     unit = find_unit(dot)
     if unit is None:
         raise NoUnitError("multiplication has no two-sided unit")
-    unit_sp = [(k, u) for k, u in enumerate(unit) if u]
-    rho_unit = _apply(rho[1], unit_sp)
-    ad_unit = ad_map(bracket, unit)._cols
+    hits = [(k, u) for k, u in enumerate(unit) if u]
+    identity = tuple(((c, ONE),) for c in range(m))
     coll = Collector(limit)
-    hits = _apply(mu[1], unit_sp) + [(r * m + r, -ONE) for r in range(m)]
-    _check_hits(coll, "dot-action-unital", (), hits, m * m)
-    for i in range(n):
-        for j in range(n):
-            dot_hits, bracket_hits, compat = _action_defects(
-                dot, bracket, mu, rho, ad_unit, i, j, m
-            )
-            _check_hits(coll, "dot-action", (i, j), dot_hits, m * m)
-            _check_hits(coll, "bracket-action", (i, j), bracket_hits, m * m)
-            hits = _leibniz(mu, rho, dot._sparse[i][j], i, j, rho_unit, m)
-            _check_hits(coll, "unital-action-leibniz", (i, j), hits, m * m)
-            _check_hits(coll, "unital-compatibility", (i, j), compat, m * m)
+    _sweep(coll, _UNITAL, m, U=hits, MU=mu, I=identity)
+    tables = dict(M=dot, B=bracket, U=hits, W=ad_map(bracket, unit), MU=mu, RHO=rho)
+    _sweep(coll, _JACOBI_ACTIONS, m, **tables)
     return coll.report()
 
 

@@ -2,17 +2,16 @@
 relative Poisson YBE, coboundary comultiplications, the full coboundary
 condition sweep, and O-operators.
 
-Tensors are swept as sparse hits in the flat-index convention of
-:mod:`relpoisson.algebra`; the columns of L(x) and ad(x) are the rows
-``dot._sparse[x]`` and ``bracket._sparse[x]`` of the products' stored
-forms.  The three contraction patterns
+Every condition family is a term spec swept by :func:`relpoisson.algebra._sweep`:
+a signed sum of products of the stored tables of r, the products and the
+maps.  The three contraction patterns
 
     r12 * r13 = sum a_i * a_j (x) b_i (x) b_j
     r12 * r23 = sum a_i (x) b_i * a_j (x) b_j
     r13 * r23 = sum a_i (x) a_j (x) b_i * b_j
 
-are written once, in :func:`_pairings`; they are the most sign-sensitive
-spot in the whole package.
+are written once, as the three terms of ``_AYBE`` and ``_CYBE``; they are
+the most sign-sensitive spot in the whole package.
 """
 
 from __future__ import annotations
@@ -26,12 +25,9 @@ from .algebra import (
     Collector,
     PreconditionError,
     RelPoissonAlgebra,
-    _apply,
-    _check_hits,
+    _contract,
     _dense,
-    _flat,
-    _on_slot,
-    _swap,
+    _sweep,
 )
 from .coalgebra import Comultiplication
 from .linalg import (
@@ -50,7 +46,6 @@ from .representations import (
     RepData,
     _beta_columns,
     _semidirect,
-    _with_flats,
     check_dual_rep_conditions,
     check_dually_represents,
     check_representation,
@@ -62,26 +57,33 @@ def is_antisymmetric(r: Tensor2) -> bool:
     return r.coeffs == mat_neg(mat_transpose(r.coeffs))
 
 
-def _pairings(r: Tensor2, op: BilinearOp):
-    """The hits of r12.r13, r12.r23 and r13.r23 through a product."""
-    n, sp = op.space.dim, op._sparse
-    ent = r._hits
-    pairs = [(*divmod(f, n), *divmod(g, n), x * y) for f, x in ent for g, y in ent]
-    return (
-        [((k * n + v) * n + z, c * p) for u, v, w, z, c in pairs for k, p in sp[u][w]],
-        [((u * n + k) * n + z, c * p) for u, v, w, z, c in pairs for k, p in sp[v][w]],
-        [((u * n + w) * n + k, c * p) for u, v, w, z, c in pairs for k, p in sp[v][z]],
-    )
-
-
-def _aybe_terms(r: Tensor2, dot: BilinearOp):
-    t12_13, t12_23, t13_23 = _pairings(r, dot)
-    return t12_13 + [(f, -v) for f, v in t12_23] + t13_23
-
-
-def _cybe_terms(r: Tensor2, bracket: BilinearOp):
-    t12_13, t12_23, t13_23 = _pairings(r, bracket)
-    return t12_13 + t12_23 + t13_23
+# R is the tensor r, M the dot, B the bracket, D the derivation P, Q the
+# dual map; a defect "abc" is the coefficient of e_a (x) e_b (x) e_c.  The
+# three terms of A(r) and C(r) are r12.r13, r12.r23 and r13.r23, the most
+# sign-sensitive spot in the whole package.
+_AYBE = "R:ub,R:wc,M:uwa - R:av,R:wc,M:vwb + R:av,R:bz,M:vzc"
+_CYBE = "R:ub,R:wc,B:uwa + R:av,R:wc,B:vwb + R:av,R:bz,B:vzc"
+_RPYBE = (
+    ("aybe", "", "abc", _AYBE),
+    ("cybe", "", "abc", _CYBE),
+    # (P (x) id - id (x) Q) r and (Q (x) id - id (x) P) r
+    ("intertwine-derivation", "", "ab", "R:tb,D:ta - R:at,Q:tb"),
+    ("intertwine-coderivation", "", "ab", "R:tb,Q:ta - R:at,D:tb"),
+)
+# r13.r23 + sign r12.r23 - r12.r23 with its first two slots swapped, at
+# (a, b, s), for sign 1 through the bracket and -1 through the dot
+_OPERATOR = (
+    ("operator-cybe", "ab", "s", "R:av,R:bz,B:vzs + R:av,R:ws,B:vwb - R:bv,R:ws,B:vwa"),
+    ("operator-aybe", "ab", "s", "R:av,R:bz,M:vzs - R:av,R:ws,M:vwb - R:bv,R:ws,M:vwa"),
+)
+# P r - r Q* for the map r: A* -> A
+_OPERATOR_INTERTWINE = (("operator-intertwine", "", "ab", "R:bt,D:ta - R:ta,Q:tb"),)
+_COBOUNDARY = (
+    # Delta(x) = (id (x) L(x) - L(x) (x) id) r
+    ("dot", "k", "ij", "R:it,M:ktj - R:tj,M:kti"),
+    # delta(x) = (ad(x) (x) id + id (x) ad(x)) r
+    ("bracket", "k", "ij", "R:tj,B:kti + R:it,B:ktj"),
+)
 
 
 def _require_on(alg: RelPoissonAlgebra, r: Tensor2, codrv: LinearMap | None = None):
@@ -95,18 +97,21 @@ def aybe_tensor(r: Tensor2, dot: BilinearOp) -> Tensor3:
     """A(r) = r12.r13 - r12.r23 + r13.r23."""
     if r.left != dot.space or r.right != dot.space:
         raise ValueError("tensor and multiplication live on different spaces")
-    return _tensor3(_aybe_terms(r, dot), dot.space)
+    return _tensor3(_AYBE, r, M=dot)
 
 
 def cybe_tensor(r: Tensor2, bracket: BilinearOp) -> Tensor3:
     """C(r) = [r12, r13] + [r12, r23] + [r13, r23]."""
     if r.left != bracket.space or r.right != bracket.space:
         raise ValueError("tensor and bracket live on different spaces")
-    return _tensor3(_cybe_terms(r, bracket), bracket.space)
+    return _tensor3(_CYBE, r, B=bracket)
 
 
-def _tensor3(hits, sp) -> Tensor3:
-    return Tensor3((sp, sp, sp), _dense(hits, sp.dim, sp.dim, sp.dim))
+def _tensor3(terms: str, r: Tensor2, **tables) -> Tensor3:
+    sp, n = r.left, r.left.dim
+    (out,) = _contract((("", "", "abc", terms),), dict(R=r, **tables))
+    hits = [((a * n + b) * n + c, v) for (a, b, c), v in out.items()]
+    return Tensor3((sp, sp, sp), _dense(hits, n, n, n))
 
 
 def check_rpybe(
@@ -119,15 +124,9 @@ def check_rpybe(
     A(r) = 0, C(r) = 0, (P (x) id - id (x) Q) r = 0 and
     (Q (x) id - id (x) P) r = 0."""
     _require_on(alg, r, codrv)
-    n = alg.dim
-    p, q, ent = alg.derivation._cols, codrv._cols, r._hits
     coll = Collector(limit)
-    _check_hits(coll, "aybe", (), _aybe_terms(r, alg.dot), n**3)
-    _check_hits(coll, "cybe", (), _cybe_terms(r, alg.bracket), n**3)
-    hits = _on_slot(p, ent, n, n) + _on_slot(q, ent, n, 1, -1)
-    _check_hits(coll, "intertwine-derivation", (), hits, n * n)
-    hits = _on_slot(q, ent, n, n) + _on_slot(p, ent, n, 1, -1)
-    _check_hits(coll, "intertwine-coderivation", (), hits, n * n)
+    tables = dict(R=r, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv)
+    _sweep(coll, _RPYBE, alg.dim, **tables)
     return coll.report()
 
 
@@ -149,23 +148,10 @@ def check_rpybe_via_maps(
     _require_on(alg, r, codrv)
     if not is_antisymmetric(r):
         raise PreconditionError("tensor is not antisymmetric")
-    n = alg.dim
     coll = Collector(limit)
-    families = []
-    for axiom, op, sign in (("operator-cybe", alg.bracket, 1), ("operator-aybe", alg.dot, -1)):
-        _t12_13, t12_23, t13_23 = _pairings(r, op)
-        hits = t13_23 + [(f, sign * v) for f, v in t12_23] + _swap(t12_23, n, n, -1)
-        by_pair = {}
-        for f, v in hits:
-            by_pair.setdefault(f // n, []).append((f % n, v))
-        families.append((axiom, by_pair))
-    for pair in sorted(set().union(*(by_pair for _, by_pair in families))):
-        for axiom, by_pair in families:
-            _check_hits(coll, axiom, divmod(pair, n), by_pair.get(pair), n)
-    p, q = alg.derivation._cols, codrv._cols
-    rm = _swap(r._hits, n, 1)  # the map A* -> A
-    hits = _on_slot(p, rm, n, n) + _on_slot(q, rm, n, 1, -1)
-    _check_hits(coll, "operator-intertwine", (), hits, n * n)
+    tables = dict(R=r, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv)
+    _sweep(coll, _OPERATOR, alg.dim, **tables)
+    _sweep(coll, _OPERATOR_INTERTWINE, alg.dim, **tables)
     return coll.report()
 
 
@@ -178,19 +164,62 @@ def coboundary_comults(
         delta(x) = (ad(x) (x) id + id (x) ad(x)) r
     """
     _require_on(alg, r)
-    n = alg.dim
-    ent = r._hits
-    dot_entries, br_entries = [], []
-    for k in range(n):
-        lx, adx = alg.dot._sparse[k], alg.bracket._sparse[k]
-        delta = _on_slot(lx, ent, n, 1) + _on_slot(lx, ent, n, n, -1)
-        dot_entries += [(f // n, f % n, k, v) for f, v in delta]
-        delta = _on_slot(adx, ent, n, n) + _on_slot(adx, ent, n, 1)
-        br_entries += [(f // n, f % n, k, v) for f, v in delta]
+    dot, bracket = _contract(_COBOUNDARY, dict(R=r, M=alg.dot, B=alg.bracket))
     return (
-        Comultiplication.from_entries(alg.space, dot_entries),
-        Comultiplication.from_entries(alg.space, br_entries),
+        Comultiplication.from_entries(alg.space, [(i, j, k, v) for (k, i, j), v in dot.items()]),
+        Comultiplication.from_entries(alg.space, [(i, j, k, v) for (k, i, j), v in bracket.items()]),
     )
+
+
+# The coboundary condition families at x, in the terms above and with
+#   A = A(r), C = C(r), S = r + tau(r),
+#   s_pq = (id (x) P - Q (x) id) r = "R:au,D:ub - R:ub,Q:ua",
+#   s_qp = (id (x) Q - P (x) id) r = "R:au,Q:ub - R:ub,D:ua".
+_COBOUNDARY_CONDITIONS = (
+    # (L(x) (x) id - id (x) L(x)) S, with the signs of the slots swapped
+    ("aybe-symmetric-part", "x", "ab", "R:at,M:xtb + R:ta,M:xtb - R:tb,M:xta - R:bt,M:xta"),
+    # (id (x) id (x) L(x) - L(x) (x) id (x) id) A
+    ("aybe-cocycle", "x", "abc", "R:ub,R:wt,M:uwa,M:xtc - R:av,R:wt,M:vwb,M:xtc"
+     " + R:av,R:bz,M:vzt,M:xtc - R:ub,R:wc,M:uwt,M:xta + R:tv,R:wc,M:vwb,M:xta"
+     " - R:tv,R:bz,M:vzc,M:xta"),
+    # (ad(x) (x) id + id (x) ad(x)) S
+    ("cybe-symmetric-part", "x", "ab", "R:tb,B:xta + R:bt,B:xta + R:at,B:xtb + R:ta,B:xtb"),
+    # ad(x) on each slot of C
+    ("cybe-cocycle", "x", "abc", "R:ub,R:wc,B:uwt,B:xta + R:tv,R:wc,B:vwb,B:xta"
+     " + R:tv,R:bz,B:vzc,B:xta + R:ut,R:wc,B:uwa,B:xtb + R:av,R:wc,B:vwt,B:xtb"
+     " + R:av,R:tz,B:vzc,B:xtb + R:ub,R:wt,B:uwa,B:xtc + R:av,R:wt,B:vwb,B:xtc"
+     " + R:av,R:bz,B:vzt,B:xtc"),
+    # the seven mixed conditions; (id (x) L(x)) s_pq + (L(x) (x) id) s_qp
+    ("mixed-coderivation-dot", "x", "ab", "R:au,D:ut,M:xtb - R:ut,Q:ua,M:xtb"
+     " + R:tu,Q:ub,M:xta - R:ub,D:ut,M:xta"),
+    # (id (x) ad(x)) s_pq - (ad(x) (x) id) s_qp
+    ("mixed-coderivation-bracket", "x", "ab", "R:au,D:ut,B:xtb - R:ut,Q:ua,B:xtb"
+     " - R:tu,Q:ub,B:xta + R:ub,D:ut,B:xta"),
+    # (ad(x) (x) id (x) id) A + (id (x) id (x) L(x)) ((Q (x) id (x) id) A + C)
+    # - (id (x) L(x) (x) id) C + sum r_bv (id (x) e_b (x) L(x.v)) s_pq
+    # + sum r_uc [(ad(u) (x) id)(L(x) (x) id - id (x) L(x)) S - (id (x) L(x.u)) s_pq] (x) e_c
+    ("mixed-co-leibniz", "x", "abc", "R:ub,R:wc,M:uwt,B:xta - R:tv,R:wc,M:vwb,B:xta"
+     " + R:tv,R:bz,M:vzc,B:xta + R:ub,R:wt,M:uwp,Q:pa,M:xtc - R:pv,R:wt,M:vwb,Q:pa,M:xtc"
+     " + R:pv,R:bz,M:vzt,Q:pa,M:xtc + R:ub,R:wt,B:uwa,M:xtc + R:av,R:wt,B:vwb,M:xtc"
+     " + R:av,R:bz,B:vzt,M:xtc - R:ut,R:wc,B:uwa,M:xtb - R:av,R:wc,B:vwt,M:xtb"
+     " - R:av,R:tz,B:vzc,M:xtb + R:bv,M:xvt,R:ap,D:pw,M:twc - R:bv,M:xvt,R:pw,Q:pa,M:twc"
+     " + R:uc,B:uwa,R:tb,M:xtw + R:uc,B:uwa,R:bt,M:xtw - R:uc,B:uwa,R:wt,M:xtb"
+     " - R:uc,B:uwa,R:tw,M:xtb - R:uc,M:xut,R:ap,D:pw,M:twb + R:uc,M:xut,R:pw,Q:pa,M:twb"),
+    # (id (x) L(x) - L(x) (x) id) s_qp
+    ("mixed-comult-intertwine-dot", "x", "ab", "R:au,Q:ut,M:xtb - R:ut,D:ua,M:xtb"
+     " - R:tu,Q:ub,M:xta + R:ub,D:ut,M:xta"),
+    # (ad(x) (x) id + id (x) ad(x)) s_qp
+    ("mixed-comult-intertwine-bracket", "x", "ab", "R:tu,Q:ub,B:xta - R:ub,D:ut,B:xta"
+     " + R:au,Q:ut,B:xtb - R:ut,D:ua,B:xtb"),
+    # L((P + Q) x) on the last slot of A
+    ("mixed-triple-product", "x", "abc", "R:ub,R:wp,M:uwa,D:xt,M:tpc"
+     " - R:av,R:wp,M:vwb,D:xt,M:tpc + R:av,R:bz,M:vzp,D:xt,M:tpc + R:ub,R:wp,M:uwa,Q:xt,M:tpc"
+     " - R:av,R:wp,M:vwb,Q:xt,M:tpc + R:av,R:bz,M:vzp,Q:xt,M:tpc"),
+)
+# L(x.y) on the first slot of s_qp
+_UNIT_COMPAT = (
+    ("mixed-unit-compat", "xy", "ab", "M:xyt,R:wu,Q:ub,M:twa - M:xyt,R:ub,D:uw,M:twa"),
+)
 
 
 def check_coboundary_conditions(
@@ -211,57 +240,10 @@ def check_coboundary_conditions(
             f"{', '.join(pre.axioms_failed())}",
             pre,
         )
-    n, n2, n3 = alg.dim, alg.dim**2, alg.dim**3
-    dot, br = alg.dot._sparse, alg.bracket._sparse
-    p, q, ent = alg.derivation._cols, codrv._cols, r._hits
-    sym = [*ent, *_swap(ent, n, 1)]  # r + tau(r)
-    a3, c3 = _aybe_terms(r, alg.dot), _cybe_terms(r, alg.bracket)
-    s_pq = _on_slot(p, ent, n, 1) + _on_slot(q, ent, n, n, -1)  # (id(x)P - Q(x)id) r
-    s_qp = _on_slot(q, ent, n, 1) + _on_slot(p, ent, n, n, -1)  # (id(x)Q - P(x)id) r
-    qa3 = _on_slot(q, a3, n, n2)  # (Q (x) id (x) id) A
-    # L(u) on a slot is the sum of u_t L(e_t) on it
     coll = Collector(limit)
-    for x in range(n):
-        lx, adx = dot[x], br[x]
-        # mixed co-Leibniz, with S_x = (L(x) (x) id - id (x) L(x))(r + tau(r)):
-        #   (ad(x) (x) id (x) id) A + (id (x) id (x) L(x)) ((Q (x) id (x) id) A + C)
-        #   - (id (x) L(x) (x) id) C + sum r_uv (id (x) e_u (x) L(x.v)) s_pq
-        #   + sum r_uv [(ad(u) (x) id) S_x - (id (x) L(x.u)) s_pq] (x) e_v
-        co_leibniz = _on_slot(adx, a3, n, n2) + _on_slot(lx, qa3 + c3, n, 1)
-        co_leibniz += _on_slot(lx, c3, n, n, -1)
-        sym_x = _on_slot(lx, sym, n, n) + _on_slot(lx, sym, n, 1, -1)
-        for f, c in ent:
-            u, v = divmod(f, n)
-            hits = [h for t, d in dot[x][v] for h in _on_slot(dot[t], s_pq, n, 1, d)]
-            co_leibniz += [((g // n * n + u) * n + g % n, c * w) for g, w in hits]
-            hits = _on_slot(br[u], sym_x, n, n)
-            hits += [h for t, d in dot[x][u] for h in _on_slot(dot[t], s_pq, n, 1, -d)]
-            co_leibniz += [(g * n + v, c * w) for g, w in hits]
-        cybe_cocycle = _on_slot(adx, c3, n, n2) + _on_slot(adx, c3, n, n) + _on_slot(adx, c3, n, 1)
-        coder_bracket = _on_slot(adx, s_pq, n, 1) + _on_slot(adx, s_qp, n, n, -1)
-        intertwine_dot = _on_slot(lx, s_qp, n, 1) + _on_slot(lx, s_qp, n, n, -1)
-        intertwine_bracket = _on_slot(adx, s_qp, n, n) + _on_slot(adx, s_qp, n, 1)
-        # L((P + Q) x) on the last slot of A
-        triple = [h for t, d in p[x] + q[x] for h in _on_slot(dot[t], a3, n, 1, d)]
-        families = (
-            ("aybe-symmetric-part", n2, _on_slot(lx, sym, n, 1) + _on_slot(lx, sym, n, n, -1)),
-            ("aybe-cocycle", n3, _on_slot(lx, a3, n, 1) + _on_slot(lx, a3, n, n2, -1)),
-            ("cybe-symmetric-part", n2, _on_slot(adx, sym, n, n) + _on_slot(adx, sym, n, 1)),
-            ("cybe-cocycle", n3, cybe_cocycle),
-            # the seven mixed conditions
-            ("mixed-coderivation-dot", n2, _on_slot(lx, s_pq, n, 1) + _on_slot(lx, s_qp, n, n)),
-            ("mixed-coderivation-bracket", n2, coder_bracket),
-            ("mixed-co-leibniz", n3, co_leibniz),
-            ("mixed-comult-intertwine-dot", n2, intertwine_dot),
-            ("mixed-comult-intertwine-bracket", n2, intertwine_bracket),
-            ("mixed-triple-product", n3, triple),
-        )
-        for axiom, size, hits in families:
-            _check_hits(coll, axiom, (x,), hits, size)
-    for x in range(n):
-        for y in range(n):
-            hits = [h for t, d in dot[x][y] for h in _on_slot(dot[t], s_qp, n, n, d)]
-            _check_hits(coll, "mixed-unit-compat", (x, y), hits, n2)
+    tables = dict(R=r, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv)
+    _sweep(coll, _COBOUNDARY_CONDITIONS, alg.dim, **tables)
+    _sweep(coll, _UNIT_COMPAT, alg.dim, **tables)
     return coll.report()
 
 
@@ -275,6 +257,17 @@ class OOperator:
 
     rep: RepData
     operator: LinearMap
+
+
+# T is the operator, MU, RHO the actions, E the endomorphism of the module
+_O_OPERATOR = (
+    # T(u).T(v) - T(mu(T u) v + mu(T v) u)
+    ("operator-dot", "ab", "k", "T:at,T:bs,M:tsk - T:at,MU:tbs,T:sk - T:bt,MU:tas,T:sk"),
+    # [T u, T v] - T(rho(T u) v - rho(T v) u)
+    ("operator-bracket", "ab", "k", "T:at,T:bs,B:tsk - T:at,RHO:tbs,T:sk + T:bt,RHO:tas,T:sk"),
+)
+# D T - T endo, row p and column c of an n-by-m matrix
+_O_INTERTWINE = (("operator-intertwine", "", "pc", "T:cr,D:rp - E:cr,T:rp"),)
 
 
 def check_weak_o_operator(
@@ -294,33 +287,20 @@ def check_weak_o_operator(
         raise ValueError("operator does not map the module into the algebra")
     if cs.algebra.space != alg.space:
         raise ValueError("representation does not act for the given algebra")
-    n, m = alg.dim, cs.space.dim
-    endo_hits = _flat(_columns(endo, m, m, "endo is not an endomorphism of the module"))
-    tcols, mu, rho = operator._cols, cs._mu, cs._rho
-
-    def product(sp, a, b):
-        """Hits of T(e_a) T(e_b) through a product with sparse view sp."""
-        return [(k, c * d * p) for t, c in tcols[a] for s, d in tcols[b] for k, p in sp[t][s]]
-
-    def pulled(act, a, b, scale):
-        """Hits of scale * T(act(T e_a) e_b)."""
-        return [
-            (k, scale * c * y * z) for t, c in tcols[a] for s, y in act[t][b] for k, z in tcols[s]
-        ]
-
+    m = cs.space.dim
+    endo = _columns(endo, m, m, "endo is not an endomorphism of the module")
+    tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, T=operator, E=endo)
     coll = Collector(limit)
-    for a in range(m):
-        for b in range(m):
-            hits = product(alg.dot._sparse, a, b) + pulled(mu, a, b, -1) + pulled(mu, b, a, -1)
-            _check_hits(coll, "operator-dot", (a, b), hits, n)
-            hits = product(alg.bracket._sparse, a, b) + pulled(rho, a, b, -1)
-            hits += pulled(rho, b, a, 1)
-            _check_hits(coll, "operator-bracket", (a, b), hits, n)
-    # D T - T endo, on the flat hits of the n-by-m matrix T and of endo
-    hits = _on_slot(alg.derivation._cols, _flat(tcols), n, m)
-    hits += _on_slot(tcols, endo_hits, m, m, -1, n)
-    _check_hits(coll, "operator-intertwine", (), hits, n * m)
+    _sweep(coll, _O_OPERATOR, alg.dim, MU=cs._mu, RHO=cs._rho, **tables)
+    _sweep(coll, _O_INTERTWINE, {"p": alg.dim, "c": m}, **tables)
     return coll.report()
+
+
+# act(Q x) - act(x) alpha - beta act(x)
+_MIXED_ACTION = (
+    ("mixed-action-dot", "x", "rc", "Q:xt,MU:tcr - AL:ct,MU:xtr - MU:xct,BE:tr"),
+    ("mixed-action-bracket", "x", "rc", "Q:xt,RHO:tcr - AL:ct,RHO:xtr - RHO:xct,BE:tr"),
+)
 
 
 def check_semidirect_dual_conditions(
@@ -338,20 +318,13 @@ def check_semidirect_dual_conditions(
         rho(Q x) - rho(x) alpha - beta rho(x) = 0.
     """
     alg = rep.algebra
-    n, m = alg.dim, rep.space.dim
+    m = rep.space.dim
     coll = Collector(limit)
     coll.merge(check_representation(rep, limit), "rep:")
     coll.merge(check_dual_rep_conditions(rep, beta, limit), "beta:")
     coll.merge(check_dually_represents(alg, codrv, limit), "codrv:")
-    mu, rho = _with_flats(rep._mu, rep._rho)
-    alpha_f, qcols = _flat(rep._alpha), codrv._cols
-    beta_c = _beta_columns(beta, m)
-    for x in range(n):
-        for axiom, (act_c, act_f) in (("mixed-action-dot", mu), ("mixed-action-bracket", rho)):
-            # act(Q x) - act(x) alpha - beta act(x)
-            hits = _apply(act_f, qcols[x]) + _on_slot(act_c[x], alpha_f, m, m, -1)
-            hits += _on_slot(beta_c, act_f[x], m, m, -1)
-            _check_hits(coll, axiom, (x,), hits, m * m)
+    tables = dict(Q=codrv, MU=rep._mu, RHO=rep._rho, AL=rep._alpha, BE=_beta_columns(beta, m))
+    _sweep(coll, _MIXED_ACTION, m, **tables)
     return coll.report()
 
 

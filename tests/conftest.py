@@ -4,6 +4,7 @@ and deterministic single-constant perturbations."""
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from relpoisson import (
     frobenius_jacobi_pipeline,
     subadjacent,
 )
+from relpoisson.algebra import _derived_product
 from relpoisson.linalg import mat_neg
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -71,6 +73,29 @@ def zinbiel2():
     star = op(sp, [(0, 0, 1, 1)])
     der = linmap(sp, ((1, 0), (1, 2)))
     return star, der
+
+
+def free_zinbiel(m, lower=False):
+    """The truncated free Zinbiel algebra on one generator, x_i * x_j =
+    C(i+j-1, i) x_(i+j) for i + j <= m, with D(x_i) = i x_i.  With
+    ``lower`` the binomial is C(i+j-1, i-1), which breaks the Zinbiel
+    identity.  Every product with i + j <= m is nonzero, so this is far
+    denser than the worked input."""
+    sp = Space.of_dim(m)
+    entries = [
+        (i - 1, j - 1, i + j - 1, comb(i + j - 1, i - 1 if lower else i))
+        for i in range(1, m + 1)
+        for j in range(1, m + 1 - i)
+    ]
+    der = linmap(sp, [[k + 1 if r == k else 0 for k in range(m)] for r in range(m)])
+    return op(sp, entries), der
+
+
+def free_zinbiel_prepoisson(m, lower=False) -> RelPrePoissonAlgebra:
+    """The relative pre-Poisson quadruple of :func:`free_zinbiel`, with
+    circ x*D(y) - D(x)*y built without the Zinbiel precondition."""
+    star, der = free_zinbiel(m, lower)
+    return RelPrePoissonAlgebra(star.space, star, _derived_product(star, der), der)
 
 
 def prepoisson_from_zinbiel(star, der) -> RelPrePoissonAlgebra:
@@ -183,3 +208,9 @@ def worked_bialgebra(worked_pipeline):
 @pytest.fixture(scope="session")
 def worked_double(worked_pipeline):
     return worked_pipeline[1]
+
+
+@pytest.fixture(scope="session")
+def free_zinbiel_pipeline():
+    """The full pipeline on the truncated free Zinbiel algebra at m = 6."""
+    return frobenius_jacobi_pipeline(free_zinbiel_prepoisson(6))

@@ -1,6 +1,8 @@
 """Axiom checkers for products, derivations, and the relative Leibniz rule."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -317,3 +319,24 @@ def test_block_sum_matches_defining_formulas(inputs):
             br = _add(_mul(left.bracket, x, y), _act(rho2, a, y), _neg(_act(rho2, b, x)))
             br += _add(_mul(right.bracket, a, b), _act(rho1, x, b), _neg(_act(rho1, y, a)))
             assert list(total.bracket.product(p, q)) == br
+
+
+# Every axiom family is a term spec swept by algebra._sweep, except these,
+# whose reports the term form cannot reproduce: antisymmetry reports only
+# i <= j and counts the diagonal once, and the Manin triple's block and
+# nondegeneracy checks compare against a sub-structure or a determinant.
+HAND_LOOPS = {"algebra.py": {"_sweep", "check_lie"}, "pairing.py": {"check_manin_triple"}}
+SRC = Path(__file__).resolve().parent.parent / "src" / "relpoisson"
+
+
+def test_collector_check_only_in_the_sweep_and_the_hand_loops():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = HAND_LOOPS.get(path.name, set())
+        for top in tree.body:
+            for node in ast.walk(top):
+                call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                if call and node.func.attr == "check" and getattr(top, "name", None) not in allowed:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"Collector.check outside the sweep and the listed hand loops: {found}"

@@ -37,7 +37,13 @@ from relpoisson import (
 from relpoisson.linalg import mat_neg
 
 import dense_reference as ref
-from conftest import neg_map, rel_poisson_corpus, tensor, worked_prepoisson
+from conftest import (
+    free_zinbiel_prepoisson,
+    neg_map,
+    rel_poisson_corpus,
+    tensor,
+    worked_prepoisson,
+)
 from test_acceptance import coboundary_corpus
 
 LIMITS = (16, 10**6)
@@ -192,12 +198,24 @@ def _with_derivation(alg, der):
     return RelPoissonAlgebra(alg.space, alg.dot, alg.bracket, der)
 
 
+def with_free_zinbiel(bumps):
+    """(pipeline fixture, bump) cases: every bump of the worked pipeline's
+    output under its old id, then every bump of the denser truncated free
+    Zinbiel pipeline at m = 6."""
+    worked = [pytest.param("worked_pipeline", field, id=str(field)) for field in bumps]
+    free = [
+        pytest.param("free_zinbiel_pipeline", field, id=f"free-zinbiel-6-{field}")
+        for field in bumps
+    ]
+    return worked + free
+
+
 BIALGEBRA_BUMPS = (None, "dot_comult", "bracket_comult", "dual_derivation", "derivation")
 
 
-@pytest.mark.parametrize("field", BIALGEBRA_BUMPS)
-def test_bialgebra_checkers_match_reference_on_worked(worked_bialgebra, field):
-    data = worked_bialgebra
+@pytest.mark.parametrize("source, field", with_free_zinbiel(BIALGEBRA_BUMPS))
+def test_bialgebra_checkers_match_reference_on_worked(request, source, field):
+    data = request.getfixturevalue(source)[0]
     if field == "derivation":
         alg = data.algebra
         data = replace(data, algebra=_with_derivation(alg, _bump(alg.derivation)))
@@ -214,9 +232,9 @@ def test_bialgebra_checkers_match_reference_on_worked(worked_bialgebra, field):
 REP_BUMPS = (None, "dot_action", "bracket_action", "der_action")
 
 
-@pytest.mark.parametrize("field", REP_BUMPS)
-def test_representation_checkers_match_reference_on_worked(worked_bialgebra, field):
-    alg = worked_bialgebra.algebra
+@pytest.mark.parametrize("source, field", with_free_zinbiel(REP_BUMPS))
+def test_representation_checkers_match_reference_on_worked(request, source, field):
+    alg = request.getfixturevalue(source)[0].algebra
     rep = adjoint_rep(alg)
     if field is not None:
         rep = replace(rep, **{field: _bump(getattr(rep, field))})
@@ -243,10 +261,11 @@ PAIR_BUMPS = (
 )
 
 
-@pytest.mark.parametrize("field", PAIR_BUMPS)
-def test_manin_triple_matches_reference_on_worked(worked_bialgebra, field):
-    alg, dual = worked_bialgebra.algebra, dual_rel_poisson_algebra(worked_bialgebra)
-    pair = induced_matched_pair(worked_bialgebra)
+@pytest.mark.parametrize("source, field", with_free_zinbiel(PAIR_BUMPS))
+def test_manin_triple_matches_reference_on_worked(request, source, field):
+    bialgebra = request.getfixturevalue(source)[0]
+    alg, dual = bialgebra.algebra, dual_rel_poisson_algebra(bialgebra)
+    pair = induced_matched_pair(bialgebra)
     if field not in (None, "derivation"):
         pair = replace(pair, **{field: _bump(getattr(pair, field))})
     double = combine_matched_pair(pair)
@@ -433,11 +452,20 @@ def test_checkers_match_reference_on_pipeline_semidirect():
 
 
 PP_BUMPS = (None, "star", "circ", "derivation")
+PP_CASES = (
+    [pytest.param(worked_prepoisson, field, id=str(field)) for field in PP_BUMPS]
+    + [
+        pytest.param(lambda: free_zinbiel_prepoisson(6), field, id=f"free-zinbiel-6-{field}")
+        for field in PP_BUMPS
+    ]
+    # the binomial C(i+j-1, i-1) breaks the Zinbiel identity
+    + [pytest.param(lambda: free_zinbiel_prepoisson(6, lower=True), "broken", id="free-zinbiel-6-lower")]
+)
 
 
-@pytest.mark.parametrize("field", PP_BUMPS)
-def test_prepoisson_checkers_match_reference_on_worked(field):
-    pp = worked_prepoisson()
+@pytest.mark.parametrize("source, field", PP_CASES)
+def test_prepoisson_checkers_match_reference_on_worked(source, field):
+    pp = source()
     if field in ("star", "circ"):
         op = getattr(pp, field)
         pp = replace(pp, **{field: BilinearOp(op.space, _bump(op.table))})
@@ -447,3 +475,4 @@ def test_prepoisson_checkers_match_reference_on_worked(field):
     assert_same("check_prelie", pp.circ)
     assert_same("check_rel_pre_poisson", pp)
     assert rp.check_rel_pre_poisson(pp).ok == (field is None)
+    assert field != "broken" or not rp.check_zinbiel(pp.star).ok

@@ -213,6 +213,16 @@ def test_pipeline_byte_identical_to_fractional_golden(tmp_path):
     assert "/" in out.read_text()
 
 
+def test_pipeline_byte_identical_to_dense_golden(tmp_path):
+    # the truncated free Zinbiel algebra at m = 4 has a nonzero product for
+    # every i + j <= 4, denser than the worked input; its golden bytes were
+    # written before the axiom families became term specs
+    out = tmp_path / "double.json"
+    src = FIXTURES / "prepoisson_free_zinbiel_4.json"
+    assert main(["pipeline", str(src), "-o", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / "golden_double_18d_free_zinbiel.json").read_bytes()
+
+
 def test_pipeline_zero_fixture(tmp_path):
     out = tmp_path / "six.json"
     assert main(["pipeline", str(FIXTURES / "prepoisson_zero_1d.json"), "-o", str(out)]) == 0

@@ -200,6 +200,15 @@ def test_shape_mismatch_raises_value_error():
         determinant(((F(1), F(2)),))
 
 
+def test_linear_map_add_rejects_other_spaces():
+    two, three = LinearMap.identity(Space.of_dim(2)), LinearMap.identity(Space.of_dim(3))
+    relabelled = LinearMap.identity(Space.of_dim(2, "f"))
+    for other in (three, relabelled):
+        with pytest.raises(ValueError):
+            two.add(other)
+    assert two.add(two).entries == ((2, 0), (0, 2))
+
+
 def test_solve_exact():
     a = ((F(1), F(2)), (F(0), F(1)), (F(1), F(3)))
     assert solve_exact(a, (F(5), F(2), F(7))) == (1, 2)

@@ -227,8 +227,7 @@ def test_pipeline_reads_no_cubic_dense_view(tmp_path, monkeypatch, capsys, sourc
 
     for cls, name in CUBIC_VIEWS:
         monkeypatch.setattr(cls, name, property(forbidden))
-    # check_jacobi_representation takes its action families dense, so the
-    # pipeline reads them once, on the extended representation only
+    # no dense action family is read either
     reads = []
     for name in ("dot_action", "bracket_action"):
         view = CompatibleStructure.__dict__[name]
@@ -242,4 +241,4 @@ def test_pipeline_reads_no_cubic_dense_view(tmp_path, monkeypatch, capsys, sourc
     assert main(["pipeline", str(FIXTURES / source), "-o", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (FIXTURES / golden).read_bytes()
-    assert reads == [("dot_action", 4, 3), ("bracket_action", 4, 3)]
+    assert reads == []

@@ -31,7 +31,14 @@ from relpoisson.linalg import basis_vector, mat_apply, mat_inverse
 
 import dense_reference as ref
 from matched_pair_reference import reference_check_matched_pair
-from conftest import prepoisson_from_zinbiel, rel_poisson_corpus, zinbiel2, zinbiel3
+from conftest import (
+    free_zinbiel,
+    free_zinbiel_prepoisson,
+    prepoisson_from_zinbiel,
+    rel_poisson_corpus,
+    zinbiel2,
+    zinbiel3,
+)
 from test_checkers_differential import LIMITS, POOLS, assert_same, cases
 
 
@@ -98,15 +105,19 @@ def test_triple_sweeps_truncate_like_dense_reference():
         assert not getattr(rp, name)(*args, limit=10**6).truncated, name
 
 
-def test_triple_sweeps_match_dense_reference_on_pipeline_doubles(worked_double):
-    double = worked_double.algebra
-    assert_same("check_rel_poisson", double)
-    assert_same("check_jacobi_algebra", double.dot, double.bracket)
-    entries = double.bracket.nonzero_entries() + [(3, 5, 7, 1)]
-    bumped = replace(double, bracket=BilinearOp.from_entries(double.space, entries))
-    assert_same("check_rel_poisson", bumped)
-    assert_same("check_jacobi_algebra", bumped.dot, bumped.bracket)
-    assert not rp.check_rel_poisson(bumped).ok
+def test_triple_sweeps_match_dense_reference_on_pipeline_doubles(
+    worked_double, free_zinbiel_pipeline
+):
+    # the worked 14-dim double and the denser 26-dim one of the truncated
+    # free Zinbiel algebra at m = 6
+    for double in (worked_double.algebra, free_zinbiel_pipeline[1].algebra):
+        assert_same("check_rel_poisson", double)
+        assert_same("check_jacobi_algebra", double.dot, double.bracket)
+        entries = double.bracket.nonzero_entries() + [(3, 5, 7, 1)]
+        bumped = replace(double, bracket=BilinearOp.from_entries(double.space, entries))
+        assert_same("check_rel_poisson", bumped)
+        assert_same("check_jacobi_algebra", bumped.dot, bumped.bracket)
+        assert not rp.check_rel_poisson(bumped).ok
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +167,10 @@ def test_find_unit_matches_dense_solver():
     assert off_basis > 10
 
 
-def test_find_unit_on_pipeline_double(worked_double):
-    dot = worked_double.algebra.dot
-    assert find_unit(dot) == ref.find_unit(dot) == basis_vector(dot.space.dim, 0)
+def test_find_unit_on_pipeline_double(worked_double, free_zinbiel_pipeline):
+    for double in (worked_double, free_zinbiel_pipeline[1]):
+        dot = double.algebra.dot
+        assert find_unit(dot) == ref.find_unit(dot) == basis_vector(dot.space.dim, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +319,11 @@ def test_structure_constant_builders_match_dense_builders_on_worked(worked_bialg
     for star, der in (zinbiel2(), zinbiel3(), zinbiel3(1, 0), zinbiel3(2, -1, 3, 1)):
         assert_same_build(circ_from_derivation, star, der)
         assert_same_build(subadjacent, prepoisson_from_zinbiel(star, der))
+    # the dense truncated free Zinbiel algebra, and its variant that both
+    # builders reject
+    for lower in (False, True):
+        assert_same_build(circ_from_derivation, *free_zinbiel(6, lower))
+        assert_same_build(subadjacent, free_zinbiel_prepoisson(6, lower))
     data = worked_bialgebra
     dual_alg = rp.dual_rel_poisson_algebra(data)
     for comult in (data.dot_comult, data.bracket_comult):
