@@ -152,52 +152,77 @@ def _make(cls, **stored):
     return obj
 
 
+class _Rank3(_Stored):
+    """Base of the rank-3 tables, stored nested in the index order
+    ``_axes`` names: for axes "abc", ``_sparse[a][b]`` lists the nonzero
+    (c, value) entries by increasing c.  The dense constructor takes the
+    nested table of the same order, its dense view is derived on first
+    read, and entries are (i, j, k, value) whatever the order."""
+
+    _stored = ("space", "_sparse")
+    _axes = "ijk"
+
+    def __init__(self, space: Space, dense):
+        # _sparse[a] transposes dense[a], whose rows are indexed by b
+        n, error = space.dim, "structure constants do not match the space dimension"
+        if len(dense) != n:
+            raise ValueError(error)
+        sparse = tuple(_transpose(_columns(rows, n, n, error), n) for rows in dense)
+        self.__dict__.update(space=space, _sparse=sparse)
+
+    def _view(self):
+        """The dense nested table, in stored order."""
+        return tuple(tuple(_dense(cell, self.space.dim) for cell in row) for row in self._sparse)
+
+    @classmethod
+    def _from_cells(cls, space: Space, cells):
+        """Build from {(a, b): {c: exact value}} cells."""
+        n = space.dim
+        sparse = [[()] * n for _ in range(n)]
+        for (a, b), cell in cells.items():
+            sparse[a][b] = tuple(sorted((c, x) for c, x in cell.items() if x))
+        return _make(cls, space=space, _sparse=tuple(map(tuple, sparse)))
+
+    @classmethod
+    def zero(cls, space: Space):
+        return cls._from_cells(space, {})
+
+    @classmethod
+    def from_entries(cls, space: Space, entries):
+        """Build from sparse (i, j, k, value) entries; repeated positions add up."""
+        n, (a, b, c) = space.dim, map("ijk".index, cls._axes)
+        cells = {}
+        for entry in entries:
+            i, j, k, value = entry
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                raise IndexError(f"structure constant index out of range: {(i, j, k)}")
+            cell, at = cells.setdefault((entry[a], entry[b]), {}), entry[c]
+            cell[at] = scalar(cell.get(at, ZERO) + scalar(value))
+        return cls._from_cells(space, cells)
+
+    def is_zero(self) -> bool:
+        return not any(any(row) for row in self._sparse)
+
+    def nonzero_entries(self):
+        """(i, j, k, value) quadruples of the nonzero entries, in stored order."""
+        entry = itemgetter(*map(self._axes.index, "ijk"), 3)
+        return [
+            entry((a, b, c, x))
+            for a, row in enumerate(self._sparse)
+            for b, cell in enumerate(row)
+            for c, x in cell
+        ]
+
+
 @dataclass(frozen=True, init=False, eq=False)
-class BilinearOp(_Stored):
+class BilinearOp(_Rank3):
     """A bilinear map on a based space, stored sparse: ``_sparse[i][j]``
     lists the nonzero (k, value) structure constants of e_i * e_j by
     increasing k.  ``BilinearOp(space, table)`` takes the dense table, whose
     ``table[i][j]`` is the coefficient vector of e_i * e_j."""
 
     space: Space
-    table: tuple = cached_property(
-        lambda self: tuple(tuple(_dense(p, self.space.dim) for p in row) for row in self._sparse)
-    )
-    _stored = ("space", "_sparse")
-
-    def __init__(self, space: Space, table):
-        # _sparse[i] transposes table[i], whose rows are the products e_i * e_j
-        n, error = space.dim, "structure constants do not match the space dimension"
-        if len(table) != n:
-            raise ValueError(error)
-        sparse = tuple(_transpose(_columns(rows, n, n, error), n) for rows in table)
-        self.__dict__.update(space=space, _sparse=sparse)
-
-    @staticmethod
-    def _from_cells(space: Space, cells) -> BilinearOp:
-        """Build from {(i, j): {k: exact value}} cells."""
-        n = space.dim
-        sparse = [[()] * n for _ in range(n)]
-        for (i, j), cell in cells.items():
-            sparse[i][j] = tuple(sorted((k, x) for k, x in cell.items() if x))
-        return _make(BilinearOp, space=space, _sparse=tuple(map(tuple, sparse)))
-
-    @staticmethod
-    def zero(space: Space) -> BilinearOp:
-        return BilinearOp._from_cells(space, {})
-
-    @staticmethod
-    def from_entries(space: Space, entries) -> BilinearOp:
-        """Build from sparse (i, j, k, value) structure-constant entries;
-        repeated positions add up."""
-        n = space.dim
-        cells = {}
-        for i, j, k, value in entries:
-            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                raise IndexError(f"structure constant index out of range: {(i, j, k)}")
-            cell = cells.setdefault((i, j), {})
-            cell[k] = scalar(cell.get(k, ZERO) + scalar(value))
-        return BilinearOp._from_cells(space, cells)
+    table: tuple = cached_property(_Rank3._view)
 
     def entry(self, i: int, j: int, k: int):
         return self.table[i][j][k]
@@ -255,18 +280,6 @@ class BilinearOp(_Stored):
                     for k, x in prod:
                         acc[k][j] += c * x
         return tuple(tuple(r) for r in acc)
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self._sparse)
-
-    def nonzero_entries(self):
-        """Sorted (i, j, k, value) quadruples of nonzero structure constants."""
-        return [
-            (i, j, k, x)
-            for i, row in enumerate(self._sparse)
-            for j, prod in enumerate(row)
-            for k, x in prod
-        ]
 
     @cached_property
     def _unit(self):
@@ -426,13 +439,14 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 # An axiom family is data: (axiom, where, defect, terms).  ``where`` labels
 # the basis tuple a violation is reported at, ``defect`` the indices of its
 # defect vector, flattened row-major, and ``terms`` is a signed sum of
-# products of stored tables.  A factor "NAME:labels" labels the indices of
-# one table in storage order: a BilinearOp's _sparse as "ijk" (e_k in
-# e_i * e_j), a LinearMap's _cols as "ji" (row i of column j), an action
-# family as "xjr" (row r of column j of the matrix of e_x), a
-# Comultiplication's _hits as "kij" (e_i (x) e_j in the image of e_k), a
-# Tensor2's _hits as "ij" and a vector's hits as "k".  A label in neither
-# ``where`` nor ``defect`` is summed over, so associativity reads
+# products of stored tables.  Every table is read as nested rows, the last
+# level listing its nonzero (index, value) entries, and a factor
+# "NAME:labels" labels its indices outer level first: a BilinearOp's
+# _sparse as "ijk" (e_k in e_i * e_j), a Comultiplication's _sparse as
+# "kij" (e_i (x) e_j in the image of e_k), a LinearMap's _cols as "ji" (row
+# i of column j), a Tensor2's _rows as "ij", an action family as "xjr" (row
+# r of column j of the matrix of e_x) and a vector's hits as "k".  A label
+# in neither ``where`` nor ``defect`` is summed over, so associativity reads
 #
 #     ("associative", "ijk", "s", "M:ijt,M:tks - M:jkt,M:its")
 #
@@ -442,132 +456,95 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 # a checker reporting its families one after another sweeps them apart.
 
 
-def _form(table):
-    """The stored form a sweep reads of a table, and the radix of its flat
-    tail (0 when its last label is a plain index)."""
-    if isinstance(table, BilinearOp):
-        return table._sparse, 0
+def _rows(table):
+    """The nested rows a sweep reads of a table."""
+    if isinstance(table, _Rank3):
+        return table._sparse
     if isinstance(table, LinearMap):
-        return table._cols, 0
+        return table._cols
     if isinstance(table, Tensor2):
-        return table._hits, table.right.dim
-    if isinstance(table, _Stored):  # a Comultiplication
-        return table._hits, table.space.dim
-    return table, 0  # an action family, a column table or a vector's hits
+        return table._rows
+    return table  # an action family, a column table or a vector's hits
 
 
-def _paths(form, depth: int, radix: int):
-    """Every stored entry of a table as an (indices, value) path."""
-    if depth == 2:
-        return [
-            ((i, j, k), x) for i, row in enumerate(form) for j, cell in enumerate(row) for k, x in cell
-        ]
-    if depth == 1 and radix:
-        return [((i, *divmod(f, radix)), x) for i, cell in enumerate(form) for f, x in cell]
-    if depth == 1:
-        return [((i, k), x) for i, cell in enumerate(form) for k, x in cell]
-    return [(divmod(f, radix), x) for f, x in form] if radix else [((k,), x) for k, x in form]
+def _paths(rows, depth: int):
+    """Every entry of a table nested ``depth`` levels above its entry lists,
+    as an (indices, value) path; empty rows are skipped level by level."""
+    paths = [((), rows)]
+    for _ in range(depth):
+        paths = [(v + (i,), row) for v, level in paths for i, row in enumerate(level) if row]
+    return [(v + (k,), x) for v, row in paths for k, x in row]
+
+
+def _key(positions):
+    """A function reading the given positions of a tuple as a lookup key:
+    the index itself at one position, a tuple at several."""
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
 def _picker(positions):
     """A function reading the given positions of a tuple, as a tuple."""
     if len(positions) == 1:
         return lambda row, p=positions[0]: (row[p],)
-    return itemgetter(*positions) if positions else lambda row: ()
+    return _key(positions)
 
 
 def _rekey(paths, keys: tuple):
     """(indices, value) paths indexed by the indices at positions ``keys``:
     each key maps to (the other indices, value) pairs."""
     rest = _picker([p for p in range(len(paths[0][0])) if p not in keys]) if paths else None
-    key, index = _picker(keys), {}
+    key, index = _key(keys), {}
     for indices, x in paths:
         index.setdefault(key(indices), []).append((rest(indices), x))
     return index
 
 
-def _plan(term: str, where: str, defect: str, flat: dict, depths: dict):
-    """The join plan of one term: its first factor, then one step per other
-    factor, and the positions of the reported labels in a path's indices;
-    records the nesting depth of each table read in ``depths``.
+def _plan(term: str, where: str, defect: str, depths: dict):
+    """The join plan of one term: its first factor, then one (table, keys,
+    key reader) step per other factor, and the positions of the reported
+    labels in a path's indices; records the nesting depth of each table in
+    ``depths``.
 
-    Factors are joined greedily.  Next comes a factor whose leading axes
-    are all bound, read in place at that cell, else the one with the most
-    bound labels, read through an index re-keyed on them."""
+    Factors are joined greedily, the one with the most bound labels next.
+    A step reads its table through the index re-keyed on the positions
+    ``keys`` of its bound labels, at the key its reader takes from a path."""
     factors = [tuple(f.split(":")) for f in term.split(",")]
     bound, steps = [], []
-
-    def cell(name, labels):
-        """Whether the bound labels are some leading axes of a nested table."""
-        k = sum(l in bound for l in labels)
-        return 0 < k <= len(labels) - 1 - flat[name] and set(labels[:k]) <= set(bound)
-
     while factors:
-        ranked = [(cell(*f), len(set(bound) & set(f[1])), -pos) for pos, f in enumerate(factors)]
+        ranked = [(len(set(bound) & set(labels)), -pos) for pos, (_, labels) in enumerate(factors)]
         name, labels = factors.pop(ranked.index(max(ranked)))
-        depth = len(labels) - 1 - flat[name]
+        depth = len(labels) - 1
         if len(set(labels)) != len(labels) or depths.setdefault(name, depth) != depth:
             raise ValueError(f"factor {name}:{labels} repeats a label or changes arity")
-        if not bound:
-            first = name
-        elif cell(name, labels):
-            lead = [bound.index(l) for l in labels if l in bound]
-            steps.append(("cell", name, (lead, depth - len(lead))))
-        else:
-            keys = tuple(p for p, l in enumerate(labels) if l in bound)
-            steps.append(("index", name, (keys, _picker([bound.index(labels[p]) for p in keys]))))
+        keys = tuple(p for p, l in enumerate(labels) if l in bound)
+        steps.append((name, keys, _key([bound.index(labels[p]) for p in keys])))
         bound += [l for l in labels if l not in bound]
     if not set(where + defect) <= set(bound):
         raise ValueError(f"term {term} leaves a reported label free")
+    (first, _, _), *steps = steps
     return first, steps, _picker([bound.index(l) for l in where + defect])
 
 
-def _join(rows, step, forms: dict, index):
-    """Extend every (indices, product) path by the entries of one more
-    factor that agree with it."""
-    kind, name, arg = step
-    form, radix = forms[name]
-    if kind == "cell":
-        lead, levels = arg
-        if len(lead) == 2:
-            a, b = lead
-            return [(v + (f,), p * x) for v, p in rows for f, x in form[v[a]][v[b]]]
-        (a,) = lead
-        if levels:  # a product or an action family read at its first axis
-            return [
-                (v + (j, f), p * x) for v, p in rows for j, cell in enumerate(form[v[a]]) for f, x in cell
-            ]
-        if radix:
-            return [(v + divmod(f, radix), p * x) for v, p in rows for f, x in form[v[a]]]
-        return [(v + (f,), p * x) for v, p in rows for f, x in form[v[a]]]
-    keys, at = arg
-    found = index(name, keys)
-    return [(v + free, p * x) for v, p in rows for free, x in found.get(at(v), ())]
-
-
 @functools.cache
-def _compile(families: tuple, layout: tuple):
-    """The join plans of every term of the families for tables of the given
-    layout ((name, has a flat tail) pairs), and the nesting depth of each
-    table; planned once per process."""
-    flat, plans, depths = dict(layout), [], {}
+def _compile(families: tuple):
+    """The join plans of every term of the families, and the nesting depth
+    of each table; planned once per process."""
+    plans, depths = [], {}
     for fam, (_axiom, where, defect, terms) in enumerate(families):
         for sign, term in re.findall(r"(-?)\s*([\w:,]+)", terms.replace("+", "")):
-            plans.append((fam, sign == "-", *_plan(term, where, defect, flat, depths)))
+            plans.append((fam, sign == "-", *_plan(term, where, defect, depths)))
     return plans, depths
 
 
 def _contract(families: tuple, tables: dict):
     """Every term of the families summed, as one {(*where, *defect): value}
     dict per family, over the named tables."""
-    forms, layout, memos = {}, [], {}
+    plans, depths = _compile(families)
+    memos = {}
     for name, table in tables.items():
-        form, radix = forms[name] = _form(table)
-        layout.append((name, radix > 0))
         # a stored structure never changes, so what is built from it is kept
         memo = getattr(table, "__dict__", None)
         memos[name] = {} if memo is None else memo.setdefault("_reads", {})
-    plans, depths = _compile(families, tuple(layout))
 
     def index(name, keys=None):
         """A table's entries as (indices, value) paths, or with ``keys`` its
@@ -576,8 +553,7 @@ def _contract(families: tuple, tables: dict):
         found = memo.get(keys)
         if found is None:
             if keys is None:
-                form, radix = forms[name]
-                found = memo[keys] = _paths(form, depths[name], radix)
+                found = memo[keys] = _paths(_rows(tables[name]), depths[name])
             else:
                 found = memo[keys] = _rekey(index(name), keys)
         return found
@@ -585,8 +561,9 @@ def _contract(families: tuple, tables: dict):
     acc = [{} for _ in families]
     for fam, negate, first, steps, project in plans:
         rows = index(first)
-        for step in steps:
-            rows = _join(rows, step, forms, index)
+        for name, keys, at in steps:
+            found = index(name, keys)
+            rows = [(v + free, p * x) for v, p in rows for free, x in found.get(at(v), ())]
         out = acc[fam]
         for values, p in rows:
             key = project(values)

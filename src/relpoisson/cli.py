@@ -16,6 +16,9 @@ from .algebra import (
     AxiomReport,
     NoUnitError,
     PreconditionError,
+    RelPoissonAlgebra,
+    Violation,
+    bracket_from_derivation,
     check_comm_assoc,
     check_derivation,
     check_lie,
@@ -24,6 +27,7 @@ from .algebra import (
     find_unit,
 )
 from .coalgebra import (
+    BialgebraData,
     check_bialgebra,
     check_rel_poisson_coalgebra,
     bialgebra_to_matched_pair,
@@ -31,6 +35,7 @@ from .coalgebra import (
 )
 from .documents import (
     DocumentError,
+    _normalize,
     bialgebra_doc,
     doc_to_bialgebra,
     doc_to_bilinear_form,
@@ -41,7 +46,6 @@ from .documents import (
     doc_to_rmatrix,
     doc_to_single_op,
     parse_document,
-    parse_scalar_string,
     rel_poisson_doc,
     rel_pre_poisson_doc,
     rmatrix_doc,
@@ -49,10 +53,17 @@ from .documents import (
     validate_document,
 )
 from .jacobi import PipelineError, extend_jacobi, frobenius_jacobi_pipeline
-from .linalg import mat_neg
+from .linalg import ONE, mat_neg
 from .pairing import bowtie, check_invariant_form, is_nondegenerate
-from .prepoisson import check_prelie, check_rel_pre_poisson, check_zinbiel, circ_from_derivation, subadjacent
-from .representations import semidirect_product
+from .prepoisson import (
+    RelPrePoissonAlgebra,
+    check_prelie,
+    check_rel_pre_poisson,
+    check_zinbiel,
+    circ_from_derivation,
+    subadjacent,
+)
+from .representations import check_representation, semidirect_product
 from .yangbaxter import check_rpybe, check_weak_o_operator, coboundary_comults, o_operator_to_rmatrix, semidirect_codrv
 
 OK, AXIOM_FAILURE, PRECONDITION_FAILURE, PARSE_FAILURE = 0, 1, 2, 3
@@ -129,8 +140,6 @@ def _check_dispatch(doc, kind: str) -> AxiomReport:
     if kind == "rel-pre-poisson":
         return check_rel_pre_poisson(doc_to_rel_pre_poisson(doc))
     if kind == "representation":
-        from .representations import check_representation
-
         rep, extras = doc_to_representation(doc)
         report = check_representation(rep)
         if "operator" in extras:
@@ -161,9 +170,6 @@ def _check_dispatch(doc, kind: str) -> AxiomReport:
 
 
 def _single_violation(axiom: str) -> AxiomReport:
-    from .algebra import Violation
-    from .linalg import ONE
-
     return AxiomReport(False, (Violation(axiom, (), (ONE,)),))
 
 
@@ -209,8 +215,6 @@ def _derived_op(doc):
 
 def _zinbiel_pre_poisson(doc):
     """The relative pre-Poisson algebra of a Zinbiel algebra with derivation."""
-    from .prepoisson import RelPrePoissonAlgebra
-
     op, der = _derived_op(doc)
     return RelPrePoissonAlgebra(op.space, op, circ_from_derivation(op, der), der)
 
@@ -224,8 +228,6 @@ def cmd_construct(args) -> int:
         raise DocumentError(f"recipe {recipe} expects a {expected} document, got {kind}")
     if recipe == "bracket-from-derivation":
         op, der = _derived_op(doc)
-        from .algebra import RelPoissonAlgebra, bracket_from_derivation
-
         bracket = bracket_from_derivation(op, der)
         alg = RelPoissonAlgebra(op.space, op, bracket, der)
         out = rel_poisson_doc(alg)
@@ -245,8 +247,6 @@ def cmd_construct(args) -> int:
         out = bialgebra_doc(dualize_bialgebra(doc_to_bialgebra(doc)))
     elif recipe == "coboundary":
         alg, tensor, codrv = doc_to_rmatrix(doc)
-        from .coalgebra import BialgebraData
-
         dot_comult, bracket_comult = coboundary_comults(alg, tensor)
         out = bialgebra_doc(BialgebraData(alg, dot_comult, bracket_comult, codrv))
     elif recipe == "o-operator-rmatrix":
@@ -289,7 +289,7 @@ def cmd_pipeline(args) -> int:
             json.dumps(
                 {
                     "stages": [{"stage": s, "ok": True} for s in stages],
-                    "document": _normalized(out),
+                    "document": _normalize(out),
                 },
                 indent=1,
             )
@@ -301,24 +301,19 @@ def cmd_pipeline(args) -> int:
     return OK
 
 
-def _normalized(doc):
-    from .documents import _normalize
-
-    return _normalize(doc)
-
-
 def cmd_report(args) -> int:
     doc = _read_document(args.file)
     kind = doc["kind"]
     info = {"kind": kind}
     if "dim" in doc:
         info["dim"] = doc["dim"]
-    counts = {
-        key: sum(1 for entry in value if parse_scalar_string(entry[-1]))
+    # every entry is validated first; a field listing none is left out
+    norm = _normalize(doc)
+    info["nonzero_entries"] = {
+        key: len(norm[key])
         for key, value in doc.items()
         if isinstance(value, list) and value and isinstance(value[0], list)
     }
-    info["nonzero_entries"] = counts
     op = None
     if kind in ("comm-assoc", "zinbiel", "pre-lie"):
         op = doc_to_single_op(doc)[0]

@@ -1,15 +1,16 @@
 """Comultiplications, relative Poisson coalgebras and bialgebras.
 
-A comultiplication is stored sparse, as the flat hits of each image
-Delta(e_k): the coefficient of e_i (x) e_j sits at index i*n + j.  Its
-dense view ``columns[k][i][j]``, derived on first read, holds the same
+A comultiplication is a rank-3 table like a product, stored by the same
+code in its own index order: ``_sparse[k][i]`` lists the nonzero (j,
+value) coefficients of e_i (x) e_j in the image Delta(e_k).  Its dense
+view ``columns[k][i][j]``, derived on first read, holds the same
 coefficient, so that dualizing a comultiplication into a product on the
 dual space is a pure index transposition with no signs.  The dual
 comultiplications of an algebra's own products carry the explicit minus
 signs of the dualization rules; they are load-bearing and implemented
 literally.  Every condition family is a term spec swept by
 :func:`relpoisson.algebra._sweep`, which reads a comultiplication's stored
-hits as the labelled table "kij".
+table as the labelled nested rows "kij".
 """
 
 from __future__ import annotations
@@ -25,54 +26,28 @@ from .algebra import (
     PreconditionError,
     RelPoissonAlgebra,
     _dense,
-    _flat,
     _make,
-    _Stored,
+    _Rank3,
     _sweep,
     _transpose,
     check_rel_poisson,
 )
-from .linalg import ZERO, LinearMap, Matrix, Space, Vector, _columns, dual_map, scalar
+from .linalg import LinearMap, Matrix, Space, Vector, dual_map
 from .pairing import MatchedPairData
 from .representations import check_dually_represents
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class Comultiplication(_Stored):
-    """A linear map A -> A (x) A, stored as ``_hits[k]``, the nonzero
-    (i * n + j, value) coefficients of e_i (x) e_j in the image of e_k by
-    increasing index.  ``Comultiplication(space, columns)`` takes the dense
-    coefficients ``columns[k][i][j]``."""
+class Comultiplication(_Rank3):
+    """A linear map A -> A (x) A, stored as ``_sparse[k][i]``, the nonzero
+    (j, value) coefficients of e_i (x) e_j in the image of e_k by
+    increasing j.  ``Comultiplication(space, columns)`` takes the dense
+    coefficients ``columns[k][i][j]``, and an entry (i, j, k, value) gives
+    e_k value * e_i (x) e_j."""
 
     space: Space
-    columns: tuple = cached_property(
-        lambda self: tuple(_dense(h, self.space.dim, self.space.dim) for h in self._hits)
-    )
-    _stored = ("space", "_hits")
-
-    def __init__(self, space: Space, columns):
-        n, error = space.dim, "comultiplication coefficients do not match the dimension"
-        if len(columns) != n:
-            raise ValueError(error)
-        hits = tuple(tuple(sorted(_flat(_columns(col, n, n, error)))) for col in columns)
-        self.__dict__.update(space=space, _hits=hits)
-
-    @staticmethod
-    def zero(space: Space) -> Comultiplication:
-        return Comultiplication.from_entries(space, ())
-
-    @staticmethod
-    def from_entries(space: Space, entries) -> Comultiplication:
-        """Build from sparse (i, j, k, value): e_k gains value * e_i (x) e_j."""
-        n = space.dim
-        cells = [{} for _ in range(n)]
-        for i, j, k, value in entries:
-            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                raise IndexError(f"comultiplication index out of range: {(i, j, k)}")
-            cell, f = cells[k], i * n + j
-            cell[f] = scalar(cell.get(f, ZERO) + scalar(value))
-        hits = tuple(tuple(sorted((f, x) for f, x in cell.items() if x)) for cell in cells)
-        return _make(Comultiplication, space=space, _hits=hits)
+    columns: tuple = cached_property(_Rank3._view)
+    _axes = "kij"
 
     def coeff(self, i: int, j: int, k: int):
         return self.columns[k][i][j]
@@ -80,14 +55,14 @@ class Comultiplication(_Stored):
     def of(self, u: Vector) -> Matrix:
         """Image of a general element as a 2-tensor coefficient matrix."""
         n = self.space.dim
-        return _dense([(f, c * x) for k, c in enumerate(u) if c for f, x in self._hits[k]], n, n)
-
-    def is_zero(self) -> bool:
-        return not any(self._hits)
-
-    def nonzero_entries(self):
-        n = self.space.dim
-        return [(f // n, f % n, k, x) for k, hits in enumerate(self._hits) for f, x in hits]
+        hits = [
+            (i * n + j, c * x)
+            for k, c in enumerate(u)
+            if c
+            for i, row in enumerate(self._sparse[k])
+            for j, x in row
+        ]
+        return _dense(hits, n, n)
 
 
 @dataclass(frozen=True)

@@ -345,13 +345,10 @@ class Tensor2:
             raise ValueError("tensor coefficients do not match factor dimensions")
 
     @cached_property
-    def _hits(self):
-        """The nonzero coefficients as flat hits (i * right.dim + j, value),
-        built on first read."""
-        n = self.right.dim
-        return tuple(
-            (i * n + j, x) for i, row in enumerate(self.coeffs) for j, x in enumerate(row) if x
-        )
+    def _rows(self):
+        """The row table of the coefficients, built on first read:
+        ``_rows[i]`` lists the nonzero (j, value) entries of row i."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.coeffs)
 
     @staticmethod
     def zero(left: Space, right: Space) -> Tensor2:

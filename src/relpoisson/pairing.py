@@ -248,6 +248,21 @@ def bowtie(data: MatchedPairData) -> RelPoissonAlgebra:
 # Manin triples
 
 
+# The blocks of a Manin triple's double (WM, WB, WD) against the factors'
+# own dot, bracket and derivation (LM, LB, LD on the left, RM, RB, RD on
+# the right), through the column table LJ or RJ of a factor's inclusion
+# e_i -> e_(off + i) into the double
+_SUBALGEBRA = tuple(
+    (f"{side}-subalgebra-{name}", "ij", "k", f"W{P}:abk,{S}J:ia,{S}J:jb - {S}{P}:ijt,{S}J:tk")
+    for side, S in (("left", "L"), ("right", "R"))
+    for name, P in (("dot", "M"), ("bracket", "B"))
+)
+_DERIVATION_BLOCK = tuple(
+    (f"derivation-{side}-block", "j", "k", f"{S}J:ja,WD:ak - {S}D:jt,{S}J:tk")
+    for side, S in (("left", "L"), ("right", "R"))
+)
+
+
 def check_manin_triple(
     alg: RelPoissonAlgebra,
     dual_alg: RelPoissonAlgebra,
@@ -264,33 +279,13 @@ def check_manin_triple(
     n = alg.dim
     if dual_alg.dim != n or double.dim != 2 * n:
         raise ValueError("Manin triple dimension mismatch")
+    tables = dict(WM=double.dot, WB=double.bracket, WD=double.derivation)
+    for S, sub, off in (("L", alg, 0), ("R", dual_alg, n)):
+        tables.update({S + "M": sub.dot, S + "B": sub.bracket, S + "D": sub.derivation})
+        tables[S + "J"] = tuple(((off + i, ONE),) for i in range(n))
     coll = Collector(limit)
-    sides = (("left", alg, 0), ("right", dual_alg, n))
-
-    def check_block(axiom, where, whole, part, off):
-        # whole - part, with part's indices shifted by off
-        if whole or part:
-            defect = [ZERO] * (2 * n)
-            for k, x in whole:
-                defect[k] += x
-            for t, x in part:
-                defect[off + t] -= x
-            coll.check(axiom, where, defect)
-
-    for i in range(n):
-        for j in range(n):
-            for side, sub, off in sides:
-                for name, whole, part in (
-                    ("dot", double.dot, sub.dot),
-                    ("bracket", double.bracket, sub.bracket),
-                ):
-                    cell = whole._sparse[off + i][off + j]
-                    check_block(f"{side}-subalgebra-{name}", (i, j), cell, part._sparse[i][j], off)
-    whole_der = double.derivation._cols
-    sub_ders = [sub.derivation._cols for _, sub, _ in sides]
-    for j in range(n):
-        for (side, _, off), sub_der in zip(sides, sub_ders):
-            check_block(f"derivation-{side}-block", (j,), whole_der[off + j], sub_der[j], off)
+    _sweep(coll, _SUBALGEBRA, 2 * n, **tables)
+    _sweep(coll, _DERIVATION_BLOCK, 2 * n, **tables)
     coll.merge(check_rel_poisson(double, limit), "double:")
     form = canonical_pairing(double.space)
     coll.merge(check_invariant_form(double, form, limit), "pairing:")

@@ -1,6 +1,7 @@
 """Axiom checkers for products, derivations, and the relative Leibniz rule."""
 
 import ast
+import itertools
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 
 from relpoisson import (
     BilinearOp,
+    CompatibleStructure,
+    Comultiplication,
     LinearMap,
     NoUnitError,
     PreconditionError,
     RelPoissonAlgebra,
     Space,
+    Tensor2,
     bracket_from_derivation,
     check_comm_assoc,
     check_derivation,
@@ -24,7 +28,7 @@ from relpoisson import (
     check_relative_leibniz,
     find_unit,
 )
-from relpoisson.algebra import ad_map, block_sum
+from relpoisson.algebra import _compile, _contract, _paths, _rows, ad_map, block_sum
 
 from conftest import (
     heisenberg_poisson,
@@ -321,10 +325,10 @@ def test_block_sum_matches_defining_formulas(inputs):
             assert list(total.bracket.product(p, q)) == br
 
 
-# Every axiom family is a term spec swept by algebra._sweep, except these,
-# whose reports the term form cannot reproduce: antisymmetry reports only
-# i <= j and counts the diagonal once, and the Manin triple's block and
-# nondegeneracy checks compare against a sub-structure or a determinant.
+# Every axiom family is a term spec swept by algebra._sweep, except these
+# two, whose reports the term form cannot reproduce: check_lie's
+# antisymmetry reports only i <= j and counts the diagonal once, and
+# check_manin_triple's pairing-nondegenerate is a determinant.
 HAND_LOOPS = {"algebra.py": {"_sweep", "check_lie"}, "pairing.py": {"check_manin_triple"}}
 SRC = Path(__file__).resolve().parent.parent / "src" / "relpoisson"
 
@@ -340,3 +344,90 @@ def test_collector_check_only_in_the_sweep_and_the_hand_loops():
                 if call and node.func.attr == "check" and getattr(top, "name", None) not in allowed:
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"Collector.check outside the sweep and the listed hand loops: {found}"
+
+
+# ---------------------------------------------------------------------------
+# the sweep engine
+
+
+@pytest.mark.parametrize(
+    "terms, where, message",
+    [
+        ("M:iis", "i", "repeats a label"),
+        ("M:ijs - M:is", "ij", "changes arity"),
+        ("M:ijs", "ijk", "leaves a reported label free"),
+    ],
+    ids=["repeated-label", "arity-change", "free-reported-label"],
+)
+def test_compile_rejects_malformed_specs(terms, where, message):
+    with pytest.raises(ValueError, match=message):
+        _compile((("malformed", where, "s", terms),))
+
+
+VALUE = st.sampled_from((0, 0, 1, -1, F(1, 2)))
+
+
+def _square(data, n):
+    return tuple(tuple(data.draw(VALUE) for _ in range(n)) for _ in range(n))
+
+
+def _entries(value, n):
+    """The (i, j, k, value) entries of a rank-3 table."""
+    return [(i, j, k, value(i, j, k)) for i, j, k in itertools.product(range(n), repeat=3)]
+
+
+def _product(data, n):
+    table = tuple(_square(data, n) for _ in range(n))
+    op = BilinearOp.from_entries(Space.of_dim(n), _entries(lambda i, j, k: table[i][j][k], n))
+    return op, "ijk", lambda i, j, k: table[i][j][k]
+
+
+def _comultiplication(data, n):
+    columns = tuple(_square(data, n) for _ in range(n))
+    comult = Comultiplication.from_entries(Space.of_dim(n), _entries(lambda i, j, k: columns[k][i][j], n))
+    return comult, "kij", lambda k, i, j: columns[k][i][j]
+
+
+def _linear_map(data, n):
+    sp, m = Space.of_dim(n), _square(data, n)
+    return LinearMap(sp, sp, m), "ji", lambda j, i: m[i][j]
+
+
+def _tensor(data, n):
+    sp, m = Space.of_dim(n), _square(data, n)
+    return Tensor2(sp, sp, m), "ij", lambda i, j: m[i][j]
+
+
+def _action_family(data, n):
+    mats = tuple(_square(data, n) for _ in range(n))
+    cs = CompatibleStructure(zero_algebra(n), Space.of_dim(n, "v"), mats, mats)
+    return cs._mu, "xjr", lambda x, j, r: mats[x][r][j]
+
+
+def _vector_hits(data, n):
+    v = tuple(data.draw(VALUE) for _ in range(n))
+    return [(k, x) for k, x in enumerate(v) if x], "k", lambda k: v[k]
+
+
+TABLE_KINDS = {
+    "product": _product,
+    "comultiplication": _comultiplication,
+    "linear-map": _linear_map,
+    "tensor": _tensor,
+    "action-family": _action_family,
+    "vector-hits": _vector_hits,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sweep_reads_each_table_kind_as_its_dense_view(kind, data):
+    n = data.draw(st.integers(0, 3))
+    table, labels, value = TABLE_KINDS[kind](data, n)
+    indices = itertools.product(range(n), repeat=len(labels))
+    dense = [(idx, value(*idx)) for idx in indices if value(*idx)]
+    # the paths come in the label order, outer label first
+    assert _paths(_rows(table), len(labels) - 1) == dense
+    (out,) = _contract((("", labels, "", f"T:{labels}"),), {"T": table})
+    assert out == dict(dense)

@@ -383,3 +383,18 @@ def test_report_counts_only_nonzero_entries(tmp_path, capsys):
     doc.write_text(json.dumps({"kind": "comm-assoc", "dim": 2, "product": product}))
     main(["report", "--json", str(doc)])
     assert json.loads(capsys.readouterr().out)["nonzero_entries"] == {"product": 2}
+
+
+@pytest.mark.parametrize("entry", [[], 5, {}], ids=["empty-list", "number", "object"])
+def test_report_rejects_a_malformed_entry_as_check_does(tmp_path, capsys, entry):
+    # report once counted the raw entries before validating any, so these
+    # raised IndexError, TypeError or KeyError and exited 1
+    doc = json.loads((FIXTURES / "zinbiel_3d.json").read_text())
+    doc["product"].append(entry)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in (["report"], ["report", "--json"], ["check"]):
+        assert main([*command, str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: entry in 'product' must be 3 indices plus a scalar")

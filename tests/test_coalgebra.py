@@ -44,6 +44,12 @@ def test_from_entries_rejects_out_of_range_index(bad, slot):
         comult(Space.of_dim(3), [tuple(entry)])
 
 
+def test_from_entries_names_the_indices_in_entry_order():
+    # stored as _sparse[k][i], a comultiplication still reports (i, j, k)
+    with pytest.raises(IndexError, match=r"out of range: \(0, 1, 5\)"):
+        comult(Space.of_dim(3), [(0, 1, 5, 1)])
+
+
 def test_cocomm_coassoc_on_worked_comult(worked_bialgebra):
     assert check_cocomm_coassoc(worked_bialgebra.dot_comult).ok
     assert check_cocomm_coassoc(Comultiplication.zero(Space.of_dim(3))).ok
