@@ -27,10 +27,11 @@ from .linalg import (
     Tensor2,
     Vector,
     _columns,
+    _gauss_jordan,
+    _Rows,
     basis_vector,
     block_diagonal,
     direct_sum_space,
-    div,
     scalar,
     vec_is_zero,
 )
@@ -44,6 +45,13 @@ class PreconditionError(ValueError):
     def __init__(self, message: str, report: "AxiomReport | None" = None):
         super().__init__(message)
         self.report = report
+
+
+def _require(report: "AxiomReport", what: str) -> None:
+    """Raise PreconditionError("what: the failed axioms"), carrying the
+    report, unless the report is ok."""
+    if not report.ok:
+        raise PreconditionError(f"{what}: {', '.join(report.axioms_failed())}", report)
 
 
 class NoUnitError(PreconditionError):
@@ -167,7 +175,7 @@ class _Rank3(_Stored):
         n, error = space.dim, "structure constants do not match the space dimension"
         if len(dense) != n:
             raise ValueError(error)
-        sparse = tuple(_transpose(_columns(rows, n, n, error), n) for rows in dense)
+        sparse = _Rows(_transpose(_columns(rows, n, n, error), n) for rows in dense)
         self.__dict__.update(space=space, _sparse=sparse)
 
     def _view(self):
@@ -181,7 +189,7 @@ class _Rank3(_Stored):
         sparse = [[()] * n for _ in range(n)]
         for (a, b), cell in cells.items():
             sparse[a][b] = tuple(sorted((c, x) for c, x in cell.items() if x))
-        return _make(cls, space=space, _sparse=tuple(map(tuple, sparse)))
+        return _make(cls, space=space, _sparse=_Rows(map(tuple, sparse)))
 
     @classmethod
     def zero(cls, space: Space):
@@ -287,48 +295,20 @@ class BilinearOp(_Rank3):
         nonzero equations  u * e_j = e_j  and  e_j * u = e_j  (one per
         side and output coordinate k); solved once per operation."""
         n = self.space.dim
-        # the equations with right-hand side 1 come first, so that one
-        # reading 0 = 1 ends the search at once
+        # every equation with right-hand side 1 is kept, even with no unknown
         eqs = {(side, j, j): {} for j in range(n) for side in ("left", "right")}
         for i, row in enumerate(self._sparse):
             for j, prod in enumerate(row):
                 for k, x in prod:
                     eqs.setdefault(("left", j, k), {})[i] = x  # u_i in (u * e_j)_k
                     eqs.setdefault(("right", i, k), {})[j] = x  # u_j in (e_i * u)_k
-        # Gauss-Jordan with the right-hand side as column n: each pivot row
-        # has coefficient 1 at its pivot column and no other pivot column
-        pivots = {}
-        for (_side, j, k), coeffs in eqs.items():
-            row = {**coeffs, n: ONE} if j == k else dict(coeffs)
-            for col in [c for c in row if c in pivots]:
-                _axpy(row, -row[col], pivots[col])
-            col = min(row, default=n)
-            if col == n:
-                if row:
-                    return None  # the equation reads 0 = 1
-                continue
-            p = row[col]
-            row = {c: div(v, p) for c, v in row.items()}
-            for prow in pivots.values():
-                if col in prow:
-                    _axpy(prow, -prow[col], row)
-            pivots[col] = row
+        # the right-hand side is column n, so a pivot there reads 0 = 1
+        rows = ({**coeffs, n: ONE} if j == k else coeffs for (_, j, k), coeffs in eqs.items())
+        pivots, _ = _gauss_jordan(rows)
         # a solution is a two-sided unit, hence unique, so every column is a
         # pivot; free variables would be read as zero
-        unit = [ZERO] * n
-        for col, row in pivots.items():
-            unit[col] = row.get(n, ZERO)
-        return tuple(map(scalar, unit))
-
-
-def _axpy(row: dict, f, other: dict) -> None:
-    """row += f * other on sparse {column: value} rows, dropping zeros."""
-    for c, v in other.items():
-        x = row.get(c, ZERO) + f * v
-        if x:
-            row[c] = x
-        else:
-            del row[c]
+        unit = tuple(pivots[c].get(n, ZERO) if c in pivots else ZERO for c in range(n))
+        return None if n in pivots else unit
 
 
 @dataclass(frozen=True)
@@ -392,7 +372,7 @@ def _families(count: int, dim: int, *families):
     if any(len(mats) != count for mats in families):
         raise ValueError("need one action matrix per algebra basis element")
     error = "action matrix does not match the module dimension"
-    return [tuple(_columns(m, dim, dim, error) for m in mats) for mats in families]
+    return [_Rows(_columns(m, dim, dim, error) for m in mats) for mats in families]
 
 
 def _matrices(family):
@@ -456,15 +436,18 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 # a checker reporting its families one after another sweeps them apart.
 
 
-def _rows(table):
-    """The nested rows a sweep reads of a table."""
+def _rows(table) -> _Rows:
+    """The nested rows a sweep reads of a table: a structure's stored rows,
+    or the rows of an action family, a column table or a vector's hits."""
+    if isinstance(table, _Rows):
+        return table
     if isinstance(table, _Rank3):
         return table._sparse
     if isinstance(table, LinearMap):
         return table._cols
     if isinstance(table, Tensor2):
         return table._rows
-    return table  # an action family, a column table or a vector's hits
+    raise TypeError(f"not a sweep table: {type(table).__name__}")
 
 
 def _paths(rows, depth: int):
@@ -540,20 +523,16 @@ def _contract(families: tuple, tables: dict):
     """Every term of the families summed, as one {(*where, *defect): value}
     dict per family, over the named tables."""
     plans, depths = _compile(families)
-    memos = {}
-    for name, table in tables.items():
-        # a stored structure never changes, so what is built from it is kept
-        memo = getattr(table, "__dict__", None)
-        memos[name] = {} if memo is None else memo.setdefault("_reads", {})
+    tables = {name: _rows(table) for name, table in tables.items()}
 
     def index(name, keys=None):
         """A table's entries as (indices, value) paths, or with ``keys`` its
         index re-keyed on them, each built once per table."""
-        memo = memos[name]
+        memo = tables[name]._reads
         found = memo.get(keys)
         if found is None:
             if keys is None:
-                found = memo[keys] = _paths(_rows(tables[name]), depths[name])
+                found = memo[keys] = _paths(tables[name], depths[name])
             else:
                 found = memo[keys] = _rekey(index(name), keys)
         return found
@@ -618,7 +597,7 @@ def _transpose(cols, height: int, scale=1):
     for c, col in enumerate(cols):
         for r, x in col:
             out[r].append((c, scale * x))
-    return tuple(map(tuple, out))
+    return _Rows(map(tuple, out))
 
 
 # M is the product (the dot of a Leibniz rule), B the bracket, D the
@@ -710,12 +689,7 @@ def bracket_from_derivation(dot: BilinearOp, der: LinearMap) -> BilinearOp:
     """The bracket [x,y] = x.D(y) - D(x).y of a commutative associative
     algebra with derivation; the resulting quadruple is relative Poisson."""
     pre = combine_reports(check_comm_assoc(dot), check_derivation(dot, der))
-    if not pre.ok:
-        raise PreconditionError(
-            f"input is not a commutative associative algebra with derivation: "
-            f"{', '.join(pre.axioms_failed())}",
-            pre,
-        )
+    _require(pre, "input is not a commutative associative algebra with derivation")
     return _derived_product(dot, der)
 
 

@@ -23,16 +23,16 @@ from .algebra import (
     AxiomReport,
     BilinearOp,
     Collector,
-    PreconditionError,
     RelPoissonAlgebra,
     _dense,
     _make,
     _Rank3,
+    _require,
     _sweep,
     _transpose,
     check_rel_poisson,
 )
-from .linalg import LinearMap, Matrix, Space, Vector, dual_map
+from .linalg import LinearMap, Matrix, Space, Vector, _Rows, dual_map
 from .pairing import MatchedPairData
 from .representations import check_dually_represents
 
@@ -261,12 +261,7 @@ def dualize_bialgebra(data: BialgebraData) -> BialgebraData:
     """The dual bialgebra on A*: products dualize the comultiplications,
     comultiplications dualize the products with minus signs, and the two
     derivations trade places (transposed)."""
-    report = check_bialgebra(data)
-    if not report.ok:
-        raise PreconditionError(
-            f"not a relative Poisson bialgebra: {', '.join(report.axioms_failed())}",
-            report,
-        )
+    _require(check_bialgebra(data), "not a relative Poisson bialgebra")
     alg = data.algebra
     dual_alg = dual_rel_poisson_algebra(data)
     dual_space = dual_alg.space
@@ -290,21 +285,16 @@ def induced_matched_pair(data: BialgebraData) -> MatchedPairData:
         MatchedPairData,
         left=alg,
         right=dual_alg,
-        _mu1=tuple(_transpose(cols, n) for cols in alg.dot._sparse),
-        _rho1=tuple(_transpose(cols, n, -1) for cols in alg.bracket._sparse),
-        _mu2=tuple(_transpose(cols, n) for cols in dual_alg.dot._sparse),
-        _rho2=tuple(_transpose(cols, n, -1) for cols in dual_alg.bracket._sparse),
+        _mu1=_Rows(_transpose(cols, n) for cols in alg.dot._sparse),
+        _rho1=_Rows(_transpose(cols, n, -1) for cols in alg.bracket._sparse),
+        _mu2=_Rows(_transpose(cols, n) for cols in dual_alg.dot._sparse),
+        _rho2=_Rows(_transpose(cols, n, -1) for cols in dual_alg.bracket._sparse),
     )
 
 
 def bialgebra_to_matched_pair(data: BialgebraData) -> MatchedPairData:
     """Verified version of :func:`induced_matched_pair`."""
-    report = check_bialgebra(data)
-    if not report.ok:
-        raise PreconditionError(
-            f"not a relative Poisson bialgebra: {', '.join(report.axioms_failed())}",
-            report,
-        )
+    _require(check_bialgebra(data), "not a relative Poisson bialgebra")
     return induced_matched_pair(data)
 
 

@@ -16,6 +16,7 @@ from .algebra import (
     RelPoissonAlgebra,
     AxiomReport,
     _block_sum,
+    _require,
     ad_map,
     check_jacobi_algebra,
     check_rel_poisson,
@@ -28,7 +29,7 @@ from .coalgebra import (
     dual_rel_poisson_algebra,
     induced_matched_pair,
 )
-from .linalg import ONE, ZERO, LinearMap, Space, Tensor2, basis_vector, mat_is_zero
+from .linalg import ONE, ZERO, LinearMap, Space, Tensor2, _Rows, basis_vector, mat_is_zero
 from .pairing import (
     BilinearForm,
     canonical_pairing,
@@ -81,31 +82,22 @@ def _unit_extension(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
 
 
 def _extended_rep(rep: RepData, extended: RelPoissonAlgebra) -> RepData:
-    mu = (LinearMap.identity(rep.space)._cols,) + rep._mu
-    return _rep(extended, rep.space, mu, (rep._alpha,) + rep._rho, rep._alpha)
+    mu = _Rows((LinearMap.identity(rep.space)._cols, *rep._mu))
+    return _rep(extended, rep.space, mu, _Rows((rep._alpha, *rep._rho)), rep._alpha)
 
 
 def extend_jacobi(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
     """Adjoin a unit e (first basis slot): e.x = x, [e, x] = D(x), and the
     extended derivation kills e.  The result is a Jacobi algebra whose
     derivation is ad(e)."""
-    report = check_rel_poisson(alg)
-    if not report.ok:
-        raise PreconditionError(
-            f"not a relative Poisson algebra: {', '.join(report.axioms_failed())}",
-            report,
-        )
+    _require(check_rel_poisson(alg), "not a relative Poisson algebra")
     return _unit_extension(alg)
 
 
 def extend_representation(rep: RepData) -> tuple[RelPoissonAlgebra, RepData]:
     """Extend a representation over the unit extension: the unit acts as
     the identity through the dot and as alpha through the bracket."""
-    report = check_representation(rep)
-    if not report.ok:
-        raise PreconditionError(
-            f"not a representation: {', '.join(report.axioms_failed())}", report
-        )
+    _require(check_representation(rep), "not a representation")
     extended = extend_jacobi(rep.algebra)
     return extended, _extended_rep(rep, extended)
 
@@ -123,12 +115,7 @@ def lift_o_operator(rep: RepData, operator: LinearMap) -> OOperator:
         check_representation(rep),
         check_weak_o_operator(alg, rep, rep.der_action, operator),
     )
-    if not pre.ok:
-        raise PreconditionError(
-            f"not an O-operator on a relative Poisson algebra: "
-            f"{', '.join(pre.axioms_failed())}",
-            pre,
-        )
+    _require(pre, "not an O-operator on a relative Poisson algebra")
     extended = _unit_extension(alg)
     lifted = LinearMap(
         rep.space,

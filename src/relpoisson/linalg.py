@@ -10,8 +10,10 @@ value is integral, and a ``fractions.Fraction`` (lowest terms, positive
 denominator) only when its denominator is not 1.  Mixed ``int`` /
 ``Fraction`` arithmetic stays exact; the one way out of the rationals,
 ``int / int``, is never written: every true division goes through
-:func:`div`.  Vectors and matrices are plain nested tuples of scalars;
-all values are immutable and safe to share.
+:func:`div`, and only the one exact eliminator, :func:`_gauss_jordan`,
+divides.  Determinants, inverses and the unit of a multiplication are all
+read from its output.  Vectors and matrices are plain nested tuples of
+scalars; all values are immutable and safe to share.
 
 Conventions fixed here and relied on by every other module:
 
@@ -188,6 +190,16 @@ def mat_apply(a: Matrix, v: Vector) -> Vector:
     return tuple(acc)
 
 
+class _Rows(tuple):
+    """The nested rows of a sparse table, the last level listing its
+    nonzero (index, value) entries.  Rows never change, so a sweep keeps
+    the paths and indexes it builds from them in their ``_reads`` memo."""
+
+    @cached_property
+    def _reads(self):
+        return {}
+
+
 def _columns(matrix, height: int, width: int, error: str = "matrix of the wrong shape"):
     """The sparse column table of a height-by-width matrix: ``cols[j]``
     lists the nonzero (row, value) entries of column j.  Every dense matrix
@@ -195,7 +207,7 @@ def _columns(matrix, height: int, width: int, error: str = "matrix of the wrong 
     rows = [tuple(map(scalar, row)) for row in matrix]
     if len(rows) != height or any(len(row) != width for row in rows):
         raise ValueError(error)
-    return tuple(
+    return _Rows(
         tuple((r, row[j]) for r, row in enumerate(rows) if row[j]) for j in range(width)
     )
 
@@ -222,53 +234,78 @@ def mat_combination(coeffs: Vector, mats) -> Matrix:
     return tuple(tuple(r) for r in acc)
 
 
+def _axpy(row: dict, f, other: dict) -> None:
+    """row += f * other on sparse {column: value} rows, dropping zeros."""
+    for c, v in other.items():
+        x = row.get(c, ZERO) + f * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def _gauss_jordan(rows):
+    """Gauss-Jordan elimination of sparse {column: nonzero value} rows, in
+    order.  Returns (pivots, leads): ``pivots`` maps each pivot column to
+    its reduced row, 1 there and 0 at every other pivot column, and
+    ``leads[r]`` is the (column, value) pivot of row r, at the least column
+    left once the rows before reduce it, or None if it reduces to zero."""
+    pivots, leads = {}, []
+    for row in map(dict, rows):
+        for col in [c for c in row if c in pivots]:
+            _axpy(row, -row[col], pivots[col])
+        if not row:
+            leads.append(None)
+            continue
+        col = min(row)
+        leads.append((col, scalar(row[col])))
+        scale = div(ONE, row[col])
+        row = {c: v * scale for c, v in row.items()}
+        for other in pivots.values():
+            if col in other:
+                _axpy(other, -other[col], row)
+        pivots[col] = row
+    return {col: {c: scalar(v) for c, v in row.items()} for col, row in pivots.items()}, leads
+
+
 def determinant(a: Matrix) -> Scalar:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(a)
-    if n == 0:
-        return ONE
-    if any(len(r) != n for r in a):
+    """Exact determinant: the product of the rows' pivot values, signed by
+    the parity of their pivot columns."""
+    if any(len(r) != len(a) for r in a):
         raise ValueError("determinant of a non-square matrix")
-    m = [list(r) for r in a]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        p = m[col][col]
+    _, leads = _gauss_jordan({c: x for c, x in enumerate(row) if x} for row in a)
+    if None in leads:
+        return ZERO
+    det, cols = ONE, [col for col, _ in leads]
+    for r, (_, p) in enumerate(leads):
         det *= p
-        for r in range(col + 1, n):
-            f = m[r][col]
-            if not f:
-                continue
-            f = div(f, p)
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
+        while cols[r] != r:  # sort the columns by swaps, each flipping the sign
+            c = cols[r]
+            cols[r], cols[c], det = cols[c], c, -det
     return scalar(det)
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on a singular matrix."""
+def _solve(a: Matrix, b: Matrix):
+    """The x with a x = b for a square a, read off the reduced rows of
+    [a | b]; None when a is singular."""
     n = len(a)
-    m = [list(r) + list(identity_matrix(n)[i]) for i, r in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
-        m[col] = [div(x, p) for x in m[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = m[r][col]
-            if not f:
-                continue
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(map(scalar, row[n:])) for row in m)
+    if any(len(r) != n for r in a):
+        raise ValueError("elimination of a non-square matrix")
+    rows = ({c: x for c, x in enumerate((*ra, *rb)) if x} for ra, rb in zip(a, b))
+    pivots, _ = _gauss_jordan(rows)
+    if any(c not in pivots for c in range(n)):
+        return None
+    # row r of x is the [b] part of the pivot row of column r
+    return tuple(tuple(pivots[r].get(n + c, ZERO) for c in range(len(rb))) for r, rb in enumerate(b))
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """Exact inverse, from [a | I]; raises ValueError on a singular or
+    non-square matrix."""
+    inverse = _solve(a, identity_matrix(len(a)))
+    if inverse is None:
+        raise ValueError("matrix is singular")
+    return inverse
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +385,7 @@ class Tensor2:
     def _rows(self):
         """The row table of the coefficients, built on first read:
         ``_rows[i]`` lists the nonzero (j, value) entries of row i."""
-        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.coeffs)
+        return _Rows(tuple((j, x) for j, x in enumerate(row) if x) for row in self.coeffs)
 
     @staticmethod
     def zero(left: Space, right: Space) -> Tensor2:

@@ -19,6 +19,7 @@ from .algebra import (
     _block_sum,
     _families,
     _matrices,
+    _require,
     _Stored,
     _sweep,
     check_rel_poisson,
@@ -31,8 +32,9 @@ from .linalg import (
     Space,
     Vector,
     _columns,
+    _Rows,
+    _solve,
     determinant,
-    mat_inverse,
     mat_mul,
     mat_transpose,
     scalar,
@@ -114,12 +116,15 @@ def check_invariant_form(
 
 
 def adjoint_of(op: LinearMap, form: BilinearForm) -> LinearMap:
-    """The adjoint P^ of a map under a nondegenerate form:
-    B(P(x), y) = B(x, P^(y)); in matrices P^ = G^-1 P^T G."""
-    if not is_nondegenerate(form):
-        raise PreconditionError("bilinear form is degenerate")
+    """The adjoint P^ of an endomorphism of the form's space under a
+    nondegenerate form: B(P(x), y) = B(x, P^(y)); in matrices G P^ = P^T G,
+    solved by one elimination of [G | P^T G]."""
+    if op.domain != form.space or op.codomain != form.space:
+        raise ValueError("map is not an endomorphism of the form's space")
     g = form.gram
-    entries = mat_mul(mat_inverse(g), mat_mul(mat_transpose(op.entries), g))
+    entries = _solve(g, mat_mul(mat_transpose(op.entries), g))
+    if entries is None:
+        raise PreconditionError("bilinear form is degenerate")
     return LinearMap(op.domain, op.codomain, entries)
 
 
@@ -236,11 +241,7 @@ def combine_matched_pair(data: MatchedPairData) -> RelPoissonAlgebra:
 def bowtie(data: MatchedPairData) -> RelPoissonAlgebra:
     """The double of a matched pair; rejects data failing
     :func:`check_matched_pair`."""
-    report = check_matched_pair(data)
-    if not report.ok:
-        raise PreconditionError(
-            f"not a matched pair: {', '.join(report.axioms_failed())}", report
-        )
+    _require(check_matched_pair(data), "not a matched pair")
     return combine_matched_pair(data)
 
 
@@ -282,7 +283,7 @@ def check_manin_triple(
     tables = dict(WM=double.dot, WB=double.bracket, WD=double.derivation)
     for S, sub, off in (("L", alg, 0), ("R", dual_alg, n)):
         tables.update({S + "M": sub.dot, S + "B": sub.bracket, S + "D": sub.derivation})
-        tables[S + "J"] = tuple(((off + i, ONE),) for i in range(n))
+        tables[S + "J"] = _Rows(((off + i, ONE),) for i in range(n))
     coll = Collector(limit)
     _sweep(coll, _SUBALGEBRA, 2 * n, **tables)
     _sweep(coll, _DERIVATION_BLOCK, 2 * n, **tables)

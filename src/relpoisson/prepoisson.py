@@ -11,9 +11,9 @@ from .algebra import (
     AxiomReport,
     BilinearOp,
     Collector,
-    PreconditionError,
     RelPoissonAlgebra,
     _derived_product,
+    _require,
     _sweep,
     check_derivation,
     combine_reports,
@@ -92,12 +92,7 @@ def circ_from_derivation(star: BilinearOp, der: LinearMap) -> BilinearOp:
     """The pre-Lie product x o y = x*D(y) - D(x)*y of a Zinbiel algebra
     with derivation; the quadruple is then relative pre-Poisson."""
     pre = combine_reports(check_zinbiel(star), check_derivation(star, der))
-    if not pre.ok:
-        raise PreconditionError(
-            f"input is not a Zinbiel algebra with derivation: "
-            f"{', '.join(pre.axioms_failed())}",
-            pre,
-        )
+    _require(pre, "input is not a Zinbiel algebra with derivation")
     return _derived_product(star, der)
 
 
@@ -105,12 +100,7 @@ def subadjacent(pp: RelPrePoissonAlgebra) -> tuple[RelPoissonAlgebra, RepData]:
     """The sub-adjacent relative Poisson algebra (x.y = x*y + y*x,
     [x,y] = x o y - y o x) together with the left-multiplication
     representation for which the identity map is an O-operator."""
-    report = check_rel_pre_poisson(pp)
-    if not report.ok:
-        raise PreconditionError(
-            f"not a relative pre-Poisson algebra: {', '.join(report.axioms_failed())}",
-            report,
-        )
+    _require(check_rel_pre_poisson(pp), "not a relative pre-Poisson algebra")
     star, circ = pp.star.nonzero_entries(), pp.circ.nonzero_entries()
     alg = RelPoissonAlgebra(
         pp.space,

@@ -30,7 +30,6 @@ from .algebra import (
     BilinearOp,
     Collector,
     NoUnitError,
-    PreconditionError,
     RelPoissonAlgebra,
     _block_sum,
     _dense,
@@ -38,13 +37,14 @@ from .algebra import (
     _flat,
     _matrices,
     _make,
+    _require,
     _Stored,
     _sweep,
     _transpose,
     ad_map,
     find_unit,
 )
-from .linalg import ONE, LinearMap, Matrix, Space, Vector, _columns, determinant
+from .linalg import ONE, LinearMap, Matrix, Space, Vector, _columns, _Rows, determinant
 
 
 def _action_of(family, u: Vector, m: int) -> Matrix:
@@ -184,8 +184,8 @@ def dual_rep(cs: CompatibleStructure, beta: Matrix | LinearMap) -> RepData:
     or test the defining conditions with :func:`check_dual_rep_conditions`.
     """
     m = cs.space.dim
-    mu = tuple(_transpose(cols, m) for cols in cs._mu)
-    rho = tuple(_transpose(cols, m, -1) for cols in cs._rho)
+    mu = _Rows(_transpose(cols, m) for cols in cs._mu)
+    rho = _Rows(_transpose(cols, m, -1) for cols in cs._rho)
     return _rep(cs.algebra, cs.space.dual, mu, rho, _transpose(_beta_columns(beta, m), m))
 
 
@@ -278,11 +278,7 @@ def semidirect_product(alg: RelPoissonAlgebra, rep: RepData) -> RelPoissonAlgebr
     candidates that fail :func:`check_representation`."""
     if rep.algebra is not alg and rep.algebra != alg:
         raise ValueError("representation does not act for the given algebra")
-    report = check_representation(rep)
-    if not report.ok:
-        raise PreconditionError(
-            f"not a representation: {', '.join(report.axioms_failed())}", report
-        )
+    _require(check_representation(rep), "not a representation")
     return _semidirect(rep)
 
 
@@ -335,8 +331,8 @@ def _jacobi_representation(dot, bracket, mu, rho, m: int, limit: int = DEFAULT_V
     unit = find_unit(dot)
     if unit is None:
         raise NoUnitError("multiplication has no two-sided unit")
-    hits = [(k, u) for k, u in enumerate(unit) if u]
-    identity = tuple(((c, ONE),) for c in range(m))
+    hits = _Rows((k, u) for k, u in enumerate(unit) if u)
+    identity = _Rows(((c, ONE),) for c in range(m))
     coll = Collector(limit)
     _sweep(coll, _UNITAL, m, U=hits, MU=mu, I=identity)
     tables = dict(M=dot, B=bracket, U=hits, W=ad_map(bracket, unit), MU=mu, RHO=rho)

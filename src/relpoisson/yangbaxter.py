@@ -27,6 +27,7 @@ from .algebra import (
     RelPoissonAlgebra,
     _contract,
     _dense,
+    _require,
     _sweep,
 )
 from .coalgebra import Comultiplication
@@ -233,13 +234,7 @@ def check_coboundary_conditions(
     the algebra a coboundary bialgebra.  Requires that the given map
     dually represents the algebra."""
     _require_on(alg, r, codrv)
-    pre = check_dually_represents(alg, codrv)
-    if not pre.ok:
-        raise PreconditionError(
-            f"map does not dually represent the algebra: "
-            f"{', '.join(pre.axioms_failed())}",
-            pre,
-        )
+    _require(check_dually_represents(alg, codrv), "map does not dually represent the algebra")
     coll = Collector(limit)
     tables = dict(R=r, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv)
     _sweep(coll, _COBOUNDARY_CONDITIONS, alg.dim, **tables)
@@ -341,23 +336,9 @@ def o_operator_to_rmatrix(
     r = T - tau(T), a solution of the RPYBE associated to Q + alpha^T.
     """
     alg = rep.algebra
-    rep_report = check_representation(rep)
-    if not rep_report.ok:
-        raise PreconditionError(
-            f"not a representation: {', '.join(rep_report.axioms_failed())}", rep_report
-        )
-    beta_report = check_dual_rep_conditions(rep, beta)
-    if not beta_report.ok:
-        raise PreconditionError(
-            f"beta does not dually represent on the module: "
-            f"{', '.join(beta_report.axioms_failed())}",
-            beta_report,
-        )
-    op_report = check_weak_o_operator(alg, rep, rep.der_action, operator)
-    if not op_report.ok:
-        raise PreconditionError(
-            f"not an O-operator: {', '.join(op_report.axioms_failed())}", op_report
-        )
+    _require(check_representation(rep), "not a representation")
+    _require(check_dual_rep_conditions(rep, beta), "beta does not dually represent on the module")
+    _require(check_weak_o_operator(alg, rep, rep.der_action, operator), "not an O-operator")
     if mat_mul(operator.entries, beta) != mat_mul(codrv.entries, operator.entries):
         raise PreconditionError("operator does not intertwine beta with the dual map")
     n, m = alg.dim, rep.space.dim

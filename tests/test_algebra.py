@@ -29,6 +29,7 @@ from relpoisson import (
     find_unit,
 )
 from relpoisson.algebra import _compile, _contract, _paths, _rows, ad_map, block_sum
+from relpoisson.linalg import _Rows
 
 from conftest import (
     heisenberg_poisson,
@@ -406,7 +407,7 @@ def _action_family(data, n):
 
 def _vector_hits(data, n):
     v = tuple(data.draw(VALUE) for _ in range(n))
-    return [(k, x) for k, x in enumerate(v) if x], "k", lambda k: v[k]
+    return _Rows((k, x) for k, x in enumerate(v) if x), "k", lambda k: v[k]
 
 
 TABLE_KINDS = {
@@ -431,3 +432,18 @@ def test_sweep_reads_each_table_kind_as_its_dense_view(kind, data):
     assert _paths(_rows(table), len(labels) - 1) == dense
     (out,) = _contract((("", labels, "", f"T:{labels}"),), {"T": table})
     assert out == dict(dense)
+
+
+def test_sweep_keeps_its_indexes_on_the_rows_it_reads():
+    """Every table the sweep reads is rows that carry their memo, so a
+    second sweep of the same action family re-keys nothing; a plain tuple,
+    which could not keep one, is refused."""
+    mats = (((1, 2), (0, 3)), ((0, 0), (4, 0)))
+    cs = CompatibleStructure(zero_algebra(2), Space.of_dim(2, "v"), mats, mats)
+    families = (("", "xj", "r", "MU:xjr"),)
+    first = _contract(families, {"MU": cs._mu})
+    reads = dict(cs._mu._reads)
+    assert reads and _contract(families, {"MU": cs._mu}) == first
+    assert all(cs._mu._reads[keys] is index for keys, index in reads.items())
+    with pytest.raises(TypeError):
+        _contract(families, {"MU": tuple(cs._mu)})

@@ -193,11 +193,13 @@ def test_determinant_and_inverse():
 
 
 def test_shape_mismatch_raises_value_error():
-    # a 1x1 times a 2x1 matrix, and a 1x2 determinant
+    # a 1x1 times a 2x1 matrix, a 1x2 determinant and a 2x3 inverse
     with pytest.raises(ValueError):
         mat_mul(((F(1),),), ((F(1),), (F(2),)))
     with pytest.raises(ValueError):
         determinant(((F(1), F(2)),))
+    with pytest.raises(ValueError):
+        mat_inverse(((1, 0, 0), (0, 1, 0)))
 
 
 def test_linear_map_add_rejects_other_spaces():

@@ -66,21 +66,43 @@ def test_parse_scalar_string_normal_form():
     assert parse_scalar_string("-2/6") == F(-1, 3)
 
 
-def test_true_division_only_inside_linalg_div():
-    """``int / int`` is a float, so the only ``/`` in the package is the
-    one in ``linalg.div``, which divides a Fraction."""
+def _outside_linalg(function: str, match) -> list:
+    """file:line of every AST node of the package that ``match`` accepts,
+    except those inside the function of that name in ``linalg.py``."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
         if path.name == "linalg.py":
-            (div_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "div"]
-            allowed = {id(node) for node in ast.walk(div_def)}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-                if id(node) not in allowed:
-                    found.append(f"{path.name}:{node.lineno}")
+            (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+            allowed = {id(node) for node in ast.walk(body)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if match(node) and id(node) not in allowed
+        ]
+    return found
+
+
+def test_true_division_only_inside_linalg_div():
+    """``int / int`` is a float, so the only ``/`` in the package is the
+    one in ``linalg.div``, which divides a Fraction."""
+    found = _outside_linalg(
+        "div", lambda node: isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
     assert not found, f"true division outside linalg.div: {found}"
+
+
+def _calls_div(node) -> bool:
+    func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+    return getattr(func, "id", None) == "div" or getattr(func, "attr", None) == "div"
+
+
+def test_div_called_only_inside_the_eliminator():
+    """Every exact solve goes through one elimination: ``div`` is called
+    only inside ``linalg._gauss_jordan``."""
+    found = _outside_linalg("_gauss_jordan", _calls_div)
+    assert not found, f"div called outside linalg._gauss_jordan: {found}"
 
 
 def test_constructors_store_the_normal_form():

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relpoisson import (
     BilinearForm,
@@ -29,7 +31,9 @@ from relpoisson import (
 )
 from relpoisson.algebra import BilinearOp
 from relpoisson.linalg import (
+    determinant,
     identity_matrix,
+    mat_mul,
     mat_neg,
     mat_transpose,
     zero_matrix,
@@ -103,6 +107,43 @@ def test_adjoint_of_solves_defining_equation():
             assert form.value(p(ei), ej) == form.value(ei, adj(ej))
     with pytest.raises(PreconditionError):
         adjoint_of(p, BilinearForm(sp, zero_matrix(2, 2)))
+
+
+def test_adjoint_of_rejects_maps_off_the_form_space():
+    sp = Space.of_dim(2)
+    form = BilinearForm(sp, identity_matrix(2))
+    relabelled = Space.of_dim(2, "f")
+    for domain, codomain in ((relabelled, relabelled), (sp, relabelled), (Space.of_dim(3), sp)):
+        with pytest.raises(ValueError) as exc:
+            adjoint_of(LinearMap.zero(domain, codomain), form)
+        assert not isinstance(exc.value, PreconditionError)
+
+
+# many zeros, so degenerate forms are common
+_entries = st.sampled_from((0, 0, 0, 1, -1, 2, F(1, 2)))
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 3), cols=st.integers(1, 3), data=st.data())
+def test_adjoint_of_on_random_forms_and_maps(n, cols, data):
+    """A square map on the form's space gets the adjoint G P^ = P^T G when
+    the form is nondegenerate and a PreconditionError otherwise; a map of
+    another shape is a ValueError."""
+    sp = Space.of_dim(n)
+    gram = tuple(tuple(data.draw(_entries) for _ in range(n)) for _ in range(n))
+    entries = tuple(tuple(data.draw(_entries) for _ in range(cols)) for _ in range(n))
+    form = BilinearForm(sp, gram)
+    op = LinearMap(Space.of_dim(cols), sp, entries)
+    if cols != n:
+        with pytest.raises(ValueError):
+            adjoint_of(op, form)
+        return
+    if not determinant(gram):
+        with pytest.raises(PreconditionError):
+            adjoint_of(op, form)
+        return
+    adj = adjoint_of(op, form)
+    assert mat_mul(form.gram, adj.entries) == mat_mul(mat_transpose(op.entries), form.gram)
 
 
 def test_adjoint_of_double_derivation(worked_double, worked_bialgebra):
