@@ -24,13 +24,20 @@ from .linalg import (
     LinearMap,
     Matrix,
     Space,
-    Tensor2,
     Vector,
+    _block_diagonal,
     _columns,
+    _dense,
     _gauss_jordan,
+    _make,
+    _matrix,
+    _entries,
+    _nest,
+    _paths,
     _Rows,
+    _Stored,
+    _transpose,
     basis_vector,
-    block_diagonal,
     direct_sum_space,
     scalar,
     vec_is_zero,
@@ -135,31 +142,6 @@ def combine_reports(*reports, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomRepo
 # bilinear operations
 
 
-class _Stored:
-    """Base of the structures kept in one sparse stored form.  Each is a
-    frozen dataclass whose fields are its dense constructor's arguments:
-    ``__init__`` converts them to the stored attributes named in
-    ``_stored``, by which instances compare, and each field not stored is
-    a cached property, derived on first read."""
-
-    _stored = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            getattr(self, name) == getattr(other, name) for name in self._stored
-        )
-
-    def __hash__(self):
-        return hash(tuple(getattr(self, name) for name in self._stored))
-
-
-def _make(cls, **stored):
-    """An instance of a structure holding the given stored attributes."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(stored)
-    return obj
-
-
 class _Rank3(_Stored):
     """Base of the rank-3 tables, stored nested in the index order
     ``_axes`` names: for axes "abc", ``_sparse[a][b]`` lists the nonzero
@@ -183,43 +165,25 @@ class _Rank3(_Stored):
         return tuple(tuple(_dense(cell, self.space.dim) for cell in row) for row in self._sparse)
 
     @classmethod
-    def _from_cells(cls, space: Space, cells):
-        """Build from {(a, b): {c: exact value}} cells."""
-        n = space.dim
-        sparse = [[()] * n for _ in range(n)]
-        for (a, b), cell in cells.items():
-            sparse[a][b] = tuple(sorted((c, x) for c, x in cell.items() if x))
-        return _make(cls, space=space, _sparse=_Rows(map(tuple, sparse)))
-
-    @classmethod
     def zero(cls, space: Space):
-        return cls._from_cells(space, {})
+        return cls.from_entries(space, ())
 
     @classmethod
     def from_entries(cls, space: Space, entries):
         """Build from sparse (i, j, k, value) entries; repeated positions add up."""
-        n, (a, b, c) = space.dim, map("ijk".index, cls._axes)
-        cells = {}
-        for entry in entries:
-            i, j, k, value = entry
+        n, checked = space.dim, []
+        for i, j, k, value in entries:
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise IndexError(f"structure constant index out of range: {(i, j, k)}")
-            cell, at = cells.setdefault((entry[a], entry[b]), {}), entry[c]
-            cell[at] = scalar(cell.get(at, ZERO) + scalar(value))
-        return cls._from_cells(space, cells)
+            checked.append((i, j, k, scalar(value)))
+        return _make(cls, space=space, _sparse=_nest(checked, cls._axes, (n, n)))
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self._sparse)
 
     def nonzero_entries(self):
         """(i, j, k, value) quadruples of the nonzero entries, in stored order."""
-        entry = itemgetter(*map(self._axes.index, "ijk"), 3)
-        return [
-            entry((a, b, c, x))
-            for a, row in enumerate(self._sparse)
-            for b, cell in enumerate(row)
-            for c, x in cell
-        ]
+        return _entries(self._sparse, self._axes)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -302,13 +266,16 @@ class BilinearOp(_Rank3):
                 for k, x in prod:
                     eqs.setdefault(("left", j, k), {})[i] = x  # u_i in (u * e_j)_k
                     eqs.setdefault(("right", i, k), {})[j] = x  # u_j in (e_i * u)_k
-        # the right-hand side is column n, so a pivot there reads 0 = 1
+        # the right-hand side is column n, so a pivot there reads 0 = 1, and
+        # elimination stops at the first such equation
         rows = ({**coeffs, n: ONE} if j == k else coeffs for (_, j, k), coeffs in eqs.items())
-        pivots, _ = _gauss_jordan(rows)
+        steps = _gauss_jordan(rows)
+        pivots = next(steps)
+        if any(lead and lead[0] == n for lead in steps):
+            return None
         # a solution is a two-sided unit, hence unique, so every column is a
         # pivot; free variables would be read as zero
-        unit = tuple(pivots[c].get(n, ZERO) if c in pivots else ZERO for c in range(n))
-        return None if n in pivots else unit
+        return tuple(scalar(pivots[c].get(n, ZERO)) if c in pivots else ZERO for c in range(n))
 
 
 @dataclass(frozen=True)
@@ -377,7 +344,7 @@ def _families(count: int, dim: int, *families):
 
 def _matrices(family):
     """The dense matrices of a family of square column tables."""
-    return tuple(_dense(_flat(cols), len(cols), len(cols)) for cols in family)
+    return tuple(_matrix(_transpose(cols, len(cols)), len(cols)) for cols in family)
 
 
 def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
@@ -385,30 +352,25 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
     lists the nonzero (row, value) entries of mu1(e_i) e_b."""
     n1, n2 = left.dim, right.dim
     total = direct_sum_space(left.space, right.space)
-    dot, br = {}, {}
+    dot, br = [], []
     for off, alg in ((0, left), (n1, right)):
-        for cells, op in ((dot, alg.dot), (br, alg.bracket)):
-            for i, row in enumerate(op._sparse):
-                for j, prod in enumerate(row):
-                    if prod:
-                        cells[off + i, off + j] = {off + k: x for k, x in prod}
+        for out, op in ((dot, alg.dot), (br, alg.bracket)):
+            out += [(off + i, off + j, off + k, x) for i, j, k, x in op.nonzero_entries()]
     # mu1[i] applied to b is column b of mu1[i], and mu2[b] applied to i is
     # column i of mu2[b]
     for i in range(n1):
         for b in range(n2):
-            mu = dict(mu2[b][i])
-            mu.update((n1 + r, v) for r, v in mu1[i][b])
-            dot[i, n1 + b] = dot[n1 + b, i] = mu
-            rho = dict(rho2[b][i])
-            rho.update((n1 + r, -v) for r, v in rho1[i][b])
-            br[n1 + b, i] = rho
-            br[i, n1 + b] = {k: -v for k, v in rho.items()}
-    derivation = block_diagonal(left.derivation.entries, right.derivation.entries)
+            mu = [*mu2[b][i], *((n1 + r, v) for r, v in mu1[i][b])]
+            dot += [(i, n1 + b, k, v) for k, v in mu] + [(n1 + b, i, k, v) for k, v in mu]
+            rho = [*rho2[b][i], *((n1 + r, -v) for r, v in rho1[i][b])]
+            br += [(n1 + b, i, k, v) for k, v in rho] + [(i, n1 + b, k, -v) for k, v in rho]
+    size = (total.dim, total.dim)
+    derivation = _block_diagonal(left.derivation._sparse, right.derivation._sparse, n1)
     return RelPoissonAlgebra(
         total,
-        BilinearOp._from_cells(total, dot),
-        BilinearOp._from_cells(total, br),
-        LinearMap(total, total, derivation),
+        _make(BilinearOp, space=total, _sparse=_nest(dot, "ijk", size)),
+        _make(BilinearOp, space=total, _sparse=_nest(br, "ijk", size)),
+        _make(LinearMap, domain=total, codomain=total, _sparse=derivation),
     )
 
 
@@ -421,12 +383,14 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 # defect vector, flattened row-major, and ``terms`` is a signed sum of
 # products of stored tables.  Every table is read as nested rows, the last
 # level listing its nonzero (index, value) entries, and a factor
-# "NAME:labels" labels its indices outer level first: a BilinearOp's
-# _sparse as "ijk" (e_k in e_i * e_j), a Comultiplication's _sparse as
-# "kij" (e_i (x) e_j in the image of e_k), a LinearMap's _cols as "ji" (row
-# i of column j), a Tensor2's _rows as "ij", an action family as "xjr" (row
-# r of column j of the matrix of e_x) and a vector's hits as "k".  A label
-# in neither ``where`` nor ``defect`` is summed over, so associativity reads
+# "NAME:labels" labels its indices outer level first.  A structure is read
+# as its stored _sparse table, in the order its _axes names: a BilinearOp
+# as "ijk" (e_k in e_i * e_j), a Comultiplication as "kij" (e_i (x) e_j in
+# the image of e_k), a LinearMap as "ji" (row i of column j), a Tensor2 as
+# "ij" and a BilinearForm as "ji" (B(e_i, e_j) in column j).  Rows are read
+# as given: an action family as "xjr" (row r of column j of the matrix of
+# e_x) and a vector's hits as "k".  A label in neither ``where`` nor
+# ``defect`` is summed over, so associativity reads
 #
 #     ("associative", "ijk", "s", "M:ijt,M:tks - M:jkt,M:its")
 #
@@ -437,26 +401,13 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 
 
 def _rows(table) -> _Rows:
-    """The nested rows a sweep reads of a table: a structure's stored rows,
-    or the rows of an action family, a column table or a vector's hits."""
-    if isinstance(table, _Rows):
-        return table
-    if isinstance(table, _Rank3):
-        return table._sparse
-    if isinstance(table, LinearMap):
-        return table._cols
-    if isinstance(table, Tensor2):
-        return table._rows
-    raise TypeError(f"not a sweep table: {type(table).__name__}")
-
-
-def _paths(rows, depth: int):
-    """Every entry of a table nested ``depth`` levels above its entry lists,
-    as an (indices, value) path; empty rows are skipped level by level."""
-    paths = [((), rows)]
-    for _ in range(depth):
-        paths = [(v + (i,), row) for v, level in paths for i, row in enumerate(level) if row]
-    return [(v + (k,), x) for v, row in paths for k, x in row]
+    """The nested rows a sweep reads of a table: rows given as such (an
+    action family, say, or a vector's hits), or a structure's stored
+    ``_sparse`` table."""
+    rows = table if isinstance(table, _Rows) else getattr(table, "_sparse", None)
+    if not isinstance(rows, _Rows):
+        raise TypeError(f"not a sweep table: {type(table).__name__}")
+    return rows
 
 
 def _key(positions):
@@ -570,34 +521,6 @@ def _sweep(coll: Collector, families: tuple, dims, **tables) -> None:
         for f, value in cells[where, fam].items():
             vector[f] = value
         coll.check(axiom, where, vector)
-
-
-def _dense(hits, *shape):
-    """The nested tuple of the given shape holding the sum of the hits at
-    each flat index, zero elsewhere: the dense view of a sparse form."""
-    flat = [ZERO] * math.prod(shape)
-    for f, x in hits:
-        flat[f] += x
-    for level in range(len(shape) - 1, 0, -1):
-        size = shape[level]
-        flat = [tuple(flat[s * size : (s + 1) * size]) for s in range(math.prod(shape[:level]))]
-    return tuple(flat)
-
-
-def _flat(cols):
-    """The flat hits of the matrix with the given column table."""
-    width = len(cols)
-    return [(r * width + c, x) for c, col in enumerate(cols) for r, x in col]
-
-
-def _transpose(cols, height: int, scale=1):
-    """The column table of scale times the transpose of a matrix with
-    ``height`` rows, given by its column table."""
-    out = [[] for _ in range(height)]
-    for c, col in enumerate(cols):
-        for r, x in col:
-            out[r].append((c, scale * x))
-    return _Rows(map(tuple, out))
 
 
 # M is the product (the dot of a Leibniz rule), B the bracket, D the
@@ -723,8 +646,17 @@ def check_jacobi_algebra(
 
 
 def ad_map(bracket: BilinearOp, u: Vector) -> LinearMap:
-    """The adjoint action [u, -] of an element as a linear map."""
-    return LinearMap(bracket.space, bracket.space, bracket.left_matrix_of(u))
+    """The adjoint action [u, -] of an element as a linear map: column j
+    is [u, e_j]."""
+    sp = bracket.space
+    entries = [
+        (k, j, c * x)
+        for i, c in enumerate(u)
+        if c
+        for j, prod in enumerate(bracket._sparse[i])
+        for k, x in prod
+    ]
+    return _make(LinearMap, domain=sp, codomain=sp, _sparse=_nest(entries, "ji", (sp.dim,)))
 
 
 __all__ = [

@@ -52,8 +52,8 @@ from .documents import (
     serialize_document,
     validate_document,
 )
-from .jacobi import PipelineError, extend_jacobi, frobenius_jacobi_pipeline
-from .linalg import ONE, mat_neg
+from .jacobi import _STAGES, PipelineError, extend_jacobi, frobenius_jacobi_pipeline
+from .linalg import ONE
 from .pairing import bowtie, check_invariant_form, is_nondegenerate
 from .prepoisson import (
     RelPrePoissonAlgebra,
@@ -146,7 +146,7 @@ def _check_dispatch(doc, kind: str) -> AxiomReport:
             report = combine_reports(
                 report,
                 check_weak_o_operator(
-                    rep.algebra, rep, rep.der_action, extras["operator"]
+                    rep.algebra, rep, rep._alpha, extras["operator"]
                 ),
             )
         return report
@@ -253,7 +253,7 @@ def cmd_construct(args) -> int:
         rep, extras = doc_to_representation(doc)
         if "operator" not in extras:
             raise DocumentError("o-operator-rmatrix needs an operator field")
-        beta = extras.get("beta", mat_neg(rep.der_action))
+        beta = extras.get("beta", rep._alpha.neg())
         codrv = extras.get("dual_derivation", rep.algebra.derivation.neg())
         semidirect, tensor = o_operator_to_rmatrix(
             rep, beta, codrv, extras["operator"]
@@ -272,30 +272,18 @@ def cmd_pipeline(args) -> int:
     pp = doc_to_rel_pre_poisson(doc)
     bialgebra, frobenius = frobenius_jacobi_pipeline(pp)
     out = rel_poisson_doc(frobenius.algebra, form=frobenius.form)
-    stages = [
-        "pre-poisson",
-        "sub-adjacent",
-        "extend-jacobi",
-        "extend-representation",
-        "lift-o-operator",
-        "yang-baxter",
-        "coboundary",
-        "bialgebra",
-        "matched-pair",
-        "double",
-    ]
     if args.json:
         print(
             json.dumps(
                 {
-                    "stages": [{"stage": s, "ok": True} for s in stages],
+                    "stages": [{"stage": s, "ok": True} for s in _STAGES],
                     "document": _normalize(out),
                 },
                 indent=1,
             )
         )
         return OK
-    for stage in stages:
+    for stage in _STAGES:
         print(f"stage {stage}: ok", file=sys.stderr)
     _write_output(out, args.output)
     return OK

@@ -24,15 +24,12 @@ from .algebra import (
     BilinearOp,
     Collector,
     RelPoissonAlgebra,
-    _dense,
-    _make,
     _Rank3,
     _require,
     _sweep,
-    _transpose,
     check_rel_poisson,
 )
-from .linalg import LinearMap, Matrix, Space, Vector, _Rows, dual_map
+from .linalg import LinearMap, Matrix, Space, Vector, _dense, _make, _Rows, _transpose, dual_map
 from .pairing import MatchedPairData
 from .representations import check_dually_represents
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import re
 
-from .algebra import BilinearOp, RelPoissonAlgebra
+from .algebra import BilinearOp, RelPoissonAlgebra, _entries
 from .coalgebra import BialgebraData, Comultiplication
-from .linalg import ZERO, LinearMap, Scalar, Space, Tensor2, scalar
+from .linalg import LinearMap, Scalar, Space, Tensor2, _make, _nest, scalar
 from .pairing import BilinearForm
 from .prepoisson import RelPrePoissonAlgebra
-from .representations import RepData
+from .representations import RepData, _rep
 
 # kind -> {field: shape}, in canonical key order.  A shape names the space
 # each index of an entry ranges over: V, the document's own space, from
@@ -54,6 +54,9 @@ _SCHEMA = {
 }
 KINDS = tuple(_SCHEMA)
 _HEADER = ("kind", "description", "dim", "basis")
+# an action family is stored as (x, column, row): the axes of its entries
+# (x, row, column)
+_FAMILY = "acb"
 
 _SCALAR = r"-?\d+(/\d+)?"  # matched with re.ASCII, so \d is [0-9]
 
@@ -188,37 +191,36 @@ class _Reader:
             out.append(idx + (parse_scalar_string(entry[arity]),))
         return out
 
-    def dense(self, name):
-        """The field as nested tuples, zero where it gives no entry."""
-        values = {e[:-1]: e[-1] for e in self.entries(name)}
+    def table(self, name, axes):
+        """The field as nested sparse rows whose levels are indexed in the
+        order ``axes`` names, its entries' indices in sorted label order."""
         bounds = self.bounds(name)
-
-        def block(prefix):
-            if len(prefix) == len(bounds):
-                return values.get(prefix, ZERO)
-            return tuple(block(prefix + (i,)) for i in range(bounds[len(prefix)]))
-
-        return block(())
+        sizes = [bounds[sorted(axes).index(a)] for a in axes[:-1]]
+        return _nest(self.entries(name), axes, sizes)
 
     def map(self, name) -> LinearMap:
         """A field over two spaces, as the map from the second to the first."""
         codomain, domain = (self.space[s] for s in self.shapes[name].rstrip("?"))
-        return LinearMap(domain, codomain, self.dense(name))
+        cols = self.table(name, LinearMap._axes)
+        return _make(LinearMap, domain=domain, codomain=codomain, _sparse=cols)
 
-    def op(self, name) -> BilinearOp:
-        return BilinearOp.from_entries(self.space["V"], self.entries(name))
+    def op(self, name, cls=BilinearOp):
+        """A product, or a comultiplication, on V."""
+        return _make(cls, space=self.space["V"], _sparse=self.table(name, cls._axes))
+
+    def form(self, name) -> BilinearForm:
+        space = self.space[self.shapes[name][0]]
+        return _make(BilinearForm, space=space, _sparse=self.table(name, BilinearForm._axes))
 
     def rel_poisson(self) -> RelPoissonAlgebra:
         return RelPoissonAlgebra(
             self.space["V"], self.op("dot"), self.op("bracket"), self.map("derivation")
         )
 
-    def comult(self, name) -> Comultiplication:
-        return Comultiplication.from_entries(self.space["V"], self.entries(name))
-
     def coalgebra(self):
         """(dot_comult, bracket_comult, dual_derivation)."""
-        return self.comult("dot_comult"), self.comult("bracket_comult"), self.map("dual_derivation")
+        comults = (self.op(name, Comultiplication) for name in ("dot_comult", "bracket_comult"))
+        return (*comults, self.map("dual_derivation"))
 
 
 def doc_to_single_op(doc):
@@ -229,8 +231,7 @@ def doc_to_single_op(doc):
 
 def doc_to_rel_poisson(doc):
     f = _Reader(doc, "rel-poisson")
-    alg = f.rel_poisson()
-    return alg, BilinearForm(alg.space, f.dense("form")) if "form" in doc else None
+    return f.rel_poisson(), f.form("form") if "form" in doc else None
 
 
 def doc_to_rel_pre_poisson(doc) -> RelPrePoissonAlgebra:
@@ -241,16 +242,9 @@ def doc_to_rel_pre_poisson(doc) -> RelPrePoissonAlgebra:
 def doc_to_representation(doc):
     """Returns (RepData, extras) with optional operator/beta/dual_derivation."""
     f = _Reader(doc, "representation")
-    rep = RepData(
-        algebra=f.alg,
-        space=f.space["V"],
-        dot_action=f.dense("dot_action"),
-        bracket_action=f.dense("bracket_action"),
-        der_action=f.dense("der_action"),
-    )
-    extras = {name: f.map(name) for name in ("operator", "dual_derivation") if name in doc}
-    if "beta" in doc:
-        extras["beta"] = f.dense("beta")
+    mu, rho = (f.table(name, _FAMILY) for name in ("dot_action", "bracket_action"))
+    rep = _rep(f.alg, f.space["V"], mu, rho, f.map("der_action"))
+    extras = {name: f.map(name) for name in ("operator", "dual_derivation", "beta") if name in doc}
     return rep, extras
 
 
@@ -267,42 +261,36 @@ def doc_to_rmatrix(doc):
     """Returns (algebra, tensor, dual_derivation); the map defaults to the
     negated derivation when the field is absent."""
     f = _Reader(doc, "rmatrix")
-    tensor = Tensor2(f.space["A"], f.space["A"], f.dense("r"))
+    space = f.space["A"]
+    tensor = _make(Tensor2, left=space, right=space, _sparse=f.table("r", Tensor2._axes))
     codrv = f.map("dual_derivation") if "dual_derivation" in doc else f.alg.derivation.neg()
     return f.alg, tensor, codrv
 
 
 def doc_to_bilinear_form(doc):
     f = _Reader(doc, "bilinear-form")
-    return BilinearForm(f.space["A"], f.dense("gram")), f.alg
+    return f.form("gram"), f.alg
 
 
 # ---------------------------------------------------------------------------
 # domain objects -> documents
 
 
-def _nonzero(table, prefix=()):
-    """(indices..., value) for each nonzero scalar of a nested table."""
-    for i, item in enumerate(table):
-        if isinstance(item, (tuple, list)):
-            yield from _nonzero(item, prefix + (i,))
-        elif item:
-            yield prefix + (i, item)
+def _sparse_entries(rows, axes):
+    """Sparse entries [indices..., "p/q"] of a stored table whose levels are
+    indexed in the order ``axes`` names, sorted by their indices."""
+    return [[*idx, format_scalar(x)] for *idx, x in sorted(_entries(rows, axes))]
 
 
-def _sparse_entries(value):
-    """Sparse entries [indices..., "p/q"] of a nested table, or of an
-    operation or comultiplication in its document index order."""
-    if hasattr(value, "nonzero_entries"):
-        terms = sorted(value.nonzero_entries())
-    else:
-        terms = _nonzero(value)
-    return [[*idx, format_scalar(x)] for *idx, x in terms]
+def _table(value):
+    """A structure's stored table and its axes, or None for no structure."""
+    return value and (value._sparse, value._axes)
 
 
 def _document(kind, space, description, fields):
     """A document of `kind` on `space` (None when its embedded algebra gives
-    it): the header, then each field given, in canonical key order."""
+    it): the header, then each field given, in canonical key order.  A
+    field is given as its embedded document or as (stored table, axes)."""
     doc = {"kind": kind}
     if description:
         doc["description"] = description
@@ -311,40 +299,44 @@ def _document(kind, space, description, fields):
     for name in _SCHEMA[kind]:
         value = fields.get(name)
         if value is not None:
-            doc[name] = value if name == "algebra" else _sparse_entries(value)
+            doc[name] = value if name == "algebra" else _sparse_entries(*value)
     return doc
 
 
 def _algebra_fields(alg: RelPoissonAlgebra):
-    return dict(dot=alg.dot, bracket=alg.bracket, derivation=alg.derivation.entries)
+    return {name: _table(getattr(alg, name)) for name in ("dot", "bracket", "derivation")}
 
 
 def _coalgebra_fields(dot_comult, bracket_comult, codrv: LinearMap):
-    return dict(dot_comult=dot_comult, bracket_comult=bracket_comult, dual_derivation=codrv.entries)
+    return dict(
+        dot_comult=_table(dot_comult),
+        bracket_comult=_table(bracket_comult),
+        dual_derivation=_table(codrv),
+    )
 
 
 def single_op_doc(kind: str, op: BilinearOp, der: LinearMap | None = None, description=None):
-    fields = dict(product=op, derivation=der and der.entries)
+    fields = dict(product=_table(op), derivation=_table(der))
     return _document(kind, op.space, description, fields)
 
 
 def rel_poisson_doc(alg: RelPoissonAlgebra, form: BilinearForm | None = None, description=None):
-    fields = dict(_algebra_fields(alg), form=form and form.gram)
+    fields = dict(_algebra_fields(alg), form=_table(form))
     return _document("rel-poisson", alg.space, description, fields)
 
 
 def rel_pre_poisson_doc(pp: RelPrePoissonAlgebra, description=None):
-    fields = dict(star=pp.star, circ=pp.circ, derivation=pp.derivation.entries)
+    fields = {name: _table(getattr(pp, name)) for name in ("star", "circ", "derivation")}
     return _document("rel-pre-poisson", pp.space, description, fields)
 
 
 def representation_doc(rep: RepData, operator: LinearMap | None = None, description=None):
     fields = dict(
         algebra=rel_poisson_doc(rep.algebra),
-        dot_action=rep.dot_action,
-        bracket_action=rep.bracket_action,
-        der_action=rep.der_action,
-        operator=operator and operator.entries,
+        dot_action=(rep._mu, _FAMILY),
+        bracket_action=(rep._rho, _FAMILY),
+        der_action=_table(rep._alpha),
+        operator=_table(operator),
     )
     return _document("representation", rep.space, description, fields)
 
@@ -361,7 +353,7 @@ def bialgebra_doc(data: BialgebraData, description=None):
 
 
 def rmatrix_doc(alg: RelPoissonAlgebra, tensor: Tensor2, codrv: LinearMap, description=None):
-    fields = dict(algebra=rel_poisson_doc(alg), r=tensor.coeffs, dual_derivation=codrv.entries)
+    fields = dict(algebra=rel_poisson_doc(alg), r=_table(tensor), dual_derivation=_table(codrv))
     return _document("rmatrix", None, description, fields)
 
 

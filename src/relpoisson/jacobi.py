@@ -29,7 +29,7 @@ from .coalgebra import (
     dual_rel_poisson_algebra,
     induced_matched_pair,
 )
-from .linalg import ONE, ZERO, LinearMap, Space, Tensor2, _Rows, basis_vector, mat_is_zero
+from .linalg import ONE, LinearMap, Space, _Rows, _with, basis_vector
 from .pairing import (
     BilinearForm,
     canonical_pairing,
@@ -58,6 +58,11 @@ class FrobeniusJacobiAlgebra:
     unit: tuple
 
 
+# the pipeline's stages in order, named as PipelineError names them
+_STAGES = ("pre-poisson", "sub-adjacent", "extend-jacobi", "extend-representation", "lift-o-operator")
+_STAGES += ("yang-baxter", "coboundary", "bialgebra", "matched-pair", "double")
+
+
 class PipelineError(RuntimeError):
     """A pipeline stage failed; carries the stage name and its report."""
 
@@ -77,13 +82,13 @@ def _unit_extension(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
     dot = BilinearOp.from_entries(line, [(0, 0, 0, ONE)])
     unital = RelPoissonAlgebra(line, dot, BilinearOp.zero(line), LinearMap.zero(line))
     back = (((),),) * alg.dim
-    identity = LinearMap.identity(alg.space)._cols
-    return _block_sum(unital, alg, (identity,), (alg.derivation._cols,), back, back)
+    identity = LinearMap.identity(alg.space)._sparse
+    return _block_sum(unital, alg, (identity,), (alg.derivation._sparse,), back, back)
 
 
 def _extended_rep(rep: RepData, extended: RelPoissonAlgebra) -> RepData:
-    mu = _Rows((LinearMap.identity(rep.space)._cols, *rep._mu))
-    return _rep(extended, rep.space, mu, _Rows((rep._alpha, *rep._rho)), rep._alpha)
+    mu = _Rows((LinearMap.identity(rep.space)._sparse, *rep._mu))
+    return _rep(extended, rep.space, mu, _Rows((rep._alpha._sparse, *rep._rho)), rep._alpha)
 
 
 def extend_jacobi(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
@@ -113,24 +118,22 @@ def lift_o_operator(rep: RepData, operator: LinearMap) -> OOperator:
     pre = combine_reports(
         check_rel_poisson(alg),
         check_representation(rep),
-        check_weak_o_operator(alg, rep, rep.der_action, operator),
+        check_weak_o_operator(alg, rep, rep._alpha, operator),
     )
     _require(pre, "not an O-operator on a relative Poisson algebra")
     extended = _unit_extension(alg)
-    lifted = LinearMap(
-        rep.space,
-        extended.space,
-        ((ZERO,) * rep.space.dim,) + operator.entries,
-    )
+    # the new unit is row 0 of the extension, so every row moves down one
+    cols = _Rows(tuple((r + 1, x) for r, x in col) for col in operator._sparse)
+    lifted = _with(operator, codomain=extended.space, _sparse=cols)
     return OOperator(_extended_rep(rep, extended), lifted)
 
 
 def _relabel_algebra(alg: RelPoissonAlgebra, space: Space) -> RelPoissonAlgebra:
     return RelPoissonAlgebra(
         space,
-        BilinearOp.from_entries(space, alg.dot.nonzero_entries()),
-        BilinearOp.from_entries(space, alg.bracket.nonzero_entries()),
-        LinearMap(space, space, alg.derivation.entries),
+        _with(alg.dot, space=space),
+        _with(alg.bracket, space=space),
+        _with(alg.derivation, domain=space, codomain=space),
     )
 
 
@@ -179,7 +182,7 @@ def frobenius_jacobi_pipeline(
         "lift-o-operator",
         o_operator_to_rmatrix,
         lift.rep,
-        pp.derivation.neg().entries,
+        pp.derivation.neg(),
         extended.derivation.neg(),
         lift.operator,
     )
@@ -189,13 +192,13 @@ def frobenius_jacobi_pipeline(
     labels = ("E",) + tuple(f"E{i}" for i in range(1, dim))
     space = Space(labels)
     semidirect = _relabel_algebra(semidirect, space)
-    rmat = Tensor2(space, space, rmat.coeffs)
+    rmat = _with(rmat, left=space, right=space)
     codrv = semidirect.derivation.neg()
     stage("yang-baxter", check_rpybe(semidirect, codrv, rmat))
 
     dot_comult, bracket_comult = coboundary_comults(semidirect, rmat)
-    unit_vec = basis_vector(dim, 0)
-    if not mat_is_zero(dot_comult.of(unit_vec)):
+    # the unit is e_0, and the stored row 0 of Delta is Delta(e_0)
+    if any(dot_comult._sparse[0]):
         raise PipelineError("coboundary", "comultiplication does not kill the unit")
     bialgebra = BialgebraData(semidirect, dot_comult, bracket_comult, codrv)
     stage("bialgebra", check_bialgebra(bialgebra))

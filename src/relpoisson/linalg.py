@@ -2,8 +2,17 @@
 
 Everything downstream is built on four value types: :class:`Space` (a based
 vector space identified by its ordered basis labels), :class:`LinearMap`
-(a matrix between two spaces), and coefficient tensors :class:`Tensor2` /
+(a map between two spaces), and coefficient tensors :class:`Tensor2` /
 :class:`Tensor3` for elements of two- and three-fold tensor products.
+
+Structures are stored sparse-first.  A sparse table is nested rows
+(:class:`_Rows`), the last level listing its nonzero (index, value)
+entries in increasing index order, and a :class:`_Stored` structure keeps
+only its table, by which it compares and hashes: a linear map its column
+table, a 2-tensor its row table.  Dense constructors convert their matrix
+once, in :func:`_columns`; the dense attributes (``entries``, ``coeffs``)
+are views derived on first read, and no builder reads them.  Only
+:class:`Tensor3` is stored dense.
 
 Scalars are exact rationals in one normal form: a Python ``int`` when the
 value is integral, and a ``fractions.Fraction`` (lowest terms, positive
@@ -12,8 +21,9 @@ denominator) only when its denominator is not 1.  Mixed ``int`` /
 ``int / int``, is never written: every true division goes through
 :func:`div`, and only the one exact eliminator, :func:`_gauss_jordan`,
 divides.  Determinants, inverses and the unit of a multiplication are all
-read from its output.  Vectors and matrices are plain nested tuples of
-scalars; all values are immutable and safe to share.
+read from its output, and it stops as soon as its caller has seen enough.
+Vectors and dense matrices are plain nested tuples of scalars; all values
+are immutable and safe to share.
 
 Conventions fixed here and relied on by every other module:
 
@@ -24,9 +34,11 @@ Conventions fixed here and relied on by every other module:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 Scalar = int | Fraction
 ZERO = 0
@@ -106,88 +118,12 @@ def basis_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    # zero operands dominate in practice; skip the arithmetic for them
-    return tuple((a + b if b else a) if a else b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(
-        (a - b if b else a) if a else (-b if b else a) for a, b in zip(u, v)
-    )
-
-
 def vec_is_zero(u) -> bool:
     return all(not a for a in u)
 
 
 # ---------------------------------------------------------------------------
-# matrices
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return ((ZERO,) * cols,) * rows
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
-    """The square matrix diag(a, b) of two square blocks."""
-    pad_a, pad_b = (ZERO,) * len(b), (ZERO,) * len(a)
-    return tuple(tuple(r) + pad_a for r in a) + tuple(pad_b + tuple(r) for r in b)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(ra, rb) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in r) for r in a)
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    if not a:
-        return ()
-    return tuple(zip(*a))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a (r x m) times b (m x c), skipping zero entries of a."""
-    if a and len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [ZERO] * cols
-        for k, x in enumerate(row):
-            if not x:
-                continue
-            brow = b[k]
-            for j, y in enumerate(brow):
-                if y:
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_apply(a: Matrix, v: Vector) -> Vector:
-    """Matrix times coordinate vector, skipping zero coordinates."""
-    rows = len(a)
-    acc = [ZERO] * rows
-    for j, c in enumerate(v):
-        if not c:
-            continue
-        for i in range(rows):
-            x = a[i][j]
-            if x:
-                acc[i] += c * x
-    return tuple(acc)
+# sparse tables
 
 
 class _Rows(tuple):
@@ -198,6 +134,38 @@ class _Rows(tuple):
     @cached_property
     def _reads(self):
         return {}
+
+
+class _Stored:
+    """Base of the structures kept in one sparse stored form.  Each is a
+    frozen dataclass whose fields are its dense constructor's arguments:
+    ``__init__`` converts them to the stored attributes named in
+    ``_stored``, by which instances compare, and each field not stored is
+    a cached property, derived on first read.  A structure read by a sweep
+    stores its table as ``_sparse``, nested rows whose levels are indexed
+    in the order ``_axes`` names."""
+
+    _stored = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self._stored
+        )
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self._stored))
+
+
+def _make(cls, **stored):
+    """An instance of a structure holding the given stored attributes."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(stored)
+    return obj
+
+
+def _with(obj, **changes):
+    """A copy of a stored structure with some stored attributes replaced."""
+    return _make(type(obj), **{name: changes.get(name, getattr(obj, name)) for name in obj._stored})
 
 
 def _columns(matrix, height: int, width: int, error: str = "matrix of the wrong shape"):
@@ -212,26 +180,92 @@ def _columns(matrix, height: int, width: int, error: str = "matrix of the wrong 
     )
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
+def _transpose(cols, height: int, scale=1):
+    """The column table of scale times the transpose of a matrix with
+    ``height`` rows, given by its column table (so, equally, the row table
+    of a matrix given by its row table)."""
+    out = [[] for _ in range(height)]
+    for c, col in enumerate(cols):
+        for r, x in col:
+            out[r].append((c, scale * x))
+    return _Rows(map(tuple, out))
 
 
-def mat_combination(coeffs: Vector, mats) -> Matrix:
-    """sum_k coeffs[k] * mats[k]; mats nonempty and square of equal shape."""
-    rows = len(mats[0])
-    cols = len(mats[0][0]) if rows else 0
-    acc = [[ZERO] * cols for _ in range(rows)]
-    for c, m in zip(coeffs, mats):
-        if not c:
-            continue
-        for i in range(rows):
-            mrow = m[i]
-            arow = acc[i]
-            for j in range(cols):
-                x = mrow[j]
-                if x:
-                    arow[j] += c * x
-    return tuple(tuple(r) for r in acc)
+def _paths(rows, depth: int):
+    """Every entry of a table nested ``depth`` levels above its entry lists,
+    as an (indices, value) path; empty rows are skipped level by level."""
+    paths = [((), rows)]
+    for _ in range(depth):
+        paths = [(v + (i,), row) for v, level in paths for i, row in enumerate(level) if row]
+    return [(v + (k,), x) for v, row in paths for k, x in row]
+
+
+def _entries(rows, axes: str):
+    """The (indices..., value) entries of a nested sparse table whose levels
+    are indexed in the order ``axes`` names, each with its indices in sorted
+    label order, in stored order."""
+    order = itemgetter(*map(axes.index, sorted(axes)))
+    return [(*order(v), x) for v, x in _paths(rows, len(axes) - 1)]
+
+
+def _nest(entries, axes: str, sizes):
+    """The nested sparse rows of (indices..., value) entries whose indices
+    come in sorted label order, with the levels indexed in the order
+    ``axes`` names and ``sizes`` giving the lengths of all but the last;
+    repeated positions add up and zero sums are dropped."""
+    stored = itemgetter(*(sorted(axes).index(a) for a in axes))
+    cells = {}
+    for entry in entries:
+        key = stored(entry)
+        cell = cells.setdefault(key[:-1], {})
+        cell[key[-1]] = cell.get(key[-1], ZERO) + entry[-1]
+    table = {
+        outer: tuple(sorted((k, scalar(x)) for k, x in cell.items() if x))
+        for outer, cell in cells.items()
+    }
+    # fold the levels in, innermost first, an absent row being empty
+    empty = ()
+    for size in reversed(sizes):
+        grouped = {}
+        for outer, row in table.items():
+            grouped.setdefault(outer[:-1], {})[outer[-1]] = row
+        absent = (empty,) * size
+        table = {outer: tuple(map(rows.get, range(size), absent)) for outer, rows in grouped.items()}
+        empty = absent
+    return _Rows(table.get((), empty))
+
+
+def _dense(hits, *shape):
+    """The nested tuple of the given shape holding the sum of the hits at
+    each flat index, zero elsewhere: the dense view of a sparse form."""
+    flat = [ZERO] * math.prod(shape)
+    for f, x in hits:
+        flat[f] += x
+    for level in range(len(shape) - 1, 0, -1):
+        size = shape[level]
+        flat = [tuple(flat[s * size : (s + 1) * size]) for s in range(math.prod(shape[:level]))]
+    return tuple(flat)
+
+
+def _matrix(rows, width: int) -> Matrix:
+    """The dense matrix of a row table whose rows have the given width."""
+    return _dense([(i * width + j, x) for i, row in enumerate(rows) for j, x in row], len(rows), width)
+
+
+def _add(a, b):
+    """The entrywise sum of two sparse two-level tables of the same shape."""
+    return _nest(_entries(a, "ij") + _entries(b, "ij"), "ij", (len(a),))
+
+
+def _block_diagonal(a, b, height: int):
+    """The column table of diag(a, b), given the column tables of a, of
+    the given height, and of b."""
+    return _Rows((*a, *(tuple((height + r, x) for r, x in col) for col in b)))
+
+
+def _neg(rows):
+    """The negative of a sparse table."""
+    return _Rows(tuple((k, -x) for k, x in row) for row in rows)
 
 
 def _axpy(row: dict, f, other: dict) -> None:
@@ -246,161 +280,177 @@ def _axpy(row: dict, f, other: dict) -> None:
 
 def _gauss_jordan(rows):
     """Gauss-Jordan elimination of sparse {column: nonzero value} rows, in
-    order.  Returns (pivots, leads): ``pivots`` maps each pivot column to
-    its reduced row, 1 there and 0 at every other pivot column, and
-    ``leads[r]`` is the (column, value) pivot of row r, at the least column
-    left once the rows before reduce it, or None if it reduces to zero."""
-    pivots, leads = {}, []
+    order, run as a generator.  It first yields ``pivots``, which maps each
+    pivot column to its reduced row, 1 there and 0 at every other pivot
+    column, over the rows read so far.  Then, as it reads each row, it
+    yields that row's (column, value) pivot, at the least column left once
+    the rows before reduce it, or None if the row reduces to zero.  A
+    caller that has seen enough stops, and no further row is read."""
+    pivots = {}
+    yield pivots
     for row in map(dict, rows):
         for col in [c for c in row if c in pivots]:
             _axpy(row, -row[col], pivots[col])
         if not row:
-            leads.append(None)
+            yield None
             continue
         col = min(row)
-        leads.append((col, scalar(row[col])))
+        lead = (col, scalar(row[col]))
         scale = div(ONE, row[col])
         row = {c: v * scale for c, v in row.items()}
         for other in pivots.values():
             if col in other:
                 _axpy(other, -other[col], row)
         pivots[col] = row
-    return {col: {c: scalar(v) for c, v in row.items()} for col, row in pivots.items()}, leads
+        yield lead
 
 
-def determinant(a: Matrix) -> Scalar:
-    """Exact determinant: the product of the rows' pivot values, signed by
-    the parity of their pivot columns."""
-    if any(len(r) != len(a) for r in a):
-        raise ValueError("determinant of a non-square matrix")
-    _, leads = _gauss_jordan({c: x for c, x in enumerate(row) if x} for row in a)
-    if None in leads:
-        return ZERO
-    det, cols = ONE, [col for col, _ in leads]
-    for r, (_, p) in enumerate(leads):
-        det *= p
+def _determinant(rows) -> Scalar:
+    """The determinant of the square matrix with the given sparse rows: the
+    product of the pivot values, signed by the parity of the pivot columns;
+    0 at the first row that reduces to zero, where elimination stops."""
+    steps = _gauss_jordan(rows)
+    next(steps)
+    det, cols = ONE, []
+    for lead in steps:
+        if lead is None:
+            return ZERO
+        det *= lead[1]
+        cols.append(lead[0])
+    for r in range(len(cols)):
         while cols[r] != r:  # sort the columns by swaps, each flipping the sign
             c = cols[r]
             cols[r], cols[c], det = cols[c], c, -det
     return scalar(det)
 
 
-def _solve(a: Matrix, b: Matrix):
-    """The x with a x = b for a square a, read off the reduced rows of
-    [a | b]; None when a is singular."""
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("elimination of a non-square matrix")
-    rows = ({c: x for c, x in enumerate((*ra, *rb)) if x} for ra, rb in zip(a, b))
-    pivots, _ = _gauss_jordan(rows)
-    if any(c not in pivots for c in range(n)):
+def determinant(a: Matrix) -> Scalar:
+    """Exact determinant, by elimination of the rows of a."""
+    if any(len(r) != len(a) for r in a):
+        raise ValueError("determinant of a non-square matrix")
+    return _determinant({c: x for c, x in enumerate(row) if x} for row in a)
+
+
+def _solve(rows, n: int):
+    """The rows of the x with a x = b, as {column: value} dicts, given the n
+    sparse rows of [a | b] for a square a of size n; None when a is
+    singular, at the first row whose pivot falls outside a."""
+    steps = _gauss_jordan(rows)
+    pivots = next(steps)
+    if any(lead is None or lead[0] >= n for lead in steps):
         return None
     # row r of x is the [b] part of the pivot row of column r
-    return tuple(tuple(pivots[r].get(n + c, ZERO) for c in range(len(rb))) for r, rb in enumerate(b))
+    return [{c - n: scalar(x) for c, x in pivots[r].items() if c >= n} for r in range(n)]
 
 
 def mat_inverse(a: Matrix) -> Matrix:
     """Exact inverse, from [a | I]; raises ValueError on a singular or
     non-square matrix."""
-    inverse = _solve(a, identity_matrix(len(a)))
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("elimination of a non-square matrix")
+    rows = ({**{c: x for c, x in enumerate(row) if x}, n + r: ONE} for r, row in enumerate(a))
+    inverse = _solve(rows, n)
     if inverse is None:
         raise ValueError("matrix is singular")
-    return inverse
+    return tuple(tuple(row.get(c, ZERO) for c in range(n)) for row in inverse)
 
 
 # ---------------------------------------------------------------------------
 # linear maps
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    """A linear map as a (codomain.dim x domain.dim) matrix of scalars."""
+@dataclass(frozen=True, init=False, eq=False)
+class LinearMap(_Stored):
+    """A linear map, stored as the sparse column table ``_sparse``:
+    ``_sparse[j]`` lists the nonzero (row, value) entries of column j.
+    ``LinearMap(domain, codomain, entries)`` takes the dense
+    (codomain.dim x domain.dim) matrix, its view derived on first read."""
 
     domain: Space
     codomain: Space
-    entries: Matrix
+    entries: Matrix = cached_property(
+        lambda self: _matrix(_transpose(self._sparse, self.codomain.dim), self.domain.dim)
+    )
+    _stored = ("domain", "codomain", "_sparse")
+    _axes = "ji"
 
-    def __post_init__(self):
-        ent = tuple(tuple(scalar(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", ent)
-        if len(ent) != self.codomain.dim or any(len(r) != self.domain.dim for r in ent):
-            raise ValueError("linear map entries do not match (codomain.dim, domain.dim)")
+    def __init__(self, domain: Space, codomain: Space, entries: Matrix):
+        error = "linear map entries do not match (codomain.dim, domain.dim)"
+        cols = _columns(entries, codomain.dim, domain.dim, error)
+        self.__dict__.update(domain=domain, codomain=codomain, _sparse=cols)
 
     @staticmethod
     def identity(space: Space) -> LinearMap:
-        return LinearMap(space, space, identity_matrix(space.dim))
+        cols = _Rows(((j, ONE),) for j in range(space.dim))
+        return _make(LinearMap, domain=space, codomain=space, _sparse=cols)
 
     @staticmethod
     def zero(domain: Space, codomain: Space | None = None) -> LinearMap:
-        codomain = codomain or domain
-        return LinearMap(domain, codomain, zero_matrix(codomain.dim, domain.dim))
-
-    @cached_property
-    def _cols(self):
-        """The sparse column table of the matrix, built on first read."""
-        return _columns(self.entries, self.codomain.dim, self.domain.dim)
+        cols = _Rows(((),) * domain.dim)
+        return _make(LinearMap, domain=domain, codomain=codomain or domain, _sparse=cols)
 
     def __call__(self, v: Vector) -> Vector:
-        return mat_apply(self.entries, v)
+        hits = [(r, c * x) for c, col in zip(v, self._sparse) if c for r, x in col]
+        return _dense(hits, self.codomain.dim)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        return _dense(self._sparse[j], self.codomain.dim)
 
     def add(self, other: LinearMap) -> LinearMap:
         if (self.domain, self.codomain) != (other.domain, other.codomain):
             raise ValueError("linear maps between different spaces")
-        return LinearMap(self.domain, self.codomain, mat_add(self.entries, other.entries))
+        return _with(self, _sparse=_add(self._sparse, other._sparse))
 
     def neg(self) -> LinearMap:
-        return LinearMap(self.domain, self.codomain, mat_neg(self.entries))
+        return _with(self, _sparse=_neg(self._sparse))
 
     def is_zero(self) -> bool:
-        return mat_is_zero(self.entries)
+        return not any(self._sparse)
 
 
 def dual_map(f: LinearMap) -> LinearMap:
     """The dual of f: V -> W, acting W* -> V* by the transpose matrix."""
-    return LinearMap(f.codomain.dual, f.domain.dual, mat_transpose(f.entries))
+    cols = _transpose(f._sparse, f.codomain.dim)
+    return _make(LinearMap, domain=f.codomain.dual, codomain=f.domain.dual, _sparse=cols)
 
 
 # ---------------------------------------------------------------------------
 # tensors
 
 
-@dataclass(frozen=True)
-class Tensor2:
-    """r = sum coeffs[i][j] e_i (x) f_j in left (x) right."""
+@dataclass(frozen=True, init=False, eq=False)
+class Tensor2(_Stored):
+    """r = sum coeffs[i][j] e_i (x) f_j in left (x) right, stored as the row
+    table ``_sparse``: ``_sparse[i]`` lists the nonzero (j, value)
+    coefficients of row i.  ``Tensor2(left, right, coeffs)`` takes the dense
+    coefficients, their view derived on first read."""
 
     left: Space
     right: Space
-    coeffs: Matrix
+    coeffs: Matrix = cached_property(lambda self: _matrix(self._sparse, self.right.dim))
+    _stored = ("left", "right", "_sparse")
+    _axes = "ij"
 
-    def __post_init__(self):
-        co = tuple(tuple(scalar(x) for x in row) for row in self.coeffs)
-        object.__setattr__(self, "coeffs", co)
-        if len(co) != self.left.dim or any(len(r) != self.right.dim for r in co):
-            raise ValueError("tensor coefficients do not match factor dimensions")
-
-    @cached_property
-    def _rows(self):
-        """The row table of the coefficients, built on first read:
-        ``_rows[i]`` lists the nonzero (j, value) entries of row i."""
-        return _Rows(tuple((j, x) for j, x in enumerate(row) if x) for row in self.coeffs)
+    def __init__(self, left: Space, right: Space, coeffs: Matrix):
+        error = "tensor coefficients do not match factor dimensions"
+        rows = _transpose(_columns(coeffs, left.dim, right.dim, error), left.dim)
+        self.__dict__.update(left=left, right=right, _sparse=rows)
 
     @staticmethod
     def zero(left: Space, right: Space) -> Tensor2:
-        return Tensor2(left, right, zero_matrix(left.dim, right.dim))
+        return _make(Tensor2, left=left, right=right, _sparse=_Rows(((),) * left.dim))
 
     def add(self, other: Tensor2) -> Tensor2:
         if (self.left, self.right) != (other.left, other.right):
             raise ValueError("tensor factor mismatch")
-        return Tensor2(self.left, self.right, mat_add(self.coeffs, other.coeffs))
+        return _with(self, _sparse=_add(self._sparse, other._sparse))
 
     def neg(self) -> Tensor2:
-        return Tensor2(self.left, self.right, mat_neg(self.coeffs))
+        return _with(self, _sparse=_neg(self._sparse))
 
     def is_zero(self) -> bool:
-        return mat_is_zero(self.coeffs)
+        return not any(self._sparse)
 
 
 @dataclass(frozen=True)
@@ -429,7 +479,7 @@ class Tensor3:
 
 def swap_factors(t: Tensor2) -> Tensor2:
     """The exchanging operator x (x) y -> y (x) x; an involution."""
-    return Tensor2(t.right, t.left, mat_transpose(t.coeffs))
+    return _make(Tensor2, left=t.right, right=t.left, _sparse=_transpose(t._sparse, t.right.dim))
 
 
 def rotate_factors(t: Tensor3) -> Tensor3:
@@ -451,10 +501,10 @@ def rotate_factors(t: Tensor3) -> Tensor3:
 def tensor_as_map(t: Tensor2) -> LinearMap:
     """Identify r = sum a_i (x) b_i in A (x) A with the map A* -> A,
     a* -> sum <a*, a_i> b_i.  In coordinates the matrix entry (j, i) is
-    coeffs[i][j]."""
+    coeffs[i][j], so the map's column i is the tensor's row i."""
     if t.left != t.right:
         raise ValueError("tensor factor mismatch")
-    return LinearMap(t.left.dual, t.left, mat_transpose(t.coeffs))
+    return _make(LinearMap, domain=t.left.dual, codomain=t.left, _sparse=t._sparse)
 
 
 __all__ = [
@@ -466,20 +516,7 @@ __all__ = [
     "Space",
     "direct_sum_space",
     "basis_vector",
-    "vec_add",
-    "vec_sub",
     "vec_is_zero",
-    "zero_matrix",
-    "identity_matrix",
-    "block_diagonal",
-    "mat_add",
-    "mat_sub",
-    "mat_neg",
-    "mat_transpose",
-    "mat_mul",
-    "mat_apply",
-    "mat_is_zero",
-    "mat_combination",
     "determinant",
     "mat_inverse",
     "LinearMap",

@@ -20,7 +20,6 @@ from .algebra import (
     _families,
     _matrices,
     _require,
-    _Stored,
     _sweep,
     check_rel_poisson,
 )
@@ -32,43 +31,43 @@ from .linalg import (
     Space,
     Vector,
     _columns,
+    _determinant,
+    _make,
+    _matrix,
+    _nest,
     _Rows,
     _solve,
-    determinant,
-    mat_mul,
-    mat_transpose,
-    scalar,
+    _Stored,
+    _transpose,
 )
 from .representations import RepData, _rep, check_representation
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """B(e_i, e_j) = gram[i][j]; symmetry and nondegeneracy are predicates."""
+@dataclass(frozen=True, init=False, eq=False)
+class BilinearForm(_Stored):
+    """B(e_i, e_j) = gram[i][j]; symmetry and nondegeneracy are predicates.
+    Stored as the column table ``_sparse`` of the Gram matrix:
+    ``_sparse[j]`` lists the nonzero (i, B(e_i, e_j)) entries.
+    ``BilinearForm(space, gram)`` takes the dense Gram matrix, its view
+    derived on first read."""
 
     space: Space
-    gram: Matrix
+    gram: Matrix = cached_property(
+        lambda self: _matrix(_transpose(self._sparse, self.space.dim), self.space.dim)
+    )
+    _stored = ("space", "_sparse")
+    _axes = "ji"
 
-    def __post_init__(self):
-        n = self.space.dim
-        g = tuple(tuple(scalar(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", g)
-        if len(g) != n or any(len(r) != n for r in g):
-            raise ValueError("Gram matrix does not match the space dimension")
+    def __init__(self, space: Space, gram: Matrix):
+        n, error = space.dim, "Gram matrix does not match the space dimension"
+        self.__dict__.update(space=space, _sparse=_columns(gram, n, n, error))
 
     def value(self, u: Vector, v: Vector):
-        acc = ZERO
-        for i, cu in enumerate(u):
-            if not cu:
-                continue
-            row = self.gram[i]
-            for j, cv in enumerate(v):
-                if cv and row[j]:
-                    acc += cu * cv * row[j]
-        return acc
+        terms = (u[i] * cv * g for cv, col in zip(v, self._sparse) if cv for i, g in col if u[i])
+        return sum(terms, ZERO)
 
     def is_symmetric(self) -> bool:
-        return self.gram == mat_transpose(self.gram)
+        return self._sparse == _transpose(self._sparse, self.space.dim)
 
 
 def canonical_pairing(space: Space) -> BilinearForm:
@@ -81,17 +80,12 @@ def canonical_pairing(space: Space) -> BilinearForm:
     if dim % 2:
         raise ValueError("canonical pairing needs an even-dimensional double")
     n = dim // 2
-    gram = tuple(
-        tuple(
-            ONE if (j == i + n or i == j + n) else ZERO for j in range(dim)
-        )
-        for i in range(dim)
-    )
-    return BilinearForm(space, gram)
+    cols = _Rows((((j + n) % dim, ONE),) for j in range(dim))
+    return _make(BilinearForm, space=space, _sparse=cols)
 
 
 def is_nondegenerate(form: BilinearForm) -> bool:
-    return bool(determinant(form.gram))
+    return bool(_determinant(dict(col) for col in form._sparse))
 
 
 # B(x.y, z) - B(x, y.z) through the dot M and the bracket B, with the Gram
@@ -109,9 +103,8 @@ def check_invariant_form(
     B([x,y], z) = B(x, [y,z])  on all basis triples."""
     if form.space != alg.space:
         raise ValueError("form and algebra live on different spaces")
-    gram = _columns(form.gram, alg.dim, alg.dim)
     coll = Collector(limit)
-    _sweep(coll, _INVARIANCE, alg.dim, M=alg.dot, B=alg.bracket, G=gram)
+    _sweep(coll, _INVARIANCE, alg.dim, M=alg.dot, B=alg.bracket, G=form)
     return coll.report()
 
 
@@ -121,11 +114,21 @@ def adjoint_of(op: LinearMap, form: BilinearForm) -> LinearMap:
     solved by one elimination of [G | P^T G]."""
     if op.domain != form.space or op.codomain != form.space:
         raise ValueError("map is not an endomorphism of the form's space")
-    g = form.gram
-    entries = _solve(g, mat_mul(mat_transpose(op.entries), g))
-    if entries is None:
+    n = form.space.dim
+    grows = _transpose(form._sparse, n)
+    rows = []
+    for i, col in enumerate(op._sparse):
+        # row i of P^T G is the sum of P[k][i] times row k of G
+        row = dict(grows[i])
+        for k, p in col:
+            for c, g in grows[k]:
+                row[n + c] = row.get(n + c, ZERO) + p * g
+        rows.append({c: x for c, x in row.items() if x})
+    solution = _solve(rows, n)
+    if solution is None:
         raise PreconditionError("bilinear form is degenerate")
-    return LinearMap(op.domain, op.codomain, entries)
+    cols = _nest([(r, c, x) for r, row in enumerate(solution) for c, x in row.items()], "ji", (n,))
+    return _make(LinearMap, domain=op.domain, codomain=op.codomain, _sparse=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +171,10 @@ class MatchedPairData(_Stored):
 
     def as_rep_on_right(self) -> RepData:
         """(mu_1, rho_1, P_2, A_2) as a candidate representation of the left."""
-        return _rep(self.left, self.right.space, self._mu1, self._rho1, self.right.derivation._cols)
+        return _rep(self.left, self.right.space, self._mu1, self._rho1, self.right.derivation)
 
     def as_rep_on_left(self) -> RepData:
-        return _rep(self.right, self.left.space, self._mu2, self._rho2, self.left.derivation._cols)
+        return _rep(self.right, self.left.space, self._mu2, self._rho2, self.left.derivation)
 
 
 # The mixed condition families of a matched pair, each written once for an

@@ -109,7 +109,7 @@ def subadjacent(pp: RelPrePoissonAlgebra) -> tuple[RelPoissonAlgebra, RepData]:
         pp.derivation,
     )
     # the column table of L(e_i) is the row _sparse[i] of the product
-    return alg, _rep(alg, pp.space, pp.star._sparse, pp.circ._sparse, pp.derivation._cols)
+    return alg, _rep(alg, pp.space, pp.star._sparse, pp.circ._sparse, pp.derivation)
 
 
 def prepoisson_to_rmatrix(
@@ -119,6 +119,5 @@ def prepoisson_to_rmatrix(
     algebra: the identity O-operator on the sub-adjacent algebra, embedded
     in the semi-direct double on A + A* with derivation D - D^T."""
     alg, rep = subadjacent(pp)
-    neg_der = tuple(tuple(-x for x in row) for row in pp.derivation.entries)
-    codrv = LinearMap(pp.space, pp.space, neg_der)
-    return o_operator_to_rmatrix(rep, neg_der, codrv, LinearMap.identity(pp.space))
+    codrv = pp.derivation.neg()
+    return o_operator_to_rmatrix(rep, codrv, codrv, LinearMap.identity(pp.space))

@@ -5,9 +5,12 @@ commutative product, an action rho of the bracket, and an endomorphism
 alpha of V, subject to five condition families checked on basis tuples.
 Each action is stored as one sparse column table per basis element of the
 algebra (``_mu[x][j]`` lists the nonzero (row, value) entries of
-mu(e_x) e_j), and alpha as its column table.  The dense attributes, one
-V-endomorphism matrix per basis element, are views derived on first read;
-the action of a general element is the matching linear combination.
+mu(e_x) e_j), and alpha as a linear map, itself stored as its column
+table.  The dense attributes, one V-endomorphism matrix per basis element
+and the matrix of alpha, are views derived on first read; the action of a
+general element is the matching linear combination.  Library functions
+take an endomorphism beta or alpha either dense or as a linear map, and
+pass linear maps between themselves.
 
 Dual-space conventions (fixed in :mod:`relpoisson.linalg`): for an action
 ``phi`` the dual action is ``phi*(x) = -phi(x)^T`` on V*, while the dual
@@ -32,24 +35,39 @@ from .algebra import (
     NoUnitError,
     RelPoissonAlgebra,
     _block_sum,
-    _dense,
     _families,
-    _flat,
     _matrices,
-    _make,
     _require,
-    _Stored,
     _sweep,
-    _transpose,
     ad_map,
     find_unit,
 )
-from .linalg import ONE, LinearMap, Matrix, Space, Vector, _columns, _Rows, determinant
+from .linalg import (
+    ONE,
+    LinearMap,
+    Matrix,
+    Space,
+    Vector,
+    _columns,
+    _dense,
+    _determinant,
+    _make,
+    _Rows,
+    _Stored,
+    _transpose,
+)
 
 
 def _action_of(family, u: Vector, m: int) -> Matrix:
     """The dense matrix of sum_k u[k] family[k] on a module of dim m."""
-    return _dense([(f, c * x) for k, c in enumerate(u) if c for f, x in _flat(family[k])], m, m)
+    hits = [
+        (r * m + j, c * x)
+        for k, c in enumerate(u)
+        if c
+        for j, col in enumerate(family[k])
+        for r, x in col
+    ]
+    return _dense(hits, m, m)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -79,24 +97,25 @@ class CompatibleStructure(_Stored):
 @dataclass(frozen=True, init=False, eq=False)
 class RepData(CompatibleStructure):
     """A compatible structure together with the endomorphism alpha of V,
-    given dense as ``der_action``."""
+    stored as the linear map ``_alpha`` and given dense as ``der_action``."""
 
-    der_action: Matrix = cached_property(lambda self: _matrices((self._alpha,))[0])
+    der_action: Matrix = cached_property(lambda self: self._alpha.entries)
     _stored = CompatibleStructure._stored + ("_alpha",)
 
     def __init__(self, algebra, space, dot_action, bracket_action, der_action: Matrix = ()):
         super().__init__(algebra, space, dot_action, bracket_action)
         m = space.dim
-        error = "action matrix does not match the module dimension"
-        self.__dict__["_alpha"] = _columns(der_action, m, m, error)
+        cols = _columns(der_action, m, m, "action matrix does not match the module dimension")
+        self.__dict__["_alpha"] = _make(LinearMap, domain=space, codomain=space, _sparse=cols)
 
     def compatible_structure(self) -> CompatibleStructure:
         fields = dict(algebra=self.algebra, space=self.space, _mu=self._mu, _rho=self._rho)
         return _make(CompatibleStructure, **fields)
 
 
-def _rep(algebra, space, mu, rho, alpha) -> RepData:
-    """A candidate representation holding the given stored column tables."""
+def _rep(algebra, space, mu, rho, alpha: LinearMap) -> RepData:
+    """A candidate representation holding the given action families, as
+    column tables, and endomorphism."""
     return _make(RepData, algebra=algebra, space=space, _mu=mu, _rho=rho, _alpha=alpha)
 
 
@@ -168,12 +187,22 @@ def check_representation(rep: RepData, limit: int = DEFAULT_VIOLATION_LIMIT) -> 
 def adjoint_rep(alg: RelPoissonAlgebra) -> RepData:
     """The adjoint representation (left multiplications, ad, derivation);
     the column table of L(e_i) is the row ``_sparse[i]`` of the product."""
-    return _rep(alg, alg.space, alg.dot._sparse, alg.bracket._sparse, alg.derivation._cols)
+    return _rep(alg, alg.space, alg.dot._sparse, alg.bracket._sparse, alg.derivation)
+
+
+def _module_map(endo: Matrix | LinearMap, m: int, error: str):
+    """The column table of an endomorphism of an m-dimensional module, given
+    as a linear map or a dense matrix; a mis-sized one raises
+    ValueError(error)."""
+    if not isinstance(endo, LinearMap):
+        return _columns(endo, m, m, error)
+    if endo.domain.dim != m or endo.codomain.dim != m:
+        raise ValueError(error)
+    return endo._sparse
 
 
 def _beta_columns(beta: Matrix | LinearMap, m: int):
-    beta_m = beta.entries if isinstance(beta, LinearMap) else beta
-    return _columns(beta_m, m, m, "beta is not an endomorphism of the module")
+    return _module_map(beta, m, "beta is not an endomorphism of the module")
 
 
 def dual_rep(cs: CompatibleStructure, beta: Matrix | LinearMap) -> RepData:
@@ -183,10 +212,11 @@ def dual_rep(cs: CompatibleStructure, beta: Matrix | LinearMap) -> RepData:
     Validity is not assumed; run :func:`check_representation` on the result
     or test the defining conditions with :func:`check_dual_rep_conditions`.
     """
-    m = cs.space.dim
+    m, dual = cs.space.dim, cs.space.dual
     mu = _Rows(_transpose(cols, m) for cols in cs._mu)
     rho = _Rows(_transpose(cols, m, -1) for cols in cs._rho)
-    return _rep(cs.algebra, cs.space.dual, mu, rho, _transpose(_beta_columns(beta, m), m))
+    alpha = _make(LinearMap, domain=dual, codomain=dual, _sparse=_transpose(_beta_columns(beta, m), m))
+    return _rep(cs.algebra, dual, mu, rho, alpha)
 
 
 def check_dual_rep_conditions(
@@ -268,7 +298,7 @@ def _semidirect(rep: RepData) -> RelPoissonAlgebra:
     """:func:`semidirect_structure` on a candidate's stored actions."""
     module = rep.space
     zero = BilinearOp.zero(module)
-    right = RelPoissonAlgebra(module, zero, zero, LinearMap(module, module, rep.der_action))
+    right = RelPoissonAlgebra(module, zero, zero, rep._alpha)
     back = (((),) * rep.algebra.dim,) * module.dim
     return _block_sum(rep.algebra, right, rep._mu, rep._rho, back, back)
 
@@ -298,7 +328,7 @@ def check_rep_equivalence(rep1: RepData, rep2: RepData, phi: LinearMap) -> bool:
         raise ValueError("phi does not map between the module spaces")
     if phi.domain.dim != phi.codomain.dim:
         return False
-    if not determinant(phi.entries):
+    if not _determinant(dict(col) for col in phi._sparse):
         return False
     tables = dict(MU=rep1._mu, NU=rep2._mu, RHO=rep1._rho, SIGMA=rep2._rho, P=phi)
     coll = Collector(0)

@@ -26,7 +26,6 @@ from .algebra import (
     PreconditionError,
     RelPoissonAlgebra,
     _contract,
-    _dense,
     _require,
     _sweep,
 )
@@ -36,16 +35,17 @@ from .linalg import (
     Matrix,
     Tensor2,
     Tensor3,
-    _columns,
-    block_diagonal,
-    mat_mul,
-    mat_neg,
-    mat_transpose,
+    _block_diagonal,
+    _dense,
+    _make,
+    _Rows,
+    _transpose,
 )
 from .representations import (
     CompatibleStructure,
     RepData,
     _beta_columns,
+    _module_map,
     _semidirect,
     check_dual_rep_conditions,
     check_dually_represents,
@@ -55,7 +55,7 @@ from .representations import (
 
 
 def is_antisymmetric(r: Tensor2) -> bool:
-    return r.coeffs == mat_neg(mat_transpose(r.coeffs))
+    return r._sparse == _transpose(r._sparse, r.right.dim, -1)
 
 
 # R is the tensor r, M the dot, B the bracket, D the derivation P, Q the
@@ -268,7 +268,7 @@ _O_INTERTWINE = (("operator-intertwine", "", "pc", "T:cr,D:rp - E:cr,T:rp"),)
 def check_weak_o_operator(
     alg: RelPoissonAlgebra,
     cs: CompatibleStructure,
-    endo: Matrix,
+    endo: Matrix | LinearMap,
     operator: LinearMap,
     limit: int = DEFAULT_VIOLATION_LIMIT,
 ) -> AxiomReport:
@@ -283,7 +283,7 @@ def check_weak_o_operator(
     if cs.algebra.space != alg.space:
         raise ValueError("representation does not act for the given algebra")
     m = cs.space.dim
-    endo = _columns(endo, m, m, "endo is not an endomorphism of the module")
+    endo = _module_map(endo, m, "endo is not an endomorphism of the module")
     tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, T=operator, E=endo)
     coll = Collector(limit)
     _sweep(coll, _O_OPERATOR, alg.dim, MU=cs._mu, RHO=cs._rho, **tables)
@@ -300,7 +300,7 @@ _MIXED_ACTION = (
 
 def check_semidirect_dual_conditions(
     rep: RepData,
-    beta: Matrix,
+    beta: Matrix | LinearMap,
     codrv: LinearMap,
     limit: int = DEFAULT_VIOLATION_LIMIT,
 ) -> AxiomReport:
@@ -325,7 +325,7 @@ def check_semidirect_dual_conditions(
 
 def o_operator_to_rmatrix(
     rep: RepData,
-    beta: Matrix,
+    beta: Matrix | LinearMap,
     codrv: LinearMap,
     operator: LinearMap,
 ) -> tuple[RelPoissonAlgebra, Tensor2]:
@@ -338,20 +338,23 @@ def o_operator_to_rmatrix(
     alg = rep.algebra
     _require(check_representation(rep), "not a representation")
     _require(check_dual_rep_conditions(rep, beta), "beta does not dually represent on the module")
-    _require(check_weak_o_operator(alg, rep, rep.der_action, operator), "not an O-operator")
-    if mat_mul(operator.entries, beta) != mat_mul(codrv.entries, operator.entries):
-        raise PreconditionError("operator does not intertwine beta with the dual map")
+    _require(check_weak_o_operator(alg, rep, rep._alpha, operator), "not an O-operator")
     n, m = alg.dim, rep.space.dim
+    if codrv.domain.dim != n or codrv.codomain.dim != n:
+        raise ValueError("dual map is not an endomorphism of the algebra's space")
+    # Q T - T beta, the intertwining family of an O-operator's D T - T alpha
+    coll = Collector(0)
+    tables = dict(T=operator, D=codrv, E=_beta_columns(beta, m))
+    _sweep(coll, _O_INTERTWINE, {"p": n, "c": m}, **tables)
+    if not coll.ok:
+        raise PreconditionError("operator does not intertwine beta with the dual map")
     semidirect = _semidirect(dual_rep(rep, beta))
-    # T(v_i) (x) v_i* - v_i* (x) T(v_i), with v_i* at index n + i
-    size = n + m
-    hits = [
-        hit
-        for i, col in enumerate(operator._cols)
-        for t, x in col
-        for hit in ((t * size + n + i, x), ((n + i) * size + t, -x))
-    ]
-    return semidirect, Tensor2(semidirect.space, semidirect.space, _dense(hits, size, size))
+    # T(v_i) (x) v_i* - v_i* (x) T(v_i), with v_i* at index n + i: row t < n
+    # lists T's row t at the columns n + i, row n + i lists -T(v_i)
+    rows = _transpose(operator._sparse, n)
+    rows = (*(tuple((n + i, x) for i, x in row) for row in rows), *_transpose(rows, m, -1))
+    sp = semidirect.space
+    return semidirect, _make(Tensor2, left=sp, right=sp, _sparse=_Rows(rows))
 
 
 def semidirect_codrv(
@@ -359,8 +362,9 @@ def semidirect_codrv(
 ) -> LinearMap:
     """The map Q + alpha^T on A + V* accompanying
     :func:`o_operator_to_rmatrix`."""
-    entries = block_diagonal(codrv.entries, mat_transpose(rep.der_action))
-    return LinearMap(semidirect.space, semidirect.space, entries)
+    m, alpha = rep.space.dim, rep._alpha._sparse
+    cols = _block_diagonal(codrv._sparse, _transpose(alpha, m), codrv.codomain.dim)
+    return _make(LinearMap, domain=semidirect.space, codomain=semidirect.space, _sparse=cols)
 
 
 __all__ = [

@@ -24,7 +24,7 @@ from relpoisson import (
     subadjacent,
 )
 from relpoisson.algebra import _derived_product
-from relpoisson.linalg import mat_neg
+from dense_matrices import mat_neg
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -32,9 +32,13 @@ from relpoisson.linalg import (
     Tensor3,
     Vector,
     basis_vector,
-    block_diagonal,
     direct_sum_space,
     div,
+    scalar,
+    vec_is_zero,
+)
+from dense_matrices import (
+    block_diagonal,
     identity_matrix,
     mat_add,
     mat_apply,
@@ -43,9 +47,7 @@ from relpoisson.linalg import (
     mat_neg,
     mat_sub,
     mat_transpose,
-    scalar,
     vec_add,
-    vec_is_zero,
     vec_sub,
     zero_matrix,
 )

@@ -16,7 +16,8 @@ from fractions import Fraction
 from relpoisson.algebra import BilinearOp, RelPoissonAlgebra
 from relpoisson.coalgebra import BialgebraData, Comultiplication
 from relpoisson.documents import DocumentError
-from relpoisson.linalg import LinearMap, Space, Tensor2, mat_neg
+from relpoisson.linalg import LinearMap, Space, Tensor2
+from dense_matrices import mat_neg
 from relpoisson.pairing import BilinearForm
 from relpoisson.prepoisson import RelPrePoissonAlgebra
 from relpoisson.representations import RepData
@@ -313,7 +314,7 @@ def doc_to_representation(doc):
     if "operator" in doc:
         extras["operator"] = _map_from(doc, "operator", space, codomain=alg.space)
     if "beta" in doc:
-        extras["beta"] = _map_from(doc, "beta", space).entries
+        extras["beta"] = _map_from(doc, "beta", space)
     if "dual_derivation" in doc:
         extras["dual_derivation"] = _map_from(doc, "dual_derivation", alg.space)
     return rep, extras

@@ -10,7 +10,8 @@ code has been trusted long enough.
 from __future__ import annotations
 
 from relpoisson.algebra import DEFAULT_VIOLATION_LIMIT, AxiomReport, Collector
-from relpoisson.linalg import ZERO, mat_apply, mat_combination, vec_add, vec_sub
+from relpoisson.linalg import ZERO
+from dense_matrices import mat_apply, mat_combination, vec_add, vec_sub
 from relpoisson.pairing import MatchedPairData
 
 from dense_reference import check_rel_poisson, check_representation

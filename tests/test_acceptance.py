@@ -46,7 +46,8 @@ from relpoisson import (
 )
 from relpoisson.algebra import ad_map
 from relpoisson.cli import main
-from relpoisson.linalg import basis_vector, mat_neg
+from relpoisson.linalg import basis_vector
+from dense_matrices import mat_neg
 
 from conftest import (
     FIXTURES,

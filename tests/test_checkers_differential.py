@@ -34,7 +34,7 @@ from relpoisson import (
     subadjacent,
     tensor_as_map,
 )
-from relpoisson.linalg import mat_neg
+from dense_matrices import mat_neg
 
 import dense_reference as ref
 from conftest import (

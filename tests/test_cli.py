@@ -231,6 +231,67 @@ def test_pipeline_zero_fixture(tmp_path):
     assert main(["check", str(out)]) == 0
 
 
+PIPELINE_STAGES = [
+    "pre-poisson",
+    "sub-adjacent",
+    "extend-jacobi",
+    "extend-representation",
+    "lift-o-operator",
+    "yang-baxter",
+    "coboundary",
+    "bialgebra",
+    "matched-pair",
+    "double",
+]
+
+
+def test_pipeline_prints_every_stage_in_order(tmp_path, capsys):
+    src = str(FIXTURES / "prepoisson_3d.json")
+    assert main(["pipeline", src, "-o", str(tmp_path / "double.json")]) == 0
+    assert capsys.readouterr().err == "".join(f"stage {s}: ok\n" for s in PIPELINE_STAGES)
+    assert main(["pipeline", "--json", src]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stages"] == [{"stage": s, "ok": True} for s in PIPELINE_STAGES]
+
+
+# the sub-adjacent representation of the worked input with the identity
+# operator, and the outputs of the recipes that read an embedded algebra;
+# all four files were written before these structures were stored sparse
+EMBEDDED_GOLDENS = [
+    ("semidirect", "representation_subadjacent_3d.json", "golden_semidirect_6d.json"),
+    ("o-operator-rmatrix", "representation_subadjacent_3d.json", "golden_rmatrix_6d.json"),
+    ("coboundary", "golden_rmatrix_6d.json", "golden_coboundary_6d.json"),
+]
+
+
+@pytest.mark.parametrize("recipe, source, golden", EMBEDDED_GOLDENS, ids=[r for r, _, _ in EMBEDDED_GOLDENS])
+def test_embedded_kind_recipe_byte_identical_to_golden(tmp_path, recipe, source, golden):
+    out = tmp_path / golden
+    assert main(["construct", recipe, str(FIXTURES / source), "-o", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURES / golden).read_bytes()
+    assert main(["check", str(out)]) == 0
+
+
+def test_representation_fixture_is_the_subadjacent_representation():
+    from relpoisson import LinearMap, subadjacent
+    from relpoisson.documents import (
+        doc_to_rel_pre_poisson,
+        doc_to_representation,
+        parse_document,
+        representation_doc,
+        serialize_document,
+    )
+
+    pp = doc_to_rel_pre_poisson(parse_document((FIXTURES / "prepoisson_3d.json").read_text()))
+    alg, rep = subadjacent(pp)
+    text = (FIXTURES / "representation_subadjacent_3d.json").read_text()
+    doc = parse_document(text)
+    written = representation_doc(rep, LinearMap.identity(alg.space), doc["description"])
+    assert serialize_document(written) == text
+    read, extras = doc_to_representation(doc)
+    assert read == rep and extras == {"operator": LinearMap.identity(alg.space)}
+
+
 def test_pipeline_json_mode(capsys):
     assert main(["pipeline", "--json", str(FIXTURES / "prepoisson_3d.json")]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -285,14 +346,14 @@ def test_o_operator_rmatrix_with_explicit_maps(tmp_path):
         serialize_document,
     )
     from relpoisson.documents import _sparse_entries
-    from relpoisson.linalg import LinearMap, mat_neg
+    from relpoisson.linalg import LinearMap
 
     pp = doc_to_rel_pre_poisson(parse_document((FIXTURES / "prepoisson_3d.json").read_text()))
     _alg, rep = subadjacent(pp)
     base = representation_doc(rep, operator=LinearMap.identity(rep.space))
     explicit = dict(base)
-    explicit["beta"] = _sparse_entries(mat_neg(rep.der_action))
-    explicit["dual_derivation"] = _sparse_entries(mat_neg(rep.algebra.derivation.entries))
+    explicit["beta"] = _sparse_entries(rep._alpha.neg()._sparse, "ji")
+    explicit["dual_derivation"] = _sparse_entries(rep.algebra.derivation.neg()._sparse, "ji")
     out = {}
     for tag, doc in (("default", base), ("explicit", explicit)):
         source = tmp_path / f"{tag}.json"

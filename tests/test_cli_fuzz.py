@@ -1,5 +1,6 @@
 """Malformed documents end in a documented exit code, never a traceback:
-the shipped fixtures, mutated, go through every command of the CLI."""
+the shipped fixtures, mutated, go through every command of the CLI, and
+through ``check --as KIND`` for every kind."""
 
 import contextlib
 import io
@@ -11,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relpoisson.cli import _RECIPE_KINDS, main
+from relpoisson.documents import KINDS
 
 from conftest import FIXTURES
 
 SOURCES = {path.name: json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))}
 COMMANDS = [["check"], ["report"], ["pipeline"]] + [["construct", recipe] for recipe in _RECIPE_KINDS]
+COMMANDS += [["check", "--as", kind] for kind in KINDS]
 EXIT_CODES = {0, 1, 2, 3}
 
 JUNK = st.sampled_from([None, True, 5, -1, 1.5, "x", "1", [], {}, [[]], {"a": 1}])

@@ -24,7 +24,7 @@ from relpoisson import (
     dualize_bialgebra,
 )
 from relpoisson.algebra import BilinearOp
-from relpoisson.linalg import mat_transpose
+from dense_matrices import mat_transpose
 
 from conftest import rel_poisson_corpus, trivial_bialgebra, worked_subadjacent
 

@@ -1,9 +1,11 @@
 """Unit extension, representation extension, O-operator lift, pipeline."""
 
+import ast
 import importlib
 import pkgutil
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +27,10 @@ from relpoisson import (
     lift_o_operator,
     subadjacent,
 )
+from relpoisson import jacobi
 from relpoisson.algebra import BilinearOp, ad_map
-from relpoisson.linalg import Space, basis_vector, identity_matrix
+from relpoisson.linalg import Space, basis_vector
+from dense_matrices import identity_matrix
 
 from conftest import (
     heisenberg_poisson,
@@ -302,3 +306,20 @@ def test_pipeline_derivation_is_adjoint_of_unit(worked_double):
     double = worked_double.algebra
     unit = worked_double.unit
     assert ad_map(double.bracket, unit).entries == double.derivation.entries
+
+
+def test_every_stage_the_pipeline_names_is_in_its_stage_tuple():
+    """The stage names the CLI prints come from ``jacobi._STAGES``; every
+    name the pipeline reports a stage by is one of them, and each of them
+    is used."""
+    tree = ast.parse(Path(jacobi.__file__).read_text())
+    named = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("stage", "verified", "PipelineError")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+    assert named == set(jacobi._STAGES)
+    assert len(jacobi._STAGES) == len(set(jacobi._STAGES)) == 10

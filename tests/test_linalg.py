@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relpoisson import BilinearOp, LinearMap, Space, Tensor2, Tensor3, dual_map, find_unit, rotate_factors, swap_factors, tensor_as_map
-from relpoisson.linalg import (
-    determinant,
-    mat_inverse,
-    mat_mul,
-    mat_transpose,
-)
+from relpoisson import algebra, linalg
+from relpoisson.linalg import determinant, mat_inverse
+from dense_matrices import mat_mul, mat_transpose
 
 from conftest import is_normal
 from dense_reference import solve_exact
@@ -351,3 +348,58 @@ def test_find_unit_on_int_constants_matches_sympy(n, scale, unital, data):
     assert all(is_normal(x) for x in unit)
     if unital:
         assert unit == (F(1, scale),) + (0,) * (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# the eliminator stops where its caller has seen enough
+
+
+ELIMINATOR = linalg._gauss_jordan
+
+
+def _read_no_further_than(monkeypatch, module, stops):
+    """Give ``module`` an eliminator whose rows come from a generator that
+    fails if it is read past the first row whose lead ``stops`` accepts, and
+    return the list of rows that generator handed out."""
+    real, read = ELIMINATOR, []
+
+    def guarded(rows):
+        rows = list(rows)
+        steps = real(rows)
+        next(steps)
+        last = next(r for r, lead in enumerate(steps) if stops(lead))
+
+        def feed():
+            for r, row in enumerate(rows):
+                assert r <= last, f"row {r} read past the first inconsistent row {last}"
+                read.append(row)
+                yield row
+
+        return real(feed())
+
+    monkeypatch.setattr(module, "_gauss_jordan", guarded)
+    return read
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[], [(0, 0, 1, 1)], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]],
+    ids=["zero-product", "nilpotent", "annihilated-vector"],
+)
+def test_find_unit_stops_at_the_first_equation_reading_0_eq_1(monkeypatch, entries):
+    sp = Space.of_dim(3)
+    read = _read_no_further_than(monkeypatch, algebra, lambda lead: lead and lead[0] == sp.dim)
+    assert find_unit(BilinearOp.from_entries(sp, entries)) is None
+    # the product has 2 * 3 equations with right-hand side 1 and more
+    assert read and len(read) < 2 * sp.dim
+
+
+def test_determinant_and_inverse_stop_at_the_first_dependent_row(monkeypatch):
+    singular = ((1, 2, 0, 0), (2, 4, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    read = _read_no_further_than(monkeypatch, linalg, lambda lead: lead is None)
+    assert determinant(singular) == 0
+    assert len(read) == 2
+    read = _read_no_further_than(monkeypatch, linalg, lambda lead: lead is None or lead[0] >= 4)
+    with pytest.raises(ValueError, match="singular"):
+        mat_inverse(singular)
+    assert len(read) == 2

@@ -30,14 +30,8 @@ from relpoisson import (
     is_nondegenerate,
 )
 from relpoisson.algebra import BilinearOp
-from relpoisson.linalg import (
-    determinant,
-    identity_matrix,
-    mat_mul,
-    mat_neg,
-    mat_transpose,
-    zero_matrix,
-)
+from relpoisson.linalg import determinant
+from dense_matrices import identity_matrix, mat_mul, mat_neg, mat_transpose, zero_matrix
 
 from conftest import (
     rel_poisson_corpus,

@@ -23,7 +23,7 @@ from relpoisson import (
     semidirect_product,
     semidirect_structure,
 )
-from relpoisson.linalg import (
+from dense_matrices import (
     identity_matrix,
     mat_add,
     mat_combination,
@@ -118,7 +118,7 @@ def test_dual_rep_of_extended_algebra():
     # the adjoint representation of the unit extension dualizes along the
     # negated derivation into (-L*, ad*, -D*, A*)
     from relpoisson import extend_jacobi
-    from relpoisson.linalg import mat_transpose
+    from dense_matrices import mat_transpose
 
     extended = extend_jacobi(worked_subadjacent())
     rep = adjoint_rep(extended)

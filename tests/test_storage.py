@@ -1,8 +1,11 @@
-"""One stored form per structure: products, comultiplications and action
-families keep only their sparse form, and every dense attribute is a view
-derived from it.  Rebuilding a structure from its dense view gives an equal
-structure with identical checker reports, and the pipeline runs without
-reading the cubic dense views."""
+"""One stored form per structure: products, comultiplications, action
+families, linear maps, 2-tensors and bilinear forms keep only their sparse
+form, and every dense attribute is a view derived from it.  Rebuilding a
+structure from its dense view gives an equal structure with identical
+checker reports, and the pipeline and the document reader run without
+reading any dense view."""
+
+import json
 
 from fractions import Fraction as F
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from relpoisson import (
     BialgebraData,
+    BilinearForm,
     BilinearOp,
     CompatibleStructure,
     Comultiplication,
@@ -20,6 +24,7 @@ from relpoisson import (
     RelPoissonAlgebra,
     RepData,
     Space,
+    Tensor2,
     adjoint_rep,
     check_cocomm_coassoc,
     check_comm_assoc,
@@ -36,7 +41,8 @@ from relpoisson import (
 )
 from relpoisson.algebra import block_sum
 from relpoisson.cli import main
-from relpoisson.linalg import identity_matrix, mat_inverse, mat_mul, zero_matrix
+from relpoisson.linalg import mat_inverse
+from dense_matrices import identity_matrix, mat_mul, zero_matrix
 
 from conftest import FIXTURES, zero_algebra
 
@@ -214,20 +220,25 @@ CUBIC_VIEWS = (
 )
 
 
-@pytest.mark.parametrize(
-    "source, golden",
-    [
-        ("prepoisson_3d.json", "golden_double_14d.json"),
-        ("prepoisson_3d_fractional.json", "golden_double_14d_fractional.json"),
-    ],
+# the dense views of the square structures, which are read by no builder
+SQUARE_VIEWS = (
+    (LinearMap, "entries"),
+    (LinearMap, "column"),
+    (Tensor2, "coeffs"),
+    (BilinearForm, "gram"),
+    (RepData, "der_action"),
 )
-def test_pipeline_reads_no_cubic_dense_view(tmp_path, monkeypatch, capsys, source, golden):
+
+
+def _forbid_dense_views(monkeypatch):
+    """Make every dense view of a sparse-stored structure raise, and return
+    the list that records each read of a dense action family."""
+
     def forbidden(self, *args):
         raise AssertionError(f"dense view of {type(self).__name__} read")
 
-    for cls, name in CUBIC_VIEWS:
+    for cls, name in CUBIC_VIEWS + SQUARE_VIEWS:
         monkeypatch.setattr(cls, name, property(forbidden))
-    # no dense action family is read either
     reads = []
     for name in ("dot_action", "bracket_action"):
         view = CompatibleStructure.__dict__[name]
@@ -237,8 +248,59 @@ def test_pipeline_reads_no_cubic_dense_view(tmp_path, monkeypatch, capsys, sourc
             return _view.func(self)
 
         monkeypatch.setattr(CompatibleStructure, name, property(recorded))
+    return reads
+
+
+@pytest.mark.parametrize(
+    "source, golden",
+    [
+        ("prepoisson_3d.json", "golden_double_14d.json"),
+        ("prepoisson_3d_fractional.json", "golden_double_14d_fractional.json"),
+    ],
+)
+def test_pipeline_reads_no_cubic_dense_view(tmp_path, monkeypatch, capsys, source, golden):
+    # no dense action family, map, tensor or form is read either
+    reads = _forbid_dense_views(monkeypatch)
     out = tmp_path / "double.json"
     assert main(["pipeline", str(FIXTURES / source), "-o", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (FIXTURES / golden).read_bytes()
+    assert reads == []
+
+
+def sparse_representation_doc(d: int) -> dict:
+    """A representation document with algebra and module of dim d and d
+    nonzero entries: e_i e_i = e_i and mu(e_i) = E_ii for i < d/3, and
+    alpha = E_ii for d/3 <= i < 2d/3."""
+    k = d // 3
+    algebra = {"kind": "rel-poisson", "dim": d, "dot": [[i, i, i, "1"] for i in range(k)]}
+    return {
+        "kind": "representation",
+        "dim": d,
+        "algebra": dict(algebra, bracket=[], derivation=[]),
+        "dot_action": [[i, i, i, "1"] for i in range(k)],
+        "bracket_action": [],
+        "der_action": [[i, i, "1"] for i in range(k, 2 * k)],
+    }
+
+
+# the output at the commit before these structures were stored sparse
+SPARSE_REPRESENTATION_OUTPUT = {
+    "check": "ok\n",
+    "report": "kind: representation\ndim: 120\n"
+    "nonzero_entries: {'dot_action': 40, 'der_action': 40}\nok: True\n",
+    "pipeline": "",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SPARSE_REPRESENTATION_OUTPUT))
+def test_reading_a_large_sparse_representation_reads_no_dense_view(
+    tmp_path, monkeypatch, capsys, command
+):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(sparse_representation_doc(120)))
+    reads = _forbid_dense_views(monkeypatch)
+    # pipeline takes only a rel-pre-poisson document
+    assert main([command, str(path)]) == (3 if command == "pipeline" else 0)
+    assert capsys.readouterr().out == SPARSE_REPRESENTATION_OUTPUT[command]
     assert reads == []

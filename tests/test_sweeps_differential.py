@@ -27,7 +27,8 @@ from relpoisson.coalgebra import (
     negated_product_comult,
 )
 from relpoisson.prepoisson import circ_from_derivation, subadjacent
-from relpoisson.linalg import basis_vector, mat_apply, mat_inverse
+from relpoisson.linalg import basis_vector, mat_inverse
+from dense_matrices import mat_apply
 
 import dense_reference as ref
 from matched_pair_reference import reference_check_matched_pair

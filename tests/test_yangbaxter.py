@@ -28,7 +28,7 @@ from relpoisson import (
     semidirect_codrv,
     subadjacent,
 )
-from relpoisson.linalg import mat_neg, zero_matrix
+from dense_matrices import mat_neg, zero_matrix
 
 from conftest import (
     heisenberg_poisson,
@@ -398,7 +398,7 @@ def test_sub_bialgebra_structure_of_the_double(worked_bialgebra, worked_double):
     r = Tensor2(double.space, double.space, tuple(tuple(row) for row in rc))
     assert aybe_tensor(r, double.dot).is_zero()
     assert cybe_tensor(r, double.bracket).is_zero()
-    from relpoisson.linalg import mat_mul, mat_sub, mat_transpose
+    from dense_matrices import mat_mul, mat_sub, mat_transpose
 
     p_double = double.derivation.entries
     q_double = adjoint_of_pairing(worked_bialgebra)
@@ -414,7 +414,7 @@ def test_sub_bialgebra_structure_of_the_double(worked_bialgebra, worked_double):
 
 def adjoint_of_pairing(bialgebra):
     """Q + P^T on the double, blockwise."""
-    from relpoisson.linalg import mat_transpose
+    from dense_matrices import mat_transpose
 
     n = bialgebra.algebra.dim
     q = bialgebra.dual_derivation.entries
