@@ -14,7 +14,6 @@ import sys
 
 from .algebra import (
     AxiomReport,
-    NoUnitError,
     PreconditionError,
     RelPoissonAlgebra,
     Violation,
@@ -35,16 +34,8 @@ from .coalgebra import (
 )
 from .documents import (
     DocumentError,
-    _normalize,
+    _Reader,
     bialgebra_doc,
-    doc_to_bialgebra,
-    doc_to_bilinear_form,
-    doc_to_coalgebra,
-    doc_to_rel_poisson,
-    doc_to_rel_pre_poisson,
-    doc_to_representation,
-    doc_to_rmatrix,
-    doc_to_single_op,
     parse_document,
     rel_poisson_doc,
     rel_pre_poisson_doc,
@@ -69,13 +60,19 @@ from .yangbaxter import check_rpybe, check_weak_o_operator, coboundary_comults, 
 OK, AXIOM_FAILURE, PRECONDITION_FAILURE, PARSE_FAILURE = 0, 1, 2, 3
 
 
-def _read_document(path: str):
+def _read_document(path: str, as_kind=None) -> _Reader:
+    """The one read of the document at `path`, its shape checked; with
+    `as_kind`, checked again as a document of that kind."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    return parse_document(text)
+    doc = parse_document(text)
+    if as_kind:
+        doc = dict(doc, kind=as_kind)
+        validate_document(doc)
+    return _Reader(doc)
 
 
 def _report_json(report: AxiomReport):
@@ -107,181 +104,151 @@ def _print_report(report: AxiomReport, as_json: bool):
         print("  ... further violations suppressed")
 
 
-_SINGLE_OP_CHECKERS = {
-    "comm-assoc": check_comm_assoc,
-    "lie": check_lie,
-    "zinbiel": check_zinbiel,
-    "pre-lie": check_prelie,
+def _single_op_check(check, op, der):
+    """The kind's axioms on the product, then the Leibniz rule when the
+    document gives a derivation."""
+    leibniz = () if der is None else (check_derivation(op, der),)
+    return combine_reports(check(op), *leibniz)
+
+
+def _whole_form(form, symmetric: bool) -> AxiomReport:
+    """Whether the form is symmetric (when asked) and nondegenerate, as
+    violations at no basis index."""
+    fails = {
+        "form-symmetric": symmetric and not form.is_symmetric(),
+        "form-nondegenerate": not is_nondegenerate(form),
+    }
+    violations = tuple(Violation(axiom, (), (ONE,)) for axiom, failed in fails.items() if failed)
+    return AxiomReport(not violations, violations)
+
+
+def _check_rel_poisson(structures):
+    alg, form = structures
+    with_form = () if form is None else (check_invariant_form(alg, form), _whole_form(form, True))
+    return combine_reports(check_rel_poisson(alg), *with_form)
+
+
+def _check_representation(structures):
+    rep, extras = structures
+    reports = [check_representation(rep)]
+    if "operator" in extras:
+        reports.append(check_weak_o_operator(rep.algebra, rep, rep._alpha, extras["operator"]))
+    return combine_reports(*reports)
+
+
+def _check_bilinear_form(structures):
+    form, alg = structures
+    invariance = () if alg is None else (check_invariant_form(alg, form),)
+    return combine_reports(_whole_form(form, False), *invariance)
+
+
+# kind -> (the check of the structures its document reads, the product whose
+# unit `report` prints or None)
+_KINDS = {
+    "comm-assoc": (lambda s: _single_op_check(check_comm_assoc, *s), lambda s: s[0]),
+    "lie": (lambda s: _single_op_check(check_lie, *s), None),
+    "rel-poisson": (_check_rel_poisson, lambda s: s[0].dot),
+    "zinbiel": (lambda s: _single_op_check(check_zinbiel, *s), lambda s: s[0]),
+    "pre-lie": (lambda s: _single_op_check(check_prelie, *s), lambda s: s[0]),
+    "rel-pre-poisson": (check_rel_pre_poisson, None),
+    "representation": (_check_representation, None),
+    "comultiplication": (lambda s: check_rel_poisson_coalgebra(*s), None),
+    "bialgebra": (check_bialgebra, lambda data: data.algebra.dot),
+    "rmatrix": (lambda s: check_rpybe(s[0], r=s[1], codrv=s[2]), None),
+    "bilinear-form": (_check_bilinear_form, None),
 }
 
 
-def _check_dispatch(doc, kind: str) -> AxiomReport:
-    if kind in _SINGLE_OP_CHECKERS:
-        op, der = doc_to_single_op(doc)
-        report = _SINGLE_OP_CHECKERS[kind](op)
-        if der is not None:
-            report = combine_reports(report, check_derivation(op, der))
-        return report
-    if kind == "rel-poisson":
-        alg, form = doc_to_rel_poisson(doc)
-        report = check_rel_poisson(alg)
-        if form is not None:
-            extra = check_invariant_form(alg, form)
-            report = combine_reports(report, extra)
-            if not form.is_symmetric():
-                report = combine_reports(
-                    report, _single_violation("form-symmetric")
-                )
-            if not is_nondegenerate(form):
-                report = combine_reports(
-                    report, _single_violation("form-nondegenerate")
-                )
-        return report
-    if kind == "rel-pre-poisson":
-        return check_rel_pre_poisson(doc_to_rel_pre_poisson(doc))
-    if kind == "representation":
-        rep, extras = doc_to_representation(doc)
-        report = check_representation(rep)
-        if "operator" in extras:
-            report = combine_reports(
-                report,
-                check_weak_o_operator(
-                    rep.algebra, rep, rep._alpha, extras["operator"]
-                ),
-            )
-        return report
-    if kind == "comultiplication":
-        dot_comult, bracket_comult, codrv = doc_to_coalgebra(doc)
-        return check_rel_poisson_coalgebra(dot_comult, bracket_comult, codrv)
-    if kind == "bialgebra":
-        return check_bialgebra(doc_to_bialgebra(doc))
-    if kind == "rmatrix":
-        alg, tensor, codrv = doc_to_rmatrix(doc)
-        return check_rpybe(alg, codrv, tensor)
-    if kind == "bilinear-form":
-        form, alg = doc_to_bilinear_form(doc)
-        report = AxiomReport(True, ())
-        if not is_nondegenerate(form):
-            report = combine_reports(report, _single_violation("form-nondegenerate"))
-        if alg is not None:
-            report = combine_reports(report, check_invariant_form(alg, form))
-        return report
-    raise DocumentError(f"unknown kind: {kind!r}")
-
-
-def _single_violation(axiom: str) -> AxiomReport:
-    return AxiomReport(False, (Violation(axiom, (), (ONE,)),))
-
-
 def cmd_check(args) -> int:
-    doc = _read_document(args.file)
-    if args.as_kind:
-        doc = dict(doc, kind=args.as_kind)
-        validate_document(doc)
-    report = _check_dispatch(doc, doc["kind"])
+    reader = _read_document(args.file, args.as_kind)
+    report = _KINDS[reader.kind][0](reader.structures())
     _print_report(report, args.json)
     return OK if report.ok else AXIOM_FAILURE
 
 
 def _write_output(doc, out_path):
     text = serialize_document(doc)
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {out_path}: {exc}") from None
 
 
-_RECIPE_KINDS = {
-    "bracket-from-derivation": ("comm-assoc",),
-    "circ-from-derivation": ("zinbiel",),
-    "subadjacent": ("rel-pre-poisson", "zinbiel"),
-    "semidirect": ("representation",),
-    "dualize": ("bialgebra",),
-    "extend-jacobi": ("rel-poisson",),
-    "coboundary": ("rmatrix",),
-    "o-operator-rmatrix": ("representation",),
-    "bowtie": ("bialgebra",),
-}
-
-
-def _derived_op(doc):
-    """The product of a single-operation document and its derivation."""
-    op, der = doc_to_single_op(doc)
+def _derived_op(structures):
+    """The product and derivation of a single-operation document."""
+    op, der = structures
     if der is None:
         raise DocumentError("document carries no derivation")
     return op, der
 
 
-def _zinbiel_pre_poisson(doc):
+def _zinbiel_pre_poisson(structures):
     """The relative pre-Poisson algebra of a Zinbiel algebra with derivation."""
-    op, der = _derived_op(doc)
+    op, der = _derived_op(structures)
     return RelPrePoissonAlgebra(op.space, op, circ_from_derivation(op, der), der)
 
 
+def _bracket_from_derivation(structures):
+    op, der = _derived_op(structures)
+    return rel_poisson_doc(RelPoissonAlgebra(op.space, op, bracket_from_derivation(op, der), der))
+
+
+def _coboundary(structures):
+    alg, tensor, codrv = structures
+    return bialgebra_doc(BialgebraData(alg, *coboundary_comults(alg, tensor), codrv))
+
+
+def _o_operator_rmatrix(structures):
+    rep, extras = structures
+    if "operator" not in extras:
+        raise DocumentError("o-operator-rmatrix needs an operator field")
+    beta = extras.get("beta", rep._alpha.neg())
+    codrv = extras.get("dual_derivation", rep.algebra.derivation.neg())
+    semidirect, tensor = o_operator_to_rmatrix(rep, beta, codrv, extras["operator"])
+    return rmatrix_doc(semidirect, tensor, semidirect_codrv(rep, codrv, semidirect))
+
+
+# recipe -> {a document kind it reads: the output document it builds from
+# the structures read}
+_RECIPE_KINDS = {
+    "bracket-from-derivation": {"comm-assoc": _bracket_from_derivation},
+    "circ-from-derivation": {"zinbiel": lambda s: rel_pre_poisson_doc(_zinbiel_pre_poisson(s))},
+    "subadjacent": {
+        "rel-pre-poisson": lambda pp: rel_poisson_doc(subadjacent(pp)[0]),
+        "zinbiel": lambda s: rel_poisson_doc(subadjacent(_zinbiel_pre_poisson(s))[0]),
+    },
+    "semidirect": {"representation": lambda s: rel_poisson_doc(semidirect_product(s[0].algebra, s[0]))},
+    "dualize": {"bialgebra": lambda data: bialgebra_doc(dualize_bialgebra(data))},
+    "extend-jacobi": {"rel-poisson": lambda s: rel_poisson_doc(extend_jacobi(s[0]))},
+    "coboundary": {"rmatrix": _coboundary},
+    "o-operator-rmatrix": {"representation": _o_operator_rmatrix},
+    "bowtie": {"bialgebra": lambda data: rel_poisson_doc(bowtie(bialgebra_to_matched_pair(data)))},
+}
+
+
 def cmd_construct(args) -> int:
-    doc = _read_document(args.file)
-    recipe = args.recipe
-    kind = doc["kind"]
-    if kind not in _RECIPE_KINDS[recipe]:
-        expected = " or ".join(_RECIPE_KINDS[recipe])
-        raise DocumentError(f"recipe {recipe} expects a {expected} document, got {kind}")
-    if recipe == "bracket-from-derivation":
-        op, der = _derived_op(doc)
-        bracket = bracket_from_derivation(op, der)
-        alg = RelPoissonAlgebra(op.space, op, bracket, der)
-        out = rel_poisson_doc(alg)
-    elif recipe == "circ-from-derivation":
-        out = rel_pre_poisson_doc(_zinbiel_pre_poisson(doc))
-    elif recipe == "subadjacent":
-        pp = _zinbiel_pre_poisson(doc) if kind == "zinbiel" else doc_to_rel_pre_poisson(doc)
-        alg, _rep = subadjacent(pp)
-        out = rel_poisson_doc(alg)
-    elif recipe == "semidirect":
-        rep, _extras = doc_to_representation(doc)
-        out = rel_poisson_doc(semidirect_product(rep.algebra, rep))
-    elif recipe == "extend-jacobi":
-        alg, _form = doc_to_rel_poisson(doc)
-        out = rel_poisson_doc(extend_jacobi(alg))
-    elif recipe == "dualize":
-        out = bialgebra_doc(dualize_bialgebra(doc_to_bialgebra(doc)))
-    elif recipe == "coboundary":
-        alg, tensor, codrv = doc_to_rmatrix(doc)
-        dot_comult, bracket_comult = coboundary_comults(alg, tensor)
-        out = bialgebra_doc(BialgebraData(alg, dot_comult, bracket_comult, codrv))
-    elif recipe == "o-operator-rmatrix":
-        rep, extras = doc_to_representation(doc)
-        if "operator" not in extras:
-            raise DocumentError("o-operator-rmatrix needs an operator field")
-        beta = extras.get("beta", rep._alpha.neg())
-        codrv = extras.get("dual_derivation", rep.algebra.derivation.neg())
-        semidirect, tensor = o_operator_to_rmatrix(
-            rep, beta, codrv, extras["operator"]
-        )
-        out = rmatrix_doc(semidirect, tensor, semidirect_codrv(rep, codrv, semidirect))
-    else:  # bowtie
-        out = rel_poisson_doc(bowtie(bialgebra_to_matched_pair(doc_to_bialgebra(doc))))
-    _write_output(out, args.output)
+    reader = _read_document(args.file)
+    builds = _RECIPE_KINDS[args.recipe]
+    if reader.kind not in builds:
+        expected = " or ".join(builds)
+        raise DocumentError(f"recipe {args.recipe} expects a {expected} document, got {reader.kind}")
+    _write_output(builds[reader.kind](reader.structures()), args.output)
     return OK
 
 
 def cmd_pipeline(args) -> int:
-    doc = _read_document(args.file)
-    if doc["kind"] != "rel-pre-poisson":
+    reader = _read_document(args.file)
+    if reader.kind != "rel-pre-poisson":
         raise DocumentError("pipeline expects a rel-pre-poisson document")
-    pp = doc_to_rel_pre_poisson(doc)
-    bialgebra, frobenius = frobenius_jacobi_pipeline(pp)
+    _bialgebra, frobenius = frobenius_jacobi_pipeline(reader.structures())
     out = rel_poisson_doc(frobenius.algebra, form=frobenius.form)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "stages": [{"stage": s, "ok": True} for s in _STAGES],
-                    "document": _normalize(out),
-                },
-                indent=1,
-            )
-        )
+        stages = [{"stage": s, "ok": True} for s in _STAGES]
+        print(json.dumps({"stages": stages, "document": _Reader(out).canonical()}, indent=1))
         return OK
     for stage in _STAGES:
         print(f"stage {stage}: ok", file=sys.stderr)
@@ -290,30 +257,27 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = _read_document(args.file)
-    kind = doc["kind"]
+    reader = _read_document(args.file)
+    doc, kind = reader.doc, reader.kind
     info = {"kind": kind}
     if "dim" in doc:
         info["dim"] = doc["dim"]
-    # every entry is validated first; a field listing none is left out
-    norm = _normalize(doc)
+    # every entry is validated before any structure is built; a field
+    # listing none is left out
+    norm = reader.canonical()
     info["nonzero_entries"] = {
         key: len(norm[key])
         for key, value in doc.items()
         if isinstance(value, list) and value and isinstance(value[0], list)
     }
-    op = None
-    if kind in ("comm-assoc", "zinbiel", "pre-lie"):
-        op = doc_to_single_op(doc)[0]
-    elif kind == "rel-poisson":
-        op = doc_to_rel_poisson(doc)[0].dot
-    elif kind == "bialgebra":
-        op = doc_to_bialgebra(doc).algebra.dot
+    structures = reader.structures()
+    check, product = _KINDS[kind]
+    op = product(structures) if product else None
     unit = find_unit(op) if op is not None else None
     if unit is not None:
         terms = [f"{c}*{op.space.labels[i]}" for i, c in enumerate(unit) if c]
         info["unit"] = " + ".join(terms) if terms else "0"
-    report = _check_dispatch(doc, kind)
+    report = check(structures)
     info["ok"] = report.ok
     if not report.ok:
         info["axioms_failed"] = list(report.axioms_failed())
@@ -370,7 +334,7 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_FAILURE
-    except (PreconditionError, NoUnitError) as exc:
+    except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return PRECONDITION_FAILURE
     except PipelineError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cached_property
 
 from .algebra import BilinearOp, RelPoissonAlgebra, _entries
 from .coalgebra import BialgebraData, Comultiplication
@@ -53,6 +54,7 @@ _SCHEMA = {
     "bilinear-form": {"algebra": "?", "gram": "AA"},
 }
 KINDS = tuple(_SCHEMA)
+_SINGLE_OP_KINDS = tuple(kind for kind in KINDS if _SCHEMA[kind] is _SINGLE_OP)
 _HEADER = ("kind", "description", "dim", "basis")
 # an action family is stored as (x, column, row): the axes of its entries
 # (x, row, column)
@@ -114,17 +116,6 @@ def _has_own_space(kind, doc) -> bool:
     return "algebra" not in doc or any("V" in shape for shape in _SCHEMA[kind].values())
 
 
-def _embedded(doc) -> dict:
-    """The embedded algebra document, validated."""
-    inner = doc.get("algebra")
-    if not isinstance(inner, dict):
-        raise DocumentError("missing embedded algebra object")
-    if inner.get("kind") != "rel-poisson":
-        raise DocumentError("embedded algebra must have kind rel-poisson")
-    validate_document(inner)
-    return inner
-
-
 def validate_document(doc) -> str:
     """Checks the overall shape of a parsed document; returns its kind."""
     if not isinstance(doc, dict):
@@ -143,7 +134,12 @@ def validate_document(doc) -> str:
     if not isinstance(doc.get("description", ""), str):
         raise DocumentError("description must be a string")
     if "algebra" in doc:
-        _embedded(doc)
+        inner = doc["algebra"]
+        if not isinstance(inner, dict):
+            raise DocumentError("missing embedded algebra object")
+        if inner.get("kind") != "rel-poisson":
+            raise DocumentError("embedded algebra must have kind rel-poisson")
+        validate_document(inner)
     return kind
 
 
@@ -152,27 +148,37 @@ def validate_document(doc) -> str:
 
 
 class _Reader:
-    """A document read as one kind: its embedded algebra (or None), its
-    spaces V and A, and its fields, each index checked against its space."""
+    """One read of a validated document, its embedded algebra's by one inner
+    reader.  Each entry field is read and checked once, on first use, against
+    the spaces its indices range over; later uses come from a memo."""
 
-    def __init__(self, doc, kind):
-        self.doc, self.shapes = doc, _SCHEMA[kind]
-        shape = self.shapes.get("algebra")
-        embeds = shape == "" or (shape == "?" and "algebra" in doc)
-        self.alg = doc_to_rel_poisson(_embedded(doc))[0] if embeds else None
-        own = _space_of(doc) if _has_own_space(kind, doc) else None
-        self.space = {"V": own, "A": self.alg.space if self.alg else own}
+    def __init__(self, doc):
+        self.doc, self.kind, self.shapes = doc, doc["kind"], _SCHEMA[doc["kind"]]
+        self.inner = _Reader(doc["algebra"]) if "algebra" in doc else None
+        self.memo = {}
+
+    @cached_property
+    def space(self):
+        """V and A.  Every field of the embedded algebra is read before V
+        is, so a document's first fault is the same whatever reads it."""
+        inner = self.inner
+        for name in inner.shapes if inner else ():
+            if name in inner.doc:
+                inner.entries(name)
+        own = _space_of(self.doc) if _has_own_space(self.kind, self.doc) else None
+        return {"V": own, "A": inner.space["V"] if inner else own}
 
     def bounds(self, name):
         return [self.space[s].dim for s in self.shapes[name].rstrip("?")]
 
     def entries(self, name):
-        """Validates the field's sparse entry list; returns
-        [(indices..., scalar)]."""
+        """The field's sparse entry list, checked; [(indices..., scalar)]."""
+        if name in self.memo:
+            return self.memo[name]
+        bounds = self.bounds(name)
         raw = self.doc.get(name, [])
         if not isinstance(raw, list):
             raise DocumentError(f"field {name!r} must be a list of entries")
-        bounds = self.bounds(name)
         arity = len(bounds)
         seen = set()
         out = []
@@ -189,7 +195,23 @@ class _Reader:
                 raise DocumentError(f"duplicate entry in {name!r}: {list(idx)}")
             seen.add(idx)
             out.append(idx + (parse_scalar_string(entry[arity]),))
+        self.memo[name] = out
         return out
+
+    def canonical(self):
+        """The document with every entry field, the embedded algebra's
+        included, read in `_SCHEMA` order and rewritten in canonical order."""
+        out = dict(self.doc)
+        for name in self.shapes:
+            if name == "algebra" and self.inner:
+                out[name] = self.inner.canonical()
+            elif name in self.doc:
+                out[name] = sorted([*idx, format_scalar(x)] for *idx, x in self.entries(name) if x)
+        return out
+
+    def structures(self):
+        """The document's structures, as its kind's doc_to_* returns them."""
+        return _STRUCTURES[self.kind](self)
 
     def table(self, name, axes):
         """The field as nested sparse rows whose levels are indexed in the
@@ -222,54 +244,81 @@ class _Reader:
         comults = (self.op(name, Comultiplication) for name in ("dot_comult", "bracket_comult"))
         return (*comults, self.map("dual_derivation"))
 
+    def representation(self):
+        mu, rho = (self.table(name, _FAMILY) for name in ("dot_action", "bracket_action"))
+        rep = _rep(self.inner.structures()[0], self.space["V"], mu, rho, self.map("der_action"))
+        names = ("operator", "dual_derivation", "beta")
+        return rep, {name: self.map(name) for name in names if name in self.doc}
+
+    def rmatrix(self):
+        space = self.space["A"]
+        tensor = _make(Tensor2, left=space, right=space, _sparse=self.table("r", Tensor2._axes))
+        alg = self.inner.structures()[0]
+        if "dual_derivation" not in self.doc:
+            return alg, tensor, alg.derivation.neg()
+        return alg, tensor, self.map("dual_derivation")
+
+
+# kind -> the structures a document of that kind reads to
+_STRUCTURES = {
+    **dict.fromkeys(
+        _SINGLE_OP_KINDS,
+        lambda f: (f.op("product"), f.map("derivation") if "derivation" in f.doc else None),
+    ),
+    "rel-poisson": lambda f: (f.rel_poisson(), f.form("form") if "form" in f.doc else None),
+    "rel-pre-poisson": lambda f: RelPrePoissonAlgebra(
+        f.space["V"], f.op("star"), f.op("circ"), f.map("derivation")
+    ),
+    "representation": _Reader.representation,
+    "comultiplication": _Reader.coalgebra,
+    "bialgebra": lambda f: BialgebraData(f.rel_poisson(), *f.coalgebra()),
+    "rmatrix": _Reader.rmatrix,
+    "bilinear-form": lambda f: (f.form("gram"), f.inner and f.inner.structures()[0]),
+}
+
+
+def _read(doc, *kinds):
+    """The structures of a document of one of `kinds`, its shape checked."""
+    kind = validate_document(doc)
+    if kind not in kinds:
+        raise DocumentError(f"expected a {' or '.join(kinds)} document, got {kind}")
+    return _Reader(doc).structures()
+
 
 def doc_to_single_op(doc):
     """For the single-operation kinds: (op, optional derivation)."""
-    f = _Reader(doc, "comm-assoc")
-    return f.op("product"), f.map("derivation") if "derivation" in doc else None
+    return _read(doc, *_SINGLE_OP_KINDS)
 
 
 def doc_to_rel_poisson(doc):
-    f = _Reader(doc, "rel-poisson")
-    return f.rel_poisson(), f.form("form") if "form" in doc else None
+    return _read(doc, "rel-poisson")
 
 
 def doc_to_rel_pre_poisson(doc) -> RelPrePoissonAlgebra:
-    f = _Reader(doc, "rel-pre-poisson")
-    return RelPrePoissonAlgebra(f.space["V"], f.op("star"), f.op("circ"), f.map("derivation"))
+    return _read(doc, "rel-pre-poisson")
 
 
 def doc_to_representation(doc):
     """Returns (RepData, extras) with optional operator/beta/dual_derivation."""
-    f = _Reader(doc, "representation")
-    mu, rho = (f.table(name, _FAMILY) for name in ("dot_action", "bracket_action"))
-    rep = _rep(f.alg, f.space["V"], mu, rho, f.map("der_action"))
-    extras = {name: f.map(name) for name in ("operator", "dual_derivation", "beta") if name in doc}
-    return rep, extras
+    return _read(doc, "representation")
 
 
 def doc_to_coalgebra(doc):
-    return _Reader(doc, "comultiplication").coalgebra()
+    return _read(doc, "comultiplication")
 
 
 def doc_to_bialgebra(doc) -> BialgebraData:
-    f = _Reader(doc, "bialgebra")
-    return BialgebraData(f.rel_poisson(), *f.coalgebra())
+    return _read(doc, "bialgebra")
 
 
 def doc_to_rmatrix(doc):
     """Returns (algebra, tensor, dual_derivation); the map defaults to the
     negated derivation when the field is absent."""
-    f = _Reader(doc, "rmatrix")
-    space = f.space["A"]
-    tensor = _make(Tensor2, left=space, right=space, _sparse=f.table("r", Tensor2._axes))
-    codrv = f.map("dual_derivation") if "dual_derivation" in doc else f.alg.derivation.neg()
-    return f.alg, tensor, codrv
+    return _read(doc, "rmatrix")
 
 
 def doc_to_bilinear_form(doc):
-    f = _Reader(doc, "bilinear-form")
-    return f.form("gram"), f.alg
+    return _read(doc, "bilinear-form")
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +432,7 @@ def _canonical_object(doc, indent=0):
 def serialize_document(doc) -> str:
     """Canonical text: sorted entries, reduced fractions, fixed key order."""
     validate_document(doc)
-    return _canonical_object(_normalize(doc)) + "\n"
-
-
-def _normalize(doc):
-    """A validated document with every entry field read, checked and
-    rewritten in canonical order."""
-    kind = doc["kind"]
-    reader, out = _Reader(doc, kind), dict(doc)
-    for name in _SCHEMA[kind]:
-        if name == "algebra" and name in doc:
-            out[name] = _normalize(doc[name])
-        elif name in doc:
-            entries = reader.entries(name)
-            out[name] = sorted([*idx, format_scalar(x)] for *idx, x in entries if x)
-    return out
+    return _canonical_object(_Reader(doc).canonical()) + "\n"
 
 
 def parse_document(text: str):

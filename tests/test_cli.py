@@ -3,10 +3,12 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
-from relpoisson.cli import main
+from relpoisson import documents
+from relpoisson.cli import _RECIPE_KINDS, main
 
 from conftest import FIXTURES
 
@@ -254,22 +256,97 @@ def test_pipeline_prints_every_stage_in_order(tmp_path, capsys):
     assert payload["stages"] == [{"stage": s, "ok": True} for s in PIPELINE_STAGES]
 
 
-# the sub-adjacent representation of the worked input with the identity
-# operator, and the outputs of the recipes that read an embedded algebra;
-# all four files were written before these structures were stored sparse
-EMBEDDED_GOLDENS = [
+# one golden output per recipe.  The sub-adjacent representation of the
+# worked input with the identity operator, and the first three outputs,
+# were written before these structures were stored sparse; the other six
+# were written before each command read its document once
+RECIPE_GOLDENS = [
     ("semidirect", "representation_subadjacent_3d.json", "golden_semidirect_6d.json"),
     ("o-operator-rmatrix", "representation_subadjacent_3d.json", "golden_rmatrix_6d.json"),
     ("coboundary", "golden_rmatrix_6d.json", "golden_coboundary_6d.json"),
+    ("bracket-from-derivation", "comm_assoc_3d.json", "golden_bracket_from_derivation_3d.json"),
+    ("circ-from-derivation", "zinbiel_3d.json", "golden_circ_from_derivation_3d.json"),
+    ("subadjacent", "zinbiel_3d.json", "golden_subadjacent_3d.json"),
+    ("extend-jacobi", "golden_double_14d.json", "golden_extend_jacobi_15d.json"),
+    ("dualize", "bialgebra_7d.json", "golden_dualize_7d.json"),
+    ("bowtie", "bialgebra_7d.json", "golden_bowtie_14d.json"),
 ]
 
 
-@pytest.mark.parametrize("recipe, source, golden", EMBEDDED_GOLDENS, ids=[r for r, _, _ in EMBEDDED_GOLDENS])
-def test_embedded_kind_recipe_byte_identical_to_golden(tmp_path, recipe, source, golden):
+def test_recipe_goldens_cover_every_recipe():
+    assert sorted(recipe for recipe, _, _ in RECIPE_GOLDENS) == sorted(_RECIPE_KINDS)
+
+
+@pytest.mark.parametrize("recipe, source, golden", RECIPE_GOLDENS, ids=[r for r, _, _ in RECIPE_GOLDENS])
+def test_recipe_byte_identical_to_golden(tmp_path, recipe, source, golden):
     out = tmp_path / golden
     assert main(["construct", recipe, str(FIXTURES / source), "-o", str(out)]) == 0
     assert out.read_bytes() == (FIXTURES / golden).read_bytes()
     assert main(["check", str(out)]) == 0
+
+
+# the stdout and exit code of `check --json` and `report --json` on every
+# shipped fixture, as written before each command read its document once
+FIXTURE_OUTPUTS = json.loads((Path(__file__).parent / "cli_fixture_outputs.json").read_text())
+
+
+def test_fixture_outputs_cover_every_fixture():
+    assert sorted(FIXTURE_OUTPUTS) == sorted(path.name for path in FIXTURES.glob("*.json"))
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_OUTPUTS))
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_json_output_on_every_fixture_is_pinned(capsys, fixture, command):
+    code = main([command, "--json", str(FIXTURES / fixture)])
+    expected = FIXTURE_OUTPUTS[fixture][command]
+    assert (code, capsys.readouterr().out) == (expected["exit"], expected["stdout"])
+
+
+def _entry_count(doc):
+    """The entries of a document, its embedded algebra's included."""
+    nested = (_entry_count(value) for value in doc.values() if isinstance(value, dict))
+    lists = (len(value) for key, value in doc.items() if key != "basis" and isinstance(value, list))
+    return sum(nested) + sum(lists)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["representation_subadjacent_3d.json", "golden_rmatrix_6d.json", "bialgebra_7d.json"]
+)
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_each_command_reads_its_document_once(monkeypatch, capsys, fixture, command):
+    # every scalar is parsed once, and the (embedded or own) relative
+    # Poisson algebra is built once
+    calls = {"scalars": 0, "algebras": 0}
+    parse = documents.parse_scalar_string
+
+    def counted_parse(text):
+        calls["scalars"] += 1
+        return parse(text)
+
+    class CountedAlgebra(documents.RelPoissonAlgebra):
+        def __init__(self, *args):
+            calls["algebras"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(documents, "parse_scalar_string", counted_parse)
+    monkeypatch.setattr(documents, "RelPoissonAlgebra", CountedAlgebra)
+    path = FIXTURES / fixture
+    assert main([command, str(path)]) == 0
+    assert calls == {"scalars": _entry_count(json.loads(path.read_text())), "algebras": 1}
+
+
+def test_construct_write_failure_is_an_io_error(tmp_path, capsys):
+    # the output path is a directory
+    assert main(["construct", "subadjacent", str(FIXTURES / "zinbiel_3d.json"), "-o", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_pipeline_write_failure_is_an_io_error(tmp_path, capsys):
+    # the output directory does not exist; every stage ran before the write
+    target = tmp_path / "missing" / "double.json"
+    assert main(["pipeline", str(FIXTURES / "prepoisson_3d.json"), "-o", str(target)]) == 3
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: cannot write {target}: ")
 
 
 def test_representation_fixture_is_the_subadjacent_representation():

@@ -268,6 +268,25 @@ def test_fields_outside_the_grammar_are_rejected(doc):
         serialize_document(doc)
 
 
+@pytest.mark.parametrize("index", range(len(_worked_cases())))
+def test_every_reader_rejects_an_unknown_top_level_field(index):
+    # a reader checks the document's own fields as it checks its embedded
+    # algebra's, so it rejects what parse_document rejects
+    kind, worked = _worked_cases()[index]
+    reader, writer = READ_WRITE[kind]
+    doc = dict(writer(documents, kind, worked, None), junk=1)
+    for read in (parse_document, getattr(documents, reader)):
+        with pytest.raises(DocumentError, match="unknown field 'junk'"):
+            read(json.dumps(doc) if read is parse_document else doc)
+
+
+def test_a_reader_rejects_another_kind():
+    doc = parse_document((FIXTURES / "zinbiel_3d.json").read_text())
+    assert doc_to_single_op(doc)[0].space.dim == 3
+    with pytest.raises(DocumentError, match="expected a rel-poisson document, got zinbiel"):
+        doc_to_rel_poisson(doc)
+
+
 def test_bilinear_form_reads_its_space_from_the_algebra_or_its_own():
     embedded = {"kind": "bilinear-form", "algebra": _ALGEBRA_1D, "gram": [[0, 0, "2"]]}
     form, alg = doc_to_bilinear_form(parse_document(json.dumps(embedded)))
