@@ -395,9 +395,12 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 #     ("associative", "ijk", "s", "M:ijt,M:tks - M:jkt,M:its")
 #
 # Only nonzero products are enumerated, so the terms themselves are the
-# tuples at which a family can fail.  The families of one sweep are
-# reported in sorted ``where`` order, in their own order inside one tuple;
-# a checker reporting its families one after another sweeps them apart.
+# tuples at which a family can fail.  Each term's reads, sign and last join
+# are planned once per process; a term stops at its first empty join, its
+# last join adds straight into the family's sums, and a sweep whose sums
+# are all zero reports nothing.  The families of one sweep are reported in
+# sorted ``where`` order, in their own order inside one tuple; a checker
+# reporting its families one after another sweeps them apart.
 
 
 def _rows(table) -> _Rows:
@@ -434,10 +437,10 @@ def _rekey(paths, keys: tuple):
 
 
 def _plan(term: str, where: str, defect: str, depths: dict):
-    """The join plan of one term: its first factor, then one (table, keys,
-    key reader) step per other factor, and the positions of the reported
-    labels in a path's indices; records the nesting depth of each table in
-    ``depths``.
+    """The join plan of one term: its first factor and depth, one (table,
+    depth, keys, key reader) step per later factor but the last, the last
+    (None for a one-factor term), and the positions of the reported labels
+    in a path's indices; records each table's nesting depth in ``depths``.
 
     Factors are joined greedily, the one with the most bound labels next.
     A step reads its table through the index re-keyed on the positions
@@ -451,53 +454,64 @@ def _plan(term: str, where: str, defect: str, depths: dict):
         if len(set(labels)) != len(labels) or depths.setdefault(name, depth) != depth:
             raise ValueError(f"factor {name}:{labels} repeats a label or changes arity")
         keys = tuple(p for p, l in enumerate(labels) if l in bound)
-        steps.append((name, keys, _key([bound.index(labels[p]) for p in keys])))
+        steps.append((name, depth, keys, _key([bound.index(labels[p]) for p in keys])))
         bound += [l for l in labels if l not in bound]
     if not set(where + defect) <= set(bound):
         raise ValueError(f"term {term} leaves a reported label free")
-    (first, _, _), *steps = steps
-    return first, steps, _picker([bound.index(l) for l in where + defect])
+    (first, depth, _, _), *steps = steps
+    last = steps.pop() if steps else None
+    return (first, depth), steps, last, _picker([bound.index(l) for l in where + defect])
 
 
 @functools.cache
 def _compile(families: tuple):
-    """The join plans of every term of the families, and the nesting depth
-    of each table; planned once per process."""
+    """The join plans of every term of the families, each with its family
+    and sign, and the tables they name; planned once per process."""
     plans, depths = [], {}
     for fam, (_axiom, where, defect, terms) in enumerate(families):
         for sign, term in re.findall(r"(-?)\s*([\w:,]+)", terms.replace("+", "")):
             plans.append((fam, sign == "-", *_plan(term, where, defect, depths)))
-    return plans, depths
+    return plans, tuple(depths)
+
+
+def _read(rows: _Rows, depth: int, keys=None):
+    """A table's entries as (indices, value) paths, or with ``keys`` its
+    index re-keyed on them, each built once per table in its memo."""
+    found = rows._reads.get(keys)
+    if found is None:
+        found = _paths(rows, depth) if keys is None else _rekey(_read(rows, depth), keys)
+        rows._reads[keys] = found
+    return found
 
 
 def _contract(families: tuple, tables: dict):
     """Every term of the families summed, as one {(*where, *defect): value}
-    dict per family, over the named tables."""
-    plans, depths = _compile(families)
-    tables = {name: _rows(table) for name, table in tables.items()}
-
-    def index(name, keys=None):
-        """A table's entries as (indices, value) paths, or with ``keys`` its
-        index re-keyed on them, each built once per table."""
-        memo = tables[name]._reads
-        found = memo.get(keys)
-        if found is None:
-            if keys is None:
-                found = memo[keys] = _paths(tables[name], depths[name])
-            else:
-                found = memo[keys] = _rekey(index(name), keys)
-        return found
-
+    dict per family, over the named tables.  A term stops at its first
+    empty join, and its last join adds straight into the sums."""
+    plans, names = _compile(families)
+    tables = {name: _rows(tables[name]) for name in names}
     acc = [{} for _ in families]
-    for fam, negate, first, steps, project in plans:
-        rows = index(first)
-        for name, keys, at in steps:
-            found = index(name, keys)
+    for fam, negate, (first, depth), steps, last, project in plans:
+        rows = _read(tables[first], depth)
+        for name, depth, keys, at in steps:
+            if not rows:
+                break
+            found = _read(tables[name], depth, keys)
             rows = [(v + free, p * x) for v, p in rows for free, x in found.get(at(v), ())]
+        if not rows:
+            continue
         out = acc[fam]
-        for values, p in rows:
-            key = project(values)
-            out[key] = out.get(key, ZERO) + (-p if negate else p)
+        if last is None:
+            for v, p in rows:
+                key = project(v)
+                out[key] = out.get(key, ZERO) + (-p if negate else p)
+            continue
+        name, depth, keys, at = last
+        found = _read(tables[name], depth, keys)
+        for v, p in rows:
+            for free, x in found.get(at(v), ()):
+                key = project(v + free)
+                out[key] = out.get(key, ZERO) + (-p * x if negate else p * x)
     return acc
 
 
@@ -505,9 +519,12 @@ def _sweep(coll: Collector, families: tuple, dims, **tables) -> None:
     """Sweep the families on the named tables and report each failing
     instance to the collector, with its dense defect; ``dims`` maps each
     defect label to its size, or is the one size of all of them."""
+    outs = _contract(families, tables)
+    if not any(any(out.values()) for out in outs):
+        return
     size = dims.__getitem__ if isinstance(dims, dict) else lambda _label: dims
     cells = {}
-    for fam, ((_, where, defect, _), out) in enumerate(zip(families, _contract(families, tables))):
+    for fam, ((_, where, defect, _), out) in enumerate(zip(families, outs)):
         w = len(where)
         for key, value in out.items():
             if value:

@@ -129,11 +129,13 @@ def vec_is_zero(u) -> bool:
 class _Rows(tuple):
     """The nested rows of a sparse table, the last level listing its
     nonzero (index, value) entries.  Rows never change, so a sweep keeps
-    the paths and indexes it builds from them in their ``_reads`` memo."""
+    the paths and indexes its joins reach in their ``_reads`` memo, made
+    on first read and never for a join after an empty one."""
 
-    @cached_property
-    def _reads(self):
-        return {}
+    def __getattr__(self, name):
+        if name != "_reads":
+            raise AttributeError(name)
+        return self.__dict__.setdefault(name, {})
 
 
 class _Stored:
@@ -296,7 +298,7 @@ def _gauss_jordan(rows):
             continue
         col = min(row)
         lead = (col, scalar(row[col]))
-        scale = div(ONE, row[col])
+        scale = lead[1] if lead[1] in (ONE, -ONE) else div(ONE, lead[1])  # a unit is its own inverse
         row = {c: v * scale for c, v in row.items()}
         for other in pivots.values():
             if col in other:

@@ -447,3 +447,19 @@ def test_sweep_keeps_its_indexes_on_the_rows_it_reads():
     assert all(cs._mu._reads[keys] is index for keys, index in reads.items())
     with pytest.raises(TypeError):
         _contract(families, {"MU": tuple(cs._mu)})
+
+
+def test_a_term_stops_at_its_first_empty_join():
+    """The derivation rule of the zero product: the term that starts with
+    the product joins nothing, so the derivation is read only as its
+    paths, by the terms that start with it, and never re-keyed for a join
+    after the empty product.  A longer term stops before its middle joins
+    too."""
+    sp = Space.of_dim(3)
+    der = LinearMap(sp, sp, ((1, 0, 0), (0, 2, 0), (1, 0, 3)))
+    assert check_derivation(BilinearOp.zero(sp), der).ok
+    assert list(der._sparse._reads) == [None]
+    middle, last = LinearMap.identity(sp), LinearMap.identity(sp)
+    tables = dict(M=BilinearOp.zero(sp), P=middle, Q=last)
+    assert _contract((("", "ij", "s", "M:ijt,P:tu,Q:us"),), tables) == [{}]
+    assert not middle._sparse._reads and not last._sparse._reads
