@@ -179,7 +179,7 @@ class _Rank3(_Stored):
         return _make(cls, space=space, _sparse=_nest(checked, cls._axes, (n, n)))
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self._sparse)
+        return not self.nonzero_entries()
 
     def nonzero_entries(self):
         """(i, j, k, value) quadruples of the nonzero entries, in stored order."""
@@ -261,11 +261,9 @@ class BilinearOp(_Rank3):
         n = self.space.dim
         # every equation with right-hand side 1 is kept, even with no unknown
         eqs = {(side, j, j): {} for j in range(n) for side in ("left", "right")}
-        for i, row in enumerate(self._sparse):
-            for j, prod in enumerate(row):
-                for k, x in prod:
-                    eqs.setdefault(("left", j, k), {})[i] = x  # u_i in (u * e_j)_k
-                    eqs.setdefault(("right", i, k), {})[j] = x  # u_j in (e_i * u)_k
+        for i, j, k, x in self.nonzero_entries():
+            eqs.setdefault(("left", j, k), {})[i] = x  # u_i in (u * e_j)_k
+            eqs.setdefault(("right", i, k), {})[j] = x  # u_j in (e_i * u)_k
         # the right-hand side is column n, so a pivot there reads 0 = 1, and
         # elimination stops at the first such equation
         rows = ({**coeffs, n: ONE} if j == k else coeffs for (_, j, k), coeffs in eqs.items())
@@ -348,22 +346,21 @@ def _matrices(family):
 
 
 def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
-    """:func:`block_sum` on actions given as sparse column tables: mu1[i][b]
-    lists the nonzero (row, value) entries of mu1(e_i) e_b."""
+    """:func:`block_sum` on actions given as sparse column tables, read by
+    their entries: mu1[i][b] lists the nonzero (row, value) entries of mu1(e_i) e_b."""
     n1, n2 = left.dim, right.dim
     total = direct_sum_space(left.space, right.space)
     dot, br = [], []
     for off, alg in ((0, left), (n1, right)):
         for out, op in ((dot, alg.dot), (br, alg.bracket)):
             out += [(off + i, off + j, off + k, x) for i, j, k, x in op.nonzero_entries()]
-    # mu1[i] applied to b is column b of mu1[i], and mu2[b] applied to i is
-    # column i of mu2[b]
-    for i in range(n1):
-        for b in range(n2):
-            mu = [*mu2[b][i], *((n1 + r, v) for r, v in mu1[i][b])]
-            dot += [(i, n1 + b, k, v) for k, v in mu] + [(n1 + b, i, k, v) for k, v in mu]
-            rho = [*rho2[b][i], *((n1 + r, -v) for r, v in rho1[i][b])]
-            br += [(n1 + b, i, k, v) for k, v in rho] + [(i, n1 + b, k, -v) for k, v in rho]
+    # for x = e_i in A1 and a = e_b in A2, x.a = a.x = mu1(x)a + mu2(a)x and
+    # [x,a] = -[a,x] = rho1(x)a - rho2(a)x; families are read in stored order
+    for out, one, two, sign in ((dot, mu1, mu2, 1), (br, rho1, rho2, -1)):
+        for i, b, r, x in _entries(one, "ijk"):
+            out += [(i, n1 + b, n1 + r, x), (n1 + b, i, n1 + r, sign * x)]
+        for b, i, k, x in _entries(two, "ijk"):
+            out += [(i, n1 + b, k, sign * x), (n1 + b, i, k, x)]
     size = (total.dim, total.dim)
     derivation = _block_diagonal(left.derivation._sparse, right.derivation._sparse, n1)
     return RelPoissonAlgebra(
@@ -569,7 +566,7 @@ def check_lie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomRepor
     sp = m._sparse
     coll = Collector(limit)
     # [x,y] + [y,x] is reported once per unordered pair, the diagonal once
-    pairs = {(min(i, j), max(i, j)) for i, row in enumerate(sp) for j, prod in enumerate(row) if prod}
+    pairs = {(min(i, j), max(i, j)) for i, j, _, _ in m.nonzero_entries()}
     for i, j in sorted(pairs):
         defect = [ZERO] * n
         for k, x in sp[i][j] + (sp[j][i] if i != j else ()):

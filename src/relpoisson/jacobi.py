@@ -29,7 +29,7 @@ from .coalgebra import (
     dual_rel_poisson_algebra,
     induced_matched_pair,
 )
-from .linalg import ONE, LinearMap, Space, _Rows, _with, basis_vector
+from .linalg import ONE, LinearMap, Space, _nest, _Rows, _with, basis_vector
 from .pairing import (
     BilinearForm,
     canonical_pairing,
@@ -81,9 +81,9 @@ def _unit_extension(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
     line = Space((unit_label,))
     dot = BilinearOp.from_entries(line, [(0, 0, 0, ONE)])
     unital = RelPoissonAlgebra(line, dot, BilinearOp.zero(line), LinearMap.zero(line))
-    back = (((),),) * alg.dim
+    back = _nest((), "ijk", (alg.dim, 1))
     identity = LinearMap.identity(alg.space)._sparse
-    return _block_sum(unital, alg, (identity,), (alg.derivation._sparse,), back, back)
+    return _block_sum(unital, alg, _Rows((identity,)), _Rows((alg.derivation._sparse,)), back, back)
 
 
 def _extended_rep(rep: RepData, extended: RelPoissonAlgebra) -> RepData:

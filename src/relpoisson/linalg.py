@@ -35,6 +35,7 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -130,7 +131,9 @@ class _Rows(tuple):
     """The nested rows of a sparse table, the last level listing its
     nonzero (index, value) entries.  Rows never change, so a sweep keeps
     the paths and indexes its joins reach in their ``_reads`` memo, made
-    on first read and never for a join after an empty one."""
+    on first read and never for a join after an empty one.  A table built
+    by :func:`_nest` has its sorted entries there from construction, as its
+    path index ``_reads[None]``, so no reader walks its rows."""
 
     def __getattr__(self, name):
         if name != "_reads":
@@ -195,7 +198,9 @@ def _transpose(cols, height: int, scale=1):
 
 def _paths(rows, depth: int):
     """Every entry of a table nested ``depth`` levels above its entry lists,
-    as an (indices, value) path; empty rows are skipped level by level."""
+    as an (indices, value) path; empty rows are skipped level by level.
+    Only a table not built by :func:`_nest` is walked, at no more than its
+    building cost; an entry-built table keeps these paths."""
     paths = [((), rows)]
     for _ in range(depth):
         paths = [(v + (i,), row) for v, level in paths for i, row in enumerate(level) if row]
@@ -205,36 +210,42 @@ def _paths(rows, depth: int):
 def _entries(rows, axes: str):
     """The (indices..., value) entries of a nested sparse table whose levels
     are indexed in the order ``axes`` names, each with its indices in sorted
-    label order, in stored order."""
+    label order, in stored order: read from the path index of an
+    entry-built table, walked from the rows of any other."""
     order = itemgetter(*map(axes.index, sorted(axes)))
-    return [(*order(v), x) for v, x in _paths(rows, len(axes) - 1)]
+    paths = rows._reads.get(None)
+    paths = _paths(rows, len(axes) - 1) if paths is None else paths
+    return [(*order(v), x) for v, x in paths]
 
 
 def _nest(entries, axes: str, sizes):
     """The nested sparse rows of (indices..., value) entries whose indices
     come in sorted label order, with the levels indexed in the order
     ``axes`` names and ``sizes`` giving the lengths of all but the last;
-    repeated positions add up and zero sums are dropped."""
+    repeated positions add up and zero sums are dropped.  The sums, sorted
+    once, are kept as the path index ``_reads[None]``: exactly the paths
+    :func:`_paths` would walk, in order and with the same values."""
     stored = itemgetter(*(sorted(axes).index(a) for a in axes))
-    cells = {}
+    sums = {}
     for entry in entries:
         key = stored(entry)
-        cell = cells.setdefault(key[:-1], {})
-        cell[key[-1]] = cell.get(key[-1], ZERO) + entry[-1]
-    table = {
-        outer: tuple(sorted((k, scalar(x)) for k, x in cell.items() if x))
-        for outer, cell in cells.items()
-    }
-    # fold the levels in, innermost first, an absent row being empty
+        sums[key] = sums.get(key, ZERO) + entry[-1]
+    paths = [(key, scalar(sums[key])) for key in sorted(sums) if sums[key]]
+    # the entry rows from the sorted run, then each outer level, innermost
+    # first, filled from one shared list of absent rows
+    table = defaultdict(list)
+    for key, x in paths:
+        table[key[:-1]].append((key[-1], x))
     empty = ()
     for size in reversed(sizes):
-        grouped = {}
+        absent = [empty] * size
+        level = defaultdict(absent.copy)
         for outer, row in table.items():
-            grouped.setdefault(outer[:-1], {})[outer[-1]] = row
-        absent = (empty,) * size
-        table = {outer: tuple(map(rows.get, range(size), absent)) for outer, rows in grouped.items()}
-        empty = absent
-    return _Rows(table.get((), empty))
+            level[outer[:-1]][outer[-1]] = tuple(row)
+        table, empty = level, tuple(absent)
+    rows = _Rows(tuple(table[()]) if table else empty)
+    rows.__dict__["_reads"] = {None: paths}
+    return rows
 
 
 def _dense(hits, *shape):

@@ -52,6 +52,7 @@ from .linalg import (
     _dense,
     _determinant,
     _make,
+    _nest,
     _Rows,
     _Stored,
     _transpose,
@@ -299,7 +300,7 @@ def _semidirect(rep: RepData) -> RelPoissonAlgebra:
     module = rep.space
     zero = BilinearOp.zero(module)
     right = RelPoissonAlgebra(module, zero, zero, rep._alpha)
-    back = (((),) * rep.algebra.dim,) * module.dim
+    back = _nest((), "ijk", (module.dim, rep.algebra.dim))
     return _block_sum(rep.algebra, right, rep._mu, rep._rho, back, back)
 
 

@@ -3,11 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relpoisson import BilinearOp, LinearMap, Space, Tensor2, Tensor3, dual_map, find_unit, rotate_factors, swap_factors, tensor_as_map
 from relpoisson import algebra, linalg
+from relpoisson.documents import _FAMILY
 from relpoisson.linalg import determinant, mat_inverse
 from dense_matrices import mat_mul, mat_transpose
 
@@ -403,3 +404,70 @@ def test_determinant_and_inverse_stop_at_the_first_dependent_row(monkeypatch):
     with pytest.raises(ValueError, match="singular"):
         mat_inverse(singular)
     assert len(read) == 2
+
+
+# ---------------------------------------------------------------------------
+# an entry-built table keeps its sorted entries as its path index, and that
+# index is exactly what a walk of its rows reads
+
+
+NEST_AXES = ("ijk", "kij", "ji", "ij", _FAMILY)
+
+
+def _naive_nest(entries, axes, bounds):
+    """Nested rows by the definition: every cell of every level is visited,
+    and an entry list holds the nonzero sums at its cells by increasing
+    index, each in normal form."""
+    labels = sorted(axes)
+    sums = {}
+    for *at, x in entries:
+        sums[tuple(at)] = sums.get(tuple(at), 0) + x
+    normal = lambda x: x.numerator if isinstance(x, F) and x.denominator == 1 else x
+
+    def level(at):
+        axis = axes[len(at)]
+        cells = [{**at, axis: i} for i in range(bounds[axis])]
+        if len(at) < len(axes) - 1:
+            return tuple(level(cell) for cell in cells)
+        keys = [(cell[axis], tuple(cell[label] for label in labels)) for cell in cells]
+        return tuple((i, normal(sums[key])) for i, key in keys if sums.get(key))
+
+    return level({})
+
+
+@st.composite
+def nest_inputs(draw):
+    """(axes, the bound of each label, entries in sorted label order), some
+    entries repeated with the opposite sign so that their sums cancel."""
+    axes = draw(st.sampled_from(NEST_AXES))
+    bounds = {label: draw(st.integers(0, 3)) for label in sorted(axes)}
+    if 0 in bounds.values():
+        return axes, bounds, []
+    index = st.tuples(*(st.integers(0, bounds[label] - 1) for label in sorted(axes)))
+    value = st.sampled_from((1, -1, 2, F(1, 2), F(-3, 2), F(4, 2)))
+    entries = [(*at, x) for at, x in draw(st.lists(st.tuples(index, value), max_size=8))]
+    cancelled = draw(st.lists(st.sampled_from(entries), max_size=3)) if entries else []
+    return axes, bounds, entries + [(*at, -x) for *at, x in cancelled]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=nest_inputs())
+@example(case=("ijk", {"i": 2, "j": 2, "k": 2}, []))
+@example(case=("kij", {"i": 2, "j": 3, "k": 1}, [(1, 2, 0, F(1, 2)), (1, 2, 0, F(-1, 2))]))
+def test_nest_keeps_its_sorted_entries_as_the_path_index_a_walk_reads(case):
+    axes, bounds, entries = case
+    sizes = [bounds[a] for a in axes[:-1]]
+    rows = linalg._nest(entries, axes, sizes)
+    assert rows == _naive_nest(entries, axes, bounds)
+    # the index is read, never walked; a fresh copy has no index, so its
+    # paths come from a walk, with the same values in the same order
+    copy = linalg._Rows(rows)
+    walked = linalg._paths(copy, len(axes) - 1)
+    index = rows._reads[None]
+    assert len(index) == len(walked)
+    for (at, x), (walked_at, y) in zip(index, walked):
+        assert at == walked_at and type(at) is tuple and x is y
+    listed = linalg._entries(rows, axes)
+    assert listed == linalg._entries(copy, axes)
+    again = linalg._nest(listed, axes, sizes)
+    assert again == rows and again._reads[None] == index

@@ -39,6 +39,7 @@ from relpoisson import (
     induced_matched_pair,
     semidirect_structure,
 )
+from relpoisson import algebra, linalg
 from relpoisson.algebra import block_sum
 from relpoisson.cli import main
 from relpoisson.linalg import mat_inverse
@@ -304,3 +305,50 @@ def test_reading_a_large_sparse_representation_reads_no_dense_view(
     assert main([command, str(path)]) == (3 if command == "pipeline" else 0)
     assert capsys.readouterr().out == SPARSE_REPRESENTATION_OUTPUT[command]
     assert reads == []
+
+
+# ---------------------------------------------------------------------------
+# an entry-built table is read by its entries, never cell by cell
+
+
+def sparse_rel_poisson_doc(d: int) -> dict:
+    """A relative Poisson algebra of dim d with a few entries: idempotents
+    e_0 and e_{d-4}, two Heisenberg brackets [e_1, e_2] = e_3 and
+    [e_{d-3}, e_{d-2}] = e_{d-1}, and the derivation fixing e_1, e_3,
+    e_{d-3} and e_{d-1} and killing the rest."""
+    a, b, c = d - 3, d - 2, d - 1
+    return {
+        "kind": "rel-poisson",
+        "dim": d,
+        "dot": [[0, 0, 0, "1"], [d - 4, d - 4, d - 4, "1"]],
+        "bracket": [[1, 2, 3, "1"], [2, 1, 3, "-1"], [a, b, c, "1"], [b, a, c, "-1"]],
+        "derivation": [[i, i, "1"] for i in (1, 3, a, c)],
+    }
+
+
+# the output at the commit before entry-built tables kept their entries
+SPARSE_REL_POISSON_OUTPUT = {
+    "check": "ok\n",
+    "report": "kind: rel-poisson\ndim: 2000\n"
+    "nonzero_entries: {'dot': 2, 'bracket': 4, 'derivation': 4}\nok: True\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SPARSE_REL_POISSON_OUTPUT))
+def test_a_large_sparse_document_is_read_without_walking_its_cells(
+    tmp_path, monkeypatch, capsys, command
+):
+    dim = 2000
+    path = tmp_path / "rel_poisson.json"
+    path.write_text(json.dumps(sparse_rel_poisson_doc(dim)))
+    walk = linalg._paths
+
+    def guarded(rows, depth):
+        if len(rows) == dim:
+            raise AssertionError(f"walked the cells of a {dim}-row table")
+        return walk(rows, depth)
+
+    for module in (linalg, algebra):
+        monkeypatch.setattr(module, "_paths", guarded)
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().out == SPARSE_REL_POISSON_OUTPUT[command]
