@@ -16,7 +16,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from .linalg import (
     ONE,
@@ -25,18 +24,19 @@ from .linalg import (
     Matrix,
     Space,
     Vector,
-    _block_diagonal,
-    _columns,
-    _dense,
-    _gauss_jordan,
-    _make,
-    _matrix,
+    _blocks,
     _entries,
-    _nest,
-    _paths,
-    _Rows,
+    _from_dense,
+    _gauss_jordan,
+    _key,
+    _make,
+    _picker,
+    _read,
+    _row,
     _Stored,
-    _transpose,
+    _Table,
+    _table,
+    _view,
     basis_vector,
     direct_sum_space,
     scalar,
@@ -119,13 +119,12 @@ class Collector:
         if report.ok:
             return
         self.ok = False
-        for v in report.violations:
-            if len(self.violations) < self.limit:
-                name = f"{prefix}{v.axiom}" if prefix else v.axiom
-                self.violations.append(Violation(name, v.where, v.defect))
-            else:
-                self.truncated = True
-        self.truncated = self.truncated or report.truncated
+        room = max(self.limit - len(self.violations), 0)
+        taken = report.violations[:room]
+        if prefix:
+            taken = [Violation(prefix + v.axiom, v.where, v.defect) for v in taken]
+        self.violations += taken
+        self.truncated = self.truncated or report.truncated or len(report.violations) > room
 
     def report(self) -> AxiomReport:
         return AxiomReport(self.ok, tuple(self.violations), self.truncated)
@@ -143,26 +142,18 @@ def combine_reports(*reports, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomRepo
 
 
 class _Rank3(_Stored):
-    """Base of the rank-3 tables, stored nested in the index order
-    ``_axes`` names: for axes "abc", ``_sparse[a][b]`` lists the nonzero
-    (c, value) entries by increasing c.  The dense constructor takes the
-    nested table of the same order, its dense view is derived on first
-    read, and entries are (i, j, k, value) whatever the order."""
+    """Base of the rank-3 tables, stored keyed in the index order ``_axes``
+    names: for axes "abc", an entry ((a, b, c), value).  The dense
+    constructor takes the nested table of the same order, its dense view
+    is derived on first read, and entries are (i, j, k, value) whatever
+    the order."""
 
     _stored = ("space", "_sparse")
     _axes = "ijk"
 
     def __init__(self, space: Space, dense):
-        # _sparse[a] transposes dense[a], whose rows are indexed by b
         n, error = space.dim, "structure constants do not match the space dimension"
-        if len(dense) != n:
-            raise ValueError(error)
-        sparse = _Rows(_transpose(_columns(rows, n, n, error), n) for rows in dense)
-        self.__dict__.update(space=space, _sparse=sparse)
-
-    def _view(self):
-        """The dense nested table, in stored order."""
-        return tuple(tuple(_dense(cell, self.space.dim) for cell in row) for row in self._sparse)
+        self.__dict__.update(space=space, _sparse=_from_dense(dense, (n, n, n), error))
 
     @classmethod
     def zero(cls, space: Space):
@@ -176,7 +167,7 @@ class _Rank3(_Stored):
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise IndexError(f"structure constant index out of range: {(i, j, k)}")
             checked.append((i, j, k, scalar(value)))
-        return _make(cls, space=space, _sparse=_nest(checked, cls._axes, (n, n)))
+        return _make(cls, space=space, _sparse=_table(checked, cls._axes, (n, n, n)))
 
     def is_zero(self) -> bool:
         return not self.nonzero_entries()
@@ -188,13 +179,13 @@ class _Rank3(_Stored):
 
 @dataclass(frozen=True, init=False, eq=False)
 class BilinearOp(_Rank3):
-    """A bilinear map on a based space, stored sparse: ``_sparse[i][j]``
-    lists the nonzero (k, value) structure constants of e_i * e_j by
-    increasing k.  ``BilinearOp(space, table)`` takes the dense table, whose
+    """A bilinear map on a based space, stored sparse: an entry ((i, j, k),
+    value) is the nonzero e_k-coefficient of e_i * e_j.
+    ``BilinearOp(space, table)`` takes the dense table, whose
     ``table[i][j]`` is the coefficient vector of e_i * e_j."""
 
     space: Space
-    table: tuple = cached_property(_Rank3._view)
+    table: tuple = cached_property(lambda self: _view(self._sparse))
 
     def entry(self, i: int, j: int, k: int):
         return self.table[i][j][k]
@@ -205,37 +196,21 @@ class BilinearOp(_Rank3):
 
     def apply_basis_left(self, i: int, v: Vector) -> Vector:
         """e_i * v for a general coefficient vector v."""
-        acc = [ZERO] * self.space.dim
-        row = self._sparse[i]
-        for j, c in enumerate(v):
-            if c:
-                for k, x in row[j]:
-                    acc[k] += c * x
-        return tuple(acc)
+        return self.apply(basis_vector(self.space.dim, i), v)
 
     def apply_basis_right(self, u: Vector, j: int) -> Vector:
         """u * e_j for a general coefficient vector u."""
-        acc = [ZERO] * self.space.dim
-        sparse = self._sparse
-        for i, c in enumerate(u):
-            if c:
-                for k, x in sparse[i][j]:
-                    acc[k] += c * x
-        return tuple(acc)
+        return self.apply(u, basis_vector(self.space.dim, j))
 
     def apply(self, u: Vector, v: Vector) -> Vector:
-        """u * v for general coefficient vectors, skipping zero coordinates."""
+        """u * v for general coefficient vectors, reading the rows of the
+        nonzero coordinates of u."""
         acc = [ZERO] * self.space.dim
-        sparse = self._sparse
         for i, cu in enumerate(u):
-            if not cu:
-                continue
-            row = sparse[i]
-            for j, cv in enumerate(v):
-                if cv:
-                    c = cu * cv
-                    for k, x in row[j]:
-                        acc[k] += c * x
+            if cu:
+                for (j, k), x in _row(self._sparse, i):
+                    if v[j]:
+                        acc[k] += cu * v[j] * x
         return tuple(acc)
 
     def left_matrix(self, i: int) -> Matrix:
@@ -248,9 +223,8 @@ class BilinearOp(_Rank3):
         acc = [[ZERO] * n for _ in range(n)]
         for i, c in enumerate(u):
             if c:
-                for j, prod in enumerate(self._sparse[i]):
-                    for k, x in prod:
-                        acc[k][j] += c * x
+                for (j, k), x in _row(self._sparse, i):
+                    acc[k][j] += c * x
         return tuple(tuple(r) for r in acc)
 
     @cached_property
@@ -332,22 +306,23 @@ def block_sum(
 
 def _families(count: int, dim: int, *families):
     """Action families given dense, one dim-by-dim matrix per basis element
-    of a count-dimensional algebra, as one sparse column table each; every
-    family's length is checked before any matrix is read."""
+    of a count-dimensional algebra, as one table each, keyed (x, j, r) for
+    row r of column j of the matrix of e_x; every family's length is
+    checked before any matrix is read."""
     if any(len(mats) != count for mats in families):
         raise ValueError("need one action matrix per algebra basis element")
     error = "action matrix does not match the module dimension"
-    return [_Rows(_columns(m, dim, dim, error) for m in mats) for mats in families]
+    return [_from_dense(mats, (count, dim, dim), error, (0, 2, 1)) for mats in families]
 
 
 def _matrices(family):
-    """The dense matrices of a family of square column tables."""
-    return tuple(_matrix(_transpose(cols, len(cols)), len(cols)) for cols in family)
+    """The dense matrices of an action family."""
+    return _view(family, (0, 2, 1))
 
 
 def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
-    """:func:`block_sum` on actions given as sparse column tables, read by
-    their entries: mu1[i][b] lists the nonzero (row, value) entries of mu1(e_i) e_b."""
+    """:func:`block_sum` on action families given as tables, read by their
+    entries: (i, b, r, value) is row r of mu1(e_i) e_b."""
     n1, n2 = left.dim, right.dim
     total = direct_sum_space(left.space, right.space)
     dot, br = [], []
@@ -361,12 +336,13 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
             out += [(i, n1 + b, n1 + r, x), (n1 + b, i, n1 + r, sign * x)]
         for b, i, k, x in _entries(two, "ijk"):
             out += [(i, n1 + b, k, sign * x), (n1 + b, i, k, x)]
-    size = (total.dim, total.dim)
-    derivation = _block_diagonal(left.derivation._sparse, right.derivation._sparse, n1)
+    size = (total.dim,) * 3
+    blocks = ((0, 0), left.derivation._sparse), ((n1, n1), right.derivation._sparse)
+    derivation = _blocks(size[1:], *blocks)
     return RelPoissonAlgebra(
         total,
-        _make(BilinearOp, space=total, _sparse=_nest(dot, "ijk", size)),
-        _make(BilinearOp, space=total, _sparse=_nest(br, "ijk", size)),
+        _make(BilinearOp, space=total, _sparse=_table(dot, "ijk", size)),
+        _make(BilinearOp, space=total, _sparse=_table(br, "ijk", size)),
         _make(LinearMap, domain=total, codomain=total, _sparse=derivation),
     )
 
@@ -378,15 +354,15 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 # An axiom family is data: (axiom, where, defect, terms).  ``where`` labels
 # the basis tuple a violation is reported at, ``defect`` the indices of its
 # defect vector, flattened row-major, and ``terms`` is a signed sum of
-# products of stored tables.  Every table is read as nested rows, the last
-# level listing its nonzero (index, value) entries, and a factor
-# "NAME:labels" labels its indices outer level first.  A structure is read
-# as its stored _sparse table, in the order its _axes names: a BilinearOp
-# as "ijk" (e_k in e_i * e_j), a Comultiplication as "kij" (e_i (x) e_j in
-# the image of e_k), a LinearMap as "ji" (row i of column j), a Tensor2 as
-# "ij" and a BilinearForm as "ji" (B(e_i, e_j) in column j).  Rows are read
-# as given: an action family as "xjr" (row r of column j of the matrix of
-# e_x) and a vector's hits as "k".  A label in neither ``where`` nor
+# products of stored tables.  Every table is read by its entries, and a
+# factor "NAME:labels" labels the index positions of its entries in
+# order.  A structure is read as its stored _sparse table, in the order
+# its _axes names: a BilinearOp as "ijk" (e_k in e_i * e_j), a
+# Comultiplication as "kij" (e_i (x) e_j in the image of e_k), a LinearMap
+# as "ji" (row i of column j), a Tensor2 as "ij" and a BilinearForm as
+# "ji" (B(e_i, e_j) in column j).  Tables are read as given: an action
+# family as "xjr" (row r of column j of the matrix of e_x) and a vector's
+# nonzero coordinates as "k".  A label in neither ``where`` nor
 # ``defect`` is summed over, so associativity reads
 #
 #     ("associative", "ijk", "s", "M:ijt,M:tks - M:jkt,M:its")
@@ -400,44 +376,21 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 # reporting its families one after another sweeps them apart.
 
 
-def _rows(table) -> _Rows:
-    """The nested rows a sweep reads of a table: rows given as such (an
-    action family, say, or a vector's hits), or a structure's stored
+def _table_of(table) -> _Table:
+    """The table a sweep reads: a table given as such (an action family,
+    say, or a vector's nonzero coordinates), or a structure's stored
     ``_sparse`` table."""
-    rows = table if isinstance(table, _Rows) else getattr(table, "_sparse", None)
-    if not isinstance(rows, _Rows):
+    found = table if isinstance(table, _Table) else getattr(table, "_sparse", None)
+    if not isinstance(found, _Table):
         raise TypeError(f"not a sweep table: {type(table).__name__}")
-    return rows
+    return found
 
 
-def _key(positions):
-    """A function reading the given positions of a tuple as a lookup key:
-    the index itself at one position, a tuple at several."""
-    return itemgetter(*positions) if positions else lambda row: ()
-
-
-def _picker(positions):
-    """A function reading the given positions of a tuple, as a tuple."""
-    if len(positions) == 1:
-        return lambda row, p=positions[0]: (row[p],)
-    return _key(positions)
-
-
-def _rekey(paths, keys: tuple):
-    """(indices, value) paths indexed by the indices at positions ``keys``:
-    each key maps to (the other indices, value) pairs."""
-    rest = _picker([p for p in range(len(paths[0][0])) if p not in keys]) if paths else None
-    key, index = _key(keys), {}
-    for indices, x in paths:
-        index.setdefault(key(indices), []).append((rest(indices), x))
-    return index
-
-
-def _plan(term: str, where: str, defect: str, depths: dict):
-    """The join plan of one term: its first factor and depth, one (table,
-    depth, keys, key reader) step per later factor but the last, the last
-    (None for a one-factor term), and the positions of the reported labels
-    in a path's indices; records each table's nesting depth in ``depths``.
+def _plan(term: str, where: str, defect: str, arities: dict):
+    """The join plan of one term: its first factor, one (table, keys, key
+    reader) step per later factor but the last, the last (None for a
+    one-factor term), and the positions of the reported labels in a path's
+    indices; records each table's number of labels in ``arities``.
 
     Factors are joined greedily, the one with the most bound labels next.
     A step reads its table through the index re-keyed on the positions
@@ -447,38 +400,27 @@ def _plan(term: str, where: str, defect: str, depths: dict):
     while factors:
         ranked = [(len(set(bound) & set(labels)), -pos) for pos, (_, labels) in enumerate(factors)]
         name, labels = factors.pop(ranked.index(max(ranked)))
-        depth = len(labels) - 1
-        if len(set(labels)) != len(labels) or depths.setdefault(name, depth) != depth:
+        if len(set(labels)) != len(labels) or arities.setdefault(name, len(labels)) != len(labels):
             raise ValueError(f"factor {name}:{labels} repeats a label or changes arity")
         keys = tuple(p for p, l in enumerate(labels) if l in bound)
-        steps.append((name, depth, keys, _key([bound.index(labels[p]) for p in keys])))
+        steps.append((name, keys, _key([bound.index(labels[p]) for p in keys])))
         bound += [l for l in labels if l not in bound]
     if not set(where + defect) <= set(bound):
         raise ValueError(f"term {term} leaves a reported label free")
-    (first, depth, _, _), *steps = steps
+    (first, _, _), *steps = steps
     last = steps.pop() if steps else None
-    return (first, depth), steps, last, _picker([bound.index(l) for l in where + defect])
+    return first, steps, last, _picker([bound.index(l) for l in where + defect])
 
 
 @functools.cache
 def _compile(families: tuple):
     """The join plans of every term of the families, each with its family
     and sign, and the tables they name; planned once per process."""
-    plans, depths = [], {}
+    plans, arities = [], {}
     for fam, (_axiom, where, defect, terms) in enumerate(families):
         for sign, term in re.findall(r"(-?)\s*([\w:,]+)", terms.replace("+", "")):
-            plans.append((fam, sign == "-", *_plan(term, where, defect, depths)))
-    return plans, tuple(depths)
-
-
-def _read(rows: _Rows, depth: int, keys=None):
-    """A table's entries as (indices, value) paths, or with ``keys`` its
-    index re-keyed on them, each built once per table in its memo."""
-    found = rows._reads.get(keys)
-    if found is None:
-        found = _paths(rows, depth) if keys is None else _rekey(_read(rows, depth), keys)
-        rows._reads[keys] = found
-    return found
+            plans.append((fam, sign == "-", *_plan(term, where, defect, arities)))
+    return plans, tuple(arities)
 
 
 def _contract(families: tuple, tables: dict):
@@ -486,14 +428,14 @@ def _contract(families: tuple, tables: dict):
     dict per family, over the named tables.  A term stops at its first
     empty join, and its last join adds straight into the sums."""
     plans, names = _compile(families)
-    tables = {name: _rows(tables[name]) for name in names}
+    tables = {name: _table_of(tables[name]) for name in names}
     acc = [{} for _ in families]
-    for fam, negate, (first, depth), steps, last, project in plans:
-        rows = _read(tables[first], depth)
-        for name, depth, keys, at in steps:
+    for fam, negate, first, steps, last, project in plans:
+        rows = _read(tables[first])
+        for name, keys, at in steps:
             if not rows:
                 break
-            found = _read(tables[name], depth, keys)
+            found = _read(tables[name], keys)
             rows = [(v + free, p * x) for v, p in rows for free, x in found.get(at(v), ())]
         if not rows:
             continue
@@ -503,8 +445,8 @@ def _contract(families: tuple, tables: dict):
                 key = project(v)
                 out[key] = out.get(key, ZERO) + (-p if negate else p)
             continue
-        name, depth, keys, at = last
-        found = _read(tables[name], depth, keys)
+        name, keys, at = last
+        found = _read(tables[name], keys)
         for v, p in rows:
             for free, x in found.get(at(v), ()):
                 key = project(v + free)
@@ -514,8 +456,9 @@ def _contract(families: tuple, tables: dict):
 
 def _sweep(coll: Collector, families: tuple, dims, **tables) -> None:
     """Sweep the families on the named tables and report each failing
-    instance to the collector, with its dense defect; ``dims`` maps each
-    defect label to its size, or is the one size of all of them."""
+    instance to the collector, with its dense defect, until it is full;
+    ``dims`` maps each defect label to its size, or is the one size of all
+    of them."""
     outs = _contract(families, tables)
     if not any(any(out.values()) for out in outs):
         return
@@ -530,6 +473,10 @@ def _sweep(coll: Collector, families: tuple, dims, **tables) -> None:
                     f = f * size(label) + i
                 cells.setdefault((key[:w], fam), {})[f] = value
     for where, fam in sorted(cells):
+        if len(coll.violations) >= coll.limit:
+            # every cell left fails, and a full collector keeps none of them
+            coll.ok, coll.truncated = False, True
+            return
         axiom, _, defect, _ = families[fam]
         vector = [ZERO] * math.prod(map(size, defect))
         for f, value in cells[where, fam].items():
@@ -563,13 +510,13 @@ def check_comm_assoc(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> Axi
 def check_lie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """Antisymmetry [x,x] = 0 and the Jacobi identity on basis triples."""
     n = m.space.dim
-    sp = m._sparse
+    products = _read(m._sparse, (0, 1))
     coll = Collector(limit)
     # [x,y] + [y,x] is reported once per unordered pair, the diagonal once
     pairs = {(min(i, j), max(i, j)) for i, j, _, _ in m.nonzero_entries()}
     for i, j in sorted(pairs):
         defect = [ZERO] * n
-        for k, x in sp[i][j] + (sp[j][i] if i != j else ()):
+        for (k,), x in products.get((i, j), []) + (products.get((j, i), []) if i != j else []):
             defect[k] += x
         coll.check("antisymmetric", (i, j), defect)
     _sweep(coll, _JACOBI, n, B=m)
@@ -663,14 +610,8 @@ def ad_map(bracket: BilinearOp, u: Vector) -> LinearMap:
     """The adjoint action [u, -] of an element as a linear map: column j
     is [u, e_j]."""
     sp = bracket.space
-    entries = [
-        (k, j, c * x)
-        for i, c in enumerate(u)
-        if c
-        for j, prod in enumerate(bracket._sparse[i])
-        for k, x in prod
-    ]
-    return _make(LinearMap, domain=sp, codomain=sp, _sparse=_nest(entries, "ji", (sp.dim,)))
+    entries = [(k, j, c * x) for i, c in enumerate(u) if c for (j, k), x in _row(bracket._sparse, i)]
+    return _make(LinearMap, domain=sp, codomain=sp, _sparse=_table(entries, "ji", (sp.dim, sp.dim)))
 
 
 __all__ = [

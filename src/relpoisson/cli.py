@@ -3,7 +3,7 @@ the full pipeline from a relative pre-Poisson algebra to a Frobenius
 Jacobi algebra.
 
 Exit codes: 0 ok, 1 axiom failure, 2 precondition/stage failure,
-3 parse or I/O error.
+3 parse or I/O error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .prepoisson import (
 from .representations import check_representation, semidirect_product
 from .yangbaxter import check_rpybe, check_weak_o_operator, coboundary_comults, o_operator_to_rmatrix, semidirect_codrv
 
-OK, AXIOM_FAILURE, PRECONDITION_FAILURE, PARSE_FAILURE = 0, 1, 2, 3
+OK, AXIOM_FAILURE, PRECONDITION_FAILURE, PARSE_FAILURE, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
 def _read_document(path: str, as_kind=None) -> _Reader:
@@ -340,6 +340,9 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"pipeline failed: {exc}", file=sys.stderr)
         return PRECONDITION_FAILURE
+    except Exception as exc:  # a fault of the program, never an axiom verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Comultiplications, relative Poisson coalgebras and bialgebras.
 
 A comultiplication is a rank-3 table like a product, stored by the same
-code in its own index order: ``_sparse[k][i]`` lists the nonzero (j,
-value) coefficients of e_i (x) e_j in the image Delta(e_k).  Its dense
+code in its own index order: an entry ((k, i, j), value) is the nonzero
+coefficient of e_i (x) e_j in the image Delta(e_k).  Its dense
 view ``columns[k][i][j]``, derived on first read, holds the same
 coefficient, so that dualizing a comultiplication into a product on the
 dual space is a pure index transposition with no signs.  The dual
@@ -10,7 +10,7 @@ comultiplications of an algebra's own products carry the explicit minus
 signs of the dualization rules; they are load-bearing and implemented
 literally.  Every condition family is a term spec swept by
 :func:`relpoisson.algebra._sweep`, which reads a comultiplication's stored
-table as the labelled nested rows "kij".
+table as the labelled entries "kij".
 """
 
 from __future__ import annotations
@@ -29,21 +29,21 @@ from .algebra import (
     _sweep,
     check_rel_poisson,
 )
-from .linalg import LinearMap, Matrix, Space, Vector, _dense, _make, _Rows, _transpose, dual_map
+from .linalg import LinearMap, Matrix, Space, Vector, _dense, _make, _permuted, _row, _scaled, _view, dual_map
 from .pairing import MatchedPairData
 from .representations import check_dually_represents
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class Comultiplication(_Rank3):
-    """A linear map A -> A (x) A, stored as ``_sparse[k][i]``, the nonzero
-    (j, value) coefficients of e_i (x) e_j in the image of e_k by
-    increasing j.  ``Comultiplication(space, columns)`` takes the dense
+    """A linear map A -> A (x) A, stored as the table ``_sparse`` of the
+    nonzero coefficients of e_i (x) e_j in the image of e_k, keyed
+    (k, i, j).  ``Comultiplication(space, columns)`` takes the dense
     coefficients ``columns[k][i][j]``, and an entry (i, j, k, value) gives
     e_k value * e_i (x) e_j."""
 
     space: Space
-    columns: tuple = cached_property(_Rank3._view)
+    columns: tuple = cached_property(lambda self: _view(self._sparse))
     _axes = "kij"
 
     def coeff(self, i: int, j: int, k: int):
@@ -52,13 +52,7 @@ class Comultiplication(_Rank3):
     def of(self, u: Vector) -> Matrix:
         """Image of a general element as a 2-tensor coefficient matrix."""
         n = self.space.dim
-        hits = [
-            (i * n + j, c * x)
-            for k, c in enumerate(u)
-            if c
-            for i, row in enumerate(self._sparse[k])
-            for j, x in row
-        ]
+        hits = [(i * n + j, c * x) for k, c in enumerate(u) if c for (i, j), x in _row(self._sparse, k)]
         return _dense(hits, n, n)
 
 
@@ -274,18 +268,19 @@ def induced_matched_pair(data: BialgebraData) -> MatchedPairData:
     """The matched-pair data ((A, D), (A*, Q^T), -L*, ad*, -L*, ad*) built
     structurally from a bialgebra candidate (no validity assumption)."""
     alg = data.algebra
-    n = alg.dim
     dual_alg = dual_rel_poisson_algebra(data)
-    # the column tables of L(x) and ad(x) are the rows of the sparse
-    # products, so each action is a transposed row, negated for ad*
+    # a product (x, j, k) is the action family of L(x), so L* transposes
+    # each matrix of the family, and ad* negates the transpose too
+    ops = (alg.dot, alg.bracket, dual_alg.dot, dual_alg.bracket)
+    mu1, rho1, mu2, rho2 = (_permuted(op._sparse, (0, 2, 1)) for op in ops)
     return _make(
         MatchedPairData,
         left=alg,
         right=dual_alg,
-        _mu1=_Rows(_transpose(cols, n) for cols in alg.dot._sparse),
-        _rho1=_Rows(_transpose(cols, n, -1) for cols in alg.bracket._sparse),
-        _mu2=_Rows(_transpose(cols, n) for cols in dual_alg.dot._sparse),
-        _rho2=_Rows(_transpose(cols, n, -1) for cols in dual_alg.bracket._sparse),
+        _mu1=mu1,
+        _rho1=_scaled(rho1, -1),
+        _mu2=mu2,
+        _rho2=_scaled(rho2, -1),
     )
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .algebra import BilinearOp, RelPoissonAlgebra, _entries
 from .coalgebra import BialgebraData, Comultiplication
-from .linalg import LinearMap, Scalar, Space, Tensor2, _make, _nest, scalar
+from .linalg import LinearMap, Scalar, Space, Tensor2, _make, _table, scalar
 from .pairing import BilinearForm
 from .prepoisson import RelPrePoissonAlgebra
 from .representations import RepData, _rep
@@ -214,11 +214,11 @@ class _Reader:
         return _STRUCTURES[self.kind](self)
 
     def table(self, name, axes):
-        """The field as nested sparse rows whose levels are indexed in the
-        order ``axes`` names, its entries' indices in sorted label order."""
+        """The field as a table whose positions are in the order ``axes``
+        names, its entries' indices in sorted label order."""
         bounds = self.bounds(name)
-        sizes = [bounds[sorted(axes).index(a)] for a in axes[:-1]]
-        return _nest(self.entries(name), axes, sizes)
+        shape = [bounds[sorted(axes).index(a)] for a in axes]
+        return _table(self.entries(name), axes, shape)
 
     def map(self, name) -> LinearMap:
         """A field over two spaces, as the map from the second to the first."""
@@ -325,13 +325,13 @@ def doc_to_bilinear_form(doc):
 # domain objects -> documents
 
 
-def _sparse_entries(rows, axes):
-    """Sparse entries [indices..., "p/q"] of a stored table whose levels are
-    indexed in the order ``axes`` names, sorted by their indices."""
-    return [[*idx, format_scalar(x)] for *idx, x in sorted(_entries(rows, axes))]
+def _sparse_entries(table, axes):
+    """Sparse entries [indices..., "p/q"] of a stored table whose positions
+    are in the order ``axes`` names, sorted by their indices."""
+    return [[*idx, format_scalar(x)] for *idx, x in sorted(_entries(table, axes))]
 
 
-def _table(value):
+def _field(value):
     """A structure's stored table and its axes, or None for no structure."""
     return value and (value._sparse, value._axes)
 
@@ -353,29 +353,29 @@ def _document(kind, space, description, fields):
 
 
 def _algebra_fields(alg: RelPoissonAlgebra):
-    return {name: _table(getattr(alg, name)) for name in ("dot", "bracket", "derivation")}
+    return {name: _field(getattr(alg, name)) for name in ("dot", "bracket", "derivation")}
 
 
 def _coalgebra_fields(dot_comult, bracket_comult, codrv: LinearMap):
     return dict(
-        dot_comult=_table(dot_comult),
-        bracket_comult=_table(bracket_comult),
-        dual_derivation=_table(codrv),
+        dot_comult=_field(dot_comult),
+        bracket_comult=_field(bracket_comult),
+        dual_derivation=_field(codrv),
     )
 
 
 def single_op_doc(kind: str, op: BilinearOp, der: LinearMap | None = None, description=None):
-    fields = dict(product=_table(op), derivation=_table(der))
+    fields = dict(product=_field(op), derivation=_field(der))
     return _document(kind, op.space, description, fields)
 
 
 def rel_poisson_doc(alg: RelPoissonAlgebra, form: BilinearForm | None = None, description=None):
-    fields = dict(_algebra_fields(alg), form=_table(form))
+    fields = dict(_algebra_fields(alg), form=_field(form))
     return _document("rel-poisson", alg.space, description, fields)
 
 
 def rel_pre_poisson_doc(pp: RelPrePoissonAlgebra, description=None):
-    fields = {name: _table(getattr(pp, name)) for name in ("star", "circ", "derivation")}
+    fields = {name: _field(getattr(pp, name)) for name in ("star", "circ", "derivation")}
     return _document("rel-pre-poisson", pp.space, description, fields)
 
 
@@ -384,8 +384,8 @@ def representation_doc(rep: RepData, operator: LinearMap | None = None, descript
         algebra=rel_poisson_doc(rep.algebra),
         dot_action=(rep._mu, _FAMILY),
         bracket_action=(rep._rho, _FAMILY),
-        der_action=_table(rep._alpha),
-        operator=_table(operator),
+        der_action=_field(rep._alpha),
+        operator=_field(operator),
     )
     return _document("representation", rep.space, description, fields)
 
@@ -402,7 +402,7 @@ def bialgebra_doc(data: BialgebraData, description=None):
 
 
 def rmatrix_doc(alg: RelPoissonAlgebra, tensor: Tensor2, codrv: LinearMap, description=None):
-    fields = dict(algebra=rel_poisson_doc(alg), r=_table(tensor), dual_derivation=_table(codrv))
+    fields = dict(algebra=rel_poisson_doc(alg), r=_field(tensor), dual_derivation=_field(codrv))
     return _document("rmatrix", None, description, fields)
 
 

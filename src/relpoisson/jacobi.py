@@ -29,7 +29,7 @@ from .coalgebra import (
     dual_rel_poisson_algebra,
     induced_matched_pair,
 )
-from .linalg import ONE, LinearMap, Space, _nest, _Rows, _with, basis_vector
+from .linalg import ONE, LinearMap, Space, _blocks, _identity, _row, _Table, _with, basis_vector
 from .pairing import (
     BilinearForm,
     canonical_pairing,
@@ -81,14 +81,20 @@ def _unit_extension(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
     line = Space((unit_label,))
     dot = BilinearOp.from_entries(line, [(0, 0, 0, ONE)])
     unital = RelPoissonAlgebra(line, dot, BilinearOp.zero(line), LinearMap.zero(line))
-    back = _nest((), "ijk", (alg.dim, 1))
-    identity = LinearMap.identity(alg.space)._sparse
-    return _block_sum(unital, alg, _Rows((identity,)), _Rows((alg.derivation._sparse,)), back, back)
+    n = alg.dim
+    back = _Table((), (n, 1, 1))
+    # the families of one matrix, the identity and D, acting for e
+    mu, rho = (_blocks((1, n, n), ((0, 0, 0), t)) for t in (_identity(n), alg.derivation._sparse))
+    return _block_sum(unital, alg, mu, rho, back, back)
 
 
 def _extended_rep(rep: RepData, extended: RelPoissonAlgebra) -> RepData:
-    mu = _Rows((LinearMap.identity(rep.space)._sparse, *rep._mu))
-    return _rep(extended, rep.space, mu, _Rows((rep._alpha._sparse, *rep._rho)), rep._alpha)
+    """The representation with the new unit acting first: as the identity
+    through the dot and as alpha through the bracket."""
+    m = rep.space.dim
+    mu = _blocks((extended.dim, m, m), ((0, 0, 0), _identity(m)), ((1, 0, 0), rep._mu))
+    rho = _blocks((extended.dim, m, m), ((0, 0, 0), rep._alpha._sparse), ((1, 0, 0), rep._rho))
+    return _rep(extended, rep.space, mu, rho, rep._alpha)
 
 
 def extend_jacobi(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
@@ -123,7 +129,7 @@ def lift_o_operator(rep: RepData, operator: LinearMap) -> OOperator:
     _require(pre, "not an O-operator on a relative Poisson algebra")
     extended = _unit_extension(alg)
     # the new unit is row 0 of the extension, so every row moves down one
-    cols = _Rows(tuple((r + 1, x) for r, x in col) for col in operator._sparse)
+    cols = _blocks((operator.domain.dim, extended.dim), ((0, 1), operator._sparse))
     lifted = _with(operator, codomain=extended.space, _sparse=cols)
     return OOperator(_extended_rep(rep, extended), lifted)
 
@@ -197,8 +203,8 @@ def frobenius_jacobi_pipeline(
     stage("yang-baxter", check_rpybe(semidirect, codrv, rmat))
 
     dot_comult, bracket_comult = coboundary_comults(semidirect, rmat)
-    # the unit is e_0, and the stored row 0 of Delta is Delta(e_0)
-    if any(dot_comult._sparse[0]):
+    # the unit is e_0, and row 0 of Delta is Delta(e_0)
+    if _row(dot_comult._sparse, 0):
         raise PipelineError("coboundary", "comultiplication does not kill the unit")
     bialgebra = BialgebraData(semidirect, dot_comult, bracket_comult, codrv)
     stage("bialgebra", check_bialgebra(bialgebra))

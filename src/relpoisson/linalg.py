@@ -5,14 +5,18 @@ vector space identified by its ordered basis labels), :class:`LinearMap`
 (a map between two spaces), and coefficient tensors :class:`Tensor2` /
 :class:`Tensor3` for elements of two- and three-fold tensor products.
 
-Structures are stored sparse-first.  A sparse table is nested rows
-(:class:`_Rows`), the last level listing its nonzero (index, value)
-entries in increasing index order, and a :class:`_Stored` structure keeps
-only its table, by which it compares and hashes: a linear map its column
-table, a 2-tensor its row table.  Dense constructors convert their matrix
-once, in :func:`_columns`; the dense attributes (``entries``, ``coeffs``)
-are views derived on first read, and no builder reads them.  Only
-:class:`Tensor3` is stored dense.
+Structures are stored sparse-first, in one coordinate form.  A table
+(:class:`_Table`) is its nonzero (indices, value) entries, summed and
+sorted, and its shape; a :class:`_Stored` structure keeps only its table,
+by which it compares and hashes: a linear map its matrix keyed (column,
+row), a tensor its coefficients.  Tables are built from entries by
+:func:`_table`, from dense values by :func:`_from_dense`, and from other
+tables by entry operations that permute, scale or move their indices, so
+memory and build time follow the entries, never the dimension.  Every
+row, column or join read goes through one index re-keyed from the
+entries and memoised beside them (:func:`_read`).  The dense attributes
+(``entries``, ``coeffs``) are views derived on first read, and no
+builder reads them.
 
 Scalars are exact rationals in one normal form: a Python ``int`` when the
 value is integral, and a ``fractions.Fraction`` (lowest terms, positive
@@ -35,7 +39,6 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -127,28 +130,40 @@ def vec_is_zero(u) -> bool:
 # sparse tables
 
 
-class _Rows(tuple):
-    """The nested rows of a sparse table, the last level listing its
-    nonzero (index, value) entries.  Rows never change, so a sweep keeps
-    the paths and indexes its joins reach in their ``_reads`` memo, made
-    on first read and never for a join after an empty one.  A table built
-    by :func:`_nest` has its sorted entries there from construction, as its
-    path index ``_reads[None]``, so no reader walks its rows."""
+class _Table:
+    """A sparse table in coordinate form, the one stored form of every
+    structure: ``entries``, its nonzero (indices, value) pairs sorted by
+    indices with each position once, and ``shape``, the size of each index
+    position.  A table is canonical, so two hold the same coefficients
+    exactly when they compare equal, and it never changes, so the indexes
+    :func:`_read` re-keys from its entries are kept in its ``_reads`` memo,
+    each made on first read.  Row i of a table is its index keyed on
+    position 0 at i; no reader outside this module sees the entries'
+    layout."""
 
-    def __getattr__(self, name):
-        if name != "_reads":
-            raise AttributeError(name)
-        return self.__dict__.setdefault(name, {})
+    __slots__ = ("entries", "shape", "_reads")
+
+    def __init__(self, entries: tuple, shape: tuple):
+        self.entries, self.shape, self._reads = entries, shape, {}
+
+    def __eq__(self, other):
+        return type(other) is _Table and self.entries == other.entries and self.shape == other.shape
+
+    def __hash__(self):
+        return hash((self.entries, self.shape))
+
+    def __repr__(self):
+        return f"_Table({self.entries!r}, {self.shape!r})"
 
 
 class _Stored:
-    """Base of the structures kept in one sparse stored form.  Each is a
-    frozen dataclass whose fields are its dense constructor's arguments:
+    """Base of the structures kept in one stored table.  Each is a frozen
+    dataclass whose fields are its dense constructor's arguments:
     ``__init__`` converts them to the stored attributes named in
     ``_stored``, by which instances compare, and each field not stored is
     a cached property, derived on first read.  A structure read by a sweep
-    stores its table as ``_sparse``, nested rows whose levels are indexed
-    in the order ``_axes`` names."""
+    stores its table as ``_sparse``, its index positions in the order
+    ``_axes`` names."""
 
     _stored = ()
 
@@ -173,79 +188,57 @@ def _with(obj, **changes):
     return _make(type(obj), **{name: changes.get(name, getattr(obj, name)) for name in obj._stored})
 
 
-def _columns(matrix, height: int, width: int, error: str = "matrix of the wrong shape"):
-    """The sparse column table of a height-by-width matrix: ``cols[j]``
-    lists the nonzero (row, value) entries of column j.  Every dense matrix
-    enters a sparse form here; a mis-shaped one raises ValueError(error)."""
-    rows = [tuple(map(scalar, row)) for row in matrix]
-    if len(rows) != height or any(len(row) != width for row in rows):
-        raise ValueError(error)
-    return _Rows(
-        tuple((r, row[j]) for r, row in enumerate(rows) if row[j]) for j in range(width)
-    )
+def _key(positions):
+    """A function reading the given positions of a tuple as a lookup key:
+    the index itself at one position, a tuple at several."""
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
-def _transpose(cols, height: int, scale=1):
-    """The column table of scale times the transpose of a matrix with
-    ``height`` rows, given by its column table (so, equally, the row table
-    of a matrix given by its row table)."""
-    out = [[] for _ in range(height)]
-    for c, col in enumerate(cols):
-        for r, x in col:
-            out[r].append((c, scale * x))
-    return _Rows(map(tuple, out))
+def _picker(positions):
+    """A function reading the given positions of a tuple, as a tuple."""
+    if len(positions) == 1:
+        return lambda row, p=positions[0]: (row[p],)
+    return _key(positions)
 
 
-def _paths(rows, depth: int):
-    """Every entry of a table nested ``depth`` levels above its entry lists,
-    as an (indices, value) path; empty rows are skipped level by level.
-    Only a table not built by :func:`_nest` is walked, at no more than its
-    building cost; an entry-built table keeps these paths."""
-    paths = [((), rows)]
-    for _ in range(depth):
-        paths = [(v + (i,), row) for v, level in paths for i, row in enumerate(level) if row]
-    return [(v + (k,), x) for v, row in paths for k, x in row]
-
-
-def _entries(rows, axes: str):
-    """The (indices..., value) entries of a nested sparse table whose levels
-    are indexed in the order ``axes`` names, each with its indices in sorted
-    label order, in stored order: read from the path index of an
-    entry-built table, walked from the rows of any other."""
-    order = itemgetter(*map(axes.index, sorted(axes)))
-    paths = rows._reads.get(None)
-    paths = _paths(rows, len(axes) - 1) if paths is None else paths
-    return [(*order(v), x) for v, x in paths]
-
-
-def _nest(entries, axes: str, sizes):
-    """The nested sparse rows of (indices..., value) entries whose indices
-    come in sorted label order, with the levels indexed in the order
-    ``axes`` names and ``sizes`` giving the lengths of all but the last;
-    repeated positions add up and zero sums are dropped.  The sums, sorted
-    once, are kept as the path index ``_reads[None]``: exactly the paths
-    :func:`_paths` would walk, in order and with the same values."""
-    stored = itemgetter(*(sorted(axes).index(a) for a in axes))
+def _summed(pairs, shape) -> _Table:
+    """The table of (indices, value) pairs; repeated positions add up and
+    zero sums are dropped."""
     sums = {}
-    for entry in entries:
-        key = stored(entry)
-        sums[key] = sums.get(key, ZERO) + entry[-1]
-    paths = [(key, scalar(sums[key])) for key in sorted(sums) if sums[key]]
-    # the entry rows from the sorted run, then each outer level, innermost
-    # first, filled from one shared list of absent rows
-    table = defaultdict(list)
-    for key, x in paths:
-        table[key[:-1]].append((key[-1], x))
-    empty = ()
-    for size in reversed(sizes):
-        absent = [empty] * size
-        level = defaultdict(absent.copy)
-        for outer, row in table.items():
-            level[outer[:-1]][outer[-1]] = tuple(row)
-        table, empty = level, tuple(absent)
-    rows = _Rows(tuple(table[()]) if table else empty)
-    rows.__dict__["_reads"] = {None: paths}
-    return rows
+    for key, x in pairs:
+        sums[key] = sums.get(key, ZERO) + x
+    return _Table(tuple((key, scalar(sums[key])) for key in sorted(sums) if sums[key]), tuple(shape))
+
+
+def _table(entries, axes: str, shape) -> _Table:
+    """The table of (indices..., value) entries whose indices come in
+    sorted label order, its positions in the order ``axes`` names and
+    ``shape`` giving their sizes in that order."""
+    stored = _picker([sorted(axes).index(a) for a in axes])
+    return _summed(((stored(entry), entry[-1]) for entry in entries), shape)
+
+
+def _entries(table: _Table, axes: str):
+    """The (indices..., value) entries of a table whose positions are in
+    the order ``axes`` names, each with its indices in sorted label order,
+    in stored order."""
+    order = _picker([axes.index(a) for a in sorted(axes)])
+    return [(*order(at), x) for at, x in table.entries]
+
+
+def _from_dense(dense, shape, error: str, order=None) -> _Table:
+    """The table of a dense nested tuple of the given shape, its positions
+    stored in ``order`` (a permutation, the dense order by default).  Every
+    dense value enters a table here, in normal form; a mis-shaped one raises
+    ValueError(error)."""
+    cells = [((), dense)]
+    for size in shape:
+        cells = [(at, tuple(level)) for at, level in cells]
+        if any(len(level) != size for _, level in cells):
+            raise ValueError(error)
+        cells = [(at + (i,), x) for at, level in cells for i, x in enumerate(level)]
+    table = _Table(tuple((at, x) for at, x in ((at, scalar(x)) for at, x in cells) if x), tuple(shape))
+    return table if order is None else _permuted(table, order)
 
 
 def _dense(hits, *shape):
@@ -260,25 +253,87 @@ def _dense(hits, *shape):
     return tuple(flat)
 
 
-def _matrix(rows, width: int) -> Matrix:
-    """The dense matrix of a row table whose rows have the given width."""
-    return _dense([(i * width + j, x) for i, row in enumerate(rows) for j, x in row], len(rows), width)
+def _view(table: _Table, order=None):
+    """The dense nested tuple of a table, its positions read in ``order``
+    (stored order by default)."""
+    pick = _picker(order) if order else lambda at: at
+    shape = pick(table.shape)
+    hits = []
+    for at, x in table.entries:
+        f = 0
+        for i, size in zip(pick(at), shape):
+            f = f * size + i
+        hits.append((f, x))
+    return _dense(hits, *shape)
 
 
-def _add(a, b):
-    """The entrywise sum of two sparse two-level tables of the same shape."""
-    return _nest(_entries(a, "ij") + _entries(b, "ij"), "ij", (len(a),))
+def _rekey(entries, keys: tuple):
+    """(indices, value) entries indexed by the indices at positions
+    ``keys``: each key maps to (the other indices, value) pairs, in entry
+    order."""
+    rest = _picker([p for p in range(len(entries[0][0])) if p not in keys]) if entries else None
+    key, index = _key(keys), {}
+    for indices, x in entries:
+        index.setdefault(key(indices), []).append((rest(indices), x))
+    return index
 
 
-def _block_diagonal(a, b, height: int):
-    """The column table of diag(a, b), given the column tables of a, of
-    the given height, and of b."""
-    return _Rows((*a, *(tuple((height + r, x) for r, x in col) for col in b)))
+def _read(table: _Table, keys=None):
+    """A table's entries, or with ``keys`` its index re-keyed on those
+    positions, built once per table in its memo."""
+    if keys is None:
+        return table.entries
+    found = table._reads.get(keys)
+    if found is None:
+        found = table._reads[keys] = _rekey(table.entries, keys)
+    return found
 
 
-def _neg(rows):
-    """The negative of a sparse table."""
-    return _Rows(tuple((k, -x) for k, x in row) for row in rows)
+def _row(table: _Table, i: int):
+    """Row i of a table: the (other indices, value) pairs of its entries
+    with index i at position 0."""
+    return _read(table, (0,)).get(i, ())
+
+
+def _row_dicts(table: _Table, count: int):
+    """Rows 0 .. count - 1 of a two-position table, as {index: value}
+    dicts, the sparse rows :func:`_gauss_jordan` eliminates."""
+    return ({i: x for (i,), x in _row(table, j)} for j in range(count))
+
+
+def _permuted(table: _Table, order) -> _Table:
+    """The table with each entry's indices read in ``order``: a transpose."""
+    pick = _picker(order)
+    moved = sorted(((pick(at), x) for at, x in table.entries), key=itemgetter(0))
+    return _Table(tuple(moved), pick(table.shape))
+
+
+def _scaled(table: _Table, c) -> _Table:
+    """c times a table, for a nonzero c."""
+    return _Table(tuple((at, c * x) for at, x in table.entries), table.shape)
+
+
+def _blocks(shape, *blocks) -> _Table:
+    """The table of the given shape holding the entries of each (offsets,
+    table) block with their indices moved by the offsets; the offsets
+    beyond a table's positions come first, as its leading indices.  Blocks
+    come in entry order and do not overlap."""
+    entries = []
+    for offsets, table in blocks:
+        lead = len(offsets) - len(table.shape)
+        head, tail = tuple(offsets[:lead]), offsets[lead:]
+        entries += [(head + tuple(i + o for i, o in zip(at, tail)), x) for at, x in table.entries]
+    return _Table(tuple(entries), tuple(shape))
+
+
+def _identity(n: int) -> _Table:
+    """The table of the n-by-n identity."""
+    return _Table(tuple(((j, j), ONE) for j in range(n)), (n, n))
+
+
+def _add(a: _Table, b: _Table) -> _Table:
+    """The entrywise sum of two tables of the same shape."""
+    return _summed(a.entries + b.entries, a.shape)
 
 
 def _axpy(row: dict, f, other: dict) -> None:
@@ -375,40 +430,38 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 @dataclass(frozen=True, init=False, eq=False)
 class LinearMap(_Stored):
-    """A linear map, stored as the sparse column table ``_sparse``:
-    ``_sparse[j]`` lists the nonzero (row, value) entries of column j.
+    """A linear map, stored as the table ``_sparse`` of its matrix keyed
+    (column, row): entry ((j, i), x) is row i of column j.
     ``LinearMap(domain, codomain, entries)`` takes the dense
     (codomain.dim x domain.dim) matrix, its view derived on first read."""
 
     domain: Space
     codomain: Space
-    entries: Matrix = cached_property(
-        lambda self: _matrix(_transpose(self._sparse, self.codomain.dim), self.domain.dim)
-    )
+    entries: Matrix = cached_property(lambda self: _view(self._sparse, (1, 0)))
     _stored = ("domain", "codomain", "_sparse")
     _axes = "ji"
 
     def __init__(self, domain: Space, codomain: Space, entries: Matrix):
         error = "linear map entries do not match (codomain.dim, domain.dim)"
-        cols = _columns(entries, codomain.dim, domain.dim, error)
-        self.__dict__.update(domain=domain, codomain=codomain, _sparse=cols)
+        table = _from_dense(entries, (codomain.dim, domain.dim), error, (1, 0))
+        self.__dict__.update(domain=domain, codomain=codomain, _sparse=table)
 
     @staticmethod
     def identity(space: Space) -> LinearMap:
-        cols = _Rows(((j, ONE),) for j in range(space.dim))
-        return _make(LinearMap, domain=space, codomain=space, _sparse=cols)
+        return _make(LinearMap, domain=space, codomain=space, _sparse=_identity(space.dim))
 
     @staticmethod
     def zero(domain: Space, codomain: Space | None = None) -> LinearMap:
-        cols = _Rows(((),) * domain.dim)
-        return _make(LinearMap, domain=domain, codomain=codomain or domain, _sparse=cols)
+        codomain = codomain or domain
+        table = _Table((), (domain.dim, codomain.dim))
+        return _make(LinearMap, domain=domain, codomain=codomain, _sparse=table)
 
     def __call__(self, v: Vector) -> Vector:
-        hits = [(r, c * x) for c, col in zip(v, self._sparse) if c for r, x in col]
+        hits = [(i, v[j] * x) for (j, i), x in self._sparse.entries if v[j]]
         return _dense(hits, self.codomain.dim)
 
     def column(self, j: int) -> Vector:
-        return _dense(self._sparse[j], self.codomain.dim)
+        return _dense([(i, x) for (i,), x in _row(self._sparse, j)], self.codomain.dim)
 
     def add(self, other: LinearMap) -> LinearMap:
         if (self.domain, self.codomain) != (other.domain, other.codomain):
@@ -416,16 +469,16 @@ class LinearMap(_Stored):
         return _with(self, _sparse=_add(self._sparse, other._sparse))
 
     def neg(self) -> LinearMap:
-        return _with(self, _sparse=_neg(self._sparse))
+        return _with(self, _sparse=_scaled(self._sparse, -1))
 
     def is_zero(self) -> bool:
-        return not any(self._sparse)
+        return not self._sparse.entries
 
 
 def dual_map(f: LinearMap) -> LinearMap:
     """The dual of f: V -> W, acting W* -> V* by the transpose matrix."""
-    cols = _transpose(f._sparse, f.codomain.dim)
-    return _make(LinearMap, domain=f.codomain.dual, codomain=f.domain.dual, _sparse=cols)
+    table = _permuted(f._sparse, (1, 0))
+    return _make(LinearMap, domain=f.codomain.dual, codomain=f.domain.dual, _sparse=table)
 
 
 # ---------------------------------------------------------------------------
@@ -434,25 +487,25 @@ def dual_map(f: LinearMap) -> LinearMap:
 
 @dataclass(frozen=True, init=False, eq=False)
 class Tensor2(_Stored):
-    """r = sum coeffs[i][j] e_i (x) f_j in left (x) right, stored as the row
-    table ``_sparse``: ``_sparse[i]`` lists the nonzero (j, value)
-    coefficients of row i.  ``Tensor2(left, right, coeffs)`` takes the dense
-    coefficients, their view derived on first read."""
+    """r = sum coeffs[i][j] e_i (x) f_j in left (x) right, stored as the
+    table ``_sparse`` of its nonzero coefficients keyed (i, j).
+    ``Tensor2(left, right, coeffs)`` takes the dense coefficients, their
+    view derived on first read."""
 
     left: Space
     right: Space
-    coeffs: Matrix = cached_property(lambda self: _matrix(self._sparse, self.right.dim))
+    coeffs: Matrix = cached_property(lambda self: _view(self._sparse))
     _stored = ("left", "right", "_sparse")
     _axes = "ij"
 
     def __init__(self, left: Space, right: Space, coeffs: Matrix):
         error = "tensor coefficients do not match factor dimensions"
-        rows = _transpose(_columns(coeffs, left.dim, right.dim, error), left.dim)
-        self.__dict__.update(left=left, right=right, _sparse=rows)
+        table = _from_dense(coeffs, (left.dim, right.dim), error)
+        self.__dict__.update(left=left, right=right, _sparse=table)
 
     @staticmethod
     def zero(left: Space, right: Space) -> Tensor2:
-        return _make(Tensor2, left=left, right=right, _sparse=_Rows(((),) * left.dim))
+        return _make(Tensor2, left=left, right=right, _sparse=_Table((), (left.dim, right.dim)))
 
     def add(self, other: Tensor2) -> Tensor2:
         if (self.left, self.right) != (other.left, other.right):
@@ -460,39 +513,36 @@ class Tensor2(_Stored):
         return _with(self, _sparse=_add(self._sparse, other._sparse))
 
     def neg(self) -> Tensor2:
-        return _with(self, _sparse=_neg(self._sparse))
+        return _with(self, _sparse=_scaled(self._sparse, -1))
 
     def is_zero(self) -> bool:
-        return not any(self._sparse)
+        return not self._sparse.entries
 
 
-@dataclass(frozen=True)
-class Tensor3:
-    """t = sum coeffs[i][j][k] e_i (x) f_j (x) g_k."""
+@dataclass(frozen=True, init=False, eq=False)
+class Tensor3(_Stored):
+    """t = sum coeffs[i][j][k] e_i (x) f_j (x) g_k, stored as the table
+    ``_sparse`` of its nonzero coefficients keyed (i, j, k).
+    ``Tensor3(spaces, coeffs)`` takes the three factor spaces and the dense
+    coefficients, their view derived on first read."""
 
     spaces: tuple  # (Space, Space, Space)
-    coeffs: tuple  # rank-3 nested tuple
+    coeffs: tuple = cached_property(lambda self: _view(self._sparse))
+    _stored = ("spaces", "_sparse")
 
-    def __post_init__(self):
-        s1, s2, s3 = self.spaces
-        co = tuple(
-            tuple(tuple(scalar(x) for x in row) for row in plane) for plane in self.coeffs
-        )
-        object.__setattr__(self, "coeffs", co)
-        ok = len(co) == s1.dim and all(
-            len(plane) == s2.dim and all(len(row) == s3.dim for row in plane)
-            for plane in co
-        )
-        if not ok:
-            raise ValueError("tensor coefficients do not match factor dimensions")
+    def __init__(self, spaces: tuple, coeffs: tuple):
+        s1, s2, s3 = spaces
+        error = "tensor coefficients do not match factor dimensions"
+        table = _from_dense(coeffs, (s1.dim, s2.dim, s3.dim), error)
+        self.__dict__.update(spaces=(s1, s2, s3), _sparse=table)
 
     def is_zero(self) -> bool:
-        return all(not x for plane in self.coeffs for row in plane for x in row)
+        return not self._sparse.entries
 
 
 def swap_factors(t: Tensor2) -> Tensor2:
     """The exchanging operator x (x) y -> y (x) x; an involution."""
-    return _make(Tensor2, left=t.right, right=t.left, _sparse=_transpose(t._sparse, t.right.dim))
+    return _make(Tensor2, left=t.right, right=t.left, _sparse=_permuted(t._sparse, (1, 0)))
 
 
 def rotate_factors(t: Tensor3) -> Tensor3:
@@ -503,12 +553,7 @@ def rotate_factors(t: Tensor3) -> Tensor3:
     s1, s2, s3 = t.spaces
     if not (s1 == s2 == s3):
         raise ValueError("cyclic rotation needs equal factor spaces")
-    n = s1.dim
-    co = t.coeffs
-    new = tuple(
-        tuple(tuple(co[s][p][q] for s in range(n)) for q in range(n)) for p in range(n)
-    )
-    return Tensor3(t.spaces, new)
+    return _make(Tensor3, spaces=t.spaces, _sparse=_permuted(t._sparse, (1, 2, 0)))
 
 
 def tensor_as_map(t: Tensor2) -> LinearMap:

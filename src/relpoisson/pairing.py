@@ -30,15 +30,20 @@ from .linalg import (
     Matrix,
     Space,
     Vector,
-    _columns,
+    _blocks,
     _determinant,
+    _entries,
+    _from_dense,
+    _identity,
     _make,
-    _matrix,
-    _nest,
-    _Rows,
+    _permuted,
+    _read,
+    _row,
+    _row_dicts,
     _solve,
     _Stored,
-    _transpose,
+    _table,
+    _view,
 )
 from .representations import RepData, _rep, check_representation
 
@@ -46,28 +51,26 @@ from .representations import RepData, _rep, check_representation
 @dataclass(frozen=True, init=False, eq=False)
 class BilinearForm(_Stored):
     """B(e_i, e_j) = gram[i][j]; symmetry and nondegeneracy are predicates.
-    Stored as the column table ``_sparse`` of the Gram matrix:
-    ``_sparse[j]`` lists the nonzero (i, B(e_i, e_j)) entries.
+    Stored as the table ``_sparse`` of the Gram matrix keyed (column, row):
+    an entry ((j, i), value) is the nonzero B(e_i, e_j).
     ``BilinearForm(space, gram)`` takes the dense Gram matrix, its view
     derived on first read."""
 
     space: Space
-    gram: Matrix = cached_property(
-        lambda self: _matrix(_transpose(self._sparse, self.space.dim), self.space.dim)
-    )
+    gram: Matrix = cached_property(lambda self: _view(self._sparse, (1, 0)))
     _stored = ("space", "_sparse")
     _axes = "ji"
 
     def __init__(self, space: Space, gram: Matrix):
         n, error = space.dim, "Gram matrix does not match the space dimension"
-        self.__dict__.update(space=space, _sparse=_columns(gram, n, n, error))
+        self.__dict__.update(space=space, _sparse=_from_dense(gram, (n, n), error, (1, 0)))
 
     def value(self, u: Vector, v: Vector):
-        terms = (u[i] * cv * g for cv, col in zip(v, self._sparse) if cv for i, g in col if u[i])
+        terms = (u[i] * v[j] * g for i, j, g in _entries(self._sparse, self._axes) if u[i] and v[j])
         return sum(terms, ZERO)
 
     def is_symmetric(self) -> bool:
-        return self._sparse == _transpose(self._sparse, self.space.dim)
+        return self._sparse == _permuted(self._sparse, (1, 0))
 
 
 def canonical_pairing(space: Space) -> BilinearForm:
@@ -80,16 +83,17 @@ def canonical_pairing(space: Space) -> BilinearForm:
     if dim % 2:
         raise ValueError("canonical pairing needs an even-dimensional double")
     n = dim // 2
-    cols = _Rows((((j + n) % dim, ONE),) for j in range(dim))
+    cols = _table([((j + n) % dim, j, ONE) for j in range(dim)], "ji", (dim, dim))
     return _make(BilinearForm, space=space, _sparse=cols)
 
 
 def is_nondegenerate(form: BilinearForm) -> bool:
-    return bool(_determinant(dict(col) for col in form._sparse))
+    # the Gram matrix's columns, eliminated as the rows of its transpose
+    return bool(_determinant(_row_dicts(form._sparse, form.space.dim)))
 
 
 # B(x.y, z) - B(x, y.z) through the dot M and the bracket B, with the Gram
-# matrix's column table G
+# matrix G keyed (column, row)
 _INVARIANCE = (
     ("dot-invariance", "xyz", "", "M:xyt,G:zt - G:tx,M:yzt"),
     ("bracket-invariance", "xyz", "", "B:xyt,G:zt - G:tx,B:yzt"),
@@ -115,19 +119,20 @@ def adjoint_of(op: LinearMap, form: BilinearForm) -> LinearMap:
     if op.domain != form.space or op.codomain != form.space:
         raise ValueError("map is not an endomorphism of the form's space")
     n = form.space.dim
-    grows = _transpose(form._sparse, n)
+    grows = _read(form._sparse, (1,))
     rows = []
-    for i, col in enumerate(op._sparse):
+    for i in range(n):
         # row i of P^T G is the sum of P[k][i] times row k of G
-        row = dict(grows[i])
-        for k, p in col:
-            for c, g in grows[k]:
+        row = {c: g for (c,), g in grows.get(i, ())}
+        for (k,), p in _row(op._sparse, i):
+            for (c,), g in grows.get(k, ()):
                 row[n + c] = row.get(n + c, ZERO) + p * g
         rows.append({c: x for c, x in row.items() if x})
     solution = _solve(rows, n)
     if solution is None:
         raise PreconditionError("bilinear form is degenerate")
-    cols = _nest([(r, c, x) for r, row in enumerate(solution) for c, x in row.items()], "ji", (n,))
+    entries = [(r, c, x) for r, row in enumerate(solution) for c, x in row.items()]
+    cols = _table(entries, "ji", (n, n))
     return _make(LinearMap, domain=op.domain, codomain=op.codomain, _sparse=cols)
 
 
@@ -142,9 +147,9 @@ class MatchedPairData(_Stored):
     ``dot_action_on_right[i]`` is the matrix on the right factor of the dot
     action of the i-th left basis element (mu_1), and symmetrically for the
     other three action families.  The constructor takes these dense
-    families; each is stored as one sparse column table per acting basis
-    element (``_mu1``, ``_rho1``, ``_mu2``, ``_rho2``), and the dense
-    attributes are views derived on first read.
+    families; each is stored as one table keyed (x, j, r) for row r of
+    column j of the matrix of the acting e_x (``_mu1``, ``_rho1``, ``_mu2``,
+    ``_rho2``), and the dense attributes are views derived on first read.
     """
 
     left: RelPoissonAlgebra
@@ -254,7 +259,7 @@ def bowtie(data: MatchedPairData) -> RelPoissonAlgebra:
 
 # The blocks of a Manin triple's double (WM, WB, WD) against the factors'
 # own dot, bracket and derivation (LM, LB, LD on the left, RM, RB, RD on
-# the right), through the column table LJ or RJ of a factor's inclusion
+# the right), through the table LJ or RJ of a factor's inclusion
 # e_i -> e_(off + i) into the double
 _SUBALGEBRA = tuple(
     (f"{side}-subalgebra-{name}", "ij", "k", f"W{P}:abk,{S}J:ia,{S}J:jb - {S}{P}:ijt,{S}J:tk")
@@ -286,7 +291,7 @@ def check_manin_triple(
     tables = dict(WM=double.dot, WB=double.bracket, WD=double.derivation)
     for S, sub, off in (("L", alg, 0), ("R", dual_alg, n)):
         tables.update({S + "M": sub.dot, S + "B": sub.bracket, S + "D": sub.derivation})
-        tables[S + "J"] = _Rows(((off + i, ONE),) for i in range(n))
+        tables[S + "J"] = _blocks((n, 2 * n), ((0, off), _identity(n)))
     coll = Collector(limit)
     _sweep(coll, _SUBALGEBRA, 2 * n, **tables)
     _sweep(coll, _DERIVATION_BLOCK, 2 * n, **tables)

@@ -108,7 +108,7 @@ def subadjacent(pp: RelPrePoissonAlgebra) -> tuple[RelPoissonAlgebra, RepData]:
         BilinearOp.from_entries(pp.space, circ + [(j, i, k, -x) for i, j, k, x in circ]),
         pp.derivation,
     )
-    # the column table of L(e_i) is the row _sparse[i] of the product
+    # a product's table, keyed (i, j, k), is the action family of L
     return alg, _rep(alg, pp.space, pp.star._sparse, pp.circ._sparse, pp.derivation)
 
 

@@ -3,10 +3,9 @@
 A representation is a quadruple (mu, rho, alpha, V): an action mu of the
 commutative product, an action rho of the bracket, and an endomorphism
 alpha of V, subject to five condition families checked on basis tuples.
-Each action is stored as one sparse column table per basis element of the
-algebra (``_mu[x][j]`` lists the nonzero (row, value) entries of
-mu(e_x) e_j), and alpha as a linear map, itself stored as its column
-table.  The dense attributes, one V-endomorphism matrix per basis element
+Each action is stored as one table keyed (x, j, r), an entry holding
+row r of mu(e_x) e_j, and alpha as a linear map, itself stored keyed
+(column, row).  The dense attributes, one V-endomorphism matrix per basis element
 and the matrix of alpha, are views derived on first read; the action of a
 general element is the matching linear combination.  Library functions
 take an endomorphism beta or alpha either dense or as a linear map, and
@@ -43,31 +42,28 @@ from .algebra import (
     find_unit,
 )
 from .linalg import (
-    ONE,
     LinearMap,
     Matrix,
     Space,
     Vector,
-    _columns,
     _dense,
     _determinant,
+    _from_dense,
+    _identity,
     _make,
-    _nest,
-    _Rows,
+    _permuted,
+    _row,
+    _row_dicts,
+    _scaled,
     _Stored,
-    _transpose,
+    _Table,
+    _table,
 )
 
 
 def _action_of(family, u: Vector, m: int) -> Matrix:
     """The dense matrix of sum_k u[k] family[k] on a module of dim m."""
-    hits = [
-        (r * m + j, c * x)
-        for k, c in enumerate(u)
-        if c
-        for j, col in enumerate(family[k])
-        for r, x in col
-    ]
+    hits = [(r * m + j, c * x) for k, c in enumerate(u) if c for (j, r), x in _row(family, k)]
     return _dense(hits, m, m)
 
 
@@ -106,7 +102,8 @@ class RepData(CompatibleStructure):
     def __init__(self, algebra, space, dot_action, bracket_action, der_action: Matrix = ()):
         super().__init__(algebra, space, dot_action, bracket_action)
         m = space.dim
-        cols = _columns(der_action, m, m, "action matrix does not match the module dimension")
+        error = "action matrix does not match the module dimension"
+        cols = _from_dense(der_action, (m, m), error, (1, 0))
         self.__dict__["_alpha"] = _make(LinearMap, domain=space, codomain=space, _sparse=cols)
 
     def compatible_structure(self) -> CompatibleStructure:
@@ -116,7 +113,7 @@ class RepData(CompatibleStructure):
 
 def _rep(algebra, space, mu, rho, alpha: LinearMap) -> RepData:
     """A candidate representation holding the given action families, as
-    column tables, and endomorphism."""
+    tables, and endomorphism."""
     return _make(RepData, algebra=algebra, space=space, _mu=mu, _rho=rho, _alpha=alpha)
 
 
@@ -187,16 +184,16 @@ def check_representation(rep: RepData, limit: int = DEFAULT_VIOLATION_LIMIT) -> 
 
 def adjoint_rep(alg: RelPoissonAlgebra) -> RepData:
     """The adjoint representation (left multiplications, ad, derivation);
-    the column table of L(e_i) is the row ``_sparse[i]`` of the product."""
+    a product's table, keyed (i, j, k), is the action family of L."""
     return _rep(alg, alg.space, alg.dot._sparse, alg.bracket._sparse, alg.derivation)
 
 
 def _module_map(endo: Matrix | LinearMap, m: int, error: str):
-    """The column table of an endomorphism of an m-dimensional module, given
-    as a linear map or a dense matrix; a mis-sized one raises
-    ValueError(error)."""
+    """The table of an endomorphism of an m-dimensional module, keyed
+    (column, row), given as a linear map or a dense matrix; a mis-sized one
+    raises ValueError(error)."""
     if not isinstance(endo, LinearMap):
-        return _columns(endo, m, m, error)
+        return _from_dense(endo, (m, m), error, (1, 0))
     if endo.domain.dim != m or endo.codomain.dim != m:
         raise ValueError(error)
     return endo._sparse
@@ -208,15 +205,15 @@ def _beta_columns(beta: Matrix | LinearMap, m: int):
 
 def dual_rep(cs: CompatibleStructure, beta: Matrix | LinearMap) -> RepData:
     """The dual-space candidate (-mu*, rho*, beta*, V*), built by
-    transposing the stored column tables.
+    transposing the stored matrices.
 
     Validity is not assumed; run :func:`check_representation` on the result
     or test the defining conditions with :func:`check_dual_rep_conditions`.
     """
     m, dual = cs.space.dim, cs.space.dual
-    mu = _Rows(_transpose(cols, m) for cols in cs._mu)
-    rho = _Rows(_transpose(cols, m, -1) for cols in cs._rho)
-    alpha = _make(LinearMap, domain=dual, codomain=dual, _sparse=_transpose(_beta_columns(beta, m), m))
+    mu = _permuted(cs._mu, (0, 2, 1))
+    rho = _scaled(_permuted(cs._rho, (0, 2, 1)), -1)
+    alpha = _make(LinearMap, domain=dual, codomain=dual, _sparse=_permuted(_beta_columns(beta, m), (1, 0)))
     return _rep(cs.algebra, dual, mu, rho, alpha)
 
 
@@ -300,7 +297,7 @@ def _semidirect(rep: RepData) -> RelPoissonAlgebra:
     module = rep.space
     zero = BilinearOp.zero(module)
     right = RelPoissonAlgebra(module, zero, zero, rep._alpha)
-    back = _nest((), "ijk", (module.dim, rep.algebra.dim))
+    back = _Table((), (module.dim, rep.algebra.dim, rep.algebra.dim))
     return _block_sum(rep.algebra, right, rep._mu, rep._rho, back, back)
 
 
@@ -329,7 +326,7 @@ def check_rep_equivalence(rep1: RepData, rep2: RepData, phi: LinearMap) -> bool:
         raise ValueError("phi does not map between the module spaces")
     if phi.domain.dim != phi.codomain.dim:
         return False
-    if not _determinant(dict(col) for col in phi._sparse):
+    if not _determinant(_row_dicts(phi._sparse, phi.domain.dim)):
         return False
     tables = dict(MU=rep1._mu, NU=rep2._mu, RHO=rep1._rho, SIGMA=rep2._rho, P=phi)
     coll = Collector(0)
@@ -362,10 +359,9 @@ def _jacobi_representation(dot, bracket, mu, rho, m: int, limit: int = DEFAULT_V
     unit = find_unit(dot)
     if unit is None:
         raise NoUnitError("multiplication has no two-sided unit")
-    hits = _Rows((k, u) for k, u in enumerate(unit) if u)
-    identity = _Rows(((c, ONE),) for c in range(m))
+    hits = _table([(k, u) for k, u in enumerate(unit) if u], "k", (len(unit),))
     coll = Collector(limit)
-    _sweep(coll, _UNITAL, m, U=hits, MU=mu, I=identity)
+    _sweep(coll, _UNITAL, m, U=hits, MU=mu, I=_identity(m))
     tables = dict(M=dot, B=bracket, U=hits, W=ad_map(bracket, unit), MU=mu, RHO=rho)
     _sweep(coll, _JACOBI_ACTIONS, m, **tables)
     return coll.report()

@@ -35,11 +35,11 @@ from .linalg import (
     Matrix,
     Tensor2,
     Tensor3,
-    _block_diagonal,
-    _dense,
+    _blocks,
     _make,
-    _Rows,
-    _transpose,
+    _permuted,
+    _scaled,
+    _summed,
 )
 from .representations import (
     CompatibleStructure,
@@ -55,7 +55,7 @@ from .representations import (
 
 
 def is_antisymmetric(r: Tensor2) -> bool:
-    return r._sparse == _transpose(r._sparse, r.right.dim, -1)
+    return r._sparse == _scaled(_permuted(r._sparse, (1, 0)), -1)
 
 
 # R is the tensor r, M the dot, B the bracket, D the derivation P, Q the
@@ -111,8 +111,7 @@ def cybe_tensor(r: Tensor2, bracket: BilinearOp) -> Tensor3:
 def _tensor3(terms: str, r: Tensor2, **tables) -> Tensor3:
     sp, n = r.left, r.left.dim
     (out,) = _contract((("", "", "abc", terms),), dict(R=r, **tables))
-    hits = [((a * n + b) * n + c, v) for (a, b, c), v in out.items()]
-    return Tensor3((sp, sp, sp), _dense(hits, n, n, n))
+    return _make(Tensor3, spaces=(sp, sp, sp), _sparse=_summed(out.items(), (n, n, n)))
 
 
 def check_rpybe(
@@ -350,11 +349,10 @@ def o_operator_to_rmatrix(
         raise PreconditionError("operator does not intertwine beta with the dual map")
     semidirect = _semidirect(dual_rep(rep, beta))
     # T(v_i) (x) v_i* - v_i* (x) T(v_i), with v_i* at index n + i: row t < n
-    # lists T's row t at the columns n + i, row n + i lists -T(v_i)
-    rows = _transpose(operator._sparse, n)
-    rows = (*(tuple((n + i, x) for i, x in row) for row in rows), *_transpose(rows, m, -1))
-    sp = semidirect.space
-    return semidirect, _make(Tensor2, left=sp, right=sp, _sparse=_Rows(rows))
+    # holds T's row t at the columns n + i, row n + i holds -T(v_i)
+    sp, table = semidirect.space, operator._sparse
+    blocks = ((0, n), _permuted(table, (1, 0))), ((n, 0), _scaled(table, -1))
+    return semidirect, _make(Tensor2, left=sp, right=sp, _sparse=_blocks((n + m, n + m), *blocks))
 
 
 def semidirect_codrv(
@@ -362,9 +360,9 @@ def semidirect_codrv(
 ) -> LinearMap:
     """The map Q + alpha^T on A + V* accompanying
     :func:`o_operator_to_rmatrix`."""
-    m, alpha = rep.space.dim, rep._alpha._sparse
-    cols = _block_diagonal(codrv._sparse, _transpose(alpha, m), codrv.codomain.dim)
-    return _make(LinearMap, domain=semidirect.space, codomain=semidirect.space, _sparse=cols)
+    n, sp = codrv.codomain.dim, semidirect.space
+    blocks = ((0, 0), codrv._sparse), ((n, n), _permuted(rep._alpha._sparse, (1, 0)))
+    return _make(LinearMap, domain=sp, codomain=sp, _sparse=_blocks((sp.dim, sp.dim), *blocks))
 
 
 __all__ = [

@@ -31,6 +31,7 @@ from relpoisson.linalg import (
     Tensor2,
     Tensor3,
     Vector,
+    _Table,
     basis_vector,
     direct_sum_space,
     div,
@@ -58,6 +59,19 @@ from relpoisson.yangbaxter import is_antisymmetric
 
 
 def _sparse_of(m: BilinearOp):
+    """The stored table a product's dense table defines: its nonzero
+    constants keyed (i, j, k), in increasing order."""
+    entries = tuple(
+        ((i, j, k), x)
+        for i, row in enumerate(m.table)
+        for j, vec in enumerate(row)
+        for k, x in enumerate(vec)
+        if x
+    )
+    return _Table(entries, (m.space.dim,) * 3)
+
+
+def _rows_of(m: BilinearOp):
     """Every product's nonzero (k, value) terms, read from the dense table."""
     return tuple(
         tuple(tuple((k, x) for k, x in enumerate(vec) if x) for vec in row)
@@ -143,7 +157,7 @@ def block_sum(
 def check_comm_assoc(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """Commutativity x*y = y*x and associativity (x*y)*z = x*(y*z)."""
     n = m.space.dim
-    sp = _sparse_of(m)
+    sp = _rows_of(m)
     coll = Collector(limit)
     for i in range(n):
         for j in range(n):
@@ -162,7 +176,7 @@ def check_comm_assoc(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> Axi
 def check_lie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """Antisymmetry [x,x] = 0 and the Jacobi identity on basis triples."""
     n = m.space.dim
-    sp = _sparse_of(m)
+    sp = _rows_of(m)
     coll = Collector(limit)
     for i in range(n):
         coll.check("antisymmetric", (i, i), m.product(i, i))
@@ -190,7 +204,7 @@ def _relative_leibniz_sweep(
     """[z, x.y] - [z,x].y - x.[z,y] - x.y.w(z) = 0 on basis triples, where
     w(z) is given as sparse column (index, value) lists."""
     n = dot.space.dim
-    dsp, bsp = _sparse_of(dot), _sparse_of(bracket)
+    dsp, bsp = _rows_of(dot), _rows_of(bracket)
     for x in range(n):
         dspx = dsp[x]
         for y in range(n):

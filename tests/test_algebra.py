@@ -28,8 +28,8 @@ from relpoisson import (
     check_relative_leibniz,
     find_unit,
 )
-from relpoisson.algebra import _compile, _contract, _paths, _rows, ad_map, block_sum
-from relpoisson.linalg import _Rows
+from relpoisson.algebra import _compile, _contract, _table_of, ad_map, block_sum
+from relpoisson.linalg import _Table
 
 from conftest import (
     heisenberg_poisson,
@@ -407,7 +407,7 @@ def _action_family(data, n):
 
 def _vector_hits(data, n):
     v = tuple(data.draw(VALUE) for _ in range(n))
-    return _Rows((k, x) for k, x in enumerate(v) if x), "k", lambda k: v[k]
+    return _Table(tuple(((k,), x) for k, x in enumerate(v) if x), (n,)), "k", lambda k: v[k]
 
 
 TABLE_KINDS = {
@@ -428,37 +428,37 @@ def test_sweep_reads_each_table_kind_as_its_dense_view(kind, data):
     table, labels, value = TABLE_KINDS[kind](data, n)
     indices = itertools.product(range(n), repeat=len(labels))
     dense = [(idx, value(*idx)) for idx in indices if value(*idx)]
-    # the paths come in the label order, outer label first
-    assert _paths(_rows(table), len(labels) - 1) == dense
+    # the entries come in the label order, first label first
+    assert list(_table_of(table).entries) == dense
     (out,) = _contract((("", labels, "", f"T:{labels}"),), {"T": table})
     assert out == dict(dense)
 
 
 def test_sweep_keeps_its_indexes_on_the_rows_it_reads():
-    """Every table the sweep reads is rows that carry their memo, so a
-    second sweep of the same action family re-keys nothing; a plain tuple,
-    which could not keep one, is refused."""
+    """Every table the sweep reads carries its memo, so a second sweep of
+    the same action family re-keys nothing; a plain tuple of entries, which
+    could not keep one, is refused."""
     mats = (((1, 2), (0, 3)), ((0, 0), (4, 0)))
     cs = CompatibleStructure(zero_algebra(2), Space.of_dim(2, "v"), mats, mats)
-    families = (("", "xj", "r", "MU:xjr"),)
+    families = (("", "xj", "r", "MU:xjt,MU:tjr"),)
     first = _contract(families, {"MU": cs._mu})
     reads = dict(cs._mu._reads)
     assert reads and _contract(families, {"MU": cs._mu}) == first
     assert all(cs._mu._reads[keys] is index for keys, index in reads.items())
     with pytest.raises(TypeError):
-        _contract(families, {"MU": tuple(cs._mu)})
+        _contract(families, {"MU": cs._mu.entries})
 
 
 def test_a_term_stops_at_its_first_empty_join():
     """The derivation rule of the zero product: the term that starts with
     the product joins nothing, so the derivation is read only as its
-    paths, by the terms that start with it, and never re-keyed for a join
-    after the empty product.  A longer term stops before its middle joins
-    too."""
+    entries, by the terms that start with it, and never re-keyed for a
+    join after the empty product.  A longer term stops before its middle
+    joins too."""
     sp = Space.of_dim(3)
     der = LinearMap(sp, sp, ((1, 0, 0), (0, 2, 0), (1, 0, 3)))
     assert check_derivation(BilinearOp.zero(sp), der).ok
-    assert list(der._sparse._reads) == [None]
+    assert not der._sparse._reads
     middle, last = LinearMap.identity(sp), LinearMap.identity(sp)
     tables = dict(M=BilinearOp.zero(sp), P=middle, Q=last)
     assert _contract((("", "ij", "s", "M:ijt,P:tu,Q:us"),), tables) == [{}]

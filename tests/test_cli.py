@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from relpoisson import documents
+from relpoisson import cli, documents
 from relpoisson.cli import _RECIPE_KINDS, main
 
 from conftest import FIXTURES
@@ -347,6 +347,17 @@ def test_pipeline_write_failure_is_an_io_error(tmp_path, capsys):
     assert main(["pipeline", str(FIXTURES / "prepoisson_3d.json"), "-o", str(target)]) == 3
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"error: cannot write {target}: ")
+
+
+def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    # a fault of the program exits 4, never 1, which reads as an axiom failure
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    assert main(["check", str(FIXTURES / "zinbiel_3d.json")]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: KeyError: 'lost'\n")
 
 
 def test_representation_fixture_is_the_subadjacent_representation():

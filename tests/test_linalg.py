@@ -1,5 +1,6 @@
 """Exact linear algebra layer: scalars, tensor operators, dual maps."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -407,39 +408,36 @@ def test_determinant_and_inverse_stop_at_the_first_dependent_row(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# an entry-built table keeps its sorted entries as its path index, and that
-# index is exactly what a walk of its rows reads
+# a table built from entries holds their sorted nonzero sums, and each of
+# its re-keyed indexes groups those entries in order
 
 
-NEST_AXES = ("ijk", "kij", "ji", "ij", _FAMILY)
+TABLE_AXES = ("ijk", "kij", "ji", "ij", _FAMILY)
 
 
-def _naive_nest(entries, axes, bounds):
-    """Nested rows by the definition: every cell of every level is visited,
-    and an entry list holds the nonzero sums at its cells by increasing
-    index, each in normal form."""
+def _naive_table(entries, axes, bounds):
+    """The (entries, shape) of a table by the definition: every cell is
+    visited in stored order, and a nonzero sum at a cell is an entry
+    there, in normal form."""
     labels = sorted(axes)
     sums = {}
     for *at, x in entries:
         sums[tuple(at)] = sums.get(tuple(at), 0) + x
     normal = lambda x: x.numerator if isinstance(x, F) and x.denominator == 1 else x
-
-    def level(at):
-        axis = axes[len(at)]
-        cells = [{**at, axis: i} for i in range(bounds[axis])]
-        if len(at) < len(axes) - 1:
-            return tuple(level(cell) for cell in cells)
-        keys = [(cell[axis], tuple(cell[label] for label in labels)) for cell in cells]
-        return tuple((i, normal(sums[key])) for i, key in keys if sums.get(key))
-
-    return level({})
+    shape = tuple(bounds[a] for a in axes)
+    found = []
+    for cell in itertools.product(*map(range, shape)):
+        key = tuple(cell[axes.index(label)] for label in labels)
+        if sums.get(key):
+            found.append((cell, normal(sums[key])))
+    return tuple(found), shape
 
 
 @st.composite
-def nest_inputs(draw):
+def table_inputs(draw):
     """(axes, the bound of each label, entries in sorted label order), some
     entries repeated with the opposite sign so that their sums cancel."""
-    axes = draw(st.sampled_from(NEST_AXES))
+    axes = draw(st.sampled_from(TABLE_AXES))
     bounds = {label: draw(st.integers(0, 3)) for label in sorted(axes)}
     if 0 in bounds.values():
         return axes, bounds, []
@@ -451,23 +449,23 @@ def nest_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=nest_inputs())
+@given(case=table_inputs())
 @example(case=("ijk", {"i": 2, "j": 2, "k": 2}, []))
 @example(case=("kij", {"i": 2, "j": 3, "k": 1}, [(1, 2, 0, F(1, 2)), (1, 2, 0, F(-1, 2))]))
-def test_nest_keeps_its_sorted_entries_as_the_path_index_a_walk_reads(case):
+def test_table_holds_the_sorted_nonzero_sums_of_its_entries(case):
     axes, bounds, entries = case
-    sizes = [bounds[a] for a in axes[:-1]]
-    rows = linalg._nest(entries, axes, sizes)
-    assert rows == _naive_nest(entries, axes, bounds)
-    # the index is read, never walked; a fresh copy has no index, so its
-    # paths come from a walk, with the same values in the same order
-    copy = linalg._Rows(rows)
-    walked = linalg._paths(copy, len(axes) - 1)
-    index = rows._reads[None]
-    assert len(index) == len(walked)
-    for (at, x), (walked_at, y) in zip(index, walked):
-        assert at == walked_at and type(at) is tuple and x is y
-    listed = linalg._entries(rows, axes)
-    assert listed == linalg._entries(copy, axes)
-    again = linalg._nest(listed, axes, sizes)
-    assert again == rows and again._reads[None] == index
+    shape = [bounds[a] for a in axes]
+    table = linalg._table(entries, axes, shape)
+    assert (table.entries, table.shape) == _naive_table(entries, axes, bounds)
+    assert all(type(at) is tuple and is_normal(x) for at, x in table.entries)
+    # read back in label order, the entries build the same table
+    listed = linalg._entries(table, axes)
+    assert linalg._table(listed, axes, shape) == table
+    for keys in [(p,) for p in range(len(axes))] + [(0, 1)]:
+        index = linalg._read(table, keys)
+        grouped = {}
+        for at, x in table.entries:
+            key = at[keys[0]] if len(keys) == 1 else tuple(at[p] for p in keys)
+            rest = tuple(i for p, i in enumerate(at) if p not in keys)
+            grouped.setdefault(key, []).append((rest, x))
+        assert index == grouped and linalg._read(table, keys) is index

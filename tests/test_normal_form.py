@@ -141,9 +141,9 @@ def _pipeline_scalars(pp):
     alg = frob.algebra
     yield from leaves(alg.dot.table)
     yield from leaves(alg.bracket.table)
-    # the sparse views of the products hold (index, value) pairs
-    yield from leaves(alg.dot._sparse)
-    yield from leaves(alg.bracket._sparse)
+    # the stored tables of the products hold (indices, value) pairs
+    yield from leaves(alg.dot._sparse.entries)
+    yield from leaves(alg.bracket._sparse.entries)
     yield from leaves(alg.derivation.entries)
     yield from leaves(frob.form.gram)
     yield from leaves(frob.unit)

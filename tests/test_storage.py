@@ -6,8 +6,12 @@ checker reports, and the pipeline and the document reader run without
 reading any dense view."""
 
 import json
-
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +43,6 @@ from relpoisson import (
     induced_matched_pair,
     semidirect_structure,
 )
-from relpoisson import algebra, linalg
 from relpoisson.algebra import block_sum
 from relpoisson.cli import main
 from relpoisson.linalg import mat_inverse
@@ -334,21 +337,62 @@ SPARSE_REL_POISSON_OUTPUT = {
 }
 
 
+def diagonal_rel_poisson_doc(d: int) -> dict:
+    """A relative Poisson algebra of dim d with the d idempotents
+    e_i e_i = e_i, one entry in each row of its product."""
+    dot = [[i, i, i, "1"] for i in range(d)]
+    return {"kind": "rel-poisson", "dim": d, "dot": dot, "bracket": [], "derivation": []}
+
+
 @pytest.mark.parametrize("command", sorted(SPARSE_REL_POISSON_OUTPUT))
 def test_a_large_sparse_document_is_read_without_walking_its_cells(
     tmp_path, monkeypatch, capsys, command
 ):
+    """A table holds only its entries, so a command allocates in
+    proportion to the entries and dim, also when they sit in every row:
+    one slot per cell of a 2000-dim table would take 32 MB."""
     dim = 2000
     path = tmp_path / "rel_poisson.json"
-    path.write_text(json.dumps(sparse_rel_poisson_doc(dim)))
-    walk = linalg._paths
+    outputs = []
+    for doc in (sparse_rel_poisson_doc(dim), diagonal_rel_poisson_doc(dim)):
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            assert main([command, str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, f"{command} allocated {peak} bytes at dim {dim}"
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == SPARSE_REL_POISSON_OUTPUT[command]
 
-    def guarded(rows, depth):
-        if len(rows) == dim:
-            raise AssertionError(f"walked the cells of a {dim}-row table")
-        return walk(rows, depth)
 
-    for module in (linalg, algebra):
-        monkeypatch.setattr(module, "_paths", guarded)
-    assert main([command, str(path)]) == 0
-    assert capsys.readouterr().out == SPARSE_REL_POISSON_OUTPUT[command]
+# The launcher spawns the command and prints its exit code and its peak
+# resident size, read from os.wait4.  A child's peak starts from its
+# parent's size at spawn, because exec keeps the high-water mark of the
+# memory it replaces, so only a launcher smaller than the command, not
+# the test process itself, reads the command's own peak.
+_LAUNCHER = """
+import os, sys
+argv = [sys.executable, "-m", "relpoisson.cli", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_checking_a_3200_dim_diagonal_document_peaks_under_40_mb(tmp_path):
+    """A document linear in dim is checked in memory linear in dim: with
+    the 3200 diagonal entries e_i e_i = e_i, the child peaks under 40 MB."""
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(diagonal_rel_poisson_doc(3200)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, "check", str(path)], env=env, capture_output=True, text=True
+    )
+    *out, status = proc.stdout.splitlines()
+    code, peak = map(int, status.split())
+    assert (code, out) == (0, ["ok"]), proc.stderr
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS
+    peak_mb = peak / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 40, f"check peaked at {peak_mb:.1f} MB"

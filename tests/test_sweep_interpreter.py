@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import relpoisson
 from relpoisson.algebra import Collector, _contract, _sweep
-from relpoisson.linalg import _Rows
+from relpoisson.linalg import _Table
 
 VALUES = (1, -1, 2, F(1, 2), F(-2, 3))
 SIZE = 3  # every table axis has 1 to SIZE entries
@@ -55,16 +55,10 @@ def _terms(terms: str):
 
 def _table(rng: random.Random, shape: tuple):
     """A seeded random table of the given shape, zero one time in five, as
-    a dense {indices: value} dict and as the nested rows a sweep reads."""
+    a dense {indices: value} dict and as the sorted entries a sweep reads."""
     cells = itertools.product(*map(range, shape))
     dense = {} if rng.random() < 0.2 else {at: rng.choice(VALUES) for at in cells if rng.random() < 0.5}
-
-    def nest(outer):
-        if len(outer) == len(shape) - 1:
-            return tuple((k, dense[outer + (k,)]) for k in range(shape[-1]) if outer + (k,) in dense)
-        return tuple(nest(outer + (i,)) for i in range(shape[len(outer)]))
-
-    return dense, _Rows(nest(()))
+    return dense, _Table(tuple(sorted(dense.items())), shape)
 
 
 def _interpret(families, dense, shapes):
@@ -109,8 +103,6 @@ def test_sweep_matches_the_dense_interpreter(families, seed):
     rows = {t: r for t, (_, r) in made.items()}
     assert [{k: v for k, v in out.items() if v} for out in _contract(families, rows)] == expected
     # the sweep lays each nonzero defect out densely, every label of SIZE
-    coll = Collector(limit=10**6)
-    _sweep(coll, families, {l: SIZE for f in families for l in f[2]}, **rows)
     cells = {}
     for fam, ((_, where, _, _), out) in enumerate(zip(families, expected)):
         for key, v in out.items():
@@ -120,4 +112,9 @@ def test_sweep_matches_the_dense_interpreter(families, seed):
         axiom, _, defect, _ = families[fam]
         flat = itertools.product(range(SIZE), repeat=len(defect))
         want.append((axiom, where, tuple(values.get(at, 0) for at in flat)))
-    assert [(v.axiom, v.where, v.defect) for v in coll.violations] == want
+    # a collector keeps the first violations up to its limit
+    for limit in (0, 1, 10**6):
+        coll = Collector(limit)
+        _sweep(coll, families, {l: SIZE for f in families for l in f[2]}, **rows)
+        assert [(v.axiom, v.where, v.defect) for v in coll.violations] == want[:limit]
+        assert (coll.ok, coll.truncated) == (not want, len(want) > limit)
