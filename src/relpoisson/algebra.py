@@ -369,11 +369,30 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 #
 # Only nonzero products are enumerated, so the terms themselves are the
 # tuples at which a family can fail.  Each term's reads, sign and last join
-# are planned once per process; a term stops at its first empty join, its
-# last join adds straight into the family's sums, and a sweep whose sums
-# are all zero reports nothing.  The families of one sweep are reported in
-# sorted ``where`` order, in their own order inside one tuple; a checker
-# reporting its families one after another sweeps them apart.
+# are planned once per process; a term stops at its first empty join, and
+# its last join adds straight into the family's sums.
+#
+# A checker is data too: a _Checker of sections in report order, each the
+# families of one sweep (reported in sorted ``where`` order, in their own
+# order inside one tuple), a hand loop (fn, table) reporting through
+# fn(coll, prefix, table), or a _Use of another checker.  A checker makes
+# one contraction over all its families, then reports its sections in turn
+# into one collector until it is full and truncated.
+
+
+class _Checker:
+    """A checker's sections, in report order."""
+
+    def __init__(self, *sections):
+        self.sections = sections
+
+
+class _Use:
+    """A checker used inside another: its axioms are named with ``prefix``
+    and its table NAME is the caller's ``names[NAME]``, if given, else NAME."""
+
+    def __init__(self, prefix: str, checker, **names):
+        self.prefix, self.checker, self.names = prefix, checker, names
 
 
 def _table_of(table) -> _Table:
@@ -403,85 +422,147 @@ def _plan(term: str, where: str, defect: str, arities: dict):
         if len(set(labels)) != len(labels) or arities.setdefault(name, len(labels)) != len(labels):
             raise ValueError(f"factor {name}:{labels} repeats a label or changes arity")
         keys = tuple(p for p, l in enumerate(labels) if l in bound)
-        steps.append((name, keys, _key([bound.index(labels[p]) for p in keys])))
+        steps.append((name, keys, _key(tuple(bound.index(labels[p]) for p in keys))))
         bound += [l for l in labels if l not in bound]
     if not set(where + defect) <= set(bound):
         raise ValueError(f"term {term} leaves a reported label free")
     (first, _, _), *steps = steps
     last = steps.pop() if steps else None
-    return first, steps, last, _picker([bound.index(l) for l in where + defect])
+    return first, tuple(steps), last, _picker(tuple(bound.index(l) for l in where + defect))
 
 
 @functools.cache
 def _compile(families: tuple):
-    """The join plans of every term of the families, each with its family
-    and sign, and the tables they name; planned once per process."""
-    plans, arities = [], {}
-    for fam, (_axiom, where, defect, terms) in enumerate(families):
-        for sign, term in re.findall(r"(-?)\s*([\w:,]+)", terms.replace("+", "")):
-            plans.append((fam, sign == "-", *_plan(term, where, defect, arities)))
-    return plans, tuple(arities)
+    """The join plans of each family's terms, with their signs, the tables
+    they name and those they read first; planned once per process."""
+    groups, arities = [], {}
+    for _axiom, where, defect, terms in families:
+        found = re.findall(r"(-?)\s*([\w:,]+)", terms.replace("+", ""))
+        groups.append([(sign == "-", *_plan(term, where, defect, arities)) for sign, term in found])
+    return groups, tuple(arities), tuple({plan[1] for plans in groups for plan in plans})
 
 
-def _contract(families: tuple, tables: dict):
-    """Every term of the families summed, as one {(*where, *defect): value}
-    dict per family, over the named tables.  A term stops at its first
+@functools.cache
+def _sections(checker) -> tuple:
+    """A checker, or one sweep's families, flattened once: its sections in
+    report order, (families, prefix, the caller's names of their tables if
+    others, plans) or (hand loop, prefix, its table's caller's name, None);
+    and the tables the sweeps read and read first."""
+    sections, names, firsts = [], set(), set()
+
+    def walk(checker, prefix, bind):
+        for section in checker.sections if isinstance(checker, _Checker) else (checker,):
+            if isinstance(section, _Use):
+                inner = {**bind, **{own: bind.get(name, name) for own, name in section.names.items()}}
+                walk(section.checker, prefix + section.prefix, inner)
+            elif callable(section[0]):
+                sections.append((section[0], prefix, bind.get(section[1], section[1]), None))
+            else:
+                compiled = _compile(section)
+                tops = tuple(bind.get(name, name) for name in compiled[1])
+                sections.append((section, prefix, tops if tops != compiled[1] else None, compiled))
+                names.update(tops)
+                firsts.update(bind.get(name, name) for name in compiled[2])
+
+    walk(checker, "", {})
+    return sections, tuple(names), tuple(firsts)
+
+
+def _contract(checker, tables: dict):
+    """Every term of a checker's families, or one sweep's, summed over the
+    named tables, as one {(*where, *defect): nonzero value} dict per
+    family; each first read is resolved once, and a family's cancelled sums
+    are dropped once its last term is folded.  A term stops at its first
     empty join, and its last join adds straight into the sums."""
-    plans, names = _compile(families)
+    sections, names, firsts = _sections(checker)
     tables = {name: _table_of(tables[name]) for name in names}
-    acc = [{} for _ in families]
-    for fam, negate, first, steps, last, project in plans:
-        rows = _read(tables[first])
-        for name, keys, at in steps:
-            if not rows:
-                break
-            found = _read(tables[name], keys)
-            rows = [(v + free, p * x) for v, p in rows for free, x in found.get(at(v), ())]
-        if not rows:
-            continue
-        out = acc[fam]
-        if last is None:
-            for v, p in rows:
-                key = project(v)
-                out[key] = out.get(key, ZERO) + (-p if negate else p)
-            continue
-        name, keys, at = last
-        found = _read(tables[name], keys)
-        for v, p in rows:
-            for free, x in found.get(at(v), ()):
-                key = project(v + free)
-                out[key] = out.get(key, ZERO) + (-p * x if negate else p * x)
+    entries = {name: _read(tables[name]) for name in firsts}
+    acc = []
+    for _families, _prefix, tops, compiled in sections:
+        if compiled is None:
+            continue  # a hand loop
+        groups, own, _ = compiled
+        local, heads = tables, entries
+        if tops:  # the families name the caller's tables otherwise
+            local, heads = dict(zip(own, map(tables.get, tops))), dict(zip(own, map(entries.get, tops)))
+        for plans in groups:
+            out = {}
+            for negate, first, steps, last, project in plans:
+                rows = heads[first]
+                for name, keys, at in steps:
+                    if not rows:
+                        break
+                    found = _read(local[name], keys)
+                    rows = [(v + free, p * x) for v, p in rows for free, x in found.get(at(v), ())]
+                if not rows:
+                    continue
+                if last is None:
+                    for v, p in rows:
+                        key = project(v)
+                        out[key] = out.get(key, ZERO) + (-p if negate else p)
+                    continue
+                name, keys, at = last
+                found = _read(local[name], keys)
+                for v, p in rows:
+                    for free, x in found.get(at(v), ()):
+                        key = project(v + free)
+                        out[key] = out.get(key, ZERO) + (-p * x if negate else p * x)
+            acc.append({key: value for key, value in out.items() if value} if out else out)
     return acc
 
 
-def _sweep(coll: Collector, families: tuple, dims, **tables) -> None:
-    """Sweep the families on the named tables and report each failing
-    instance to the collector, with its dense defect, until it is full;
+@functools.cache
+def _defect_tables(family: tuple) -> tuple:
+    """The (table, axis) each defect label is read at in the family's first term."""
+    factors = [f.split(":") for f in re.match(r"\s*-?\s*([\w:,]+)", family[3])[1].split(",")]
+    return tuple(next((name, ls.index(l)) for name, ls in factors if l in ls) for l in family[2])
+
+
+def _sweep(coll: Collector, checker, dims, **tables) -> None:
+    """Contract a checker, or the families of one sweep, once and report
+    its sections in turn into the collector until it is full and truncated,
+    each failing instance under its prefixed axiom with its dense defect.
     ``dims`` maps each defect label to its size, or is the one size of all
-    of them."""
-    outs = _contract(families, tables)
-    if not any(any(out.values()) for out in outs):
-        return
-    size = dims.__getitem__ if isinstance(dims, dict) else lambda _label: dims
-    cells = {}
-    for fam, ((_, where, defect, _), out) in enumerate(zip(families, outs)):
-        w = len(where)
-        for key, value in out.items():
-            if value:
-                f = 0
-                for i, label in zip(key[w:], defect):
-                    f = f * size(label) + i
-                cells.setdefault((key[:w], fam), {})[f] = value
-    for where, fam in sorted(cells):
-        if len(coll.violations) >= coll.limit:
-            # every cell left fails, and a full collector keeps none of them
-            coll.ok, coll.truncated = False, True
+    of them; None reads it off the table its family's first term reads."""
+    outs, at = _contract(checker, tables), 0
+    for what, prefix, tops, compiled in _sections(checker)[0]:
+        if coll.truncated:
             return
-        axiom, _, defect, _ = families[fam]
-        vector = [ZERO] * math.prod(map(size, defect))
-        for f, value in cells[where, fam].items():
-            vector[f] = value
-        coll.check(axiom, where, vector)
+        if compiled is None:
+            what(coll, prefix, tables[tops])  # a hand loop on its table
+            continue
+        found, at = outs[at : at + len(what)], at + len(what)
+        if not any(found):
+            continue
+        named, cells, shapes = dict(zip(compiled[1], tops or compiled[1])), {}, {}
+        for fam, (family, out) in enumerate(zip(what, found)):
+            if out:
+                if dims is None:
+                    shape = [_table_of(tables[named[n]]).shape[a] for n, a in _defect_tables(family)]
+                else:
+                    shape = [dims[l] if isinstance(dims, dict) else dims for l in family[2]]
+                w, shapes[fam] = len(family[1]), shape
+                for key, value in out.items():
+                    f = 0
+                    for i, size in zip(key[w:], shape):
+                        f = f * size + i
+                    cells.setdefault((key[:w], fam), {})[f] = value
+        for where, fam in sorted(cells):
+            if len(coll.violations) >= coll.limit:
+                # every cell left fails, and a full collector keeps none of them
+                coll.ok, coll.truncated = False, True
+                return
+            vector = [ZERO] * math.prod(shapes[fam])
+            for f, value in cells[where, fam].items():
+                vector[f] = value
+            coll.check(prefix + what[fam][0], where, vector)
+
+
+def _check(checker, limit: int, **tables) -> AxiomReport:
+    """A checker's report, in one collector of the given limit."""
+    coll = Collector(limit)
+    _sweep(coll, checker, None, **tables)
+    return coll.report()
 
 
 # M is the product (the dot of a Leibniz rule), B the bracket, D the
@@ -491,6 +572,7 @@ _ASSOCIATIVE = (("associative", "ijk", "s", "M:ijt,M:tks - M:jkt,M:its"),)
 # [x,[y,z]] + [y,[z,x]] + [z,[x,y]]
 _JACOBI = (("jacobi", "ijk", "s", "B:jkt,B:its + B:kit,B:jts + B:ijt,B:kts"),)
 _DERIVATION = (("derivation", "ij", "s", "M:ijt,D:ts - D:it,M:tjs - D:jt,M:its"),)
+_DERIVATION_RULE = _Checker(_DERIVATION)
 # [z, x.y] - [z,x].y - x.[z,y] - x.y.w(z)
 _LEIBNIZ = "M:xyt,B:zts - B:zxt,M:tys - B:zyt,M:xts - M:xyt,W:zu,M:tus"
 _RELATIVE_LEIBNIZ = (("relative-leibniz", "xyz", "s", _LEIBNIZ),)
@@ -499,28 +581,32 @@ _UNITAL_LEIBNIZ = (("unital-leibniz", "xyz", "s", _LEIBNIZ),)
 _DERIVED_PRODUCT = (("derived", "ij", "k", "D:jt,M:itk - D:it,M:tjk"),)
 
 
+_COMM_ASSOC = _Checker(_COMMUTATIVE, _ASSOCIATIVE)
+
+
 def check_comm_assoc(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """Commutativity x*y = y*x and associativity (x*y)*z = x*(y*z)."""
-    coll = Collector(limit)
-    _sweep(coll, _COMMUTATIVE, m.space.dim, M=m)
-    _sweep(coll, _ASSOCIATIVE, m.space.dim, M=m)
-    return coll.report()
+    return _check(_COMM_ASSOC, limit, M=m)
+
+
+def _antisymmetric(coll: Collector, prefix: str, bracket) -> None:
+    """Antisymmetry, [x,y] + [y,x] once per unordered pair, the diagonal once."""
+    table = _table_of(bracket)
+    products = _read(table, (0, 1))
+    pairs = {(min(i, j), max(i, j)) for (i, j, _), _ in table.entries}
+    for i, j in sorted(pairs):
+        defect = [ZERO] * table.shape[2]
+        for (k,), x in products.get((i, j), []) + (products.get((j, i), []) if i != j else []):
+            defect[k] += x
+        coll.check(prefix + "antisymmetric", (i, j), defect)
+
+
+_LIE = _Checker((_antisymmetric, "B"), _JACOBI)
 
 
 def check_lie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """Antisymmetry [x,x] = 0 and the Jacobi identity on basis triples."""
-    n = m.space.dim
-    products = _read(m._sparse, (0, 1))
-    coll = Collector(limit)
-    # [x,y] + [y,x] is reported once per unordered pair, the diagonal once
-    pairs = {(min(i, j), max(i, j)) for i, j, _, _ in m.nonzero_entries()}
-    for i, j in sorted(pairs):
-        defect = [ZERO] * n
-        for (k,), x in products.get((i, j), []) + (products.get((j, i), []) if i != j else []):
-            defect[k] += x
-        coll.check("antisymmetric", (i, j), defect)
-    _sweep(coll, _JACOBI, n, B=m)
-    return coll.report()
+    return _check(_LIE, limit, B=m)
 
 
 def check_derivation(
@@ -529,9 +615,7 @@ def check_derivation(
     """Leibniz rule  D(x*y) = D(x)*y + x*D(y)  on basis pairs."""
     if der.domain != m.space or der.codomain != m.space:
         raise ValueError("derivation is not an endomorphism of the algebra's space")
-    coll = Collector(limit)
-    _sweep(coll, _DERIVATION, m.space.dim, M=m, D=der)
-    return coll.report()
+    return _check(_DERIVATION_RULE, limit, M=m, D=der)
 
 
 def check_relative_leibniz(
@@ -545,22 +629,23 @@ def check_relative_leibniz(
         raise ValueError("dot and bracket live on different spaces")
     if der.domain != dot.space or der.codomain != dot.space:
         raise ValueError("derivation is not an endomorphism of the algebra's space")
-    coll = Collector(limit)
-    _sweep(coll, _RELATIVE_LEIBNIZ, dot.space.dim, M=dot, B=bracket, W=der)
-    return coll.report()
+    return _check(_RELATIVE_LEIBNIZ, limit, M=dot, B=bracket, W=der)
+
+
+_REL_POISSON = _Checker(
+    _Use("dot:", _COMM_ASSOC),
+    _Use("bracket:", _LIE),
+    _Use("dot:", _DERIVATION_RULE),
+    _Use("bracket:", _DERIVATION_RULE, M="B"),
+    _Use("", _RELATIVE_LEIBNIZ, W="D"),
+)
 
 
 def check_rel_poisson(
     alg: RelPoissonAlgebra, limit: int = DEFAULT_VIOLATION_LIMIT
 ) -> AxiomReport:
     """Full relative Poisson axiom sweep for a candidate quadruple."""
-    coll = Collector(limit)
-    coll.merge(check_comm_assoc(alg.dot, limit), "dot:")
-    coll.merge(check_lie(alg.bracket, limit), "bracket:")
-    coll.merge(check_derivation(alg.dot, alg.derivation, limit), "dot:")
-    coll.merge(check_derivation(alg.bracket, alg.derivation, limit), "bracket:")
-    coll.merge(check_relative_leibniz(alg.dot, alg.bracket, alg.derivation, limit))
-    return coll.report()
+    return _check(_REL_POISSON, limit, M=alg.dot, B=alg.bracket, D=alg.derivation)
 
 
 def _derived_product(op: BilinearOp, der: LinearMap) -> BilinearOp:
@@ -586,6 +671,10 @@ def find_unit(dot: BilinearOp):
     return dot._unit
 
 
+# W is the adjoint action of the unit
+_JACOBI_ALGEBRA = _Checker(_Use("dot:", _COMM_ASSOC), _Use("bracket:", _LIE), _UNITAL_LEIBNIZ)
+
+
 def check_jacobi_algebra(
     dot: BilinearOp, bracket: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT
 ) -> AxiomReport:
@@ -599,11 +688,7 @@ def check_jacobi_algebra(
     unit = find_unit(dot)
     if unit is None:
         raise NoUnitError("multiplication has no two-sided unit")
-    coll = Collector(limit)
-    coll.merge(check_comm_assoc(dot, limit), "dot:")
-    coll.merge(check_lie(bracket, limit), "bracket:")
-    _sweep(coll, _UNITAL_LEIBNIZ, dot.space.dim, M=dot, B=bracket, W=ad_map(bracket, unit))
-    return coll.report()
+    return _check(_JACOBI_ALGEBRA, limit, M=dot, B=bracket, W=ad_map(bracket, unit))
 
 
 def ad_map(bracket: BilinearOp, u: Vector) -> LinearMap:

@@ -8,9 +8,10 @@ coefficient, so that dualizing a comultiplication into a product on the
 dual space is a pure index transposition with no signs.  The dual
 comultiplications of an algebra's own products carry the explicit minus
 signs of the dualization rules; they are load-bearing and implemented
-literally.  Every condition family is a term spec swept by
-:func:`relpoisson.algebra._sweep`, which reads a comultiplication's stored
-table as the labelled entries "kij".
+literally.  Every condition family is a term spec, and each checker is a
+:class:`relpoisson.algebra._Checker` of them, contracted in one call,
+which reads a comultiplication's stored table as the labelled entries
+"kij".
 """
 
 from __future__ import annotations
@@ -20,18 +21,19 @@ from functools import cached_property
 
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
+    _REL_POISSON,
     AxiomReport,
     BilinearOp,
-    Collector,
     RelPoissonAlgebra,
+    _check,
+    _Checker,
     _Rank3,
     _require,
-    _sweep,
-    check_rel_poisson,
+    _Use,
 )
 from .linalg import LinearMap, Matrix, Space, Vector, _dense, _make, _permuted, _row, _scaled, _view, dual_map
 from .pairing import MatchedPairData
-from .representations import check_dually_represents
+from .representations import _DUALLY_REPRESENTS
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -100,14 +102,15 @@ _CO_LEIBNIZ = (
 )
 
 
+_COCOMM_COASSOC = _Checker(_COCOMMUTATIVE, _COASSOCIATIVE)
+_LIE_COALGEBRA = _Checker(_ANTICOCOMMUTATIVE, _CO_JACOBI)
+
+
 def check_cocomm_coassoc(
     comult: Comultiplication, limit: int = DEFAULT_VIOLATION_LIMIT
 ) -> AxiomReport:
     """Cocommutativity (tau after Delta = Delta) and coassociativity."""
-    coll = Collector(limit)
-    _sweep(coll, _COCOMMUTATIVE, comult.space.dim, C=comult)
-    _sweep(coll, _COASSOCIATIVE, comult.space.dim, C=comult)
-    return coll.report()
+    return _check(_COCOMM_COASSOC, limit, C=comult)
 
 
 def check_lie_coalgebra(
@@ -115,10 +118,15 @@ def check_lie_coalgebra(
 ) -> AxiomReport:
     """Anticocommutativity (tau after delta = -delta) and the co-Jacobi
     identity (id + rotation + rotation^2)(id (x) delta) delta = 0."""
-    coll = Collector(limit)
-    _sweep(coll, _ANTICOCOMMUTATIVE, comult.space.dim, C=comult)
-    _sweep(coll, _CO_JACOBI, comult.space.dim, C=comult)
-    return coll.report()
+    return _check(_LIE_COALGEBRA, limit, C=comult)
+
+
+_REL_POISSON_COALGEBRA = _Checker(
+    _Use("dot:", _COCOMM_COASSOC, C="CM"),
+    _Use("bracket:", _LIE_COALGEBRA, C="CB"),
+    _CODERIVATION,
+    _CO_LEIBNIZ,
+)
 
 
 def check_rel_poisson_coalgebra(
@@ -136,13 +144,7 @@ def check_rel_poisson_coalgebra(
     n = dot_comult.space.dim
     if codrv.domain.dim != n or codrv.codomain.dim != n:
         raise ValueError("coderivation does not match the comultiplications")
-    tables = dict(CM=dot_comult, CB=bracket_comult, Q=codrv)
-    coll = Collector(limit)
-    coll.merge(check_cocomm_coassoc(dot_comult, limit), "dot:")
-    coll.merge(check_lie_coalgebra(bracket_comult, limit), "bracket:")
-    _sweep(coll, _CODERIVATION, n, **tables)
-    _sweep(coll, _CO_LEIBNIZ, n, **tables)
-    return coll.report()
+    return _check(_REL_POISSON_COALGEBRA, limit, CM=dot_comult, CB=bracket_comult, Q=codrv)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +216,21 @@ _MIXED = (
 )
 
 
+_BIALGEBRA = _Checker(
+    _Use("algebra:", _REL_POISSON),
+    _Use("coalgebra:", _REL_POISSON_COALGEBRA),
+    _DOT_COCYCLE,
+    _BRACKET_COCYCLE,
+    # the coderivation dually represents the algebra (both packages)
+    _Use("dual:", _DUALLY_REPRESENTS),
+    _DUAL_TRIPLE,
+    # the derivation's transpose dually represents the dual algebra
+    _COMULT_INTERTWINE,
+    _COMULT_TRIPLE,
+    _MIXED,
+)
+
+
 def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """All seven condition groups of a relative Poisson bialgebra.
 
@@ -222,26 +239,8 @@ def check_bialgebra(data: BialgebraData, limit: int = DEFAULT_VIOLATION_LIMIT) -
     divergence would surface both defects.
     """
     alg = data.algebra
-    q, n = data.dual_derivation, alg.dim
-    tables = dict(
-        M=alg.dot, B=alg.bracket, D=alg.derivation, Q=q, CM=data.dot_comult, CB=data.bracket_comult
-    )
-    coll = Collector(limit)
-    coll.merge(check_rel_poisson(alg, limit), "algebra:")
-    coll.merge(
-        check_rel_poisson_coalgebra(data.dot_comult, data.bracket_comult, q, limit),
-        "coalgebra:",
-    )
-    _sweep(coll, _DOT_COCYCLE, n, **tables)
-    _sweep(coll, _BRACKET_COCYCLE, n, **tables)
-    # the coderivation dually represents the algebra (both packages)
-    coll.merge(check_dually_represents(alg, q, limit), "dual:")
-    _sweep(coll, _DUAL_TRIPLE, n, **tables)
-    # the derivation's transpose dually represents the dual algebra
-    _sweep(coll, _COMULT_INTERTWINE, n, **tables)
-    _sweep(coll, _COMULT_TRIPLE, n, **tables)
-    _sweep(coll, _MIXED, n, **tables)
-    return coll.report()
+    tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, Q=data.dual_derivation)
+    return _check(_BIALGEBRA, limit, CM=data.dot_comult, CB=data.bracket_comult, **tables)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ Conventions fixed here and relied on by every other module:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,7 +124,7 @@ def basis_vector(n: int, i: int) -> Vector:
 
 
 def vec_is_zero(u) -> bool:
-    return all(not a for a in u)
+    return not any(u)
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +189,16 @@ def _with(obj, **changes):
     return _make(type(obj), **{name: changes.get(name, getattr(obj, name)) for name in obj._stored})
 
 
-def _key(positions):
-    """A function reading the given positions of a tuple as a lookup key:
-    the index itself at one position, a tuple at several."""
+@functools.cache
+def _key(positions: tuple):
+    """A shared function reading the given positions of a tuple as a lookup
+    key: the index itself at one position, a tuple at several."""
     return itemgetter(*positions) if positions else lambda row: ()
 
 
-def _picker(positions):
-    """A function reading the given positions of a tuple, as a tuple."""
+@functools.cache
+def _picker(positions: tuple):
+    """A shared function reading the given positions of a tuple, as a tuple."""
     if len(positions) == 1:
         return lambda row, p=positions[0]: (row[p],)
     return _key(positions)
@@ -214,7 +217,7 @@ def _table(entries, axes: str, shape) -> _Table:
     """The table of (indices..., value) entries whose indices come in
     sorted label order, its positions in the order ``axes`` names and
     ``shape`` giving their sizes in that order."""
-    stored = _picker([sorted(axes).index(a) for a in axes])
+    stored = _picker(tuple(sorted(axes).index(a) for a in axes))
     return _summed(((stored(entry), entry[-1]) for entry in entries), shape)
 
 
@@ -222,7 +225,7 @@ def _entries(table: _Table, axes: str):
     """The (indices..., value) entries of a table whose positions are in
     the order ``axes`` names, each with its indices in sorted label order,
     in stored order."""
-    order = _picker([axes.index(a) for a in sorted(axes)])
+    order = _picker(tuple(axes.index(a) for a in sorted(axes)))
     return [(*order(at), x) for at, x in table.entries]
 
 
@@ -256,7 +259,7 @@ def _dense(hits, *shape):
 def _view(table: _Table, order=None):
     """The dense nested tuple of a table, its positions read in ``order``
     (stored order by default)."""
-    pick = _picker(order) if order else lambda at: at
+    pick = _picker(tuple(order)) if order else lambda at: at
     shape = pick(table.shape)
     hits = []
     for at, x in table.entries:
@@ -271,7 +274,7 @@ def _rekey(entries, keys: tuple):
     """(indices, value) entries indexed by the indices at positions
     ``keys``: each key maps to (the other indices, value) pairs, in entry
     order."""
-    rest = _picker([p for p in range(len(entries[0][0])) if p not in keys]) if entries else None
+    rest = _picker(tuple(p for p in range(len(entries[0][0])) if p not in keys)) if entries else None
     key, index = _key(keys), {}
     for indices, x in entries:
         index.setdefault(key(indices), []).append((rest(indices), x))
@@ -303,7 +306,7 @@ def _row_dicts(table: _Table, count: int):
 
 def _permuted(table: _Table, order) -> _Table:
     """The table with each entry's indices read in ``order``: a transpose."""
-    pick = _picker(order)
+    pick = _picker(tuple(order))
     moved = sorted(((pick(at), x) for at, x in table.entries), key=itemgetter(0))
     return _Table(tuple(moved), pick(table.shape))
 
@@ -354,7 +357,7 @@ def _gauss_jordan(rows):
     yields that row's (column, value) pivot, at the least column left once
     the rows before reduce it, or None if the row reduces to zero.  A
     caller that has seen enough stops, and no further row is read."""
-    pivots = {}
+    pivots, holding = {}, {}  # holding: column -> the pivot rows nonzero there
     yield pivots
     for row in map(dict, rows):
         for col in [c for c in row if c in pivots]:
@@ -366,9 +369,16 @@ def _gauss_jordan(rows):
         lead = (col, scalar(row[col]))
         scale = lead[1] if lead[1] in (ONE, -ONE) else div(ONE, lead[1])  # a unit is its own inverse
         row = {c: v * scale for c, v in row.items()}
-        for other in pivots.values():
-            if col in other:
-                _axpy(other, -other[col], row)
+        for p in holding.pop(col, ()):
+            other = pivots[p]
+            _axpy(other, -other[col], row)
+            for c in row:
+                if c in other:
+                    holding.setdefault(c, set()).add(p)
+                elif c in holding:
+                    holding[c].discard(p)
+        for c in row.keys() - {col}:  # no later pivot falls in column col
+            holding.setdefault(c, set()).add(col)
         pivots[col] = row
         yield lead
 

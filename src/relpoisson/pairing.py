@@ -12,16 +12,17 @@ from functools import cached_property
 
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
+    _REL_POISSON,
     AxiomReport,
-    Collector,
     PreconditionError,
     RelPoissonAlgebra,
     _block_sum,
+    _check,
+    _Checker,
     _families,
     _matrices,
     _require,
-    _sweep,
-    check_rel_poisson,
+    _Use,
 )
 from .linalg import (
     ONE,
@@ -45,7 +46,7 @@ from .linalg import (
     _table,
     _view,
 )
-from .representations import RepData, _rep, check_representation
+from .representations import _REPRESENTATION, RepData, _rep
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -107,9 +108,7 @@ def check_invariant_form(
     B([x,y], z) = B(x, [y,z])  on all basis triples."""
     if form.space != alg.space:
         raise ValueError("form and algebra live on different spaces")
-    coll = Collector(limit)
-    _sweep(coll, _INVARIANCE, alg.dim, M=alg.dot, B=alg.bracket, G=form)
-    return coll.report()
+    return _check(_INVARIANCE, limit, M=alg.dot, B=alg.bracket, G=form)
 
 
 def adjoint_of(op: LinearMap, form: BilinearForm) -> LinearMap:
@@ -207,6 +206,28 @@ _MATCHED = {
 }
 
 
+# The factors and the actions of a matched pair are the tables M1, B1, D1
+# and MU1, RHO1 (left acting) and M2, B2, D2 and MU2, RHO2 (right acting);
+# the "-left" families have the left factor acting on the right one
+_ACTING = {
+    "left": dict(M="M2", B="B2", D="D2", P="D1", MU="MU1", RHO="RHO1", MUB="MU2", RHOB="RHO2"),
+    "right": dict(M="M1", B="B1", D="D1", P="D2", MU="MU2", RHO="RHO2", MUB="MU1", RHOB="RHO1"),
+}
+_MATCHED_PAIR = _Checker(
+    _Use("left-factor:", _REL_POISSON, M="M1", B="B1", D="D1"),
+    _Use("right-factor:", _REL_POISSON, M="M2", B="B2", D="D2"),
+    _Use("rep-on-right:", _REPRESENTATION, M="M1", B="B1", D="D1", MU="MU1", RHO="RHO1", AL="D2"),
+    _Use("rep-on-left:", _REPRESENTATION, M="M2", B="B2", D="D2", MU="MU2", RHO="RHO2", AL="D1"),
+    # dot- and bracket-matched report the left side first, the cross
+    # families the right side first
+    *(
+        _Use("", _MATCHED[side][family], **_ACTING[side])
+        for family, sides in enumerate((("left", "right"),) * 2 + (("right", "left"),) * 2)
+        for side in sides
+    ),
+)
+
+
 def check_matched_pair(
     data: MatchedPairData, limit: int = DEFAULT_VIOLATION_LIMIT
 ) -> AxiomReport:
@@ -215,28 +236,9 @@ def check_matched_pair(
     bowtie being relative Poisson).  A "-left" family has the left factor
     acting, a "-right" family the right one."""
     a1, a2 = data.left, data.right
-    on_right, on_left = data.as_rep_on_right(), data.as_rep_on_left()
-    coll = Collector(limit)
-    coll.merge(check_rel_poisson(a1, limit), "left-factor:")
-    coll.merge(check_rel_poisson(a2, limit), "right-factor:")
-    coll.merge(check_representation(on_right, limit), "rep-on-right:")
-    coll.merge(check_representation(on_left, limit), "rep-on-left:")
-    mu1, rho1, mu2, rho2 = data._mu1, data._rho1, data._mu2, data._rho2
-    # the "-left" families have the left factor acting on the right one
-    acting = {
-        "left": (a2.dim, dict(M=a2.dot, B=a2.bracket, D=a2.derivation, P=a1.derivation,
-                              MU=mu1, RHO=rho1, MUB=mu2, RHOB=rho2)),
-        "right": (a1.dim, dict(M=a1.dot, B=a1.bracket, D=a1.derivation, P=a2.derivation,
-                               MU=mu2, RHO=rho2, MUB=mu1, RHOB=rho1)),
-    }
-    # dot- and bracket-matched report the left side first, the cross
-    # families the right side first
-    left_first, right_first = ("left", "right"), ("right", "left")
-    for family, sides in enumerate((left_first, left_first, right_first, right_first)):
-        for side in sides:
-            dim, tables = acting[side]
-            _sweep(coll, _MATCHED[side][family], dim, **tables)
-    return coll.report()
+    tables = dict(M1=a1.dot, B1=a1.bracket, D1=a1.derivation, MU1=data._mu1, RHO1=data._rho1)
+    tables.update(M2=a2.dot, B2=a2.bracket, D2=a2.derivation, MU2=data._mu2, RHO2=data._rho2)
+    return _check(_MATCHED_PAIR, limit, **tables)
 
 
 def combine_matched_pair(data: MatchedPairData) -> RelPoissonAlgebra:
@@ -272,6 +274,22 @@ _DERIVATION_BLOCK = tuple(
 )
 
 
+def _nondegenerate(coll, prefix: str, form: BilinearForm) -> None:
+    """The hand loop of the pairing form's nondegeneracy, a determinant."""
+    if not is_nondegenerate(form):
+        coll.check(prefix + "pairing-nondegenerate", (), (ONE,))
+
+
+# G is the canonical pairing form of the double
+_MANIN_TRIPLE = _Checker(
+    _SUBALGEBRA,
+    _DERIVATION_BLOCK,
+    _Use("double:", _REL_POISSON, M="WM", B="WB", D="WD"),
+    _Use("pairing:", _INVARIANCE, M="WM", B="WB"),
+    (_nondegenerate, "G"),
+)
+
+
 def check_manin_triple(
     alg: RelPoissonAlgebra,
     dual_alg: RelPoissonAlgebra,
@@ -292,15 +310,7 @@ def check_manin_triple(
     for S, sub, off in (("L", alg, 0), ("R", dual_alg, n)):
         tables.update({S + "M": sub.dot, S + "B": sub.bracket, S + "D": sub.derivation})
         tables[S + "J"] = _blocks((n, 2 * n), ((0, off), _identity(n)))
-    coll = Collector(limit)
-    _sweep(coll, _SUBALGEBRA, 2 * n, **tables)
-    _sweep(coll, _DERIVATION_BLOCK, 2 * n, **tables)
-    coll.merge(check_rel_poisson(double, limit), "double:")
-    form = canonical_pairing(double.space)
-    coll.merge(check_invariant_form(double, form, limit), "pairing:")
-    if not is_nondegenerate(form):
-        coll.check("pairing-nondegenerate", (), (ONE,))
-    return coll.report()
+    return _check(_MANIN_TRIPLE, limit, G=canonical_pairing(double.space), **tables)
 
 
 __all__ = [

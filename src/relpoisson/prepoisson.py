@@ -8,13 +8,15 @@ from dataclasses import dataclass
 
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
+    _DERIVATION_RULE,
     AxiomReport,
     BilinearOp,
-    Collector,
     RelPoissonAlgebra,
+    _check,
+    _Checker,
     _derived_product,
     _require,
-    _sweep,
+    _Use,
     check_derivation,
     combine_reports,
 )
@@ -62,30 +64,28 @@ _MIXED = (
 
 def check_zinbiel(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """x*(y*z) = (y*x)*z + (x*y)*z on basis triples."""
-    coll = Collector(limit)
-    _sweep(coll, _ZINBIEL, m.space.dim, S=m)
-    return coll.report()
+    return _check(_ZINBIEL, limit, S=m)
 
 
 def check_prelie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """(x o y) o z - x o (y o z) is symmetric in x and y on basis triples."""
-    coll = Collector(limit)
-    _sweep(coll, _PRELIE, m.space.dim, C=m)
-    return coll.report()
+    return _check(_PRELIE, limit, C=m)
+
+
+_REL_PRE_POISSON = _Checker(
+    _ZINBIEL,
+    _PRELIE,
+    _Use("star:", _DERIVATION_RULE, M="S"),
+    _Use("circ:", _DERIVATION_RULE, M="C"),
+    _MIXED,
+)
 
 
 def check_rel_pre_poisson(
     pp: RelPrePoissonAlgebra, limit: int = DEFAULT_VIOLATION_LIMIT
 ) -> AxiomReport:
     """Zinbiel + pre-Lie + derivation of both + the two mixed conditions."""
-    star, circ, der = pp.star, pp.circ, pp.derivation
-    coll = Collector(limit)
-    coll.merge(check_zinbiel(star, limit))
-    coll.merge(check_prelie(circ, limit))
-    coll.merge(check_derivation(star, der, limit), "star:")
-    coll.merge(check_derivation(circ, der, limit), "circ:")
-    _sweep(coll, _MIXED, pp.dim, S=star, C=circ, D=der)
-    return coll.report()
+    return _check(_REL_PRE_POISSON, limit, S=pp.star, C=pp.circ, D=pp.derivation)
 
 
 def circ_from_derivation(star: BilinearOp, der: LinearMap) -> BilinearOp:

@@ -15,8 +15,9 @@ Dual-space conventions (fixed in :mod:`relpoisson.linalg`): for an action
 ``phi`` the dual action is ``phi*(x) = -phi(x)^T`` on V*, while the dual
 of a plain endomorphism ``beta: V -> V`` is the transpose ``beta^T``.
 
-Every condition family is a term spec swept by
-:func:`relpoisson.algebra._sweep`: an action family is the labelled table
+Every condition family is a term spec, contracted with the others of its
+checker (:class:`relpoisson.algebra._Checker`) in one call: an action
+family is the labelled table
 "xjr", and a matrix-valued defect "rc" is a module matrix, row r and
 column c, so a product A B reads "B:ct,A:tr".
 """
@@ -30,14 +31,15 @@ from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
     AxiomReport,
     BilinearOp,
-    Collector,
     NoUnitError,
     RelPoissonAlgebra,
     _block_sum,
+    _check,
+    _Checker,
     _families,
     _matrices,
     _require,
-    _sweep,
+    _Use,
     ad_map,
     find_unit,
 )
@@ -165,21 +167,17 @@ def check_compatible_structure(
 ) -> AxiomReport:
     """Action axioms for both products plus their compatibility condition."""
     alg = cs.algebra
-    coll = Collector(limit)
-    tables = dict(M=alg.dot, B=alg.bracket, W=alg.derivation, MU=cs._mu, RHO=cs._rho)
-    _sweep(coll, _COMPATIBLE, cs.space.dim, **tables)
-    return coll.report()
+    return _check(_COMPATIBLE, limit, M=alg.dot, B=alg.bracket, W=alg.derivation, MU=cs._mu, RHO=cs._rho)
+
+
+_REPRESENTATION = _Checker(_Use("", _COMPATIBLE, W="D"), _ENDO, _REP_LEIBNIZ)
 
 
 def check_representation(rep: RepData, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """All five condition families of a representation."""
-    coll = Collector(limit)
-    coll.merge(check_compatible_structure(rep, limit))
     alg = rep.algebra
-    tables = dict(M=alg.dot, D=alg.derivation, MU=rep._mu, RHO=rep._rho, AL=rep._alpha)
-    _sweep(coll, _ENDO, rep.space.dim, **tables)
-    _sweep(coll, _REP_LEIBNIZ, rep.space.dim, **tables)
-    return coll.report()
+    tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, MU=rep._mu, RHO=rep._rho, AL=rep._alpha)
+    return _check(_REPRESENTATION, limit, **tables)
 
 
 def adjoint_rep(alg: RelPoissonAlgebra) -> RepData:
@@ -217,6 +215,9 @@ def dual_rep(cs: CompatibleStructure, beta: Matrix | LinearMap) -> RepData:
     return _rep(cs.algebra, dual, mu, rho, alpha)
 
 
+_DUAL_REP_CONDITIONS = _Checker(_DUAL_REP, _DUAL_REP_LEIBNIZ)
+
+
 def check_dual_rep_conditions(
     cs: CompatibleStructure,
     beta: Matrix | LinearMap,
@@ -230,13 +231,9 @@ def check_dual_rep_conditions(
         -rho(x.y) + rho(y) mu(x) + rho(x) mu(y) + beta mu(x.y) = 0
     """
     alg = cs.algebra
-    m = cs.space.dim
-    beta = _beta_columns(beta, m)
+    beta = _beta_columns(beta, cs.space.dim)
     tables = dict(M=alg.dot, D=alg.derivation, MU=cs._mu, RHO=cs._rho, BE=beta)
-    coll = Collector(limit)
-    _sweep(coll, _DUAL_REP, m, **tables)
-    _sweep(coll, _DUAL_REP_LEIBNIZ, m, **tables)
-    return coll.report()
+    return _check(_DUAL_REP_CONDITIONS, limit, **tables)
 
 
 # M is the dot, B the bracket, D the derivation and Q the candidate
@@ -248,6 +245,7 @@ _DUAL_ADJOINT = (
 _DUAL_ADJOINT_CYCLIC = (
     ("dual-adjoint-cyclic", "xyz", "s", "M:yzt,B:xts + M:zxt,B:yts + M:xyt,B:zts + M:xyt,M:tzu,Q:us"),
 )
+_DUALLY_REPRESENTS = _Checker(_DUAL_ADJOINT, _DUAL_ADJOINT_CYCLIC)
 
 
 def check_dually_represents(
@@ -259,13 +257,13 @@ def check_dually_represents(
         [x, Q(y)] - [D(x), y] - Q([x, y]) = 0
         [x, y.z] + [y, z.x] + [z, x.y] + Q(x.y.z) = 0
     """
+    _require_endomorphism(alg, candidate)
+    return _check(_DUALLY_REPRESENTS, limit, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=candidate)
+
+
+def _require_endomorphism(alg: RelPoissonAlgebra, candidate: LinearMap) -> None:
     if candidate.domain != alg.space or candidate.codomain != alg.space:
         raise ValueError("candidate is not an endomorphism of the algebra's space")
-    tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, Q=candidate)
-    coll = Collector(limit)
-    _sweep(coll, _DUAL_ADJOINT, alg.dim, **tables)
-    _sweep(coll, _DUAL_ADJOINT_CYCLIC, alg.dim, **tables)
-    return coll.report()
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +327,10 @@ def check_rep_equivalence(rep1: RepData, rep2: RepData, phi: LinearMap) -> bool:
     if not _determinant(_row_dicts(phi._sparse, phi.domain.dim)):
         return False
     tables = dict(MU=rep1._mu, NU=rep2._mu, RHO=rep1._rho, SIGMA=rep2._rho, P=phi)
-    coll = Collector(0)
-    _sweep(coll, _INTERTWINE, phi.domain.dim, AL=rep1._alpha, BE=rep2._alpha, **tables)
-    return coll.ok
+    return _check(_INTERTWINE, 0, AL=rep1._alpha, BE=rep2._alpha, **tables).ok
+
+
+_JACOBI_REPRESENTATION = _Checker(_UNITAL, _JACOBI_ACTIONS)
 
 
 def check_jacobi_representation(
@@ -360,11 +359,8 @@ def _jacobi_representation(dot, bracket, mu, rho, m: int, limit: int = DEFAULT_V
     if unit is None:
         raise NoUnitError("multiplication has no two-sided unit")
     hits = _table([(k, u) for k, u in enumerate(unit) if u], "k", (len(unit),))
-    coll = Collector(limit)
-    _sweep(coll, _UNITAL, m, U=hits, MU=mu, I=_identity(m))
     tables = dict(M=dot, B=bracket, U=hits, W=ad_map(bracket, unit), MU=mu, RHO=rho)
-    _sweep(coll, _JACOBI_ACTIONS, m, **tables)
-    return coll.report()
+    return _check(_JACOBI_REPRESENTATION, limit, I=_identity(m), **tables)
 
 
 __all__ = [

@@ -2,9 +2,10 @@
 relative Poisson YBE, coboundary comultiplications, the full coboundary
 condition sweep, and O-operators.
 
-Every condition family is a term spec swept by :func:`relpoisson.algebra._sweep`:
-a signed sum of products of the stored tables of r, the products and the
-maps.  The three contraction patterns
+Every condition family is a term spec, contracted with the others of its
+checker (:class:`relpoisson.algebra._Checker`) in one call: a signed sum
+of products of the stored tables of r, the products and the maps.  The
+three contraction patterns
 
     r12 * r13 = sum a_i * a_j (x) b_i (x) b_j
     r12 * r23 = sum a_i (x) b_i * a_j (x) b_j
@@ -22,12 +23,13 @@ from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
     AxiomReport,
     BilinearOp,
-    Collector,
     PreconditionError,
     RelPoissonAlgebra,
+    _check,
+    _Checker,
     _contract,
     _require,
-    _sweep,
+    _Use,
 )
 from .coalgebra import Comultiplication
 from .linalg import (
@@ -42,10 +44,14 @@ from .linalg import (
     _summed,
 )
 from .representations import (
+    _DUAL_REP_CONDITIONS,
+    _DUALLY_REPRESENTS,
+    _REPRESENTATION,
     CompatibleStructure,
     RepData,
     _beta_columns,
     _module_map,
+    _require_endomorphism,
     _semidirect,
     check_dual_rep_conditions,
     check_dually_represents,
@@ -79,6 +85,7 @@ _OPERATOR = (
 )
 # P r - r Q* for the map r: A* -> A
 _OPERATOR_INTERTWINE = (("operator-intertwine", "", "ab", "R:bt,D:ta - R:ta,Q:tb"),)
+_RPYBE_VIA_MAPS = _Checker(_OPERATOR, _OPERATOR_INTERTWINE)
 _COBOUNDARY = (
     # Delta(x) = (id (x) L(x) - L(x) (x) id) r
     ("dot", "k", "ij", "R:it,M:ktj - R:tj,M:kti"),
@@ -124,10 +131,7 @@ def check_rpybe(
     A(r) = 0, C(r) = 0, (P (x) id - id (x) Q) r = 0 and
     (Q (x) id - id (x) P) r = 0."""
     _require_on(alg, r, codrv)
-    coll = Collector(limit)
-    tables = dict(R=r, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv)
-    _sweep(coll, _RPYBE, alg.dim, **tables)
-    return coll.report()
+    return _check(_RPYBE, limit, R=r, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv)
 
 
 def check_rpybe_via_maps(
@@ -148,11 +152,7 @@ def check_rpybe_via_maps(
     _require_on(alg, r, codrv)
     if not is_antisymmetric(r):
         raise PreconditionError("tensor is not antisymmetric")
-    coll = Collector(limit)
-    tables = dict(R=r, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv)
-    _sweep(coll, _OPERATOR, alg.dim, **tables)
-    _sweep(coll, _OPERATOR_INTERTWINE, alg.dim, **tables)
-    return coll.report()
+    return _check(_RPYBE_VIA_MAPS, limit, R=r, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv)
 
 
 def coboundary_comults(
@@ -220,6 +220,7 @@ _COBOUNDARY_CONDITIONS = (
 _UNIT_COMPAT = (
     ("mixed-unit-compat", "xy", "ab", "M:xyt,R:wu,Q:ub,M:twa - M:xyt,R:ub,D:uw,M:twa"),
 )
+_COBOUNDARY_CHECK = _Checker(_COBOUNDARY_CONDITIONS, _UNIT_COMPAT)
 
 
 def check_coboundary_conditions(
@@ -234,11 +235,7 @@ def check_coboundary_conditions(
     dually represents the algebra."""
     _require_on(alg, r, codrv)
     _require(check_dually_represents(alg, codrv), "map does not dually represent the algebra")
-    coll = Collector(limit)
-    tables = dict(R=r, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv)
-    _sweep(coll, _COBOUNDARY_CONDITIONS, alg.dim, **tables)
-    _sweep(coll, _UNIT_COMPAT, alg.dim, **tables)
-    return coll.report()
+    return _check(_COBOUNDARY_CHECK, limit, R=r, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +259,7 @@ _O_OPERATOR = (
 )
 # D T - T endo, row p and column c of an n-by-m matrix
 _O_INTERTWINE = (("operator-intertwine", "", "pc", "T:cr,D:rp - E:cr,T:rp"),)
+_WEAK_O_OPERATOR = _Checker(_O_OPERATOR, _O_INTERTWINE)
 
 
 def check_weak_o_operator(
@@ -284,16 +282,21 @@ def check_weak_o_operator(
     m = cs.space.dim
     endo = _module_map(endo, m, "endo is not an endomorphism of the module")
     tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, T=operator, E=endo)
-    coll = Collector(limit)
-    _sweep(coll, _O_OPERATOR, alg.dim, MU=cs._mu, RHO=cs._rho, **tables)
-    _sweep(coll, _O_INTERTWINE, {"p": alg.dim, "c": m}, **tables)
-    return coll.report()
+    return _check(_WEAK_O_OPERATOR, limit, MU=cs._mu, RHO=cs._rho, **tables)
 
 
 # act(Q x) - act(x) alpha - beta act(x)
 _MIXED_ACTION = (
     ("mixed-action-dot", "x", "rc", "Q:xt,MU:tcr - AL:ct,MU:xtr - MU:xct,BE:tr"),
     ("mixed-action-bracket", "x", "rc", "Q:xt,RHO:tcr - AL:ct,RHO:xtr - RHO:xct,BE:tr"),
+)
+
+
+_SEMIDIRECT_DUAL = _Checker(
+    _Use("rep:", _REPRESENTATION),
+    _Use("beta:", _DUAL_REP_CONDITIONS),
+    _Use("codrv:", _DUALLY_REPRESENTS),
+    _MIXED_ACTION,
 )
 
 
@@ -312,14 +315,10 @@ def check_semidirect_dual_conditions(
         rho(Q x) - rho(x) alpha - beta rho(x) = 0.
     """
     alg = rep.algebra
-    m = rep.space.dim
-    coll = Collector(limit)
-    coll.merge(check_representation(rep, limit), "rep:")
-    coll.merge(check_dual_rep_conditions(rep, beta, limit), "beta:")
-    coll.merge(check_dually_represents(alg, codrv, limit), "codrv:")
-    tables = dict(Q=codrv, MU=rep._mu, RHO=rep._rho, AL=rep._alpha, BE=_beta_columns(beta, m))
-    _sweep(coll, _MIXED_ACTION, m, **tables)
-    return coll.report()
+    beta = _beta_columns(beta, rep.space.dim)
+    _require_endomorphism(alg, codrv)
+    tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv, BE=beta)
+    return _check(_SEMIDIRECT_DUAL, limit, MU=rep._mu, RHO=rep._rho, AL=rep._alpha, **tables)
 
 
 def o_operator_to_rmatrix(
@@ -342,10 +341,7 @@ def o_operator_to_rmatrix(
     if codrv.domain.dim != n or codrv.codomain.dim != n:
         raise ValueError("dual map is not an endomorphism of the algebra's space")
     # Q T - T beta, the intertwining family of an O-operator's D T - T alpha
-    coll = Collector(0)
-    tables = dict(T=operator, D=codrv, E=_beta_columns(beta, m))
-    _sweep(coll, _O_INTERTWINE, {"p": n, "c": m}, **tables)
-    if not coll.ok:
+    if not _check(_O_INTERTWINE, 0, T=operator, D=codrv, E=_beta_columns(beta, m)).ok:
         raise PreconditionError("operator does not intertwine beta with the dual map")
     semidirect = _semidirect(dual_rep(rep, beta))
     # T(v_i) (x) v_i* - v_i* (x) T(v_i), with v_i* at index n + i: row t < n

@@ -302,6 +302,16 @@ def test_json_output_on_every_fixture_is_pinned(capsys, fixture, command):
     assert (code, capsys.readouterr().out) == (expected["exit"], expected["stdout"])
 
 
+def test_truncated_nested_report_byte_identical_to_golden(capsys):
+    # 18 violations across the algebra:, coalgebra: and dual: sections, cut
+    # at 16 inside the dual: one
+    reports = FIXTURES / "reports"
+    assert main(["check", "--json", str(reports / "bialgebra_2d_failing.json")]) == 1
+    out = capsys.readouterr().out
+    assert out.encode() == (reports / "golden_check_bialgebra_2d_failing.json").read_bytes()
+    assert json.loads(out)["truncated"]
+
+
 def _entry_count(doc):
     """The entries of a document, its embedded algebra's included."""
     nested = (_entry_count(value) for value in doc.values() if isinstance(value, dict))

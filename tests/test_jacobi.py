@@ -1,8 +1,9 @@
 """Unit extension, representation extension, O-operator lift, pipeline."""
 
 import ast
-import importlib
-import pkgutil
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -27,7 +28,7 @@ from relpoisson import (
     lift_o_operator,
     subadjacent,
 )
-from relpoisson import jacobi
+from relpoisson import algebra, jacobi
 from relpoisson.algebra import BilinearOp, ad_map
 from relpoisson.linalg import Space, basis_vector
 from dense_matrices import identity_matrix
@@ -189,45 +190,101 @@ def test_pipeline_rejects_invalid_input():
     assert err.value.stage == "pre-poisson"
 
 
-PIPELINE_CHECKER_CALLS = {
-    "check_rel_pre_poisson": 1,
-    "check_representation": 4,
-    "check_weak_o_operator": 2,
-    "check_rel_poisson": 5,
-    "check_jacobi_algebra": 1,
-    "_jacobi_representation": 1,
-    "check_rpybe": 1,
-    "check_bialgebra": 1,
-    "check_matched_pair": 1,
-    "check_manin_triple": 1,
-    "check_invariant_form": 1,
-    "is_nondegenerate": 1,
+# The families one pipeline call sweeps, by axiom name without prefixes,
+# each as often as it is swept: each stage's facts once, as written when
+# every checker swept its families one sweep at a time.  relative-leibniz
+# and the comm-assoc and Lie families run once for each relative Poisson
+# algebra checked (the sub-adjacent algebra, the bialgebra's, the two
+# factors of the matched pair and the double); derivation twice more, for
+# the pre-Poisson products; the representation families once each for the
+# O-operator lift, its rmatrix and the matched pair's two sides.
+PIPELINE_FAMILIES = {
+    "action-leibniz": 4, "anticocommutative": 1, "associative": 6, "aybe": 1,
+    "bracket-action": 5, "bracket-cocycle": 1, "bracket-invariance": 1,
+    "bracket-matched-left": 1, "bracket-matched-right": 1, "co-jacobi": 1, "co-leibniz": 1,
+    "coassociative": 1, "cocommutative": 1, "coderivation-bracket": 1, "coderivation-dot": 1,
+    "commutative": 6, "compatibility": 4, "comult-intertwine-bracket": 1,
+    "comult-intertwine-dot": 1, "comult-triple-product": 1, "cross-compatibility-left": 1,
+    "cross-compatibility-right": 1, "cross-leibniz-left": 1, "cross-leibniz-right": 1,
+    "cybe": 1, "derivation": 12, "derivation-left-block": 1, "derivation-right-block": 1,
+    "dot-action": 5, "dot-action-unital": 1, "dot-cocycle": 1, "dot-invariance": 1,
+    "dot-matched-left": 1, "dot-matched-right": 1, "dual-adjoint-bracket": 1,
+    "dual-adjoint-cyclic": 1, "dual-adjoint-dot": 1, "dual-rep-bracket": 1, "dual-rep-dot": 1,
+    "dual-rep-leibniz": 1, "dual-triple-product": 1, "endo-bracket": 4, "endo-dot": 4,
+    "intertwine-coderivation": 1, "intertwine-derivation": 1, "jacobi": 6,
+    "left-subalgebra-bracket": 1, "left-subalgebra-dot": 1, "mixed-bracket-dot": 1,
+    "mixed-bracket-side": 1, "mixed-dot-bracket": 1, "mixed-dot-side": 1,
+    "operator-bracket": 2, "operator-dot": 2, "operator-intertwine": 3, "pre-lie": 1,
+    "relative-leibniz": 5, "right-subalgebra-bracket": 1, "right-subalgebra-dot": 1,
+    "unital-action-leibniz": 1, "unital-compatibility": 1, "unital-leibniz": 1, "zinbiel": 1,
 }
 
 
+def _families(checker):
+    """Every family a checker's one contraction sweeps, in order."""
+    for section in checker.sections if isinstance(checker, algebra._Checker) else (checker,):
+        if isinstance(section, algebra._Use):
+            yield from _families(section.checker)
+        elif not callable(section[0]):  # a hand loop sweeps no family
+            yield from section
+
+
 def test_pipeline_verifies_each_fact_once(monkeypatch):
-    # check_rel_poisson runs in lift_o_operator, check_bialgebra, twice in
-    # check_matched_pair and in check_manin_triple; check_representation in
-    # lift_o_operator, o_operator_to_rmatrix and twice in check_matched_pair
-    import relpoisson
+    pp = worked_prepoisson()
+    swept = Counter()
+    contract = algebra._contract
 
-    namespaces = [relpoisson] + [
-        importlib.import_module(f"relpoisson.{info.name}")
-        for info in pkgutil.iter_modules(relpoisson.__path__)
-    ]
-    calls = Counter()
-    for name in PIPELINE_CHECKER_CALLS:
-        original = next(getattr(m, name) for m in namespaces if hasattr(m, name))
+    def counted(checker, tables):
+        swept.update(axiom for axiom, _, _, _ in _families(checker))
+        return contract(checker, tables)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    monkeypatch.setattr(algebra, "_contract", counted)
+    frobenius_jacobi_pipeline(pp)
+    assert dict(swept) == PIPELINE_FAMILIES
 
-        for module in namespaces:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    frobenius_jacobi_pipeline(worked_prepoisson())
-    assert dict(calls) == PIPELINE_CHECKER_CALLS
+
+# ---------------------------------------------------------------------------
+# set-up cost: nothing is planned at import, and a first pipeline call
+# plans each term of the families it sweeps once
+
+
+def _fresh_process(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that
+    imports the package from this checkout."""
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_plans_and_flattens_nothing():
+    out = _fresh_process(
+        "import importlib, pkgutil, relpoisson\n"
+        "for info in pkgutil.iter_modules(relpoisson.__path__):\n"
+        "    module = importlib.import_module(f'relpoisson.{info.name}')\n"
+        "    for name, value in vars(module).items():\n"
+        "        if hasattr(value, 'cache_info'):\n"
+        "            print(f'{info.name}.{name}', value.cache_info().currsize)\n"
+    )
+    caches = dict(line.split() for line in out.splitlines())
+    assert {"algebra._compile", "algebra._sections"} <= set(caches)
+    assert set(caches.values()) == {"0"}, caches
+
+
+def test_a_first_pipeline_call_plans_each_term_once():
+    # 218 is the number of terms of the families the pipeline sweeps, each
+    # planned once however many checkers use it
+    out = _fresh_process(
+        "from relpoisson import algebra, documents, frobenius_jacobi_pipeline\n"
+        "plans, plan = [], algebra._plan\n"
+        "algebra._plan = lambda *args: plans.append(args) or plan(*args)\n"
+        "doc = documents.parse_document(open('fixtures/prepoisson_zero_1d.json').read())\n"
+        "frobenius_jacobi_pipeline(documents.doc_to_rel_pre_poisson(doc))\n"
+        "print(len(plans))\n"
+    )
+    assert int(out) <= 218
 
 
 def test_pipeline_unit_biconditional(worked_bialgebra, worked_double):

@@ -1,6 +1,7 @@
 """Exact linear algebra layer: scalars, tensor operators, dual maps."""
 
 import itertools
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -405,6 +406,69 @@ def test_determinant_and_inverse_stop_at_the_first_dependent_row(monkeypatch):
     with pytest.raises(ValueError, match="singular"):
         mat_inverse(singular)
     assert len(read) == 2
+
+
+def _scanning_gauss_jordan(rows):
+    """The eliminator as written before its column index: back-substitution
+    scans every earlier pivot row for the new pivot column."""
+    pivots = {}
+    yield pivots
+    for row in map(dict, rows):
+        for col in [c for c in row if c in pivots]:
+            linalg._axpy(row, -row[col], pivots[col])
+        if not row:
+            yield None
+            continue
+        col = min(row)
+        lead = (col, linalg.scalar(row[col]))
+        row = {c: v * linalg.div(1, lead[1]) for c, v in row.items()}
+        for other in pivots.values():
+            if col in other:
+                linalg._axpy(other, -other[col], row)
+        pivots[col] = row
+        yield lead
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 6), st.sampled_from((1, -1, 2, F(1, 3), F(-3, 2))), max_size=4),
+        max_size=8,
+    )
+)
+def test_eliminator_leads_and_pivots_match_the_scanning_eliminator(rows):
+    new, old = ELIMINATOR(rows), _scanning_gauss_jordan(rows)
+    new_pivots, old_pivots = next(new), next(old)
+    assert list(new) == list(old)
+    assert list(new_pivots.items()) == list(old_pivots.items())
+    assert all(list(new_pivots[c]) == list(old_pivots[c]) for c in old_pivots)
+
+
+def _lines_run(fn, *args):
+    """The lines of ``fn`` run while the generator it returns is drained."""
+    count, code = [0], fn.__code__
+
+    def tracer(frame, event, _arg):
+        if frame.f_code is not code:
+            return None
+        count[0] += event == "line"
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        list(fn(*args))
+    finally:
+        sys.settrace(None)
+    return count[0]
+
+
+def test_back_substitution_reads_only_the_rows_holding_the_pivot_column():
+    # no pivot row of a diagonal system holds a later pivot column, so
+    # eliminating it runs a bounded number of lines per row; scanning every
+    # earlier pivot row runs n(n-1)/2 inspections
+    diagonal = lambda n: [{i: 2} for i in range(n)]
+    assert _lines_run(ELIMINATOR, diagonal(400)) <= 2 * _lines_run(ELIMINATOR, diagonal(200))
+    assert _lines_run(_scanning_gauss_jordan, diagonal(400)) > 3 * _lines_run(_scanning_gauss_jordan, diagonal(200))
 
 
 # ---------------------------------------------------------------------------
