@@ -103,13 +103,13 @@ class Collector:
     def __init__(self, limit: int = DEFAULT_VIOLATION_LIMIT):
         self.limit = limit
         self.violations = []
-        self.ok = True
         self.truncated = False
+
+    ok = property(lambda self: not (self.violations or self.truncated))
 
     def check(self, axiom: str, where: tuple, defect) -> None:
         if vec_is_zero(defect):
             return
-        self.ok = False
         if len(self.violations) < self.limit:
             self.violations.append(Violation(axiom, tuple(where), tuple(defect)))
         else:
@@ -118,7 +118,6 @@ class Collector:
     def merge(self, report: AxiomReport, prefix: str = "") -> None:
         if report.ok:
             return
-        self.ok = False
         room = max(self.limit - len(self.violations), 0)
         taken = report.violations[:room]
         if prefix:
@@ -405,11 +404,12 @@ def _table_of(table) -> _Table:
     return found
 
 
-def _plan(term: str, where: str, defect: str, arities: dict):
+def _plan(term: str, where: str, defect: str, arities: dict, axes: set):
     """The join plan of one term: its first factor, one (table, keys, key
     reader) step per later factor but the last, the last (None for a
     one-factor term), and the positions of the reported labels in a path's
-    indices; records each table's number of labels in ``arities``.
+    indices; records each table's number of labels in ``arities`` and each
+    (label, table, axis) in ``axes``.
 
     Factors are joined greedily, the one with the most bound labels next.
     A step reads its table through the index re-keyed on the positions
@@ -421,6 +421,7 @@ def _plan(term: str, where: str, defect: str, arities: dict):
         name, labels = factors.pop(ranked.index(max(ranked)))
         if len(set(labels)) != len(labels) or arities.setdefault(name, len(labels)) != len(labels):
             raise ValueError(f"factor {name}:{labels} repeats a label or changes arity")
+        axes.update((l, name, p) for p, l in enumerate(labels))
         keys = tuple(p for p, l in enumerate(labels) if l in bound)
         steps.append((name, keys, _key(tuple(bound.index(labels[p]) for p in keys))))
         bound += [l for l in labels if l not in bound]
@@ -433,22 +434,35 @@ def _plan(term: str, where: str, defect: str, arities: dict):
 
 @functools.cache
 def _compile(families: tuple):
-    """The join plans of each family's terms, with their signs, the tables
-    they name and those they read first; planned once per process."""
+    """Per family, the join plans of its terms, with their signs, and the
+    (table, axis) pairs each defect label labels in any term; and the
+    tables the families name.  Planned once per process."""
     groups, arities = [], {}
     for _axiom, where, defect, terms in families:
-        found = re.findall(r"(-?)\s*([\w:,]+)", terms.replace("+", ""))
-        groups.append([(sign == "-", *_plan(term, where, defect, arities)) for sign, term in found])
-    return groups, tuple(arities), tuple({plan[1] for plans in groups for plan in plans})
+        found, axes = re.findall(r"(-?)\s*([\w:,]+)", terms.replace("+", "")), set()
+        plans = tuple((sign == "-", *_plan(term, where, defect, arities, axes)) for sign, term in found)
+        groups.append((plans, tuple(tuple((n, a) for l, n, a in axes if l == d) for d in defect)))
+    return tuple(groups), tuple(arities)
+
+
+def _renamed(compiled, to: dict):
+    """Compiled plans with each table name in them, their only strings,
+    read as ``to[name]``; a part that renames nothing is shared."""
+    if isinstance(compiled, str):
+        return to[compiled]
+    if not isinstance(compiled, tuple):
+        return compiled
+    parts = tuple(_renamed(part, to) for part in compiled)
+    return compiled if parts == compiled else parts
 
 
 @functools.cache
 def _sections(checker) -> tuple:
     """A checker, or one sweep's families, flattened once: its sections in
-    report order, (families, prefix, the caller's names of their tables if
-    others, plans) or (hand loop, prefix, its table's caller's name, None);
-    and the tables the sweeps read and read first."""
-    sections, names, firsts = [], set(), set()
+    report order, (families, prefix, per family its plans and defect axes)
+    or ((hand loop, table), prefix, ()), every table under the caller's
+    name, sharing what renames nothing; and the tables the sweeps read."""
+    sections, names = [], set()
 
     def walk(checker, prefix, bind):
         for section in checker.sections if isinstance(checker, _Checker) else (checker,):
@@ -456,43 +470,35 @@ def _sections(checker) -> tuple:
                 inner = {**bind, **{own: bind.get(name, name) for own, name in section.names.items()}}
                 walk(section.checker, prefix + section.prefix, inner)
             elif callable(section[0]):
-                sections.append((section[0], prefix, bind.get(section[1], section[1]), None))
+                sections.append(((section[0], bind.get(section[1], section[1])), prefix, ()))
             else:
-                compiled = _compile(section)
-                tops = tuple(bind.get(name, name) for name in compiled[1])
-                sections.append((section, prefix, tops if tops != compiled[1] else None, compiled))
-                names.update(tops)
-                firsts.update(bind.get(name, name) for name in compiled[2])
+                groups, own = _compile(section)
+                to = {name: bind.get(name, name) for name in own}
+                sections.append((section, prefix, _renamed(groups, to)))
+                names.update(to.values())
 
     walk(checker, "", {})
-    return sections, tuple(names), tuple(firsts)
+    return sections, tuple(names)
 
 
 def _contract(checker, tables: dict):
     """Every term of a checker's families, or one sweep's, summed over the
     named tables, as one {(*where, *defect): nonzero value} dict per
-    family; each first read is resolved once, and a family's cancelled sums
-    are dropped once its last term is folded.  A term stops at its first
-    empty join, and its last join adds straight into the sums."""
-    sections, names, firsts = _sections(checker)
+    family; a family's cancelled sums are dropped once its last term is
+    folded.  A term stops at its first empty join, and its last join adds
+    straight into the sums."""
+    sections, names = _sections(checker)
     tables = {name: _table_of(tables[name]) for name in names}
-    entries = {name: _read(tables[name]) for name in firsts}
     acc = []
-    for _families, _prefix, tops, compiled in sections:
-        if compiled is None:
-            continue  # a hand loop
-        groups, own, _ = compiled
-        local, heads = tables, entries
-        if tops:  # the families name the caller's tables otherwise
-            local, heads = dict(zip(own, map(tables.get, tops))), dict(zip(own, map(entries.get, tops)))
-        for plans in groups:
+    for _what, _prefix, groups in sections:
+        for plans, _axes in groups:  # a hand loop has none
             out = {}
             for negate, first, steps, last, project in plans:
-                rows = heads[first]
+                rows = tables[first].entries
                 for name, keys, at in steps:
                     if not rows:
                         break
-                    found = _read(local[name], keys)
+                    found = _read(tables[name], keys)
                     rows = [(v + free, p * x) for v, p in rows for free, x in found.get(at(v), ())]
                 if not rows:
                     continue
@@ -502,7 +508,7 @@ def _contract(checker, tables: dict):
                         out[key] = out.get(key, ZERO) + (-p if negate else p)
                     continue
                 name, keys, at = last
-                found = _read(local[name], keys)
+                found = _read(tables[name], keys)
                 for v, p in rows:
                     for free, x in found.get(at(v), ()):
                         key = project(v + free)
@@ -511,37 +517,24 @@ def _contract(checker, tables: dict):
     return acc
 
 
-@functools.cache
-def _defect_tables(family: tuple) -> tuple:
-    """The (table, axis) each defect label is read at in the family's first term."""
-    factors = [f.split(":") for f in re.match(r"\s*-?\s*([\w:,]+)", family[3])[1].split(",")]
-    return tuple(next((name, ls.index(l)) for name, ls in factors if l in ls) for l in family[2])
-
-
-def _sweep(coll: Collector, checker, dims, **tables) -> None:
-    """Contract a checker, or the families of one sweep, once and report
-    its sections in turn into the collector until it is full and truncated,
-    each failing instance under its prefixed axiom with its dense defect.
-    ``dims`` maps each defect label to its size, or is the one size of all
-    of them; None reads it off the table its family's first term reads."""
-    outs, at = _contract(checker, tables), 0
-    for what, prefix, tops, compiled in _sections(checker)[0]:
+def _check(checker, limit: int, **tables) -> AxiomReport:
+    """A checker's report, in one collector of the given limit: one
+    contraction, then its sections in turn until the collector is full and
+    truncated, each failing instance under its prefixed axiom with its
+    dense defect, each defect label as long as the longest axis it labels."""
+    coll, outs = Collector(limit), iter(_contract(checker, tables))
+    for what, prefix, groups in _sections(checker)[0]:
         if coll.truncated:
-            return
-        if compiled is None:
-            what(coll, prefix, tables[tops])  # a hand loop on its table
+            break
+        if callable(what[0]):
+            what[0](coll, prefix, tables[what[1]])  # a hand loop on its table
             continue
-        found, at = outs[at : at + len(what)], at + len(what)
-        if not any(found):
-            continue
-        named, cells, shapes = dict(zip(compiled[1], tops or compiled[1])), {}, {}
-        for fam, (family, out) in enumerate(zip(what, found)):
+        cells, shapes = {}, {}
+        # zip reads one sum per family of the section, and no more
+        for fam, ((_plans, axes), out) in enumerate(zip(groups, outs)):
             if out:
-                if dims is None:
-                    shape = [_table_of(tables[named[n]]).shape[a] for n, a in _defect_tables(family)]
-                else:
-                    shape = [dims[l] if isinstance(dims, dict) else dims for l in family[2]]
-                w, shapes[fam] = len(family[1]), shape
+                shape = shapes[fam] = [max(_table_of(tables[n]).shape[a] for n, a in pairs) for pairs in axes]
+                w = len(what[fam][1])
                 for key, value in out.items():
                     f = 0
                     for i, size in zip(key[w:], shape):
@@ -550,18 +543,12 @@ def _sweep(coll: Collector, checker, dims, **tables) -> None:
         for where, fam in sorted(cells):
             if len(coll.violations) >= coll.limit:
                 # every cell left fails, and a full collector keeps none of them
-                coll.ok, coll.truncated = False, True
-                return
+                coll.truncated = True
+                break
             vector = [ZERO] * math.prod(shapes[fam])
             for f, value in cells[where, fam].items():
                 vector[f] = value
             coll.check(prefix + what[fam][0], where, vector)
-
-
-def _check(checker, limit: int, **tables) -> AxiomReport:
-    """A checker's report, in one collector of the given limit."""
-    coll = Collector(limit)
-    _sweep(coll, checker, None, **tables)
     return coll.report()
 
 
@@ -572,7 +559,6 @@ _ASSOCIATIVE = (("associative", "ijk", "s", "M:ijt,M:tks - M:jkt,M:its"),)
 # [x,[y,z]] + [y,[z,x]] + [z,[x,y]]
 _JACOBI = (("jacobi", "ijk", "s", "B:jkt,B:its + B:kit,B:jts + B:ijt,B:kts"),)
 _DERIVATION = (("derivation", "ij", "s", "M:ijt,D:ts - D:it,M:tjs - D:jt,M:its"),)
-_DERIVATION_RULE = _Checker(_DERIVATION)
 # [z, x.y] - [z,x].y - x.[z,y] - x.y.w(z)
 _LEIBNIZ = "M:xyt,B:zts - B:zxt,M:tys - B:zyt,M:xts - M:xyt,W:zu,M:tus"
 _RELATIVE_LEIBNIZ = (("relative-leibniz", "xyz", "s", _LEIBNIZ),)
@@ -615,7 +601,7 @@ def check_derivation(
     """Leibniz rule  D(x*y) = D(x)*y + x*D(y)  on basis pairs."""
     if der.domain != m.space or der.codomain != m.space:
         raise ValueError("derivation is not an endomorphism of the algebra's space")
-    return _check(_DERIVATION_RULE, limit, M=m, D=der)
+    return _check(_DERIVATION, limit, M=m, D=der)
 
 
 def check_relative_leibniz(
@@ -635,8 +621,8 @@ def check_relative_leibniz(
 _REL_POISSON = _Checker(
     _Use("dot:", _COMM_ASSOC),
     _Use("bracket:", _LIE),
-    _Use("dot:", _DERIVATION_RULE),
-    _Use("bracket:", _DERIVATION_RULE, M="B"),
+    _Use("dot:", _DERIVATION),
+    _Use("bracket:", _DERIVATION, M="B"),
     _Use("", _RELATIVE_LEIBNIZ, W="D"),
 )
 

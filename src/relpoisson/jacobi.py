@@ -26,7 +26,6 @@ from .algebra import (
 from .coalgebra import (
     BialgebraData,
     check_bialgebra,
-    dual_rel_poisson_algebra,
     induced_matched_pair,
 )
 from .linalg import ONE, LinearMap, Space, _blocks, _identity, _row, _Table, _with, basis_vector
@@ -213,10 +212,9 @@ def frobenius_jacobi_pipeline(
     stage("matched-pair", check_matched_pair(pair))
 
     double = combine_matched_pair(pair)
-    dual_alg = dual_rel_poisson_algebra(bialgebra)
     # sweeps the double's relative Poisson axioms and the invariance and
     # nondegeneracy of its canonical pairing form
-    stage("double", check_manin_triple(semidirect, dual_alg, double))
+    stage("double", check_manin_triple(semidirect, pair.right, double))
     double_unit = find_unit(double.dot)
     if double_unit is None or double_unit != basis_vector(double.dim, 0):
         raise PipelineError("double", "double is not unital with the expected unit")

@@ -93,7 +93,7 @@ class Space:
     def dim(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def dual(self) -> Space:
         return Space(tuple(lab + "*" for lab in self.labels))
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
-    _DERIVATION_RULE,
+    _DERIVATION,
     AxiomReport,
     BilinearOp,
     RelPoissonAlgebra,
@@ -75,8 +75,8 @@ def check_prelie(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomRe
 _REL_PRE_POISSON = _Checker(
     _ZINBIEL,
     _PRELIE,
-    _Use("star:", _DERIVATION_RULE, M="S"),
-    _Use("circ:", _DERIVATION_RULE, M="C"),
+    _Use("star:", _DERIVATION, M="S"),
+    _Use("circ:", _DERIVATION, M="C"),
     _MIXED,
 )
 

@@ -28,7 +28,7 @@ from relpoisson import (
     check_relative_leibniz,
     find_unit,
 )
-from relpoisson.algebra import _compile, _contract, _table_of, ad_map, block_sum
+from relpoisson.algebra import _check, _compile, _contract, _table_of, ad_map, block_sum
 from relpoisson.linalg import _Table
 
 from conftest import (
@@ -326,12 +326,12 @@ def test_block_sum_matches_defining_formulas(inputs):
             assert list(total.bracket.product(p, q)) == br
 
 
-# Every axiom family is a term spec swept by algebra._sweep, except these
+# Every axiom family is a term spec reported by algebra._check, except these
 # two hand-loop sections, whose reports the term form cannot reproduce:
 # check_lie's antisymmetry (algebra._antisymmetric) reports only i <= j
 # and counts the diagonal once, and check_manin_triple's
 # pairing-nondegenerate (pairing._nondegenerate) is a determinant.
-HAND_LOOPS = {"algebra.py": {"_sweep", "_antisymmetric"}, "pairing.py": {"_nondegenerate"}}
+HAND_LOOPS = {"algebra.py": {"_check", "_antisymmetric"}, "pairing.py": {"_nondegenerate"}}
 SRC = Path(__file__).resolve().parent.parent / "src" / "relpoisson"
 
 
@@ -364,6 +364,25 @@ def test_collector_check_only_in_the_sweep_and_the_hand_loops():
 def test_compile_rejects_malformed_specs(terms, where, message):
     with pytest.raises(ValueError, match=message):
         _compile((("malformed", where, "s", terms),))
+
+
+def test_a_defect_label_is_as_long_as_the_longest_axis_it_labels():
+    """A defect label can label axes of different lengths in different
+    terms; its defect is laid out over the longest, not over the axis the
+    first term reads, which would be too short for B's entry in "f" and
+    would put B's entry (0, 1) of "g" in the cell of (1, 0)."""
+    families = (("f", "", "s", "A:s - B:s"), ("g", "", "st", "C:st - D:st"))
+    tables = dict(
+        A=_Table((((0,), 1),), (1,)),
+        B=_Table((((2,), 5),), (3,)),
+        C=_Table((((1, 0), 2),), (2, 1)),
+        D=_Table((((0, 1), 3),), (2, 2)),
+    )
+    report = _check(families, 16, **tables)
+    assert [(v.axiom, v.where, v.defect) for v in report.violations] == [
+        ("f", (), (1, 0, -5)),
+        ("g", (), (0, -3, 2, 0)),
+    ]
 
 
 VALUE = st.sampled_from((0, 0, 1, -1, F(1, 2)))

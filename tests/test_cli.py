@@ -312,6 +312,17 @@ def test_truncated_nested_report_byte_identical_to_golden(capsys):
     assert json.loads(out)["truncated"]
 
 
+def test_mixed_dimension_operator_report_byte_identical_to_golden(capsys):
+    # an operator from a 3-dim module into a 2-dim algebra: operator-dot's
+    # defect has the algebra's length, operator-intertwine's the 2-by-3 cells
+    reports = FIXTURES / "reports"
+    assert main(["check", "--json", str(reports / "representation_operator_failing.json")]) == 1
+    out = capsys.readouterr().out
+    assert out.encode() == (reports / "golden_check_representation_operator_failing.json").read_bytes()
+    found = {v["axiom"]: len(v["defect"]) for v in json.loads(out)["violations"]}
+    assert found == {"operator-dot": 2, "operator-intertwine": 6}
+
+
 def _entry_count(doc):
     """The entries of a document, its embedded algebra's included."""
     nested = (_entry_count(value) for value in doc.values() if isinstance(value, dict))

@@ -28,7 +28,7 @@ from relpoisson import (
     lift_o_operator,
     subadjacent,
 )
-from relpoisson import algebra, jacobi
+from relpoisson import algebra, coalgebra, jacobi
 from relpoisson.algebra import BilinearOp, ad_map
 from relpoisson.linalg import Space, basis_vector
 from dense_matrices import identity_matrix
@@ -241,6 +241,20 @@ def test_pipeline_verifies_each_fact_once(monkeypatch):
     monkeypatch.setattr(algebra, "_contract", counted)
     frobenius_jacobi_pipeline(pp)
     assert dict(swept) == PIPELINE_FAMILIES
+
+
+def test_pipeline_builds_the_dual_algebra_once(monkeypatch):
+    """The matched pair's right algebra is the dual the Manin triple check reads."""
+    built, dual = [], coalgebra.dual_rel_poisson_algebra
+
+    def counted(data):
+        built.append(data)
+        return dual(data)
+
+    monkeypatch.setattr(coalgebra, "dual_rel_poisson_algebra", counted)
+    monkeypatch.setattr(jacobi, "dual_rel_poisson_algebra", counted, raising=False)
+    frobenius_jacobi_pipeline(worked_prepoisson())
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,13 @@ def test_space_requires_distinct_labels():
         Space(("e1", "e1"))
 
 
+def test_a_space_builds_its_dual_once():
+    sp, same = Space.of_dim(3), Space.of_dim(3)
+    assert sp.dual is sp.dual and sp.dual.labels == ("e1*", "e2*", "e3*")
+    # the kept dual changes neither equality nor hashing
+    assert sp == same and hash(sp) == hash(same) and sp != sp.dual
+
+
 def test_swap_on_pure_tensor():
     sp = Space.of_dim(2)
     t = Tensor2(sp, sp, ((0, 1), (0, 0)))  # e1 (x) e2

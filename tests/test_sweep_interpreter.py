@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relpoisson
-from relpoisson.algebra import Collector, _contract, _sweep
+from relpoisson.algebra import _check, _contract
 from relpoisson.linalg import _Table
 
 VALUES = (1, -1, 2, F(1, 2), F(-2, 3))
@@ -39,12 +39,13 @@ def _found(value, name: str):
 
 
 MODULES = [importlib.import_module(f"relpoisson.{m.name}") for m in pkgutil.iter_modules(relpoisson.__path__)]
-SPECS = {
-    families: name
-    for module in MODULES
-    for attr, value in vars(module).items()
-    for name, families in _found(value, f"{module.__name__.split('.')[-1]}.{attr}")
-}
+# a spec that another module imports (prepoisson imports algebra's
+# _DERIVATION) keeps the name of the first module, in name order, holding it
+SPECS = {}
+for module in MODULES:
+    for attr, value in vars(module).items():
+        for name, families in _found(value, f"{module.__name__.split('.')[-1]}.{attr}"):
+            SPECS.setdefault(families, name)
 
 
 def _terms(terms: str):
@@ -94,7 +95,8 @@ def test_the_specs_cover_every_kind_of_term():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_sweep_matches_the_dense_interpreter(families, seed):
     """Each table axis gets its own random length, so a label can join
-    axes of different lengths, as under the dict dims of _O_INTERTWINE."""
+    axes of different lengths, and a defect label is as long as the
+    longest axis it labels."""
     rng = random.Random(seed)
     arity = {t: len(ls) for f in families for _, factors in _terms(f[3]) for t, ls in factors}
     shapes = {t: tuple(rng.randint(1, SIZE) for _ in range(arity[t])) for t in sorted(arity)}
@@ -102,19 +104,20 @@ def test_sweep_matches_the_dense_interpreter(families, seed):
     expected = _interpret(families, {t: dense for t, (dense, _) in made.items()}, shapes)
     rows = {t: r for t, (_, r) in made.items()}
     assert [{k: v for k, v in out.items() if v} for out in _contract(families, rows)] == expected
-    # the sweep lays each nonzero defect out densely, every label of SIZE
+    # the report lays each nonzero defect out densely, each label as long as
+    # the longest axis it labels
     cells = {}
     for fam, ((_, where, _, _), out) in enumerate(zip(families, expected)):
         for key, v in out.items():
             cells.setdefault((key[: len(where)], fam), {})[key[len(where) :]] = v
     want = []
     for (where, fam), values in sorted(cells.items()):
-        axiom, _, defect, _ = families[fam]
-        flat = itertools.product(range(SIZE), repeat=len(defect))
+        axiom, _, defect, terms = families[fam]
+        sizes = [max(shapes[t][ls.index(l)] for _, fs in _terms(terms) for t, ls in fs if l in ls) for l in defect]
+        flat = itertools.product(*map(range, sizes))
         want.append((axiom, where, tuple(values.get(at, 0) for at in flat)))
-    # a collector keeps the first violations up to its limit
+    # a report keeps the first violations up to its limit
     for limit in (0, 1, 10**6):
-        coll = Collector(limit)
-        _sweep(coll, families, {l: SIZE for f in families for l in f[2]}, **rows)
-        assert [(v.axiom, v.where, v.defect) for v in coll.violations] == want[:limit]
-        assert (coll.ok, coll.truncated) == (not want, len(want) > limit)
+        report = _check(families, limit, **rows)
+        assert [(v.axiom, v.where, v.defect) for v in report.violations] == want[:limit]
+        assert (report.ok, report.truncated) == (not want, len(want) > limit)
