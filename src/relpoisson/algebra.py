@@ -61,6 +61,11 @@ def _require(report: "AxiomReport", what: str) -> None:
         raise PreconditionError(f"{what}: {', '.join(report.axioms_failed())}", report)
 
 
+def _require_endomorphism(space: Space, m: LinearMap, what: str) -> None:
+    if m.domain != space or m.codomain != space:
+        raise ValueError(f"{what} is not an endomorphism of the algebra's space")
+
+
 class NoUnitError(PreconditionError):
     """The multiplication has no two-sided unit."""
 
@@ -368,15 +373,18 @@ def _block_sum(left, right, mu1, rho1, mu2, rho2) -> RelPoissonAlgebra:
 #
 # Only nonzero products are enumerated, so the terms themselves are the
 # tuples at which a family can fail.  Each term's reads, sign and last join
-# are planned once per process; a term stops at its first empty join, and
-# its last join adds straight into the family's sums.
+# are planned once per process, each table named by its slot (its position
+# among the tables the families name), so every caller shares one plan; a
+# term stops at its first empty join, and its last join adds straight into
+# the family's sums.
 #
 # A checker is data too: a _Checker of sections in report order, each the
 # families of one sweep (reported in sorted ``where`` order, in their own
 # order inside one tuple), a hand loop (fn, table) reporting through
-# fn(coll, prefix, table), or a _Use of another checker.  A checker makes
-# one contraction over all its families, then reports its sections in turn
-# into one collector until it is full and truncated.
+# fn(coll, prefix, table), or a _Use of another checker.  Flattening it binds
+# each section's slots to the caller's table names.  A checker makes one
+# contraction over all its families, then reports its sections in turn into
+# one collector until it is full and truncated.
 
 
 class _Checker:
@@ -405,11 +413,11 @@ def _table_of(table) -> _Table:
 
 
 def _plan(term: str, where: str, defect: str, arities: dict, axes: set):
-    """The join plan of one term: its first factor, one (table, keys, key
-    reader) step per later factor but the last, the last (None for a
+    """The join plan of one term: its first factor's slot, one (slot, keys,
+    key reader) step per later factor but the last, the last (None for a
     one-factor term), and the positions of the reported labels in a path's
-    indices; records each table's number of labels in ``arities`` and each
-    (label, table, axis) in ``axes``.
+    indices; records each table's number of labels in ``arities``, in slot
+    order, and each (label, slot, axis) in ``axes``.
 
     Factors are joined greedily, the one with the most bound labels next.
     A step reads its table through the index re-keyed on the positions
@@ -421,9 +429,10 @@ def _plan(term: str, where: str, defect: str, arities: dict, axes: set):
         name, labels = factors.pop(ranked.index(max(ranked)))
         if len(set(labels)) != len(labels) or arities.setdefault(name, len(labels)) != len(labels):
             raise ValueError(f"factor {name}:{labels} repeats a label or changes arity")
-        axes.update((l, name, p) for p, l in enumerate(labels))
+        slot = list(arities).index(name)
+        axes.update((l, slot, p) for p, l in enumerate(labels))
         keys = tuple(p for p, l in enumerate(labels) if l in bound)
-        steps.append((name, keys, _key(tuple(bound.index(labels[p]) for p in keys))))
+        steps.append((slot, keys, _key(tuple(bound.index(labels[p]) for p in keys))))
         bound += [l for l in labels if l not in bound]
     if not set(where + defect) <= set(bound):
         raise ValueError(f"term {term} leaves a reported label free")
@@ -435,47 +444,34 @@ def _plan(term: str, where: str, defect: str, arities: dict, axes: set):
 @functools.cache
 def _compile(families: tuple):
     """Per family, the join plans of its terms, with their signs, and the
-    (table, axis) pairs each defect label labels in any term; and the
-    tables the families name.  Planned once per process."""
+    (slot, axis) pairs each defect label labels in any term; and the
+    tables the families name, in slot order.  Planned once per process."""
     groups, arities = [], {}
     for _axiom, where, defect, terms in families:
         found, axes = re.findall(r"(-?)\s*([\w:,]+)", terms.replace("+", "")), set()
         plans = tuple((sign == "-", *_plan(term, where, defect, arities, axes)) for sign, term in found)
-        groups.append((plans, tuple(tuple((n, a) for l, n, a in axes if l == d) for d in defect)))
+        groups.append((plans, tuple(tuple((s, a) for l, s, a in axes if l == d) for d in defect)))
     return tuple(groups), tuple(arities)
-
-
-def _renamed(compiled, to: dict):
-    """Compiled plans with each table name in them, their only strings,
-    read as ``to[name]``; a part that renames nothing is shared."""
-    if isinstance(compiled, str):
-        return to[compiled]
-    if not isinstance(compiled, tuple):
-        return compiled
-    parts = tuple(_renamed(part, to) for part in compiled)
-    return compiled if parts == compiled else parts
 
 
 @functools.cache
 def _sections(checker) -> tuple:
     """A checker, or one sweep's families, flattened once: its sections in
-    report order, (families, prefix, per family its plans and defect axes)
-    or ((hand loop, table), prefix, ()), every table under the caller's
-    name, sharing what renames nothing; and the tables the sweeps read."""
-    sections, names = [], set()
+    report order, (families, prefix, _compile's plans, binder) or (hand loop,
+    prefix, (), binder); and the caller's table names.  Given those names, or
+    a call's tables listed in their order, a binder picks a section's by slot."""
+    sections, names = [], {}
 
     def walk(checker, prefix, bind):
         for section in checker.sections if isinstance(checker, _Checker) else (checker,):
             if isinstance(section, _Use):
                 inner = {**bind, **{own: bind.get(name, name) for own, name in section.names.items()}}
                 walk(section.checker, prefix + section.prefix, inner)
-            elif callable(section[0]):
-                sections.append(((section[0], bind.get(section[1], section[1])), prefix, ()))
-            else:
-                groups, own = _compile(section)
-                to = {name: bind.get(name, name) for name in own}
-                sections.append((section, prefix, _renamed(groups, to)))
-                names.update(to.values())
+                continue
+            loop = callable(section[0])
+            what, groups, own = (section[0], (), section[1:]) if loop else (section, *_compile(section))
+            slots = tuple(names.setdefault(bind.get(name, name), len(names)) for name in own)
+            sections.append((what, prefix, groups, _picker(slots)))
 
     walk(checker, "", {})
     return sections, tuple(names)
@@ -485,20 +481,20 @@ def _contract(checker, tables: dict):
     """Every term of a checker's families, or one sweep's, summed over the
     named tables, as one {(*where, *defect): nonzero value} dict per
     family; a family's cancelled sums are dropped once its last term is
-    folded.  A term stops at its first empty join, and its last join adds
-    straight into the sums."""
+    folded."""
     sections, names = _sections(checker)
-    tables = {name: _table_of(tables[name]) for name in names}
+    listed = [_table_of(tables[name]) for name in names]
     acc = []
-    for _what, _prefix, groups in sections:
+    for _what, _prefix, groups, binder in sections:
+        bound = binder(listed)
         for plans, _axes in groups:  # a hand loop has none
             out = {}
             for negate, first, steps, last, project in plans:
-                rows = tables[first].entries
-                for name, keys, at in steps:
+                rows = bound[first].entries
+                for slot, keys, at in steps:
                     if not rows:
                         break
-                    found = _read(tables[name], keys)
+                    found = _read(bound[slot], keys)
                     rows = [(v + free, p * x) for v, p in rows for free, x in found.get(at(v), ())]
                 if not rows:
                     continue
@@ -507,8 +503,8 @@ def _contract(checker, tables: dict):
                         key = project(v)
                         out[key] = out.get(key, ZERO) + (-p if negate else p)
                     continue
-                name, keys, at = last
-                found = _read(tables[name], keys)
+                slot, keys, at = last
+                found = _read(bound[slot], keys)
                 for v, p in rows:
                     for free, x in found.get(at(v), ()):
                         key = project(v + free)
@@ -523,17 +519,19 @@ def _check(checker, limit: int, **tables) -> AxiomReport:
     truncated, each failing instance under its prefixed axiom with its
     dense defect, each defect label as long as the longest axis it labels."""
     coll, outs = Collector(limit), iter(_contract(checker, tables))
-    for what, prefix, groups in _sections(checker)[0]:
+    sections, names = _sections(checker)
+    for what, prefix, groups, binder in sections:
         if coll.truncated:
             break
-        if callable(what[0]):
-            what[0](coll, prefix, tables[what[1]])  # a hand loop on its table
+        if callable(what):
+            what(coll, prefix, tables[binder(names)[0]])  # a hand loop on its one table
             continue
         cells, shapes = {}, {}
         # zip reads one sum per family of the section, and no more
         for fam, ((_plans, axes), out) in enumerate(zip(groups, outs)):
             if out:
-                shape = shapes[fam] = [max(_table_of(tables[n]).shape[a] for n, a in pairs) for pairs in axes]
+                bound = binder(names)  # the caller's name of each slot
+                shape = shapes[fam] = [max(_table_of(tables[bound[s]]).shape[a] for s, a in pairs) for pairs in axes]
                 w = len(what[fam][1])
                 for key, value in out.items():
                     f = 0
@@ -568,6 +566,7 @@ _DERIVED_PRODUCT = (("derived", "ij", "k", "D:jt,M:itk - D:it,M:tjk"),)
 
 
 _COMM_ASSOC = _Checker(_COMMUTATIVE, _ASSOCIATIVE)
+_DERIVATION_OF_COMM_ASSOC = _Checker(_Use("", _COMM_ASSOC), _DERIVATION)
 
 
 def check_comm_assoc(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
@@ -599,8 +598,7 @@ def check_derivation(
     m: BilinearOp, der: LinearMap, limit: int = DEFAULT_VIOLATION_LIMIT
 ) -> AxiomReport:
     """Leibniz rule  D(x*y) = D(x)*y + x*D(y)  on basis pairs."""
-    if der.domain != m.space or der.codomain != m.space:
-        raise ValueError("derivation is not an endomorphism of the algebra's space")
+    _require_endomorphism(m.space, der, "derivation")
     return _check(_DERIVATION, limit, M=m, D=der)
 
 
@@ -613,8 +611,7 @@ def check_relative_leibniz(
     """[z, x.y] = [z,x].y + x.[z,y] + x.y.D(z) on basis triples (x, y, z)."""
     if dot.space != bracket.space:
         raise ValueError("dot and bracket live on different spaces")
-    if der.domain != dot.space or der.codomain != dot.space:
-        raise ValueError("derivation is not an endomorphism of the algebra's space")
+    _require_endomorphism(dot.space, der, "derivation")
     return _check(_RELATIVE_LEIBNIZ, limit, M=dot, B=bracket, W=der)
 
 
@@ -643,7 +640,8 @@ def _derived_product(op: BilinearOp, der: LinearMap) -> BilinearOp:
 def bracket_from_derivation(dot: BilinearOp, der: LinearMap) -> BilinearOp:
     """The bracket [x,y] = x.D(y) - D(x).y of a commutative associative
     algebra with derivation; the resulting quadruple is relative Poisson."""
-    pre = combine_reports(check_comm_assoc(dot), check_derivation(dot, der))
+    _require_endomorphism(dot.space, der, "derivation")
+    pre = _check(_DERIVATION_OF_COMM_ASSOC, DEFAULT_VIOLATION_LIMIT, M=dot, D=der)
     _require(pre, "input is not a commutative associative algebra with derivation")
     return _derived_product(dot, der)
 

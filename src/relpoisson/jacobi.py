@@ -11,16 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    DEFAULT_VIOLATION_LIMIT,
     BilinearOp,
     PreconditionError,
     RelPoissonAlgebra,
     AxiomReport,
     _block_sum,
+    _check,
     _require,
     ad_map,
     check_jacobi_algebra,
     check_rel_poisson,
-    combine_reports,
     find_unit,
 )
 from .coalgebra import (
@@ -39,9 +40,9 @@ from .pairing import (
 from .prepoisson import RelPrePoissonAlgebra, subadjacent
 from .representations import RepData, _jacobi_representation, _rep, check_representation
 from .yangbaxter import (
+    _O_OPERATOR_CHECK,
     OOperator,
     check_rpybe,
-    check_weak_o_operator,
     coboundary_comults,
     o_operator_to_rmatrix,
 )
@@ -120,11 +121,10 @@ def lift_o_operator(rep: RepData, operator: LinearMap) -> OOperator:
     that T is an O-operator; the extension and the lift are then built
     structurally."""
     alg = rep.algebra
-    pre = combine_reports(
-        check_rel_poisson(alg),
-        check_representation(rep),
-        check_weak_o_operator(alg, rep, rep._alpha, operator),
-    )
+    if operator.codomain != alg.space or operator.domain != rep.space:
+        raise ValueError("operator does not map the module into the algebra")
+    tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, MU=rep._mu, RHO=rep._rho, AL=rep._alpha)
+    pre = _check(_O_OPERATOR_CHECK, DEFAULT_VIOLATION_LIMIT, T=operator, **tables)
     _require(pre, "not an O-operator on a relative Poisson algebra")
     extended = _unit_extension(alg)
     # the new unit is row 0 of the extension, so every row moves down one

@@ -198,9 +198,9 @@ def _key(positions: tuple):
 
 @functools.cache
 def _picker(positions: tuple):
-    """A shared function reading the given positions of a tuple, as a tuple."""
+    """A shared function reading the given positions of a sequence, as a sequence."""
     if len(positions) == 1:
-        return lambda row, p=positions[0]: (row[p],)
+        return itemgetter(slice(positions[0], positions[0] + 1))
     return _key(positions)
 
 

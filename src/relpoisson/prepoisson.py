@@ -16,9 +16,8 @@ from .algebra import (
     _Checker,
     _derived_product,
     _require,
+    _require_endomorphism,
     _Use,
-    check_derivation,
-    combine_reports,
 )
 from .linalg import LinearMap, Space, Tensor2
 from .representations import RepData, _rep
@@ -60,6 +59,7 @@ _MIXED = (
     ("mixed-bracket-side", "xyz", "s", "S:xzt,C:yts - C:yzt,S:xts + C:xyt,S:tzs - C:yxt,S:tzs"
      " - D:yu,S:xut,S:tzs - D:yu,S:uxt,S:tzs"),
 )
+_DERIVATION_OF_ZINBIEL = _Checker(_Use("", _ZINBIEL, S="M"), _DERIVATION)
 
 
 def check_zinbiel(m: BilinearOp, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
@@ -91,7 +91,8 @@ def check_rel_pre_poisson(
 def circ_from_derivation(star: BilinearOp, der: LinearMap) -> BilinearOp:
     """The pre-Lie product x o y = x*D(y) - D(x)*y of a Zinbiel algebra
     with derivation; the quadruple is then relative pre-Poisson."""
-    pre = combine_reports(check_zinbiel(star), check_derivation(star, der))
+    _require_endomorphism(star.space, der, "derivation")
+    pre = _check(_DERIVATION_OF_ZINBIEL, DEFAULT_VIOLATION_LIMIT, M=star, D=der)
     _require(pre, "input is not a Zinbiel algebra with derivation")
     return _derived_product(star, der)
 

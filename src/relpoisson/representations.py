@@ -39,6 +39,7 @@ from .algebra import (
     _families,
     _matrices,
     _require,
+    _require_endomorphism,
     _Use,
     ad_map,
     find_unit,
@@ -257,13 +258,8 @@ def check_dually_represents(
         [x, Q(y)] - [D(x), y] - Q([x, y]) = 0
         [x, y.z] + [y, z.x] + [z, x.y] + Q(x.y.z) = 0
     """
-    _require_endomorphism(alg, candidate)
+    _require_endomorphism(alg.space, candidate, "candidate")
     return _check(_DUALLY_REPRESENTS, limit, M=alg.dot, B=alg.bracket, D=alg.derivation, Q=candidate)
-
-
-def _require_endomorphism(alg: RelPoissonAlgebra, candidate: LinearMap) -> None:
-    if candidate.domain != alg.space or candidate.codomain != alg.space:
-        raise ValueError("candidate is not an endomorphism of the algebra's space")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
+    _REL_POISSON,
     AxiomReport,
     BilinearOp,
     PreconditionError,
@@ -29,6 +30,7 @@ from .algebra import (
     _Checker,
     _contract,
     _require,
+    _require_endomorphism,
     _Use,
 )
 from .coalgebra import Comultiplication
@@ -51,7 +53,6 @@ from .representations import (
     RepData,
     _beta_columns,
     _module_map,
-    _require_endomorphism,
     _semidirect,
     check_dual_rep_conditions,
     check_dually_represents,
@@ -97,8 +98,8 @@ _COBOUNDARY = (
 def _require_on(alg: RelPoissonAlgebra, r: Tensor2, codrv: LinearMap | None = None):
     if r.left != alg.space or r.right != alg.space:
         raise ValueError("tensor does not live on the algebra's space")
-    if codrv is not None and (codrv.domain != alg.space or codrv.codomain != alg.space):
-        raise ValueError("dual map is not an endomorphism of the algebra's space")
+    if codrv is not None:
+        _require_endomorphism(alg.space, codrv, "dual map")
 
 
 def aybe_tensor(r: Tensor2, dot: BilinearOp) -> Tensor3:
@@ -260,6 +261,8 @@ _O_OPERATOR = (
 # D T - T endo, row p and column c of an n-by-m matrix
 _O_INTERTWINE = (("operator-intertwine", "", "pc", "T:cr,D:rp - E:cr,T:rp"),)
 _WEAK_O_OPERATOR = _Checker(_O_OPERATOR, _O_INTERTWINE)
+# what an OOperator holds: a relative Poisson algebra, a representation, the weak conditions
+_O_OPERATOR_CHECK = _Checker(_Use("", _REL_POISSON), _Use("", _REPRESENTATION), _Use("", _WEAK_O_OPERATOR, E="AL"))
 
 
 def check_weak_o_operator(
@@ -316,7 +319,7 @@ def check_semidirect_dual_conditions(
     """
     alg = rep.algebra
     beta = _beta_columns(beta, rep.space.dim)
-    _require_endomorphism(alg, codrv)
+    _require_endomorphism(alg.space, codrv, "candidate")
     tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv, BE=beta)
     return _check(_SEMIDIRECT_DUAL, limit, MU=rep._mu, RHO=rep._rho, AL=rep._alpha, **tables)
 

@@ -1,7 +1,9 @@
 """Axiom checkers for products, derivations, and the relative Leibniz rule."""
 
 import ast
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relpoisson
 from relpoisson import (
     BilinearOp,
     CompatibleStructure,
@@ -26,9 +29,10 @@ from relpoisson import (
     check_lie,
     check_rel_poisson,
     check_relative_leibniz,
+    combine_reports,
     find_unit,
 )
-from relpoisson.algebra import _check, _compile, _contract, _table_of, ad_map, block_sum
+from relpoisson.algebra import _check, _Checker, _compile, _contract, _sections, _table_of, ad_map, block_sum
 from relpoisson.linalg import _Table
 
 from conftest import (
@@ -155,8 +159,12 @@ def test_bracket_from_derivation_small():
 def test_bracket_from_derivation_rejects_bad_input():
     sp = Space.of_dim(3)
     star = op(sp, [(0, 0, 2, 1), (0, 1, 2, 1)])  # not commutative
-    with pytest.raises(PreconditionError):
-        bracket_from_derivation(star, LinearMap.zero(sp))
+    # the identity is no derivation of a nonzero product either
+    for der in (LinearMap.zero(sp), LinearMap.identity(sp)):
+        with pytest.raises(PreconditionError) as failed:
+            bracket_from_derivation(star, der)
+        # swept in one contraction, reported as the two checkers merged
+        assert failed.value.report == combine_reports(check_comm_assoc(star), check_derivation(star, der))
 
 
 derivation_params = st.tuples(
@@ -483,3 +491,28 @@ def test_a_term_stops_at_its_first_empty_join():
     tables = dict(M=BilinearOp.zero(sp), P=middle, Q=last)
     assert _contract((("", "ij", "s", "M:ijt,P:tu,Q:us"),), tables) == [{}]
     assert not middle._sparse._reads and not last._sparse._reads
+
+
+def _strings(value):
+    """Every string inside a nest of tuples."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, tuple):
+        for part in value:
+            yield from _strings(part)
+
+
+def test_every_checker_shares_the_compiled_plans_of_its_families():
+    """A plan names its tables by slot, so each sweep section of every
+    checker, under whatever table names its caller uses, holds _compile's
+    own plans and no table name."""
+    modules = [importlib.import_module(f"relpoisson.{m.name}") for m in pkgutil.iter_modules(relpoisson.__path__)]
+    checkers = {id(v): v for m in modules for v in vars(m).values() if isinstance(v, _Checker)}
+    swept = 0
+    for checker in checkers.values():
+        for what, _prefix, groups, _binder in _sections(checker)[0]:
+            if not callable(what):  # a hand loop has no plans
+                assert groups is _compile(what)[0]
+                assert not list(_strings(groups)), what
+                swept += 1
+    assert len(checkers) >= 20 and swept >= 100

@@ -19,8 +19,10 @@ from relpoisson import (
     adjoint_rep,
     check_jacobi_algebra,
     check_jacobi_representation,
+    check_rel_poisson,
     check_representation,
     check_weak_o_operator,
+    combine_reports,
     extend_jacobi,
     extend_representation,
     find_unit,
@@ -157,6 +159,30 @@ def test_lift_o_operator_rejects_broken_intertwining():
     bad = LinearMap(rep.space, rep.algebra.space, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(PreconditionError):
         lift_o_operator(rep, bad)
+
+
+@pytest.mark.parametrize("rows", [((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 1, 1),) * 3], ids=["whole", "truncated"])
+def test_lift_sweeps_its_preconditions_in_one_contraction(monkeypatch, rows):
+    """A non-commutative dot, its adjoint representation and an operator
+    that is not an O-operator fail all three checkers; the lift sweeps
+    them in one contraction and reports what they report, merged and cut
+    at the limit (the second operator fails past it)."""
+    alg = worked_subadjacent()
+    sp = alg.space
+    dot = BilinearOp.from_entries(sp, alg.dot.nonzero_entries() + [(0, 1, 2, 1)])
+    broken = RelPoissonAlgebra(sp, dot, alg.bracket, alg.derivation)
+    rep, operator = adjoint_rep(broken), LinearMap(sp, sp, rows)
+    reports = check_rel_poisson(broken), check_representation(rep), check_weak_o_operator(broken, rep, rep._alpha, operator)
+    assert not any(r.ok for r in reports)
+    _alg, valid = subadjacent(worked_prepoisson())
+    calls, contract = [], algebra._contract
+    monkeypatch.setattr(algebra, "_contract", lambda *args: calls.append(args) or contract(*args))
+    with pytest.raises(PreconditionError) as failed:
+        lift_o_operator(rep, operator)
+    assert len(calls) == 1
+    assert failed.value.report == combine_reports(*reports)
+    lift_o_operator(valid, LinearMap.identity(valid.space))
+    assert len(calls) == 2
 
 
 def test_pipeline_zero_input_gives_six_dimensional_output():

@@ -14,6 +14,7 @@ from relpoisson import (
     Space,
     bracket_from_derivation,
     check_bialgebra,
+    check_derivation,
     check_prelie,
     check_rel_poisson,
     check_rel_pre_poisson,
@@ -22,6 +23,7 @@ from relpoisson import (
     check_zinbiel,
     circ_from_derivation,
     coboundary_comults,
+    combine_reports,
     find_unit,
     is_antisymmetric,
     prepoisson_to_rmatrix,
@@ -110,8 +112,12 @@ def test_circ_from_derivation_rejects_non_zinbiel():
     sp = Space.of_dim(2)
     not_zinbiel = op(sp, [(0, 0, 1, 1), (1, 0, 0, 1)])
     assert not check_zinbiel(not_zinbiel).ok
-    with pytest.raises(PreconditionError):
-        circ_from_derivation(not_zinbiel, LinearMap.zero(sp))
+    # the identity is no derivation of a nonzero product either
+    for der in (LinearMap.zero(sp), LinearMap.identity(sp)):
+        with pytest.raises(PreconditionError) as failed:
+            circ_from_derivation(not_zinbiel, der)
+        # swept in one contraction, reported as the two checkers merged
+        assert failed.value.report == combine_reports(check_zinbiel(not_zinbiel), check_derivation(not_zinbiel, der))
 
 
 derivation_params = st.tuples(

@@ -4,6 +4,7 @@ the dense factor entries and sums.  The interpreter shares nothing with
 the sweep but the specs, so it catches join bugs (the theorem tests catch
 wrong specs, which a shared spec cannot)."""
 
+import functools
 import importlib
 import itertools
 import pkgutil
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relpoisson
-from relpoisson.algebra import _check, _contract
+from relpoisson.algebra import _check, _Checker, _contract, _Use
 from relpoisson.linalg import _Table
 
 VALUES = (1, -1, 2, F(1, 2), F(-2, 3))
@@ -52,6 +53,14 @@ def _terms(terms: str):
     """(sign, [(table, labels), ...]) of each term of a family."""
     found = re.findall(r"([+-]?)\s*([\w:,]+)", terms)
     return [(-1 if sign == "-" else 1, [tuple(f.split(":")) for f in term.split(",")]) for sign, term in found]
+
+
+@functools.cache
+def _renamed(families):
+    """The families used inside another checker under the prefix "p:",
+    each table NAME bound to the caller's NAME2."""
+    names = {t for f in families for _, factors in _terms(f[3]) for t, _ in factors}
+    return _Checker(_Use("p:", families, **{t: t + "2" for t in names}))
 
 
 def _table(rng: random.Random, shape: tuple):
@@ -90,20 +99,29 @@ def test_the_specs_cover_every_kind_of_term():
     assert any(where == "" for _, where, _, _ in families)
 
 
-@pytest.mark.parametrize("families", sorted(SPECS, key=SPECS.get), ids=sorted(SPECS.values()))
+# each spec swept as it stands, and used by another checker under a prefix
+# and other table names, through the same compiled plans
+CASES = [(families, prefix) for prefix in ("", "p:") for families in sorted(SPECS, key=SPECS.get)]
+
+
+@pytest.mark.parametrize(
+    "families, prefix", CASES, ids=[SPECS[f] + ("-renamed" if prefix else "") for f, prefix in CASES]
+)
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_sweep_matches_the_dense_interpreter(families, seed):
+def test_sweep_matches_the_dense_interpreter(families, prefix, seed):
     """Each table axis gets its own random length, so a label can join
     axes of different lengths, and a defect label is as long as the
-    longest axis it labels."""
+    longest axis it labels.  A renamed use reports the same violations,
+    each axiom under its prefix."""
     rng = random.Random(seed)
     arity = {t: len(ls) for f in families for _, factors in _terms(f[3]) for t, ls in factors}
     shapes = {t: tuple(rng.randint(1, SIZE) for _ in range(arity[t])) for t in sorted(arity)}
     made = {t: _table(rng, shape) for t, shape in shapes.items()}
     expected = _interpret(families, {t: dense for t, (dense, _) in made.items()}, shapes)
     rows = {t: r for t, (_, r) in made.items()}
-    assert [{k: v for k, v in out.items() if v} for out in _contract(families, rows)] == expected
+    checker, tables = (_renamed(families), {t + "2": r for t, r in rows.items()}) if prefix else (families, rows)
+    assert [{k: v for k, v in out.items() if v} for out in _contract(checker, tables)] == expected
     # the report lays each nonzero defect out densely, each label as long as
     # the longest axis it labels
     cells = {}
@@ -115,9 +133,9 @@ def test_sweep_matches_the_dense_interpreter(families, seed):
         axiom, _, defect, terms = families[fam]
         sizes = [max(shapes[t][ls.index(l)] for _, fs in _terms(terms) for t, ls in fs if l in ls) for l in defect]
         flat = itertools.product(*map(range, sizes))
-        want.append((axiom, where, tuple(values.get(at, 0) for at in flat)))
+        want.append((prefix + axiom, where, tuple(values.get(at, 0) for at in flat)))
     # a report keeps the first violations up to its limit
     for limit in (0, 1, 10**6):
-        report = _check(families, limit, **rows)
+        report = _check(checker, limit, **tables)
         assert [(v.axiom, v.where, v.defect) for v in report.violations] == want[:limit]
         assert (report.ok, report.truncated) == (not want, len(want) > limit)
