@@ -13,16 +13,19 @@ import json
 import sys
 
 from .algebra import (
+    _COMM_ASSOC,
+    _DERIVATION,
+    _DERIVATION_OF_COMM_ASSOC,
+    _LIE,
+    _REL_POISSON,
+    DEFAULT_VIOLATION_LIMIT,
     AxiomReport,
     PreconditionError,
     RelPoissonAlgebra,
-    Violation,
+    _check,
+    _Checker,
+    _Use,
     bracket_from_derivation,
-    check_comm_assoc,
-    check_derivation,
-    check_lie,
-    check_rel_poisson,
-    combine_reports,
     find_unit,
 )
 from .coalgebra import (
@@ -44,18 +47,18 @@ from .documents import (
     validate_document,
 )
 from .jacobi import _STAGES, PipelineError, extend_jacobi, frobenius_jacobi_pipeline
-from .linalg import ONE
-from .pairing import bowtie, check_invariant_form, is_nondegenerate
+from .pairing import _INVARIANCE, _nondegenerate, _symmetric, bowtie
 from .prepoisson import (
+    _DERIVATION_OF_ZINBIEL,
+    _PRELIE,
+    _ZINBIEL,
     RelPrePoissonAlgebra,
-    check_prelie,
     check_rel_pre_poisson,
-    check_zinbiel,
     circ_from_derivation,
     subadjacent,
 )
-from .representations import check_representation, semidirect_product
-from .yangbaxter import check_rpybe, check_weak_o_operator, coboundary_comults, o_operator_to_rmatrix, semidirect_codrv
+from .representations import _REPRESENTATION, semidirect_product
+from .yangbaxter import _REP_O_OPERATOR, check_rpybe, coboundary_comults, o_operator_to_rmatrix, semidirect_codrv
 
 OK, AXIOM_FAILURE, PRECONDITION_FAILURE, PARSE_FAILURE, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
@@ -104,58 +107,53 @@ def _print_report(report: AxiomReport, as_json: bool):
         print("  ... further violations suppressed")
 
 
-def _single_op_check(check, op, der):
-    """The kind's axioms on the product, then the Leibniz rule when the
-    document gives a derivation."""
-    leibniz = () if der is None else (check_derivation(op, der),)
-    return combine_reports(check(op), *leibniz)
+def _sweep(checker, alg=None, **tables) -> AxiomReport:
+    """The checker's report on the tables, an algebra's dot, bracket and derivation named M, B and D."""
+    if alg is not None:
+        tables.update(M=alg.dot, B=alg.bracket, D=alg.derivation)
+    return _check(checker, DEFAULT_VIOLATION_LIMIT, **tables)
 
 
-def _whole_form(form, symmetric: bool) -> AxiomReport:
-    """Whether the form is symmetric (when asked) and nondegenerate, as
-    violations at no basis index."""
-    fails = {
-        "form-symmetric": symmetric and not form.is_symmetric(),
-        "form-nondegenerate": not is_nondegenerate(form),
-    }
-    violations = tuple(Violation(axiom, (), (ONE,)) for axiom, failed in fails.items() if failed)
-    return AxiomReport(not violations, violations)
+def _single_op(plain, derived=None):
+    """The check of a single product M: the kind's axioms, then the Leibniz
+    rule of the derivation D when the document gives one."""
+    derived = derived or _Checker(plain, _DERIVATION)
+    return lambda s: _sweep(plain if s[1] is None else derived, M=s[0], D=s[1])
 
 
-def _check_rel_poisson(structures):
-    alg, form = structures
-    with_form = () if form is None else (check_invariant_form(alg, form), _whole_form(form, True))
-    return combine_reports(check_rel_poisson(alg), *with_form)
+# G is a form, whose whole-form facts are reported as form-symmetric and form-nondegenerate
+_FORM = _Use("form-", _Checker((_symmetric, "G"), (_nondegenerate, "G")))
+_REL_POISSON_FORM = _Checker(_Use("", _REL_POISSON), _INVARIANCE, _FORM)
+_NONDEGENERATE_FORM = _Use("form-", (_nondegenerate, "G"))
+_INVARIANT_FORM = _Checker(_NONDEGENERATE_FORM, _INVARIANCE)
 
 
 def _check_representation(structures):
+    """A representation's conditions, then its operator T's weak O-operator conditions, if given."""
     rep, extras = structures
-    reports = [check_representation(rep)]
-    if "operator" in extras:
-        reports.append(check_weak_o_operator(rep.algebra, rep, rep._alpha, extras["operator"]))
-    return combine_reports(*reports)
-
-
-def _check_bilinear_form(structures):
-    form, alg = structures
-    invariance = () if alg is None else (check_invariant_form(alg, form),)
-    return combine_reports(_whole_form(form, False), *invariance)
+    checker = _REP_O_OPERATOR if "operator" in extras else _REPRESENTATION
+    tables = dict(MU=rep._mu, RHO=rep._rho, AL=rep._alpha, T=extras.get("operator"))
+    return _sweep(checker, rep.algebra, **tables)
 
 
 # kind -> (the check of the structures its document reads, the product whose
 # unit `report` prints or None)
 _KINDS = {
-    "comm-assoc": (lambda s: _single_op_check(check_comm_assoc, *s), lambda s: s[0]),
-    "lie": (lambda s: _single_op_check(check_lie, *s), None),
-    "rel-poisson": (_check_rel_poisson, lambda s: s[0].dot),
-    "zinbiel": (lambda s: _single_op_check(check_zinbiel, *s), lambda s: s[0]),
-    "pre-lie": (lambda s: _single_op_check(check_prelie, *s), lambda s: s[0]),
+    "comm-assoc": (_single_op(_COMM_ASSOC, _DERIVATION_OF_COMM_ASSOC), lambda s: s[0]),
+    "lie": (_single_op(_Use("", _LIE, B="M")), None),
+    "rel-poisson": (
+        lambda s: _sweep(_REL_POISSON if s[1] is None else _REL_POISSON_FORM, s[0], G=s[1]), lambda s: s[0].dot
+    ),
+    "zinbiel": (_single_op(_Use("", _ZINBIEL, S="M"), _DERIVATION_OF_ZINBIEL), lambda s: s[0]),
+    "pre-lie": (_single_op(_Use("", _PRELIE, C="M")), lambda s: s[0]),
     "rel-pre-poisson": (check_rel_pre_poisson, None),
     "representation": (_check_representation, None),
     "comultiplication": (lambda s: check_rel_poisson_coalgebra(*s), None),
     "bialgebra": (check_bialgebra, lambda data: data.algebra.dot),
     "rmatrix": (lambda s: check_rpybe(s[0], r=s[1], codrv=s[2]), None),
-    "bilinear-form": (_check_bilinear_form, None),
+    "bilinear-form": (
+        lambda s: _sweep(_NONDEGENERATE_FORM if s[1] is None else _INVARIANT_FORM, s[1], G=s[0]), None
+    ),
 }
 
 
@@ -249,10 +247,11 @@ def cmd_pipeline(args) -> int:
     if args.json:
         stages = [{"stage": s, "ok": True} for s in _STAGES]
         print(json.dumps({"stages": stages, "document": _Reader(out).canonical()}, indent=1))
-        return OK
-    for stage in _STAGES:
-        print(f"stage {stage}: ok", file=sys.stderr)
-    _write_output(out, args.output)
+    else:
+        for stage in _STAGES:
+            print(f"stage {stage}: ok", file=sys.stderr)
+    if args.output or not args.json:
+        _write_output(out, args.output)
     return OK
 
 

@@ -275,9 +275,15 @@ _DERIVATION_BLOCK = tuple(
 
 
 def _nondegenerate(coll, prefix: str, form: BilinearForm) -> None:
-    """The hand loop of the pairing form's nondegeneracy, a determinant."""
+    """The hand loop of a form's nondegeneracy, a determinant."""
     if not is_nondegenerate(form):
-        coll.check(prefix + "pairing-nondegenerate", (), (ONE,))
+        coll.check(prefix + "nondegenerate", (), (ONE,))
+
+
+def _symmetric(coll, prefix: str, form: BilinearForm) -> None:
+    """The hand loop of a form's symmetry, its table against its transpose."""
+    if not form.is_symmetric():
+        coll.check(prefix + "symmetric", (), (ONE,))
 
 
 # G is the canonical pairing form of the double
@@ -286,7 +292,7 @@ _MANIN_TRIPLE = _Checker(
     _DERIVATION_BLOCK,
     _Use("double:", _REL_POISSON, M="WM", B="WB", D="WD"),
     _Use("pairing:", _INVARIANCE, M="WM", B="WB"),
-    (_nondegenerate, "G"),
+    _Use("pairing-", (_nondegenerate, "G")),
 )
 
 

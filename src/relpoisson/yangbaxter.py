@@ -261,8 +261,9 @@ _O_OPERATOR = (
 # D T - T endo, row p and column c of an n-by-m matrix
 _O_INTERTWINE = (("operator-intertwine", "", "pc", "T:cr,D:rp - E:cr,T:rp"),)
 _WEAK_O_OPERATOR = _Checker(_O_OPERATOR, _O_INTERTWINE)
-# what an OOperator holds: a relative Poisson algebra, a representation, the weak conditions
-_O_OPERATOR_CHECK = _Checker(_Use("", _REL_POISSON), _Use("", _REPRESENTATION), _Use("", _WEAK_O_OPERATOR, E="AL"))
+# what an OOperator holds: a relative Poisson algebra, then a representation and T's weak conditions
+_REP_O_OPERATOR = _Checker(_Use("", _REPRESENTATION), _Use("", _WEAK_O_OPERATOR, E="AL"))
+_O_OPERATOR_CHECK = _Checker(_Use("", _REL_POISSON), _Use("", _REP_O_OPERATOR))
 
 
 def check_weak_o_operator(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from relpoisson import cli, documents
+from relpoisson import algebra, cli, documents
 from relpoisson.cli import _RECIPE_KINDS, main
 
 from conftest import FIXTURES
@@ -323,6 +323,33 @@ def test_mixed_dimension_operator_report_byte_identical_to_golden(capsys):
     assert found == {"operator-dot": 2, "operator-intertwine": 6}
 
 
+def test_report_cut_at_the_form_facts_byte_identical_to_golden(capsys):
+    # 15 violations of the algebra and of the form's invariance, then
+    # form-symmetric as the 16th; the degenerate form's form-nondegenerate
+    # is cut
+    reports = FIXTURES / "reports"
+    assert main(["check", "--json", str(reports / "rel_poisson_form_failing.json")]) == 1
+    out = capsys.readouterr().out
+    assert out.encode() == (reports / "golden_check_rel_poisson_form_failing.json").read_bytes()
+    report = json.loads(out)
+    assert report["truncated"] and report["violations"][-1]["axiom"] == "form-symmetric"
+
+
+STRUCTURE_DOCUMENTS = sorted(FIXTURES.glob("*.json")) + sorted(
+    path for path in (FIXTURES / "reports").glob("*.json") if not path.name.startswith("golden_check_")
+)
+
+
+@pytest.mark.parametrize("path", STRUCTURE_DOCUMENTS, ids=lambda path: path.name)
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_each_command_sweeps_its_document_in_one_contraction(monkeypatch, capsys, path, command):
+    # every kind's axioms, its optional fields' included, are one checker
+    calls, contract = [], algebra._contract
+    monkeypatch.setattr(algebra, "_contract", lambda *args: calls.append(args) or contract(*args))
+    assert main([command, str(path)]) in (0, 1)
+    assert len(calls) == 1
+
+
 def _entry_count(doc):
     """The entries of a document, its embedded algebra's included."""
     nested = (_entry_count(value) for value in doc.values() if isinstance(value, dict))
@@ -360,6 +387,16 @@ def test_construct_write_failure_is_an_io_error(tmp_path, capsys):
     # the output path is a directory
     assert main(["construct", "subadjacent", str(FIXTURES / "zinbiel_3d.json"), "-o", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_pipeline_json_also_writes_the_document_to_output(tmp_path, capsys):
+    src = str(FIXTURES / "prepoisson_3d.json")
+    assert main(["pipeline", "--json", src]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "double.json"
+    assert main(["pipeline", "--json", "-o", str(out), src]) == 0
+    assert capsys.readouterr().out == printed
+    assert out.read_bytes() == (FIXTURES / "golden_double_14d.json").read_bytes()
 
 
 def test_pipeline_write_failure_is_an_io_error(tmp_path, capsys):
