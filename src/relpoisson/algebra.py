@@ -34,6 +34,7 @@ from .linalg import (
     _read,
     _row,
     _Stored,
+    _summed,
     _Table,
     _table,
     _view,
@@ -632,9 +633,9 @@ def check_rel_poisson(
 
 
 def _derived_product(op: BilinearOp, der: LinearMap) -> BilinearOp:
-    """The product x.D(y) - D(x).y, built from its sparse entries."""
+    """The product x.D(y) - D(x).y, built from its sums keyed (i, j, k)."""
     (out,) = _contract(_DERIVED_PRODUCT, dict(M=op, D=der))
-    return BilinearOp.from_entries(op.space, [(*key, v) for key, v in out.items()])
+    return _make(BilinearOp, space=op.space, _sparse=_summed(out.items(), op._sparse.shape))
 
 
 def bracket_from_derivation(dot: BilinearOp, der: LinearMap) -> BilinearOp:

@@ -154,15 +154,14 @@ def check_rel_poisson_coalgebra(
 def comult_to_dual_algebra(comult: Comultiplication) -> BilinearOp:
     """The product on the dual space with structure constants equal to the
     comultiplication coefficients: (e_i* e_j*) on e_k* is coeff(i, j, k)."""
-    return BilinearOp.from_entries(comult.space.dual, comult.nonzero_entries())
+    return _make(BilinearOp, space=comult.space.dual, _sparse=_permuted(comult._sparse, (1, 2, 0)))
 
 
 def _product_comult(op: BilinearOp, primal: Space, sign) -> Comultiplication:
     """The comultiplication on ``primal`` with coefficients sign * op's."""
     if op.space.dim != primal.dim:
         raise ValueError("dimension mismatch")
-    entries = [(i, j, k, sign * x) for i, j, k, x in op.nonzero_entries()]
-    return Comultiplication.from_entries(primal, entries)
+    return _make(Comultiplication, space=primal, _sparse=_scaled(_permuted(op._sparse, (2, 0, 1)), sign))
 
 
 def dual_algebra_to_comult(op: BilinearOp, primal: Space) -> Comultiplication:

@@ -38,7 +38,7 @@ from .pairing import (
     combine_matched_pair,
 )
 from .prepoisson import RelPrePoissonAlgebra, subadjacent
-from .representations import RepData, _jacobi_representation, _rep, check_representation
+from .representations import _REL_POISSON_REP, RepData, _jacobi_representation, _rep, _rep_tables
 from .yangbaxter import (
     _O_OPERATOR_CHECK,
     OOperator,
@@ -108,8 +108,9 @@ def extend_jacobi(alg: RelPoissonAlgebra) -> RelPoissonAlgebra:
 def extend_representation(rep: RepData) -> tuple[RelPoissonAlgebra, RepData]:
     """Extend a representation over the unit extension: the unit acts as
     the identity through the dot and as alpha through the bracket."""
-    _require(check_representation(rep), "not a representation")
-    extended = extend_jacobi(rep.algebra)
+    pre = _check(_REL_POISSON_REP, DEFAULT_VIOLATION_LIMIT, **_rep_tables(rep))
+    _require(pre, "not a representation of a relative Poisson algebra")
+    extended = _unit_extension(rep.algebra)
     return extended, _extended_rep(rep, extended)
 
 
@@ -123,8 +124,7 @@ def lift_o_operator(rep: RepData, operator: LinearMap) -> OOperator:
     alg = rep.algebra
     if operator.codomain != alg.space or operator.domain != rep.space:
         raise ValueError("operator does not map the module into the algebra")
-    tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, MU=rep._mu, RHO=rep._rho, AL=rep._alpha)
-    pre = _check(_O_OPERATOR_CHECK, DEFAULT_VIOLATION_LIMIT, T=operator, **tables)
+    pre = _check(_O_OPERATOR_CHECK, DEFAULT_VIOLATION_LIMIT, T=operator, **_rep_tables(rep))
     _require(pre, "not an O-operator on a relative Poisson algebra")
     extended = _unit_extension(alg)
     # the new unit is row 0 of the extension, so every row moves down one

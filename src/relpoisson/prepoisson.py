@@ -19,7 +19,7 @@ from .algebra import (
     _require_endomorphism,
     _Use,
 )
-from .linalg import LinearMap, Space, Tensor2
+from .linalg import LinearMap, Space, Tensor2, _add, _permuted, _scaled, _with
 from .representations import RepData, _rep
 from .yangbaxter import o_operator_to_rmatrix
 
@@ -102,15 +102,13 @@ def subadjacent(pp: RelPrePoissonAlgebra) -> tuple[RelPoissonAlgebra, RepData]:
     [x,y] = x o y - y o x) together with the left-multiplication
     representation for which the identity map is an O-operator."""
     _require(check_rel_pre_poisson(pp), "not a relative pre-Poisson algebra")
-    star, circ = pp.star.nonzero_entries(), pp.circ.nonzero_entries()
-    alg = RelPoissonAlgebra(
-        pp.space,
-        BilinearOp.from_entries(pp.space, star + [(j, i, k, x) for i, j, k, x in star]),
-        BilinearOp.from_entries(pp.space, circ + [(j, i, k, -x) for i, j, k, x in circ]),
-        pp.derivation,
-    )
+    # x*y + y*x and x o y - y o x, each product's table plus its (j, i, k) transpose
+    star, circ = pp.star._sparse, pp.circ._sparse
+    dot = _with(pp.star, _sparse=_add(star, _permuted(star, (1, 0, 2))))
+    bracket = _with(pp.circ, _sparse=_add(circ, _scaled(_permuted(circ, (1, 0, 2)), -1)))
+    alg = RelPoissonAlgebra(pp.space, dot, bracket, pp.derivation)
     # a product's table, keyed (i, j, k), is the action family of L
-    return alg, _rep(alg, pp.space, pp.star._sparse, pp.circ._sparse, pp.derivation)
+    return alg, _rep(alg, pp.space, star, circ, pp.derivation)
 
 
 def prepoisson_to_rmatrix(

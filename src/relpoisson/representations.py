@@ -29,6 +29,7 @@ from functools import cached_property
 
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
+    _REL_POISSON,
     AxiomReport,
     BilinearOp,
     NoUnitError,
@@ -172,13 +173,19 @@ def check_compatible_structure(
 
 
 _REPRESENTATION = _Checker(_Use("", _COMPATIBLE, W="D"), _ENDO, _REP_LEIBNIZ)
+# what the unit extension of a representation needs
+_REL_POISSON_REP = _Checker(_Use("", _REL_POISSON), _Use("", _REPRESENTATION))
+
+
+def _rep_tables(rep: RepData) -> dict:
+    """The tables of a representation and its algebra, by the names above."""
+    alg = rep.algebra
+    return dict(M=alg.dot, B=alg.bracket, D=alg.derivation, MU=rep._mu, RHO=rep._rho, AL=rep._alpha)
 
 
 def check_representation(rep: RepData, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomReport:
     """All five condition families of a representation."""
-    alg = rep.algebra
-    tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, MU=rep._mu, RHO=rep._rho, AL=rep._alpha)
-    return _check(_REPRESENTATION, limit, **tables)
+    return _check(_REPRESENTATION, limit, **_rep_tables(rep))
 
 
 def adjoint_rep(alg: RelPoissonAlgebra) -> RepData:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     DEFAULT_VIOLATION_LIMIT,
-    _REL_POISSON,
     AxiomReport,
     BilinearOp,
     PreconditionError,
@@ -48,15 +47,15 @@ from .linalg import (
 from .representations import (
     _DUAL_REP_CONDITIONS,
     _DUALLY_REPRESENTS,
+    _REL_POISSON_REP,
     _REPRESENTATION,
     CompatibleStructure,
     RepData,
     _beta_columns,
     _module_map,
+    _rep_tables,
     _semidirect,
-    check_dual_rep_conditions,
     check_dually_represents,
-    check_representation,
     dual_rep,
 )
 
@@ -165,11 +164,9 @@ def coboundary_comults(
         delta(x) = (ad(x) (x) id + id (x) ad(x)) r
     """
     _require_on(alg, r)
-    dot, bracket = _contract(_COBOUNDARY, dict(R=r, M=alg.dot, B=alg.bracket))
-    return (
-        Comultiplication.from_entries(alg.space, [(i, j, k, v) for (k, i, j), v in dot.items()]),
-        Comultiplication.from_entries(alg.space, [(i, j, k, v) for (k, i, j), v in bracket.items()]),
-    )
+    sums = _contract(_COBOUNDARY, dict(R=r, M=alg.dot, B=alg.bracket))
+    # each sum is keyed (k, i, j), a comultiplication's stored order
+    return tuple(_make(Comultiplication, space=alg.space, _sparse=_summed(s.items(), (alg.dim,) * 3)) for s in sums)
 
 
 # The coboundary condition families at x, in the terms above and with
@@ -261,9 +258,9 @@ _O_OPERATOR = (
 # D T - T endo, row p and column c of an n-by-m matrix
 _O_INTERTWINE = (("operator-intertwine", "", "pc", "T:cr,D:rp - E:cr,T:rp"),)
 _WEAK_O_OPERATOR = _Checker(_O_OPERATOR, _O_INTERTWINE)
-# what an OOperator holds: a relative Poisson algebra, then a representation and T's weak conditions
 _REP_O_OPERATOR = _Checker(_Use("", _REPRESENTATION), _Use("", _WEAK_O_OPERATOR, E="AL"))
-_O_OPERATOR_CHECK = _Checker(_Use("", _REL_POISSON), _Use("", _REP_O_OPERATOR))
+# what an OOperator holds: a relative Poisson algebra, then a representation and T's weak conditions
+_O_OPERATOR_CHECK = _Checker(_Use("", _REL_POISSON_REP), _Use("", _WEAK_O_OPERATOR, E="AL"))
 
 
 def check_weak_o_operator(
@@ -318,11 +315,16 @@ def check_semidirect_dual_conditions(
         mu(Q x) - mu(x) alpha - beta mu(x) = 0
         rho(Q x) - rho(x) alpha - beta rho(x) = 0.
     """
-    alg = rep.algebra
     beta = _beta_columns(beta, rep.space.dim)
-    _require_endomorphism(alg.space, codrv, "candidate")
-    tables = dict(M=alg.dot, B=alg.bracket, D=alg.derivation, Q=codrv, BE=beta)
-    return _check(_SEMIDIRECT_DUAL, limit, MU=rep._mu, RHO=rep._rho, AL=rep._alpha, **tables)
+    _require_endomorphism(rep.algebra.space, codrv, "candidate")
+    return _check(_SEMIDIRECT_DUAL, limit, Q=codrv, BE=beta, **_rep_tables(rep))
+
+
+# the r-matrix's hypotheses: rep with T's weak conditions, beta dually
+# representing on the module, and T intertwining beta with Q: Q T - T beta
+_O_OPERATOR_RMATRIX = _Checker(
+    _Use("", _REP_O_OPERATOR), _Use("", _DUAL_REP_CONDITIONS), _Use("dual-", _O_INTERTWINE, D="Q", E="BE")
+)
 
 
 def o_operator_to_rmatrix(
@@ -338,15 +340,13 @@ def o_operator_to_rmatrix(
     r = T - tau(T), a solution of the RPYBE associated to Q + alpha^T.
     """
     alg = rep.algebra
-    _require(check_representation(rep), "not a representation")
-    _require(check_dual_rep_conditions(rep, beta), "beta does not dually represent on the module")
-    _require(check_weak_o_operator(alg, rep, rep._alpha, operator), "not an O-operator")
     n, m = alg.dim, rep.space.dim
+    if operator.codomain != alg.space or operator.domain != rep.space:
+        raise ValueError("operator does not map the module into the algebra")
     if codrv.domain.dim != n or codrv.codomain.dim != n:
         raise ValueError("dual map is not an endomorphism of the algebra's space")
-    # Q T - T beta, the intertwining family of an O-operator's D T - T alpha
-    if not _check(_O_INTERTWINE, 0, T=operator, D=codrv, E=_beta_columns(beta, m)).ok:
-        raise PreconditionError("operator does not intertwine beta with the dual map")
+    tables = dict(T=operator, Q=codrv, BE=_beta_columns(beta, m), **_rep_tables(rep))
+    _require(_check(_O_OPERATOR_RMATRIX, DEFAULT_VIOLATION_LIMIT, **tables), "not an O-operator")
     semidirect = _semidirect(dual_rep(rep, beta))
     # T(v_i) (x) v_i* - v_i* (x) T(v_i), with v_i* at index n + i: row t < n
     # holds T's row t at the columns n + i, row n + i holds -T(v_i)

@@ -163,6 +163,15 @@ def worked_subadjacent() -> RelPoissonAlgebra:
     return alg
 
 
+def broken_subadjacent() -> RelPoissonAlgebra:
+    """The worked sub-adjacent algebra with (0, 1, 2, 1) added to its dot,
+    which breaks its commutativity and derivation rule; its adjoint
+    representation fails endo-dot."""
+    alg = worked_subadjacent()
+    dot = op(alg.space, alg.dot.nonzero_entries() + [(0, 1, 2, 1)])
+    return RelPoissonAlgebra(alg.space, dot, alg.bracket, alg.derivation)
+
+
 def rel_poisson_corpus():
     """Verified relative Poisson algebras of dims 1-3 plus friends."""
     star, der = zinbiel3(1, 0)

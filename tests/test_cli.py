@@ -323,6 +323,17 @@ def test_mixed_dimension_operator_report_byte_identical_to_golden(capsys):
     assert found == {"operator-dot": 2, "operator-intertwine": 6}
 
 
+def test_o_operator_rmatrix_reject_names_every_failed_hypothesis(capsys):
+    # the recipe's hypotheses are one checker, so its one line names the
+    # operator's failed weak conditions, then dual-operator-intertwine:
+    # T does not intertwine the default beta = -alpha with the dual map -D
+    path = FIXTURES / "reports" / "representation_operator_failing.json"
+    assert main(["construct", "o-operator-rmatrix", str(path)]) == 2
+    out, err = capsys.readouterr()
+    failed = "operator-dot, operator-intertwine, dual-operator-intertwine"
+    assert (out, err) == ("", f"precondition failed: not an O-operator: {failed}\n")
+
+
 def test_report_cut_at_the_form_facts_byte_identical_to_golden(capsys):
     # 15 violations of the algebra and of the form's invariance, then
     # form-symmetric as the 16th; the degenerate form's form-nondegenerate

@@ -16,26 +16,37 @@ from relpoisson import (
     PreconditionError,
     RelPoissonAlgebra,
     RelPrePoissonAlgebra,
+    RepData,
     adjoint_rep,
+    bialgebra_to_matched_pair,
+    bowtie,
+    bracket_from_derivation,
     check_jacobi_algebra,
     check_jacobi_representation,
     check_rel_poisson,
     check_representation,
     check_weak_o_operator,
+    circ_from_derivation,
     combine_reports,
+    dualize_bialgebra,
     extend_jacobi,
     extend_representation,
     find_unit,
     frobenius_jacobi_pipeline,
+    induced_matched_pair,
     lift_o_operator,
+    o_operator_to_rmatrix,
+    semidirect_product,
     subadjacent,
 )
-from relpoisson import algebra, coalgebra, jacobi
+from relpoisson import algebra, coalgebra, documents, jacobi, yangbaxter
 from relpoisson.algebra import BilinearOp, ad_map
 from relpoisson.linalg import Space, basis_vector
 from dense_matrices import identity_matrix
 
 from conftest import (
+    FIXTURES,
+    broken_subadjacent,
     heisenberg_poisson,
     linmap,
     rel_poisson_corpus,
@@ -43,6 +54,7 @@ from conftest import (
     worked_subadjacent,
     zero_algebra,
     zero_prepoisson,
+    zinbiel3,
 )
 
 
@@ -142,6 +154,27 @@ def test_extend_representation_tampered_unit_action_fails():
     assert not report.ok and "dot-action-unital" in report.axioms_failed()
 
 
+@pytest.mark.parametrize("ones", [False, True], ids=["whole", "truncated"])
+def test_extend_representation_sweeps_its_hypotheses_in_one_contraction(monkeypatch, ones):
+    """A failing algebra and a failing representation of it, its adjoint
+    one or one with all-ones actions on a plane (which fails past the
+    limit): the extension sweeps both in one contraction and reports what
+    the two checkers report, merged and cut at the limit."""
+    broken = broken_subadjacent()
+    full = ((1, 1), (1, 1))
+    rep = RepData(broken, Space.of_dim(2, "v"), (full,) * 3, (full,) * 3, full) if ones else adjoint_rep(broken)
+    reports = check_rel_poisson(broken), check_representation(rep)
+    assert not any(r.ok for r in reports)
+    calls, contract = [], algebra._contract
+    monkeypatch.setattr(algebra, "_contract", lambda *args: calls.append(args) or contract(*args))
+    with pytest.raises(PreconditionError) as failed:
+        extend_representation(rep)
+    assert len(calls) == 1
+    assert failed.value.report == combine_reports(*reports)
+    assert failed.value.report.truncated == ones
+    assert str(failed.value).startswith("not a representation of a relative Poisson algebra: dot:commutative")
+
+
 def test_lift_o_operator():
     _alg, rep = subadjacent(worked_prepoisson())
     lift = lift_o_operator(rep, LinearMap.identity(rep.space))
@@ -167,10 +200,8 @@ def test_lift_sweeps_its_preconditions_in_one_contraction(monkeypatch, rows):
     that is not an O-operator fail all three checkers; the lift sweeps
     them in one contraction and reports what they report, merged and cut
     at the limit (the second operator fails past it)."""
-    alg = worked_subadjacent()
-    sp = alg.space
-    dot = BilinearOp.from_entries(sp, alg.dot.nonzero_entries() + [(0, 1, 2, 1)])
-    broken = RelPoissonAlgebra(sp, dot, alg.bracket, alg.derivation)
+    broken = broken_subadjacent()
+    sp = broken.space
     rep, operator = adjoint_rep(broken), LinearMap(sp, sp, rows)
     reports = check_rel_poisson(broken), check_representation(rep), check_weak_o_operator(broken, rep, rep._alpha, operator)
     assert not any(r.ok for r in reports)
@@ -267,6 +298,56 @@ def test_pipeline_verifies_each_fact_once(monkeypatch):
     monkeypatch.setattr(algebra, "_contract", counted)
     frobenius_jacobi_pipeline(pp)
     assert dict(swept) == PIPELINE_FAMILIES
+
+
+def _checker_contractions(monkeypatch) -> list:
+    """The checkers contracted from now on; the construction specs
+    _DERIVED_PRODUCT and _COBOUNDARY, which build an output, are left out."""
+    calls, contract = [], algebra._contract
+    builds = (algebra._DERIVED_PRODUCT, yangbaxter._COBOUNDARY)
+
+    def counted(checker, tables):
+        if not any(checker is spec for spec in builds):
+            calls.append(checker)
+        return contract(checker, tables)
+
+    monkeypatch.setattr(algebra, "_contract", counted)
+    return calls
+
+
+def test_every_verified_constructor_sweeps_its_hypotheses_in_one_contraction(monkeypatch, worked_bialgebra):
+    # prepoisson_to_rmatrix, which chains subadjacent and o_operator_to_rmatrix, makes two
+    pp = worked_prepoisson()
+    alg, rep = subadjacent(pp)
+    codrv, ident = pp.derivation.neg(), LinearMap.identity(rep.space)
+    constructors = {
+        bracket_from_derivation: (alg.dot, alg.derivation),
+        circ_from_derivation: zinbiel3(),
+        subadjacent: (pp,),
+        semidirect_product: (alg, rep),
+        extend_jacobi: (alg,),
+        extend_representation: (rep,),
+        lift_o_operator: (rep, ident),
+        o_operator_to_rmatrix: (rep, codrv, codrv, ident),
+        dualize_bialgebra: (worked_bialgebra,),
+        bialgebra_to_matched_pair: (worked_bialgebra,),
+        bowtie: (induced_matched_pair(worked_bialgebra),),
+    }
+    calls, counts = _checker_contractions(monkeypatch), {}
+    for construct, args in constructors.items():
+        calls.clear()
+        construct(*args)
+        counts[construct.__name__] = len(calls)
+    assert counts == {construct.__name__: 1 for construct in constructors}
+
+
+def test_a_pipeline_call_makes_one_contraction_per_stage_that_sweeps(monkeypatch):
+    # every stage but coboundary sweeps, and each sweeps its facts as one checker
+    doc = documents.parse_document((FIXTURES / "prepoisson_3d.json").read_text())
+    pp = documents.doc_to_rel_pre_poisson(doc)
+    calls = _checker_contractions(monkeypatch)
+    frobenius_jacobi_pipeline(pp)
+    assert len(calls) == 9 == len(jacobi._STAGES) - 1
 
 
 def test_pipeline_builds_the_dual_algebra_once(monkeypatch):

@@ -13,24 +13,31 @@ from relpoisson import (
     RepData,
     Space,
     Tensor2,
+    Violation,
     adjoint_rep,
     aybe_tensor,
     check_bialgebra,
     check_coboundary_conditions,
+    check_dual_rep_conditions,
+    check_representation,
     check_rpybe,
     check_rpybe_via_maps,
     check_semidirect_dual_conditions,
     check_weak_o_operator,
     coboundary_comults,
+    combine_reports,
     cybe_tensor,
     is_antisymmetric,
     o_operator_to_rmatrix,
     semidirect_codrv,
     subadjacent,
 )
+from relpoisson import algebra, yangbaxter
+from relpoisson.algebra import Collector
 from dense_matrices import mat_neg, zero_matrix
 
 from conftest import (
+    broken_subadjacent,
     heisenberg_poisson,
     neg_map,
     tensor,
@@ -349,6 +356,66 @@ def test_o_operator_to_rmatrix_rejects_tampered_operator():
     tampered = LinearMap(alg.space, alg.space, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(PreconditionError):
         o_operator_to_rmatrix(rep, beta, codrv, tampered)
+
+
+def test_o_operator_to_rmatrix_guards_run_before_its_sweep():
+    # whatever the axioms say, a mis-sized input is a ValueError, never the
+    # failing representation's PreconditionError
+    rep = adjoint_rep(broken_subadjacent())
+    sp = rep.algebra.space
+    assert not check_representation(rep).ok
+    beta, ident = rep._alpha.neg(), LinearMap.identity(sp)
+    larger, module = Space.of_dim(sp.dim + 1), Space.of_dim(sp.dim, "v")
+    cases = [
+        ("dual map", (beta, LinearMap.zero(larger), ident)),
+        ("operator", (beta, ident, LinearMap.zero(module, sp))),
+        ("beta", (LinearMap.zero(larger), ident, ident)),
+    ]
+    for match, args in cases:
+        with pytest.raises(ValueError, match=match) as exc:
+            o_operator_to_rmatrix(rep, *args)
+        assert type(exc.value) is ValueError
+
+
+def test_o_operator_to_rmatrix_intertwining_failure_carries_its_report():
+    # with Q = T = id and beta = -alpha only Q T - T beta = id + alpha fails
+    _alg, rep = subadjacent(worked_prepoisson())
+    ident = LinearMap.identity(rep.space)
+    with pytest.raises(PreconditionError) as failed:
+        o_operator_to_rmatrix(rep, rep._alpha.neg(), ident, ident)
+    alpha = rep.der_action
+    defect = tuple(alpha[p][c] + (p == c) for p in range(3) for c in range(3))
+    assert failed.value.report.violations == (Violation("dual-operator-intertwine", (), defect),)
+    assert str(failed.value) == "not an O-operator: dual-operator-intertwine"
+
+
+@pytest.mark.parametrize("rows", [((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 1, 1),) * 3], ids=["whole", "truncated"])
+def test_o_operator_to_rmatrix_sweeps_its_hypotheses_in_one_contraction(monkeypatch, rows):
+    """A failing representation, an operator that is not an O-operator, a
+    beta that does not dually represent and a dual map that T does not
+    intertwine with beta fail all four parts; the constructor sweeps them
+    in one contraction and reports what they report, merged in order and
+    cut at the limit (the second operator fails past it)."""
+    rep = adjoint_rep(broken_subadjacent())
+    sp = rep.algebra.space
+    operator, beta, codrv = LinearMap(sp, sp, rows), LinearMap.identity(sp), LinearMap.zero(sp)
+    # Q T - T beta, by the intertwining family of D T - T alpha, named dual-
+    intertwine = Collector()
+    intertwine.merge(algebra._check(yangbaxter._O_INTERTWINE, 16, T=operator, D=codrv, E=beta), prefix="dual-")
+    reports = (
+        check_representation(rep),
+        check_weak_o_operator(rep.algebra, rep, rep._alpha, operator),
+        check_dual_rep_conditions(rep, beta),
+        intertwine.report(),
+    )
+    assert not any(r.ok for r in reports)
+    calls, contract = [], algebra._contract
+    monkeypatch.setattr(algebra, "_contract", lambda *args: calls.append(args) or contract(*args))
+    with pytest.raises(PreconditionError) as failed:
+        o_operator_to_rmatrix(rep, beta, codrv, operator)
+    assert len(calls) == 1
+    assert failed.value.report == combine_reports(*reports)
+    assert failed.value.report.truncated == (rows[0] == (1, 1, 1))
 
 
 def test_semidirect_dual_conditions():
