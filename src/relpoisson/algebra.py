@@ -24,6 +24,7 @@ from .linalg import (
     Matrix,
     Space,
     Vector,
+    _act,
     _blocks,
     _entries,
     _from_dense,
@@ -32,7 +33,6 @@ from .linalg import (
     _make,
     _picker,
     _read,
-    _row,
     _Stored,
     _summed,
     _Table,
@@ -182,7 +182,7 @@ class _Rank3(_Stored):
         return _entries(self._sparse, self._axes)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class BilinearOp(_Rank3):
     """A bilinear map on a based space, stored sparse: an entry ((i, j, k),
     value) is the nonzero e_k-coefficient of e_i * e_j.
@@ -208,15 +208,8 @@ class BilinearOp(_Rank3):
         return self.apply(u, basis_vector(self.space.dim, j))
 
     def apply(self, u: Vector, v: Vector) -> Vector:
-        """u * v for general coefficient vectors, reading the rows of the
-        nonzero coordinates of u."""
-        acc = [ZERO] * self.space.dim
-        for i, cu in enumerate(u):
-            if cu:
-                for (j, k), x in _row(self._sparse, i):
-                    if v[j]:
-                        acc[k] += cu * v[j] * x
-        return tuple(acc)
+        """u * v for general coefficient vectors."""
+        return ad_map(self, u)(v)
 
     def left_matrix(self, i: int) -> Matrix:
         """Matrix of left multiplication by e_i (columns are e_i * e_j)."""
@@ -224,13 +217,7 @@ class BilinearOp(_Rank3):
 
     def left_matrix_of(self, u: Vector) -> Matrix:
         """Matrix of left multiplication by a general element u."""
-        n = self.space.dim
-        acc = [[ZERO] * n for _ in range(n)]
-        for i, c in enumerate(u):
-            if c:
-                for (j, k), x in _row(self._sparse, i):
-                    acc[k][j] += c * x
-        return tuple(tuple(r) for r in acc)
+        return ad_map(self, u).entries
 
     @cached_property
     def _unit(self):
@@ -680,8 +667,7 @@ def ad_map(bracket: BilinearOp, u: Vector) -> LinearMap:
     """The adjoint action [u, -] of an element as a linear map: column j
     is [u, e_j]."""
     sp = bracket.space
-    entries = [(k, j, c * x) for i, c in enumerate(u) if c for (j, k), x in _row(bracket._sparse, i)]
-    return _make(LinearMap, domain=sp, codomain=sp, _sparse=_table(entries, "ji", (sp.dim, sp.dim)))
+    return _make(LinearMap, domain=sp, codomain=sp, _sparse=_act(bracket._sparse, u))
 
 
 __all__ = [

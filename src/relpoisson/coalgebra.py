@@ -31,12 +31,12 @@ from .algebra import (
     _require,
     _Use,
 )
-from .linalg import LinearMap, Matrix, Space, Vector, _dense, _make, _permuted, _row, _scaled, _view, dual_map
+from .linalg import LinearMap, Matrix, Space, Vector, _act, _make, _permuted, _scaled, _view, dual_map
 from .pairing import MatchedPairData
 from .representations import _DUALLY_REPRESENTS
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Comultiplication(_Rank3):
     """A linear map A -> A (x) A, stored as the table ``_sparse`` of the
     nonzero coefficients of e_i (x) e_j in the image of e_k, keyed
@@ -53,9 +53,7 @@ class Comultiplication(_Rank3):
 
     def of(self, u: Vector) -> Matrix:
         """Image of a general element as a 2-tensor coefficient matrix."""
-        n = self.space.dim
-        hits = [(i * n + j, c * x) for k, c in enumerate(u) if c for (i, j), x in _row(self._sparse, k)]
-        return _dense(hits, n, n)
+        return _view(_act(self._sparse, u))
 
 
 @dataclass(frozen=True)

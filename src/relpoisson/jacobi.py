@@ -24,19 +24,9 @@ from .algebra import (
     check_rel_poisson,
     find_unit,
 )
-from .coalgebra import (
-    BialgebraData,
-    check_bialgebra,
-    induced_matched_pair,
-)
+from .coalgebra import BialgebraData, bialgebra_to_matched_pair
 from .linalg import ONE, LinearMap, Space, _blocks, _identity, _row, _Table, _with, basis_vector
-from .pairing import (
-    BilinearForm,
-    canonical_pairing,
-    check_manin_triple,
-    check_matched_pair,
-    combine_matched_pair,
-)
+from .pairing import BilinearForm, bowtie, canonical_pairing, check_manin_triple
 from .prepoisson import RelPrePoissonAlgebra, subadjacent
 from .representations import _REL_POISSON_REP, RepData, _jacobi_representation, _rep, _rep_tables
 from .yangbaxter import (
@@ -166,8 +156,7 @@ def frobenius_jacobi_pipeline(
         try:
             return construct(*args)
         except PreconditionError as exc:
-            detail = ", ".join(exc.report.axioms_failed()) if exc.report else str(exc)
-            raise PipelineError(name, detail, exc.report) from exc
+            raise PipelineError(name, str(exc), exc.report) from exc
 
     sub, rep = verified("pre-poisson", subadjacent, pp)
     lift = verified("sub-adjacent", lift_o_operator, rep, LinearMap.identity(sub.space))
@@ -206,12 +195,8 @@ def frobenius_jacobi_pipeline(
     if _row(dot_comult._sparse, 0):
         raise PipelineError("coboundary", "comultiplication does not kill the unit")
     bialgebra = BialgebraData(semidirect, dot_comult, bracket_comult, codrv)
-    stage("bialgebra", check_bialgebra(bialgebra))
-
-    pair = induced_matched_pair(bialgebra)
-    stage("matched-pair", check_matched_pair(pair))
-
-    double = combine_matched_pair(pair)
+    pair = verified("bialgebra", bialgebra_to_matched_pair, bialgebra)
+    double = verified("matched-pair", bowtie, pair)
     # sweeps the double's relative Poisson axioms and the invariance and
     # nondegeneracy of its canonical pairing form
     stage("double", check_manin_triple(semidirect, pair.right, double))

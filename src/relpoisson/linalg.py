@@ -16,7 +16,9 @@ memory and build time follow the entries, never the dimension.  Every
 row, column or join read goes through one index re-keyed from the
 entries and memoised beside them (:func:`_read`).  The dense attributes
 (``entries``, ``coeffs``) are views derived on first read, and no
-builder reads them.
+builder reads them.  A structure evaluated on dense vectors, a map on a
+vector or a product on its left factor, acts through :func:`_act`, which
+checks each vector's length and returns a table in normal form.
 
 Scalars are exact rationals in one normal form: a Python ``int`` when the
 value is integral, and a ``fractions.Fraction`` (lowest terms, positive
@@ -164,7 +166,8 @@ class _Stored:
     ``_stored``, by which instances compare, and each field not stored is
     a cached property, derived on first read.  A structure read by a sweep
     stores its table as ``_sparse``, its index positions in the order
-    ``_axes`` names."""
+    ``_axes`` names.  It prints as its stored attributes, so printing never
+    builds a dense view."""
 
     _stored = ()
 
@@ -175,6 +178,10 @@ class _Stored:
 
     def __hash__(self):
         return hash(tuple(getattr(self, name) for name in self._stored))
+
+    def __repr__(self):
+        stored = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._stored)
+        return f"{type(self).__name__}({stored})"
 
 
 def _make(cls, **stored):
@@ -244,30 +251,21 @@ def _from_dense(dense, shape, error: str, order=None) -> _Table:
     return table if order is None else _permuted(table, order)
 
 
-def _dense(hits, *shape):
-    """The nested tuple of the given shape holding the sum of the hits at
-    each flat index, zero elsewhere: the dense view of a sparse form."""
-    flat = [ZERO] * math.prod(shape)
-    for f, x in hits:
-        flat[f] += x
-    for level in range(len(shape) - 1, 0, -1):
-        size = shape[level]
-        flat = [tuple(flat[s * size : (s + 1) * size]) for s in range(math.prod(shape[:level]))]
-    return tuple(flat)
-
-
 def _view(table: _Table, order=None):
     """The dense nested tuple of a table, its positions read in ``order``
-    (stored order by default)."""
+    (stored order by default), zero off the entries."""
     pick = _picker(tuple(order)) if order else lambda at: at
     shape = pick(table.shape)
-    hits = []
+    flat = [ZERO] * math.prod(shape)
     for at, x in table.entries:
         f = 0
         for i, size in zip(pick(at), shape):
             f = f * size + i
-        hits.append((f, x))
-    return _dense(hits, *shape)
+        flat[f] = x
+    for level in range(len(shape) - 1, 0, -1):
+        size = shape[level]
+        flat = [tuple(flat[s * size : (s + 1) * size]) for s in range(math.prod(shape[:level]))]
+    return tuple(flat)
 
 
 def _rekey(entries, keys: tuple):
@@ -281,11 +279,9 @@ def _rekey(entries, keys: tuple):
     return index
 
 
-def _read(table: _Table, keys=None):
-    """A table's entries, or with ``keys`` its index re-keyed on those
-    positions, built once per table in its memo."""
-    if keys is None:
-        return table.entries
+def _read(table: _Table, keys: tuple):
+    """A table's index re-keyed on the positions ``keys``, built once per
+    table in its memo."""
     found = table._reads.get(keys)
     if found is None:
         found = table._reads[keys] = _rekey(table.entries, keys)
@@ -296,6 +292,15 @@ def _row(table: _Table, i: int):
     """Row i of a table: the (other indices, value) pairs of its entries
     with index i at position 0."""
     return _read(table, (0,)).get(i, ())
+
+
+def _act(table: _Table, u) -> _Table:
+    """sum_k u[k] table[k, ...]: the table of the other positions, a
+    vector acting on position 0; ValueError unless u has one coordinate
+    per index there."""
+    if len(u) != table.shape[0]:
+        raise ValueError(f"vector of length {len(u)} where {table.shape[0]} coordinates are needed")
+    return _summed(((at, c * x) for k, c in enumerate(u) if c for at, x in _row(table, k)), table.shape[1:])
 
 
 def _row_dicts(table: _Table, count: int):
@@ -438,7 +443,7 @@ def mat_inverse(a: Matrix) -> Matrix:
 # linear maps
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class LinearMap(_Stored):
     """A linear map, stored as the table ``_sparse`` of its matrix keyed
     (column, row): entry ((j, i), x) is row i of column j.
@@ -467,11 +472,10 @@ class LinearMap(_Stored):
         return _make(LinearMap, domain=domain, codomain=codomain, _sparse=table)
 
     def __call__(self, v: Vector) -> Vector:
-        hits = [(i, v[j] * x) for (j, i), x in self._sparse.entries if v[j]]
-        return _dense(hits, self.codomain.dim)
+        return _view(_act(self._sparse, v))
 
     def column(self, j: int) -> Vector:
-        return _dense([(i, x) for (i,), x in _row(self._sparse, j)], self.codomain.dim)
+        return self(basis_vector(self.domain.dim, j))
 
     def add(self, other: LinearMap) -> LinearMap:
         if (self.domain, self.codomain) != (other.domain, other.codomain):
@@ -495,7 +499,7 @@ def dual_map(f: LinearMap) -> LinearMap:
 # tensors
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Tensor2(_Stored):
     """r = sum coeffs[i][j] e_i (x) f_j in left (x) right, stored as the
     table ``_sparse`` of its nonzero coefficients keyed (i, j).
@@ -529,7 +533,7 @@ class Tensor2(_Stored):
         return not self._sparse.entries
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Tensor3(_Stored):
     """t = sum coeffs[i][j][k] e_i (x) f_j (x) g_k, stored as the table
     ``_sparse`` of its nonzero coefficients keyed (i, j, k).

@@ -31,9 +31,9 @@ from .linalg import (
     Matrix,
     Space,
     Vector,
+    _act,
     _blocks,
     _determinant,
-    _entries,
     _from_dense,
     _identity,
     _make,
@@ -49,7 +49,7 @@ from .linalg import (
 from .representations import _REPRESENTATION, RepData, _rep
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class BilinearForm(_Stored):
     """B(e_i, e_j) = gram[i][j]; symmetry and nondegeneracy are predicates.
     Stored as the table ``_sparse`` of the Gram matrix keyed (column, row):
@@ -67,8 +67,9 @@ class BilinearForm(_Stored):
         self.__dict__.update(space=space, _sparse=_from_dense(gram, (n, n), error, (1, 0)))
 
     def value(self, u: Vector, v: Vector):
-        terms = (u[i] * v[j] * g for i, j, g in _entries(self._sparse, self._axes) if u[i] and v[j])
-        return sum(terms, ZERO)
+        # the Gram matrix's columns are keyed first, so v acts first
+        found = _act(_act(self._sparse, v), u).entries
+        return found[0][1] if found else ZERO
 
     def is_symmetric(self) -> bool:
         return self._sparse == _permuted(self._sparse, (1, 0))
@@ -139,7 +140,7 @@ def adjoint_of(op: LinearMap, form: BilinearForm) -> LinearMap:
 # matched pairs
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class MatchedPairData(_Stored):
     """Two algebras acting on each other.
 

@@ -50,28 +50,27 @@ from .linalg import (
     Matrix,
     Space,
     Vector,
-    _dense,
+    _act,
     _determinant,
     _from_dense,
     _identity,
     _make,
     _permuted,
-    _row,
     _row_dicts,
     _scaled,
     _Stored,
     _Table,
     _table,
+    _view,
 )
 
 
-def _action_of(family, u: Vector, m: int) -> Matrix:
-    """The dense matrix of sum_k u[k] family[k] on a module of dim m."""
-    hits = [(r * m + j, c * x) for k, c in enumerate(u) if c for (j, r), x in _row(family, k)]
-    return _dense(hits, m, m)
+def _action_of(family, u: Vector) -> Matrix:
+    """The dense matrix of sum_k u[k] family[k]."""
+    return _view(_act(family, u), (1, 0))
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class CompatibleStructure(_Stored):
     """Actions (mu, rho, V) of both products, without the endomorphism.
     The constructor takes the dense families ``dot_action`` and
@@ -89,13 +88,13 @@ class CompatibleStructure(_Stored):
         self.__dict__.update(algebra=algebra, space=space, _mu=mu, _rho=rho)
 
     def dot_action_of(self, u: Vector) -> Matrix:
-        return _action_of(self._mu, u, self.space.dim)
+        return _action_of(self._mu, u)
 
     def bracket_action_of(self, u: Vector) -> Matrix:
-        return _action_of(self._rho, u, self.space.dim)
+        return _action_of(self._rho, u)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class RepData(CompatibleStructure):
     """A compatible structure together with the endomorphism alpha of V,
     stored as the linear map ``_alpha`` and given dense as ``der_action``."""

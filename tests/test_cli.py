@@ -334,6 +334,18 @@ def test_o_operator_rmatrix_reject_names_every_failed_hypothesis(capsys):
     assert (out, err) == ("", f"precondition failed: not an O-operator: {failed}\n")
 
 
+def test_failing_pipeline_exits_2_and_writes_no_output(tmp_path, capsys):
+    # the worked pre-Poisson algebra with e3 * e3 = e3 added to its star
+    # fails at the first stage, which names every failed family
+    out_path = tmp_path / "out.json"
+    path = FIXTURES / "reports" / "prepoisson_3d_failing.json"
+    assert main(["pipeline", str(path), "-o", str(out_path)]) == 2
+    failed = "zinbiel, star:derivation, mixed-dot-side, mixed-bracket-side"
+    line = f"pipeline failed: stage pre-poisson: not a relative pre-Poisson algebra: {failed}\n"
+    assert capsys.readouterr() == ("", line)
+    assert not out_path.exists()
+
+
 def test_report_cut_at_the_form_facts_byte_identical_to_golden(capsys):
     # 15 violations of the algebra and of the form's invariance, then
     # form-symmetric as the 16th; the degenerate form's form-nondegenerate

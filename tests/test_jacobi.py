@@ -1,6 +1,7 @@
 """Unit extension, representation extension, O-operator lift, pipeline."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from relpoisson import (
+    BialgebraData,
+    Comultiplication,
     LinearMap,
     PipelineError,
     PreconditionError,
@@ -21,8 +24,10 @@ from relpoisson import (
     bialgebra_to_matched_pair,
     bowtie,
     bracket_from_derivation,
+    check_bialgebra,
     check_jacobi_algebra,
     check_jacobi_representation,
+    check_matched_pair,
     check_rel_poisson,
     check_representation,
     check_weak_o_operator,
@@ -245,6 +250,52 @@ def test_pipeline_rejects_invalid_input():
     with pytest.raises(PipelineError) as err:
         frobenius_jacobi_pipeline(bad)
     assert err.value.stage == "pre-poisson"
+
+
+def test_pipeline_bialgebra_stage_failure_names_its_constructor(monkeypatch):
+    # e2 -> e2 (x) e2 added to the coboundary dot comultiplication: the unit
+    # e1 is still killed, so the coboundary stage passes and the bialgebra
+    # stage is the first to fail
+    built, coboundary = [], jacobi.coboundary_comults
+
+    def perturbed(alg, r):
+        dot, bracket = coboundary(alg, r)
+        dot = Comultiplication.from_entries(alg.space, dot.nonzero_entries() + [(1, 1, 1, 1)])
+        built.append(BialgebraData(alg, dot, bracket, alg.derivation.neg()))
+        return dot, bracket
+
+    monkeypatch.setattr(jacobi, "coboundary_comults", perturbed)
+    with pytest.raises(PipelineError) as err:
+        frobenius_jacobi_pipeline(worked_prepoisson())
+    (bialgebra,) = built
+    report = check_bialgebra(bialgebra)
+    assert not report.ok and err.value.report == report
+    failed = ", ".join(report.axioms_failed())
+    assert (err.value.stage, str(err.value)) == (
+        "bialgebra",
+        f"stage bialgebra: not a relative Poisson bialgebra: {failed}",
+    )
+
+
+def test_pipeline_matched_pair_stage_failure_names_its_constructor(monkeypatch):
+    # the valid bialgebra's matched pair with the left factor's dot action
+    # doubled: the bialgebra stage passes and the matched-pair stage fails
+    built, induced = [], coalgebra.induced_matched_pair
+
+    def perturbed(data):
+        pair = induced(data)
+        doubled = tuple(tuple(tuple(2 * x for x in row) for row in mat) for mat in pair.dot_action_on_right)
+        built.append(dataclasses.replace(pair, dot_action_on_right=doubled))
+        return built[-1]
+
+    monkeypatch.setattr(coalgebra, "induced_matched_pair", perturbed)
+    with pytest.raises(PipelineError) as err:
+        frobenius_jacobi_pipeline(worked_prepoisson())
+    (pair,) = built
+    report = check_matched_pair(pair)
+    assert not report.ok and err.value.report == report
+    failed = ", ".join(report.axioms_failed())
+    assert str(err.value) == f"stage matched-pair: not a matched pair: {failed}"
 
 
 # The families one pipeline call sweeps, by axiom name without prefixes,

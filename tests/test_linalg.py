@@ -8,8 +8,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relpoisson import BilinearOp, LinearMap, Space, Tensor2, Tensor3, dual_map, find_unit, rotate_factors, swap_factors, tensor_as_map
+from relpoisson import (
+    BilinearForm,
+    BilinearOp,
+    CompatibleStructure,
+    Comultiplication,
+    LinearMap,
+    RelPoissonAlgebra,
+    Space,
+    Tensor2,
+    Tensor3,
+    dual_map,
+    find_unit,
+    rotate_factors,
+    swap_factors,
+    tensor_as_map,
+)
 from relpoisson import algebra, linalg
+from relpoisson.algebra import ad_map
 from relpoisson.documents import _FAMILY
 from relpoisson.linalg import determinant, mat_inverse
 from dense_matrices import mat_mul, mat_transpose
@@ -540,3 +556,39 @@ def test_table_holds_the_sorted_nonzero_sums_of_its_entries(case):
             rest = tuple(i for p, i in enumerate(at) if p not in keys)
             grouped.setdefault(key, []).append((rest, x))
         assert index == grouped and linalg._read(table, keys) is index
+
+
+def _evaluators():
+    """Each evaluator of the dense API on a 3-dim algebra, acting on a
+    2-dim module, as a function of the one vector it is given; any other
+    vector it reads has the right length."""
+    sp, good = Space.of_dim(3), (1, 0, 2)
+    op = BilinearOp.from_entries(sp, [(0, 0, 0, 1), (0, 1, 2, F(1, 2)), (2, 2, 1, 3)])
+    comult = Comultiplication.from_entries(sp, op.nonzero_entries())
+    form = BilinearForm(sp, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    alg = RelPoissonAlgebra(sp, op, BilinearOp.zero(sp), LinearMap.zero(sp))
+    family = (((1, 0), (0, 1)),) * 3
+    cs = CompatibleStructure(alg, Space.of_dim(2, "v"), family, family)
+    return {
+        "apply-left": lambda w: op.apply(w, good),
+        "apply-right": lambda w: op.apply(good, w),
+        "left_matrix_of": op.left_matrix_of,
+        "ad_map": lambda w: ad_map(op, w),
+        "LinearMap.__call__": LinearMap.identity(sp),
+        "Comultiplication.of": comult.of,
+        "dot_action_of": cs.dot_action_of,
+        "bracket_action_of": cs.bracket_action_of,
+        "value-left": lambda w: form.value(w, good),
+        "value-right": lambda w: form.value(good, w),
+    }
+
+
+@pytest.mark.parametrize("vector", [(1, 0, 2, 5), (1, 0)], ids=["too-long", "too-short"])
+@pytest.mark.parametrize("name", list(_evaluators()))
+def test_evaluators_reject_a_mis_sized_vector(name, vector):
+    # too long by a nonzero coordinate, which a row loop over the vector's
+    # coordinates would silently drop
+    evaluate = _evaluators()[name]
+    with pytest.raises(ValueError, match="vector of length"):
+        evaluate(vector)
+    evaluate((1, 0, 2))

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from relpoisson import (
+    BilinearForm,
     BilinearOp,
+    CompatibleStructure,
     Comultiplication,
     LinearMap,
     RelPoissonAlgebra,
@@ -24,6 +26,7 @@ from relpoisson import (
     frobenius_jacobi_pipeline,
     induced_matched_pair,
 )
+from relpoisson.algebra import ad_map
 from relpoisson.documents import doc_to_rel_pre_poisson, parse_document, parse_scalar_string
 from relpoisson.linalg import div, scalar
 
@@ -134,6 +137,33 @@ def test_constructors_store_the_normal_form():
     # repeated positions summing to an integer are stored as an int
     op = BilinearOp.from_entries(sp, [(1, 1, 1, F(1, 2)), (1, 1, 1, F(1, 2))])
     assert type(op.entry(1, 1, 1)) is int and op.nonzero_entries() == [(1, 1, 1, 1)]
+
+
+def test_evaluators_return_the_normal_form():
+    # fractional constants whose evaluations at u = (4, 4) are integral
+    sp, u, v = Space.of_dim(2), (4, 4), (1, 1)
+    entries = [(0, 0, 0, F(1, 2)), (0, 1, 1, F(3, 2)), (1, 0, 1, F(1, 2)), (1, 1, 0, F(1, 4))]
+    op, comult = BilinearOp.from_entries(sp, entries), Comultiplication.from_entries(sp, entries)
+    f = LinearMap(sp, sp, ((F(1, 2), F(3, 2)), (F(1, 4), F(1, 4))))
+    form = BilinearForm(sp, ((F(1, 2), F(1, 4)), (F(1, 4), 0)))
+    family = (((F(1, 2), 0), (0, F(1, 4))), ((F(1, 2), F(1, 4)), (0, 0)))
+    alg = RelPoissonAlgebra(sp, op, BilinearOp.zero(sp), LinearMap.zero(sp))
+    cs = CompatibleStructure(alg, Space.of_dim(2, "v"), family, family)
+    outputs = {
+        "apply": op.apply(u, v),
+        "left_matrix_of": op.left_matrix_of(u),
+        "ad_map": ad_map(op, u).entries,
+        "LinearMap.__call__": f(u),
+        "column": f.column(1),
+        "Comultiplication.of": comult.of(u),
+        "dot_action_of": cs.dot_action_of(u),
+        "bracket_action_of": cs.bracket_action_of(u),
+        "BilinearForm.value": form.value(u, v),
+    }
+    for name, out in outputs.items():
+        assert all(is_normal(x) for x in leaves(out)), (name, out)
+        if name != "column":
+            assert all(type(x) is int for x in leaves(out)) and any(leaves(out)), (name, out)
 
 
 def _pipeline_scalars(pp):

@@ -29,6 +29,7 @@ from relpoisson import (
     RepData,
     Space,
     Tensor2,
+    Tensor3,
     adjoint_rep,
     check_cocomm_coassoc,
     check_comm_assoc,
@@ -48,7 +49,7 @@ from relpoisson.cli import main
 from relpoisson.linalg import mat_inverse
 from dense_matrices import identity_matrix, mat_mul, zero_matrix
 
-from conftest import FIXTURES, zero_algebra
+from conftest import FIXTURES, worked_subadjacent, zero_algebra
 
 VALUES = st.sampled_from((1, -1, 2, F(1, 2), F(-3, 2)))
 
@@ -396,3 +397,38 @@ def test_checking_a_3200_dim_diagonal_document_peaks_under_40_mb(tmp_path):
     # ru_maxrss counts kilobytes on Linux and bytes on macOS
     peak_mb = peak / (2**20 if sys.platform == "darwin" else 2**10)
     assert peak_mb < 40, f"check peaked at {peak_mb:.1f} MB"
+
+
+def test_a_one_entry_product_at_dim_120_prints_its_stored_table():
+    sp = Space.of_dim(120)
+    op = BilinearOp.from_entries(sp, [(0, 1, 2, 1)])
+    text = repr(op)
+    assert text == f"BilinearOp(space={sp!r}, _sparse=_Table((((0, 1, 2), 1),), (120, 120, 120)))"
+    assert len(text) < 2000 and "table" not in vars(op)
+
+
+def test_every_stored_structure_prints_without_a_dense_view():
+    # a structure, and a container of structures, prints as its stored
+    # attributes, so printing leaves nothing else on an instance
+    alg = worked_subadjacent()
+    sp, module = alg.space, Space.of_dim(2, "v")
+    family = (((1, 0), (0, F(1, 2))),) * 3
+    zero_comult = Comultiplication.zero(sp)
+    structures = [
+        LinearMap(sp, sp, ((1, 0, 0), (0, 2, 0), (0, 0, 3))),
+        Tensor2(sp, sp, ((0, 1, 0), (-1, 0, 0), (0, 0, 0))),
+        Tensor3((sp, sp, sp), (((0,) * 3,) * 3,) * 3),
+        alg.dot,
+        Comultiplication.from_entries(sp, alg.dot.nonzero_entries()),
+        CompatibleStructure(alg, module, family, family),
+        RepData(alg, module, family, family, ((1, 0), (0, 1))),
+        BilinearForm(sp, ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+        induced_matched_pair(BialgebraData(alg, zero_comult, zero_comult, alg.derivation)),
+    ]
+    for s in structures:
+        text = repr(s)
+        assert text.startswith(f"{type(s).__name__}(") and "_Table(" in text
+        assert set(vars(s)) == set(s._stored), type(s).__name__
+    assert "_sparse=_Table(" in repr(alg)
+    for part in (alg.dot, alg.bracket, alg.derivation):
+        assert set(vars(part)) == set(part._stored)
