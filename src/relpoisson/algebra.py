@@ -29,11 +29,12 @@ from .linalg import (
     _entries,
     _from_dense,
     _gauss_jordan,
+    _index,
     _key,
     _make,
     _picker,
     _read,
-    _Stored,
+    _Sparse,
     _summed,
     _Table,
     _table,
@@ -146,7 +147,7 @@ def combine_reports(*reports, limit: int = DEFAULT_VIOLATION_LIMIT) -> AxiomRepo
 # bilinear operations
 
 
-class _Rank3(_Stored):
+class _Rank3(_Sparse):
     """Base of the rank-3 tables, stored keyed in the index order ``_axes``
     names: for axes "abc", an entry ((a, b, c), value).  The dense
     constructor takes the nested table of the same order, its dense view
@@ -174,12 +175,14 @@ class _Rank3(_Stored):
             checked.append((i, j, k, scalar(value)))
         return _make(cls, space=space, _sparse=_table(checked, cls._axes, (n, n, n)))
 
-    def is_zero(self) -> bool:
-        return not self.nonzero_entries()
-
     def nonzero_entries(self):
         """(i, j, k, value) quadruples of the nonzero entries, in stored order."""
         return _entries(self._sparse, self._axes)
+
+    def _point(self, labels: str, *indices):
+        """The (other indices, value) pairs of the entries at the checked basis indices of ``labels``."""
+        key = tuple(_index(i, self.space.dim) for i in indices)
+        return _read(self._sparse, tuple(map(self._axes.index, labels))).get(key, ())
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -193,11 +196,11 @@ class BilinearOp(_Rank3):
     table: tuple = cached_property(lambda self: _view(self._sparse))
 
     def entry(self, i: int, j: int, k: int):
-        return self.table[i][j][k]
+        return dict(self._point("ijk", i, j, k)).get((), ZERO)
 
     def product(self, i: int, j: int) -> Vector:
         """e_i * e_j as a coefficient vector."""
-        return self.table[i][j]
+        return _view(_Table(tuple(self._point("ij", i, j)), (self.space.dim,)))
 
     def apply_basis_left(self, i: int, v: Vector) -> Vector:
         """e_i * v for a general coefficient vector v."""

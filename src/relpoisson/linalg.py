@@ -89,6 +89,8 @@ class Space:
 
     @staticmethod
     def of_dim(n: int, prefix: str = "e") -> Space:
+        if n < 0:
+            raise ValueError(f"negative dimension: {n}")
         return Space(tuple(f"{prefix}{i + 1}" for i in range(n)))
 
     @property
@@ -121,8 +123,15 @@ def direct_sum_space(left: Space, right: Space) -> Space:
 # vectors
 
 
+def _index(i, n: int) -> int:
+    """i, checked as a basis index: ValueError unless an int in 0..n-1."""
+    if isinstance(i, int) and 0 <= i < n:
+        return i
+    raise ValueError(f"not a basis index of a {n}-dim space: {i!r}")
+
+
 def basis_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    return _view(_Table((((_index(i, n),), ONE),), (n,)))
 
 
 def vec_is_zero(u) -> bool:
@@ -182,6 +191,13 @@ class _Stored:
     def __repr__(self):
         stored = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._stored)
         return f"{type(self).__name__}({stored})"
+
+
+class _Sparse(_Stored):
+    """Base of the structures stored as the one table ``_sparse``."""
+
+    def is_zero(self) -> bool:
+        return not self._sparse.entries
 
 
 def _make(cls, **stored):
@@ -444,7 +460,7 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
-class LinearMap(_Stored):
+class LinearMap(_Sparse):
     """A linear map, stored as the table ``_sparse`` of its matrix keyed
     (column, row): entry ((j, i), x) is row i of column j.
     ``LinearMap(domain, codomain, entries)`` takes the dense
@@ -485,9 +501,6 @@ class LinearMap(_Stored):
     def neg(self) -> LinearMap:
         return _with(self, _sparse=_scaled(self._sparse, -1))
 
-    def is_zero(self) -> bool:
-        return not self._sparse.entries
-
 
 def dual_map(f: LinearMap) -> LinearMap:
     """The dual of f: V -> W, acting W* -> V* by the transpose matrix."""
@@ -500,7 +513,7 @@ def dual_map(f: LinearMap) -> LinearMap:
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
-class Tensor2(_Stored):
+class Tensor2(_Sparse):
     """r = sum coeffs[i][j] e_i (x) f_j in left (x) right, stored as the
     table ``_sparse`` of its nonzero coefficients keyed (i, j).
     ``Tensor2(left, right, coeffs)`` takes the dense coefficients, their
@@ -529,12 +542,9 @@ class Tensor2(_Stored):
     def neg(self) -> Tensor2:
         return _with(self, _sparse=_scaled(self._sparse, -1))
 
-    def is_zero(self) -> bool:
-        return not self._sparse.entries
-
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
-class Tensor3(_Stored):
+class Tensor3(_Sparse):
     """t = sum coeffs[i][j][k] e_i (x) f_j (x) g_k, stored as the table
     ``_sparse`` of its nonzero coefficients keyed (i, j, k).
     ``Tensor3(spaces, coeffs)`` takes the three factor spaces and the dense
@@ -549,9 +559,6 @@ class Tensor3(_Stored):
         error = "tensor coefficients do not match factor dimensions"
         table = _from_dense(coeffs, (s1.dim, s2.dim, s3.dim), error)
         self.__dict__.update(spaces=(s1, s2, s3), _sparse=table)
-
-    def is_zero(self) -> bool:
-        return not self._sparse.entries
 
 
 def swap_factors(t: Tensor2) -> Tensor2:

@@ -38,6 +38,7 @@ from relpoisson import (
 )
 from relpoisson.cli import main
 from relpoisson.documents import validate_document
+from relpoisson.linalg import basis_vector
 
 from conftest import FIXTURES, worked_subadjacent, zero_algebra
 
@@ -176,6 +177,7 @@ GUARDS = {
         lambda tmp: _cli_exit(tmp, "bracket-from-derivation", "comm_assoc_3d.json", "derivation"),
         "document carries no derivation",
     ),
+    "Space.of_dim": (lambda _: Space.of_dim(-2), "negative dimension: -2"),
     "construct-o-operator-rmatrix": (
         lambda tmp: _cli_exit(tmp, "o-operator-rmatrix", "representation_subadjacent_3d.json", "operator"),
         "o-operator-rmatrix needs an operator field",
@@ -200,3 +202,56 @@ def test_each_guard_rejects_its_mismatch(tmp_path, capsys, name):
 def test_tensor2_add_and_neg():
     r = Tensor2(SP2, SP2, ((0, 1), (2, 0)))
     assert r.add(r).add(r.neg()) == r and r.add(r.neg()).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# one basis index check
+
+
+# e1 e2 = e3 and Delta(e3) = e1 (x) e2
+PRODUCT3 = BilinearOp.from_entries(SP3, [(0, 1, 2, 1)])
+COMULT3 = Comultiplication.from_entries(SP3, [(0, 1, 2, 1)])
+ZERO3 = (0, 0, 0)
+
+
+def _at(position: int, arity: int, i) -> tuple:
+    """Basis indices 0, with i at the given position."""
+    return tuple(i if p == position else 0 for p in range(arity))
+
+
+# every public method taking basis indices, once per index argument, as a
+# call of the index
+INDEXED = {
+    "basis_vector": lambda i: basis_vector(3, i),
+    "LinearMap.column": lambda i: ID3.column(i),
+    "BilinearOp.left_matrix": lambda i: PRODUCT3.left_matrix(i),
+    "BilinearOp.apply_basis_left": lambda i: PRODUCT3.apply_basis_left(i, ZERO3),
+    "BilinearOp.apply_basis_right": lambda i: PRODUCT3.apply_basis_right(ZERO3, i),
+    **{
+        f"{name}-{'ijk'[p]}": lambda i, read=read, p=p, arity=arity: read(*_at(p, arity, i))
+        for name, read, arity in (
+            ("BilinearOp.product", PRODUCT3.product, 2),
+            ("BilinearOp.entry", PRODUCT3.entry, 3),
+            ("Comultiplication.coeff", COMULT3.coeff, 3),
+        )
+        for p in range(arity)
+    },
+}
+
+
+@pytest.mark.parametrize("index", [3, -1, 1.0, 2.0, "1", None])
+@pytest.mark.parametrize("name", list(INDEXED))
+def test_each_basis_index_is_checked_alike(name, index):
+    # the last index, 2, is read; n, -1 and any index but an int raise
+    INDEXED[name](2)
+    with pytest.raises(ValueError, match=rf"^not a basis index of a 3-dim space: {index!r}$"):
+        INDEXED[name](index)
+
+
+def test_an_out_of_range_index_neither_reads_zero_nor_wraps():
+    # column(200) read 120 zeros, and entry(0, 1, -1) read the constant at k = 2
+    with pytest.raises(ValueError, match="not a basis index of a 120-dim space: 200"):
+        LinearMap.identity(Space.of_dim(120)).column(200)
+    assert PRODUCT3.entry(0, 1, 2) == COMULT3.coeff(0, 1, 2) == 1
+    with pytest.raises(ValueError, match="not a basis index of a 3-dim space: -1"):
+        PRODUCT3.entry(0, 1, -1)

@@ -46,7 +46,7 @@ from relpoisson import (
 )
 from relpoisson.algebra import block_sum
 from relpoisson.cli import main
-from relpoisson.linalg import mat_inverse
+from relpoisson.linalg import _view, mat_inverse
 from dense_matrices import identity_matrix, mat_mul, zero_matrix
 
 from conftest import FIXTURES, worked_subadjacent, zero_algebra
@@ -432,3 +432,23 @@ def test_every_stored_structure_prints_without_a_dense_view():
     assert "_sparse=_Table(" in repr(alg)
     for part in (alg.dot, alg.bracket, alg.derivation):
         assert set(vars(part)) == set(part._stored)
+
+
+def test_point_reads_at_dim_120_read_the_stored_table():
+    # a coefficient, or one product e_i * e_j, is read from the stored
+    # entries: no dense view is left on the instance, where one would hold
+    # 120**3 cells, and every read equals the stored table's view
+    sp = Space.of_dim(120)
+    op = BilinearOp.from_entries(sp, [(0, 1, 2, F(1, 2))])
+    comult = Comultiplication.from_entries(sp, [(0, 1, 2, -3)])
+    table, columns = _view(op._sparse), _view(comult._sparse)
+    indices = (0, 1, 2, 119)
+    for i in indices:
+        for j in range(120):
+            assert op.product(i, j) == table[i][j] and op.product(j, i) == table[j][i]
+        for j in indices:
+            for k in indices:
+                assert op.entry(i, j, k) == table[i][j][k]
+                assert comult.coeff(i, j, k) == columns[k][i][j]
+    for s in (op, comult):
+        assert set(vars(s)) == set(s._stored), type(s).__name__
