@@ -179,10 +179,10 @@ class _Rank3(_Sparse):
         """(i, j, k, value) quadruples of the nonzero entries, in stored order."""
         return _entries(self._sparse, self._axes)
 
-    def _point(self, labels: str, *indices):
-        """The (other indices, value) pairs of the entries at the checked basis indices of ``labels``."""
-        key = tuple(_index(i, self.space.dim) for i in indices)
-        return _read(self._sparse, tuple(map(self._axes.index, labels))).get(key, ())
+    def _point(self, i: int, j: int):
+        """The ((k,), value) pairs of the entries at the checked basis indices (i, j)."""
+        n, keys = self.space.dim, tuple(map(self._axes.index, "ij"))
+        return _read(self._sparse, keys).get((_index(i, n), _index(j, n)), ())
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -196,11 +196,11 @@ class BilinearOp(_Rank3):
     table: tuple = cached_property(lambda self: _view(self._sparse))
 
     def entry(self, i: int, j: int, k: int):
-        return dict(self._point("ijk", i, j, k)).get((), ZERO)
+        return dict(self._point(i, j)).get((_index(k, self.space.dim),), ZERO)
 
     def product(self, i: int, j: int) -> Vector:
         """e_i * e_j as a coefficient vector."""
-        return _view(_Table(tuple(self._point("ij", i, j)), (self.space.dim,)))
+        return _view(_Table(tuple(self._point(i, j)), (self.space.dim,)))
 
     def apply_basis_left(self, i: int, v: Vector) -> Vector:
         """e_i * v for a general coefficient vector v."""

@@ -31,7 +31,7 @@ from .algebra import (
     _require,
     _Use,
 )
-from .linalg import ZERO, LinearMap, Matrix, Space, Vector, _act, _make, _permuted, _scaled, _view, dual_map
+from .linalg import ZERO, LinearMap, Matrix, Space, Vector, _act, _index, _make, _permuted, _scaled, _view, dual_map
 from .pairing import MatchedPairData
 from .representations import _DUALLY_REPRESENTS
 
@@ -49,7 +49,7 @@ class Comultiplication(_Rank3):
     _axes = "kij"
 
     def coeff(self, i: int, j: int, k: int):
-        return dict(self._point("ijk", i, j, k)).get((), ZERO)
+        return dict(self._point(i, j)).get((_index(k, self.space.dim),), ZERO)
 
     def of(self, u: Vector) -> Matrix:
         """Image of a general element as a 2-tensor coefficient matrix."""

@@ -131,7 +131,8 @@ def _index(i, n: int) -> int:
 
 
 def basis_vector(n: int, i: int) -> Vector:
-    return _view(_Table((((_index(i, n),), ONE),), (n,)))
+    i = _index(i, n)
+    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def vec_is_zero(u) -> bool:
